@@ -245,18 +245,6 @@ def interpolated_precision(
     return ip_points, maip
 
 
-def interpolated_ap(
-    psg_run: RankedList,
-    judgments: JudgmentSet,
-    passage_spans: Mapping[str, tuple[str, int, int]],
-) -> float | None:
-    """Per-query mean of iP over the 101-point grid (averaged for MAiP)."""
-    result = interpolated_precision(psg_run, judgments, passage_spans, recall_points=())
-    if result is None:
-        return None
-    return result[1]
-
-
 # -- paired t-test --
 
 

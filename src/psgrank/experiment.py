@@ -53,6 +53,7 @@ from .passage import Passage, SegmentationParams, char_overlap, segment
 from .rank import (
     FusionParams,
     RankedList,
+    _normalize_by_sum,
     build_jpdm_vectors,
     build_jpds_vectors,
     build_smpd_vectors,
@@ -270,10 +271,15 @@ class ExperimentConfig:
         ):
             if path is not None and not path.exists():
                 problems.append(f"{key} not found: {path}")
-        for name in ("mu", "svm_c", "alpha", "nu", "qsf_lambda", "docpsg_lambda",
-                     "plm_sigma", "plm_lambda", "plm_beta", "sdm_weights"):
+        known_grids = _default_grids()
+        for name in sorted(set(self.grids) - set(known_grids)):
+            problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
+        for name in known_grids:
             if not self.grids.get(name):
                 problems.append(f"grid {name!r} is empty")
+        known_params = _default_trainer_params()
+        for name in sorted(set(self.trainer_params) - set(known_params)):
+            problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
         if self.window_len < 1:
             problems.append(f"window_len must be >= 1, got {self.window_len}")
         if self.doc_cutoff < 1 or self.psg_cutoff < 1:
@@ -547,20 +553,13 @@ class _Pipeline:
 
     # -- ranking building blocks --
 
-    @staticmethod
-    def _normalize_sum(values: Mapping[str, float]) -> dict[str, float]:
-        total = sum(values.values())
-        if total <= 0:
-            return {k: 0.0 for k in values}
-        return {k: v / total for k, v in values.items()}
-
     def qsf_ranking(
         self, query_id: str, mu: float, lam: float, k: int | None = None
     ) -> RankedList:
         self.ensure_features(query_id, mu)
         data = self.query_data(query_id)
-        norm_psg = self._normalize_sum(data.psg_sims[mu])
-        norm_doc = self._normalize_sum(data.doc_sims[mu])
+        norm_psg = _normalize_by_sum(data.psg_sims[mu])
+        norm_doc = _normalize_by_sum(data.doc_sims[mu])
         scores = {
             pid: (1.0 - lam) * norm_psg[pid] + lam * norm_doc[data.psg_doc[pid]]
             for pid in norm_psg
@@ -573,9 +572,9 @@ class _Pipeline:
     ) -> RankedList:
         self.ensure_features(query_id, mu)
         data = self.query_data(query_id)
-        norm_pos = self._normalize_sum(self.positional_sims(query_id, mu, sigma))
-        norm_psg = self._normalize_sum(data.psg_sims[mu])
-        norm_doc = self._normalize_sum(data.doc_sims[mu])
+        norm_pos = _normalize_by_sum(self.positional_sims(query_id, mu, sigma))
+        norm_psg = _normalize_by_sum(data.psg_sims[mu])
+        norm_doc = _normalize_by_sum(data.doc_sims[mu])
         scores = {
             pid: lam * norm_pos[pid]
             + beta * norm_psg[pid]

@@ -22,7 +22,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
-from .index import LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, sdm_components
+from .index import (
+    LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, rank_documents_lm, sdm_components,
+)
 from .passage import Passage, neighbors, passage_term_counts, passage_tokens
 
 
@@ -317,7 +319,11 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _minmax_map(entries: Sequence[tuple[str, float]]) -> dict[str, float]:
+def esa_retrieval_profile(
+    terms: Sequence[str], esa_index: PositionalIndex, params: LmParams, k: int = 100
+) -> dict[str, float]:
+    """Min-max normalized top-k retrieval score list over the concept space."""
+    entries = rank_documents_lm(terms, esa_index, params, k)
     if not entries:
         return {}
     vals = [s for _, s in entries]
@@ -326,27 +332,6 @@ def _minmax_map(entries: Sequence[tuple[str, float]]) -> dict[str, float]:
     if span <= 0:
         return {i: 0.0 for i, _ in entries}
     return {i: (s - lo) / span for i, s in entries}
-
-
-def esa_retrieval_profile(
-    terms: Sequence[str], esa_index: PositionalIndex, params: LmParams, k: int = 100
-) -> dict[str, float]:
-    """Min-max normalized top-k retrieval score list over the concept space."""
-    from .rank import RankedList  # local import to avoid a cycle
-
-    kept = [t for t in terms if esa_index.collection_term_counts.get(t)]
-    if not kept:
-        return {}
-    candidates: set[str] = set()
-    for t in set(kept):
-        candidates.update(d for d, _ in esa_index.postings.get(t, ()))
-    scores = {}
-    for doc_id in candidates:
-        s = doc_lm_similarity(kept, doc_id, esa_index, params)
-        if s > 0:
-            scores[doc_id] = s
-    ranked = RankedList.from_scores("esa", scores, k=k)
-    return _minmax_map(list(ranked.entries))
 
 
 def profile_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
@@ -391,8 +376,8 @@ class PassageFeatureExtractor:
     The document universe is the retrieved candidate list; the passage
     universe is all passages of those documents. Similarities, per-document
     statistics and the query-side concept profile are precomputed once.
-    An optional shared ``esa_cache`` maps passage_id -> concept profile,
-    which is query-independent and safe to reuse across queries.
+    An optional shared ``esa_cache`` maps (passage_id, mu) -> concept
+    profile, which is query-independent and safe to reuse across queries.
     """
 
     def __init__(
@@ -459,11 +444,12 @@ class PassageFeatureExtractor:
     def _esa(self, passage: Passage, counts: Counter) -> float:
         if self.query_profile is None or not self.query_profile:
             return 0.0
-        profile = self.esa_cache.get(passage.passage_id)
+        key = (passage.passage_id, self.params.mu)
+        profile = self.esa_cache.get(key)
         if profile is None:
             keywords = top_tfidf_stems(counts, self.resources.esa_index)
             profile = esa_retrieval_profile(keywords, self.resources.esa_index, self.params)
-            self.esa_cache[passage.passage_id] = profile
+            self.esa_cache[key] = profile
         return profile_cosine(self.query_profile, profile)
 
     def _w2v(self, stems: Sequence[str]) -> float:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .corpus import CorpusStore, Document, Query
 
 INDEX_VERSION = 1
@@ -66,6 +68,8 @@ class PositionalIndex:
     corpus_checksum: str
     _pair_cache: dict = field(default_factory=dict, repr=False)
     _postings_by_doc: dict = field(default_factory=dict, repr=False)
+    _stem_arrays: dict = field(default_factory=dict, repr=False)
+    _doc_table: tuple | None = field(default=None, repr=False)
 
     def collection_prob(self, stem: str) -> float:
         count = self.collection_term_counts.get(stem, 0)
@@ -85,6 +89,25 @@ class PositionalIndex:
             by_doc = {d: p for d, p in self.postings.get(stem, ())}
             self._postings_by_doc[stem] = by_doc
         return by_doc.get(doc_id, [])
+
+    def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray]:
+        """Doc ids in string order, each id's rank in it, and the lengths by rank."""
+        if self._doc_table is None:
+            ids = sorted(self.doc_lengths)
+            lengths = np.array([self.doc_lengths[d] for d in ids], dtype=np.int64)
+            self._doc_table = (ids, {d: r for r, d in enumerate(ids)}, lengths)
+        return self._doc_table
+
+    def stem_arrays(self, stem: str) -> tuple[np.ndarray, np.ndarray]:
+        """Doc ranks (see :meth:`doc_table`) and term frequencies of a stem's postings."""
+        if stem not in self._stem_arrays:
+            rank_of = self.doc_table()[1]
+            plist = self.postings.get(stem, ())
+            self._stem_arrays[stem] = (
+                np.array([rank_of[d] for d, _ in plist], dtype=np.int64),
+                np.array([len(p) for _, p in plist], dtype=np.int64),
+            )
+        return self._stem_arrays[stem]
 
     # -- collection-level pair statistics, computed lazily per query pair --
 
@@ -213,30 +236,57 @@ def doc_lm_similarity(
     return lm_similarity(terms, counts, index.doc_lengths[doc_id], index, params)
 
 
-def retrieve_lm(query: Query, index: PositionalIndex, params: LmParams, k: int):
-    """Rank the top-k documents containing at least one query term.
+def _exact_log(x: np.ndarray) -> np.ndarray:
+    """math.log of each entry (-inf where <= 0); numpy's SIMD log can differ in the last bit."""
+    return np.array([math.log(v) if v > 0.0 else -math.inf for v in x.tolist()])
 
-    Returns a :class:`psgrank.rank.RankedList`; scores are the
-    exp(-cross-entropy) similarities, ties break by ascending doc id,
-    and zero scores are excluded.
+
+def rank_documents_lm(
+    terms: Sequence[str], index: PositionalIndex, params: LmParams, k: int
+) -> list[tuple[str, float]]:
+    """Top-k ``(doc_id, score)`` over every document holding a kept term.
+
+    Scores are bit-identical to :func:`doc_lm_similarity` (run files record
+    them with repr): theta uses the same IEEE operations, log and exp come
+    from :mod:`math`, and the ``inv_n * log(theta)`` summands are added in
+    query order, repeats included. A zero theta (mu = 0) scores 0. Zero
+    scores are excluded and ties break by ascending doc id.
     """
+    kept = [t for t in terms if index.collection_term_counts.get(t)]
+    if not kept:
+        return []
+    ids, _, lengths = index.doc_table()
+    arrays = {t: index.stem_arrays(t) for t in dict.fromkeys(kept)}
+    cand = np.unique(np.concatenate([ranks for ranks, _ in arrays.values()]))
+    denom = lengths[cand] + params.mu
+    # A doc lacking a term has theta = mu * p_c / denom: one log per distinct length.
+    uniq_denom, denom_slot = np.unique(denom, return_inverse=True)
+    inv_n = 1.0 / len(kept)
+    summands = {}
+    for t, (ranks, tf) in arrays.items():
+        smooth = params.mu * index.collection_prob(t)
+        logs = _exact_log(smooth / uniq_denom)[denom_slot]
+        slots = np.searchsorted(cand, ranks)
+        logs[slots] = _exact_log((tf + smooth) / denom[slots])
+        summands[t] = inv_n * logs
+    log_sum = np.zeros(len(cand))
+    for t in kept:
+        log_sum = log_sum + summands[t]
+    scores = np.array([math.exp(x) for x in log_sum.tolist()])
+    positive = scores > 0.0
+    cand, scores = cand[positive], scores[positive]
+    order = np.lexsort((cand, -scores))[:k]
+    return [(ids[r], s) for r, s in zip(cand[order].tolist(), scores[order].tolist())]
+
+
+def retrieve_lm(query: Query, index: PositionalIndex, params: LmParams, k: int):
+    """The top-k documents holding a query term, as a RankedList of :func:`rank_documents_lm`."""
     from .rank import RankedList
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    terms = query.stems()
-    kept = [t for t in terms if index.collection_term_counts.get(t)]
-    if not kept:
-        return RankedList(query.query_id, ())
-    candidates: set[str] = set()
-    for t in set(kept):
-        candidates.update(d for d, _ in index.postings.get(t, ()))
-    scores = {}
-    for doc_id in candidates:
-        s = doc_lm_similarity(terms, doc_id, index, params)
-        if s > 0.0:
-            scores[doc_id] = s
-    return RankedList.from_scores(query.query_id, scores, k=k)
+    entries = rank_documents_lm(query.stems(), index, params, k)
+    return RankedList.from_scores(query.query_id, entries)
 
 
 def count_ordered_pairs(positions_a: Sequence[int], positions_b: Sequence[int]) -> int:
@@ -314,14 +364,3 @@ def sdm_components(
             f_o += smoothed_log(ord_count, index.ordered_pair_count(a, b))
             f_u += smoothed_log(win_count, index.window_pair_count(a, b))
     return f_t, f_o, f_u
-
-
-def sdm_score(
-    query: Query,
-    doc: Document,
-    index: PositionalIndex,
-    params: LmParams,
-    weights: SdmWeights,
-) -> float:
-    f_t, f_o, f_u = sdm_components(query, doc, index, params)
-    return weights.w_unigram * f_t + weights.w_ordered * f_o + weights.w_unordered * f_u

@@ -347,22 +347,6 @@ def build_jpds_vectors(
     return out
 
 
-def jpdm_schema(agg: str):
-    if agg not in ("avg", "max", "min"):
-        raise ValueError(f"unknown aggregate: {agg!r}")
-    # Aggregating the passage-query similarity would duplicate the
-    # max/avg-of-passage-similarities features, so avg and max drop it.
-    exclusions = {"PsgQuerySim"} if agg in ("avg", "max") else set()
-    return concat_schemas(
-        DOC_SCHEMA,
-        PSG_SCHEMA,
-        name=f"jpdm-{agg}",
-        a_prefix="d.",
-        b_prefix=f"{agg}.",
-        exclusions=exclusions,
-    )
-
-
 def build_jpdm_vectors(
     doc_list: RankedList,
     doc_vectors: Mapping[str, FeatureVector],
@@ -379,6 +363,8 @@ def build_jpdm_vectors(
     first_doc = doc_list.entries[0][0]
     doc_schema = doc_vectors[first_doc].schema
     psg_schema = psg_vectors[passages_by_doc[first_doc][0].passage_id].schema
+    # Aggregating the passage-query similarity would duplicate the
+    # max/avg-of-passage-similarities features, so avg and max drop it.
     exclusions = ({"PsgQuerySim"} if agg in ("avg", "max") else set()) & set(
         psg_schema.features
     )

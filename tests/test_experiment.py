@@ -21,6 +21,20 @@ def _tiny_corpus(tmp_path, seed=5):
     return generate(spec, tmp_path / "data")
 
 
+_TINY_GRIDS = {
+    "mu": [1500.0],
+    "svm_c": [0.01],
+    "alpha": [0.0, 0.5, 1.0],
+    "nu": [0.0, 60.0],
+    "qsf_lambda": [0.3, 0.6],
+    "docpsg_lambda": [0.3, 0.6],
+    "plm_sigma": [50.0],
+    "plm_lambda": [0.0, 0.4],
+    "plm_beta": [0.4],
+    "sdm_weights": [[0.8, 0.1, 0.1]],
+}
+
+
 def _tiny_config(paths, methods, **overrides):
     base = {
         "corpus": str(paths["corpus"]),
@@ -31,18 +45,7 @@ def _tiny_config(paths, methods, **overrides):
         "trainer": "pairwise_hinge",
         "window_len": 30,
         "seed": 11,
-        "grids": {
-            "mu": [1500.0],
-            "svm_c": [0.01],
-            "alpha": [0.0, 0.5, 1.0],
-            "nu": [0.0, 60.0],
-            "qsf_lambda": [0.3, 0.6],
-            "docpsg_lambda": [0.3, 0.6],
-            "plm_sigma": [50.0],
-            "plm_lambda": [0.0, 0.4],
-            "plm_beta": [0.4],
-            "sdm_weights": [[0.8, 0.1, 0.1]],
-        },
+        "grids": _TINY_GRIDS,
         "trainer_params": {"epochs": 60},
     }
     base.update(overrides)
@@ -71,13 +74,16 @@ class TestConfigValidation:
                 "topics": str(tmp_path / "missing.tsv"),
                 "methods": ["LM", "Bogus"],
                 "trainer": "boost",
-                "grids": {"mu": []},
+                "grids": {"mu": [], "qsf_lamda": [0.5]},
+                "trainer_params": {"epochs": 5, "epoch": 5, "lr": 0.1},
             }
         )
         problems = config.validate()
-        assert len(problems) >= 4
+        assert len(problems) >= 7
         joined = " | ".join(problems)
-        assert "Bogus" in joined and "boost" in joined and "mu" in joined
+        assert "Bogus" in joined and "boost" in joined and "'mu'" in joined
+        for key in ("qsf_lamda", "epoch", "lr"):
+            assert sum(f"{key!r}" in p for p in problems) == 1, key
 
     def test_methods_need_qrels(self, tmp_path):
         paths = _tiny_corpus(tmp_path)
@@ -125,10 +131,12 @@ class TestDeterminism:
         for name in tree1:
             assert tree1[name] == tree2[name], name
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    @staticmethod
+    def _assert_worker_count_invariant(tmp_path, **overrides):
         paths = _tiny_corpus(tmp_path)
-        run_experiment(_tiny_config(paths, ["RRF"], workers=1), tmp_path / "w1")
-        run_experiment(_tiny_config(paths, ["RRF"], workers=4), tmp_path / "w4")
+        for workers in (1, 4):
+            config = _tiny_config(paths, ["RRF"], workers=workers, **overrides)
+            run_experiment(config, tmp_path / f"w{workers}")
         tree1 = _tree_bytes(tmp_path / "w1")
         tree4 = _tree_bytes(tmp_path / "w4")
         assert tree1.keys() == tree4.keys()
@@ -136,6 +144,13 @@ class TestDeterminism:
             if name.endswith("config.resolved.json") or name == "report.json":
                 continue  # the resolved config records the worker count
             assert tree1[name] == tree4[name], name
+
+    def test_worker_count_does_not_change_output(self, tmp_path):
+        self._assert_worker_count_invariant(tmp_path)
+
+    def test_worker_count_does_not_change_multi_mu_output(self, tmp_path):
+        grids = {**_TINY_GRIDS, "mu": [500.0, 2500.0]}
+        self._assert_worker_count_invariant(tmp_path, grids=grids)
 
 
 class TestCvHygiene:

@@ -317,6 +317,23 @@ class TestPassageFeatures:
         assert set(top_tfidf_stems(Counter(["zebu", "yak"]), index)) == {"zebu", "yak"}
         assert vec.value_of("ESA") == pytest.approx(1.0, abs=1e-12)
 
+    def test_esa_cache_is_keyed_by_mu(self, store_factory, tokenizer):
+        store, index, passages_by_doc, resources, query = _psg_fixture(
+            store_factory, tokenizer
+        )
+
+        def esa_values(mu, cache):
+            extractor = PassageFeatureExtractor(
+                query, store, index, sorted(passages_by_doc), passages_by_doc,
+                resources, LmParams(mu), esa_cache=cache,
+            )
+            return [v.value_of("ESA") for v in extractor.all_vectors()]
+
+        shared = {}
+        warm_500 = esa_values(500.0, shared)
+        assert esa_values(2500.0, shared) == esa_values(2500.0, {})
+        assert esa_values(500.0, shared) == warm_500 == esa_values(500.0, {})
+
     def test_corpus_order_invariance(self, tokenizer, store_factory):
         texts = {
             "d1": "cat dog bird the cat runs",

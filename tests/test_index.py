@@ -16,9 +16,11 @@ from psgrank.index import (
     count_window_pairs,
     doc_lm_similarity,
     lm_similarity,
+    rank_documents_lm,
     retrieve_lm,
     sdm_components,
 )
+from psgrank.rank import RankedList
 
 
 def _stems(store):
@@ -201,6 +203,72 @@ class TestRetrieveLm:
         run_fwd = retrieve_lm(q, build_index(store_fwd), LmParams(100.0), 10)
         run_rev = retrieve_lm(q, build_index(store_rev), LmParams(100.0), 10)
         assert run_fwd.entries == run_rev.entries
+
+
+def _scalar_top_k(terms, index, params, k):
+    """Reference for rank_documents_lm: the scalar formula over every
+    document holding a kept term, zero scores dropped."""
+    kept = {t for t in terms if index.collection_term_counts.get(t)}
+    scores = {}
+    for doc_id in {d for t in kept for d, _ in index.postings[t]}:
+        s = doc_lm_similarity(terms, doc_id, index, params)
+        if s > 0.0:
+            scores[doc_id] = s
+    return list(RankedList.from_scores("ref", scores, k=k).entries)
+
+
+class TestRankDocumentsLm:
+    """The batched retrieval must equal the scalar formula bit for bit."""
+
+    VOCAB = [f"w{i}" for i in range(15)]
+
+    @pytest.fixture
+    def index(self, store_factory):
+        texts = _random_texts(np.random.default_rng(8), 80, self.VOCAB, min_len=3, max_len=60)
+        texts["t1"] = texts["t2"] = "w1 w2 w3 w1"  # identical documents tie
+        index = build_index(store_factory(texts))
+        assert len(set(index.doc_lengths.values())) > 20
+        return index
+
+    def _check(self, terms, index, mu, k):
+        params = LmParams(mu)
+        got = rank_documents_lm(terms, index, params, k)
+        assert got == _scalar_top_k(terms, index, params, k)
+        return got
+
+    def test_random_queries(self, index):
+        rng = np.random.default_rng(9)
+        pool = self.VOCAB + ["zebra"]
+        for _ in range(40):
+            terms = [str(t) for t in rng.choice(pool, size=int(rng.integers(1, 8)))]
+            for mu in (0.0, 1.0, 1500.0, 2500):
+                for k in (1, 7, 100):
+                    self._check(terms, index, mu, k)
+
+    def test_mu_zero_drops_docs_missing_a_term(self, index):
+        got = self._check(["w1", "w2"], index, 0.0, 1000)
+        holding_any = {d for t in ("w1", "w2") for d, _ in index.postings[t]}
+        holding_all = {
+            d for d in holding_any if index.positions("w1", d) and index.positions("w2", d)
+        }
+        assert {d for d, _ in got} == holding_all < holding_any
+
+    def test_repeated_terms_count_twice(self, index):
+        once = self._check(["w3", "w5"], index, 1500.0, 1000)
+        twice = self._check(["w3", "w3", "w5"], index, 1500.0, 1000)
+        assert once != twice
+
+    def test_out_of_vocabulary_terms_dropped(self, index):
+        with_oov = self._check(["w4", "zebra", "w11"], index, 1500.0, 1000)
+        assert with_oov == rank_documents_lm(["w4", "w11"], index, LmParams(1500.0), 1000)
+        assert self._check(["zebra", "yak"], index, 1500.0, 10) == []
+
+    def test_tie_at_kth_place_breaks_by_id(self, index):
+        full = self._check(["w1", "w2", "w3"], index, 1500.0, 1000)
+        k = [d for d, _ in full].index("t1") + 1
+        top = self._check(["w1", "w2", "w3"], index, 1500.0, k)
+        assert len(top) == k < len(full)
+        assert top[-1][0] == "t1" and full[k] == ("t2", top[-1][1])
 
 
 class TestSdm:
