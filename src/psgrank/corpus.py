@@ -14,10 +14,9 @@ import json
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 TOKENIZER_ID = "alnum-v1"
 STORE_VERSION = 1
@@ -30,8 +29,7 @@ class CorpusError(ValueError):
     """Malformed corpus input or store/manifest inconsistency."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single token with character offsets into the source text."""
 
     surface: str
@@ -161,32 +159,35 @@ class Tokenizer:
     """
 
     def __init__(self, stemmer: Stemmer | None = None, stopwords: StopwordList | None = None):
-        self.stemmer = stemmer or LightStemmer()
-        self.stopwords = stopwords or default_stopwords()
-        self._stem_cache: dict[str, str] = {}
+        self._stemmer = stemmer or LightStemmer()
+        self._stopwords = stopwords or default_stopwords()
+        # surface form -> (stem, is_stopword). Valid for the tokenizer's
+        # lifetime because the stemmer and stopword list are read-only.
+        self._analysis: dict[str, tuple[str, bool]] = {}
 
     @property
     def identity(self) -> str:
         return TOKENIZER_ID
 
+    @property
+    def stemmer(self) -> Stemmer:
+        return self._stemmer
+
+    @property
+    def stopwords(self) -> StopwordList:
+        return self._stopwords
+
     def tokenize(self, text: str) -> list[Token]:
+        analysis = self._analysis
         tokens = []
         for m in _TOKEN_RE.finditer(text):
-            surface = m.group(0)
-            lower = surface.lower()
-            stem = self._stem_cache.get(lower)
-            if stem is None:
-                stem = self.stemmer.stem(lower)
-                self._stem_cache[lower] = stem
-            tokens.append(
-                Token(
-                    surface=surface,
-                    stem=stem,
-                    char_start=m.start(),
-                    char_end=m.end(),
-                    is_stopword=lower in self.stopwords,
-                )
-            )
+            surface = m.group()
+            hit = analysis.get(surface)
+            if hit is None:
+                lower = surface.lower()
+                hit = analysis[surface] = (self._stemmer.stem(lower), lower in self._stopwords)
+            start, end = m.span()
+            tokens.append(tuple.__new__(Token, (surface, hit[0], start, end, hit[1])))
         return tokens
 
 

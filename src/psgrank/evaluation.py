@@ -11,6 +11,7 @@ evenly spaced recall points for MAiP.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -225,7 +226,8 @@ def interpolated_precision(
     covered: dict[str, list[tuple[int, int]]] = {}
     retrieved_chars = 0
     relevant_chars = 0
-    curve: list[tuple[float, float]] = []  # (recall, precision) per rank
+    recalls: list[float] = []  # per rank; never decreases down the run
+    best_from: list[float] = []  # per rank: max precision at this rank or below
     for pid, _ in psg_run:
         doc_id, start, end = passage_spans[pid]
         new_parts = _subtract((start, end), covered.get(doc_id, ()))
@@ -233,12 +235,16 @@ def interpolated_precision(
             retrieved_chars += _measure(new_parts)
             relevant_chars += _intersect(new_parts, relevant.get(doc_id, ()))
             covered[doc_id] = _merge_intervals(covered.get(doc_id, []) + new_parts)
-        precision = relevant_chars / retrieved_chars if retrieved_chars else 0.0
-        recall = relevant_chars / total_relevant
-        curve.append((recall, precision))
+        recalls.append(relevant_chars / total_relevant)
+        best_from.append(relevant_chars / retrieved_chars if retrieved_chars else 0.0)
+    for i in range(len(best_from) - 2, -1, -1):
+        if best_from[i + 1] > best_from[i]:
+            best_from[i] = best_from[i + 1]
+    best_from.append(0.0)  # no rank reaches x
 
     def ip(x: float) -> float:
-        return max((p for r, p in curve if r >= x - 1e-12), default=0.0)
+        # The ranks whose recall reaches x form a suffix of the run.
+        return best_from[bisect_left(recalls, x - 1e-12)]
 
     ip_points = {x: ip(x) for x in recall_points}
     maip = sum(ip(x) for x in MAIP_RECALL_POINTS) / len(MAIP_RECALL_POINTS)

@@ -275,17 +275,32 @@ class ExperimentConfig:
         for name in sorted(set(self.grids) - set(known_grids)):
             problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
         for name in known_grids:
-            if not self.grids.get(name):
+            points = self.grids.get(name)
+            if not isinstance(points, (list, tuple)):
+                problems.append(f"grid {name!r} must be a list, got {points!r}")
+                continue
+            if not points:
                 problems.append(f"grid {name!r} is empty")
+            for point in points:
+                if name == "sdm_weights":
+                    problem = _sdm_weights_problem(point)
+                else:
+                    problem = None if _is_number(point) else "must be a number"
+                if problem:
+                    problems.append(f"grid {name!r} point {point!r}: {problem}")
         known_params = _default_trainer_params()
         for name in sorted(set(self.trainer_params) - set(known_params)):
             problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
-        if self.window_len < 1:
-            problems.append(f"window_len must be >= 1, got {self.window_len}")
-        if self.doc_cutoff < 1 or self.psg_cutoff < 1:
-            problems.append("cutoffs must be >= 1")
-        if self.workers < 1:
-            problems.append(f"workers must be >= 1, got {self.workers}")
+        for key, least in (
+            ("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("workers", 1), ("seed", 0),
+        ):
+            value = getattr(self, key)
+            if not _is_int(value):
+                problems.append(f"{key} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(f"{key} must be >= {least}, got {value}")
+        if not _is_number(self.init_mu) or not self.init_mu >= 0:
+            problems.append(f"init_mu must be a number >= 0, got {self.init_mu!r}")
         problems.extend(_parse_exclusions(self.exclusions)[2])
         return problems
 
@@ -294,6 +309,25 @@ class ExperimentConfig:
         for key, value in self.__dict__.items():
             out[key] = str(value) if isinstance(value, Path) else value
         return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _sdm_weights_problem(wt) -> str | None:
+    """Why ``wt`` is not an SDM weight triple, or None if it is one."""
+    if not isinstance(wt, (list, tuple)) or len(wt) != 3 or not all(map(_is_number, wt)):
+        return "must be 3 numbers"
+    try:
+        SdmWeights(*wt)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _parse_exclusions(exclusions: Sequence[str]):

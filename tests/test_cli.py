@@ -236,6 +236,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Wat" in err and "JPDs" in err  # names allowed values
 
+    def test_wrong_config_types_exit_one_listing_each(self, tmp_path, capsys):
+        _run_config(
+            tmp_path, ["LM"], window_len="150", doc_cutoff="5",
+            grids={"sdm_weights": [[0.5, 0.5, 0.5]]},
+        )
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "window_len" in err and "doc_cutoff" in err and "[0.5, 0.5, 0.5]" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAblateCommand:
     def test_constant_feature_is_metric_neutral(self, tmp_path, capsys):

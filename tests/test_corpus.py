@@ -8,6 +8,7 @@ from psgrank.corpus import (
     LightStemmer,
     Query,
     StopwordList,
+    Token,
     Tokenizer,
     default_stopwords,
     ingest_corpus,
@@ -38,6 +39,39 @@ class TestTokenize:
     def test_deterministic(self, tokenizer):
         text = "Some text; with punctuation... and MORE."
         assert tokenizer.tokenize(text) == tokenizer.tokenize(text)
+
+
+class TestTokenizerCache:
+    TEXTS = ("The THE the", "Running RUNNING ran", "the Cats, THE cats; running 42")
+
+    def test_warm_cache_matches_cold(self):
+        warm = Tokenizer()
+        for text in self.TEXTS:
+            warm.tokenize(text)
+        for text in self.TEXTS:
+            assert warm.tokenize(text) == Tokenizer().tokenize(text)
+
+    def test_each_token_matches_direct_analysis(self):
+        tokenizer = Tokenizer()
+        stemmer, stopwords = LightStemmer(), default_stopwords()
+        for text in self.TEXTS * 2:
+            for t in tokenizer.tokenize(text):
+                assert t.stem == stemmer.stem(t.surface.lower())
+                assert t.is_stopword == (t.surface.lower() in stopwords)
+
+    def test_token_is_immutable(self, tokenizer):
+        token = tokenizer.tokenize("Cats")[0]
+        for field in Token._fields:
+            with pytest.raises(AttributeError):
+                setattr(token, field, "x")
+        assert token == Token("Cats", "cat", 0, 4, False)
+        assert hash(token) == hash(Token("Cats", "cat", 0, 4, False))
+
+    def test_analysis_chain_is_read_only(self, tokenizer):
+        with pytest.raises(AttributeError):
+            tokenizer.stemmer = LightStemmer()
+        with pytest.raises(AttributeError):
+            tokenizer.stopwords = StopwordList("x", ["cats"])
 
 
 class TestStemmer:

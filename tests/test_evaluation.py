@@ -8,6 +8,10 @@ from psgrank.evaluation import (
     CvPlan,
     JudgmentError,
     JudgmentSet,
+    _intersect,
+    _measure,
+    _merge_intervals,
+    _subtract,
     average_precision,
     interpolated_precision,
     load_char_qrels,
@@ -167,6 +171,52 @@ class TestInterpolatedPrecision:
             for x in points:
                 assert got_ip[x] == pytest.approx(exp_ip[x], abs=1e-12)
             assert got_maip == pytest.approx(exp_maip, abs=1e-12)
+
+    def test_suffix_max_equals_full_rescan(self):
+        # Reference: the (recall, precision) curve walked the same way, with
+        # every iP[x] taken as a max over a rescan of the whole curve.
+        def rescan(pids, passage_spans, rel, points):
+            rel = {d: _merge_intervals(spans) for d, spans in rel.items()}
+            total = sum(_measure(spans) for spans in rel.values())
+            covered, retrieved, relevant, curve = {}, 0, 0, []
+            for pid in pids:
+                doc_id, start, end = passage_spans[pid]
+                new_parts = _subtract((start, end), covered.get(doc_id, ()))
+                if new_parts:
+                    retrieved += _measure(new_parts)
+                    relevant += _intersect(new_parts, rel.get(doc_id, ()))
+                    covered[doc_id] = _merge_intervals(covered.get(doc_id, []) + new_parts)
+                curve.append((relevant / total, relevant / retrieved if retrieved else 0.0))
+
+            def ip(x):
+                return max((p for r, p in curve if r >= x - 1e-12), default=0.0)
+
+            return {x: ip(x) for x in points}, sum(ip(i / 100) for i in range(101)) / 101
+
+        rng = np.random.default_rng(41)
+        points = (0.0, 0.01, 0.1, 0.25, 0.5, 0.99, 1.0)
+        for _ in range(200):
+            docs = [f"d{k}" for k in range(int(rng.integers(1, 5)))]
+            passage_spans = {}
+            for d in docs:
+                for i in range(int(rng.integers(1, 8))):
+                    start = int(rng.integers(0, 150))
+                    passage_spans[f"{d}#{i}"] = (d, start, start + int(rng.integers(1, 60)))
+            rel = {}
+            for d in docs:
+                starts = rng.integers(0, 180, size=int(rng.integers(0, 4)))
+                rel[d] = [(int(s), int(s) + int(rng.integers(1, 40))) for s in starts]
+            if not any(rel.values()):
+                rel[docs[0]] = [(0, 10)]
+            pids = list(passage_spans)
+            rng.shuffle(pids)
+            pids = pids[: int(rng.integers(1, len(pids) + 1))]
+            got = interpolated_precision(
+                _run(pids), _char_judgments(rel), passage_spans, recall_points=points
+            )
+            expected = rescan(pids, passage_spans, rel, points)
+            assert got == expected
+            assert repr(got) == repr(expected)
 
     def test_ip_curve_non_increasing_in_x(self):
         passage_spans = {

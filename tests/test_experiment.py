@@ -85,6 +85,27 @@ class TestConfigValidation:
         for key in ("qsf_lamda", "epoch", "lr"):
             assert sum(f"{key!r}" in p for p in problems) == 1, key
 
+    def test_wrong_types_and_infeasible_sdm_weights_enumerated(self, tmp_path):
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, ["LM"])
+        config.window_len = "150"
+        config.doc_cutoff = "5"
+        config.psg_cutoff = 2.0
+        config.workers = True
+        config.seed = None
+        config.init_mu = "1000"
+        config.grids = dict(
+            config.grids,
+            sdm_weights=[[0.8, 0.1, 0.1], [0.9, 0.9, 0.9], [1.2, -0.1, -0.1], [0.5, 0.5], ["1", 0, 0]],
+        )
+        problems = config.validate()
+        for key in ("window_len", "doc_cutoff", "psg_cutoff", "workers", "seed", "init_mu"):
+            assert sum(p.startswith(f"{key} ") for p in problems) == 1, key
+        bad_points = [p for p in problems if p.startswith("grid 'sdm_weights' point")]
+        assert len(bad_points) == 4
+        assert not any("[0.8, 0.1, 0.1]" in p for p in bad_points)
+        assert len(problems) == 10
+
     def test_methods_need_qrels(self, tmp_path):
         paths = _tiny_corpus(tmp_path)
         config = _tiny_config(paths, ["JPDs"])
