@@ -25,7 +25,7 @@ from .evaluation import (
     paired_ttest,
     precision_at,
 )
-from .experiment import ConfigError, ExperimentConfig, run_experiment
+from .experiment import FEATURE_FREE_METHODS, ConfigError, ExperimentConfig, run_experiment
 from .features import (
     DOC_SCHEMA,
     FeatureSchema,
@@ -265,12 +265,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_FEATURE_FREE_METHODS = {"LM", "DocPsg", "QSF", "PLM"}
-
-
 def _cmd_ablate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if all(m in _FEATURE_FREE_METHODS for m in config.methods):
+    problems = config.validate()
+    if problems:
+        raise ConfigError("; ".join(problems))
+    if all(m in FEATURE_FREE_METHODS for m in config.methods):
         raise UsageError(
             "ablation needs at least one feature-based method; "
             f"configured: {', '.join(config.methods)}"

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .corpus import Query, ingest_corpus, load_topics
@@ -53,56 +53,199 @@ from .passage import Passage, SegmentationParams, char_overlap, segment
 from .rank import (
     FusionParams,
     RankedList,
-    _normalize_by_sum,
+    best_positional_similarities,
+    build_fpd_vectors,
     build_jpdm_vectors,
     build_jpds_vectors,
     build_smpd_vectors,
-    positional_similarities,
+    check_sigma,
+    check_weight,
+    docpsg_from_sims,
+    plm_from_sims,
+    plm_weights_feasible,
+    qsf_from_sims,
     rerank_fpd,
     rerank_rrf,
     write_trec_run,
 )
 
-DOC_METHODS = (
-    "LM",
-    "SDM",
-    "DocPsg",
-    "init-LTR",
-    "RRF",
-    "SMPD",
-    "JPDs",
-    "JPDs-second",
-    "JPDs-third",
-    "JPDs-lowest",
-    "JPD-2",
-    "JPDm-avg",
-    "JPDm-max",
-    "JPDm-min",
-    "FPD",
-)
-PSG_METHODS = ("QSF", "PLM", "PsgLTR")
-ALL_METHODS = DOC_METHODS + PSG_METHODS
-
 TRAINERS = ("pairwise_hinge", "coordinate_ascent")
 
-# Methods that need a ranking of the candidate documents' passages.
-_NEEDS_PSG_RANKING = (
-    "RRF",
-    "SMPD",
-    "JPDs",
-    "JPDs-second",
-    "JPDs-third",
-    "JPDs-lowest",
-    "JPD-2",
-    "FPD",
-)
-_NEEDS_INIT_LTR = _NEEDS_PSG_RANKING + ("init-LTR", "JPDm-avg", "JPDm-max", "JPDm-min")
-_JPDS_WHICH = {
-    "JPDs": "best",
-    "JPDs-second": "second",
-    "JPDs-third": "third",
-    "JPDs-lowest": "lowest",
+
+@dataclass(frozen=True)
+class _Method:
+    """One method: how it ranks a query, what it needs, how it is tuned.
+
+    A grid is a tuple of (parameter, config grid name) axes; every
+    combination is tried, the last axis fastest, and the first point with
+    the strictly best mean metric wins. A learned method trains one model
+    per vector-grid point and trainer setting, then walks ``grid``.
+    Functions receive the fold runner and find every psgrank function
+    through this module's globals when called.
+    """
+
+    kind: str  # "doc" or "psg": the judgments it is evaluated and tuned by
+    # (runner, query_id, params) -> run; for a learned method,
+    # (runner, query_id, params, model ranking) -> run, or None for the model's ranking.
+    rank: Callable | None = None
+    init_ltr: bool = False  # reads the tuned document LTR ranking
+    psg_ranking: bool = False  # reads the ranking of all candidate passages
+    psg_ranker: str | None = None  # reports this passage ranker's output: "qsf" or "ltr"
+    vectors: Callable | None = None  # (runner, query_id, params) -> raw vectors; learned
+    vector_grid: tuple = ()
+    grid: tuple = ()
+    feasible: Callable | None = None  # params -> False for a grid point to skip
+    split: str = "train"  # the queries the grid is selected on: "train" or "validation"
+    hyper_in_params: bool = True  # report the trainer setting with the tuned params
+    features: bool = True  # reads feature vectors, so ablating a feature can move it
+
+
+def _fusion(p: dict) -> FusionParams:
+    return FusionParams(nu=p["nu"], alpha=p["alpha"])
+
+
+def _sdm(run, query_id: str, p: dict) -> RankedList:
+    pipe = run.pipe
+    pipe.ensure_features(query_id, p["mu"])
+    w = SdmWeights(*p["weights"])
+    kept = pipe.doc_schema.features
+    scores = {}
+    for d, vec in pipe.query_data(query_id).doc_vectors[p["mu"]].items():
+        f_t, f_o, f_u = (vec.value_of(f) if f in kept else 0.0 for f in DOC_SCHEMA.features[:3])
+        scores[d] = w.w_unigram * f_t + w.w_ordered * f_o + w.w_unordered * f_u
+    return RankedList.from_scores(query_id, scores)
+
+
+def _docpsg(run, query_id: str, p: dict) -> RankedList:
+    pipe = run.pipe
+    return docpsg_from_sims(
+        query_id, *pipe.sims(query_id, p["mu"]), pipe.query_data(query_id).passages_by_doc,
+        pipe.index.doc_lengths, p["lambda_max"],
+    )
+
+
+def _plm(run, query_id: str, p: dict) -> RankedList:
+    pipe = run.pipe
+    return plm_from_sims(
+        query_id, *pipe.sims(query_id, p["mu"]),
+        pipe.positional_sims(query_id, p["mu"], p["sigma"]), pipe.query_data(query_id).psg_doc,
+        p["lambda"], p["beta"], k=run.config.psg_cutoff,
+    )
+
+
+def _vectors_for_doc_ltr(run, query_id: str, p: dict) -> list[FeatureVector]:
+    vectors = run.pipe.doc_vectors(query_id, p["mu"])
+    return [vectors[d] for d in sorted(vectors)]
+
+
+def _vectors_for_psg_ltr(run, query_id: str, p: dict) -> list[FeatureVector]:
+    # The passage ranker sees the tuned QSF's top passages; only the
+    # feature smoothing varies with the model's mu grid.
+    qsf = run.params["QSF"]
+    universe = run.pipe.qsf(query_id, qsf["mu"], qsf["lambda"], k=run.config.psg_cutoff).ids()
+    vectors = run.pipe.psg_vectors(query_id, p["mu"])
+    return [vectors[pid] for pid in universe]
+
+
+def _vectors_for_smpd(run, query_id: str, p: dict) -> list[FeatureVector]:
+    data = run.pipe.query_data(query_id)
+    return build_smpd_vectors(
+        run.c_ltr(query_id), data.doc_vectors[run.params["init-LTR"]["mu"]], data.passages_by_doc,
+        run.passage_ranking(query_id), p["nu"],
+    )
+
+
+def _jpds(which: str, two_passages: bool = False) -> _Method:
+    def vectors(run, query_id, p):
+        data = run.pipe.query_data(query_id)
+        return build_jpds_vectors(
+            run.c_ltr(query_id), data.doc_vectors[run.params["init-LTR"]["mu"]],
+            run.pipe.psg_vectors(query_id, run.psg_feature_mu()), data.passages_by_doc,
+            run.passage_ranking(query_id), which=which, two_passages=two_passages,
+            include_query_length=False,
+        )
+
+    return _Method("doc", init_ltr=True, psg_ranking=True, vectors=vectors, split="validation")
+
+
+def _jpdm(agg: str) -> _Method:
+    # JPDm is independent of the passage ranking; its passage features use
+    # the document ranker's smoothing, so no extra extraction is needed.
+    def vectors(run, query_id, p):
+        data = run.pipe.query_data(query_id)
+        mu = run.params["init-LTR"]["mu"]
+        return build_jpdm_vectors(
+            run.c_ltr(query_id), data.doc_vectors[mu], run.pipe.psg_vectors(query_id, mu),
+            data.passages_by_doc, agg,
+        )
+
+    return _Method("doc", init_ltr=True, vectors=vectors, split="validation")
+
+
+def _vectors_for_fpd(run, query_id: str, p: dict) -> list[FeatureVector]:
+    return build_fpd_vectors(
+        run.c_ltr(query_id), run.pipe.psg_vectors(query_id, run.psg_feature_mu()),
+        run.pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id),
+    )
+
+
+_METHODS = {
+    "LM": _Method("doc", rank=lambda run, q, p: run.pipe.query_data(q).c_init, features=False),
+    "SDM": _Method("doc", rank=_sdm, grid=(("mu", "mu"), ("weights", "sdm_weights"))),
+    "DocPsg": _Method(
+        "doc", rank=_docpsg, grid=(("mu", "mu"), ("lambda_max", "docpsg_lambda")), features=False
+    ),
+    "init-LTR": _Method(
+        "doc", init_ltr=True, vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),),
+        split="validation", hyper_in_params=False,
+    ),
+    "RRF": _Method(
+        "doc", init_ltr=True, psg_ranking=True, grid=(("alpha", "alpha"), ("nu", "nu")),
+        rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
+        split="validation",
+    ),
+    "SMPD": _Method(
+        "doc", init_ltr=True, psg_ranking=True, vectors=_vectors_for_smpd,
+        vector_grid=(("nu", "nu"),), split="validation", hyper_in_params=False,
+    ),
+    "JPDs": _jpds("best"),
+    "JPDs-second": _jpds("second"),
+    "JPDs-third": _jpds("third"),
+    "JPDs-lowest": _jpds("lowest"),
+    "JPD-2": _jpds("best", two_passages=True),
+    "JPDm-avg": _jpdm("avg"),
+    "JPDm-max": _jpdm("max"),
+    "JPDm-min": _jpdm("min"),
+    "FPD": _Method(
+        "doc", init_ltr=True, psg_ranking=True, vectors=_vectors_for_fpd,
+        grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
+        rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
+    ),
+    "QSF": _Method(
+        "psg", psg_ranker="qsf", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),
+        rank=lambda run, q, p: run.pipe.qsf(q, p["mu"], p["lambda"], k=run.config.psg_cutoff),
+    ),
+    "PLM": _Method(
+        "psg", rank=_plm, features=False,
+        grid=(("mu", "mu"), ("sigma", "plm_sigma"), ("lambda", "plm_lambda"), ("beta", "plm_beta")),
+        feasible=lambda p: plm_weights_feasible(p["lambda"], p["beta"]),
+    ),
+    "PsgLTR": _Method(
+        "psg", psg_ranker="ltr", vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
+        split="validation", hyper_in_params=False,
+    ),
 }
+ALL_METHODS = tuple(_METHODS)
+DOC_METHODS = tuple(m for m, r in _METHODS.items() if r.kind == "doc")
+PSG_METHODS = tuple(m for m, r in _METHODS.items() if r.kind == "psg")
+FEATURE_FREE_METHODS = tuple(m for m, r in _METHODS.items() if not r.features)
+
+
+def _grid_points(config: "ExperimentConfig", axes: tuple) -> Iterator[dict]:
+    names = [name for name, _ in axes]
+    for values in itertools.product(*(config.grids[grid] for _, grid in axes)):
+        # Sequence points (SDM weight triples) are reported as fresh lists.
+        yield dict(zip(names, (list(v) if isinstance(v, (list, tuple)) else v for v in values)))
 
 
 class ConfigError(ValueError):
@@ -186,6 +329,7 @@ class ExperimentConfig:
         grids.update(data.get("grids", {}))
         trainer_params = _default_trainer_params()
         trainer_params.update(data.get("trainer_params", {}))
+        methods = data.get("methods", [])
         known = {
             "corpus_format", "psg_qrels_mode", "window_len", "segmentation_mode",
             "trainer", "psg_ranker", "seed", "init_mu", "doc_cutoff", "psg_cutoff",
@@ -202,7 +346,7 @@ class ExperimentConfig:
         return cls(
             corpus=base / data.get("corpus", "corpus.jsonl"),
             topics=base / data.get("topics", "topics.tsv"),
-            methods=list(data.get("methods", [])),
+            methods=list(methods) if isinstance(methods, (list, tuple)) else methods,
             doc_qrels=path_or_none("doc_qrels"),
             psg_qrels=path_or_none("psg_qrels"),
             embeddings=path_or_none("embeddings"),
@@ -220,25 +364,33 @@ class ExperimentConfig:
         data = json.loads(path.read_text(encoding="utf-8"))
         return cls.from_dict(data, base_dir=path.parent)
 
+    def _records(self) -> list[_Method]:
+        methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
+        return [_METHODS[m] for m in methods if isinstance(m, str) and m in _METHODS]
+
     def needs_doc_qrels(self) -> bool:
-        return any(m in DOC_METHODS for m in self.methods)
+        return any(r.kind == "doc" for r in self._records())
 
     def needs_psg_qrels(self) -> bool:
         # Any passage ranking (learned or QSF) is tuned by a passage metric.
-        if any(m in PSG_METHODS for m in self.methods):
-            return True
-        return any(m in _NEEDS_PSG_RANKING for m in self.methods)
+        return any(r.kind == "psg" or r.psg_ranking for r in self._records())
 
     def validate(self) -> list[str]:
         """Collect every problem; empty list means the config is usable."""
         problems = []
-        if not self.methods:
+        if not isinstance(self.methods, (list, tuple)):
+            problems.append(f"methods must be a list of method names, got {self.methods!r}")
+        elif not self.methods:
             problems.append("no methods configured")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                problems.append(f"unknown method {m!r}; allowed: {', '.join(ALL_METHODS)}")
-        if len(set(self.methods)) != len(self.methods):
-            problems.append("duplicate methods configured")
+        else:
+            names = [m for m in self.methods if isinstance(m, str)]
+            for m in self.methods:
+                if not isinstance(m, str):
+                    problems.append(f"methods entry {m!r} must be a method name")
+                elif m not in _METHODS:
+                    problems.append(f"unknown method {m!r}; allowed: {', '.join(ALL_METHODS)}")
+            if len(set(names)) != len(names):
+                problems.append("duplicate methods configured")
         if self.trainer not in TRAINERS:
             problems.append(f"unknown trainer {self.trainer!r}; allowed: {', '.join(TRAINERS)}")
         if self.psg_ranker not in ("ltr", "qsf"):
@@ -271,26 +423,17 @@ class ExperimentConfig:
         ):
             if path is not None and not path.exists():
                 problems.append(f"{key} not found: {path}")
-        known_grids = _default_grids()
-        for name in sorted(set(self.grids) - set(known_grids)):
-            problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
-        for name in known_grids:
-            points = self.grids.get(name)
-            if not isinstance(points, (list, tuple)):
-                problems.append(f"grid {name!r} must be a list, got {points!r}")
-                continue
-            if not points:
-                problems.append(f"grid {name!r} is empty")
-            for point in points:
-                if name == "sdm_weights":
-                    problem = _sdm_weights_problem(point)
-                else:
-                    problem = None if _is_number(point) else "must be a number"
-                if problem:
-                    problems.append(f"grid {name!r} point {point!r}: {problem}")
+        problems.extend(self._grid_problems())
         known_params = _default_trainer_params()
         for name in sorted(set(self.trainer_params) - set(known_params)):
             problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
+        for name, default in known_params.items():
+            # Counts must be integers and rates numbers, like their defaults.
+            value = self.trainer_params.get(name, default)
+            if _is_int(default) and not _is_int(value):
+                problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
+            elif not _is_number(value):
+                problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
         for key, least in (
             ("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("workers", 1), ("seed", 0),
         ):
@@ -301,7 +444,40 @@ class ExperimentConfig:
                 problems.append(f"{key} must be >= {least}, got {value}")
         if not _is_number(self.init_mu) or not self.init_mu >= 0:
             problems.append(f"init_mu must be a number >= 0, got {self.init_mu!r}")
-        problems.extend(_parse_exclusions(self.exclusions)[2])
+        if not isinstance(self.exclusions, (list, tuple)):
+            problems.append(f"exclusions must be a list of feature names, got {self.exclusions!r}")
+        else:
+            for name in self.exclusions:
+                if not isinstance(name, str):
+                    problems.append(f"exclusions entry {name!r} must be a feature name")
+            problems.extend(
+                _parse_exclusions([e for e in self.exclusions if isinstance(e, str)])[2]
+            )
+        return problems
+
+    def _grid_problems(self) -> list[str]:
+        problems = []
+        known_grids = _default_grids()
+        for name in sorted(set(self.grids) - set(known_grids)):
+            problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
+        usable = {}
+        for name in known_grids:
+            points = self.grids.get(name)
+            if not isinstance(points, (list, tuple)):
+                problems.append(f"grid {name!r} must be a list, got {points!r}")
+                continue
+            if not points:
+                problems.append(f"grid {name!r} is empty")
+            usable[name] = []
+            for point in points:
+                problem = _point_problem(name, point)
+                if problem:
+                    problems.append(f"grid {name!r} point {point!r}: {problem}")
+                else:
+                    usable[name].append(point)
+        lams, betas = usable.get("plm_lambda"), usable.get("plm_beta")
+        if lams and betas and not any(plm_weights_feasible(a, b) for a in lams for b in betas):
+            problems.append("no (plm_lambda, plm_beta) pair has lambda + beta <= 1")
         return problems
 
     def resolved(self) -> dict:
@@ -319,12 +495,31 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _sdm_weights_problem(wt) -> str | None:
-    """Why ``wt`` is not an SDM weight triple, or None if it is one."""
-    if not isinstance(wt, (list, tuple)) or len(wt) != 3 or not all(map(_is_number, wt)):
-        return "must be 3 numbers"
+# The check each grid's consumer runs on one point; it raises ValueError.
+_GRID_CHECKS = {
+    "mu": LmParams,
+    "alpha": lambda v: FusionParams(alpha=v),
+    "nu": lambda v: FusionParams(nu=v),
+    "qsf_lambda": lambda v: check_weight("lambda", v),
+    "docpsg_lambda": lambda v: check_weight("lambda_max", v),
+    "plm_lambda": lambda v: check_weight("lambda", v),
+    "plm_beta": lambda v: check_weight("beta", v),
+    "plm_sigma": check_sigma,
+    "sdm_weights": lambda v: SdmWeights(*v),
+}
+
+
+def _point_problem(grid: str, point) -> str | None:
+    """Why ``point`` cannot be used in ``grid``, or None if it can."""
+    if grid == "sdm_weights":
+        if not isinstance(point, (list, tuple)) or len(point) != 3 or not all(map(_is_number, point)):
+            return "must be 3 numbers"
+    elif not _is_number(point):
+        return "must be a number"
+    check = _GRID_CHECKS.get(grid)
     try:
-        SdmWeights(*wt)
+        if check:
+            check(point)
     except ValueError as exc:
         return str(exc)
     return None
@@ -574,117 +769,44 @@ class _Pipeline:
         key = (mu, sigma)
         got = data.pos_sims.get(key)
         if got is None:
-            params = LmParams(mu)
-            got = {}
-            for d in sorted(data.passages_by_doc):
-                for p in data.passages_by_doc[d]:
-                    scores = positional_similarities(
-                        data.query, self.store, self.index, p, params, sigma
-                    )
-                    got[p.passage_id] = float(scores.max()) if scores.size else 0.0
+            got = best_positional_similarities(
+                data.query, self.store, self.index, sorted(data.passages_by_doc),
+                data.passages_by_doc, LmParams(mu), sigma,
+            )
             data.pos_sims[key] = got
         return got
 
     # -- ranking building blocks --
 
-    def qsf_ranking(
-        self, query_id: str, mu: float, lam: float, k: int | None = None
-    ) -> RankedList:
+    def sims(self, query_id: str, mu: float) -> tuple[dict[str, float], dict[str, float]]:
+        """The query's document and passage similarities at ``mu``."""
         self.ensure_features(query_id, mu)
         data = self.query_data(query_id)
-        norm_psg = _normalize_by_sum(data.psg_sims[mu])
-        norm_doc = _normalize_by_sum(data.doc_sims[mu])
-        scores = {
-            pid: (1.0 - lam) * norm_psg[pid] + lam * norm_doc[data.psg_doc[pid]]
-            for pid in norm_psg
-        }
-        return RankedList.from_scores(query_id, scores, k=k)
+        return data.doc_sims[mu], data.psg_sims[mu]
 
-    def plm_ranking(
-        self, query_id: str, mu: float, sigma: float, lam: float, beta: float,
-        k: int | None = None,
-    ) -> RankedList:
+    def doc_vectors(self, query_id: str, mu: float) -> dict[str, FeatureVector]:
         self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        norm_pos = _normalize_by_sum(self.positional_sims(query_id, mu, sigma))
-        norm_psg = _normalize_by_sum(data.psg_sims[mu])
-        norm_doc = _normalize_by_sum(data.doc_sims[mu])
-        scores = {
-            pid: lam * norm_pos[pid]
-            + beta * norm_psg[pid]
-            + (1.0 - lam - beta) * norm_doc[data.psg_doc[pid]]
-            for pid in norm_psg
-        }
-        return RankedList.from_scores(query_id, scores, k=k)
+        return self.query_data(query_id).doc_vectors[mu]
 
-    def docpsg_ranking(self, query_id: str, mu: float, lambda_max: float) -> RankedList:
-        import math
-
+    def psg_vectors(self, query_id: str, mu: float) -> dict[str, FeatureVector]:
         self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        doc_ids = sorted(data.passages_by_doc)
-        if not doc_ids:
-            return RankedList(query_id, ())
-        log_lens = {d: math.log1p(self.index.doc_lengths[d]) for d in doc_ids}
-        lo, hi = min(log_lens.values()), max(log_lens.values())
-        span = hi - lo
-        best_psg = {}
-        for d in doc_ids:
-            best_psg[d] = max(
-                (data.psg_sims[mu][p.passage_id] for p in data.passages_by_doc[d]),
-                default=0.0,
-            )
-        scores = {}
-        for d in doc_ids:
-            mm = (log_lens[d] - lo) / span if span > 0 else 0.0
-            lam_d = lambda_max * (1.0 - mm)
-            scores[d] = lam_d * data.doc_sims[mu][d] + (1.0 - lam_d) * best_psg[d]
-        return RankedList.from_scores(query_id, scores)
+        return self.query_data(query_id).psg_vectors[mu]
 
-    def sdm_ranking(self, query_id: str, mu: float, weights: SdmWeights) -> RankedList:
-        self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        w = (weights.w_unigram, weights.w_ordered, weights.w_unordered)
-        scores = {}
-        for d, vec in data.doc_vectors[mu].items():
-            f_t = vec.value_of("SdmUnigrams") if "SdmUnigrams" in self.doc_schema.features else 0.0
-            f_o = (
-                vec.value_of("SdmOrderedBigrams")
-                if "SdmOrderedBigrams" in self.doc_schema.features
-                else 0.0
-            )
-            f_u = (
-                vec.value_of("SdmUnorderedBigrams")
-                if "SdmUnorderedBigrams" in self.doc_schema.features
-                else 0.0
-            )
-            scores[d] = w[0] * f_t + w[1] * f_o + w[2] * f_u
-        return RankedList.from_scores(query_id, scores)
-
-    def normalized_doc_vectors(self, query_id: str, mu: float) -> list[FeatureVector]:
-        self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        ordered = [data.doc_vectors[mu][d] for d in sorted(data.doc_vectors[mu])]
-        return minmax_normalize(ordered)
-
-    def normalized_psg_vectors(
-        self, query_id: str, mu: float, universe: Sequence[str] | None = None
-    ) -> list[FeatureVector]:
-        self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        if universe is None:
-            universe = sorted(data.psg_vectors[mu])
-        ordered = [data.psg_vectors[mu][p] for p in universe]
-        return minmax_normalize(ordered)
+    def qsf(self, query_id: str, mu: float, lam: float, k: int | None = None) -> RankedList:
+        psg_doc = self.query_data(query_id).psg_doc
+        return qsf_from_sims(query_id, *self.sims(query_id, mu), psg_doc, lam, k)
 
     # -- metric helpers --
 
     def doc_metric(self, run: RankedList) -> float | None:
         return average_precision(run, self.doc_judgments, self.config.doc_cutoff)
 
-    def psg_metric(self, run: RankedList, query_id: str) -> float | None:
+    def psg_grade(self, query_id: str, passage_id: str) -> int:
+        return self.query_data(query_id).psg_grades[passage_id]
+
+    def psg_metric(self, run: RankedList) -> float | None:
         if self.psg_judgments.mode == "char_focused":
-            data = self.query_data(query_id)
+            data = self.query_data(run.query_id)
             got = interpolated_precision(
                 run, self.psg_judgments, data.passage_spans, recall_points=()
             )
@@ -692,21 +814,8 @@ class _Pipeline:
         return average_precision(run, self.psg_judgments, self.config.psg_cutoff)
 
 
-@dataclass
-class FoldModels:
-    """Everything trained or tuned for one fold."""
-
-    test_query: str
-    train: list[str]
-    validation: list[str]
-    init_mu: float | None = None
-    init_model: LinearModel | None = None
-    qsf_mu: float | None = None
-    qsf_lambda: float | None = None
-    psg_mu: float | None = None
-    psg_model: LinearModel | None = None
-    method_params: dict = field(default_factory=dict)
-    method_models: dict = field(default_factory=dict)
+# The fold stages' models keep their own file names.
+_MODEL_FILES = {"init-LTR": "init-ltr.json", "PsgLTR": "psg-ranker.json"}
 
 
 def _trainer_grid(config: ExperimentConfig) -> list[dict]:
@@ -735,466 +844,119 @@ def _train(config: ExperimentConfig, data: Sequence[GradedExample], hyper: dict)
 
 
 class _FoldRunner:
-    """Trains and tunes every component needed by the configured methods."""
+    """Trains and tunes every component needed by the configured methods.
+
+    The document ranker (init-LTR), QSF and the passage ranker (PsgLTR)
+    are tuned first when any configured method reads them, then every
+    other configured method by its own grid walk.
+    """
 
     def __init__(self, pipeline: _Pipeline, fold: tuple[str, list[str], list[str]]):
         self.pipe = pipeline
         self.config = pipeline.config
         self.test_query, self.train_queries, self.val_queries = fold
-        self.models = FoldModels(self.test_query, self.train_queries, self.val_queries)
-        self._c_ltr_cache: dict[str, RankedList] = {}
+        self.params: dict[str, dict] = {}  # tuned parameters by method, stages included
+        self.models: dict[str, LinearModel] = {}  # trained models by method
+        self._runs: dict[tuple[str, str], RankedList] = {}
         self._psg_ranking_cache: dict[str, RankedList] = {}
-
-    # -- graded example assembly --
-
-    def _doc_examples(self, query_ids: Sequence[str], mu: float) -> list[GradedExample]:
-        out = []
-        for qid in query_ids:
-            for vec in self.pipe.normalized_doc_vectors(qid, mu):
-                out.append(
-                    GradedExample(qid, vec.item_id, vec, self.pipe.doc_judgments.grade(qid, vec.item_id))
-                )
-        return out
-
-    def _psg_examples(self, query_ids: Sequence[str], mu: float) -> list[GradedExample]:
-        # The training universe is the tuned QSF's top passages; only the
-        # feature smoothing varies with the model's mu grid, matching how
-        # the trained ranker is applied.
-        out = []
-        for qid in query_ids:
-            universe = self.pipe.qsf_ranking(
-                qid, self.models.qsf_mu, self.models.qsf_lambda, k=self.config.psg_cutoff
-            ).ids()
-            data = self.pipe.query_data(qid)
-            for vec in self.pipe.normalized_psg_vectors(qid, mu, universe):
-                out.append(GradedExample(qid, vec.item_id, vec, data.psg_grades[vec.item_id]))
-        return out
-
-    # -- stage 1: document ranker --
-
-    def fit_init_ltr(self) -> None:
-        best = None
-        for mu in self.config.grids["mu"]:
-            examples = self._doc_examples(self.train_queries, mu)
-            for hyper in _trainer_grid(self.config):
-                model = _train(self.config, examples, hyper)
-                vals = []
-                for qid in self.val_queries:
-                    if self._no_candidates(qid):
-                        run = RankedList(qid, ())
-                    else:
-                        run = score(model, self.pipe.normalized_doc_vectors(qid, mu))
-                    vals.append(self.pipe.doc_metric(run))
-                val_map = mean_metric(vals)
-                if best is None or val_map > best[0]:
-                    best = (val_map, mu, model)
-        _, self.models.init_mu, self.models.init_model = best
 
     def _no_candidates(self, query_id: str) -> bool:
         return not self.pipe.query_data(query_id).passages_by_doc
 
     def c_ltr(self, query_id: str) -> RankedList:
-        got = self._c_ltr_cache.get(query_id)
-        if got is None:
-            if self._no_candidates(query_id):
-                got = RankedList(query_id, ())
-            else:
-                got = score(
-                    self.models.init_model,
-                    self.pipe.normalized_doc_vectors(query_id, self.models.init_mu),
-                )
-            self._c_ltr_cache[query_id] = got
-        return got
-
-    # -- stage 2: passage ranker --
-
-    def fit_qsf(self) -> None:
-        """Tune QSF's (mu, lambda) on the train split by the passage metric."""
-        best = None
-        for mu in self.config.grids["mu"]:
-            for lam in self.config.grids["qsf_lambda"]:
-                vals = []
-                for qid in self.train_queries:
-                    run = self.pipe.qsf_ranking(qid, mu, lam, k=self.config.psg_cutoff)
-                    vals.append(self.pipe.psg_metric(run, qid))
-                m = mean_metric(vals)
-                if best is None or m > best[0]:
-                    best = (m, mu, lam)
-        _, self.models.qsf_mu, self.models.qsf_lambda = best
-
-    def fit_psg_ltr(self) -> None:
-        """Train the passage ranker; hyperparams picked on validation."""
-        if self.models.qsf_lambda is None:
-            self.fit_qsf()
-        best = None
-        for mu in self.config.grids["mu"]:
-            examples = self._psg_examples(self.train_queries, mu)
-            for hyper in _trainer_grid(self.config):
-                model = _train(self.config, examples, hyper)
-                vals = []
-                for qid in self.val_queries:
-                    run = self.rank_passages_ltr(qid, mu, model)
-                    vals.append(self.pipe.psg_metric(run, qid))
-                m = mean_metric(vals)
-                if best is None or m > best[0]:
-                    best = (m, mu, model)
-        _, self.models.psg_mu, self.models.psg_model = best
-
-    def rank_passages_ltr(
-        self, query_id: str, mu: float, model: LinearModel, k: int | None = None
-    ) -> RankedList:
-        if self._no_candidates(query_id):
-            return RankedList(query_id, ())
-        universe = self.pipe.qsf_ranking(
-            query_id, self.models.qsf_mu, self.models.qsf_lambda, k=self.config.psg_cutoff
-        ).ids()
-        vectors = self.pipe.normalized_psg_vectors(query_id, mu, universe)
-        run = score(model, vectors)
-        return run.truncated(k) if k else run
+        """The tuned document LTR ranking of the query's candidates."""
+        return self.run_method("init-LTR", query_id)
 
     def passage_ranking(self, query_id: str) -> RankedList:
         """G: ranking of ALL passages of the query's candidate documents."""
         got = self._psg_ranking_cache.get(query_id)
-        if got is not None:
-            return got
-        if self._no_candidates(query_id):
-            got = RankedList(query_id, ())
+        if got is None:
+            if self._no_candidates(query_id):
+                got = RankedList(query_id, ())
+            elif self.config.psg_ranker == "qsf":
+                qsf = self.params["QSF"]
+                got = self.pipe.qsf(query_id, qsf["mu"], qsf["lambda"])
+            else:
+                vectors = self.pipe.psg_vectors(query_id, self.params["PsgLTR"]["mu"])
+                got = score(
+                    self.models["PsgLTR"], minmax_normalize([vectors[p] for p in sorted(vectors)])
+                )
             self._psg_ranking_cache[query_id] = got
-            return got
-        if self.config.psg_ranker == "qsf":
-            got = self.pipe.qsf_ranking(query_id, self.models.qsf_mu, self.models.qsf_lambda)
-        else:
-            vectors = self.pipe.normalized_psg_vectors(query_id, self.models.psg_mu)
-            got = score(self.models.psg_model, vectors)
-        self._psg_ranking_cache[query_id] = got
         return got
 
-    # -- method execution --
+    def psg_feature_mu(self) -> float:
+        """The smoothing of the passage features joined to document vectors."""
+        if self.config.psg_ranker == "ltr" and "PsgLTR" in self.params:
+            return self.params["PsgLTR"]["mu"]
+        return self.params.get("QSF", self.params["init-LTR"])["mu"]
 
     def prepare(self, methods: Sequence[str]) -> None:
-        needs_init = any(m in _NEEDS_INIT_LTR for m in methods)
-        needs_psg_rank = any(m in _NEEDS_PSG_RANKING for m in methods)
-        needs_qsf = needs_psg_rank or "QSF" in methods or "PsgLTR" in methods
-        if needs_init:
-            self.fit_init_ltr()
-        if needs_qsf:
-            self.fit_qsf()
-        if (needs_psg_rank and self.config.psg_ranker == "ltr") or "PsgLTR" in methods:
-            self.fit_psg_ltr()
-        for m in methods:
-            self._tune_method(m)
+        records = [_METHODS[m] for m in methods]
+        # A method reports its own passage ranker or reads the configured one.
+        rankers = {
+            r.psg_ranker or (self.config.psg_ranker if r.psg_ranking else None) for r in records
+        }
+        stages = []
+        if any(r.init_ltr for r in records):
+            stages.append("init-LTR")
+        if rankers & {"qsf", "ltr"}:
+            stages.append("QSF")
+        if "ltr" in rankers:
+            stages.append("PsgLTR")
+        for m in dict.fromkeys(stages + list(methods)):
+            if _METHODS[m].grid or _METHODS[m].vectors:
+                self.params[m], model = self._walk(m)
+                if model is not None:
+                    self.models[m] = model
 
-    # method-level tuning ------------------------------------------------
-
-    def _val_doc_map(self, ranker) -> float:
-        vals = []
-        for qid in self.val_queries:
-            vals.append(self.pipe.doc_metric(ranker(qid)))
-        return mean_metric(vals)
-
-    def _train_doc_map(self, ranker) -> float:
-        vals = []
-        for qid in self.train_queries:
-            vals.append(self.pipe.doc_metric(ranker(qid)))
-        return mean_metric(vals)
-
-    def _tune_method(self, method: str) -> None:
+    def _walk(self, method: str) -> tuple[dict, LinearModel | None]:
+        """The first grid point (and model) with the strictly best mean metric."""
+        rec = _METHODS[method]
         cfg = self.config
-        if method == "LM":
-            return
-        if method == "SDM":
-            best = None
-            for mu in cfg.grids["mu"]:
-                for wt in cfg.grids["sdm_weights"]:
-                    weights = SdmWeights(*wt)
-                    m = self._train_doc_map(lambda qid: self.pipe.sdm_ranking(qid, mu, weights))
-                    if best is None or m > best[0]:
-                        best = (m, {"mu": mu, "weights": list(wt)})
-            self.models.method_params[method] = best[1]
-            return
-        if method == "DocPsg":
-            best = None
-            for mu in cfg.grids["mu"]:
-                for lam in cfg.grids["docpsg_lambda"]:
-                    m = self._train_doc_map(lambda qid: self.pipe.docpsg_ranking(qid, mu, lam))
-                    if best is None or m > best[0]:
-                        best = (m, {"mu": mu, "lambda_max": lam})
-            self.models.method_params[method] = best[1]
-            return
-        if method == "init-LTR":
-            self.models.method_params[method] = {"mu": self.models.init_mu}
-            return
-        if method == "RRF":
-            best = None
-            for alpha in cfg.grids["alpha"]:
-                for nu in cfg.grids["nu"]:
-                    params = FusionParams(nu=nu, alpha=alpha)
-                    m = self._val_doc_map(
-                        lambda qid: rerank_rrf(self.c_ltr(qid), self.passage_ranking(qid), params)
+        queries = self.train_queries if rec.split == "train" else self.val_queries
+        if rec.kind == "doc":
+            metric, grade = self.pipe.doc_metric, self.pipe.doc_judgments.grade
+        else:
+            metric, grade = self.pipe.psg_metric, self.pipe.psg_grade
+        best = model = None
+        for vpoint in _grid_points(cfg, rec.vector_grid):
+            if rec.vectors:
+                examples = [
+                    GradedExample(qid, vec.item_id, vec, grade(qid, vec.item_id))
+                    for qid in self.train_queries
+                    for vec in minmax_normalize(rec.vectors(self, qid, vpoint))
+                ]
+            for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
+                if rec.vectors:
+                    model = _train(cfg, examples, hyper)
+                for rpoint in _grid_points(cfg, rec.grid):
+                    if rec.feasible and not rec.feasible(rpoint):
+                        continue
+                    params = {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
+                    m = mean_metric(
+                        [metric(self.run_method(method, qid, params, model)) for qid in queries]
                     )
                     if best is None or m > best[0]:
-                        best = (m, {"alpha": alpha, "nu": nu})
-            self.models.method_params[method] = best[1]
-            return
-        if method == "SMPD":
-            best = None
-            for nu in cfg.grids["nu"]:
-                for hyper in _trainer_grid(cfg):
-                    model = _train(cfg, self._smpd_examples(self.train_queries, nu), hyper)
-                    m = self._val_doc_map(lambda qid: self._smpd_rank(qid, nu, model))
-                    if best is None or m > best[0]:
-                        best = (m, {"nu": nu}, model)
-            self.models.method_params[method] = best[1]
-            self.models.method_models[method] = best[2]
-            return
-        if method in _JPDS_WHICH or method == "JPD-2":
-            best = None
-            for hyper in _trainer_grid(cfg):
-                model = _train(cfg, self._jpds_examples(self.train_queries, method), hyper)
-                m = self._val_doc_map(lambda qid: self._jpds_rank(qid, method, model))
-                if best is None or m > best[0]:
-                    best = (m, dict(hyper), model)
-            self.models.method_params[method] = best[1]
-            self.models.method_models[method] = best[2]
-            return
-        if method.startswith("JPDm-"):
-            agg = method.split("-", 1)[1]
-            best = None
-            for hyper in _trainer_grid(cfg):
-                model = _train(cfg, self._jpdm_examples(self.train_queries, agg), hyper)
-                m = self._val_doc_map(lambda qid: self._jpdm_rank(qid, agg, model))
-                if best is None or m > best[0]:
-                    best = (m, dict(hyper), model)
-            self.models.method_params[method] = best[1]
-            self.models.method_models[method] = best[2]
-            return
-        if method == "FPD":
-            best = None
-            for hyper in _trainer_grid(cfg):
-                model = _train(cfg, self._fpd_examples(self.train_queries), hyper)
-                for alpha in cfg.grids["alpha"]:
-                    for nu in cfg.grids["nu"]:
-                        params = FusionParams(nu=nu, alpha=alpha)
-                        m = self._val_doc_map(lambda qid: self._fpd_rank(qid, model, params))
-                        if best is None or m > best[0]:
-                            best = (m, {"alpha": alpha, "nu": nu, **hyper}, model)
-            self.models.method_params[method] = best[1]
-            self.models.method_models[method] = best[2]
-            return
-        if method == "QSF":
-            self.models.method_params[method] = {
-                "mu": self.models.qsf_mu,
-                "lambda": self.models.qsf_lambda,
-            }
-            return
-        if method == "PLM":
-            best = None
-            for mu in cfg.grids["mu"]:
-                for sigma in cfg.grids["plm_sigma"]:
-                    for lam in cfg.grids["plm_lambda"]:
-                        for beta in cfg.grids["plm_beta"]:
-                            if lam + beta > 1.0 + 1e-9:
-                                continue
-                            vals = []
-                            for qid in self.train_queries:
-                                run = self.pipe.plm_ranking(
-                                    qid, mu, sigma, lam, beta, k=cfg.psg_cutoff
-                                )
-                                vals.append(self.pipe.psg_metric(run, qid))
-                            m = mean_metric(vals)
-                            if best is None or m > best[0]:
-                                best = (m, {"mu": mu, "sigma": sigma, "lambda": lam, "beta": beta})
-            self.models.method_params[method] = best[1]
-            return
-        if method == "PsgLTR":
-            self.models.method_params[method] = {"mu": self.models.psg_mu}
-            return
-        raise ConfigError(f"unknown method {method!r}")
+                        best = (m, params, model)
+        return best[1], best[2]
 
-    # method-specific vector builders -------------------------------------
-
-    def _smpd_examples(self, query_ids: Sequence[str], nu: float) -> list[GradedExample]:
-        out = []
-        for qid in query_ids:
-            for vec in self._smpd_vectors(qid, nu):
-                out.append(
-                    GradedExample(
-                        qid, vec.item_id, vec, self.pipe.doc_judgments.grade(qid, vec.item_id)
-                    )
-                )
-        return out
-
-    def _smpd_vectors(self, query_id: str, nu: float) -> list[FeatureVector]:
-        data = self.pipe.query_data(query_id)
-        doc_list = self.c_ltr(query_id)
-        psg_list = self.passage_ranking(query_id)
-        raw = build_smpd_vectors(
-            doc_list,
-            data.doc_vectors[self.models.init_mu],
-            data.passages_by_doc,
-            psg_list,
-            nu,
-        )
-        return minmax_normalize(raw)
-
-    def _smpd_rank(self, query_id: str, nu: float, model: LinearModel) -> RankedList:
+    def run_method(
+        self, method: str, query_id: str, params: dict | None = None, model=None
+    ) -> RankedList:
+        """The method's run for one query; the tuned one (cached) by default."""
+        if params is None:
+            key = (method, query_id)
+            if key not in self._runs:
+                params, model = self.params.get(method, {}), self.models.get(method)
+                self._runs[key] = self.run_method(method, query_id, params, model)
+            return self._runs[key]
+        rec = _METHODS[method]
+        if not rec.vectors:
+            return rec.rank(self, query_id, params)
         if self._no_candidates(query_id):
             return RankedList(query_id, ())
-        return score(model, self._smpd_vectors(query_id, nu))
-
-    def _jpds_vectors(self, query_id: str, method: str) -> list[FeatureVector]:
-        data = self.pipe.query_data(query_id)
-        doc_list = self.c_ltr(query_id)
-        psg_list = self.passage_ranking(query_id)
-        mu = self.models.init_mu
-        psg_mu = self._psg_feature_mu()
-        self.pipe.ensure_features(query_id, psg_mu)
-        raw = build_jpds_vectors(
-            doc_list,
-            data.doc_vectors[mu],
-            data.psg_vectors[psg_mu],
-            data.passages_by_doc,
-            psg_list,
-            which=_JPDS_WHICH.get(method, "best"),
-            two_passages=(method == "JPD-2"),
-            include_query_length=False,
-        )
-        return minmax_normalize(raw)
-
-    def _psg_feature_mu(self) -> float:
-        if self.config.psg_ranker == "ltr" and self.models.psg_mu is not None:
-            return self.models.psg_mu
-        return self.models.qsf_mu if self.models.qsf_mu is not None else self.models.init_mu
-
-    def _jpds_examples(self, query_ids: Sequence[str], method: str) -> list[GradedExample]:
-        out = []
-        for qid in query_ids:
-            for vec in self._jpds_vectors(qid, method):
-                out.append(
-                    GradedExample(
-                        qid, vec.item_id, vec, self.pipe.doc_judgments.grade(qid, vec.item_id)
-                    )
-                )
-        return out
-
-    def _jpds_rank(self, query_id: str, method: str, model: LinearModel) -> RankedList:
-        if self._no_candidates(query_id):
-            return RankedList(query_id, ())
-        return score(model, self._jpds_vectors(query_id, method))
-
-    def _jpdm_vectors(self, query_id: str, agg: str) -> list[FeatureVector]:
-        data = self.pipe.query_data(query_id)
-        doc_list = self.c_ltr(query_id)
-        mu = self.models.init_mu
-        psg_mu = self._psg_feature_mu_for_jpdm()
-        self.pipe.ensure_features(query_id, psg_mu)
-        raw = build_jpdm_vectors(
-            doc_list,
-            data.doc_vectors[mu],
-            data.psg_vectors[psg_mu],
-            data.passages_by_doc,
-            agg,
-        )
-        return minmax_normalize(raw)
-
-    def _psg_feature_mu_for_jpdm(self) -> float:
-        # JPDm is independent of the passage ranking; reuse the document
-        # ranker's smoothing so no extra feature extraction is needed.
-        return self.models.init_mu
-
-    def _jpdm_examples(self, query_ids: Sequence[str], agg: str) -> list[GradedExample]:
-        out = []
-        for qid in query_ids:
-            for vec in self._jpdm_vectors(qid, agg):
-                out.append(
-                    GradedExample(
-                        qid, vec.item_id, vec, self.pipe.doc_judgments.grade(qid, vec.item_id)
-                    )
-                )
-        return out
-
-    def _jpdm_rank(self, query_id: str, agg: str, model: LinearModel) -> RankedList:
-        if self._no_candidates(query_id):
-            return RankedList(query_id, ())
-        return score(model, self._jpdm_vectors(query_id, agg))
-
-    def _fpd_vectors(self, query_id: str) -> list[FeatureVector]:
-        from .rank import select_passage, _fallback_by_query_sim
-
-        data = self.pipe.query_data(query_id)
-        doc_list = self.c_ltr(query_id)
-        psg_list = self.passage_ranking(query_id)
-        psg_mu = self._psg_feature_mu()
-        self.pipe.ensure_features(query_id, psg_mu)
-        psg_vectors = data.psg_vectors[psg_mu]
-        raw = []
-        for doc_id, _ in doc_list:
-            passages = data.passages_by_doc[doc_id]
-            chosen = select_passage(passages, psg_list, "best")
-            if chosen is None:
-                chosen = _fallback_by_query_sim(passages, psg_vectors)
-            base = psg_vectors[chosen.passage_id]
-            raw.append(FeatureVector(base.schema, base.values, query_id, doc_id))
-        return minmax_normalize(raw)
-
-    def _fpd_examples(self, query_ids: Sequence[str]) -> list[GradedExample]:
-        out = []
-        for qid in query_ids:
-            for vec in self._fpd_vectors(qid):
-                out.append(
-                    GradedExample(
-                        qid, vec.item_id, vec, self.pipe.doc_judgments.grade(qid, vec.item_id)
-                    )
-                )
-        return out
-
-    def _fpd_rank(self, query_id: str, model: LinearModel, params: FusionParams) -> RankedList:
-        if self._no_candidates(query_id):
-            return RankedList(query_id, ())
-        doc_list = self.c_ltr(query_id)
-        model_ranking = score(model, self._fpd_vectors(query_id))
-        return rerank_fpd(doc_list, model_ranking, params)
-
-    # -- test-query execution --
-
-    def run_method(self, method: str, query_id: str) -> RankedList:
-        cfg = self.config
-        params = self.models.method_params.get(method, {})
-        if method == "LM":
-            return self.pipe.query_data(query_id).c_init
-        if method == "SDM":
-            return self.pipe.sdm_ranking(query_id, params["mu"], SdmWeights(*params["weights"]))
-        if method == "DocPsg":
-            return self.pipe.docpsg_ranking(query_id, params["mu"], params["lambda_max"])
-        if method == "init-LTR":
-            return self.c_ltr(query_id)
-        if method == "RRF":
-            fusion = FusionParams(nu=params["nu"], alpha=params["alpha"])
-            return rerank_rrf(self.c_ltr(query_id), self.passage_ranking(query_id), fusion)
-        if method == "SMPD":
-            return self._smpd_rank(query_id, params["nu"], self.models.method_models[method])
-        if method in _JPDS_WHICH or method == "JPD-2":
-            return self._jpds_rank(query_id, method, self.models.method_models[method])
-        if method.startswith("JPDm-"):
-            agg = method.split("-", 1)[1]
-            return self._jpdm_rank(query_id, agg, self.models.method_models[method])
-        if method == "FPD":
-            fusion = FusionParams(nu=params["nu"], alpha=params["alpha"])
-            return self._fpd_rank(query_id, self.models.method_models[method], fusion)
-        if method == "QSF":
-            return self.pipe.qsf_ranking(
-                query_id, params["mu"], params["lambda"], k=cfg.psg_cutoff
-            )
-        if method == "PLM":
-            return self.pipe.plm_ranking(
-                query_id, params["mu"], params["sigma"], params["lambda"], params["beta"],
-                k=cfg.psg_cutoff,
-            )
-        if method == "PsgLTR":
-            return self.rank_passages_ltr(
-                query_id, self.models.psg_mu, self.models.psg_model, k=cfg.psg_cutoff
-            )
-        raise ConfigError(f"unknown method {method!r}")
+        ranking = score(model, minmax_normalize(rec.vectors(self, query_id, params)))
+        return rec.rank(self, query_id, params, ranking) if rec.rank else ranking
 
 
 @dataclass
@@ -1257,19 +1019,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
             runs[method][test_q] = runner.run_method(method, test_q)
         model_dir = out_dir / "models" / test_q
         model_dir.mkdir(parents=True, exist_ok=True)
-        if runner.models.init_model is not None:
-            runner.models.init_model.save(model_dir / "init-ltr.json")
-        if runner.models.psg_model is not None:
-            runner.models.psg_model.save(model_dir / "psg-ranker.json")
-        for method, model in runner.models.method_models.items():
-            model.save(model_dir / f"{method}.json")
+        for method, model in runner.models.items():
+            model.save(model_dir / _MODEL_FILES.get(method, f"{method}.json"))
+        params = runner.params
         fold_summaries[test_q] = {
             "train": runner.train_queries,
             "validation": runner.val_queries,
-            "init_mu": runner.models.init_mu,
-            "qsf": {"mu": runner.models.qsf_mu, "lambda": runner.models.qsf_lambda},
-            "psg_mu": runner.models.psg_mu,
-            "method_params": runner.models.method_params,
+            "init_mu": params.get("init-LTR", {}).get("mu"),
+            "qsf": dict(params.get("QSF", {"mu": None, "lambda": None})),
+            "psg_mu": params.get("PsgLTR", {}).get("mu"),
+            "method_params": {m: params[m] for m in config.methods if m in params},
         }
 
     report = _assemble_report(config, pipe, runs, fold_summaries)

@@ -214,6 +214,27 @@ def term_entropy(counts: Mapping[str, int]) -> float:
     return -sum((c / total) * math.log(c / total) for c in counts.values() if c)
 
 
+def query_similarities(
+    terms: Sequence[str],
+    store: CorpusStore,
+    index: PositionalIndex,
+    doc_ids: Sequence[str],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    params: LmParams,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Query likelihoods of each candidate document and of each of its
+    passages, keyed by id in ``doc_ids`` order."""
+    doc_sims = {d: doc_lm_similarity(terms, d, index, params) for d in doc_ids}
+    psg_sims = {}
+    for d in doc_ids:
+        doc = store.get(d)
+        for p in passages_by_doc[d]:
+            psg_sims[p.passage_id] = lm_similarity(
+                terms, passage_term_counts(doc, p), p.length, index, params
+            )
+    return doc_sims, psg_sims
+
+
 def doc_features(
     query: Query,
     doc: Document,
@@ -404,16 +425,10 @@ class PassageFeatureExtractor:
         self.query_terms = terms
         self.unique_query_stems = sorted(set(terms))
 
-        self.doc_sims = {d: doc_lm_similarity(terms, d, index, params) for d in self.doc_ids}
+        self.doc_sims, self.psg_sims = query_similarities(
+            terms, store, index, self.doc_ids, passages_by_doc, params
+        )
         self.doc_sim_sum = sum(self.doc_sims.values())
-        self.psg_sims: dict[str, float] = {}
-        for d in self.doc_ids:
-            doc = store.get(d)
-            for p in passages_by_doc[d]:
-                counts = passage_term_counts(doc, p)
-                self.psg_sims[p.passage_id] = lm_similarity(
-                    terms, counts, p.length, index, params
-                )
         self.psg_sim_sum = sum(self.psg_sims.values())
         self.doc_psg_stats = {}
         for d in self.doc_ids:

@@ -25,9 +25,10 @@ from .features import (
     FeatureVector,
     concat,
     concat_schemas,
+    query_similarities,
 )
-from .index import LmParams, PositionalIndex, lm_similarity, doc_lm_similarity
-from .passage import Passage, parse_passage_id, passage_term_counts
+from .index import LmParams, PositionalIndex
+from .passage import Passage, parse_passage_id
 
 SMPD_FEATURES = ("max", "min", "avg", "std", "top50", "top100", "numPsg")
 
@@ -392,6 +393,24 @@ def build_jpdm_vectors(
     return out
 
 
+def build_fpd_vectors(
+    doc_list: RankedList,
+    psg_vectors: Mapping[str, FeatureVector],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    psg_list: RankedList,
+) -> list[FeatureVector]:
+    """Each listed document's best-ranked passage vector, keyed by the document."""
+    out = []
+    for doc_id, _ in doc_list:
+        passages = passages_by_doc[doc_id]
+        chosen = select_passage(passages, psg_list, "best")
+        if chosen is None:
+            chosen = _fallback_by_query_sim(passages, psg_vectors)
+        base = psg_vectors[chosen.passage_id]
+        out.append(FeatureVector(base.schema, base.values, base.query_id, doc_id))
+    return out
+
+
 def rerank_fpd(
     doc_list: RankedList, model_ranking: RankedList, params: FusionParams
 ) -> RankedList:
@@ -414,6 +433,48 @@ def _normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:
     return {k: v / total for k, v in values.items()}
 
 
+def check_weight(name: str, value: float) -> None:
+    """Interpolation weights of QSF, PLM and DocPsg lie in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {value}")
+
+
+def check_sigma(sigma: float) -> None:
+    """The positional kernel's width must be positive."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+
+
+def plm_weights_feasible(lam: float, beta: float) -> bool:
+    """lambda + beta <= 1, the one tolerance of the PLM grid and formula."""
+    return lam + beta <= 1.0 + 1e-9
+
+
+def _passage_docs(
+    doc_ids: Sequence[str], passages_by_doc: Mapping[str, Sequence[Passage]]
+) -> dict[str, str]:
+    return {p.passage_id: d for d in doc_ids for p in passages_by_doc[d]}
+
+
+def qsf_from_sims(
+    query_id: str,
+    doc_sims: Mapping[str, float],
+    psg_sims: Mapping[str, float],
+    psg_doc: Mapping[str, str],
+    lam: float,
+    k: int | None = None,
+) -> RankedList:
+    """Interpolate sum-normalized passage-query and ambient-document-query
+    similarities: (1 - lam) * norm sim(q, g) + lam * norm sim(q, d_g)."""
+    check_weight("lambda", lam)
+    norm_psg = _normalize_by_sum(psg_sims)
+    norm_doc = _normalize_by_sum(doc_sims)
+    scores = {
+        pid: (1.0 - lam) * norm_psg[pid] + lam * norm_doc[psg_doc[pid]] for pid in norm_psg
+    }
+    return RankedList.from_scores(query_id, scores, k=k)
+
+
 def rank_qsf(
     query: Query,
     store: CorpusStore,
@@ -424,26 +485,12 @@ def rank_qsf(
     lam: float,
     k: int | None = None,
 ) -> RankedList:
-    """Interpolate sum-normalized passage-query and ambient-document-query
-    similarities: (1 - lam) * norm sim(q, g) + lam * norm sim(q, d_g)."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0,1], got {lam}")
-    terms = query.stems()
-    doc_sims = {d: doc_lm_similarity(terms, d, index, params) for d in doc_ids}
-    psg_sims = {}
-    psg_doc = {}
-    for d in doc_ids:
-        doc = store.get(d)
-        for p in passages_by_doc[d]:
-            counts = passage_term_counts(doc, p)
-            psg_sims[p.passage_id] = lm_similarity(terms, counts, p.length, index, params)
-            psg_doc[p.passage_id] = d
-    norm_doc = _normalize_by_sum(doc_sims)
-    norm_psg = _normalize_by_sum(psg_sims)
-    scores = {
-        pid: (1.0 - lam) * norm_psg[pid] + lam * norm_doc[psg_doc[pid]] for pid in psg_sims
-    }
-    return RankedList.from_scores(query.query_id, scores, k=k)
+    """QSF over the passages of ``doc_ids``; see :func:`qsf_from_sims`."""
+    doc_sims, psg_sims = query_similarities(
+        query.stems(), store, index, doc_ids, passages_by_doc, params
+    )
+    psg_doc = _passage_docs(doc_ids, passages_by_doc)
+    return qsf_from_sims(query.query_id, doc_sims, psg_sims, psg_doc, lam, k)
 
 
 def positional_similarities(
@@ -456,6 +503,7 @@ def positional_similarities(
 ) -> np.ndarray:
     """Query similarity of the Gaussian-kernel pseudo-document at every
     position of the passage; empty passages give an empty array."""
+    check_sigma(sigma)
     doc = store.get(p.doc_id)
     start, end = p.token_range
     stems = doc.stems()[start:end]
@@ -487,6 +535,52 @@ def positional_similarities(
     return scores
 
 
+def best_positional_similarities(
+    query: Query,
+    store: CorpusStore,
+    index: PositionalIndex,
+    doc_ids: Sequence[str],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    params: LmParams,
+    sigma: float,
+) -> dict[str, float]:
+    """Each passage's best per-position similarity; 0 for an empty passage."""
+    out = {}
+    for d in doc_ids:
+        for p in passages_by_doc[d]:
+            scores = positional_similarities(query, store, index, p, params, sigma)
+            out[p.passage_id] = float(scores.max()) if scores.size else 0.0
+    return out
+
+
+def plm_from_sims(
+    query_id: str,
+    doc_sims: Mapping[str, float],
+    psg_sims: Mapping[str, float],
+    pos_sims: Mapping[str, float],
+    psg_doc: Mapping[str, str],
+    lam: float,
+    beta: float,
+    k: int | None = None,
+) -> RankedList:
+    """lam * norm positional + beta * norm passage + (1 - lam - beta) *
+    norm ambient-document similarity, each sum-normalized over its universe."""
+    check_weight("lambda", lam)
+    check_weight("beta", beta)
+    if not plm_weights_feasible(lam, beta):
+        raise ValueError(f"lambda + beta must be <= 1, got {lam} + {beta}")
+    norm_pos = _normalize_by_sum(pos_sims)
+    norm_psg = _normalize_by_sum(psg_sims)
+    norm_doc = _normalize_by_sum(doc_sims)
+    scores = {
+        pid: lam * norm_pos[pid]
+        + beta * norm_psg[pid]
+        + (1.0 - lam - beta) * norm_doc[psg_doc[pid]]
+        for pid in norm_psg
+    }
+    return RankedList.from_scores(query_id, scores, k=k)
+
+
 def rank_plm(
     query: Query,
     store: CorpusStore,
@@ -503,34 +597,47 @@ def rank_plm(
 
     Each passage contributes its best per-position similarity (the position
     whose kernel-weighted pseudo-document scores highest), interpolated
-    with the whole-passage and ambient-document similarities; all three
-    components are sum-normalized over their universes.
+    with the whole-passage and ambient-document similarities; see
+    :func:`plm_from_sims`.
     """
-    if lam + beta > 1.0 + 1e-12:
-        raise ValueError(f"lambda + beta must be <= 1, got {lam} + {beta}")
-    terms = query.stems()
-    doc_sims = {d: doc_lm_similarity(terms, d, index, params) for d in doc_ids}
-    psg_sims = {}
-    pos_sims = {}
-    psg_doc = {}
-    for d in doc_ids:
-        doc = store.get(d)
-        for p in passages_by_doc[d]:
-            counts = passage_term_counts(doc, p)
-            psg_sims[p.passage_id] = lm_similarity(terms, counts, p.length, index, params)
-            scores = positional_similarities(query, store, index, p, params, sigma)
-            pos_sims[p.passage_id] = float(scores.max()) if scores.size else 0.0
-            psg_doc[p.passage_id] = d
-    norm_doc = _normalize_by_sum(doc_sims)
-    norm_psg = _normalize_by_sum(psg_sims)
-    norm_pos = _normalize_by_sum(pos_sims)
-    scores = {
-        pid: lam * norm_pos[pid]
-        + beta * norm_psg[pid]
-        + (1.0 - lam - beta) * norm_doc[psg_doc[pid]]
-        for pid in psg_sims
-    }
-    return RankedList.from_scores(query.query_id, scores, k=k)
+    doc_sims, psg_sims = query_similarities(
+        query.stems(), store, index, doc_ids, passages_by_doc, params
+    )
+    pos_sims = best_positional_similarities(
+        query, store, index, doc_ids, passages_by_doc, params, sigma
+    )
+    psg_doc = _passage_docs(doc_ids, passages_by_doc)
+    return plm_from_sims(query.query_id, doc_sims, psg_sims, pos_sims, psg_doc, lam, beta, k)
+
+
+def docpsg_from_sims(
+    query_id: str,
+    doc_sims: Mapping[str, float],
+    psg_sims: Mapping[str, float],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    doc_lengths: Mapping[str, int],
+    lambda_max: float,
+) -> RankedList:
+    """Length-weighted interpolation of document and best-passage similarity
+    over the documents of ``doc_sims``.
+
+    lambda(d) = lambda_max * (1 - minmax(ln(1 + |d|))) over the candidate
+    documents, so longer documents lean harder on their best passage; a
+    constant-length candidate set degenerates to lambda_max everywhere.
+    """
+    check_weight("lambda_max", lambda_max)
+    if not doc_sims:
+        return RankedList(query_id, ())
+    log_lens = {d: math.log1p(doc_lengths[d]) for d in doc_sims}
+    lo, hi = min(log_lens.values()), max(log_lens.values())
+    span = hi - lo
+    scores = {}
+    for d, doc_sim in doc_sims.items():
+        mm = (log_lens[d] - lo) / span if span > 0 else 0.0
+        lam_d = lambda_max * (1.0 - mm)
+        best = max((psg_sims[p.passage_id] for p in passages_by_doc[d]), default=0.0)
+        scores[d] = lam_d * doc_sim + (1.0 - lam_d) * best
+    return RankedList.from_scores(query_id, scores)
 
 
 def rank_docpsg(
@@ -542,30 +649,13 @@ def rank_docpsg(
     params: LmParams,
     lambda_max: float,
 ) -> RankedList:
-    """Length-weighted interpolation of document and best-passage similarity.
-
-    lambda(d) = lambda_max * (1 - minmax(ln(1 + |d|))) over the candidate
-    documents, so longer documents lean harder on their best passage; a
-    constant-length candidate set degenerates to lambda_max everywhere.
-    """
-    terms = query.stems()
-    log_lens = {d: math.log1p(index.doc_lengths[d]) for d in doc_ids}
-    lo, hi = min(log_lens.values()), max(log_lens.values())
-    span = hi - lo
-    scores = {}
-    for d in doc_ids:
-        mm = (log_lens[d] - lo) / span if span > 0 else 0.0
-        lam_d = lambda_max * (1.0 - mm)
-        doc = store.get(d)
-        best = max(
-            (
-                lm_similarity(terms, passage_term_counts(doc, p), p.length, index, params)
-                for p in passages_by_doc[d]
-            ),
-            default=0.0,
-        )
-        scores[d] = lam_d * doc_lm_similarity(terms, d, index, params) + (1.0 - lam_d) * best
-    return RankedList.from_scores(query.query_id, scores)
+    """DocPsg over ``doc_ids``; see :func:`docpsg_from_sims`."""
+    doc_sims, psg_sims = query_similarities(
+        query.stems(), store, index, doc_ids, passages_by_doc, params
+    )
+    return docpsg_from_sims(
+        query.query_id, doc_sims, psg_sims, passages_by_doc, index.doc_lengths, lambda_max
+    )
 
 
 def write_trec_run(path: str | Path, runs: Sequence[RankedList], tag: str) -> None:

@@ -249,6 +249,29 @@ class TestRunCommand:
         assert "window_len" in err and "doc_cutoff" in err and "[0.5, 0.5, 0.5]" in err
         assert not (tmp_path / "out").exists()
 
+    def test_methods_string_exit_one(self, tmp_path, capsys):
+        _run_config(tmp_path, "JPDs")
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "methods must be a list of method names, got 'JPDs'" in err
+        assert "'J'" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_trainer_param_types_and_grid_ranges_exit_one(self, tmp_path, capsys):
+        grids = {"mu": [-5.0], "alpha": [5.0], "plm_sigma": [0.0]}
+        _run_config(tmp_path, ["JPDs"], trainer_params={"epochs": "abc"}, grids=grids)
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for part in ("'epochs'", "'mu' point -5.0", "'alpha' point 5.0", "'plm_sigma' point 0.0"):
+            assert part in err, part
+        assert not (tmp_path / "out").exists()
+
 
 class TestAblateCommand:
     def test_constant_feature_is_metric_neutral(self, tmp_path, capsys):

@@ -106,7 +106,7 @@ class TestConfigValidation:
         assert not any("[0.8, 0.1, 0.1]" in p for p in bad_points)
         assert len(problems) == 10
 
-    def test_methods_need_qrels(self, tmp_path):
+    def test_methods_need_qrels(self, tmp_path, monkeypatch, capsys):
         paths = _tiny_corpus(tmp_path)
         config = _tiny_config(paths, ["JPDs"])
         config.doc_qrels = None
@@ -114,6 +114,109 @@ class TestConfigValidation:
         config = _tiny_config(paths, ["RRF"])
         config.psg_qrels = None
         assert any("psg_qrels" in p for p in config.validate())
+
+        # (needs doc qrels, needs passage qrels, rejected by `psgrank ablate`
+        # as feature-free); the same under psg_ranker "ltr" and "qsf".
+        expected = {
+            "LM": (True, False, True),
+            "SDM": (True, False, False),
+            "DocPsg": (True, False, True),
+            "init-LTR": (True, False, False),
+            "RRF": (True, True, False),
+            "SMPD": (True, True, False),
+            "JPDs": (True, True, False),
+            "JPDs-second": (True, True, False),
+            "JPDs-third": (True, True, False),
+            "JPDs-lowest": (True, True, False),
+            "JPD-2": (True, True, False),
+            "JPDm-avg": (True, False, False),
+            "JPDm-max": (True, False, False),
+            "JPDm-min": (True, False, False),
+            "FPD": (True, True, False),
+            "QSF": (False, True, True),
+            "PLM": (False, True, True),
+            "PsgLTR": (False, True, False),
+        }
+        from psgrank import cli
+
+        def reached_runs(config, out_dir):
+            raise ConfigError("ablation reached the runs")
+
+        monkeypatch.setattr(cli, "run_experiment", reached_runs)
+        config_path = tmp_path / "ablate.json"
+        for psg_ranker in ("ltr", "qsf"):
+            for method, (doc, psg, feature_free) in expected.items():
+                config = _tiny_config(paths, [method], psg_ranker=psg_ranker)
+                got = (config.needs_doc_qrels(), config.needs_psg_qrels())
+                assert got == (doc, psg), (method, psg_ranker)
+                config_path.write_text(
+                    json.dumps({**config.resolved(), "grids": _TINY_GRIDS})
+                )
+                rc = cli.main(
+                    ["ablate", "--config", str(config_path), "--feature", "psg.ESA",
+                     "--out", str(tmp_path / "abl")]
+                )
+                err = capsys.readouterr().err
+                assert rc == 1, (method, psg_ranker)
+                rejected = "feature-based" in err
+                assert rejected == feature_free, (method, psg_ranker, err)
+                assert rejected or "reached the runs" in err, (method, psg_ranker, err)
+
+    def test_methods_must_be_a_list_of_names(self, tmp_path):
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, "JPDs")
+        assert config.validate() == [
+            "methods must be a list of method names, got 'JPDs'"
+        ]
+        config = _tiny_config(paths, ["LM", 5, ["JPDs"]], exclusions=["doc.SW1", 7])
+        problems = config.validate()
+        assert problems == [
+            "methods entry 5 must be a method name",
+            "methods entry ['JPDs'] must be a method name",
+            "exclusions entry 7 must be a feature name",
+        ]
+        config = _tiny_config(paths, ["LM"], exclusions="doc.SW1")
+        assert config.validate() == [
+            "exclusions must be a list of feature names, got 'doc.SW1'"
+        ]
+
+    def test_trainer_param_types_and_grid_ranges_enumerated(self, tmp_path):
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(
+            paths,
+            ["LM"],
+            trainer_params={
+                "epochs": "abc", "max_pairs": 2.5, "restarts": "2", "max_passes": None,
+                "learning_rate": "fast",
+            },
+            grids={
+                **_TINY_GRIDS,
+                "mu": [1500.0, -5.0],
+                "alpha": [5.0, 0.5],
+                "nu": [-1.0],
+                "qsf_lambda": [1.5],
+                "docpsg_lambda": [-0.1],
+                "plm_sigma": [0.0, -3.0, 50.0],
+                "plm_lambda": [2.0, 0.4],
+                "plm_beta": [-0.5, 0.4],
+            },
+        )
+        problems = config.validate()
+        for key in ("epochs", "max_pairs", "restarts", "max_passes", "learning_rate"):
+            assert sum(p.startswith(f"trainer_params {key!r}") for p in problems) == 1, key
+        bad_points = {
+            ("mu", "-5.0"), ("alpha", "5.0"), ("nu", "-1.0"), ("qsf_lambda", "1.5"),
+            ("docpsg_lambda", "-0.1"), ("plm_sigma", "0.0"), ("plm_sigma", "-3.0"),
+            ("plm_lambda", "2.0"), ("plm_beta", "-0.5"),
+        }
+        for grid, point in bad_points:
+            assert sum(p.startswith(f"grid {grid!r} point {point}:") for p in problems) == 1, grid
+        assert len(problems) == 5 + len(bad_points)
+
+        config = _tiny_config(
+            paths, ["PLM"], grids={**_TINY_GRIDS, "plm_lambda": [0.8], "plm_beta": [0.4, 0.6]}
+        )
+        assert config.validate() == ["no (plm_lambda, plm_beta) pair has lambda + beta <= 1"]
 
     def test_qsf_psg_ranker_relaxes_psg_qrels_only_for_ltr(self, tmp_path):
         paths = _tiny_corpus(tmp_path)
@@ -240,6 +343,53 @@ class TestTunerSanity:
         report = run_experiment(config, tmp_path / "out")
         for fold in report.folds.values():
             assert fold["method_params"]["RRF"]["alpha"] == 0.0
+
+
+class TestPipelineIsOracleCode:
+    def test_experiment_runs_equal_rank_oracles(self, tmp_path):
+        from psgrank.corpus import ingest_corpus, load_topics
+        from psgrank.index import LmParams, build_index, retrieve_lm
+        from psgrank.passage import SegmentationParams, segment
+        from psgrank.rank import rank_docpsg, rank_plm, rank_qsf, read_trec_run
+
+        paths = _tiny_corpus(tmp_path)
+        store = ingest_corpus(paths["corpus"])
+        index = build_index(store)
+        queries = {q.query_id: q for q in load_topics(paths["topics"], store.tokenizer)}
+        points = [
+            {"mu": 500.0, "qsf": 0.3, "docpsg": 0.6, "sigma": 50.0, "lam": 0.4, "beta": 0.4},
+            {"mu": 2500.0, "qsf": 0.8, "docpsg": 0.2, "sigma": 120.0, "lam": 0.0, "beta": 0.7},
+        ]
+        for n, pt in enumerate(points):
+            grids = {
+                **_TINY_GRIDS, "mu": [pt["mu"]], "qsf_lambda": [pt["qsf"]],
+                "docpsg_lambda": [pt["docpsg"]], "plm_sigma": [pt["sigma"]],
+                "plm_lambda": [pt["lam"]], "plm_beta": [pt["beta"]],
+            }
+            config = _tiny_config(paths, ["QSF", "PLM", "DocPsg"], grids=grids)
+            out = tmp_path / f"out{n}"
+            run_experiment(config, out)
+            runs = {
+                method: {r.query_id: r for r in read_trec_run(out / "runs" / f"{method}.trec")}
+                for method in ("QSF", "PLM", "DocPsg")
+            }
+            assert runs["QSF"] and runs["QSF"].keys() == runs["DocPsg"].keys()
+            params = LmParams(pt["mu"])
+            for qid, got in runs["QSF"].items():
+                query = queries[qid]
+                c_init = retrieve_lm(query, index, LmParams(config.init_mu), config.doc_cutoff)
+                doc_ids = sorted(c_init.ids())
+                passages = {
+                    d: segment(store.get(d), SegmentationParams(config.window_len))
+                    for d in doc_ids
+                }
+                args = (query, store, index, doc_ids, passages, params)
+                k = config.psg_cutoff
+                assert got.entries == rank_qsf(*args, pt["qsf"], k=k).entries
+                assert runs["PLM"][qid].entries == rank_plm(
+                    *args, pt["sigma"], pt["lam"], pt["beta"], k=k
+                ).entries
+                assert runs["DocPsg"][qid].entries == rank_docpsg(*args, pt["docpsg"]).entries
 
 
 class TestAllMethods:
