@@ -28,6 +28,7 @@ from .evaluation import (
 from .experiment import FEATURE_FREE_METHODS, ConfigError, ExperimentConfig, run_experiment
 from .features import (
     DOC_SCHEMA,
+    FeatureMatrix,
     FeatureSchema,
     PassageFeatureExtractor,
     SemanticResources,
@@ -41,6 +42,7 @@ from .ltr import (
     GradedExample,
     LinearModel,
     TrainingError,
+    TrainingSet,
     bucket_grade,
     ndcg_at_k,
     train_coordinate_ascent,
@@ -108,7 +110,9 @@ def _cmd_features(args) -> int:
                 for d in run.ids()
             ]
             if args.normalize:
-                per_query = minmax_normalize(per_query)
+                per_query = minmax_normalize(
+                    FeatureMatrix.from_vectors(per_query, schema, q.query_id)
+                ).vectors()
             vectors.extend(per_query)
             if judgments:
                 for d in run.ids():
@@ -128,7 +132,9 @@ def _cmd_features(args) -> int:
             )
             per_query = extractor.all_vectors()
             if args.normalize:
-                per_query = minmax_normalize(per_query)
+                per_query = minmax_normalize(
+                    FeatureMatrix.from_vectors(per_query, schema, q.query_id)
+                ).vectors()
             vectors.extend(per_query)
             if judgments:
                 spans_by_doc = judgments.char_spans.get(q.query_id, {})
@@ -158,7 +164,9 @@ def _cmd_train(args) -> int:
     meta = json.loads(schema_path.read_text(encoding="utf-8"))
     schema = FeatureSchema(meta["name"], tuple(meta["features"]))
     rows = read_svmlight(args.features, schema)
-    data = [GradedExample(qid, item, vec, grade) for qid, item, vec, grade in rows]
+    data = TrainingSet.from_examples(
+        [GradedExample(qid, item, vec, grade) for qid, item, vec, grade in rows]
+    )
     if args.trainer == "pairwise_hinge":
         model = train_pairwise(
             data, c=args.c, epochs=args.epochs, seed=args.seed,
@@ -171,16 +179,12 @@ def _cmd_train(args) -> int:
     model.save(args.out)
     from .ltr import score as ltr_score
 
-    by_query: dict[str, list[GradedExample]] = {}
-    for ex in data:
-        by_query.setdefault(ex.query_id, []).append(ex)
     ndcgs = []
-    for qid in sorted(by_query):
-        group = by_query[qid]
-        run = ltr_score(model, [ex.vector for ex in group])
-        ndcgs.append(ndcg_at_k(run, {ex.item_id: ex.grade for ex in group}, 10))
+    for matrix, grades in data.queries:
+        run = ltr_score(model, matrix)
+        ndcgs.append(ndcg_at_k(run, dict(zip(matrix.item_ids, grades.tolist())), 10))
     print(f"examples: {len(data)}")
-    print(f"queries: {len(by_query)}")
+    print(f"queries: {len(data.queries)}")
     print(f"train mean NDCG@10: {sum(ndcgs) / len(ndcgs):.4f}")
     print(f"model: {args.out}")
     return 0

@@ -38,7 +38,7 @@ from .evaluation import (
 from .features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
-    FeatureVector,
+    FeatureMatrix,
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
@@ -48,7 +48,9 @@ from .features import (
     minmax_normalize,
 )
 from .index import LmParams, PositionalIndex, SdmWeights, build_index, retrieve_lm
-from .ltr import GradedExample, LinearModel, bucket_grade, score, train_coordinate_ascent, train_pairwise
+from .ltr import (
+    LinearModel, TrainingSet, bucket_grade, score, train_coordinate_ascent, train_pairwise,
+)
 from .passage import Passage, SegmentationParams, char_overlap, segment
 from .rank import (
     FusionParams,
@@ -91,7 +93,8 @@ class _Method:
     init_ltr: bool = False  # reads the tuned document LTR ranking
     psg_ranking: bool = False  # reads the ranking of all candidate passages
     psg_ranker: str | None = None  # reports this passage ranker's output: "qsf" or "ltr"
-    vectors: Callable | None = None  # (runner, query_id, params) -> raw vectors; learned
+    # (runner, query_id, vector-grid point) -> raw FeatureMatrix; learned
+    vectors: Callable | None = None
     vector_grid: tuple = ()
     grid: tuple = ()
     feasible: Callable | None = None  # params -> False for a grid point to skip
@@ -105,13 +108,13 @@ def _fusion(p: dict) -> FusionParams:
 
 
 def _sdm(run, query_id: str, p: dict) -> RankedList:
-    pipe = run.pipe
-    pipe.ensure_features(query_id, p["mu"])
+    matrix = run.pipe.doc_vectors(query_id, p["mu"])
     w = SdmWeights(*p["weights"])
-    kept = pipe.doc_schema.features
+    kept = matrix.schema.features
+    cols = [kept.index(f) if f in kept else None for f in DOC_SCHEMA.features[:3]]
     scores = {}
-    for d, vec in pipe.query_data(query_id).doc_vectors[p["mu"]].items():
-        f_t, f_o, f_u = (vec.value_of(f) if f in kept else 0.0 for f in DOC_SCHEMA.features[:3])
+    for d, row in zip(matrix.item_ids, matrix.values.tolist()):
+        f_t, f_o, f_u = (0.0 if c is None else row[c] for c in cols)
         scores[d] = w.w_unigram * f_t + w.w_ordered * f_o + w.w_unordered * f_u
     return RankedList.from_scores(query_id, scores)
 
@@ -133,21 +136,19 @@ def _plm(run, query_id: str, p: dict) -> RankedList:
     )
 
 
-def _vectors_for_doc_ltr(run, query_id: str, p: dict) -> list[FeatureVector]:
-    vectors = run.pipe.doc_vectors(query_id, p["mu"])
-    return [vectors[d] for d in sorted(vectors)]
+def _vectors_for_doc_ltr(run, query_id: str, p: dict) -> FeatureMatrix:
+    return run.pipe.doc_vectors(query_id, p["mu"])
 
 
-def _vectors_for_psg_ltr(run, query_id: str, p: dict) -> list[FeatureVector]:
+def _vectors_for_psg_ltr(run, query_id: str, p: dict) -> FeatureMatrix:
     # The passage ranker sees the tuned QSF's top passages; only the
     # feature smoothing varies with the model's mu grid.
     qsf = run.params["QSF"]
     universe = run.pipe.qsf(query_id, qsf["mu"], qsf["lambda"], k=run.config.psg_cutoff).ids()
-    vectors = run.pipe.psg_vectors(query_id, p["mu"])
-    return [vectors[pid] for pid in universe]
+    return run.pipe.psg_vectors(query_id, p["mu"]).take(universe)
 
 
-def _vectors_for_smpd(run, query_id: str, p: dict) -> list[FeatureVector]:
+def _vectors_for_smpd(run, query_id: str, p: dict) -> FeatureMatrix:
     data = run.pipe.query_data(query_id)
     return build_smpd_vectors(
         run.c_ltr(query_id), data.doc_vectors[run.params["init-LTR"]["mu"]], data.passages_by_doc,
@@ -182,7 +183,7 @@ def _jpdm(agg: str) -> _Method:
     return _Method("doc", init_ltr=True, vectors=vectors, split="validation")
 
 
-def _vectors_for_fpd(run, query_id: str, p: dict) -> list[FeatureVector]:
+def _vectors_for_fpd(run, query_id: str, p: dict) -> FeatureMatrix:
     return build_fpd_vectors(
         run.c_ltr(query_id), run.pipe.psg_vectors(query_id, run.psg_feature_mu()),
         run.pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id),
@@ -325,10 +326,13 @@ class ExperimentConfig:
             v = data.get(key)
             return (base / v) if v else None
 
-        grids = _default_grids()
-        grids.update(data.get("grids", {}))
-        trainer_params = _default_trainer_params()
-        trainer_params.update(data.get("trainer_params", {}))
+        # A non-object is kept as given, for validate() to report.
+        grids = data.get("grids", {})
+        if isinstance(grids, dict):
+            grids = {**_default_grids(), **grids}
+        trainer_params = data.get("trainer_params", {})
+        if isinstance(trainer_params, dict):
+            trainer_params = {**_default_trainer_params(), **trainer_params}
         methods = data.get("methods", [])
         known = {
             "corpus_format", "psg_qrels_mode", "window_len", "segmentation_mode",
@@ -424,16 +428,7 @@ class ExperimentConfig:
             if path is not None and not path.exists():
                 problems.append(f"{key} not found: {path}")
         problems.extend(self._grid_problems())
-        known_params = _default_trainer_params()
-        for name in sorted(set(self.trainer_params) - set(known_params)):
-            problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
-        for name, default in known_params.items():
-            # Counts must be integers and rates numbers, like their defaults.
-            value = self.trainer_params.get(name, default)
-            if _is_int(default) and not _is_int(value):
-                problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
-            elif not _is_number(value):
-                problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
+        problems.extend(self._trainer_param_problems())
         for key, least in (
             ("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("workers", 1), ("seed", 0),
         ):
@@ -455,7 +450,25 @@ class ExperimentConfig:
             )
         return problems
 
+    def _trainer_param_problems(self) -> list[str]:
+        if not isinstance(self.trainer_params, dict):
+            return [f"trainer_params must be a JSON object, got {self.trainer_params!r}"]
+        problems = []
+        known_params = _default_trainer_params()
+        for name in sorted(set(self.trainer_params) - set(known_params)):
+            problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
+        for name, default in known_params.items():
+            # Counts must be integers and rates numbers, like their defaults.
+            value = self.trainer_params.get(name, default)
+            if _is_int(default) and not _is_int(value):
+                problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
+            elif not _is_number(value):
+                problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
+        return problems
+
     def _grid_problems(self) -> list[str]:
+        if not isinstance(self.grids, dict):
+            return [f"grids must be a JSON object, got {self.grids!r}"]
         problems = []
         known_grids = _default_grids()
         for name in sorted(set(self.grids) - set(known_grids)):
@@ -565,17 +578,13 @@ class _QueryData:
     c_init: RankedList
     passages_by_doc: dict[str, list[Passage]]
     passage_spans: dict[str, tuple[str, int, int]]
-    doc_vectors: dict[float, dict[str, FeatureVector]]
-    psg_vectors: dict[float, dict[str, FeatureVector]]
+    doc_vectors: dict[float, FeatureMatrix]  # rows in document id order
+    psg_vectors: dict[float, FeatureMatrix]  # rows in document id, then passage order
     doc_sims: dict[float, dict[str, float]]
     psg_sims: dict[float, dict[str, float]]
     psg_doc: dict[str, str]
     psg_grades: dict[str, int]
     pos_sims: dict = field(default_factory=dict)  # (mu, sigma) -> {pid: sim}
-
-
-def _subset_vector(v: FeatureVector, schema, indices) -> FeatureVector:
-    return FeatureVector(schema, tuple(v.values[i] for i in indices), v.query_id, v.item_id)
 
 
 class _Pipeline:
@@ -608,8 +617,6 @@ class _Pipeline:
         doc_excl, psg_excl, _ = _parse_exclusions(config.exclusions)
         self.doc_schema = DOC_SCHEMA.without(doc_excl) if doc_excl else DOC_SCHEMA
         self.psg_schema = PSG_SCHEMA.without(psg_excl) if psg_excl else PSG_SCHEMA
-        self._doc_keep = [DOC_SCHEMA.index_of(f) for f in self.doc_schema.features]
-        self._psg_keep = [PSG_SCHEMA.index_of(f) for f in self.psg_schema.features]
 
         all_queries = load_topics(config.topics, self.store.tokenizer)
         self.queries = {q.query_id: q for q in self._filter_queries(all_queries)}
@@ -742,27 +749,21 @@ class _Pipeline:
         )
         data.doc_sims[mu] = dict(extractor.doc_sims)
         data.psg_sims[mu] = dict(extractor.psg_sims)
-        psg_vectors = {}
-        for d in doc_ids:
-            for p in data.passages_by_doc[d]:
-                full = extractor.vector(p)
-                psg_vectors[p.passage_id] = (
-                    full
-                    if self.psg_schema is PSG_SCHEMA
-                    else _subset_vector(full, self.psg_schema, self._psg_keep)
+        psg_vectors = FeatureMatrix.from_vectors(
+            [extractor.vector(p) for d in doc_ids for p in data.passages_by_doc[d]],
+            PSG_SCHEMA, query.query_id,
+        )
+        doc_vectors = FeatureMatrix.from_vectors(
+            [
+                doc_features(
+                    query, self.store.get(d), self.index, params, self.store.tokenizer.stopwords
                 )
-        data.psg_vectors[mu] = psg_vectors
-        doc_vectors = {}
-        for d in doc_ids:
-            full = doc_features(
-                query, self.store.get(d), self.index, params, self.store.tokenizer.stopwords
-            )
-            doc_vectors[d] = (
-                full
-                if self.doc_schema is DOC_SCHEMA
-                else _subset_vector(full, self.doc_schema, self._doc_keep)
-            )
-        data.doc_vectors[mu] = doc_vectors
+                for d in doc_ids
+            ],
+            DOC_SCHEMA, query.query_id,
+        )
+        data.psg_vectors[mu] = psg_vectors.columns(self.psg_schema)
+        data.doc_vectors[mu] = doc_vectors.columns(self.doc_schema)
 
     def positional_sims(self, query_id: str, mu: float, sigma: float) -> dict[str, float]:
         data = self.query_data(query_id)
@@ -784,11 +785,11 @@ class _Pipeline:
         data = self.query_data(query_id)
         return data.doc_sims[mu], data.psg_sims[mu]
 
-    def doc_vectors(self, query_id: str, mu: float) -> dict[str, FeatureVector]:
+    def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
         self.ensure_features(query_id, mu)
         return self.query_data(query_id).doc_vectors[mu]
 
-    def psg_vectors(self, query_id: str, mu: float) -> dict[str, FeatureVector]:
+    def psg_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
         self.ensure_features(query_id, mu)
         return self.query_data(query_id).psg_vectors[mu]
 
@@ -824,7 +825,7 @@ def _trainer_grid(config: ExperimentConfig) -> list[dict]:
     return [{}]
 
 
-def _train(config: ExperimentConfig, data: Sequence[GradedExample], hyper: dict) -> LinearModel:
+def _train(config: ExperimentConfig, data: TrainingSet, hyper: dict) -> LinearModel:
     tp = config.trainer_params
     if config.trainer == "pairwise_hinge":
         return train_pairwise(
@@ -878,9 +879,7 @@ class _FoldRunner:
                 got = self.pipe.qsf(query_id, qsf["mu"], qsf["lambda"])
             else:
                 vectors = self.pipe.psg_vectors(query_id, self.params["PsgLTR"]["mu"])
-                got = score(
-                    self.models["PsgLTR"], minmax_normalize([vectors[p] for p in sorted(vectors)])
-                )
+                got = score(self.models["PsgLTR"], minmax_normalize(vectors))
             self._psg_ranking_cache[query_id] = got
         return got
 
@@ -919,43 +918,63 @@ class _FoldRunner:
         else:
             metric, grade = self.pipe.psg_metric, self.pipe.psg_grade
         best = model = None
+        rankings = {}
         for vpoint in _grid_points(cfg, rec.vector_grid):
             if rec.vectors:
-                examples = [
-                    GradedExample(qid, vec.item_id, vec, grade(qid, vec.item_id))
-                    for qid in self.train_queries
-                    for vec in minmax_normalize(rec.vectors(self, qid, vpoint))
+                matrices = [
+                    minmax_normalize(rec.vectors(self, qid, vpoint)) for qid in self.train_queries
                 ]
+                training = TrainingSet(
+                    (m, [grade(m.query_id, i) for i in m.item_ids]) for m in matrices
+                )
             for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
                 if rec.vectors:
-                    model = _train(cfg, examples, hyper)
+                    model = _train(cfg, training, hyper)
+                    # The vectors depend on the vector-grid point only, so the
+                    # model ranks each query once for the whole grid.
+                    rankings = {q: self._model_ranking(rec, q, vpoint, model) for q in queries}
                 for rpoint in _grid_points(cfg, rec.grid):
                     if rec.feasible and not rec.feasible(rpoint):
                         continue
                     params = {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
                     m = mean_metric(
-                        [metric(self.run_method(method, qid, params, model)) for qid in queries]
+                        [metric(self._run(rec, q, params, rankings.get(q))) for q in queries]
                     )
                     if best is None or m > best[0]:
                         best = (m, params, model)
         return best[1], best[2]
 
-    def run_method(
-        self, method: str, query_id: str, params: dict | None = None, model=None
+    def run_method(self, method: str, query_id: str) -> RankedList:
+        """The method's tuned run for one query (cached)."""
+        key = (method, query_id)
+        if key not in self._runs:
+            rec = _METHODS[method]
+            params = self.params.get(method, {})
+            ranking = (
+                self._model_ranking(rec, query_id, params, self.models[method])
+                if rec.vectors
+                else None
+            )
+            self._runs[key] = self._run(rec, query_id, params, ranking)
+        return self._runs[key]
+
+    def _model_ranking(
+        self, rec: _Method, query_id: str, params: dict, model: LinearModel
+    ) -> RankedList | None:
+        """A learned method's model ranking; None when the query has no candidates."""
+        if self._no_candidates(query_id):
+            return None
+        return score(model, minmax_normalize(rec.vectors(self, query_id, params)))
+
+    def _run(
+        self, rec: _Method, query_id: str, params: dict, ranking: RankedList | None
     ) -> RankedList:
-        """The method's run for one query; the tuned one (cached) by default."""
-        if params is None:
-            key = (method, query_id)
-            if key not in self._runs:
-                params, model = self.params.get(method, {}), self.models.get(method)
-                self._runs[key] = self.run_method(method, query_id, params, model)
-            return self._runs[key]
-        rec = _METHODS[method]
+        """The method's run at ``params``; a learned method's is its model's
+        ``ranking``, fused with the document ranking when the method says so."""
         if not rec.vectors:
             return rec.rank(self, query_id, params)
-        if self._no_candidates(query_id):
+        if ranking is None:
             return RankedList(query_id, ())
-        ranking = score(model, minmax_normalize(rec.vectors(self, query_id, params)))
         return rec.rank(self, query_id, params, ranking) if rec.rank else ranking
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -76,17 +77,100 @@ class FeatureVector:
     item_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         if len(self.values) != len(self.schema):
             raise SchemaError(
                 f"vector has {len(self.values)} values for schema "
                 f"{self.schema.name!r} of length {len(self.schema)}"
             )
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise SchemaError(f"non-finite feature value for item {self.item_id!r}")
 
     def value_of(self, feature: str) -> float:
         return self.values[self.schema.index_of(feature)]
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureMatrix:
+    """One query's feature rows under one schema.
+
+    ``values`` is a read-only C-contiguous float64 array with one row per
+    item id, checked for finite values once, at construction; ``len()`` is
+    the row count. This is the type the learned-ranker path carries from
+    extraction to scoring; :class:`FeatureVector` is its one-row form.
+    """
+
+    schema: FeatureSchema
+    query_id: str
+    item_ids: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        item_ids = tuple(self.item_ids)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        if values.size == 0 and values.ndim != 2:
+            values = values.reshape(len(item_ids), len(self.schema))
+        if values.shape != (len(item_ids), len(self.schema)):
+            raise SchemaError(
+                f"matrix of shape {values.shape} for {len(item_ids)} items and schema "
+                f"{self.schema.name!r} of length {len(self.schema)}"
+            )
+        if not np.isfinite(values).all():
+            bad = item_ids[int(np.argmin(np.isfinite(values).all(axis=1)))]
+            raise SchemaError(f"non-finite feature value for item {bad!r}")
+        values = values.view()
+        values.flags.writeable = False
+        object.__setattr__(self, "item_ids", item_ids)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_vectors(
+        cls,
+        vectors: Sequence[FeatureVector],
+        schema: FeatureSchema | None = None,
+        query_id: str | None = None,
+    ) -> "FeatureMatrix":
+        """Stack one query's vectors; ``schema`` and ``query_id`` are needed
+        only when ``vectors`` may be empty."""
+        if vectors:
+            schema = schema or vectors[0].schema
+            query_id = query_id if query_id is not None else vectors[0].query_id
+        elif schema is None or query_id is None:
+            raise ValueError("an empty matrix needs a schema and a query id")
+        for v in vectors:
+            if v.schema != schema:
+                raise SchemaError("cannot stack vectors of mixed schemas")
+            if v.query_id != query_id:
+                raise SchemaError("cannot stack vectors of mixed queries")
+        return cls(schema, query_id, [v.item_id for v in vectors], [v.values for v in vectors])
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    @cached_property
+    def _row_of(self) -> dict[str, int]:
+        return {item_id: r for r, item_id in enumerate(self.item_ids)}
+
+    def rows(self, item_ids: Iterable[str]) -> list[int]:
+        """Row indices of ``item_ids``; the id -> row map is built once."""
+        row_of = self._row_of
+        return [row_of[i] for i in item_ids]
+
+    def take(self, item_ids: Sequence[str]) -> "FeatureMatrix":
+        """The rows of ``item_ids``, in that order."""
+        values = np.take(self.values, self.rows(item_ids), axis=0)
+        return FeatureMatrix(self.schema, self.query_id, item_ids, values)
+
+    def columns(self, schema: FeatureSchema) -> "FeatureMatrix":
+        """The columns named by ``schema``, in its order."""
+        keep = [self.schema.index_of(f) for f in schema.features]
+        return FeatureMatrix(schema, self.query_id, self.item_ids, self.values[:, keep])
+
+    def vectors(self) -> list[FeatureVector]:
+        return [
+            FeatureVector(self.schema, tuple(row), self.query_id, item_id)
+            for item_id, row in zip(self.item_ids, self.values.tolist())
+        ]
 
 
 DOC_FEATURES = ("SdmUnigrams", "SdmOrderedBigrams", "SdmUnorderedBigrams", "SW1", "SW2", "Ent")
@@ -166,28 +250,18 @@ def concat(
     return FeatureVector(schema, tuple(a.values) + right, a.query_id, a.item_id)
 
 
-def minmax_normalize(vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
-    """Per-feature (v - min) / (max - min) over one query's vectors;
-    constant features map to 0. Idempotent."""
-    if not vectors:
-        return []
-    schema = vectors[0].schema
-    qid = vectors[0].query_id
-    for v in vectors:
-        if v.schema != schema:
-            raise SchemaError("cannot normalize vectors of mixed schemas")
-        if v.query_id != qid:
-            raise SchemaError("cannot normalize vectors of mixed queries")
-    mat = np.array([v.values for v in vectors], dtype=float)
+def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
+    """Per-feature (v - min) / (max - min) over one query's rows; constant
+    features map to 0. Idempotent."""
+    if not len(matrix):
+        return matrix
+    mat = matrix.values
     lo = mat.min(axis=0)
     hi = mat.max(axis=0)
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
     normed = np.where(span > 0, (mat - lo) / safe, 0.0)
-    return [
-        FeatureVector(schema, tuple(row), v.query_id, v.item_id)
-        for row, v in zip(normed, vectors)
-    ]
+    return FeatureMatrix(matrix.schema, matrix.query_id, matrix.item_ids, normed)
 
 
 # -- relevance priors shared by documents and passages --

@@ -11,11 +11,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .features import FeatureSchema, FeatureVector, SchemaError
+from .features import FeatureMatrix, FeatureSchema, FeatureVector, SchemaError
 
 MODEL_VERSION = 1
 
@@ -97,38 +97,77 @@ class LinearModel:
         )
 
 
-def _group_by_query(data: Sequence[GradedExample]) -> dict[str, list[GradedExample]]:
-    groups: dict[str, list[GradedExample]] = {}
-    for ex in data:
-        groups.setdefault(ex.query_id, []).append(ex)
-    return groups
+class TrainingSet:
+    """Training data: one feature matrix and one grade per row for each query.
 
+    Queries are kept in query-id order, and queries without rows are
+    dropped; ``len()`` is the number of rows (training examples).
+    """
 
-def _check_schema(data: Sequence[GradedExample]) -> FeatureSchema:
-    if not data:
-        raise TrainingError("no training examples")
-    schema = data[0].vector.schema
-    for ex in data:
-        if ex.vector.schema != schema:
+    def __init__(self, queries: Iterable[tuple[FeatureMatrix, Sequence[int]]]):
+        kept = []
+        for matrix, grades in queries:
+            grades = np.asarray(grades, dtype=np.int64).reshape(-1)
+            if len(grades) != len(matrix):
+                raise ValueError(f"{len(grades)} grades for {len(matrix)} rows")
+            if (grades < 0).any():
+                raise ValueError(f"grade must be >= 0, got {int(grades.min())}")
+            if len(matrix):
+                kept.append((matrix, grades))
+        kept.sort(key=lambda mg: mg[0].query_id)
+        if any(m.schema != kept[0][0].schema for m, _ in kept):
             raise SchemaError("training examples mix feature schemas")
-    return schema
+        self.queries: tuple[tuple[FeatureMatrix, np.ndarray], ...] = tuple(kept)
+
+    @classmethod
+    def from_examples(cls, data: Sequence[GradedExample]) -> "TrainingSet":
+        """Group per-row examples by query, keeping their order."""
+        groups: dict[str, list[GradedExample]] = {}
+        for ex in data:
+            groups.setdefault(ex.query_id, []).append(ex)
+        queries = []
+        for qid, group in groups.items():
+            schema = group[0].vector.schema
+            if any(ex.vector.schema != schema for ex in group):
+                raise SchemaError("training examples mix feature schemas")
+            matrix = FeatureMatrix(
+                schema, qid, [ex.item_id for ex in group], [ex.vector.values for ex in group]
+            )
+            queries.append((matrix, [ex.grade for ex in group]))
+        return cls(queries)
+
+    def __len__(self) -> int:
+        return sum(len(m) for m, _ in self.queries)
+
+    def schema(self) -> FeatureSchema:
+        if not self.queries:
+            raise TrainingError("no training examples")
+        return self.queries[0][0].schema
+
+    def by_item(self):
+        """Per query, (rows, item ids, grades) with rows in item-id order."""
+        for matrix, grades in self.queries:
+            order = sorted(range(len(matrix)), key=matrix.item_ids.__getitem__)
+            yield (
+                np.take(matrix.values, order, axis=0),
+                [matrix.item_ids[i] for i in order],
+                grades[order],
+            )
 
 
-def _difference_matrix(
-    data: Sequence[GradedExample], max_pairs: int, seed: int
-) -> np.ndarray:
-    """Within-query difference vectors x_i - x_j for grade_i > grade_j."""
+def _difference_matrix(data: TrainingSet, max_pairs: int, seed: int) -> np.ndarray:
+    """Within-query difference rows x_i - x_j for grade_i > grade_j.
+
+    Per query, in item-id order, the rows are the (hi, lo) pairs in
+    row-major order: hi outer, lo inner.
+    """
     diffs = []
-    groups = _group_by_query(data)
-    for qid in sorted(groups):
-        group = sorted(groups[qid], key=lambda e: e.item_id)
-        for hi in group:
-            for lo in group:
-                if hi.grade > lo.grade:
-                    diffs.append(np.subtract(hi.vector.values, lo.vector.values))
-    if not diffs:
+    for x, _, g in data.by_item():
+        hi, lo = np.nonzero(g[:, None] > g[None, :])
+        diffs.append(x[hi] - x[lo])
+    mat = np.concatenate(diffs) if diffs else np.zeros((0, 0))
+    if not len(mat):
         raise TrainingError("no training signal: every within-query pair has equal grades")
-    mat = np.array(diffs, dtype=float)
     if len(mat) > max_pairs:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(mat), size=max_pairs, replace=False))
@@ -142,7 +181,7 @@ def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:
 
 
 def train_pairwise(
-    data: Sequence[GradedExample],
+    data: TrainingSet,
     c: float = 0.01,
     epochs: int = 200,
     seed: int = 0,
@@ -156,7 +195,7 @@ def train_pairwise(
     favor the earlier epoch). Raises TrainingError when no within-query
     pair of distinct grades exists.
     """
-    schema = _check_schema(data)
+    schema = data.schema()
     diffs = _difference_matrix(data, max_pairs, seed)
     w = np.zeros(len(schema))
     best_w = w.copy()
@@ -207,25 +246,26 @@ def ndcg_at_k(ranked, grades: Mapping[str, int], k: int = 10) -> float:
     return dcg_at_k(in_order, k) / idcg
 
 
-def score(model: LinearModel, vectors: Sequence[FeatureVector]):
-    """Rank one query's vectors by w . x; ties break by ascending item id."""
+def score(model: LinearModel, matrix: FeatureMatrix):
+    """Rank one query's rows by w . x; ties break by ascending item id.
+
+    Each row is its own ``np.dot(w, row)``: a matrix product can round a
+    row's score differently in the last bit, and runs write scores in full.
+    """
     from .rank import RankedList
 
-    if not vectors:
+    if not len(matrix):
         raise ValueError("no vectors to score")
-    qid = vectors[0].query_id
+    if matrix.schema != model.schema:
+        raise SchemaError(
+            f"vector schema {matrix.schema.name!r} does not match model "
+            f"schema {model.schema.name!r}"
+        )
     w = np.array(model.weights)
-    scores = {}
-    for v in vectors:
-        if v.schema != model.schema:
-            raise SchemaError(
-                f"vector schema {v.schema.name!r} does not match model "
-                f"schema {model.schema.name!r}"
-            )
-        if v.query_id != qid:
-            raise ValueError("score() expects vectors of a single query")
-        scores[v.item_id] = float(np.dot(w, v.values))
-    return RankedList.from_scores(qid, scores)
+    scores = {
+        item_id: float(np.dot(w, row)) for item_id, row in zip(matrix.item_ids, matrix.values)
+    }
+    return RankedList.from_scores(matrix.query_id, scores)
 
 
 def _mean_ndcg(
@@ -242,7 +282,7 @@ def _mean_ndcg(
 
 
 def train_coordinate_ascent(
-    data: Sequence[GradedExample],
+    data: TrainingSet,
     restarts: int = 2,
     seed: int = 0,
     max_passes: int = 25,
@@ -260,15 +300,10 @@ def train_coordinate_ascent(
     (restart, objective) is appended at the start and after every accepted
     step.
     """
-    schema = _check_schema(data)
-    groups = _group_by_query(data)
-    if all(len({ex.grade for ex in g}) < 2 for g in groups.values()):
+    schema = data.schema()
+    if all(len(set(g.tolist())) < 2 for _, g in data.queries):
         raise TrainingError("no training signal: every within-query pair has equal grades")
-    matrices = []
-    for qid in sorted(groups):
-        group = sorted(groups[qid], key=lambda e: e.item_id)
-        mat = np.array([ex.vector.values for ex in group], dtype=float)
-        matrices.append((mat, [ex.item_id for ex in group], {ex.item_id: ex.grade for ex in group}))
+    matrices = [(x, ids, dict(zip(ids, g.tolist()))) for x, ids, g in data.by_item()]
 
     n = len(schema)
     rng = np.random.default_rng(seed)

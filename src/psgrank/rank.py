@@ -10,9 +10,10 @@ similarity-interpolation and positional-LM passage scorers.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,9 +22,8 @@ from .corpus import CorpusStore, Query
 from .features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
+    FeatureMatrix,
     FeatureSchema,
-    FeatureVector,
-    concat,
     concat_schemas,
     query_similarities,
 )
@@ -86,14 +86,33 @@ class RankedList:
     def ids(self) -> list[str]:
         return [i for i, _ in self.entries]
 
-    def ranks(self) -> dict[str, int]:
-        return {item_id: r for r, (item_id, _) in enumerate(self.entries, start=1)}
+    def ranks(self) -> Mapping[str, int]:
+        """Item id -> rank (the top item is 1); read-only, built once per list."""
+        return self._ranks
+
+    @cached_property
+    def _ranks(self) -> Mapping[str, int]:
+        return MappingProxyType(
+            {item_id: r for r, (item_id, _) in enumerate(self.entries, start=1)}
+        )
+
+    def best_passage_ranks(self) -> Mapping[str, int]:
+        """For a passage ranking: document id -> the best rank among its
+        passages; read-only, built once per list."""
+        return self._best_passage_ranks
+
+    @cached_property
+    def _best_passage_ranks(self) -> Mapping[str, int]:
+        best: dict[str, int] = {}
+        for r, (pid, _) in enumerate(self.entries, start=1):
+            best.setdefault(parse_passage_id(pid)[0], r)
+        return MappingProxyType(best)
 
     def rank_of(self, item_id: str) -> int:
-        for r, (i, _) in enumerate(self.entries, start=1):
-            if i == item_id:
-                return r
-        raise ValueError(f"item {item_id!r} not in ranked list")
+        try:
+            return self._ranks[item_id]
+        except KeyError:
+            raise ValueError(f"item {item_id!r} not in ranked list") from None
 
     def truncated(self, k: int) -> "RankedList":
         return RankedList(self.query_id, self.entries[:k])
@@ -118,14 +137,6 @@ def rr_score(item_id: str, ranked: RankedList, nu: float) -> float:
     return 1.0 / (nu + ranked.rank_of(item_id))
 
 
-def _group_passages_by_doc(psg_list: RankedList) -> dict[str, list[str]]:
-    by_doc: dict[str, list[str]] = {}
-    for pid, _ in psg_list:
-        doc_id, _ = parse_passage_id(pid)
-        by_doc.setdefault(doc_id, []).append(pid)
-    return by_doc
-
-
 def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams) -> RankedList:
     """Fuse a document ranking with each document's best passage rank.
 
@@ -134,17 +145,15 @@ def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams)
     a zero passage term.
     """
     doc_ranks = doc_list.ranks()
-    by_doc = _group_passages_by_doc(psg_list)
-    unknown = set(by_doc) - set(doc_ranks)
+    best_ranks = psg_list.best_passage_ranks()
+    unknown = best_ranks.keys() - doc_ranks.keys()
     if unknown:
         raise ValueError(f"passages reference documents outside the list: {sorted(unknown)[:3]}")
-    psg_ranks = psg_list.ranks()
     scores = {}
     for doc_id, rank in doc_ranks.items():
-        best = max(
-            (1.0 / (params.nu + psg_ranks[p]) for p in by_doc.get(doc_id, ())),
-            default=0.0,
-        )
+        # 1/(nu + r) falls with r, so the best passage rank gives the max.
+        best_rank = best_ranks.get(doc_id)
+        best = 1.0 / (params.nu + best_rank) if best_rank is not None else 0.0
         scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * best
     return RankedList.from_scores(doc_list.query_id, scores)
 
@@ -179,11 +188,36 @@ def smpd_features(
         max(rr),
         min(rr),
         sum(rr) / n,
-        statistics.pstdev(rr) if n > 1 else 0.0,
+        pstdev(rr) if n > 1 else 0.0,
         in50 / n,
         in100 / n,
         float(n),
     )
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation of floats, correctly rounded.
+
+    The variance is exact: every float is an integer over a power of two,
+    so over their common denominator 2**k it is num / den with integers
+    num = n * sum(x**2) - sum(x)**2 and den = n**2 * 4**k. Its root is
+    rounded once, as ``statistics.pstdev`` does on Python >= 3.11 (without
+    Fractions): an integer root with at least 2 * 53 + 3 bits, rounded to
+    odd, then one correctly rounded int / int division.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    nums = [p << (k + 1 - d.bit_length()) for p, d in ratios]
+    n, total = len(nums), sum(nums)
+    num, den = n * sum(x * x for x in nums) - total * total, n * n << (2 * k)
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 SMPD_SCHEMA = concat_schemas(
@@ -197,37 +231,30 @@ SMPD_SCHEMA = concat_schemas(
 
 def build_smpd_vectors(
     doc_list: RankedList,
-    doc_vectors: Mapping[str, FeatureVector],
+    doc_vectors: FeatureMatrix,
     passages_by_doc: Mapping[str, Sequence[Passage]],
     psg_list: RankedList,
     nu: float,
-) -> list[FeatureVector]:
-    """Document vectors extended with the 7 passage-rank statistics."""
-    out = []
-    schema = None
-    for doc_id, _ in doc_list:
-        stats = smpd_features(
-            [p.passage_id for p in passages_by_doc[doc_id]], psg_list, nu
+) -> FeatureMatrix:
+    """Document rows extended with the 7 passage-rank statistics."""
+    doc_ids = doc_list.ids()
+    stats = np.array(
+        [
+            smpd_features([p.passage_id for p in passages_by_doc[d]], psg_list, nu)
+            for d in doc_ids
+        ],
+        dtype=float,
+    ).reshape(len(doc_ids), len(SMPD_FEATURES))
+    schema = (
+        SMPD_SCHEMA
+        if doc_vectors.schema == DOC_SCHEMA
+        else concat_schemas(
+            doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
+            name="smpd", a_prefix="d.", b_prefix="p.",
         )
-        dv = doc_vectors[doc_id]
-        if schema is None:
-            schema = (
-                SMPD_SCHEMA
-                if dv.schema == DOC_SCHEMA
-                else concat_schemas(
-                    dv.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
-                    name="smpd", a_prefix="d.", b_prefix="p.",
-                )
-            )
-        out.append(
-            FeatureVector(
-                schema=schema,
-                values=tuple(dv.values) + tuple(stats),
-                query_id=dv.query_id,
-                item_id=doc_id,
-            )
-        )
-    return out
+    )
+    values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
+    return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
 
 _WHICH_INDEX = {"best": 0, "second": 1, "third": 2}
@@ -258,17 +285,36 @@ def select_passage(
 
 
 def _fallback_by_query_sim(
-    doc_passages: Sequence[Passage], psg_vectors: Mapping[str, FeatureVector]
+    doc_passages: Sequence[Passage], psg_vectors: FeatureMatrix
 ) -> Passage:
     # No ranked passage: pick by the passage-query similarity feature, or
     # the document's first passage if that feature was excluded.
-    schema = psg_vectors[doc_passages[0].passage_id].schema
-    if "PsgQuerySim" not in schema.features:
+    if "PsgQuerySim" not in psg_vectors.schema.features:
         return doc_passages[0]
+    sims = psg_vectors.values[:, psg_vectors.schema.index_of("PsgQuerySim")]
+    rows = psg_vectors.rows(p.passage_id for p in doc_passages)
     return max(
-        doc_passages,
-        key=lambda p: (psg_vectors[p.passage_id].value_of("PsgQuerySim"), p.passage_id),
-    )
+        zip(doc_passages, rows), key=lambda pr: (sims[pr[1]], pr[0].passage_id)
+    )[0]
+
+
+def _selected_ids(
+    doc_ids: Sequence[str],
+    psg_vectors: FeatureMatrix,
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    psg_list: RankedList,
+    which: str,
+) -> list[str]:
+    """Each document's ``which`` passage, by query similarity when the
+    document has no ranked passage."""
+    out = []
+    for doc_id in doc_ids:
+        passages = passages_by_doc[doc_id]
+        pick = select_passage(passages, psg_list, which)
+        if pick is None:
+            pick = _fallback_by_query_sim(passages, psg_vectors)
+        out.append(pick.passage_id)
+    return out
 
 
 def jpds_schema(include_query_length: bool = False, two_passages: bool = False):
@@ -293,122 +339,102 @@ def jpds_schema(include_query_length: bool = False, two_passages: bool = False):
     return schema
 
 
+def _kept_columns(schema: FeatureSchema, exclusions: Iterable[str]) -> list[int]:
+    return [i for i, f in enumerate(schema.features) if f not in exclusions]
+
+
 def build_jpds_vectors(
     doc_list: RankedList,
-    doc_vectors: Mapping[str, FeatureVector],
-    psg_vectors: Mapping[str, FeatureVector],
+    doc_vectors: FeatureMatrix,
+    psg_vectors: FeatureMatrix,
     passages_by_doc: Mapping[str, Sequence[Passage]],
     psg_list: RankedList,
     which: str = "best",
     two_passages: bool = False,
     include_query_length: bool = False,
-) -> list[FeatureVector]:
-    """Joint document+selected-passage vectors for every listed document.
+) -> FeatureMatrix:
+    """Joint document+selected-passage rows for every listed document.
 
-    The selected passage's vector is appended to the document vector; the
-    two-passage variant also appends the second-ranked passage's vector
+    The selected passage's row is appended to the document row; the
+    two-passage variant also appends the second-ranked passage's row
     with its redundant features removed.
     """
+    psg_schema = psg_vectors.schema
     base_exclusions = (
         {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
     )
-    out = []
-    exclusions = second_exclusions = None
-    for doc_id, _ in doc_list:
-        passages = passages_by_doc[doc_id]
-        chosen = select_passage(passages, psg_list, which)
-        if chosen is None:
-            chosen = _fallback_by_query_sim(passages, psg_vectors)
-        psg_schema = psg_vectors[chosen.passage_id].schema
-        if exclusions is None:
-            # Exclusions are a no-op for features already removed upstream
-            # (e.g. by the ablation harness).
-            exclusions = base_exclusions & set(psg_schema.features)
-            second_exclusions = JPD2_SECOND_EXCLUSIONS & set(psg_schema.features)
-        vec = concat(
-            doc_vectors[doc_id],
-            psg_vectors[chosen.passage_id],
-            exclusions=exclusions,
-            name="jpd2" if two_passages else "jpds",
-            a_prefix="d.",
-            b_prefix="p.",
+    # Exclusions are a no-op for features already removed upstream
+    # (e.g. by the ablation harness).
+    exclusions = base_exclusions & set(psg_schema.features)
+    schema = concat_schemas(
+        doc_vectors.schema, psg_schema, name="jpd2" if two_passages else "jpds",
+        a_prefix="d.", b_prefix="p.", exclusions=exclusions,
+    )
+    doc_ids = doc_list.ids()
+
+    def passage_rows(which: str, excluded: set[str]) -> np.ndarray:
+        chosen = _selected_ids(doc_ids, psg_vectors, passages_by_doc, psg_list, which)
+        rows = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
+        return rows[:, _kept_columns(psg_schema, excluded)]
+
+    blocks = [doc_vectors.take(doc_ids).values, passage_rows(which, exclusions)]
+    if two_passages:
+        # With fewer than two ranked passages the second pick is the first.
+        second_exclusions = JPD2_SECOND_EXCLUSIONS & set(psg_schema.features)
+        schema = concat_schemas(
+            schema, psg_schema, name="jpd2", b_prefix="p2.", exclusions=second_exclusions
         )
-        if two_passages:
-            second = select_passage(passages, psg_list, "second")
-            if second is None:
-                second = chosen
-            vec = concat(
-                vec,
-                psg_vectors[second.passage_id],
-                exclusions=second_exclusions,
-                name="jpd2",
-                b_prefix="p2.",
-            )
-        out.append(FeatureVector(vec.schema, vec.values, vec.query_id, doc_id))
-    return out
+        blocks.append(passage_rows("second", second_exclusions))
+    values = np.concatenate(blocks, axis=1)
+    return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
 
 def build_jpdm_vectors(
     doc_list: RankedList,
-    doc_vectors: Mapping[str, FeatureVector],
-    psg_vectors: Mapping[str, FeatureVector],
+    doc_vectors: FeatureMatrix,
+    psg_vectors: FeatureMatrix,
     passages_by_doc: Mapping[str, Sequence[Passage]],
     agg: str,
-) -> list[FeatureVector]:
-    """Document vectors extended with per-feature aggregates over ALL of the
+) -> FeatureMatrix:
+    """Document rows extended with per-feature aggregates over ALL of the
     document's passages; independent of any passage ranking."""
     if agg not in ("avg", "max", "min"):
         raise ValueError(f"unknown aggregate: {agg!r}")
-    if not len(doc_list):
-        return []
-    first_doc = doc_list.entries[0][0]
-    doc_schema = doc_vectors[first_doc].schema
-    psg_schema = psg_vectors[passages_by_doc[first_doc][0].passage_id].schema
+    psg_schema = psg_vectors.schema
     # Aggregating the passage-query similarity would duplicate the
     # max/avg-of-passage-similarities features, so avg and max drop it.
     exclusions = ({"PsgQuerySim"} if agg in ("avg", "max") else set()) & set(
         psg_schema.features
     )
     schema = concat_schemas(
-        doc_schema, psg_schema, name=f"jpdm-{agg}", a_prefix="d.",
+        doc_vectors.schema, psg_schema, name=f"jpdm-{agg}", a_prefix="d.",
         b_prefix=f"{agg}.", exclusions=exclusions,
     )
-    kept = [psg_schema.index_of(f) for f in psg_schema.features if f not in exclusions]
+    kept = _kept_columns(psg_schema, exclusions)
     fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
-    out = []
-    for doc_id, _ in doc_list:
-        mat = np.array(
-            [psg_vectors[p.passage_id].values for p in passages_by_doc[doc_id]], dtype=float
-        )
-        agg_vals = fn(mat[:, kept], axis=0)
-        dv = doc_vectors[doc_id]
-        out.append(
-            FeatureVector(
-                schema=schema,
-                values=tuple(dv.values) + tuple(float(v) for v in agg_vals),
-                query_id=dv.query_id,
-                item_id=doc_id,
-            )
-        )
-    return out
+    doc_ids = doc_list.ids()
+    aggs = []
+    for doc_id in doc_ids:
+        rows = psg_vectors.rows(p.passage_id for p in passages_by_doc[doc_id])
+        # The fancy column index makes the operand F-ordered, as it always
+        # was: its memory order fixes the summation order of the mean.
+        aggs.append(fn(np.take(psg_vectors.values, rows, axis=0)[:, kept], axis=0))
+    aggs = np.array(aggs, dtype=float).reshape(len(doc_ids), len(kept))
+    values = np.concatenate([doc_vectors.take(doc_ids).values, aggs], axis=1)
+    return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
 
 def build_fpd_vectors(
     doc_list: RankedList,
-    psg_vectors: Mapping[str, FeatureVector],
+    psg_vectors: FeatureMatrix,
     passages_by_doc: Mapping[str, Sequence[Passage]],
     psg_list: RankedList,
-) -> list[FeatureVector]:
-    """Each listed document's best-ranked passage vector, keyed by the document."""
-    out = []
-    for doc_id, _ in doc_list:
-        passages = passages_by_doc[doc_id]
-        chosen = select_passage(passages, psg_list, "best")
-        if chosen is None:
-            chosen = _fallback_by_query_sim(passages, psg_vectors)
-        base = psg_vectors[chosen.passage_id]
-        out.append(FeatureVector(base.schema, base.values, base.query_id, doc_id))
-    return out
+) -> FeatureMatrix:
+    """Each listed document's best-ranked passage row, keyed by the document."""
+    doc_ids = doc_list.ids()
+    chosen = _selected_ids(doc_ids, psg_vectors, passages_by_doc, psg_list, "best")
+    values = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
+    return FeatureMatrix(psg_vectors.schema, psg_vectors.query_id, doc_ids, values)
 
 
 def rerank_fpd(

@@ -19,6 +19,7 @@ from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.experiment import ExperimentConfig, run_experiment
 from psgrank.features import (
     PSG_SCHEMA,
+    FeatureMatrix,
     FeatureSchema,
     FeatureVector,
     PassageFeatureExtractor,
@@ -28,6 +29,7 @@ from psgrank.features import (
 from psgrank.index import LmParams, build_index, doc_lm_similarity, lm_similarity, sdm_components
 from psgrank.ltr import (
     GradedExample,
+    TrainingSet,
     bucket_grade,
     ndcg_at_k,
     pairwise_error_count,
@@ -312,7 +314,7 @@ def test_criterion_5_trainer_properties(tmp_path):
             data.append(
                 ex(f"q{q}", f"i{i}", (base + float(rng.normal(0, 0.1)), float(rng.normal())), grade)
             )
-    model = train_pairwise(data, c=1.0, epochs=200, seed=1)
+    model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=200, seed=1)
     diffs = []
     for q in range(3):
         group = [e for e in data if e.query_id == f"q{q}"]
@@ -332,7 +334,9 @@ def test_criterion_5_trainer_properties(tmp_path):
             grade = int(rng.integers(0, 4))
             ca_data.append(ex(f"q{q}", f"i{i:02d}", (float(grade), float(rng.normal())), grade))
     trace = []
-    ca_model = train_coordinate_ascent(ca_data, restarts=2, seed=3, trace=trace)
+    ca_model = train_coordinate_ascent(
+        TrainingSet.from_examples(ca_data), restarts=2, seed=3, trace=trace
+    )
     by_restart = {}
     for restart, obj in trace:
         by_restart.setdefault(restart, []).append(obj)
@@ -342,7 +346,7 @@ def test_criterion_5_trainer_properties(tmp_path):
         groups.setdefault(e.query_id, []).append(e)
     ndcgs = []
     for group in groups.values():
-        run = score(ca_model, [e.vector for e in group])
+        run = score(ca_model, FeatureMatrix.from_vectors([e.vector for e in group]))
         ndcgs.append(ndcg_at_k(run, {e.item_id: e.grade for e in group}, 10))
     ok &= sum(ndcgs) / len(ndcgs) == pytest.approx(1.0)
 
@@ -351,8 +355,8 @@ def test_criterion_5_trainer_properties(tmp_path):
         (train_pairwise, {"c": 0.5, "epochs": 80, "seed": 5}),
         (train_coordinate_ascent, {"restarts": 2, "seed": 5}),
     ):
-        trainer(data, **kwargs).save(tmp_path / "m1.json")
-        trainer(data, **kwargs).save(tmp_path / "m2.json")
+        trainer(TrainingSet.from_examples(data), **kwargs).save(tmp_path / "m1.json")
+        trainer(TrainingSet.from_examples(data), **kwargs).save(tmp_path / "m2.json")
         ok &= (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
     _report(5, "trainer properties", ok)
 

@@ -272,6 +272,26 @@ class TestRunCommand:
             assert part in err, part
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides,problem",
+        [
+            ({"grids": [1]}, "grids must be a JSON object, got [1]"),
+            ({"trainer_params": 5}, "trainer_params must be a JSON object, got 5"),
+            ({"grids": "mu"}, "grids must be a JSON object, got 'mu'"),
+        ],
+    )
+    def test_non_object_grids_or_trainer_params_exit_one(
+        self, tmp_path, capsys, overrides, problem
+    ):
+        _run_config(tmp_path, ["JPDs"], **overrides)
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert problem in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAblateCommand:
     def test_constant_feature_is_metric_neutral(self, tmp_path, capsys):

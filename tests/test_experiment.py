@@ -218,6 +218,22 @@ class TestConfigValidation:
         )
         assert config.validate() == ["no (plm_lambda, plm_beta) pair has lambda + beta <= 1"]
 
+    def test_non_object_grids_and_trainer_params_listed(self, tmp_path):
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, ["LM"], grids=[1], trainer_params=5)
+        assert config.validate() == [
+            "grids must be a JSON object, got [1]",
+            "trainer_params must be a JSON object, got 5",
+        ]
+        config = _tiny_config(paths, ["LM"], grids="mu", trainer_params=["epochs"])
+        assert config.validate() == [
+            "grids must be a JSON object, got 'mu'",
+            "trainer_params must be a JSON object, got ['epochs']",
+        ]
+        with pytest.raises(ConfigError, match="grids must be a JSON object"):
+            run_experiment(_tiny_config(paths, ["LM"], grids=[1]), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_qsf_psg_ranker_relaxes_psg_qrels_only_for_ltr(self, tmp_path):
         paths = _tiny_corpus(tmp_path)
         config = _tiny_config(paths, ["RRF"], psg_ranker="qsf")
@@ -275,6 +291,79 @@ class TestDeterminism:
     def test_worker_count_does_not_change_multi_mu_output(self, tmp_path):
         grids = {**_TINY_GRIDS, "mu": [500.0, 2500.0]}
         self._assert_worker_count_invariant(tmp_path, grids=grids)
+
+
+def _rescoring_walk(runner, method):
+    """The grid walk as it was: a learned method's model scores every
+    query again at every point of its grid."""
+    from psgrank import experiment
+    from psgrank.evaluation import mean_metric
+    from psgrank.ltr import TrainingSet
+
+    rec = experiment._METHODS[method]
+    cfg = runner.config
+    queries = runner.train_queries if rec.split == "train" else runner.val_queries
+    if rec.kind == "doc":
+        metric, grade = runner.pipe.doc_metric, runner.pipe.doc_judgments.grade
+    else:
+        metric, grade = runner.pipe.psg_metric, runner.pipe.psg_grade
+    best = model = None
+    for vpoint in experiment._grid_points(cfg, rec.vector_grid):
+        if rec.vectors:
+            matrices = [
+                experiment.minmax_normalize(rec.vectors(runner, q, vpoint))
+                for q in runner.train_queries
+            ]
+            training = TrainingSet(
+                (m, [grade(m.query_id, i) for i in m.item_ids]) for m in matrices
+            )
+        for hyper in experiment._trainer_grid(cfg) if rec.vectors else [{}]:
+            if rec.vectors:
+                model = experiment._train(cfg, training, hyper)
+            for rpoint in experiment._grid_points(cfg, rec.grid):
+                if rec.feasible and not rec.feasible(rpoint):
+                    continue
+                params = {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
+                runs = [
+                    runner._run(
+                        rec, q, params,
+                        runner._model_ranking(rec, q, params, model) if rec.vectors else None,
+                    )
+                    for q in queries
+                ]
+                m = mean_metric([metric(run) for run in runs])
+                if best is None or m > best[0]:
+                    best = (m, params, model)
+    return best[1], best[2]
+
+
+class TestWalkScoresEachModelOnce:
+    def test_fpd_scores_each_model_once_per_query(self, tmp_path, monkeypatch):
+        from psgrank import experiment
+
+        paths = _tiny_corpus(tmp_path)
+        calls = []
+        score = experiment.score
+
+        def counted(model, matrix):
+            calls.append(matrix.query_id)
+            return score(model, matrix)
+
+        monkeypatch.setattr(experiment, "score", counted)
+        counts = {}
+        walk = experiment._FoldRunner._walk
+        for name, methods, walker in (
+            ("fpd", ["FPD"], walk), ("fpd-rescoring", ["FPD"], _rescoring_walk),
+            ("jpds", ["JPDs"], walk), ("jpds-rescoring", ["JPDs"], _rescoring_walk),
+        ):
+            monkeypatch.setattr(experiment._FoldRunner, "_walk", walker)
+            calls.clear()
+            run_experiment(_tiny_config(paths, methods), tmp_path / name)
+            counts[name] = len(calls)
+        # 3 x 2 (alpha, nu) points cost FPD 5 extra scorings per fold before.
+        assert counts == {"fpd": 96, "fpd-rescoring": 126, "jpds": 96, "jpds-rescoring": 96}
+        for name in ("fpd", "jpds"):
+            assert _tree_bytes(tmp_path / name) == _tree_bytes(tmp_path / f"{name}-rescoring")
 
 
 class TestCvHygiene:

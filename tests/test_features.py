@@ -9,6 +9,7 @@ from conftest import TINY_STOPWORDS, make_query
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
+    FeatureMatrix,
     FeatureSchema,
     FeatureVector,
     PassageFeatureExtractor,
@@ -90,13 +91,14 @@ class TestMinMaxNormalize:
     def test_basic(self):
         schema = FeatureSchema("s", ("f",))
         vecs = [_vec([v], schema, item=str(i)) for i, v in enumerate([2.0, 4.0, 6.0])]
-        normed = minmax_normalize(vecs)
+        normed = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
         assert [v.values[0] for v in normed] == [0.0, 0.5, 1.0]
 
     def test_constant_maps_to_zero(self):
         schema = FeatureSchema("s", ("f",))
         vecs = [_vec([5.0], schema, item=str(i)) for i in range(2)]
-        assert [v.values[0] for v in minmax_normalize(vecs)] == [0.0, 0.0]
+        normed = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
+        assert [v.values[0] for v in normed] == [0.0, 0.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
@@ -104,9 +106,9 @@ class TestMinMaxNormalize:
         vecs = [
             _vec(rng.uniform(-5, 5, size=4), schema, item=str(i)) for i in range(9)
         ]
-        once = minmax_normalize(vecs)
+        once = minmax_normalize(FeatureMatrix.from_vectors(vecs))
         twice = minmax_normalize(once)
-        for a, b in zip(once, twice):
+        for a, b in zip(once.vectors(), twice.vectors()):
             assert a.values == pytest.approx(b.values, abs=1e-15)
 
     def test_mixed_queries_rejected(self):
@@ -116,7 +118,52 @@ class TestMinMaxNormalize:
             FeatureVector(schema, (2.0,), "q2", "b"),
         ]
         with pytest.raises(SchemaError):
-            minmax_normalize(vecs)
+            minmax_normalize(FeatureMatrix.from_vectors(vecs))
+
+    def test_matrix_equals_per_row_formula(self):
+        import row_references
+
+        rng = np.random.default_rng(33)
+        schema = FeatureSchema("s", tuple(f"f{i}" for i in range(7)))
+        for n in (1, 2, 9, 166):
+            mat = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-4, 4, size=(n, 7))
+            mat[:, 2] = 3.25  # a constant column maps to 0
+            mat[: n // 2, 5] = 0.0
+            vecs = [_vec(row, schema, item=f"i{i}") for i, row in enumerate(mat)]
+            got = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
+            assert got == row_references.minmax_rows(vecs)
+
+    def test_empty_matrix_passes_through(self):
+        empty = FeatureMatrix(DOC_SCHEMA, "q", (), [])
+        assert len(minmax_normalize(empty)) == 0
+
+
+class TestFeatureMatrix:
+    def test_checked_once_at_construction(self):
+        schema = FeatureSchema("s", ("a", "b"))
+        with pytest.raises(SchemaError, match="'y'"):
+            FeatureMatrix(schema, "q", ("x", "y"), [[0.0, 1.0], [float("nan"), 2.0]])
+        with pytest.raises(SchemaError):
+            FeatureMatrix(schema, "q", ("x",), [[0.0, 1.0, 2.0]])
+        m = FeatureMatrix(schema, "q", ["x", "y"], [[0.0, 1.0], [2.0, 3.0]])
+        assert len(m) == 2 and m.item_ids == ("x", "y")
+        assert m.values.dtype == np.float64 and m.values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 5.0
+
+    def test_rows_take_columns_and_vectors(self):
+        schema = FeatureSchema("s", ("a", "b", "c"))
+        m = FeatureMatrix(schema, "q", ("x", "y", "z"), np.arange(9.0).reshape(3, 3))
+        assert m.rows(["z", "x"]) == [2, 0]
+        taken = m.take(["z", "x"])
+        assert taken.item_ids == ("z", "x") and taken.values.tolist() == [[6, 7, 8], [0, 1, 2]]
+        sub = m.columns(schema.without(["b"]))
+        assert sub.values.tolist() == [[0, 2], [3, 5], [6, 8]]
+        assert sub.values.flags.c_contiguous
+        assert m.vectors()[1] == FeatureVector(schema, (3.0, 4.0, 5.0), "q", "y")
+        assert FeatureMatrix.from_vectors(m.vectors()).values.tolist() == m.values.tolist()
+        with pytest.raises(ValueError):
+            FeatureMatrix.from_vectors([])
 
 
 class TestDocFeatures:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from psgrank.features import FeatureSchema, FeatureVector, SchemaError
+from psgrank.features import FeatureMatrix, FeatureSchema, FeatureVector, SchemaError
 from psgrank.ltr import (
     GradedExample,
     LinearModel,
     TrainingError,
+    TrainingSet,
     bucket_grade,
     ndcg_at_k,
     pairwise_error_count,
@@ -53,7 +54,7 @@ class TestTrainPairwise:
         rows = [("q1", f"p{i}", [1.0], 1) for i in range(3)]
         rows += [("q1", f"n{i}", [0.0], 0) for i in range(3)]
         data = _examples(rows)
-        model = train_pairwise(data, c=1.0, epochs=200, seed=0)
+        model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=200, seed=0)
         assert model.weights[0] > 0
         diffs = np.array([[1.0]] * 9)
         assert pairwise_error_count(np.array(model.weights), diffs) == 0
@@ -61,7 +62,7 @@ class TestTrainPairwise:
     def test_no_signal_raises(self):
         data = _examples([("q1", "a", [1.0], 1), ("q1", "b", [2.0], 1)])
         with pytest.raises(TrainingError, match="signal"):
-            train_pairwise(data)
+            train_pairwise(TrainingSet.from_examples(data))
 
     def test_informative_feature_outweighs_noise(self):
         rng = np.random.default_rng(0)
@@ -73,7 +74,7 @@ class TestTrainPairwise:
                     (f"q{q}", f"i{i}", [float(grade), float(rng.uniform(-1, 1))], grade)
                 )
         data = _examples(rows)
-        model = train_pairwise(data, c=1.0, epochs=300, seed=1)
+        model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=300, seed=1)
         assert abs(model.weights[0]) > abs(model.weights[1])
         # Exhaustive grid over unit-norm directions: the trained model must
         # match the best achievable pairwise error.
@@ -100,7 +101,7 @@ class TestTrainPairwise:
             for i in range(8):
                 vals = [float(rng.normal()), float(rng.normal())]
                 rows.append((f"q{q}", f"i{i}", vals, int(rng.integers(0, 3))))
-        data = _examples(rows)
+        data = TrainingSet.from_examples(_examples(rows))
         diffs = []
         by_q = {}
         for r in rows:
@@ -122,8 +123,8 @@ class TestTrainPairwise:
     def test_deterministic_bytes(self, tmp_path):
         rows = [("q1", f"i{i}", [float(i), float(-i)], i % 3) for i in range(9)]
         data = _examples(rows)
-        a = train_pairwise(data, c=0.01, epochs=50, seed=9)
-        b = train_pairwise(data, c=0.01, epochs=50, seed=9)
+        a = train_pairwise(TrainingSet.from_examples(data), c=0.01, epochs=50, seed=9)
+        b = train_pairwise(TrainingSet.from_examples(data), c=0.01, epochs=50, seed=9)
         a.save(tmp_path / "a.json")
         b.save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -132,8 +133,8 @@ class TestTrainPairwise:
         rows = [("q1", f"p{i}", [1.0 + 0.01 * i], 1) for i in range(10)]
         rows += [("q1", f"n{i}", [0.01 * i], 0) for i in range(10)]
         data = _examples(rows)  # 100 pairs, subsampled to 20
-        a = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
-        b = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
+        a = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=50, seed=4, max_pairs=20)
+        b = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=50, seed=4, max_pairs=20)
         assert a.weights == b.weights
         assert a.weights[0] > 0
 
@@ -148,13 +149,15 @@ class TestCoordinateAscent:
                 rows.append((f"q{q}", f"i{i:02d}", [float(grade), float(rng.normal())], grade))
         data = _examples(rows)
         trace = []
-        model = train_coordinate_ascent(data, restarts=2, seed=2, trace=trace)
+        model = train_coordinate_ascent(
+            TrainingSet.from_examples(data), restarts=2, seed=2, trace=trace
+        )
         groups = {}
         for ex in data:
             groups.setdefault(ex.query_id, []).append(ex)
         ndcgs = []
         for qid, group in groups.items():
-            run = score(model, [ex.vector for ex in group])
+            run = score(model, FeatureMatrix.from_vectors([ex.vector for ex in group]))
             ndcgs.append(ndcg_at_k(run, {ex.item_id: ex.grade for ex in group}, 10))
         assert sum(ndcgs) / len(ndcgs) == pytest.approx(1.0)
 
@@ -167,7 +170,7 @@ class TestCoordinateAscent:
                 rows.append((f"q{q}", f"i{i}", vals, int(rng.integers(0, 3))))
         data = _examples(rows)
         trace = []
-        train_coordinate_ascent(data, restarts=3, seed=4, trace=trace)
+        train_coordinate_ascent(TrainingSet.from_examples(data), restarts=3, seed=4, trace=trace)
         by_restart = {}
         for restart, obj in trace:
             by_restart.setdefault(restart, []).append(obj)
@@ -177,7 +180,9 @@ class TestCoordinateAscent:
     def test_zero_budget_returns_initial_weights(self):
         rows = [("q1", "a", [1.0, 2.0], 1), ("q1", "b", [0.0, 1.0], 0)]
         data = _examples(rows)
-        model = train_coordinate_ascent(data, restarts=3, seed=0, max_passes=0)
+        model = train_coordinate_ascent(
+            TrainingSet.from_examples(data), restarts=3, seed=0, max_passes=0
+        )
         assert model.weights == (0.5, 0.5)
 
     def test_beats_every_single_feature_ranker(self):
@@ -189,7 +194,7 @@ class TestCoordinateAscent:
                 grade = int(vals[0] + 0.5 * vals[1] > 0)
                 rows.append((f"q{q}", f"i{i}", vals, grade))
         data = _examples(rows)
-        model = train_coordinate_ascent(data, restarts=3, seed=7)
+        model = train_coordinate_ascent(TrainingSet.from_examples(data), restarts=3, seed=7)
 
         def mean_ndcg(weights):
             groups = {}
@@ -216,11 +221,12 @@ class TestCoordinateAscent:
     def test_no_signal_raises(self):
         data = _examples([("q1", "a", [1.0], 2), ("q1", "b", [0.0], 2)])
         with pytest.raises(TrainingError):
-            train_coordinate_ascent(data)
+            train_coordinate_ascent(TrainingSet.from_examples(data))
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [("q1", f"i{i}", [float(i % 4), float(i % 3)], i % 2) for i in range(8)]
         data = _examples(rows)
+        data = TrainingSet.from_examples(data)
         train_coordinate_ascent(data, restarts=2, seed=3).save(tmp_path / "a.json")
         train_coordinate_ascent(data, restarts=2, seed=3).save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -234,15 +240,16 @@ class TestScore:
             FeatureVector(schema, (0.9, 1.0), "q", "b"),
         ]
         model = LinearModel(schema, (1.0, 0.0), "pairwise_hinge")
-        assert score(model, vecs).ids() == ["b", "a"]
+        assert score(model, FeatureMatrix.from_vectors(vecs)).ids() == ["b", "a"]
         model = LinearModel(schema, (0.0, 1.0), "pairwise_hinge")
-        assert score(model, vecs).ids() == ["a", "b"]
+        assert score(model, FeatureMatrix.from_vectors(vecs)).ids() == ["a", "b"]
 
     def test_zero_weights_all_ties_by_id(self):
         schema = FeatureSchema("s", ("f0",))
         vecs = [FeatureVector(schema, (float(i),), "q", f"i{9 - i}") for i in range(5)]
         model = LinearModel(schema, (0.0,), "pairwise_hinge")
-        assert score(model, vecs).ids() == sorted(v.item_id for v in vecs)
+        run = score(model, FeatureMatrix.from_vectors(vecs))
+        assert run.ids() == sorted(v.item_id for v in vecs)
 
     def test_random_against_dot_product_sort(self):
         rng = np.random.default_rng(10)
@@ -253,7 +260,7 @@ class TestScore:
         ]
         w = rng.normal(size=4)
         model = LinearModel(schema, tuple(float(x) for x in w), "pairwise_hinge")
-        run = score(model, vecs)
+        run = score(model, FeatureMatrix.from_vectors(vecs))
         expected = sorted(
             ((v.item_id, float(np.dot(w, v.values))) for v in vecs),
             key=lambda kv: (-kv[1], kv[0]),
@@ -268,9 +275,10 @@ class TestScore:
             for i in range(10)
         ]
         w = tuple(float(x) for x in rng.normal(size=3))
-        base = score(LinearModel(schema, w, "pairwise_hinge"), vecs).ids()
+        matrix = FeatureMatrix.from_vectors(vecs)
+        base = score(LinearModel(schema, w, "pairwise_hinge"), matrix).ids()
         scaled = score(
-            LinearModel(schema, tuple(3.7 * x for x in w), "pairwise_hinge"), vecs
+            LinearModel(schema, tuple(3.7 * x for x in w), "pairwise_hinge"), matrix
         ).ids()
         assert base == scaled
 
@@ -280,7 +288,7 @@ class TestScore:
         model = LinearModel(schema_a, (1.0,), "pairwise_hinge")
         vecs = [FeatureVector(schema_b, (1.0,), "q", "i")]
         with pytest.raises(SchemaError):
-            score(model, vecs)
+            score(model, FeatureMatrix.from_vectors(vecs))
 
 
 class TestNdcg:
@@ -312,3 +320,70 @@ class TestModelIO:
         model.save(tmp_path / "m.json")
         loaded = LinearModel.load(tmp_path / "m.json")
         assert loaded == model
+
+
+def _random_examples(rng, n_queries=4, n_items=12, n_features=5, grades=4):
+    """Examples with items listed out of id order and repeated grades."""
+    rows = []
+    for q in range(n_queries):
+        for i in rng.permutation(n_items):
+            values = rng.normal(size=n_features) * 10.0 ** rng.integers(-3, 3, size=n_features)
+            rows.append((f"q{q}", f"i{i:02d}", values, int(rng.integers(0, grades))))
+    rng.shuffle(rows)
+    return _examples(rows)
+
+
+class TestBitExactContracts:
+    """The matrix code equals the per-row loops it replaced, bit for bit."""
+
+    def test_difference_matrix_equals_nested_loops(self):
+        from psgrank.ltr import _difference_matrix
+
+        import row_references
+
+        rng = np.random.default_rng(31)
+        for trial in range(5):
+            data = _random_examples(rng)
+            expected = row_references.difference_rows(data, 10**6, seed=trial)
+            got = _difference_matrix(TrainingSet.from_examples(data), 10**6, seed=trial)
+            assert got.shape == expected.shape and len(got) > 100
+            assert np.array_equal(got, expected)
+            # The subsample draws the same rows, so their order must match.
+            expected = row_references.difference_rows(data, 37, seed=trial)
+            got = _difference_matrix(TrainingSet.from_examples(data), 37, seed=trial)
+            assert got.shape == (37, 5)
+            assert np.array_equal(got, expected)
+
+    def test_difference_matrix_no_signal_raises(self):
+        from psgrank.ltr import _difference_matrix
+
+        data = _examples([("q1", "a", [1.0], 1), ("q1", "b", [0.0], 1)])
+        with pytest.raises(TrainingError):
+            _difference_matrix(TrainingSet.from_examples(data), 10, seed=0)
+
+    def test_score_equals_per_row_dot(self):
+        import row_references
+
+        rng = np.random.default_rng(32)
+        for n_features in (6, 13, 24, 25, 39):
+            schema = FeatureSchema("s", tuple(f"f{i}" for i in range(n_features)))
+            vecs = [
+                FeatureVector(schema, tuple(rng.normal(size=n_features)), "q", f"i{i:03d}")
+                for i in range(200)
+            ]
+            weights = tuple(float(x) for x in rng.normal(size=n_features))
+            model = LinearModel(schema, weights, "pairwise_hinge")
+            run = score(model, FeatureMatrix.from_vectors(vecs))
+            assert dict(run.entries) == row_references.score_rows(weights, vecs)
+
+    def test_training_set_counts_rows_and_orders_queries(self):
+        rows = [("q2", "b", [1.0], 1), ("q1", "a", [2.0], 0), ("q2", "a", [0.0], 0)]
+        train = TrainingSet.from_examples(_examples(rows))
+        assert len(train) == 3
+        assert [m.query_id for m, _ in train.queries] == ["q1", "q2"]
+        assert train.queries[1][0].item_ids == ("b", "a")
+        assert train.queries[1][1].tolist() == [1, 0]
+        with pytest.raises(ValueError, match="grades for"):
+            TrainingSet([(train.queries[0][0], [0, 1])])
+        with pytest.raises(TrainingError, match="no training examples"):
+            train_pairwise(TrainingSet([]))

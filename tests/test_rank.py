@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import make_query
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
+    FeatureMatrix,
     FeatureSchema,
     FeatureVector,
     PassageFeatureExtractor,
@@ -22,11 +24,13 @@ from psgrank.rank import (
     FusionParams,
     RankedList,
     SMPD_SCHEMA,
+    build_fpd_vectors,
     build_jpdm_vectors,
     build_jpds_vectors,
     build_smpd_vectors,
     jpds_schema,
     positional_similarities,
+    pstdev,
     rank_docpsg,
     rank_plm,
     rank_qsf,
@@ -60,6 +64,34 @@ class TestRankedList:
     def test_ranks_start_at_one(self):
         rl = RankedList.from_scores("q", {"a": 3.0, "b": 2.0})
         assert rl.ranks() == {"a": 1, "b": 2}
+
+    def test_rank_maps_are_built_once_and_read_only(self):
+        rl = RankedList.from_scores("q", {"d2#0": 3.0, "d1#1": 2.0, "d2#1": 1.5, "d1#0": 1.0})
+        assert rl.ranks() is rl.ranks()
+        assert rl.best_passage_ranks() is rl.best_passage_ranks()
+        assert rl.best_passage_ranks() == {"d2": 1, "d1": 2}
+        with pytest.raises(TypeError):
+            rl.ranks()["d2#0"] = 4
+        with pytest.raises(TypeError):
+            rl.best_passage_ranks()["d1"] = 1
+        with pytest.raises(TypeError):
+            del rl.ranks()["d1#0"]
+        assert rl.ranks() == {"d2#0": 1, "d1#1": 2, "d2#1": 3, "d1#0": 4}
+        # The cache is not a field: equal lists stay equal and hash alike.
+        fresh = RankedList("q", rl.entries)
+        assert fresh == rl and hash(fresh) == hash(rl)
+
+    def test_best_passage_ranks_brute_force(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            pids = [f"d{d}#{i}" for d in range(6) for i in range(int(rng.integers(1, 5)))]
+            rl = RankedList.from_scores("q", {p: float(rng.integers(0, 5)) for p in pids})
+            rank = {p: r for r, (p, _) in enumerate(rl.entries, start=1)}
+            expected = {}
+            for p in pids:
+                d = p.split("#")[0]
+                expected[d] = min(expected.get(d, len(pids) + 1), rank[p])
+            assert dict(rl.best_passage_ranks()) == expected
 
 
 class TestRrScore:
@@ -132,6 +164,23 @@ class TestRerankRrf:
         doc_list, psg_list = self._lists()
         out = rerank_rrf(doc_list, psg_list, FusionParams(nu=30.0, alpha=0.3))
         assert sorted(out.ids()) == sorted(doc_list.ids())
+
+    def test_equals_max_over_passages_bit_for_bit(self):
+        import row_references
+
+        rng = np.random.default_rng(35)
+        for _ in range(30):
+            docs = [f"d{i}" for i in range(12)]
+            doc_list = RankedList.from_scores("q", {d: float(rng.normal()) for d in docs})
+            pids = [f"{d}#{i}" for d in docs[:10] for i in range(int(rng.integers(1, 6)))]
+            psg_list = RankedList.from_scores(
+                "q", {p: float(rng.integers(0, 8)) for p in pids}, k=int(rng.integers(5, 40))
+            )
+            for nu, alpha in ((0.0, 0.5), (60.0, 0.3), (0.0, 0.0), (90.0, 0.9)):
+                out = rerank_rrf(doc_list, psg_list, FusionParams(nu=nu, alpha=alpha))
+                assert dict(out.entries) == row_references.rrf_scores(
+                    doc_list, psg_list, nu, alpha
+                )
 
 
 class TestSmpdFeatures:
@@ -228,6 +277,10 @@ class TestSelectPassage:
         assert select_passage(passages, psg_list, "best") is None
 
 
+def _matrix(vectors: dict) -> FeatureMatrix:
+    return FeatureMatrix.from_vectors(list(vectors.values()))
+
+
 def _joint_fixture():
     """Doc vectors, passage vectors and rankings for 3 docs x 2 passages."""
     rng = np.random.default_rng(7)
@@ -256,8 +309,9 @@ class TestJpds:
     def test_vector_contents_match_manual_concat(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         vectors = build_jpds_vectors(
-            doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list, which="best"
-        )
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            which="best",
+        ).vectors()
         ranks = psg_list.ranks()
         for vec in vectors:
             doc_id = vec.item_id
@@ -273,9 +327,9 @@ class TestJpds:
     def test_jpd2_appends_reduced_second_passage(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         vectors = build_jpds_vectors(
-            doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best", two_passages=True,
-        )
+        ).vectors()
         # 6 + 18 + 15: second passage drops the five redundant features.
         assert all(len(v.values) == 39 for v in vectors)
 
@@ -297,8 +351,9 @@ class TestJpds:
             psg_vectors[pid] = FeatureVector(PSG_SCHEMA, tuple(values), "q", pid)
         psg_list = RankedList.from_scores("q", {"d2#0": 1.0})  # d1 unranked
         vectors = build_jpds_vectors(
-            doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list, which="best"
-        )
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            which="best",
+        ).vectors()
         d1_vec = next(v for v in vectors if v.item_id == "d1")
         # d1#1 has the higher similarity, so its vector is appended.
         expected_tail = [
@@ -322,8 +377,9 @@ class TestJpds:
         }
         psg_list = RankedList.from_scores("q", {"other#0": 1.0})
         vectors = build_jpds_vectors(
-            doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list, which="best"
-        )
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            which="best",
+        ).vectors()
         expected_tail = [
             v
             for name, v in zip(reduced.features, psg_vectors["d1#0"].values)
@@ -341,9 +397,9 @@ class TestJpds:
         }
         psg_list = RankedList.from_scores("q", {"d1#0": 1.0})
         vec = build_jpds_vectors(
-            doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best", two_passages=True,
-        )[0]
+        ).vectors()[0]
         reduced = [
             v
             for name, v in zip(PSG_SCHEMA.features, psg_vectors["d1#0"].values)
@@ -362,7 +418,9 @@ class TestJpdm:
             "d1#0": FeatureVector(PSG_SCHEMA, tuple(rng.uniform(size=20)), "q", "d1#0")
         }
         outs = {
-            agg: build_jpdm_vectors(doc_list, doc_vectors, psg_vectors, passages_by_doc, agg)[0]
+            agg: build_jpdm_vectors(
+                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
+            ).vectors()[0]
             for agg in ("avg", "max", "min")
         }
         assert outs["avg"].values[6:] == pytest.approx(outs["max"].values[6:])
@@ -382,13 +440,17 @@ class TestJpdm:
             "d1#1": FeatureVector(PSG_SCHEMA, (0.8,) * 20, "q", "d1#1"),
         }
         for agg, expected in (("avg", 0.5), ("max", 0.8), ("min", 0.2)):
-            vec = build_jpdm_vectors(doc_list, doc_vectors, psg_vectors, passages_by_doc, agg)[0]
+            vec = build_jpdm_vectors(
+                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
+            ).vectors()[0]
             assert all(v == pytest.approx(expected) for v in vec.values[6:])
 
     def test_aggregates_match_brute_force_and_ordering(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, _ = _joint_fixture()
         outs = {
-            agg: build_jpdm_vectors(doc_list, doc_vectors, psg_vectors, passages_by_doc, agg)
+            agg: build_jpdm_vectors(
+                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
+            ).vectors()
             for agg in ("avg", "max", "min")
         }
         for doc_idx, (doc_id, _) in enumerate(doc_list):
@@ -415,7 +477,9 @@ class TestJpdm:
 class TestSmpdVectors:
     def test_schema_and_values(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
-        vectors = build_smpd_vectors(doc_list, doc_vectors, passages_by_doc, psg_list, nu=30.0)
+        vectors = build_smpd_vectors(
+            doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
+        ).vectors()
         assert all(v.schema is SMPD_SCHEMA for v in vectors)
         assert len(SMPD_SCHEMA) == 13
         for vec in vectors:
@@ -475,7 +539,7 @@ class TestFpd:
             )
             base = psg_vectors[best.passage_id]
             gmax[d] = FeatureVector(PSG_SCHEMA, base.values, "q", d)
-        model_ranking = score(model, [gmax[d] for d in sorted(texts)])
+        model_ranking = score(model, FeatureMatrix.from_vectors([gmax[d] for d in sorted(texts)]))
         out = rerank_fpd(doc_list, model_ranking, FusionParams(nu=0.0, alpha=0.0))
         best_sim = {
             d: max(extractor.psg_sims[p.passage_id] for p in passages_by_doc[d])
@@ -701,3 +765,138 @@ class TestTrecIO:
         path.write_text("q1 Q0 doc1 1 0.5\n")
         with pytest.raises(ValueError, match="6"):
             read_trec_run(path)
+
+
+class TestBuildersEqualRowReferences:
+    """The matrix builders equal the per-row builders they replaced, bit for bit."""
+
+    @staticmethod
+    def _assert_builders_equal(pipe, mu, nu=30.0):
+        import row_references
+
+        for qid in sorted(pipe.queries):
+            data = pipe.query_data(qid)
+            doc_m, psg_m = pipe.doc_vectors(qid, mu), pipe.psg_vectors(qid, mu)
+            docs = {v.item_id: v for v in doc_m.vectors()}
+            psgs = {v.item_id: v for v in psg_m.vectors()}
+            by_doc = data.passages_by_doc
+            full = pipe.qsf(qid, mu, 0.3)
+            # A short passage list leaves documents with no ranked passage.
+            for psg_list in (full, full.truncated(5)):
+                doc_list = data.c_init
+                assert build_smpd_vectors(
+                    doc_list, doc_m, by_doc, psg_list, nu
+                ).vectors() == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
+                for which in ("best", "second", "third", "lowest"):
+                    assert build_jpds_vectors(
+                        doc_list, doc_m, psg_m, by_doc, psg_list, which=which
+                    ).vectors() == row_references.jpds_rows(
+                        doc_list, docs, psgs, by_doc, psg_list, which=which
+                    )
+                assert build_jpds_vectors(
+                    doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True,
+                    include_query_length=True,
+                ).vectors() == row_references.jpds_rows(
+                    doc_list, docs, psgs, by_doc, psg_list, two_passages=True,
+                    include_query_length=True,
+                )
+                assert build_fpd_vectors(
+                    doc_list, psg_m, by_doc, psg_list
+                ).vectors() == row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
+            for agg in ("avg", "max", "min"):
+                assert build_jpdm_vectors(
+                    data.c_init, doc_m, psg_m, by_doc, agg
+                ).vectors() == row_references.jpdm_rows(data.c_init, docs, psgs, by_doc, agg)
+
+    def test_tiny_corpus(self, tmp_path):
+        from test_experiment import _tiny_config, _tiny_corpus
+
+        from psgrank.experiment import _Pipeline
+
+        paths = _tiny_corpus(tmp_path)
+        self._assert_builders_equal(_Pipeline(_tiny_config(paths, ["JPDs"])), 1500.0)
+        ablated = _tiny_config(
+            paths, ["JPDs"], exclusions=["psg.DocQuerySim", "psg.PsgQuerySim", "doc.SW1"]
+        )
+        self._assert_builders_equal(_Pipeline(ablated), 1500.0, nu=0.0)
+
+    def test_jpdm_mean_over_many_passages(self):
+        # Twelve passages per document reach numpy's unrolled summation.
+        import row_references
+
+        rng = np.random.default_rng(36)
+        doc_ids = [f"d{i}" for i in range(5)]
+        doc_list = RankedList.from_scores("q", {d: float(rng.normal()) for d in doc_ids})
+        by_doc = {d: _passages_for(d, 12) for d in doc_ids}
+        docs = {d: FeatureVector(DOC_SCHEMA, tuple(rng.normal(size=6)), "q", d) for d in doc_ids}
+        psgs = {
+            p.passage_id: FeatureVector(
+                PSG_SCHEMA, tuple(rng.normal(size=20) * 1e3), "q", p.passage_id
+            )
+            for d in doc_ids
+            for p in by_doc[d]
+        }
+        for agg in ("avg", "max", "min"):
+            assert build_jpdm_vectors(
+                doc_list, _matrix(docs), _matrix(psgs), by_doc, agg
+            ).vectors() == row_references.jpdm_rows(doc_list, docs, psgs, by_doc, agg)
+
+    def test_empty_document_list_keeps_schema(self):
+        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        empty = RankedList("q", ())
+        out = build_jpds_vectors(
+            empty, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list
+        )
+        assert len(out) == 0 and len(out.schema) == 24
+        out = build_smpd_vectors(empty, _matrix(doc_vectors), passages_by_doc, psg_list, 30.0)
+        assert len(out) == 0 and out.schema is SMPD_SCHEMA
+
+
+class TestPstdev:
+    @staticmethod
+    def _lists(count, seed):
+        """Lists of 2-10 floats: reciprocal ranks with unranked zeros (as SMPD
+        makes them), repeats of two values, and magnitudes from 1e-5 to 1e3
+        with zeros."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 11, size=count)
+        owner = np.repeat(np.arange(count), sizes)
+        kind = rng.integers(0, 3, size=count)[owner]
+        nu = rng.choice([0.0, 30.0, 60.0, 90.0, 100.0], size=count)[owner]
+        rr = 1.0 / (nu + rng.integers(1, 1500, size=len(owner)))
+        rr[rng.random(len(owner)) < 0.3] = 0.0
+        pool = rng.normal(size=(count, 2)) * 10.0 ** rng.integers(-5, 4, size=(count, 1))
+        repeats = pool[owner, rng.integers(0, 2, size=len(owner))]
+        spread = rng.normal(size=len(owner)) * 10.0 ** rng.uniform(-5, 3, size=len(owner))
+        spread[rng.random(len(owner)) < 0.1] = 0.0
+        values = np.choose(kind, [rr, repeats, spread])
+        return [part.tolist() for part in np.split(values, np.cumsum(sizes)[:-1])]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="pstdev rounds twice before 3.11")
+    def test_equals_statistics_pstdev(self):
+        import statistics
+
+        mismatches = [
+            v for v in self._lists(100_000, 37) if pstdev(v) != statistics.pstdev(v)
+        ]
+        assert mismatches == []
+
+    def test_correctly_rounded_root_of_exact_variance(self):
+        from fractions import Fraction
+
+        for values in self._lists(3_000, 38):
+            exact = [Fraction(v) for v in values]
+            mean = sum(exact) / len(exact)
+            var = sum((x - mean) ** 2 for x in exact) / len(exact)
+            got = pstdev(values)
+            # got is the float nearest sqrt(var): var lies between the squares
+            # of the midpoints to its neighbours.
+            below = (Fraction(got) + Fraction(math.nextafter(got, 0.0))) / 2
+            above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
+            assert (below**2 if got > 0 else 0) <= var <= above**2, values
+
+    def test_constant_and_simple(self):
+        assert pstdev([0.25, 0.25, 0.25]) == 0.0
+        assert pstdev([0.0, 0.0]) == 0.0
+        assert pstdev([1.0, 3.0]) == 1.0
+        assert pstdev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == 2.0
