@@ -43,12 +43,12 @@ from .ltr import (
     LinearModel,
     TrainingError,
     TrainingSet,
-    bucket_grade,
     ndcg_at_k,
+    passage_grade,
     train_coordinate_ascent,
     train_pairwise,
 )
-from .passage import SegmentationParams, char_overlap, segment
+from .passage import SegmentationParams, segment
 from .rank import read_trec_run
 
 
@@ -139,12 +139,8 @@ def _cmd_features(args) -> int:
             if judgments:
                 spans_by_doc = judgments.char_spans.get(q.query_id, {})
                 for d, plist in passages_by_doc.items():
-                    spans = spans_by_doc.get(d, [])
                     for p in plist:
-                        overlap, total = char_overlap(p, spans) if spans else (0, 0)
-                        grades[(q.query_id, p.passage_id)] = (
-                            bucket_grade(overlap / total) if total else 0
-                        )
+                        grades[(q.query_id, p.passage_id)] = passage_grade(p, spans_by_doc.get(d))
     write_svmlight(args.out, vectors, grades)
     schema_path = Path(args.out).with_suffix(Path(args.out).suffix + ".schema.json")
     schema_path.write_text(
@@ -190,7 +186,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-_RUN_OVERRIDES = ("seed", "trainer", "psg_ranker", "window_len", "workers")
+_RUN_OVERRIDES = ("seed", "trainer", "psg_ranker", "window_len")
 
 
 def _cmd_run(args) -> int:
@@ -412,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trainer", choices=["pairwise_hinge", "coordinate_ascent"])
     p.add_argument("--psg-ranker", choices=["ltr", "qsf"], dest="psg_ranker")
     p.add_argument("--window-len", type=int, dest="window_len")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a TREC run file against qrels")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -49,9 +49,9 @@ from .features import (
 )
 from .index import LmParams, PositionalIndex, SdmWeights, build_index, retrieve_lm
 from .ltr import (
-    LinearModel, TrainingSet, bucket_grade, score, train_coordinate_ascent, train_pairwise,
+    LinearModel, TrainingSet, passage_grade, score, train_coordinate_ascent, train_pairwise,
 )
-from .passage import Passage, SegmentationParams, char_overlap, segment
+from .passage import Passage, SegmentationParams, segment
 from .rank import (
     FusionParams,
     RankedList,
@@ -149,19 +149,20 @@ def _vectors_for_psg_ltr(run, query_id: str, p: dict) -> FeatureMatrix:
 
 
 def _vectors_for_smpd(run, query_id: str, p: dict) -> FeatureMatrix:
-    data = run.pipe.query_data(query_id)
+    pipe = run.pipe
     return build_smpd_vectors(
-        run.c_ltr(query_id), data.doc_vectors[run.params["init-LTR"]["mu"]], data.passages_by_doc,
-        run.passage_ranking(query_id), p["nu"],
+        run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
+        pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id), p["nu"],
     )
 
 
 def _jpds(which: str, two_passages: bool = False) -> _Method:
     def vectors(run, query_id, p):
-        data = run.pipe.query_data(query_id)
+        pipe = run.pipe
         return build_jpds_vectors(
-            run.c_ltr(query_id), data.doc_vectors[run.params["init-LTR"]["mu"]],
-            run.pipe.psg_vectors(query_id, run.psg_feature_mu()), data.passages_by_doc,
+            run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
+            pipe.psg_vectors(query_id, run.psg_feature_mu()),
+            pipe.query_data(query_id).passages_by_doc,
             run.passage_ranking(query_id), which=which, two_passages=two_passages,
             include_query_length=False,
         )
@@ -173,11 +174,11 @@ def _jpdm(agg: str) -> _Method:
     # JPDm is independent of the passage ranking; its passage features use
     # the document ranker's smoothing, so no extra extraction is needed.
     def vectors(run, query_id, p):
-        data = run.pipe.query_data(query_id)
+        pipe = run.pipe
         mu = run.params["init-LTR"]["mu"]
         return build_jpdm_vectors(
-            run.c_ltr(query_id), data.doc_vectors[mu], run.pipe.psg_vectors(query_id, mu),
-            data.passages_by_doc, agg,
+            run.c_ltr(query_id), pipe.doc_vectors(query_id, mu), pipe.psg_vectors(query_id, mu),
+            pipe.query_data(query_id).passages_by_doc, agg,
         )
 
     return _Method("doc", init_ltr=True, vectors=vectors, split="validation")
@@ -311,21 +312,21 @@ class ExperimentConfig:
     exclusions: list[str] = field(default_factory=list)
     ttest_alpha: float = 0.05
     ttest_corrections: int | None = None
-    workers: int = 1
     sentence_universe: str = "retrieved"
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
         data = dict(data)
         if "method" in data and "methods" not in data:
             m = data.pop("method")
             data["methods"] = [m] if isinstance(m, str) else list(m)
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         base = Path(base_dir) if base_dir else Path(".")
-
-        def path_or_none(key):
-            v = data.get(key)
-            return (base / v) if v else None
-
         # A non-object is kept as given, for validate() to report.
         grids = data.get("grids", {})
         if isinstance(grids, dict):
@@ -334,29 +335,16 @@ class ExperimentConfig:
         if isinstance(trainer_params, dict):
             trainer_params = {**_default_trainer_params(), **trainer_params}
         methods = data.get("methods", [])
-        known = {
-            "corpus_format", "psg_qrels_mode", "window_len", "segmentation_mode",
-            "trainer", "psg_ranker", "seed", "init_mu", "doc_cutoff", "psg_cutoff",
-            "exclusions", "ttest_alpha", "ttest_corrections", "workers",
-            "sentence_universe",
+        # Optional paths resolve against base_dir; scalars are kept as given.
+        extra = {
+            k: ((base / v) if v else None) if types[k] == "Path | None" else v
+            for k, v in data.items()
+            if k not in ("corpus", "topics", "methods", "grids", "trainer_params")
         }
-        extra = {k: v for k, v in data.items() if k in known}
-        unknown = set(data) - known - {
-            "corpus", "topics", "methods", "doc_qrels", "psg_qrels", "embeddings",
-            "synonyms", "entities", "esa_corpus", "grids", "trainer_params",
-        }
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             corpus=base / data.get("corpus", "corpus.jsonl"),
             topics=base / data.get("topics", "topics.tsv"),
             methods=list(methods) if isinstance(methods, (list, tuple)) else methods,
-            doc_qrels=path_or_none("doc_qrels"),
-            psg_qrels=path_or_none("psg_qrels"),
-            embeddings=path_or_none("embeddings"),
-            synonyms=path_or_none("synonyms"),
-            entities=path_or_none("entities"),
-            esa_corpus=path_or_none("esa_corpus"),
             grids=grids,
             trainer_params=trainer_params,
             **extra,
@@ -429,9 +417,7 @@ class ExperimentConfig:
                 problems.append(f"{key} not found: {path}")
         problems.extend(self._grid_problems())
         problems.extend(self._trainer_param_problems())
-        for key, least in (
-            ("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("workers", 1), ("seed", 0),
-        ):
+        for key, least in (("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("seed", 0)):
             value = getattr(self, key)
             if not _is_int(value):
                 problems.append(f"{key} must be an integer, got {value!r}")
@@ -578,12 +564,12 @@ class _QueryData:
     c_init: RankedList
     passages_by_doc: dict[str, list[Passage]]
     passage_spans: dict[str, tuple[str, int, int]]
-    doc_vectors: dict[float, FeatureMatrix]  # rows in document id order
-    psg_vectors: dict[float, FeatureMatrix]  # rows in document id, then passage order
-    doc_sims: dict[float, dict[str, float]]
-    psg_sims: dict[float, dict[str, float]]
     psg_doc: dict[str, str]
     psg_grades: dict[str, int]
+    # Filled on first read, keyed by mu:
+    extractors: dict[float, PassageFeatureExtractor] = field(default_factory=dict)
+    doc_vectors: dict[float, FeatureMatrix] = field(default_factory=dict)  # document id order
+    psg_vectors: dict[float, FeatureMatrix] = field(default_factory=dict)  # then passage order
     pos_sims: dict = field(default_factory=dict)  # (mu, sigma) -> {pid: sim}
 
 
@@ -693,19 +679,14 @@ class _Pipeline:
             for p in plist
         }
         psg_doc = {p: d for p, (d, _, _) in passage_spans.items()}
-        data = _QueryData(
+        return _QueryData(
             query=query,
             c_init=c_init,
             passages_by_doc=passages_by_doc,
             passage_spans=passage_spans,
-            doc_vectors={},
-            psg_vectors={},
-            doc_sims={},
-            psg_sims={},
             psg_doc=psg_doc,
             psg_grades=self._passage_grades(query.query_id, passages_by_doc),
         )
-        return data
 
     def _passage_grades(
         self, query_id: str, passages_by_doc: Mapping[str, Sequence[Passage]]
@@ -718,11 +699,7 @@ class _Pipeline:
             for d, plist in passages_by_doc.items():
                 spans = spans_by_doc.get(d)
                 for p in plist:
-                    if not spans or p.char_range[1] <= p.char_range[0]:
-                        grades[p.passage_id] = 0
-                        continue
-                    overlap, total = char_overlap(p, spans)
-                    grades[p.passage_id] = bucket_grade(overlap / total) if total else 0
+                    grades[p.passage_id] = passage_grade(p, spans)
         else:
             judged = self.psg_judgments.grades.get(query_id, {})
             for plist in passages_by_doc.values():
@@ -730,40 +707,16 @@ class _Pipeline:
                     grades[p.passage_id] = judged.get(p.passage_id, 0)
         return grades
 
-    def ensure_features(self, query_id: str, mu: float) -> None:
+    def _extractor(self, query_id: str, mu: float) -> PassageFeatureExtractor:
         data = self.query_data(query_id)
-        if mu in data.doc_vectors:
-            return
-        params = LmParams(mu)
-        query = data.query
-        doc_ids = sorted(data.passages_by_doc)
-        extractor = PassageFeatureExtractor(
-            query,
-            self.store,
-            self.index,
-            doc_ids,
-            data.passages_by_doc,
-            self.resources,
-            params,
-            esa_cache=self._esa_cache,
-        )
-        data.doc_sims[mu] = dict(extractor.doc_sims)
-        data.psg_sims[mu] = dict(extractor.psg_sims)
-        psg_vectors = FeatureMatrix.from_vectors(
-            [extractor.vector(p) for d in doc_ids for p in data.passages_by_doc[d]],
-            PSG_SCHEMA, query.query_id,
-        )
-        doc_vectors = FeatureMatrix.from_vectors(
-            [
-                doc_features(
-                    query, self.store.get(d), self.index, params, self.store.tokenizer.stopwords
-                )
-                for d in doc_ids
-            ],
-            DOC_SCHEMA, query.query_id,
-        )
-        data.psg_vectors[mu] = psg_vectors.columns(self.psg_schema)
-        data.doc_vectors[mu] = doc_vectors.columns(self.doc_schema)
+        got = data.extractors.get(mu)
+        if got is None:
+            got = PassageFeatureExtractor(
+                data.query, self.store, self.index, sorted(data.passages_by_doc),
+                data.passages_by_doc, self.resources, LmParams(mu), esa_cache=self._esa_cache,
+            )
+            data.extractors[mu] = got
+        return got
 
     def positional_sims(self, query_id: str, mu: float, sigma: float) -> dict[str, float]:
         data = self.query_data(query_id)
@@ -780,18 +733,32 @@ class _Pipeline:
     # -- ranking building blocks --
 
     def sims(self, query_id: str, mu: float) -> tuple[dict[str, float], dict[str, float]]:
-        """The query's document and passage similarities at ``mu``."""
-        self.ensure_features(query_id, mu)
-        data = self.query_data(query_id)
-        return data.doc_sims[mu], data.psg_sims[mu]
+        """The query's document and passage similarities at ``mu`` (read-only)."""
+        extractor = self._extractor(query_id, mu)
+        return extractor.doc_sims, extractor.psg_sims
 
     def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
-        self.ensure_features(query_id, mu)
-        return self.query_data(query_id).doc_vectors[mu]
+        data = self.query_data(query_id)
+        got = data.doc_vectors.get(mu)
+        if got is None:
+            params, stopwords = LmParams(mu), self.store.tokenizer.stopwords
+            vectors = [
+                doc_features(data.query, self.store.get(d), self.index, params, stopwords)
+                for d in sorted(data.passages_by_doc)
+            ]
+            got = FeatureMatrix.from_vectors(vectors, DOC_SCHEMA, query_id).columns(self.doc_schema)
+            data.doc_vectors[mu] = got
+        return got
 
     def psg_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
-        self.ensure_features(query_id, mu)
-        return self.query_data(query_id).psg_vectors[mu]
+        data = self.query_data(query_id)
+        got = data.psg_vectors.get(mu)
+        if got is None:
+            got = FeatureMatrix.from_vectors(
+                self._extractor(query_id, mu).all_vectors(), PSG_SCHEMA, query_id
+            ).columns(self.psg_schema)
+            data.psg_vectors[mu] = got
+        return got
 
     def qsf(self, query_id: str, mu: float, lam: float, k: int | None = None) -> RankedList:
         psg_doc = self.query_data(query_id).psg_doc
@@ -997,35 +964,11 @@ class ExperimentReport:
         }
 
 
-def _prestage(pipe: _Pipeline, config: ExperimentConfig) -> None:
-    """Stage per-query features up front, optionally across worker threads.
-
-    Staging is pure per query and results land in caches keyed by query id,
-    so the final output is byte-identical regardless of the worker count.
-    """
-    query_ids = sorted(pipe.queries)
-    mus = list(config.grids["mu"])
-
-    def stage(qid: str) -> None:
-        for mu in mus:
-            pipe.ensure_features(qid, mu)
-
-    if config.workers <= 1:
-        for qid in query_ids:
-            stage(qid)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        list(pool.map(stage, query_ids))
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
     """Execute the leave-one-out protocol and write all artifacts."""
     out_dir = Path(out_dir)
     pipe = _Pipeline(config)
     plan = CvPlan(tuple(sorted(pipe.queries)), seed=config.seed)
-    _prestage(pipe, config)
 
     runs: dict[str, dict[str, RankedList]] = {m: {} for m in config.methods}
     fold_summaries = {}

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .features import FeatureMatrix, FeatureSchema, FeatureVector, SchemaError
+from .passage import Passage, char_overlap
 
 MODEL_VERSION = 1
 
@@ -41,6 +42,14 @@ def bucket_grade(rfrac: float) -> int:
         if rfrac >= threshold:
             grade += 1
     return grade
+
+
+def passage_grade(passage: Passage, spans: Iterable[tuple[int, int]] | None) -> int:
+    """The passage's grade from the relevant character spans of its document."""
+    if not spans:
+        return 0
+    overlap, total = char_overlap(passage, spans)
+    return bucket_grade(overlap / total) if total else 0
 
 
 @dataclass(frozen=True)

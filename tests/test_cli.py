@@ -292,6 +292,30 @@ class TestRunCommand:
         assert problem in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("body", ["[1]", "5"])
+    def test_non_object_config_exit_one(self, tmp_path, capsys, body):
+        (tmp_path / "config.json").write_text(body)
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config must be a JSON object, got {body}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_key_and_flag_rejected(self, tmp_path, capsys):
+        _run_config(tmp_path, ["LM"], workers=2)
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        assert "unknown config keys: ['workers']" in capsys.readouterr().err
+        _run_config(tmp_path, ["LM"])
+        with pytest.raises(SystemExit) as exc:
+            main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                  "--out", "out", "--workers", "2"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
 
 class TestAblateCommand:
     def test_constant_feature_is_metric_neutral(self, tmp_path, capsys):

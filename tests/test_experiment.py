@@ -91,7 +91,6 @@ class TestConfigValidation:
         config.window_len = "150"
         config.doc_cutoff = "5"
         config.psg_cutoff = 2.0
-        config.workers = True
         config.seed = None
         config.init_mu = "1000"
         config.grids = dict(
@@ -99,12 +98,12 @@ class TestConfigValidation:
             sdm_weights=[[0.8, 0.1, 0.1], [0.9, 0.9, 0.9], [1.2, -0.1, -0.1], [0.5, 0.5], ["1", 0, 0]],
         )
         problems = config.validate()
-        for key in ("window_len", "doc_cutoff", "psg_cutoff", "workers", "seed", "init_mu"):
+        for key in ("window_len", "doc_cutoff", "psg_cutoff", "seed", "init_mu"):
             assert sum(p.startswith(f"{key} ") for p in problems) == 1, key
         bad_points = [p for p in problems if p.startswith("grid 'sdm_weights' point")]
         assert len(bad_points) == 4
         assert not any("[0.8, 0.1, 0.1]" in p for p in bad_points)
-        assert len(problems) == 10
+        assert len(problems) == 9
 
     def test_methods_need_qrels(self, tmp_path, monkeypatch, capsys):
         paths = _tiny_corpus(tmp_path)
@@ -254,6 +253,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"methods": ["LM"], "bogus_key": 1})
 
+    def test_workers_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['workers'\]"):
+            ExperimentConfig.from_dict({"methods": ["LM"], "workers": 2})
+
+    @pytest.mark.parametrize("data", [[1], 5, "LM", None])
+    def test_non_object_config_rejected(self, data):
+        with pytest.raises(ConfigError, match="config must be a JSON object, got "):
+            ExperimentConfig.from_dict(data)
+
     def test_method_singular_alias(self):
         config = ExperimentConfig.from_dict({"method": "LM"})
         assert config.methods == ["LM"]
@@ -272,25 +280,77 @@ class TestDeterminism:
             assert tree1[name] == tree2[name], name
 
     @staticmethod
-    def _assert_worker_count_invariant(tmp_path, **overrides):
+    def _assert_staging_order_invariant(tmp_path, monkeypatch, grids=_TINY_GRIDS):
+        # Features are staged on first read. Staging every query at every mu
+        # up front, in reverse order, must give the same bytes: each cached
+        # value (ESA profiles included) is keyed by everything it depends on.
+        # The configured grid itself is kept: reversing it would change
+        # tie-breaks and the resolved config.
+        from psgrank import experiment
+
         paths = _tiny_corpus(tmp_path)
-        for workers in (1, 4):
-            config = _tiny_config(paths, ["RRF"], workers=workers, **overrides)
-            run_experiment(config, tmp_path / f"w{workers}")
-        tree1 = _tree_bytes(tmp_path / "w1")
-        tree4 = _tree_bytes(tmp_path / "w4")
-        assert tree1.keys() == tree4.keys()
-        for name in tree1:
-            if name.endswith("config.resolved.json") or name == "report.json":
-                continue  # the resolved config records the worker count
-            assert tree1[name] == tree4[name], name
+        config = _tiny_config(paths, ["RRF", "JPDs"], grids=grids)
+        run_experiment(config, tmp_path / "lazy")
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        self._assert_worker_count_invariant(tmp_path)
+        class ReverseStaged(experiment._Pipeline):
+            def __init__(self, config):
+                super().__init__(config)
+                for qid in sorted(self.queries, reverse=True):
+                    for mu in reversed(config.grids["mu"]):
+                        self.psg_vectors(qid, mu)
+                        self.doc_vectors(qid, mu)
 
-    def test_worker_count_does_not_change_multi_mu_output(self, tmp_path):
+        monkeypatch.setattr(experiment, "_Pipeline", ReverseStaged)
+        run_experiment(config, tmp_path / "reversed")
+        lazy = _tree_bytes(tmp_path / "lazy")
+        reversed_ = _tree_bytes(tmp_path / "reversed")
+        assert lazy.keys() == reversed_.keys()
+        for name in lazy:
+            assert lazy[name] == reversed_[name], name
+
+    def test_staging_order_does_not_change_output(self, tmp_path, monkeypatch):
+        self._assert_staging_order_invariant(tmp_path, monkeypatch)
+
+    def test_staging_order_does_not_change_multi_mu_output(self, tmp_path, monkeypatch):
         grids = {**_TINY_GRIDS, "mu": [500.0, 2500.0]}
-        self._assert_worker_count_invariant(tmp_path, grids=grids)
+        self._assert_staging_order_invariant(tmp_path, monkeypatch, grids=grids)
+
+
+class TestStaging:
+    @staticmethod
+    def _counted(monkeypatch) -> dict:
+        from psgrank import experiment, features
+
+        counts = {"extractors": 0, "vectors": 0, "doc_features": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        extractor = features.PassageFeatureExtractor
+        monkeypatch.setattr(extractor, "__init__", counting("extractors", extractor.__init__))
+        monkeypatch.setattr(extractor, "vector", counting("vectors", extractor.vector))
+        monkeypatch.setattr(
+            experiment, "doc_features", counting("doc_features", experiment.doc_features)
+        )
+        return counts
+
+    def test_lm_only_run_extracts_no_features(self, tmp_path, monkeypatch):
+        paths = _tiny_corpus(tmp_path)
+        counts = self._counted(monkeypatch)
+        run_experiment(_tiny_config(paths, ["LM"]), tmp_path / "out")
+        assert counts == {"extractors": 0, "vectors": 0, "doc_features": 0}
+
+    @pytest.mark.parametrize("methods", [["QSF"], ["PLM", "DocPsg"]])
+    def test_similarity_methods_build_no_vectors(self, tmp_path, monkeypatch, methods):
+        paths = _tiny_corpus(tmp_path)
+        counts = self._counted(monkeypatch)
+        run_experiment(_tiny_config(paths, methods), tmp_path / "out")
+        assert counts["extractors"] > 0
+        assert counts["vectors"] == 0 and counts["doc_features"] == 0
 
 
 def _rescoring_walk(runner, method):
