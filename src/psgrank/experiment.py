@@ -321,7 +321,7 @@ class ExperimentConfig:
         data = dict(data)
         if "method" in data and "methods" not in data:
             m = data.pop("method")
-            data["methods"] = [m] if isinstance(m, str) else list(m)
+            data["methods"] = [m] if isinstance(m, str) else m
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(data) - set(types)
         if unknown:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, rank_documents_lm, sdm_components,
+    LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, lm_top_ranks, sdm_components,
 )
 from .passage import Passage, neighbors, passage_term_counts, passage_tokens
 
@@ -414,28 +414,50 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+@dataclass(frozen=True, eq=False)
+class ConceptProfile:
+    """A text's min-max normalized top-k retrieval scores over the concept space.
+
+    ``ranks`` are ascending doc ranks of the concept index (see
+    :meth:`PositionalIndex.doc_table`, which orders doc ids as strings) and
+    ``values`` the normalized score at each; ``len()`` is the number of
+    retrieved concept documents, 0 when none was retrieved.
+    """
+
+    ranks: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+
 def esa_retrieval_profile(
     terms: Sequence[str], esa_index: PositionalIndex, params: LmParams, k: int = 100
-) -> dict[str, float]:
-    """Min-max normalized top-k retrieval score list over the concept space."""
-    entries = rank_documents_lm(terms, esa_index, params, k)
-    if not entries:
-        return {}
-    vals = [s for _, s in entries]
-    lo, hi = min(vals), max(vals)
-    span = hi - lo
-    if span <= 0:
-        return {i: 0.0 for i, _ in entries}
-    return {i: (s - lo) / span for i, s in entries}
+) -> ConceptProfile:
+    """Min-max normalized top-k retrieval score list over the concept space;
+    all values are 0 when the top-k scores are equal."""
+    ranks, scores = lm_top_ranks(terms, esa_index, params, k)
+    if len(scores):
+        lo, hi = scores.min(), scores.max()
+        span = hi - lo
+        scores = (scores - lo) / span if span > 0 else np.zeros(len(scores))
+    order = np.argsort(ranks)
+    return ConceptProfile(ranks[order], scores[order])
 
 
-def profile_cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Cosine between two id-aligned score profiles, absent ids read as 0."""
-    keys = sorted(set(a) | set(b))
-    if not keys:
+def profile_cosine(a: ConceptProfile, b: ConceptProfile) -> float:
+    """Cosine between two concept profiles over the union of their ranks,
+    absent ranks read as 0."""
+    ranks = np.concatenate((a.ranks, b.ranks))
+    if not len(ranks):
         return 0.0
-    va = np.array([a.get(k, 0.0) for k in keys])
-    vb = np.array([b.get(k, 0.0) for k in keys])
+    # Sort and drop repeats: cheaper than np.union1d's hashing at this size.
+    ranks.sort()
+    union = ranks[np.concatenate(([True], ranks[1:] != ranks[:-1]))]
+    va = np.zeros(len(union))
+    vb = np.zeros(len(union))
+    va[np.searchsorted(union, a.ranks)] = a.values
+    vb[np.searchsorted(union, b.ranks)] = b.values
     return _cosine(va, vb)
 
 
@@ -444,13 +466,11 @@ def top_tfidf_stems(
 ) -> list[str]:
     """The unit's k stems with the highest tf * ln(N/df) over the concept
     space; ties break lexicographically, unseen stems are skipped."""
-    n_docs = esa_index.doc_count()
-    scored = []
-    for stem, tf in counts.items():
-        df = esa_index.document_frequency(stem)
-        if df == 0:
-            continue
-        scored.append((-(tf * math.log(n_docs / df)), stem))
+    scored = [
+        (-(tf * idf), stem)
+        for (stem, tf), idf in zip(counts.items(), esa_index.idfs(counts))
+        if idf is not None
+    ]
     scored.sort()
     return [stem for _, stem in scored[:k]]
 
@@ -469,10 +489,12 @@ class PassageFeatureExtractor:
     """Computes the 20 passage features for one query over fixed universes.
 
     The document universe is the retrieved candidate list; the passage
-    universe is all passages of those documents. Similarities, per-document
-    statistics and the query-side concept profile are precomputed once.
-    An optional shared ``esa_cache`` maps (passage_id, mu) -> concept
-    profile, which is query-independent and safe to reuse across queries.
+    universe is all passages of those documents. Similarities are computed
+    at construction; per-document statistics and the query-side concept
+    profile on first use, so a caller reading only ``doc_sims`` and
+    ``psg_sims`` pays for nothing else. An optional shared ``esa_cache``
+    maps (passage_id, mu) -> :class:`ConceptProfile`, which is
+    query-independent and safe to reuse across queries.
     """
 
     def __init__(
@@ -504,16 +526,6 @@ class PassageFeatureExtractor:
         )
         self.doc_sim_sum = sum(self.doc_sims.values())
         self.psg_sim_sum = sum(self.psg_sims.values())
-        self.doc_psg_stats = {}
-        for d in self.doc_ids:
-            sims = [self.psg_sims[p.passage_id] for p in passages_by_doc[d]]
-            arr = np.array(sims, dtype=float)
-            self.doc_psg_stats[d] = (float(arr.max()), float(arr.mean()), float(arr.std()))
-
-        if resources.esa_index is not None:
-            self.query_profile = esa_retrieval_profile(terms, resources.esa_index, params)
-        else:
-            self.query_profile = None
         if resources.embeddings is not None:
             self.query_centroid = self._centroid(self.unique_query_stems)
         else:
@@ -523,6 +535,23 @@ class PassageFeatureExtractor:
         else:
             self.query_entities = None
 
+    @cached_property
+    def doc_psg_stats(self) -> dict[str, tuple[float, float, float]]:
+        """Max, mean and standard deviation of each document's passage similarities."""
+        stats = {}
+        for d in self.doc_ids:
+            sims = [self.psg_sims[p.passage_id] for p in self.passages_by_doc[d]]
+            arr = np.array(sims, dtype=float)
+            stats[d] = (float(arr.max()), float(arr.mean()), float(arr.std()))
+        return stats
+
+    @cached_property
+    def query_profile(self) -> ConceptProfile | None:
+        """The query's concept profile; None without a concept index."""
+        if self.resources.esa_index is None:
+            return None
+        return esa_retrieval_profile(self.query_terms, self.resources.esa_index, self.params)
+
     def _centroid(self, stems: Sequence[str]) -> np.ndarray | None:
         table = self.resources.embeddings
         vecs = [table[s] for s in stems if s in table]
@@ -531,7 +560,7 @@ class PassageFeatureExtractor:
         return np.mean(vecs, axis=0)
 
     def _esa(self, passage: Passage, counts: Counter) -> float:
-        if self.query_profile is None or not self.query_profile:
+        if not self.query_profile:
             return 0.0
         key = (passage.passage_id, self.params.mu)
         profile = self.esa_cache.get(key)

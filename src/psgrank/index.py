@@ -13,7 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -69,6 +69,8 @@ class PositionalIndex:
     _pair_cache: dict = field(default_factory=dict, repr=False)
     _postings_by_doc: dict = field(default_factory=dict, repr=False)
     _stem_arrays: dict = field(default_factory=dict, repr=False)
+    _lm_logs: dict = field(default_factory=dict, repr=False)
+    _idf: dict = field(default_factory=dict, repr=False)
     _doc_table: tuple | None = field(default=None, repr=False)
 
     def collection_prob(self, stem: str) -> float:
@@ -83,6 +85,16 @@ class PositionalIndex:
     def document_frequency(self, stem: str) -> int:
         return len(self.postings.get(stem, ()))
 
+    def idfs(self, stems: Iterable[str]) -> list[float | None]:
+        """ln(N / df) of each stem, cached per stem; None for a stem no document holds."""
+        stems = list(stems)
+        cache = self._idf
+        for stem in stems:
+            if stem not in cache:
+                df = self.document_frequency(stem)
+                cache[stem] = math.log(self.doc_count() / df) if df else None
+        return [cache[stem] for stem in stems]
+
     def positions(self, stem: str, doc_id: str) -> list[int]:
         by_doc = self._postings_by_doc.get(stem)
         if by_doc is None:
@@ -90,12 +102,14 @@ class PositionalIndex:
             self._postings_by_doc[stem] = by_doc
         return by_doc.get(doc_id, [])
 
-    def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray]:
-        """Doc ids in string order, each id's rank in it, and the lengths by rank."""
+    def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray, np.ndarray]:
+        """Doc ids in string order, each id's rank in it, the distinct document
+        lengths (ascending), and each rank's slot among them."""
         if self._doc_table is None:
             ids = sorted(self.doc_lengths)
             lengths = np.array([self.doc_lengths[d] for d in ids], dtype=np.int64)
-            self._doc_table = (ids, {d: r for r, d in enumerate(ids)}, lengths)
+            distinct, slot = np.unique(lengths, return_inverse=True)
+            self._doc_table = (ids, {d: r for r, d in enumerate(ids)}, distinct, slot)
         return self._doc_table
 
     def stem_arrays(self, stem: str) -> tuple[np.ndarray, np.ndarray]:
@@ -103,11 +117,39 @@ class PositionalIndex:
         if stem not in self._stem_arrays:
             rank_of = self.doc_table()[1]
             plist = self.postings.get(stem, ())
+            doc_ids, positions = zip(*plist) if plist else ((), ())
             self._stem_arrays[stem] = (
-                np.array([rank_of[d] for d, _ in plist], dtype=np.int64),
-                np.array([len(p) for _, p in plist], dtype=np.int64),
+                np.fromiter(map(rank_of.__getitem__, doc_ids), np.int64, len(doc_ids)),
+                np.fromiter(map(len, positions), np.int64, len(positions)),
             )
         return self._stem_arrays[stem]
+
+    def lm_logs(self, stem: str, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """ln theta of a stem under Dirichlet smoothing with ``mu``, cached per (stem, mu).
+
+        Returns the doc ranks of the stem's postings (as :meth:`stem_arrays`),
+        ln((tf + mu p_c) / (len + mu)) at each of them, and ln(mu p_c /
+        (len + mu)), for a document lacking the stem, at each distinct
+        length of :meth:`doc_table` (-inf where theta is 0). The logs come
+        from :mod:`math`, so sums of them match :func:`lm_similarity` bit
+        for bit. The table costs df + (distinct lengths) floats.
+        """
+        key = (stem, mu)
+        got = self._lm_logs.get(key)
+        if got is None:
+            _, _, distinct, slot = self.doc_table()
+            ranks, tf = self.stem_arrays(stem)
+            smooth = mu * self.collection_prob(stem)
+            denom = distinct + mu
+            # theta > 0 at a posting (tf >= 1). A zero-length document holds
+            # no stem, and at mu = 0 its denominator is 0: theta is 0 there.
+            posting = (tf + smooth) / denom[slot[ranks]]
+            posting = np.fromiter(map(math.log, posting.tolist()), float, len(ranks))
+            background = np.divide(smooth, denom, out=np.zeros(len(denom)), where=denom > 0)
+            background = _exact_log(background)
+            posting.flags.writeable = background.flags.writeable = False
+            got = self._lm_logs[key] = (ranks, posting, background)
+        return got
 
     # -- collection-level pair statistics, computed lazily per query pair --
 
@@ -241,42 +283,56 @@ def _exact_log(x: np.ndarray) -> np.ndarray:
     return np.array([math.log(v) if v > 0.0 else -math.inf for v in x.tolist()])
 
 
-def rank_documents_lm(
+def lm_top_ranks(
     terms: Sequence[str], index: PositionalIndex, params: LmParams, k: int
-) -> list[tuple[str, float]]:
-    """Top-k ``(doc_id, score)`` over every document holding a kept term.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Doc ranks (see :meth:`PositionalIndex.doc_table`) and scores of the
+    top k documents holding a kept term, best first.
 
     Scores are bit-identical to :func:`doc_lm_similarity` (run files record
-    them with repr): theta uses the same IEEE operations, log and exp come
-    from :mod:`math`, and the ``inv_n * log(theta)`` summands are added in
-    query order, repeats included. A zero theta (mu = 0) scores 0. Zero
-    scores are excluded and ties break by ascending doc id.
+    them with repr): the logs come from :meth:`PositionalIndex.lm_logs`,
+    the ``inv_n * log(theta)`` summands are added in query order, repeats
+    included, and exp comes from :mod:`math`. A zero theta (mu = 0) scores
+    0. Zero scores are excluded and ties break by ascending doc id.
     """
     kept = [t for t in terms if index.collection_term_counts.get(t)]
     if not kept:
-        return []
-    ids, _, lengths = index.doc_table()
-    arrays = {t: index.stem_arrays(t) for t in dict.fromkeys(kept)}
-    cand = np.unique(np.concatenate([ranks for ranks, _ in arrays.values()]))
-    denom = lengths[cand] + params.mu
-    # A doc lacking a term has theta = mu * p_c / denom: one log per distinct length.
-    uniq_denom, denom_slot = np.unique(denom, return_inverse=True)
-    inv_n = 1.0 / len(kept)
-    summands = {}
-    for t, (ranks, tf) in arrays.items():
-        smooth = params.mu * index.collection_prob(t)
-        logs = _exact_log(smooth / uniq_denom)[denom_slot]
-        slots = np.searchsorted(cand, ranks)
-        logs[slots] = _exact_log((tf + smooth) / denom[slots])
-        summands[t] = inv_n * logs
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    slot = index.doc_table()[3]
+    row_of = {t: row for row, t in enumerate(dict.fromkeys(kept))}
+    tables = [index.lm_logs(t, params.mu) for t in row_of]
+    posting_ranks = np.concatenate([ranks for ranks, _, _ in tables])
+    is_cand = np.zeros(len(slot), dtype=bool)
+    is_cand[posting_ranks] = True
+    cand = np.flatnonzero(is_cand)
+    # Row per distinct stem, column per candidate: the log of a document
+    # lacking the stem, then the logs at its postings written over it.
+    backgrounds = np.concatenate([background for _, _, background in tables])
+    logs = backgrounds.reshape(len(tables), -1)[:, slot[cand]]
+    rows = np.repeat(np.arange(len(tables)), [len(ranks) for ranks, _, _ in tables])
+    column = np.cumsum(is_cand) - 1
+    logs[rows, column[posting_ranks]] = np.concatenate([posting for _, posting, _ in tables])
+    logs *= 1.0 / len(kept)
+    if len(row_of) < len(kept):
+        logs = logs[[row_of[t] for t in kept]]
     log_sum = np.zeros(len(cand))
-    for t in kept:
-        log_sum = log_sum + summands[t]
-    scores = np.array([math.exp(x) for x in log_sum.tolist()])
+    for summand in logs:
+        log_sum += summand
+    scores = np.fromiter(map(math.exp, log_sum.tolist()), float, len(cand))
     positive = scores > 0.0
     cand, scores = cand[positive], scores[positive]
-    order = np.lexsort((cand, -scores))[:k]
-    return [(ids[r], s) for r, s in zip(cand[order].tolist(), scores[order].tolist())]
+    # Stable: tied scores keep ascending ranks, which is doc id order.
+    order = np.argsort(-scores, kind="stable")[:k]
+    return cand[order], scores[order]
+
+
+def rank_documents_lm(
+    terms: Sequence[str], index: PositionalIndex, params: LmParams, k: int
+) -> list[tuple[str, float]]:
+    """Top-k ``(doc_id, score)`` of :func:`lm_top_ranks`."""
+    ids = index.doc_table()[0]
+    ranks, scores = lm_top_ranks(terms, index, params, k)
+    return [(ids[r], s) for r, s in zip(ranks.tolist(), scores.tolist())]
 
 
 def retrieve_lm(query: Query, index: PositionalIndex, params: LmParams, k: int):

@@ -1,15 +1,27 @@
-"""Per-row forms of the learned-ranker path, kept as references.
+"""Per-row forms of the learned-ranker path and of the concept-space
+feature, kept as references.
 
 The package carries one FeatureMatrix per query and schema. These loops
 build one FeatureVector, one score or one difference row at a time, in the
 order the matrix code must reproduce, so tests can require ``==`` between
 the two. Rank maps are rebuilt here on every call, as the loops once did.
+
+Concept profiles are id -> value dicts here, scored one document at a time
+by the scalar LM formula; the package keeps them as rank arrays scored from
+cached log tables.
 """
+
+import math
 
 import numpy as np
 
-from psgrank.features import DOC_SCHEMA, FeatureSchema, FeatureVector, concat, concat_schemas
-from psgrank.rank import JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, smpd_features
+from psgrank.features import (
+    DOC_SCHEMA, FeatureSchema, FeatureVector, _cosine, concat, concat_schemas,
+)
+from psgrank.index import doc_lm_similarity
+from psgrank.rank import (
+    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, RankedList, smpd_features,
+)
 
 
 def ranks(ranked) -> dict[str, int]:
@@ -174,3 +186,49 @@ def rrf_scores(doc_list, psg_list, nu: float, alpha: float) -> dict[str, float]:
         best = max((1.0 / (nu + psg_ranks[p]) for p in by_doc.get(doc_id, ())), default=0.0)
         scores[doc_id] = alpha / (nu + rank) + (1.0 - alpha) * best
     return scores
+
+
+def lm_top_k(terms, index, params, k):
+    """The scalar formula over every document holding a kept term, zero
+    scores dropped, top k by score with ties by id."""
+    kept = {t for t in terms if index.collection_term_counts.get(t)}
+    scores = {}
+    for doc_id in {d for t in kept for d, _ in index.postings[t]}:
+        s = doc_lm_similarity(terms, doc_id, index, params)
+        if s > 0.0:
+            scores[doc_id] = s
+    return list(RankedList.from_scores("ref", scores, k=k).entries)
+
+
+def esa_profile(terms, esa_index, params, k=100) -> dict[str, float]:
+    """Min-max normalized top-k scores keyed by doc id, in rank order."""
+    entries = lm_top_k(terms, esa_index, params, k)
+    if not entries:
+        return {}
+    vals = [s for _, s in entries]
+    lo, hi = min(vals), max(vals)
+    span = hi - lo
+    if span <= 0:
+        return {i: 0.0 for i, _ in entries}
+    return {i: (s - lo) / span for i, s in entries}
+
+
+def profile_cosine(a, b) -> float:
+    keys = sorted(set(a) | set(b))
+    if not keys:
+        return 0.0
+    va = np.array([a.get(k, 0.0) for k in keys])
+    vb = np.array([b.get(k, 0.0) for k in keys])
+    return _cosine(va, vb)
+
+
+def top_tfidf_stems(counts, esa_index, k=20) -> list[str]:
+    n_docs = esa_index.doc_count()
+    scored = []
+    for stem, tf in counts.items():
+        df = esa_index.document_frequency(stem)
+        if df == 0:
+            continue
+        scored.append((-(tf * math.log(n_docs / df)), stem))
+    scored.sort()
+    return [stem for _, stem in scored[:k]]

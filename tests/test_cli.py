@@ -303,6 +303,19 @@ class TestRunCommand:
         assert f"config must be a JSON object, got {body}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_singular_method_not_a_list_exit_one(self, tmp_path, capsys):
+        config = json.loads(_run_config(tmp_path, ["LM"]).read_text())
+        del config["methods"]
+        config["method"] = 5
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "methods must be a list of method names, got 5" in err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_key_and_flag_rejected(self, tmp_path, capsys):
         _run_config(tmp_path, ["LM"], workers=2)
         rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",

@@ -266,6 +266,12 @@ class TestConfigValidation:
         config = ExperimentConfig.from_dict({"method": "LM"})
         assert config.methods == ["LM"]
 
+    @pytest.mark.parametrize("method", [5, None, {"LM": 1}])
+    def test_singular_method_neither_string_nor_list_reported(self, method):
+        config = ExperimentConfig.from_dict({"method": method})
+        assert config.methods == method
+        assert f"methods must be a list of method names, got {method!r}" in config.validate()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -321,7 +327,7 @@ class TestStaging:
     def _counted(monkeypatch) -> dict:
         from psgrank import experiment, features
 
-        counts = {"extractors": 0, "vectors": 0, "doc_features": 0}
+        counts = {"extractors": 0, "vectors": 0, "doc_features": 0, "esa_profiles": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -336,13 +342,17 @@ class TestStaging:
         monkeypatch.setattr(
             experiment, "doc_features", counting("doc_features", experiment.doc_features)
         )
+        monkeypatch.setattr(
+            features, "esa_retrieval_profile",
+            counting("esa_profiles", features.esa_retrieval_profile),
+        )
         return counts
 
     def test_lm_only_run_extracts_no_features(self, tmp_path, monkeypatch):
         paths = _tiny_corpus(tmp_path)
         counts = self._counted(monkeypatch)
         run_experiment(_tiny_config(paths, ["LM"]), tmp_path / "out")
-        assert counts == {"extractors": 0, "vectors": 0, "doc_features": 0}
+        assert counts == {"extractors": 0, "vectors": 0, "doc_features": 0, "esa_profiles": 0}
 
     @pytest.mark.parametrize("methods", [["QSF"], ["PLM", "DocPsg"]])
     def test_similarity_methods_build_no_vectors(self, tmp_path, monkeypatch, methods):
@@ -351,6 +361,7 @@ class TestStaging:
         run_experiment(_tiny_config(paths, methods), tmp_path / "out")
         assert counts["extractors"] > 0
         assert counts["vectors"] == 0 and counts["doc_features"] == 0
+        assert counts["esa_profiles"] == 0
 
 
 def _rescoring_walk(runner, method):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
+import row_references
 from conftest import TINY_STOPWORDS, make_query
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
+    ConceptProfile,
     FeatureMatrix,
     FeatureSchema,
     FeatureVector,
@@ -18,15 +20,17 @@ from psgrank.features import (
     concat,
     concat_schemas,
     doc_features,
+    esa_retrieval_profile,
     load_embeddings,
     load_entities,
     load_synonyms,
     minmax_normalize,
+    profile_cosine,
     read_svmlight,
     top_tfidf_stems,
     write_svmlight,
 )
-from psgrank.index import LmParams, build_index
+from psgrank.index import LmParams, build_index, retrieve_lm
 from psgrank.passage import SegmentationParams, segment
 
 
@@ -401,6 +405,126 @@ class TestPassageFeatures:
             return {v.item_id: v.values for v in extractor.all_vectors()}
 
         assert extract(["d1", "d2", "d3"]) == extract(["d3", "d1", "d2"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestConceptSpaceTables:
+    """Profiles from the (stem, mu) log tables equal the dict references."""
+
+    VOCAB = [f"w{i}" for i in range(12)]
+
+    @staticmethod
+    def _texts(vocab):
+        rng = np.random.default_rng(21)
+        # Unpadded ids inserted in shuffled order: string order is not
+        # insertion order, and "d10" sorts before "d2".
+        texts = {
+            f"d{i}": " ".join(rng.choice(vocab, size=int(rng.integers(3, 40))))
+            for i in rng.permutation(60)
+        }
+        texts["t1"] = texts["t2"] = "w1 w2 w3 w1"  # identical documents tie
+        texts["e"] = ""  # length 0: at mu = 0 its smoothing denominator is 0
+        return texts
+
+    @pytest.fixture
+    def index(self, store_factory):
+        index = build_index(store_factory(self._texts(self.VOCAB)))
+        assert len(set(index.doc_lengths.values())) > 10
+        return index
+
+    @staticmethod
+    def _items(profile, index):
+        ids = index.doc_table()[0]
+        return [(ids[r], v) for r, v in zip(profile.ranks.tolist(), profile.values.tolist())]
+
+    def _check(self, terms, index, mu, k=100):
+        params = LmParams(mu)
+        got = esa_retrieval_profile(terms, index, params, k)
+        expected = row_references.esa_profile(terms, index, params, k)
+        assert self._items(got, index) == sorted(expected.items())
+        assert len(got) == len(expected)
+        return got
+
+    def test_warm_tables_equal_cold_across_mu(self, store_factory, tokenizer):
+        texts = self._texts(self.VOCAB)
+        warm = build_index(store_factory(texts))
+        queries = ["w1 w2", "w3 w3 w7 zebra", "w5 w0 w11 w2"]
+        for mu in (500.0, 2500.0, 500.0):
+            cold = build_index(store_factory(texts))
+            for text in queries:
+                query = make_query("q", text, tokenizer)
+                assert (
+                    retrieve_lm(query, warm, LmParams(mu), 30).entries
+                    == retrieve_lm(query, cold, LmParams(mu), 30).entries
+                )
+                got = esa_retrieval_profile(query.stems(), warm, LmParams(mu))
+                want = esa_retrieval_profile(query.stems(), cold, LmParams(mu))
+                assert got.ranks.tolist() == want.ranks.tolist()
+                assert got.values.tolist() == want.values.tolist()
+
+    def test_profiles_equal_reference(self, index):
+        rng = np.random.default_rng(22)
+        pool = self.VOCAB + ["zebra"]
+        for _ in range(30):
+            terms = [str(t) for t in rng.choice(pool, size=int(rng.integers(1, 8)))]
+            for mu in (0.0, 500.0, 2500.0):
+                for k in (1, 7, 100):
+                    self._check(terms, index, mu, k)
+
+    def test_zero_theta_oov_and_repeated_terms(self, index):
+        smoothed = self._check(["w1", "w2"], index, 500.0)
+        unsmoothed = self._check(["w1", "w2"], index, 0.0)
+        assert 0 < len(unsmoothed) < len(smoothed)
+        assert len(self._check(["zebra", "yak"], index, 500.0)) == 0
+        once = self._check(["w3", "w5"], index, 500.0)
+        twice = self._check(["w3", "w3", "w5", "zebra"], index, 500.0)
+        assert once.values.tolist() != twice.values.tolist()
+
+    def test_tie_cut_at_kth_place(self, index):
+        full = row_references.lm_top_k(["w1", "w2", "w3"], index, LmParams(500.0), 1000)
+        k = [d for d, _ in full].index("t1") + 1
+        assert full[k] == ("t2", full[k - 1][1])
+        top = self._check(["w1", "w2", "w3"], index, 500.0, k)
+        ids = [d for d, _ in self._items(top, index)]
+        assert len(ids) == k and "t1" in ids and "t2" not in ids
+
+    def test_profile_cosine_equals_reference(self, index):
+        ids = index.doc_table()[0]
+        rng = np.random.default_rng(23)
+
+        def random_profile():
+            ranks = np.sort(rng.choice(len(ids), size=int(rng.integers(0, 12)), replace=False))
+            values = rng.random(len(ranks))
+            values[rng.random(len(ranks)) < 0.2] = 0.0
+            return ConceptProfile(ranks, values)
+
+        def as_dict(profile):
+            return dict(self._items(profile, index))
+
+        empty = ConceptProfile(np.empty(0, dtype=np.intp), np.empty(0))
+        a = ConceptProfile(np.array([0, 3, 5]), np.array([1.0, 0.25, 0.0]))
+        disjoint = ConceptProfile(np.array([1, 4]), np.array([0.5, 1.0]))
+        pairs = [(empty, empty), (empty, a), (a, disjoint), (a, a)]
+        pairs += [(random_profile(), random_profile()) for _ in range(200)]
+        for x, y in pairs:
+            assert profile_cosine(x, y) == row_references.profile_cosine(as_dict(x), as_dict(y))
+        assert profile_cosine(a, a) == pytest.approx(1.0)
+        assert profile_cosine(a, disjoint) == 0.0 == profile_cosine(empty, a)
+
+    def test_top_tfidf_stems_equals_reference(self, index, store_factory):
+        rng = np.random.default_rng(24)
+        pool = self.VOCAB + ["zebra"]
+        for _ in range(50):
+            counts = Counter(str(t) for t in rng.choice(pool, size=int(rng.integers(0, 30))))
+            for k in (1, 3, 20):
+                assert top_tfidf_stems(counts, index, k) == row_references.top_tfidf_stems(
+                    counts, index, k
+                )
+        # "a" and "b" share df and tf, so their tie breaks lexicographically.
+        tied = build_index(store_factory({"d1": "a b c", "d2": "a b", "d3": "c d"}))
+        counts = Counter({"b": 1, "zebra": 3, "a": 1, "d": 1})
+        assert top_tfidf_stems(counts, tied, 2) == ["d", "a"]
+        assert top_tfidf_stems(counts, tied, 2) == row_references.top_tfidf_stems(counts, tied, 2)
 
 
 class TestResourceLoaders:

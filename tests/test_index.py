@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import row_references
 from conftest import make_query
 from psgrank.corpus import Query
 from psgrank.index import (
@@ -20,7 +21,6 @@ from psgrank.index import (
     retrieve_lm,
     sdm_components,
 )
-from psgrank.rank import RankedList
 
 
 def _stems(store):
@@ -205,18 +205,6 @@ class TestRetrieveLm:
         assert run_fwd.entries == run_rev.entries
 
 
-def _scalar_top_k(terms, index, params, k):
-    """Reference for rank_documents_lm: the scalar formula over every
-    document holding a kept term, zero scores dropped."""
-    kept = {t for t in terms if index.collection_term_counts.get(t)}
-    scores = {}
-    for doc_id in {d for t in kept for d, _ in index.postings[t]}:
-        s = doc_lm_similarity(terms, doc_id, index, params)
-        if s > 0.0:
-            scores[doc_id] = s
-    return list(RankedList.from_scores("ref", scores, k=k).entries)
-
-
 class TestRankDocumentsLm:
     """The batched retrieval must equal the scalar formula bit for bit."""
 
@@ -233,7 +221,7 @@ class TestRankDocumentsLm:
     def _check(self, terms, index, mu, k):
         params = LmParams(mu)
         got = rank_documents_lm(terms, index, params, k)
-        assert got == _scalar_top_k(terms, index, params, k)
+        assert got == row_references.lm_top_k(terms, index, params, k)
         return got
 
     def test_random_queries(self, index):
