@@ -1,7 +1,8 @@
 """Corpus ingestion: tokenization, stemming, stopwords, and the document store.
 
-Documents keep every token (including stopwords) together with character
-offsets into the raw text; queries have stopwords removed at load time.
+Documents keep every token (including stopwords) as columns: term ids
+over the tokenizer's interned stem vocabulary, character offsets into the
+raw text, and stopword ids. Queries have stopwords removed at load time.
 The store records the identities of the tokenizer, stemmer and stopword
 list in its manifest so downstream indexes and models are never mixed
 across incompatible text analysis chains.
@@ -16,13 +17,22 @@ import warnings
 from collections import Counter
 from importlib import resources as importlib_resources
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 TOKENIZER_ID = "alnum-v1"
 STORE_VERSION = 1
 
-_TOKEN_RE = re.compile(r"[0-9A-Za-z]+")
+_SPLIT_RE = re.compile(r"([0-9A-Za-z]+)")
 _VOWELS = set("aeiou")
+
+# A surface's code holds its term id in the high bits and its stopword id
+# + 1 in the low 32 (0 for a non-stopword).
+_CODE_SHIFT = 32
+_STOPWORD_MASK = (1 << _CODE_SHIFT) - 1
+_COLUMN_DTYPES = (np.int32, np.int64, np.int64, np.int16)
+_MAX_STOPWORDS = int(np.iinfo(np.int16).max)
 
 
 class CorpusError(ValueError):
@@ -124,12 +134,22 @@ class StopwordList:
         self.terms = frozenset(t.lower() for t in terms)
         if not self.terms:
             raise CorpusError(f"stopword list {name!r} is empty")
+        if len(self.terms) > _MAX_STOPWORDS:
+            raise CorpusError(
+                f"stopword list {name!r} has {len(self.terms)} terms; stopword ids "
+                f"are int16, so a list holds at most {_MAX_STOPWORDS}"
+            )
+        self._positions = {t: i for i, t in enumerate(sorted(self.terms))}
 
     def __contains__(self, word: str) -> bool:
         return word.lower() in self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def position(self, word: str) -> int:
+        """Index of the lowercased word among the sorted terms; -1 if absent."""
+        return self._positions.get(word.lower(), -1)
 
     @classmethod
     def from_file(cls, path: str | Path, name: str | None = None) -> "StopwordList":
@@ -151,19 +171,38 @@ def default_stopwords() -> StopwordList:
     return lst
 
 
+class _SurfaceCodes(dict):
+    """surface -> code; a missing surface is analysed once by ``analyse``."""
+
+    def __init__(self, analyse: Callable[[str], int]):
+        super().__init__()
+        self._analyse = analyse
+
+    def __missing__(self, surface: str) -> int:
+        code = self[surface] = self._analyse(surface)
+        return code
+
+
 class Tokenizer:
     """Splits text into maximal alphanumeric runs with character offsets.
 
     Lowercasing applies only to the stem and stopword lookup; the surface
-    form is the verbatim slice of the input so offsets round-trip.
+    form is the verbatim slice of the input so offsets round-trip. Stems
+    are interned in one vocabulary: a term id indexes it, for every
+    document this tokenizer analyses.
     """
 
     def __init__(self, stemmer: Stemmer | None = None, stopwords: StopwordList | None = None):
         self._stemmer = stemmer or LightStemmer()
         self._stopwords = stopwords or default_stopwords()
-        # surface form -> (stem, is_stopword). Valid for the tokenizer's
-        # lifetime because the stemmer and stopword list are read-only.
-        self._analysis: dict[str, tuple[str, bool]] = {}
+        # Stems by term id, and the id of each stem. Append-only, so the ids
+        # held by documents stay valid.
+        self._vocabulary: list[str] = []
+        self._term_ids: dict[str, int] = {}
+        # surface -> term id << 32 | (stopword id + 1). Valid for the
+        # tokenizer's lifetime because the stemmer and stopword list are
+        # read-only.
+        self._codes = _SurfaceCodes(self._analyse)
 
     @property
     def identity(self) -> str:
@@ -177,39 +216,88 @@ class Tokenizer:
     def stopwords(self) -> StopwordList:
         return self._stopwords
 
+    def _analyse(self, surface: str) -> int:
+        lower = surface.lower()
+        stem = self._stemmer.stem(lower)
+        term_id = self._term_ids.get(stem)
+        if term_id is None:
+            term_id = self._term_ids[stem] = len(self._vocabulary)
+            self._vocabulary.append(stem)
+        return term_id << _CODE_SHIFT | (self._stopwords.position(lower) + 1)
+
+    def _columns(self, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Term ids, char starts, char ends and stopword ids of the text's tokens."""
+        # Separators and tokens alternate, starting and ending with a
+        # (possibly empty) separator.
+        parts = _SPLIT_RE.split(text)
+        surfaces = parts[1::2]
+        n = len(surfaces)
+        offsets = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))
+        codes = np.fromiter(map(self._codes.__getitem__, surfaces), np.int64, n)
+        return (
+            (codes >> _CODE_SHIFT).astype(np.int32),
+            offsets[0:-1:2].copy(),
+            offsets[1::2].copy(),
+            ((codes & _STOPWORD_MASK) - 1).astype(np.int16),
+        )
+
     def tokenize(self, text: str) -> list[Token]:
-        analysis = self._analysis
-        tokens = []
-        for m in _TOKEN_RE.finditer(text):
-            surface = m.group()
-            hit = analysis.get(surface)
-            if hit is None:
-                lower = surface.lower()
-                hit = analysis[surface] = (self._stemmer.stem(lower), lower in self._stopwords)
-            start, end = m.span()
-            tokens.append(tuple.__new__(Token, (surface, hit[0], start, end, hit[1])))
-        return tokens
+        return _tokens(text, self._vocabulary, self._columns(text))
+
+    def document(self, doc_id: str, text: str) -> "Document":
+        """The text as a Document over this tokenizer's vocabulary."""
+        return Document(doc_id, text, self._columns(text), self._vocabulary)
+
+
+def _tokens(text: str, vocabulary: list[str], columns: Sequence[np.ndarray]) -> list[Token]:
+    term_ids, starts, ends, stopword_ids = (c.tolist() for c in columns)
+    return [
+        Token(text[s:e], vocabulary[t], s, e, w >= 0)
+        for t, s, e, w in zip(term_ids, starts, ends, stopword_ids)
+    ]
 
 
 class Document:
-    """A tokenized document; stopwords are retained."""
+    """A tokenized document held as token columns; stopwords are retained.
 
-    __slots__ = ("doc_id", "raw_text", "tokens", "_stems", "_stem_counts")
+    Token i has stem ``vocabulary[term_ids[i]]`` (int32 ids), spans
+    ``raw_text[char_starts[i]:char_ends[i]]`` (int64 offsets) and has
+    stopword id ``stopword_ids[i]`` (int16): -1 for a non-stopword, else the
+    position of its lowercased form among the stopword list's sorted terms.
+    The columns are read-only. Term ids are internal to the process: no
+    artifact or ordering reads them.
+    """
 
-    def __init__(self, doc_id: str, raw_text: str, tokens: list[Token]):
+    __slots__ = (
+        "doc_id", "raw_text", "term_ids", "char_starts", "char_ends", "stopword_ids",
+        "vocabulary", "_stems", "_stem_counts",
+    )
+
+    def __init__(self, doc_id: str, raw_text: str, columns: Sequence, vocabulary: list[str]):
+        """A document from term ids, char starts, char ends and stopword ids."""
+        arrays = [np.asarray(c, dtype) for c, dtype in zip(columns, _COLUMN_DTYPES)]
+        for a in arrays:
+            a.flags.writeable = False
         self.doc_id = doc_id
         self.raw_text = raw_text
-        self.tokens = tokens
+        self.term_ids, self.char_starts, self.char_ends, self.stopword_ids = arrays
+        self.vocabulary = vocabulary
         self._stems: list[str] | None = None
         self._stem_counts: Counter | None = None
 
     @property
     def length(self) -> int:
-        return len(self.tokens)
+        return len(self.term_ids)
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The tokens, built from the columns on every call."""
+        columns = (self.term_ids, self.char_starts, self.char_ends, self.stopword_ids)
+        return _tokens(self.raw_text, self.vocabulary, columns)
 
     def stems(self) -> list[str]:
         if self._stems is None:
-            self._stems = [t.stem for t in self.tokens]
+            self._stems = list(map(self.vocabulary.__getitem__, self.term_ids.tolist()))
         return self._stems
 
     def stem_counts(self) -> Counter:
@@ -310,7 +398,7 @@ class CorpusStore:
                 records.append((rec["id"], rec["text"]))
         if _records_checksum(records) != manifest["checksum"]:
             raise CorpusError("store checksum mismatch: docs.jsonl was modified")
-        docs = [Document(doc_id, text, tokenizer.tokenize(text)) for doc_id, text in records]
+        docs = [tokenizer.document(doc_id, text) for doc_id, text in records]
         store = cls(docs, tokenizer, manifest["format"])
         return store
 
@@ -394,10 +482,10 @@ def ingest_corpus(
         if doc_id in seen:
             raise CorpusError(f"duplicate doc_id: {doc_id!r}")
         seen.add(doc_id)
-        tokens = tokenizer.tokenize(text)
-        if not tokens:
+        doc = tokenizer.document(doc_id, text)
+        if not doc.length:
             warnings.warn(f"document {doc_id!r} has no tokens", stacklevel=2)
-        documents.append(Document(doc_id, text, tokens))
+        documents.append(doc)
     return CorpusStore(documents, tokenizer, corpus_format)
 
 

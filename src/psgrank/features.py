@@ -26,7 +26,7 @@ from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
     LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, lm_top_ranks, sdm_components,
 )
-from .passage import Passage, neighbors, passage_term_counts, passage_tokens
+from .passage import Passage, neighbors, passage_stems, passage_term_counts
 
 
 class SchemaError(ValueError):
@@ -267,17 +267,16 @@ def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
 # -- relevance priors shared by documents and passages --
 
 
-def stopword_fraction(tokens) -> float:
-    """SW1: fraction of the unit's tokens that are stopwords."""
-    if not tokens:
+def stopword_fraction(stopword_ids: np.ndarray) -> float:
+    """SW1: fraction of the unit's tokens that are stopwords (id >= 0)."""
+    if not len(stopword_ids):
         return 0.0
-    return sum(1 for t in tokens if t.is_stopword) / len(tokens)
+    return int(np.count_nonzero(stopword_ids >= 0)) / len(stopword_ids)
 
 
-def stopword_coverage(tokens, stopwords: StopwordList) -> float:
+def stopword_coverage(stopword_ids: np.ndarray, stopwords: StopwordList) -> float:
     """SW2: fraction of the stopword list that appears in the unit."""
-    present = {t.surface.lower() for t in tokens if t.is_stopword}
-    return len(present) / len(stopwords)
+    return len(np.unique(stopword_ids[stopword_ids >= 0])) / len(stopwords)
 
 
 def term_entropy(counts: Mapping[str, int]) -> float:
@@ -322,8 +321,8 @@ def doc_features(
         f_t,
         f_o,
         f_u,
-        stopword_fraction(doc.tokens),
-        stopword_coverage(doc.tokens, stopwords),
+        stopword_fraction(doc.stopword_ids),
+        stopword_coverage(doc.stopword_ids, stopwords),
         term_entropy(doc.stem_counts()),
     )
     return FeatureVector(DOC_SCHEMA, values, query.query_id, doc.doc_id)
@@ -476,13 +475,16 @@ def top_tfidf_stems(
 
 
 def _is_subsequence(needle: Sequence[str], haystack: Sequence[str]) -> bool:
+    """Whether needle occurs as a contiguous run of haystack (never when empty)."""
+    needle, haystack = list(needle), list(haystack)
     n = len(needle)
     if n == 0 or n > len(haystack):
         return False
-    for i in range(len(haystack) - n + 1):
-        if list(haystack[i : i + n]) == list(needle):
-            return True
-    return False
+    first = needle[0]
+    return any(
+        haystack[i] == first and haystack[i : i + n] == needle
+        for i in range(len(haystack) - n + 1)
+    )
 
 
 class PassageFeatureExtractor:
@@ -602,9 +604,9 @@ class PassageFeatureExtractor:
     def vector(self, passage: Passage) -> FeatureVector:
         doc = self.store.get(passage.doc_id)
         doc_passages = self.passages_by_doc[passage.doc_id]
-        tokens = passage_tokens(doc, passage)
-        counts = passage_term_counts(doc, passage)
-        stems = [t.stem for t in tokens]
+        stopword_ids = doc.stopword_ids[passage.token_range[0] : passage.token_range[1]]
+        stems = passage_stems(doc, passage)
+        counts = Counter(stems)
         stem_set = set(stems)
 
         sim = self.psg_sims[passage.passage_id]
@@ -629,13 +631,13 @@ class PassageFeatureExtractor:
             sim_pre,
             sim_follow,
             term_entropy(counts),
-            stopword_fraction(tokens),
-            stopword_coverage(tokens, self.store.tokenizer.stopwords),
+            stopword_fraction(stopword_ids),
+            stopword_coverage(stopword_ids, self.store.tokenizer.stopwords),
             float(self.query.unique_term_count),
             exact,
             term_overlap,
             syn_overlap,
-            float(sum(1 for t in tokens if not t.is_stopword)),
+            float(np.count_nonzero(stopword_ids < 0)),
             (passage.ordinal + 1) / len(doc_passages),
             self._esa(passage, counts),
             self._w2v(stems),

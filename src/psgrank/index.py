@@ -190,7 +190,9 @@ class PositionalIndex:
             "doc_order": self.doc_order,
             "doc_lengths": self.doc_lengths,
             "collection_term_counts": self.collection_term_counts,
-            "postings": {t: [[d, p] for d, p in plist] for t, plist in self.postings.items()},
+            # json writes each (doc_id, positions) tuple as an array, so no
+            # list per posting is built.
+            "postings": self.postings,
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
@@ -212,7 +214,11 @@ class PositionalIndex:
 
 
 def build_index(store: CorpusStore) -> PositionalIndex:
-    """Index every document's stem positions; validates store non-empty."""
+    """Index every document's stem positions; validates store non-empty.
+
+    Stems are keyed in order of first occurrence in the corpus, and a
+    document's postings are appended in order of first occurrence in it.
+    """
     if len(store) == 0:
         raise IndexError_("cannot index an empty corpus store")
     postings: dict[str, list[tuple[str, list[int]]]] = defaultdict(list)
@@ -222,10 +228,9 @@ def build_index(store: CorpusStore) -> PositionalIndex:
     for doc in store.documents:
         doc_lengths[doc.doc_id] = doc.length
         collection_length += doc.length
-        per_doc: dict[str, list[int]] = defaultdict(list)
-        for pos, stem in enumerate(doc.stems()):
-            per_doc[stem].append(pos)
-        for stem, positions in per_doc.items():
+        vocabulary = doc.vocabulary
+        for term_id, positions in _term_positions(doc.term_ids):
+            stem = vocabulary[term_id]
             postings[stem].append((doc.doc_id, positions))
             collection_term_counts[stem] += len(positions)
     return PositionalIndex(
@@ -236,6 +241,22 @@ def build_index(store: CorpusStore) -> PositionalIndex:
         doc_order=store.doc_ids(),
         corpus_checksum=store.checksum(),
     )
+
+
+def _term_positions(term_ids: np.ndarray) -> list[tuple[int, list[int]]]:
+    """Each distinct term id with its ascending positions, in order of first occurrence."""
+    if not len(term_ids):
+        return []
+    # A stable sort groups positions by term and keeps them ascending.
+    order = np.argsort(term_ids, kind="stable")
+    grouped = term_ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    # Each group's first position is distinct, so this order has no ties.
+    by_first = np.argsort(order[starts]).tolist()
+    bounds = [*starts.tolist(), len(term_ids)]
+    positions = order.tolist()
+    ids = grouped[starts].tolist()
+    return [(ids[g], positions[bounds[g] : bounds[g + 1]]) for g in by_first]
 
 
 def lm_similarity(

@@ -7,7 +7,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import Document, Token
+import numpy as np
+
+from .corpus import Document
 
 _ID_SEP = "#"
 _SENTENCE_BREAK_RE = re.compile(r"[.!?]+(?=\s|$)")
@@ -65,7 +67,7 @@ def _windows_to_passages(doc: Document, bounds: list[tuple[int, int]]) -> list[P
     passages = []
     for ordinal, (start, end) in enumerate(bounds):
         if end > start:
-            char_range = (doc.tokens[start].char_start, doc.tokens[end - 1].char_end)
+            char_range = (int(doc.char_starts[start]), int(doc.char_ends[end - 1]))
         else:
             char_range = (0, 0)
         passages.append(
@@ -99,20 +101,17 @@ def segment(doc: Document, params: SegmentationParams) -> list[Passage]:
 
 
 def _sentence_bounds(doc: Document) -> list[tuple[int, int]]:
-    # Token i ends a sentence when a break mark occurs before token i+1.
-    break_positions = [m.start() for m in _SENTENCE_BREAK_RE.finditer(doc.raw_text)]
-    bounds = []
-    start = 0
-    bi = 0
-    for i, tok in enumerate(doc.tokens[:-1]):
-        nxt = doc.tokens[i + 1]
-        while bi < len(break_positions) and break_positions[bi] < tok.char_end:
-            bi += 1
-        if bi < len(break_positions) and tok.char_end <= break_positions[bi] < nxt.char_start:
-            bounds.append((start, i + 1))
-            start = i + 1
-    bounds.append((start, doc.length))
-    return bounds
+    # Token i ends a sentence when a break mark starts at or after its end
+    # and before token i+1 starts: the first mark at or after the end is
+    # the one to test.
+    breaks = np.array(
+        [m.start() for m in _SENTENCE_BREAK_RE.finditer(doc.raw_text)], dtype=np.int64
+    )
+    first = np.searchsorted(breaks, doc.char_ends[:-1])
+    has_break = first < len(breaks)
+    has_break[has_break] = breaks[first[has_break]] < doc.char_starts[1:][has_break]
+    cuts = [0, *(np.flatnonzero(has_break) + 1).tolist(), doc.length]
+    return list(zip(cuts, cuts[1:]))
 
 
 def neighbors(p: Passage, doc_passages: Sequence[Passage]) -> tuple[Passage, Passage]:
@@ -148,11 +147,6 @@ def char_overlap(
     if cur_end is not None:
         overlap += cur_end - cur_start
     return overlap, passage_chars
-
-
-def passage_tokens(doc: Document, p: Passage) -> list[Token]:
-    start, end = p.token_range
-    return doc.tokens[start:end]
 
 
 def passage_stems(doc: Document, p: Passage) -> list[str]:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from psgrank.corpus import CorpusStore, Document, Query, StopwordList, Tokenizer
+from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer
 
 
 TINY_STOPWORDS = ("the", "of", "and", "an")
@@ -16,7 +16,7 @@ def tokenizer():
 
 
 def build_store(texts: dict[str, str], tokenizer: Tokenizer) -> CorpusStore:
-    docs = [Document(doc_id, text, tokenizer.tokenize(text)) for doc_id, text in texts.items()]
+    docs = [tokenizer.document(doc_id, text) for doc_id, text in texts.items()]
     return CorpusStore(docs, tokenizer, "jsonl")
 
 

@@ -9,12 +9,19 @@ the two. Rank maps are rebuilt here on every call, as the loops once did.
 Concept profiles are id -> value dicts here, scored one document at a time
 by the scalar LM formula; the package keeps them as rank arrays scored from
 cached log tables.
+
+The document store is one Token per match here, and the index, sentence
+breaks and stopword priors read those tokens; the package keeps token
+columns. ExactMatch compares a list pair per window.
 """
 
 import math
+import re
+from collections import defaultdict
 
 import numpy as np
 
+from psgrank.corpus import Token
 from psgrank.features import (
     DOC_SCHEMA, FeatureSchema, FeatureVector, _cosine, concat, concat_schemas,
 )
@@ -232,3 +239,84 @@ def top_tfidf_stems(counts, esa_index, k=20) -> list[str]:
         scored.append((-(tf * math.log(n_docs / df)), stem))
     scored.sort()
     return [stem for _, stem in scored[:k]]
+
+
+def tokenize(text, stemmer, stopwords) -> list[Token]:
+    """One Token per maximal alphanumeric run, each surface analysed once."""
+    analysis = {}
+    tokens = []
+    for m in re.finditer(r"[0-9A-Za-z]+", text):
+        surface = m.group()
+        hit = analysis.get(surface)
+        if hit is None:
+            lower = surface.lower()
+            hit = analysis[surface] = (stemmer.stem(lower), lower in stopwords)
+        start, end = m.span()
+        tokens.append(Token(surface, hit[0], start, end, hit[1]))
+    return tokens
+
+
+def postings(store):
+    """Stem -> [(doc_id, positions)] and stem -> collection count, from doc.stems()."""
+    out = defaultdict(list)
+    counts = defaultdict(int)
+    for doc in store.documents:
+        per_doc = defaultdict(list)
+        for pos, stem in enumerate(doc.stems()):
+            per_doc[stem].append(pos)
+        for stem, positions in per_doc.items():
+            out[stem].append((doc.doc_id, positions))
+            counts[stem] += len(positions)
+    return dict(out), dict(counts)
+
+
+def sentence_bounds(doc, break_re) -> list[tuple[int, int]]:
+    """Token i ends a sentence when a break mark occurs before token i+1."""
+    tokens = doc.tokens
+    break_positions = [m.start() for m in break_re.finditer(doc.raw_text)]
+    bounds = []
+    start = 0
+    bi = 0
+    for i, tok in enumerate(tokens[:-1]):
+        nxt = tokens[i + 1]
+        while bi < len(break_positions) and break_positions[bi] < tok.char_end:
+            bi += 1
+        if bi < len(break_positions) and tok.char_end <= break_positions[bi] < nxt.char_start:
+            bounds.append((start, i + 1))
+            start = i + 1
+    bounds.append((start, len(tokens)))
+    return bounds
+
+
+def char_range(doc, token_range) -> tuple[int, int]:
+    start, end = token_range
+    if end <= start:
+        return (0, 0)
+    tokens = doc.tokens
+    return (tokens[start].char_start, tokens[end - 1].char_end)
+
+
+def stopword_fraction(tokens) -> float:
+    if not tokens:
+        return 0.0
+    return sum(1 for t in tokens if t.is_stopword) / len(tokens)
+
+
+def stopword_coverage(tokens, stopwords) -> float:
+    present = {t.surface.lower() for t in tokens if t.is_stopword}
+    return len(present) / len(stopwords)
+
+
+def non_stopword_count(tokens) -> float:
+    return float(sum(1 for t in tokens if not t.is_stopword))
+
+
+def is_subsequence(needle, haystack) -> bool:
+    n = len(needle)
+    if n == 0 or n > len(haystack):
+        return False
+    for i in range(len(haystack) - n + 1):
+        if list(haystack[i : i + n]) == list(needle):
+            return True
+    return False
+

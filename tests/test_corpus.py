@@ -1,7 +1,9 @@
+import gc
 import json
 
 import pytest
 
+import row_references
 from psgrank.corpus import (
     CorpusError,
     CorpusStore,
@@ -14,7 +16,17 @@ from psgrank.corpus import (
     ingest_corpus,
     load_topics,
 )
-from conftest import write_jsonl
+from psgrank.features import (
+    PSG_SCHEMA,
+    PassageFeatureExtractor,
+    SemanticResources,
+    doc_features,
+    stopword_coverage,
+    stopword_fraction,
+)
+from psgrank.index import LmParams, build_index
+from psgrank.passage import _SENTENCE_BREAK_RE, SegmentationParams, segment
+from conftest import build_store, make_query, write_jsonl
 
 
 class TestTokenize:
@@ -257,3 +269,146 @@ class TestTopics:
         path.write_text("q1 no tab here\n")
         with pytest.raises(CorpusError, match=":1"):
             load_topics(path, tokenizer)
+
+
+# Non-ASCII letters, digits, only punctuation, empty text, and leading or
+# trailing separators; stopwords in mixed case.
+COLUMN_TEXTS = (
+    "Café naïve Ünïcode straße, résumé",
+    "IR-2024 42 3.14 v2x 007",
+    "... !!! --- ?",
+    "",
+    "   leading and trailing   ",
+    "--The cat sat. Of THE mat!--",
+    "x",
+    "The THE the Running RUNNING ran, Cats; cats... 42",
+)
+
+
+def _corpus_texts():
+    words = ("The", "cat", "Running", "ran", "over", "dogs.", "Is", "it", "café", "42",
+             "IR-2024", "naïve!", "Cats?", "and", "of", "things...")
+    texts = {f"t{i}": text for i, text in enumerate(COLUMN_TEXTS)}
+    for i in range(12):
+        texts[f"w{i:02d}"] = " ".join(words[(i * 7 + 3 * k) % len(words)] for k in range(5 * i))
+    return texts
+
+
+class TestColumnarStore:
+    @pytest.mark.parametrize("text", COLUMN_TEXTS)
+    def test_columns_match_reference(self, tokenizer, text):
+        stopwords = tokenizer.stopwords
+        ref = row_references.tokenize(text, tokenizer.stemmer, stopwords)
+        assert tokenizer.tokenize(text) == ref
+        doc = tokenizer.document("d", text)
+        assert doc.tokens == ref
+        assert doc.length == len(ref)
+        assert doc.stems() == [t.stem for t in ref]
+        assert doc.char_starts.tolist() == [t.char_start for t in ref]
+        assert doc.char_ends.tolist() == [t.char_end for t in ref]
+        ordered = sorted(stopwords.terms)
+        assert doc.stopword_ids.tolist() == [
+            ordered.index(t.surface.lower()) if t.is_stopword else -1 for t in ref
+        ]
+
+    def test_columns_match_reference_with_default_stopwords(self):
+        tokenizer = Tokenizer()
+        for text in COLUMN_TEXTS:
+            ref = row_references.tokenize(text, tokenizer.stemmer, tokenizer.stopwords)
+            assert tokenizer.document("d", text).tokens == ref
+
+    def test_columns_are_read_only(self, tokenizer):
+        doc = tokenizer.document("d", "the cat sat")
+        for column in (doc.term_ids, doc.char_starts, doc.char_ends, doc.stopword_ids):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_load_equals_ingest(self, tmp_path, tokenizer):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": d, "text": t} for d, t in _corpus_texts().items()])
+        with pytest.warns(UserWarning):
+            store = ingest_corpus(path, tokenizer=tokenizer)
+        store.save(tmp_path / "store")
+        loaded = CorpusStore.load(tmp_path / "store", stopwords=tokenizer.stopwords)
+        assert loaded.doc_ids() == store.doc_ids()
+        assert loaded.manifest() == store.manifest()
+        for a, b in zip(loaded.documents, store.documents):
+            assert (a.doc_id, a.raw_text) == (b.doc_id, b.raw_text)
+            assert a.tokens == b.tokens
+            assert a.stems() == b.stems()
+            assert a.stopword_ids.tolist() == b.stopword_ids.tolist()
+
+    def test_index_equals_reference_build(self, tokenizer):
+        texts = _corpus_texts()
+        # Term ids in another order than first occurrence in the corpus.
+        tokenizer.tokenize(" ".join(reversed(" ".join(texts.values()).split())))
+        store = build_store(texts, tokenizer)
+        index = build_index(store)
+        postings, counts = row_references.postings(store)
+        assert list(index.postings.items()) == list(postings.items())
+        assert list(index.collection_term_counts.items()) == list(counts.items())
+
+    def test_stopword_priors_equal_token_formulas(self, tokenizer):
+        store = build_store(_corpus_texts(), tokenizer)
+        stopwords = tokenizer.stopwords
+        index = build_index(store)
+        query = make_query("q", "cat running things", tokenizer)
+        params = SegmentationParams(window_len=4)
+        passages_by_doc = {d.doc_id: segment(d, params) for d in store.documents}
+        extractor = PassageFeatureExtractor(
+            query, store, index, store.doc_ids(), passages_by_doc,
+            SemanticResources(), LmParams(50.0),
+        )
+        sw1, sw2, nonstop = (PSG_SCHEMA.index_of(f) for f in ("SW1", "SW2", "PsgLength"))
+        for doc in store.documents:
+            tokens = doc.tokens
+            vec = doc_features(query, doc, index, LmParams(50.0), stopwords)
+            assert vec.value_of("SW1") == row_references.stopword_fraction(tokens)
+            assert vec.value_of("SW2") == row_references.stopword_coverage(tokens, stopwords)
+            for p in passages_by_doc[doc.doc_id]:
+                unit = tokens[p.token_range[0] : p.token_range[1]]
+                ids = doc.stopword_ids[p.token_range[0] : p.token_range[1]]
+                assert stopword_fraction(ids) == row_references.stopword_fraction(unit)
+                assert stopword_coverage(ids, stopwords) == row_references.stopword_coverage(
+                    unit, stopwords
+                )
+                values = extractor.vector(p).values
+                assert values[sw1] == row_references.stopword_fraction(unit)
+                assert values[sw2] == row_references.stopword_coverage(unit, stopwords)
+                assert values[nonstop] == row_references.non_stopword_count(unit)
+
+    @pytest.mark.parametrize("params", [
+        SegmentationParams(window_len=1),
+        SegmentationParams(window_len=3),
+        SegmentationParams(window_len=300),
+        SegmentationParams(mode="sentence"),
+    ])
+    def test_passage_char_ranges_equal_token_reference(self, tokenizer, params):
+        store = build_store(_corpus_texts(), tokenizer)
+        for doc in store.documents:
+            passages = segment(doc, params)
+            if params.mode == "sentence" and doc.length:
+                bounds = row_references.sentence_bounds(doc, _SENTENCE_BREAK_RE)
+                assert [p.token_range for p in passages] == bounds
+            for p in passages:
+                assert p.char_range == row_references.char_range(doc, p.token_range)
+                assert all(type(x) is int for x in p.char_range)
+
+    def test_tracked_objects_grow_with_documents_not_tokens(self, tmp_path):
+        def tracked_after_ingest(tokens_per_doc):
+            path = tmp_path / f"c{tokens_per_doc}.jsonl"
+            words = [f"w{i % 50}" for i in range(tokens_per_doc)]
+            write_jsonl(path, [{"id": f"d{i}", "text": " ".join(words)} for i in range(40)])
+            tokenizer = Tokenizer(stopwords=StopwordList("tiny", ["w0"]))
+            tokenizer.tokenize(" ".join(words))  # the vocabulary, outside the count
+            gc.collect()
+            before = len(gc.get_objects())
+            store = ingest_corpus(path, tokenizer=tokenizer)
+            gc.collect()
+            added = len(gc.get_objects()) - before
+            assert len(store) == 40
+            return added
+
+        short, long = tracked_after_ingest(60), tracked_after_ingest(600)
+        # 40 documents with 21,600 more tokens between them.
+        assert long - short <= 40

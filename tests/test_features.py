@@ -17,6 +17,7 @@ from psgrank.features import (
     PassageFeatureExtractor,
     SchemaError,
     SemanticResources,
+    _is_subsequence,
     concat,
     concat_schemas,
     doc_features,
@@ -405,6 +406,24 @@ class TestPassageFeatures:
             return {v.item_id: v.values for v in extractor.all_vectors()}
 
         assert extract(["d1", "d2", "d3"]) == extract(["d3", "d1", "d2"])
+
+    def test_exact_match_equals_list_scan(self):
+        rng = np.random.default_rng(53)
+        vocab = ["a", "b", "c", "d"]
+        cases = [([], []), ([], ["a"]), (["a"], []), (["a", "b"], ["a"]), (["a", "a"], ["a", "a"])]
+        for _ in range(500):
+            haystack = [vocab[i] for i in rng.integers(0, 4, size=int(rng.integers(0, 15)))]
+            needle = [vocab[i] for i in rng.integers(0, 3, size=int(rng.integers(0, 5)))]
+            cases.append((needle, haystack))
+            cases.append((needle, haystack + haystack[: len(needle)] + needle))
+            cases.append((needle + haystack, haystack))  # longer than the haystack
+        hits = 0
+        for needle, haystack in cases:
+            expected = row_references.is_subsequence(needle, haystack)
+            assert _is_subsequence(needle, haystack) == expected
+            assert _is_subsequence(tuple(needle), tuple(haystack)) == expected
+            hits += expected
+        assert 0 < hits < len(cases)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
