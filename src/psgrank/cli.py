@@ -28,6 +28,7 @@ from .evaluation import (
 from .experiment import FEATURE_FREE_METHODS, ConfigError, ExperimentConfig, run_experiment
 from .features import (
     DOC_SCHEMA,
+    PSG_SCHEMA,
     FeatureMatrix,
     FeatureSchema,
     PassageFeatureExtractor,
@@ -39,7 +40,6 @@ from .features import (
 )
 from .index import IndexError_, LmParams, PositionalIndex, build_index, retrieve_lm
 from .ltr import (
-    GradedExample,
     LinearModel,
     TrainingError,
     TrainingSet,
@@ -98,28 +98,19 @@ def _cmd_features(args) -> int:
     store, index = _load_store_and_index(args.store)
     queries = load_topics(args.topics, store.tokenizer)
     params = LmParams(args.mu)
-    vectors = []
-    grades: dict[tuple[str, str], int] = {}
+    dump = []
     if args.kind == "doc":
         schema = DOC_SCHEMA
         judgments = load_doc_qrels(args.qrels) if args.qrels else None
         for q in queries:
-            run = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs)
-            per_query = [
+            doc_ids = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs).ids()
+            rows = [
                 doc_features(q, store.get(d), index, params, store.tokenizer.stopwords)
-                for d in run.ids()
+                for d in doc_ids
             ]
-            if args.normalize:
-                per_query = minmax_normalize(
-                    FeatureMatrix.from_vectors(per_query, schema, q.query_id)
-                ).vectors()
-            vectors.extend(per_query)
-            if judgments:
-                for d in run.ids():
-                    grades[(q.query_id, d)] = judgments.grade(q.query_id, d)
+            grades = [judgments.grade(q.query_id, d) if judgments else 0 for d in doc_ids]
+            dump.append((FeatureMatrix(schema, q.query_id, doc_ids, rows), grades))
     else:
-        from .features import PSG_SCHEMA
-
         schema = PSG_SCHEMA
         judgments = load_char_qrels(args.qrels) if args.qrels else None
         seg = SegmentationParams(args.length, args.seg_mode)
@@ -127,27 +118,25 @@ def _cmd_features(args) -> int:
         for q in queries:
             run = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs)
             passages_by_doc = {d: segment(store.get(d), seg) for d in run.ids()}
-            extractor = PassageFeatureExtractor(
+            matrix = PassageFeatureExtractor(
                 q, store, index, run.ids(), passages_by_doc, resources, params
-            )
-            per_query = extractor.all_vectors()
-            if args.normalize:
-                per_query = minmax_normalize(
-                    FeatureMatrix.from_vectors(per_query, schema, q.query_id)
-                ).vectors()
-            vectors.extend(per_query)
-            if judgments:
-                spans_by_doc = judgments.char_spans.get(q.query_id, {})
-                for d, plist in passages_by_doc.items():
-                    for p in plist:
-                        grades[(q.query_id, p.passage_id)] = passage_grade(p, spans_by_doc.get(d))
-    write_svmlight(args.out, vectors, grades)
+            ).matrix()
+            spans_by_doc = judgments.char_spans.get(q.query_id, {}) if judgments else {}
+            grades = [
+                passage_grade(p, spans_by_doc.get(d))
+                for d, plist in passages_by_doc.items()
+                for p in plist
+            ]
+            dump.append((matrix, grades))
+    if args.normalize:
+        dump = [(minmax_normalize(matrix), grades) for matrix, grades in dump]
+    write_svmlight(args.out, dump)
     schema_path = Path(args.out).with_suffix(Path(args.out).suffix + ".schema.json")
     schema_path.write_text(
         json.dumps({"name": schema.name, "features": list(schema.features)}, indent=2) + "\n",
         encoding="utf-8",
     )
-    print(f"vectors: {len(vectors)}")
+    print(f"vectors: {sum(len(m) for m, _ in dump)}")
     print(f"written: {args.out}")
     print(f"schema: {schema_path}")
     return 0
@@ -158,11 +147,18 @@ def _cmd_train(args) -> int:
     if not schema_path.exists():
         raise UsageError(f"schema sidecar not found: {schema_path}")
     meta = json.loads(schema_path.read_text(encoding="utf-8"))
+    if not (
+        isinstance(meta, dict)
+        and isinstance(meta.get("name"), str)
+        and isinstance(meta.get("features"), list)
+        and all(isinstance(f, str) for f in meta["features"])
+    ):
+        raise UsageError(
+            f"{schema_path}: expected a JSON object with a \"name\" string "
+            f"and a \"features\" list of names"
+        )
     schema = FeatureSchema(meta["name"], tuple(meta["features"]))
-    rows = read_svmlight(args.features, schema)
-    data = TrainingSet.from_examples(
-        [GradedExample(qid, item, vec, grade) for qid, item, vec, grade in rows]
-    )
+    data = TrainingSet(read_svmlight(args.features, schema))
     if args.trainer == "pairwise_hinge":
         model = train_pairwise(
             data, c=args.c, epochs=args.epochs, seed=args.seed,

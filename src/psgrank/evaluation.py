@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .passage import merge_intervals
 from .rank import RankedList
 
 MAIP_RECALL_POINTS = tuple(i / 100.0 for i in range(101))
@@ -155,18 +156,6 @@ def mean_metric(values: Sequence[float | None]) -> float:
 # -- character-level focused retrieval --
 
 
-def _merge_intervals(intervals: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for s, e in sorted(intervals):
-        if e <= s:
-            continue
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
-
-
 def _measure(intervals: Sequence[tuple[int, int]]) -> int:
     return sum(e - s for s, e in intervals)
 
@@ -216,7 +205,7 @@ def interpolated_precision(
         raise JudgmentError("interpolated precision needs char_focused judgments")
     qid = psg_run.query_id
     relevant = {
-        doc_id: _merge_intervals(spans)
+        doc_id: merge_intervals(spans)
         for doc_id, spans in judgments.char_spans.get(qid, {}).items()
     }
     total_relevant = sum(_measure(iv) for iv in relevant.values())
@@ -234,7 +223,7 @@ def interpolated_precision(
         if new_parts:
             retrieved_chars += _measure(new_parts)
             relevant_chars += _intersect(new_parts, relevant.get(doc_id, ()))
-            covered[doc_id] = _merge_intervals(covered.get(doc_id, []) + new_parts)
+            covered[doc_id] = merge_intervals(covered.get(doc_id, []) + new_parts)
         recalls.append(relevant_chars / total_relevant)
         best_from.append(relevant_chars / retrieved_chars if retrieved_chars else 0.0)
     for i in range(len(best_from) - 2, -1, -1):

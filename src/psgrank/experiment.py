@@ -742,11 +742,12 @@ class _Pipeline:
         got = data.doc_vectors.get(mu)
         if got is None:
             params, stopwords = LmParams(mu), self.store.tokenizer.stopwords
-            vectors = [
+            doc_ids = sorted(data.passages_by_doc)
+            rows = [
                 doc_features(data.query, self.store.get(d), self.index, params, stopwords)
-                for d in sorted(data.passages_by_doc)
+                for d in doc_ids
             ]
-            got = FeatureMatrix.from_vectors(vectors, DOC_SCHEMA, query_id).columns(self.doc_schema)
+            got = FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
             data.doc_vectors[mu] = got
         return got
 
@@ -754,9 +755,7 @@ class _Pipeline:
         data = self.query_data(query_id)
         got = data.psg_vectors.get(mu)
         if got is None:
-            got = FeatureMatrix.from_vectors(
-                self._extractor(query_id, mu).all_vectors(), PSG_SCHEMA, query_id
-            ).columns(self.psg_schema)
+            got = self._extractor(query_id, mu).matrix().columns(self.psg_schema)
             data.psg_vectors[mu] = got
         return got
 

@@ -35,11 +35,10 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Named, ordered feature list; concatenation records part boundaries."""
+    """Named, ordered feature list."""
 
     name: str
     features: tuple[str, ...]
-    boundaries: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(self.features))
@@ -67,37 +66,14 @@ class FeatureSchema:
         return FeatureSchema(f"{self.name}-abl", kept)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Feature values for one (query, item) pair under a schema."""
-
-    schema: FeatureSchema
-    values: tuple[float, ...]
-    query_id: str
-    item_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if len(self.values) != len(self.schema):
-            raise SchemaError(
-                f"vector has {len(self.values)} values for schema "
-                f"{self.schema.name!r} of length {len(self.schema)}"
-            )
-        if not all(map(math.isfinite, self.values)):
-            raise SchemaError(f"non-finite feature value for item {self.item_id!r}")
-
-    def value_of(self, feature: str) -> float:
-        return self.values[self.schema.index_of(feature)]
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """One query's feature rows under one schema.
 
     ``values`` is a read-only C-contiguous float64 array with one row per
     item id, checked for finite values once, at construction; ``len()`` is
-    the row count. This is the type the learned-ranker path carries from
-    extraction to scoring; :class:`FeatureVector` is its one-row form.
+    the row count. Extraction, the SVMlight files, training and scoring all
+    carry features in this form.
     """
 
     schema: FeatureSchema
@@ -123,27 +99,6 @@ class FeatureMatrix:
         object.__setattr__(self, "item_ids", item_ids)
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_vectors(
-        cls,
-        vectors: Sequence[FeatureVector],
-        schema: FeatureSchema | None = None,
-        query_id: str | None = None,
-    ) -> "FeatureMatrix":
-        """Stack one query's vectors; ``schema`` and ``query_id`` are needed
-        only when ``vectors`` may be empty."""
-        if vectors:
-            schema = schema or vectors[0].schema
-            query_id = query_id if query_id is not None else vectors[0].query_id
-        elif schema is None or query_id is None:
-            raise ValueError("an empty matrix needs a schema and a query id")
-        for v in vectors:
-            if v.schema != schema:
-                raise SchemaError("cannot stack vectors of mixed schemas")
-            if v.query_id != query_id:
-                raise SchemaError("cannot stack vectors of mixed queries")
-        return cls(schema, query_id, [v.item_id for v in vectors], [v.values for v in vectors])
-
     def __len__(self) -> int:
         return len(self.item_ids)
 
@@ -165,12 +120,6 @@ class FeatureMatrix:
         """The columns named by ``schema``, in its order."""
         keep = [self.schema.index_of(f) for f in schema.features]
         return FeatureMatrix(schema, self.query_id, self.item_ids, self.values[:, keep])
-
-    def vectors(self) -> list[FeatureVector]:
-        return [
-            FeatureVector(self.schema, tuple(row), self.query_id, item_id)
-            for item_id, row in zip(self.item_ids, self.values.tolist())
-        ]
 
 
 DOC_FEATURES = ("SdmUnigrams", "SdmOrderedBigrams", "SdmUnorderedBigrams", "SW1", "SW2", "Ent")
@@ -210,7 +159,7 @@ def concat_schemas(
     exclusions: Iterable[str] = (),
 ) -> FeatureSchema:
     """Ordered concatenation; exclusions apply to the appended schema's
-    unprefixed names and the part boundary is recorded."""
+    unprefixed names."""
     exclusions = set(exclusions)
     unknown = exclusions - set(b.features)
     if unknown:
@@ -220,34 +169,7 @@ def concat_schemas(
     collisions = set(left) & set(right)
     if collisions:
         raise SchemaError(f"feature name collision on concat: {sorted(collisions)}")
-    boundaries = a.boundaries if a.boundaries else (0,)
-    return FeatureSchema(
-        name or f"{a.name}+{b.name}",
-        left + right,
-        boundaries=boundaries + (len(left),),
-    )
-
-
-def concat(
-    a: FeatureVector,
-    b: FeatureVector,
-    exclusions: Iterable[str] = (),
-    name: str | None = None,
-    a_prefix: str = "",
-    b_prefix: str = "",
-) -> FeatureVector:
-    """Concatenate two vectors of one (query, item) pair; see concat_schemas."""
-    if a.query_id != b.query_id:
-        raise SchemaError("cannot concatenate vectors of different queries")
-    schema = concat_schemas(
-        a.schema, b.schema, name=name, a_prefix=a_prefix, b_prefix=b_prefix,
-        exclusions=exclusions,
-    )
-    exclusions = set(exclusions)
-    right = tuple(
-        v for f, v in zip(b.schema.features, b.values) if f not in exclusions
-    )
-    return FeatureVector(schema, tuple(a.values) + right, a.query_id, a.item_id)
+    return FeatureSchema(name or f"{a.name}+{b.name}", left + right)
 
 
 def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
@@ -314,10 +236,11 @@ def doc_features(
     index: PositionalIndex,
     params: LmParams,
     stopwords: StopwordList,
-) -> FeatureVector:
-    """The 6 document features: SDM components + SW1/SW2/Ent priors."""
+) -> tuple[float, ...]:
+    """The 6 document features, in :data:`DOC_SCHEMA` order: SDM components
+    + SW1/SW2/Ent priors."""
     f_t, f_o, f_u = sdm_components(query, doc, index, params)
-    values = (
+    return (
         f_t,
         f_o,
         f_u,
@@ -325,7 +248,6 @@ def doc_features(
         stopword_coverage(doc.stopword_ids, stopwords),
         term_entropy(doc.stem_counts()),
     )
-    return FeatureVector(DOC_SCHEMA, values, query.query_id, doc.doc_id)
 
 
 # -- semantic resources --
@@ -601,7 +523,8 @@ class PassageFeatureExtractor:
                 syn_hits += 1
         return hits / len(stems), syn_hits / len(stems)
 
-    def vector(self, passage: Passage) -> FeatureVector:
+    def vector(self, passage: Passage) -> tuple[float, ...]:
+        """The passage's 20 features, in :data:`PSG_SCHEMA` order."""
         doc = self.store.get(passage.doc_id)
         doc_passages = self.passages_by_doc[passage.doc_id]
         stopword_ids = doc.stopword_ids[passage.token_range[0] : passage.token_range[1]]
@@ -621,7 +544,7 @@ class PassageFeatureExtractor:
         term_overlap, syn_overlap = self._overlaps(stem_set)
         exact = 1.0 if _is_subsequence(self.query_terms, stems) else 0.0
 
-        values = (
+        return (
             psg_query_sim,
             doc_query_sim,
             max_pd,
@@ -643,48 +566,58 @@ class PassageFeatureExtractor:
             self._w2v(stems),
             self._entity(passage),
         )
-        return FeatureVector(PSG_SCHEMA, values, self.query.query_id, passage.passage_id)
 
-    def all_vectors(self) -> list[FeatureVector]:
-        out = []
-        for d in self.doc_ids:
-            for p in self.passages_by_doc[d]:
-                out.append(self.vector(p))
-        return out
+    def matrix(self) -> FeatureMatrix:
+        """Every passage's features, documents in ``doc_ids`` order."""
+        passages = [p for d in self.doc_ids for p in self.passages_by_doc[d]]
+        return FeatureMatrix(
+            PSG_SCHEMA, self.query.query_id, [p.passage_id for p in passages],
+            [self.vector(p) for p in passages],
+        )
 
 
 def write_svmlight(
-    path: str | Path,
-    vectors: Sequence[FeatureVector],
-    grades: Mapping[tuple[str, str], int] | None = None,
+    path: str | Path, queries: Iterable[tuple[FeatureMatrix, Sequence[int]]]
 ) -> None:
-    """SVMlight-style dump: 'grade qid:Q 1:v1 2:v2 ... # item_id'."""
-    grades = grades or {}
+    """SVMlight-style dump, one row per matrix row and its grade:
+    'grade qid:Q 1:v1 2:v2 ... # item_id'."""
     with Path(path).open("w", encoding="utf-8") as f:
-        for v in vectors:
-            grade = grades.get((v.query_id, v.item_id), 0)
-            feats = " ".join(f"{i}:{x!r}" for i, x in enumerate(v.values, start=1))
-            f.write(f"{grade} qid:{v.query_id} {feats} # {v.item_id}\n")
+        for matrix, grades in queries:
+            for item_id, row, grade in zip(matrix.item_ids, matrix.values.tolist(), grades):
+                feats = " ".join(f"{i}:{x!r}" for i, x in enumerate(row, start=1))
+                f.write(f"{int(grade)} qid:{matrix.query_id} {feats} # {item_id}\n")
 
 
 def read_svmlight(
     path: str | Path, schema: FeatureSchema
-) -> list[tuple[str, str, FeatureVector, int]]:
-    """Read a dump produced by :func:`write_svmlight`."""
-    rows = []
+) -> list[tuple[FeatureMatrix, list[int]]]:
+    """Read a dump produced by :func:`write_svmlight`: one feature matrix and
+    its grades per query, queries and rows in first-appearance order.
+    Features absent from a row read as 0."""
+    queries: dict[str, tuple[list[str], list[list[float]], list[int]]] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         body, _, comment = line.partition("#")
-        item_id = comment.strip()
         parts = body.split()
-        if len(parts) < 2 or not parts[1].startswith("qid:"):
-            raise ValueError(f"{path}:{lineno}: malformed SVMlight row")
-        grade = int(parts[0])
-        qid = parts[1][4:]
-        values = [0.0] * len(schema)
-        for field in parts[2:]:
-            idx, _, val = field.partition(":")
-            values[int(idx) - 1] = float(val)
-        rows.append((qid, item_id, FeatureVector(schema, tuple(values), qid, item_id), grade))
-    return rows
+        try:
+            if len(parts) < 2 or not parts[1].startswith("qid:"):
+                raise ValueError("expected 'grade qid:Q index:value ... # item_id'")
+            grade = int(parts[0])
+            values = [0.0] * len(schema)
+            for field in parts[2:]:
+                idx, _, val = field.partition(":")
+                i = int(idx)
+                if not 1 <= i <= len(schema):
+                    raise ValueError(f"feature index {i} outside 1..{len(schema)}")
+                values[i - 1] = float(val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed SVMlight row: {exc}") from None
+        item_ids, rows, grades = queries.setdefault(parts[1][4:], ([], [], []))
+        item_ids.append(comment.strip())
+        rows.append(values)
+        grades.append(grade)
+    return [
+        (FeatureMatrix(schema, qid, item_ids, rows), grades)
+        for qid, (item_ids, rows, grades) in queries.items()
+    ]

@@ -24,6 +24,9 @@ INDEX_VERSION = 1
 # Substitute for log(0) in SDM sums; min-max normalization absorbs it.
 LOG_FLOOR = -50.0
 
+# SDM's unordered window, in tokens (Metzler & Croft, SIGIR 2005).
+SDM_WINDOW = 8
+
 
 class IndexError_(ValueError):
     """Index build/load inconsistency."""
@@ -161,15 +164,15 @@ class PositionalIndex:
             self._pair_cache[key] = cached
         return cached
 
-    def window_pair_count(self, a: str, b: str, window: int = 8) -> int:
-        key = ("u", a, b, window)
+    def window_pair_count(self, a: str, b: str) -> int:
+        key = ("u", a, b)
         cached = self._pair_cache.get(key)
         if cached is None:
-            cached = self._scan_pairs(a, b, ordered=False, window=window)
+            cached = self._scan_pairs(a, b, ordered=False)
             self._pair_cache[key] = cached
         return cached
 
-    def _scan_pairs(self, a: str, b: str, ordered: bool, window: int = 8) -> int:
+    def _scan_pairs(self, a: str, b: str, ordered: bool) -> int:
         docs_a = {d: p for d, p in self.postings.get(a, ())}
         docs_b = {d: p for d, p in self.postings.get(b, ())}
         total = 0
@@ -177,7 +180,7 @@ class PositionalIndex:
             if ordered:
                 total += count_ordered_pairs(docs_a[doc_id], docs_b[doc_id])
             else:
-                total += count_window_pairs(docs_a[doc_id], docs_b[doc_id], a == b, window)
+                total += count_window_pairs(docs_a[doc_id], docs_b[doc_id], a == b)
         return total
 
     # -- persistence --
@@ -376,15 +379,14 @@ def count_window_pairs(
     positions_a: Sequence[int],
     positions_b: Sequence[int],
     same_term: bool,
-    window: int = 8,
 ) -> int:
-    """Unordered co-occurrences of a and b within a window of `window` tokens.
+    """Unordered co-occurrences of a and b within a window of SDM_WINDOW tokens.
 
-    A pair of occurrences counts when both fit inside a span of `window`
-    consecutive positions (|i - j| <= window - 1). For a == b, each
+    A pair of occurrences counts when both fit inside a span of SDM_WINDOW
+    consecutive positions (|i - j| <= SDM_WINDOW - 1). For a == b, each
     unordered occurrence pair counts once.
     """
-    span = window - 1
+    span = SDM_WINDOW - 1
     total = 0
     if same_term:
         pos = sorted(positions_a)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .features import FeatureMatrix, FeatureSchema, FeatureVector, SchemaError
+from .features import FeatureMatrix, FeatureSchema, SchemaError
 from .passage import Passage, char_overlap
 
 MODEL_VERSION = 1
@@ -50,18 +50,6 @@ def passage_grade(passage: Passage, spans: Iterable[tuple[int, int]] | None) -> 
         return 0
     overlap, total = char_overlap(passage, spans)
     return bucket_grade(overlap / total) if total else 0
-
-
-@dataclass(frozen=True)
-class GradedExample:
-    query_id: str
-    item_id: str
-    vector: FeatureVector
-    grade: int
-
-    def __post_init__(self):
-        if self.grade < 0:
-            raise ValueError(f"grade must be >= 0, got {self.grade}")
 
 
 @dataclass(frozen=True)
@@ -127,23 +115,6 @@ class TrainingSet:
         if any(m.schema != kept[0][0].schema for m, _ in kept):
             raise SchemaError("training examples mix feature schemas")
         self.queries: tuple[tuple[FeatureMatrix, np.ndarray], ...] = tuple(kept)
-
-    @classmethod
-    def from_examples(cls, data: Sequence[GradedExample]) -> "TrainingSet":
-        """Group per-row examples by query, keeping their order."""
-        groups: dict[str, list[GradedExample]] = {}
-        for ex in data:
-            groups.setdefault(ex.query_id, []).append(ex)
-        queries = []
-        for qid, group in groups.items():
-            schema = group[0].vector.schema
-            if any(ex.vector.schema != schema for ex in group):
-                raise SchemaError("training examples mix feature schemas")
-            matrix = FeatureMatrix(
-                schema, qid, [ex.item_id for ex in group], [ex.vector.values for ex in group]
-            )
-            queries.append((matrix, [ex.grade for ex in group]))
-        return cls(queries)
 
     def __len__(self) -> int:
         return sum(len(m) for m, _ in self.queries)

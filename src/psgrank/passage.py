@@ -122,6 +122,20 @@ def neighbors(p: Passage, doc_passages: Sequence[Passage]) -> tuple[Passage, Pas
     return pre, follow
 
 
+def merge_intervals(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The union of half-open intervals as sorted, disjoint, non-touching
+    intervals; empty intervals are dropped."""
+    merged: list[tuple[int, int]] = []
+    for s, e in sorted(intervals):
+        if e <= s:
+            continue
+        if merged and s <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+        else:
+            merged.append((s, e))
+    return merged
+
+
 def char_overlap(
     p: Passage, spans: Iterable[tuple[int, int]]
 ) -> tuple[int, int]:
@@ -131,22 +145,8 @@ def char_overlap(
     relevant characters used for grade bucketing.
     """
     lo, hi = p.char_range
-    passage_chars = hi - lo
-    clipped = sorted(
-        (max(s, lo), min(e, hi)) for s, e in spans if min(e, hi) > max(s, lo)
-    )
-    overlap = 0
-    cur_start, cur_end = None, None
-    for s, e in clipped:
-        if cur_end is None or s > cur_end:
-            if cur_end is not None:
-                overlap += cur_end - cur_start
-            cur_start, cur_end = s, e
-        else:
-            cur_end = max(cur_end, e)
-    if cur_end is not None:
-        overlap += cur_end - cur_start
-    return overlap, passage_chars
+    clipped = merge_intervals((max(s, lo), min(e, hi)) for s, e in spans)
+    return sum(e - s for s, e in clipped), hi - lo
 
 
 def passage_stems(doc: Document, p: Passage) -> list[str]:

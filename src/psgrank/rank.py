@@ -137,6 +137,20 @@ def rr_score(item_id: str, ranked: RankedList, nu: float) -> float:
     return 1.0 / (nu + ranked.rank_of(item_id))
 
 
+def _fuse(
+    doc_list: RankedList, other_ranks: Mapping[str, int], params: FusionParams
+) -> RankedList:
+    """Score(d) = alpha/(nu + r) + (1 - alpha)/(nu + r'), with r the rank of d
+    in ``doc_list`` and r' its rank in ``other_ranks``; a document without
+    r' gets a zero second term."""
+    scores = {}
+    for doc_id, rank in doc_list.ranks().items():
+        other = other_ranks.get(doc_id)
+        term = 1.0 / (params.nu + other) if other is not None else 0.0
+        scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * term
+    return RankedList.from_scores(doc_list.query_id, scores)
+
+
 def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams) -> RankedList:
     """Fuse a document ranking with each document's best passage rank.
 
@@ -144,18 +158,12 @@ def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams)
     passages of 1/(nu + rank_psg); a document with no ranked passage gets
     a zero passage term.
     """
-    doc_ranks = doc_list.ranks()
+    # 1/(nu + r) falls with r, so the best passage rank gives the max.
     best_ranks = psg_list.best_passage_ranks()
-    unknown = best_ranks.keys() - doc_ranks.keys()
+    unknown = best_ranks.keys() - doc_list.ranks().keys()
     if unknown:
         raise ValueError(f"passages reference documents outside the list: {sorted(unknown)[:3]}")
-    scores = {}
-    for doc_id, rank in doc_ranks.items():
-        # 1/(nu + r) falls with r, so the best passage rank gives the max.
-        best_rank = best_ranks.get(doc_id)
-        best = 1.0 / (params.nu + best_rank) if best_rank is not None else 0.0
-        scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * best
-    return RankedList.from_scores(doc_list.query_id, scores)
+    return _fuse(doc_list, best_ranks, params)
 
 
 def smpd_features(
@@ -317,30 +325,36 @@ def _selected_ids(
     return out
 
 
-def jpds_schema(include_query_length: bool = False, two_passages: bool = False):
-    """Joint document+passage schema; 24 features without QueryLength, 25 with."""
-    exclusions = {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
+def jpds_schema(
+    doc_schema: FeatureSchema = DOC_SCHEMA,
+    psg_schema: FeatureSchema = PSG_SCHEMA,
+    include_query_length: bool = False,
+    two_passages: bool = False,
+) -> FeatureSchema:
+    """Joint document+passage schema: the document features as ``d.*``, the
+    passage's as ``p.*`` and, for two passages, the second's as ``p2.*``.
+
+    Over the full schemas it has 24 features without QueryLength and 25
+    with. Excluding a feature already removed upstream (e.g. by the
+    ablation harness) is a no-op.
+    """
+    present = set(psg_schema.features)
+    base = {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
     schema = concat_schemas(
-        DOC_SCHEMA,
-        PSG_SCHEMA,
-        name="jpd2" if two_passages else "jpds",
-        a_prefix="d.",
-        b_prefix="p.",
-        exclusions=exclusions,
+        doc_schema, psg_schema, name="jpd2" if two_passages else "jpds",
+        a_prefix="d.", b_prefix="p.", exclusions=base & present,
     )
     if two_passages:
         schema = concat_schemas(
-            schema,
-            PSG_SCHEMA,
-            name="jpd2",
-            b_prefix="p2.",
-            exclusions=JPD2_SECOND_EXCLUSIONS,
+            schema, psg_schema, name="jpd2", b_prefix="p2.",
+            exclusions=JPD2_SECOND_EXCLUSIONS & present,
         )
     return schema
 
 
-def _kept_columns(schema: FeatureSchema, exclusions: Iterable[str]) -> list[int]:
-    return [i for i, f in enumerate(schema.features) if f not in exclusions]
+def _source_columns(schema: FeatureSchema, prefix: str, source: FeatureSchema) -> list[int]:
+    """The columns of ``source`` that ``schema`` holds under ``prefix``, in its order."""
+    return [source.index_of(f[len(prefix):]) for f in schema.features if f.startswith(prefix)]
 
 
 def build_jpds_vectors(
@@ -359,32 +373,20 @@ def build_jpds_vectors(
     two-passage variant also appends the second-ranked passage's row
     with its redundant features removed.
     """
-    psg_schema = psg_vectors.schema
-    base_exclusions = (
-        {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
-    )
-    # Exclusions are a no-op for features already removed upstream
-    # (e.g. by the ablation harness).
-    exclusions = base_exclusions & set(psg_schema.features)
-    schema = concat_schemas(
-        doc_vectors.schema, psg_schema, name="jpd2" if two_passages else "jpds",
-        a_prefix="d.", b_prefix="p.", exclusions=exclusions,
+    schema = jpds_schema(
+        doc_vectors.schema, psg_vectors.schema, include_query_length, two_passages
     )
     doc_ids = doc_list.ids()
 
-    def passage_rows(which: str, excluded: set[str]) -> np.ndarray:
+    def passage_rows(which: str, prefix: str) -> np.ndarray:
         chosen = _selected_ids(doc_ids, psg_vectors, passages_by_doc, psg_list, which)
         rows = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
-        return rows[:, _kept_columns(psg_schema, excluded)]
+        return rows[:, _source_columns(schema, prefix, psg_vectors.schema)]
 
-    blocks = [doc_vectors.take(doc_ids).values, passage_rows(which, exclusions)]
+    blocks = [doc_vectors.take(doc_ids).values, passage_rows(which, "p.")]
     if two_passages:
         # With fewer than two ranked passages the second pick is the first.
-        second_exclusions = JPD2_SECOND_EXCLUSIONS & set(psg_schema.features)
-        schema = concat_schemas(
-            schema, psg_schema, name="jpd2", b_prefix="p2.", exclusions=second_exclusions
-        )
-        blocks.append(passage_rows("second", second_exclusions))
+        blocks.append(passage_rows("second", "p2."))
     values = np.concatenate(blocks, axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
@@ -410,7 +412,7 @@ def build_jpdm_vectors(
         doc_vectors.schema, psg_schema, name=f"jpdm-{agg}", a_prefix="d.",
         b_prefix=f"{agg}.", exclusions=exclusions,
     )
-    kept = _kept_columns(psg_schema, exclusions)
+    kept = _source_columns(schema, f"{agg}.", psg_schema)
     fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
     doc_ids = doc_list.ids()
     aggs = []
@@ -442,14 +444,7 @@ def rerank_fpd(
 ) -> RankedList:
     """Fuse the original document ranking with a ranking produced by a
     model over best-passage features, reciprocal-rank style on both."""
-    doc_ranks = doc_list.ranks()
-    model_ranks = model_ranking.ranks()
-    scores = {}
-    for doc_id, rank in doc_ranks.items():
-        mrank = model_ranks.get(doc_id)
-        passage_term = 1.0 / (params.nu + mrank) if mrank is not None else 0.0
-        scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * passage_term
-    return RankedList.from_scores(doc_list.query_id, scores)
+    return _fuse(doc_list, model_ranking.ranks(), params)
 
 
 def _normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:

@@ -2,9 +2,10 @@
 feature, kept as references.
 
 The package carries one FeatureMatrix per query and schema. These loops
-build one FeatureVector, one score or one difference row at a time, in the
-order the matrix code must reproduce, so tests can require ``==`` between
-the two. Rank maps are rebuilt here on every call, as the loops once did.
+build one (item_id, values) row, one score or one difference row at a time,
+in the order the matrix code must reproduce, so tests can require ``==``
+between the two. A joint builder's reference also derives the output schema
+on its own. Rank maps are rebuilt here on every call, as the loops once did.
 
 Concept profiles are id -> value dicts here, scored one document at a time
 by the scalar LM formula; the package keeps them as rank arrays scored from
@@ -22,33 +23,43 @@ from collections import defaultdict
 import numpy as np
 
 from psgrank.corpus import Token
-from psgrank.features import (
-    DOC_SCHEMA, FeatureSchema, FeatureVector, _cosine, concat, concat_schemas,
-)
+from psgrank.features import DOC_SCHEMA, FeatureSchema, _cosine, concat_schemas
 from psgrank.index import doc_lm_similarity
 from psgrank.rank import (
     JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, RankedList, smpd_features,
 )
 
 
+def rows_of(matrix):
+    """A feature matrix as (schema, [(item_id, values)]), values as float tuples."""
+    return matrix.schema, [(i, tuple(r)) for i, r in zip(matrix.item_ids, matrix.values.tolist())]
+
+
+def table_of(matrix):
+    """A feature matrix as (schema, {item_id: values})."""
+    schema, rows = rows_of(matrix)
+    return schema, dict(rows)
+
+
 def ranks(ranked) -> dict[str, int]:
     return {item_id: r for r, (item_id, _) in enumerate(ranked.entries, start=1)}
 
 
-def difference_rows(examples, max_pairs: int, seed: int) -> np.ndarray:
-    """x_hi - x_lo for every within-query pair with grade_hi > grade_lo:
-    queries by id, items by id, hi outer and lo inner; then a seeded
-    subsample of max_pairs rows kept in order."""
+def difference_rows(rows, max_pairs: int, seed: int) -> np.ndarray:
+    """x_hi - x_lo for every within-query pair with grade_hi > grade_lo, from
+    (query_id, item_id, values, grade) rows: queries by id, items by id, hi
+    outer and lo inner; then a seeded subsample of max_pairs rows kept in
+    order."""
     groups = {}
-    for ex in examples:
-        groups.setdefault(ex.query_id, []).append(ex)
+    for row in rows:
+        groups.setdefault(row[0], []).append(row)
     diffs = []
     for qid in sorted(groups):
-        group = sorted(groups[qid], key=lambda e: e.item_id)
-        for hi in group:
-            for lo in group:
-                if hi.grade > lo.grade:
-                    diffs.append(np.subtract(hi.vector.values, lo.vector.values))
+        group = sorted(groups[qid], key=lambda r: r[1])
+        for _, _, hi_values, hi_grade in group:
+            for _, _, lo_values, lo_grade in group:
+                if hi_grade > lo_grade:
+                    diffs.append(np.subtract(hi_values, lo_values))
     mat = np.array(diffs, dtype=float)
     if len(mat) > max_pairs:
         rng = np.random.default_rng(seed)
@@ -57,22 +68,19 @@ def difference_rows(examples, max_pairs: int, seed: int) -> np.ndarray:
     return mat
 
 
-def minmax_rows(vectors) -> list[FeatureVector]:
-    mat = np.array([v.values for v in vectors], dtype=float)
+def minmax_rows(rows) -> list[tuple[str, tuple]]:
+    mat = np.array([values for _, values in rows], dtype=float)
     lo = mat.min(axis=0)
     hi = mat.max(axis=0)
     span = hi - lo
     safe = np.where(span > 0, span, 1.0)
     normed = np.where(span > 0, (mat - lo) / safe, 0.0)
-    return [
-        FeatureVector(v.schema, tuple(row), v.query_id, v.item_id)
-        for row, v in zip(normed, vectors)
-    ]
+    return [(item_id, tuple(row.tolist())) for (item_id, _), row in zip(rows, normed)]
 
 
-def score_rows(weights, vectors) -> dict[str, float]:
+def score_rows(weights, rows) -> dict[str, float]:
     w = np.array(weights)
-    return {v.item_id: float(np.dot(w, v.values)) for v in vectors}
+    return {item_id: float(np.dot(w, values)) for item_id, values in rows}
 
 
 def select_passage(doc_passages, psg_list, which: str):
@@ -89,97 +97,99 @@ def select_passage(doc_passages, psg_list, which: str):
     return ranked[idx] if idx < len(ranked) else ranked[-1]
 
 
-def _fallback(doc_passages, psg_vectors):
-    schema = psg_vectors[doc_passages[0].passage_id].schema
+def _fallback(doc_passages, psgs):
+    schema, values = psgs
     if "PsgQuerySim" not in schema.features:
         return doc_passages[0]
-    return max(
-        doc_passages,
-        key=lambda p: (psg_vectors[p.passage_id].value_of("PsgQuerySim"), p.passage_id),
+    col = schema.index_of("PsgQuerySim")
+    return max(doc_passages, key=lambda p: (values[p.passage_id][col], p.passage_id))
+
+
+def _joined(left, schema, right, exclusions) -> tuple:
+    """``left`` followed by the values of ``right`` whose feature is kept."""
+    return tuple(left) + tuple(v for f, v in zip(schema.features, right) if f not in exclusions)
+
+
+def smpd_rows(doc_list, docs, passages_by_doc, psg_list, nu):
+    doc_schema, doc_values = docs
+    schema = (
+        SMPD_SCHEMA
+        if doc_schema == DOC_SCHEMA
+        else concat_schemas(
+            doc_schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
+            name="smpd", a_prefix="d.", b_prefix="p.",
+        )
     )
-
-
-def smpd_rows(doc_list, doc_vectors, passages_by_doc, psg_list, nu):
     out = []
     for doc_id, _ in doc_list:
         stats = smpd_features([p.passage_id for p in passages_by_doc[doc_id]], psg_list, nu)
-        dv = doc_vectors[doc_id]
-        schema = (
-            SMPD_SCHEMA
-            if dv.schema == DOC_SCHEMA
-            else concat_schemas(
-                dv.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
-                name="smpd", a_prefix="d.", b_prefix="p.",
-            )
-        )
-        out.append(FeatureVector(schema, tuple(dv.values) + tuple(stats), dv.query_id, doc_id))
-    return out
+        out.append((doc_id, tuple(doc_values[doc_id]) + tuple(stats)))
+    return schema, out
 
 
 def jpds_rows(
-    doc_list, doc_vectors, psg_vectors, passages_by_doc, psg_list, which="best",
+    doc_list, docs, psgs, passages_by_doc, psg_list, which="best",
     two_passages=False, include_query_length=False,
 ):
+    doc_schema, doc_values = docs
+    psg_schema, psg_values = psgs
     base = {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
+    first = base & set(psg_schema.features)
+    second_excl = JPD2_SECOND_EXCLUSIONS & set(psg_schema.features)
+    schema = concat_schemas(
+        doc_schema, psg_schema, name="jpd2" if two_passages else "jpds",
+        a_prefix="d.", b_prefix="p.", exclusions=first,
+    )
+    if two_passages:
+        schema = concat_schemas(
+            schema, psg_schema, name="jpd2", b_prefix="p2.", exclusions=second_excl
+        )
     out = []
     for doc_id, _ in doc_list:
         passages = passages_by_doc[doc_id]
         chosen = select_passage(passages, psg_list, which)
         if chosen is None:
-            chosen = _fallback(passages, psg_vectors)
-        psg_features = set(psg_vectors[chosen.passage_id].schema.features)
-        vec = concat(
-            doc_vectors[doc_id], psg_vectors[chosen.passage_id],
-            exclusions=base & psg_features, name="jpd2" if two_passages else "jpds",
-            a_prefix="d.", b_prefix="p.",
-        )
+            chosen = _fallback(passages, psgs)
+        values = _joined(doc_values[doc_id], psg_schema, psg_values[chosen.passage_id], first)
         if two_passages:
             second = select_passage(passages, psg_list, "second")
             if second is None:
                 second = chosen
-            vec = concat(
-                vec, psg_vectors[second.passage_id],
-                exclusions=JPD2_SECOND_EXCLUSIONS & psg_features, name="jpd2", b_prefix="p2.",
-            )
-        out.append(FeatureVector(vec.schema, vec.values, vec.query_id, doc_id))
-    return out
+            values = _joined(values, psg_schema, psg_values[second.passage_id], second_excl)
+        out.append((doc_id, values))
+    return schema, out
 
 
-def jpdm_rows(doc_list, doc_vectors, psg_vectors, passages_by_doc, agg):
+def jpdm_rows(doc_list, docs, psgs, passages_by_doc, agg):
+    doc_schema, doc_values = docs
+    psg_schema, psg_values = psgs
+    exclusions = ({"PsgQuerySim"} if agg in ("avg", "max") else set()) & set(
+        psg_schema.features
+    )
+    schema = concat_schemas(
+        doc_schema, psg_schema, name=f"jpdm-{agg}", a_prefix="d.",
+        b_prefix=f"{agg}.", exclusions=exclusions,
+    )
+    kept = [psg_schema.index_of(f) for f in psg_schema.features if f not in exclusions]
+    fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
     out = []
     for doc_id, _ in doc_list:
-        passages = passages_by_doc[doc_id]
-        psg_schema = psg_vectors[passages[0].passage_id].schema
-        exclusions = ({"PsgQuerySim"} if agg in ("avg", "max") else set()) & set(
-            psg_schema.features
-        )
-        schema = concat_schemas(
-            doc_vectors[doc_id].schema, psg_schema, name=f"jpdm-{agg}", a_prefix="d.",
-            b_prefix=f"{agg}.", exclusions=exclusions,
-        )
-        kept = [psg_schema.index_of(f) for f in psg_schema.features if f not in exclusions]
-        fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
-        mat = np.array([psg_vectors[p.passage_id].values for p in passages], dtype=float)
+        mat = np.array([psg_values[p.passage_id] for p in passages_by_doc[doc_id]], dtype=float)
         agg_vals = fn(mat[:, kept], axis=0)
-        dv = doc_vectors[doc_id]
-        out.append(
-            FeatureVector(
-                schema, tuple(dv.values) + tuple(float(v) for v in agg_vals), dv.query_id, doc_id
-            )
-        )
-    return out
+        out.append((doc_id, tuple(doc_values[doc_id]) + tuple(float(v) for v in agg_vals)))
+    return schema, out
 
 
-def fpd_rows(doc_list, psg_vectors, passages_by_doc, psg_list):
+def fpd_rows(doc_list, psgs, passages_by_doc, psg_list):
+    psg_schema, psg_values = psgs
     out = []
     for doc_id, _ in doc_list:
         passages = passages_by_doc[doc_id]
         chosen = select_passage(passages, psg_list, "best")
         if chosen is None:
-            chosen = _fallback(passages, psg_vectors)
-        base = psg_vectors[chosen.passage_id]
-        out.append(FeatureVector(base.schema, base.values, base.query_id, doc_id))
-    return out
+            chosen = _fallback(passages, psgs)
+        out.append((doc_id, tuple(psg_values[chosen.passage_id])))
+    return psg_schema, out
 
 
 def rrf_scores(doc_list, psg_list, nu: float, alpha: float) -> dict[str, float]:

@@ -21,14 +21,12 @@ from psgrank.features import (
     PSG_SCHEMA,
     FeatureMatrix,
     FeatureSchema,
-    FeatureVector,
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
 )
 from psgrank.index import LmParams, build_index, doc_lm_similarity, lm_similarity, sdm_components
 from psgrank.ltr import (
-    GradedExample,
     TrainingSet,
     bucket_grade,
     ndcg_at_k,
@@ -116,7 +114,7 @@ def test_criterion_1_formula_oracles():
             oracles.sw2(lower, set(TINY_STOPWORDS)),
             oracles.entropy(stems[doc_id]),
         )
-        ok &= _approx_rel(vec.values, exp)
+        ok &= _approx_rel(vec, exp)
     # 20 passage features with full semantic resources.
     seg = SegmentationParams(window_len=10)
     doc_ids = sorted(texts)[:10]
@@ -137,7 +135,7 @@ def test_criterion_1_formula_oracles():
     )
     for d in doc_ids:
         for p in passages_by_doc[d]:
-            got = extractor.vector(p).values
+            got = extractor.vector(p)
             exp = oracles.passage_feature_vector(
                 query, store, passages_by_doc, resources, mu, p, set(TINY_STOPWORDS)
             )
@@ -301,27 +299,28 @@ def test_criterion_4_metric_oracles():
 def test_criterion_5_trainer_properties(tmp_path):
     schema = FeatureSchema("t", ("f0", "f1"))
 
-    def ex(qid, item, values, grade):
-        return GradedExample(qid, item, FeatureVector(schema, values, qid, item), grade)
+    def query(qid, rows):
+        """One query's (matrix, grades) from (item_id, values, grade) rows."""
+        matrix = FeatureMatrix(schema, qid, [i for i, _, _ in rows], [v for _, v, _ in rows])
+        return matrix, [g for _, _, g in rows]
 
     # Pairwise: separable data reaches 0 errors within 200 epochs.
     rng = np.random.default_rng(7)
     data = []
     for q in range(3):
+        rows = []
         for i in range(6):
             grade = i % 2
             base = 1.0 if grade else -1.0
-            data.append(
-                ex(f"q{q}", f"i{i}", (base + float(rng.normal(0, 0.1)), float(rng.normal())), grade)
-            )
-    model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=200, seed=1)
+            rows.append((f"i{i}", (base + float(rng.normal(0, 0.1)), float(rng.normal())), grade))
+        data.append(query(f"q{q}", rows))
+    model = train_pairwise(TrainingSet(data), c=1.0, epochs=200, seed=1)
     diffs = []
-    for q in range(3):
-        group = [e for e in data if e.query_id == f"q{q}"]
-        for hi in group:
-            for lo in group:
-                if hi.grade > lo.grade:
-                    diffs.append(np.subtract(hi.vector.values, lo.vector.values))
+    for matrix, grades in data:
+        for hi, hi_grade in zip(matrix.values, grades):
+            for lo, lo_grade in zip(matrix.values, grades):
+                if hi_grade > lo_grade:
+                    diffs.append(np.subtract(hi, lo))
     errors = pairwise_error_count(np.array(model.weights), np.array(diffs))
     ok = errors == 0
 
@@ -330,24 +329,21 @@ def test_criterion_5_trainer_properties(tmp_path):
     ca_data = []
     rng = np.random.default_rng(8)
     for q in range(3):
+        rows = []
         for i in range(10):
             grade = int(rng.integers(0, 4))
-            ca_data.append(ex(f"q{q}", f"i{i:02d}", (float(grade), float(rng.normal())), grade))
+            rows.append((f"i{i:02d}", (float(grade), float(rng.normal())), grade))
+        ca_data.append(query(f"q{q}", rows))
     trace = []
-    ca_model = train_coordinate_ascent(
-        TrainingSet.from_examples(ca_data), restarts=2, seed=3, trace=trace
-    )
+    ca_model = train_coordinate_ascent(TrainingSet(ca_data), restarts=2, seed=3, trace=trace)
     by_restart = {}
     for restart, obj in trace:
         by_restart.setdefault(restart, []).append(obj)
     ok &= all(objs == sorted(objs) for objs in by_restart.values())
-    groups = {}
-    for e in ca_data:
-        groups.setdefault(e.query_id, []).append(e)
     ndcgs = []
-    for group in groups.values():
-        run = score(ca_model, FeatureMatrix.from_vectors([e.vector for e in group]))
-        ndcgs.append(ndcg_at_k(run, {e.item_id: e.grade for e in group}, 10))
+    for matrix, grades in ca_data:
+        run = score(ca_model, matrix)
+        ndcgs.append(ndcg_at_k(run, dict(zip(matrix.item_ids, grades)), 10))
     ok &= sum(ndcgs) / len(ndcgs) == pytest.approx(1.0)
 
     # Byte-identical retraining with identical seeds.
@@ -355,8 +351,8 @@ def test_criterion_5_trainer_properties(tmp_path):
         (train_pairwise, {"c": 0.5, "epochs": 80, "seed": 5}),
         (train_coordinate_ascent, {"restarts": 2, "seed": 5}),
     ):
-        trainer(TrainingSet.from_examples(data), **kwargs).save(tmp_path / "m1.json")
-        trainer(TrainingSet.from_examples(data), **kwargs).save(tmp_path / "m2.json")
+        trainer(TrainingSet(data), **kwargs).save(tmp_path / "m1.json")
+        trainer(TrainingSet(data), **kwargs).save(tmp_path / "m2.json")
         ok &= (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
     _report(5, "trainer properties", ok)
 

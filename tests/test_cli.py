@@ -106,6 +106,34 @@ class TestFeaturesAndTrain:
         assert all("qid:q1" in line for line in lines)
 
 
+class TestTrainInputValidation:
+    GOOD_ROWS = "1 qid:q1 1:0.5 2:0.25 # a\n0 qid:q1 1:0.0 2:1.0 # b\n"
+    SIDECAR = {"name": "s", "features": ["f0", "f1"]}
+
+    @pytest.mark.parametrize(
+        "rows,sidecar,code,message",
+        [
+            # Index 0 once landed in the last feature, and training went on.
+            (GOOD_ROWS + "0 qid:q1 0:0.2 # c\n", SIDECAR, 2, "feats.txt:3: malformed SVMlight"),
+            (GOOD_ROWS + "0 qid:q1 3: # c\n", SIDECAR, 2, "index 3 outside 1..2"),
+            (GOOD_ROWS, {"features": ["f0", "f1"]}, 1, '"name" string'),
+            (GOOD_ROWS, {"name": "s"}, 1, '"features" list'),
+        ],
+        ids=["index-0", "index-past-schema", "sidecar-without-name", "sidecar-without-features"],
+    )
+    def test_bad_dump_or_sidecar_exits_without_traceback(
+        self, tmp_path, capsys, rows, sidecar, code, message
+    ):
+        (tmp_path / "feats.txt").write_text(rows)
+        (tmp_path / "feats.txt.schema.json").write_text(json.dumps(sidecar))
+        rc = main(
+            ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json"]
+        )
+        assert rc == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestEvalCommand:
     def test_perfect_run_map_one(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"

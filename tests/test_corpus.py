@@ -17,6 +17,7 @@ from psgrank.corpus import (
     load_topics,
 )
 from psgrank.features import (
+    DOC_SCHEMA,
     PSG_SCHEMA,
     PassageFeatureExtractor,
     SemanticResources,
@@ -362,9 +363,10 @@ class TestColumnarStore:
         sw1, sw2, nonstop = (PSG_SCHEMA.index_of(f) for f in ("SW1", "SW2", "PsgLength"))
         for doc in store.documents:
             tokens = doc.tokens
-            vec = doc_features(query, doc, index, LmParams(50.0), stopwords)
-            assert vec.value_of("SW1") == row_references.stopword_fraction(tokens)
-            assert vec.value_of("SW2") == row_references.stopword_coverage(tokens, stopwords)
+            doc_values = doc_features(query, doc, index, LmParams(50.0), stopwords)
+            vec = dict(zip(DOC_SCHEMA.features, doc_values))
+            assert vec["SW1"] == row_references.stopword_fraction(tokens)
+            assert vec["SW2"] == row_references.stopword_coverage(tokens, stopwords)
             for p in passages_by_doc[doc.doc_id]:
                 unit = tokens[p.token_range[0] : p.token_range[1]]
                 ids = doc.stopword_ids[p.token_range[0] : p.token_range[1]]
@@ -372,7 +374,7 @@ class TestColumnarStore:
                 assert stopword_coverage(ids, stopwords) == row_references.stopword_coverage(
                     unit, stopwords
                 )
-                values = extractor.vector(p).values
+                values = extractor.vector(p)
                 assert values[sw1] == row_references.stopword_fraction(unit)
                 assert values[sw2] == row_references.stopword_coverage(unit, stopwords)
                 assert values[nonstop] == row_references.non_stopword_count(unit)

@@ -10,7 +10,6 @@ from psgrank.evaluation import (
     JudgmentSet,
     _intersect,
     _measure,
-    _merge_intervals,
     _subtract,
     average_precision,
     interpolated_precision,
@@ -23,6 +22,7 @@ from psgrank.evaluation import (
     regularized_incomplete_beta,
     student_t_two_tailed_p,
 )
+from psgrank.passage import merge_intervals
 from psgrank.rank import RankedList
 
 
@@ -176,7 +176,7 @@ class TestInterpolatedPrecision:
         # Reference: the (recall, precision) curve walked the same way, with
         # every iP[x] taken as a max over a rescan of the whole curve.
         def rescan(pids, passage_spans, rel, points):
-            rel = {d: _merge_intervals(spans) for d, spans in rel.items()}
+            rel = {d: merge_intervals(spans) for d, spans in rel.items()}
             total = sum(_measure(spans) for spans in rel.values())
             covered, retrieved, relevant, curve = {}, 0, 0, []
             for pid in pids:
@@ -185,7 +185,7 @@ class TestInterpolatedPrecision:
                 if new_parts:
                     retrieved += _measure(new_parts)
                     relevant += _intersect(new_parts, rel.get(doc_id, ()))
-                    covered[doc_id] = _merge_intervals(covered.get(doc_id, []) + new_parts)
+                    covered[doc_id] = merge_intervals(covered.get(doc_id, []) + new_parts)
                 curve.append((relevant / total, relevant / retrieved if retrieved else 0.0))
 
             def ip(x):

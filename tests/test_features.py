@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -13,12 +14,10 @@ from psgrank.features import (
     ConceptProfile,
     FeatureMatrix,
     FeatureSchema,
-    FeatureVector,
     PassageFeatureExtractor,
     SchemaError,
     SemanticResources,
     _is_subsequence,
-    concat,
     concat_schemas,
     doc_features,
     esa_retrieval_profile,
@@ -35,9 +34,14 @@ from psgrank.index import LmParams, build_index, retrieve_lm
 from psgrank.passage import SegmentationParams, segment
 
 
-def _vec(values, schema=None, qid="q", item="i"):
-    schema = schema or FeatureSchema("test", tuple(f"f{i}" for i in range(len(values))))
-    return FeatureVector(schema, tuple(values), qid, item)
+def _matrix(rows):
+    """One query's matrix from its rows, items and features named by position."""
+    schema = FeatureSchema("test", tuple(f"f{i}" for i in range(len(rows[0]))))
+    return FeatureMatrix(schema, "q", [str(i) for i in range(len(rows))], rows)
+
+
+def _column(matrix, feature):
+    return matrix.values[:, matrix.schema.index_of(feature)].tolist()
 
 
 class TestSchema:
@@ -54,7 +58,6 @@ class TestSchema:
         b = FeatureSchema("b", ("z",))
         combined = concat_schemas(a, b)
         assert len(combined) == 3
-        assert combined.boundaries == (0, 2)
 
     def test_concat_collision(self):
         a = FeatureSchema("a", ("x",))
@@ -76,67 +79,47 @@ class TestSchema:
         assert len(without_ql) == 24
         assert len(with_ql) == 25
 
-    def test_vector_concat_values(self):
-        a = _vec([1.0, 2.0], FeatureSchema("a", ("x", "y")))
-        b = _vec([3.0, 4.0], FeatureSchema("b", ("z", "w")))
-        combined = concat(a, b, exclusions={"z"}, a_prefix="d.", b_prefix="p.")
-        assert combined.values == (1.0, 2.0, 4.0)
-        assert combined.schema.features == ("d.x", "d.y", "p.w")
-
-    def test_vector_length_checked(self):
-        with pytest.raises(SchemaError):
-            FeatureVector(FeatureSchema("a", ("x",)), (1.0, 2.0), "q", "i")
-
     def test_non_finite_rejected(self):
-        with pytest.raises(SchemaError):
-            FeatureVector(FeatureSchema("a", ("x",)), (float("inf"),), "q", "i")
+        schema = FeatureSchema("a", ("x",))
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(SchemaError, match="non-finite feature value for item 'j'"):
+                FeatureMatrix(schema, "q", ("i", "j"), [[0.0], [bad]])
+
+    def test_concat_exclusions_and_prefixes(self):
+        a = FeatureSchema("a", ("x", "y"))
+        b = FeatureSchema("b", ("z", "w"))
+        combined = concat_schemas(a, b, exclusions={"z"}, a_prefix="d.", b_prefix="p.")
+        assert combined.features == ("d.x", "d.y", "p.w")
+        with pytest.raises(SchemaError, match="not in schema"):
+            concat_schemas(a, b, exclusions={"x"})
 
 
 class TestMinMaxNormalize:
     def test_basic(self):
-        schema = FeatureSchema("s", ("f",))
-        vecs = [_vec([v], schema, item=str(i)) for i, v in enumerate([2.0, 4.0, 6.0])]
-        normed = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
-        assert [v.values[0] for v in normed] == [0.0, 0.5, 1.0]
+        normed = minmax_normalize(_matrix([[2.0], [4.0], [6.0]]))
+        assert normed.values[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_maps_to_zero(self):
-        schema = FeatureSchema("s", ("f",))
-        vecs = [_vec([5.0], schema, item=str(i)) for i in range(2)]
-        normed = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
-        assert [v.values[0] for v in normed] == [0.0, 0.0]
+        normed = minmax_normalize(_matrix([[5.0], [5.0]]))
+        assert normed.values[:, 0].tolist() == [0.0, 0.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        schema = FeatureSchema("s", tuple(f"f{i}" for i in range(4)))
-        vecs = [
-            _vec(rng.uniform(-5, 5, size=4), schema, item=str(i)) for i in range(9)
-        ]
-        once = minmax_normalize(FeatureMatrix.from_vectors(vecs))
+        once = minmax_normalize(_matrix(rng.uniform(-5, 5, size=(9, 4))))
         twice = minmax_normalize(once)
-        for a, b in zip(once.vectors(), twice.vectors()):
-            assert a.values == pytest.approx(b.values, abs=1e-15)
-
-    def test_mixed_queries_rejected(self):
-        schema = FeatureSchema("s", ("f",))
-        vecs = [
-            FeatureVector(schema, (1.0,), "q1", "a"),
-            FeatureVector(schema, (2.0,), "q2", "b"),
-        ]
-        with pytest.raises(SchemaError):
-            minmax_normalize(FeatureMatrix.from_vectors(vecs))
+        assert twice.values.ravel().tolist() == pytest.approx(
+            once.values.ravel().tolist(), abs=1e-15
+        )
 
     def test_matrix_equals_per_row_formula(self):
-        import row_references
-
         rng = np.random.default_rng(33)
-        schema = FeatureSchema("s", tuple(f"f{i}" for i in range(7)))
         for n in (1, 2, 9, 166):
             mat = rng.normal(size=(n, 7)) * 10.0 ** rng.integers(-4, 4, size=(n, 7))
             mat[:, 2] = 3.25  # a constant column maps to 0
             mat[: n // 2, 5] = 0.0
-            vecs = [_vec(row, schema, item=f"i{i}") for i, row in enumerate(mat)]
-            got = minmax_normalize(FeatureMatrix.from_vectors(vecs)).vectors()
-            assert got == row_references.minmax_rows(vecs)
+            schema, rows = row_references.rows_of(_matrix(mat))
+            got = minmax_normalize(_matrix(mat))
+            assert row_references.rows_of(got) == (schema, row_references.minmax_rows(rows))
 
     def test_empty_matrix_passes_through(self):
         empty = FeatureMatrix(DOC_SCHEMA, "q", (), [])
@@ -156,7 +139,7 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
-    def test_rows_take_columns_and_vectors(self):
+    def test_rows_take_and_columns(self):
         schema = FeatureSchema("s", ("a", "b", "c"))
         m = FeatureMatrix(schema, "q", ("x", "y", "z"), np.arange(9.0).reshape(3, 3))
         assert m.rows(["z", "x"]) == [2, 0]
@@ -165,10 +148,6 @@ class TestFeatureMatrix:
         sub = m.columns(schema.without(["b"]))
         assert sub.values.tolist() == [[0, 2], [3, 5], [6, 8]]
         assert sub.values.flags.c_contiguous
-        assert m.vectors()[1] == FeatureVector(schema, (3.0, 4.0, 5.0), "q", "y")
-        assert FeatureMatrix.from_vectors(m.vectors()).values.tolist() == m.values.tolist()
-        with pytest.raises(ValueError):
-            FeatureMatrix.from_vectors([])
 
 
 class TestDocFeatures:
@@ -177,22 +156,22 @@ class TestDocFeatures:
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
         vec = doc_features(q, store.get("d1"), index, LmParams(10.0), tokenizer.stopwords)
-        assert vec.value_of("SW1") == pytest.approx(0.5)
+        assert vec[DOC_SCHEMA.index_of("SW1")] == pytest.approx(0.5)
 
     def test_entropy_uniform_four_terms(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat dog bird fish"})
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
         vec = doc_features(q, store.get("d1"), index, LmParams(10.0), tokenizer.stopwords)
-        assert vec.value_of("Ent") == pytest.approx(math.log(4))
+        assert vec[DOC_SCHEMA.index_of("Ent")] == pytest.approx(math.log(4))
 
     def test_empty_document(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat", "d2": ""})
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
         vec = doc_features(q, store.get("d2"), index, LmParams(10.0), tokenizer.stopwords)
-        assert vec.value_of("SW1") == 0.0
-        assert vec.value_of("Ent") == 0.0
+        assert vec[DOC_SCHEMA.index_of("SW1")] == 0.0
+        assert vec[DOC_SCHEMA.index_of("Ent")] == 0.0
 
     def test_all_six_against_oracle(self, store_factory, tokenizer):
         store = store_factory(
@@ -217,7 +196,7 @@ class TestDocFeatures:
                 oracles.sw2(lower, set(TINY_STOPWORDS)),
                 oracles.entropy(stems[doc.doc_id]),
             )
-            assert vec.values == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert vec == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def _psg_fixture(store_factory, tokenizer):
@@ -265,7 +244,7 @@ class TestPassageFeatures:
                     query, store, passages_by_doc, resources, mu, p,
                     set(TINY_STOPWORDS),
                 )
-                assert got.values == pytest.approx(expected, rel=1e-9, abs=1e-12), (
+                assert got == pytest.approx(expected, rel=1e-9, abs=1e-12), (
                     p.passage_id
                 )
 
@@ -281,11 +260,11 @@ class TestPassageFeatures:
             query, store, index, ["d1", "d2"], passages_by_doc,
             SemanticResources(), LmParams(100.0),
         )
-        vec = extractor.vector(passages_by_doc["d1"][0])
-        assert vec.value_of("LengthRatio") == 1.0
-        assert vec.value_of("PsgLocation") == 1.0
-        assert vec.value_of("MaxPDSim") == vec.value_of("AvgPDSim")
-        assert vec.value_of("StdPDSim") == 0.0
+        vec = dict(zip(PSG_SCHEMA.features, extractor.vector(passages_by_doc["d1"][0])))
+        assert vec["LengthRatio"] == 1.0
+        assert vec["PsgLocation"] == 1.0
+        assert vec["MaxPDSim"] == vec["AvgPDSim"]
+        assert vec["StdPDSim"] == 0.0
 
     def test_term_and_synonym_overlap_defaults(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat naps here", "d2": "bird sings"})
@@ -299,9 +278,9 @@ class TestPassageFeatures:
             query, store, index, ["d1", "d2"], passages_by_doc,
             SemanticResources(), LmParams(100.0),
         )
-        vec = extractor.vector(passages_by_doc["d1"][0])
-        assert vec.value_of("TermOverlap") == pytest.approx(0.5)
-        assert vec.value_of("SynonymsOverlap") == pytest.approx(0.5)
+        vec = dict(zip(PSG_SCHEMA.features, extractor.vector(passages_by_doc["d1"][0])))
+        assert vec["TermOverlap"] == pytest.approx(0.5)
+        assert vec["SynonymsOverlap"] == pytest.approx(0.5)
 
     def test_missing_resources_degrade_to_zero(self, store_factory, tokenizer):
         store, index, passages_by_doc, _, query = _psg_fixture(store_factory, tokenizer)
@@ -310,10 +289,10 @@ class TestPassageFeatures:
             query, store, index, sorted(passages_by_doc), passages_by_doc,
             resources, LmParams(30.0),
         )
-        vec = extractor.vector(passages_by_doc["d1"][0])
-        assert vec.value_of("W2V") == 0.0
-        assert vec.value_of("Entity") == 0.0
-        assert vec.value_of("ESA") == 0.0
+        vec = dict(zip(PSG_SCHEMA.features, extractor.vector(passages_by_doc["d1"][0])))
+        assert vec["W2V"] == 0.0
+        assert vec["Entity"] == 0.0
+        assert vec["ESA"] == 0.0
         assert len(resources.degradations()) == 4
 
     def test_normalized_sims_sum_to_one(self, store_factory, tokenizer):
@@ -324,12 +303,11 @@ class TestPassageFeatures:
             query, store, index, sorted(passages_by_doc), passages_by_doc,
             resources, LmParams(30.0),
         )
-        vectors = extractor.all_vectors()
-        total_psg = sum(v.value_of("PsgQuerySim") for v in vectors)
-        assert total_psg == pytest.approx(1.0, abs=1e-9)
+        matrix = extractor.matrix()
+        assert sum(_column(matrix, "PsgQuerySim")) == pytest.approx(1.0, abs=1e-9)
         per_doc = {}
-        for v in vectors:
-            per_doc.setdefault(v.item_id.rsplit("#", 1)[0], v.value_of("DocQuerySim"))
+        for item_id, sim in zip(matrix.item_ids, _column(matrix, "DocQuerySim")):
+            per_doc.setdefault(item_id.rsplit("#", 1)[0], sim)
         assert sum(per_doc.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_entity_jaccard_symmetric_and_bounded(self, store_factory, tokenizer):
@@ -367,7 +345,7 @@ class TestPassageFeatures:
         )
         vec = extractor.vector(passages_by_doc["d1"][0])
         assert set(top_tfidf_stems(Counter(["zebu", "yak"]), index)) == {"zebu", "yak"}
-        assert vec.value_of("ESA") == pytest.approx(1.0, abs=1e-12)
+        assert vec[PSG_SCHEMA.index_of("ESA")] == pytest.approx(1.0, abs=1e-12)
 
     def test_esa_cache_is_keyed_by_mu(self, store_factory, tokenizer):
         store, index, passages_by_doc, resources, query = _psg_fixture(
@@ -379,7 +357,7 @@ class TestPassageFeatures:
                 query, store, index, sorted(passages_by_doc), passages_by_doc,
                 resources, LmParams(mu), esa_cache=cache,
             )
-            return [v.value_of("ESA") for v in extractor.all_vectors()]
+            return _column(extractor.matrix(), "ESA")
 
         shared = {}
         warm_500 = esa_values(500.0, shared)
@@ -403,7 +381,7 @@ class TestPassageFeatures:
                 query, store, index, sorted(passages_by_doc), passages_by_doc,
                 SemanticResources(esa_index=index), LmParams(30.0),
             )
-            return {v.item_id: v.values for v in extractor.all_vectors()}
+            return row_references.table_of(extractor.matrix())
 
         assert extract(["d1", "d2", "d3"]) == extract(["d3", "d1", "d2"])
 
@@ -575,19 +553,65 @@ class TestResourceLoaders:
 
 
 class TestSvmlight:
+    SCHEMA = FeatureSchema("s", ("f0", "f1"))
+
     def test_round_trip(self, tmp_path):
-        schema = FeatureSchema("s", ("f0", "f1"))
-        vectors = [
-            FeatureVector(schema, (0.25, 1.5), "q1", "a"),
-            FeatureVector(schema, (0.0, -2.0), "q1", "b"),
-            FeatureVector(schema, (3.0, 0.125), "q2", "c"),
+        queries = [
+            (FeatureMatrix(self.SCHEMA, "q1", ("a", "b"), [[0.25, 1.5], [0.0, -2.0]]), [2, 0]),
+            (FeatureMatrix(self.SCHEMA, "q2", ("c",), [[3.0, 0.125]]), [1]),
         ]
-        grades = {("q1", "a"): 2, ("q2", "c"): 1}
         path = tmp_path / "feats.svmlight"
-        write_svmlight(path, vectors, grades)
-        rows = read_svmlight(path, schema)
-        assert [(q, i, g) for q, i, _, g in rows] == [
-            ("q1", "a", 2), ("q1", "b", 0), ("q2", "c", 1)
+        write_svmlight(path, queries)
+        got = read_svmlight(path, self.SCHEMA)
+        assert [(m.query_id, m.item_ids, g) for m, g in got] == [
+            ("q1", ("a", "b"), [2, 0]), ("q2", ("c",), [1])
         ]
-        assert rows[0][2].values == (0.25, 1.5)
-        assert rows[1][2].values == (0.0, -2.0)
+        assert got[0][0].values.tolist() == [[0.25, 1.5], [0.0, -2.0]]
+        assert got[0][0].schema == self.SCHEMA
+
+    def test_bytes_survive_training_set_round_trip(self, tmp_path):
+        from psgrank.ltr import TrainingSet
+
+        extreme = [[-0.0, 5e-324], [1e300, 0.1 + 0.2], [-1e-300, 0.0]]
+        queries = [
+            (FeatureMatrix(self.SCHEMA, "q1", ("x", "a", "m"), extreme), [0, 3, 1]),
+            (FeatureMatrix(self.SCHEMA, "q2", ("b",), [[0.30000000000000004, -0.0]]), [2]),
+        ]
+        first, second = tmp_path / "first.svmlight", tmp_path / "second.svmlight"
+        write_svmlight(first, queries)
+        write_svmlight(second, TrainingSet(read_svmlight(first, self.SCHEMA)).queries)
+        assert second.read_bytes() == first.read_bytes()
+        assert "1:-0.0 2:5e-324 # x" in first.read_text()
+
+    def test_interleaved_queries_grouped_in_first_appearance_order(self, tmp_path):
+        from psgrank.ltr import TrainingSet
+
+        path = tmp_path / "mixed.svmlight"
+        path.write_text(
+            "1 qid:q2 1:0.5 # b\n"
+            "2 qid:q1 2:7.0 # a\n"
+            "\n"
+            "0 qid:q2 1:0.25 2:1.0 # c\n"
+        )
+        got = read_svmlight(path, self.SCHEMA)
+        assert [(m.query_id, m.item_ids, g) for m, g in got] == [
+            ("q2", ("b", "c"), [1, 0]), ("q1", ("a",), [2])
+        ]
+        assert got[0][0].values.tolist() == [[0.5, 0.0], [0.25, 1.0]]
+        grouped = tmp_path / "grouped.svmlight"
+        write_svmlight(grouped, TrainingSet(got).queries)
+        assert grouped.read_text() == (
+            "2 qid:q1 1:0.0 2:7.0 # a\n"
+            "1 qid:q2 1:0.5 2:0.0 # b\n"
+            "0 qid:q2 1:0.25 2:1.0 # c\n"
+        )
+
+    @pytest.mark.parametrize(
+        "row", ["0 qid:q1 0:0.2 # a", "0 qid:q1 3: # a", "0 qid:q1 x:1 # a", "0 q1 1:1 # a",
+                "g qid:q1 1:1 # a", "0 qid:q1 1: # a"],
+    )
+    def test_malformed_rows_name_the_line(self, tmp_path, row):
+        path = tmp_path / "bad.svmlight"
+        path.write_text(f"1 qid:q1 1:0.5 2:0.5 # ok\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: malformed SVMlight row")):
+            read_svmlight(path, self.SCHEMA)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from psgrank.features import FeatureMatrix, FeatureSchema, FeatureVector, SchemaError
+import row_references
+from psgrank.features import FeatureMatrix, FeatureSchema, SchemaError
 from psgrank.ltr import (
-    GradedExample,
     LinearModel,
     TrainingError,
     TrainingSet,
@@ -19,14 +19,28 @@ from psgrank.ltr import (
 )
 
 
-def _examples(rows, schema=None):
-    """rows: (query_id, item_id, values, grade)"""
+def _queries(rows):
+    """One (matrix, grades) pair per query, from (query_id, item_id, values,
+    grade) rows; queries and items keep their row order."""
     n = len(rows[0][2])
-    schema = schema or FeatureSchema("t", tuple(f"f{i}" for i in range(n)))
+    schema = FeatureSchema("t", tuple(f"f{i}" for i in range(n)))
+    groups = {}
+    for q, i, v, g in rows:
+        groups.setdefault(q, []).append((i, v, g))
     return [
-        GradedExample(q, i, FeatureVector(schema, tuple(v), q, i), g)
-        for q, i, v, g in rows
+        (FeatureMatrix(schema, q, [i for i, _, _ in group], [v for _, v, _ in group]),
+         [g for _, _, g in group])
+        for q, group in groups.items()
     ]
+
+
+def _training(rows) -> TrainingSet:
+    return TrainingSet(_queries(rows))
+
+
+def _matrix(rows, schema) -> FeatureMatrix:
+    """One query's matrix from (item_id, values) rows."""
+    return FeatureMatrix(schema, "q", [i for i, _ in rows], [v for _, v in rows])
 
 
 class TestBucketGrade:
@@ -53,16 +67,15 @@ class TestTrainPairwise:
     def test_separable_one_dimensional(self):
         rows = [("q1", f"p{i}", [1.0], 1) for i in range(3)]
         rows += [("q1", f"n{i}", [0.0], 0) for i in range(3)]
-        data = _examples(rows)
-        model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=200, seed=0)
+        model = train_pairwise(_training(rows), c=1.0, epochs=200, seed=0)
         assert model.weights[0] > 0
         diffs = np.array([[1.0]] * 9)
         assert pairwise_error_count(np.array(model.weights), diffs) == 0
 
     def test_no_signal_raises(self):
-        data = _examples([("q1", "a", [1.0], 1), ("q1", "b", [2.0], 1)])
+        data = _training([("q1", "a", [1.0], 1), ("q1", "b", [2.0], 1)])
         with pytest.raises(TrainingError, match="signal"):
-            train_pairwise(TrainingSet.from_examples(data))
+            train_pairwise(data)
 
     def test_informative_feature_outweighs_noise(self):
         rng = np.random.default_rng(0)
@@ -73,8 +86,7 @@ class TestTrainPairwise:
                 rows.append(
                     (f"q{q}", f"i{i}", [float(grade), float(rng.uniform(-1, 1))], grade)
                 )
-        data = _examples(rows)
-        model = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=300, seed=1)
+        model = train_pairwise(_training(rows), c=1.0, epochs=300, seed=1)
         assert abs(model.weights[0]) > abs(model.weights[1])
         # Exhaustive grid over unit-norm directions: the trained model must
         # match the best achievable pairwise error.
@@ -101,7 +113,7 @@ class TestTrainPairwise:
             for i in range(8):
                 vals = [float(rng.normal()), float(rng.normal())]
                 rows.append((f"q{q}", f"i{i}", vals, int(rng.integers(0, 3))))
-        data = TrainingSet.from_examples(_examples(rows))
+        data = _training(rows)
         diffs = []
         by_q = {}
         for r in rows:
@@ -122,9 +134,8 @@ class TestTrainPairwise:
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [("q1", f"i{i}", [float(i), float(-i)], i % 3) for i in range(9)]
-        data = _examples(rows)
-        a = train_pairwise(TrainingSet.from_examples(data), c=0.01, epochs=50, seed=9)
-        b = train_pairwise(TrainingSet.from_examples(data), c=0.01, epochs=50, seed=9)
+        a = train_pairwise(_training(rows), c=0.01, epochs=50, seed=9)
+        b = train_pairwise(_training(rows), c=0.01, epochs=50, seed=9)
         a.save(tmp_path / "a.json")
         b.save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -132,9 +143,9 @@ class TestTrainPairwise:
     def test_pair_subsampling_is_seeded(self):
         rows = [("q1", f"p{i}", [1.0 + 0.01 * i], 1) for i in range(10)]
         rows += [("q1", f"n{i}", [0.01 * i], 0) for i in range(10)]
-        data = _examples(rows)  # 100 pairs, subsampled to 20
-        a = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=50, seed=4, max_pairs=20)
-        b = train_pairwise(TrainingSet.from_examples(data), c=1.0, epochs=50, seed=4, max_pairs=20)
+        data = _training(rows)  # 100 pairs, subsampled to 20
+        a = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
+        b = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
         assert a.weights == b.weights
         assert a.weights[0] > 0
 
@@ -147,18 +158,12 @@ class TestCoordinateAscent:
             for i in range(12):
                 grade = int(rng.integers(0, 4))
                 rows.append((f"q{q}", f"i{i:02d}", [float(grade), float(rng.normal())], grade))
-        data = _examples(rows)
         trace = []
-        model = train_coordinate_ascent(
-            TrainingSet.from_examples(data), restarts=2, seed=2, trace=trace
-        )
-        groups = {}
-        for ex in data:
-            groups.setdefault(ex.query_id, []).append(ex)
+        model = train_coordinate_ascent(_training(rows), restarts=2, seed=2, trace=trace)
         ndcgs = []
-        for qid, group in groups.items():
-            run = score(model, FeatureMatrix.from_vectors([ex.vector for ex in group]))
-            ndcgs.append(ndcg_at_k(run, {ex.item_id: ex.grade for ex in group}, 10))
+        for matrix, grades in _queries(rows):
+            run = score(model, matrix)
+            ndcgs.append(ndcg_at_k(run, dict(zip(matrix.item_ids, grades)), 10))
         assert sum(ndcgs) / len(ndcgs) == pytest.approx(1.0)
 
     def test_trace_monotone_within_restart(self):
@@ -168,9 +173,8 @@ class TestCoordinateAscent:
             for i in range(10):
                 vals = [float(rng.normal()) for _ in range(3)]
                 rows.append((f"q{q}", f"i{i}", vals, int(rng.integers(0, 3))))
-        data = _examples(rows)
         trace = []
-        train_coordinate_ascent(TrainingSet.from_examples(data), restarts=3, seed=4, trace=trace)
+        train_coordinate_ascent(_training(rows), restarts=3, seed=4, trace=trace)
         by_restart = {}
         for restart, obj in trace:
             by_restart.setdefault(restart, []).append(obj)
@@ -179,10 +183,7 @@ class TestCoordinateAscent:
 
     def test_zero_budget_returns_initial_weights(self):
         rows = [("q1", "a", [1.0, 2.0], 1), ("q1", "b", [0.0, 1.0], 0)]
-        data = _examples(rows)
-        model = train_coordinate_ascent(
-            TrainingSet.from_examples(data), restarts=3, seed=0, max_passes=0
-        )
+        model = train_coordinate_ascent(_training(rows), restarts=3, seed=0, max_passes=0)
         assert model.weights == (0.5, 0.5)
 
     def test_beats_every_single_feature_ranker(self):
@@ -193,23 +194,19 @@ class TestCoordinateAscent:
                 vals = [float(rng.normal()) for _ in range(3)]
                 grade = int(vals[0] + 0.5 * vals[1] > 0)
                 rows.append((f"q{q}", f"i{i}", vals, grade))
-        data = _examples(rows)
-        model = train_coordinate_ascent(TrainingSet.from_examples(data), restarts=3, seed=7)
+        model = train_coordinate_ascent(_training(rows), restarts=3, seed=7)
 
         def mean_ndcg(weights):
             groups = {}
-            for ex in data:
-                groups.setdefault(ex.query_id, []).append(ex)
+            for q, i, v, g in rows:
+                groups.setdefault(q, []).append((i, v, g))
             vals = []
             for group in groups.values():
                 order = sorted(
-                    ((ex.item_id, sum(w * v for w, v in zip(weights, ex.vector.values)))
-                     for ex in group),
+                    ((i, sum(w * x for w, x in zip(weights, v))) for i, v, _ in group),
                     key=lambda kv: (-kv[1], kv[0]),
                 )
-                vals.append(
-                    ndcg_at_k(order, {ex.item_id: ex.grade for ex in group}, 10)
-                )
+                vals.append(ndcg_at_k(order, {i: g for i, _, g in group}, 10))
             return sum(vals) / len(vals)
 
         final = mean_ndcg(model.weights)
@@ -219,14 +216,13 @@ class TestCoordinateAscent:
             assert final >= mean_ndcg(single) - 1e-12
 
     def test_no_signal_raises(self):
-        data = _examples([("q1", "a", [1.0], 2), ("q1", "b", [0.0], 2)])
+        data = _training([("q1", "a", [1.0], 2), ("q1", "b", [0.0], 2)])
         with pytest.raises(TrainingError):
-            train_coordinate_ascent(TrainingSet.from_examples(data))
+            train_coordinate_ascent(data)
 
     def test_deterministic_bytes(self, tmp_path):
         rows = [("q1", f"i{i}", [float(i % 4), float(i % 3)], i % 2) for i in range(8)]
-        data = _examples(rows)
-        data = TrainingSet.from_examples(data)
+        data = _training(rows)
         train_coordinate_ascent(data, restarts=2, seed=3).save(tmp_path / "a.json")
         train_coordinate_ascent(data, restarts=2, seed=3).save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
@@ -235,34 +231,28 @@ class TestCoordinateAscent:
 class TestScore:
     def test_unit_weight_ranks_by_feature(self):
         schema = FeatureSchema("s", ("f0", "f1"))
-        vecs = [
-            FeatureVector(schema, (0.1, 5.0), "q", "a"),
-            FeatureVector(schema, (0.9, 1.0), "q", "b"),
-        ]
+        matrix = _matrix([("a", (0.1, 5.0)), ("b", (0.9, 1.0))], schema)
         model = LinearModel(schema, (1.0, 0.0), "pairwise_hinge")
-        assert score(model, FeatureMatrix.from_vectors(vecs)).ids() == ["b", "a"]
+        assert score(model, matrix).ids() == ["b", "a"]
         model = LinearModel(schema, (0.0, 1.0), "pairwise_hinge")
-        assert score(model, FeatureMatrix.from_vectors(vecs)).ids() == ["a", "b"]
+        assert score(model, matrix).ids() == ["a", "b"]
 
     def test_zero_weights_all_ties_by_id(self):
         schema = FeatureSchema("s", ("f0",))
-        vecs = [FeatureVector(schema, (float(i),), "q", f"i{9 - i}") for i in range(5)]
+        rows = [(f"i{9 - i}", (float(i),)) for i in range(5)]
         model = LinearModel(schema, (0.0,), "pairwise_hinge")
-        run = score(model, FeatureMatrix.from_vectors(vecs))
-        assert run.ids() == sorted(v.item_id for v in vecs)
+        run = score(model, _matrix(rows, schema))
+        assert run.ids() == sorted(i for i, _ in rows)
 
     def test_random_against_dot_product_sort(self):
         rng = np.random.default_rng(10)
         schema = FeatureSchema("s", tuple(f"f{i}" for i in range(4)))
-        vecs = [
-            FeatureVector(schema, tuple(rng.normal(size=4)), "q", f"i{i:02d}")
-            for i in range(20)
-        ]
+        rows = [(f"i{i:02d}", tuple(rng.normal(size=4))) for i in range(20)]
         w = rng.normal(size=4)
         model = LinearModel(schema, tuple(float(x) for x in w), "pairwise_hinge")
-        run = score(model, FeatureMatrix.from_vectors(vecs))
+        run = score(model, _matrix(rows, schema))
         expected = sorted(
-            ((v.item_id, float(np.dot(w, v.values))) for v in vecs),
+            ((i, float(np.dot(w, v))) for i, v in rows),
             key=lambda kv: (-kv[1], kv[0]),
         )
         assert run.ids() == [i for i, _ in expected]
@@ -270,12 +260,8 @@ class TestScore:
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(12)
         schema = FeatureSchema("s", tuple(f"f{i}" for i in range(3)))
-        vecs = [
-            FeatureVector(schema, tuple(rng.normal(size=3)), "q", f"i{i}")
-            for i in range(10)
-        ]
+        matrix = _matrix([(f"i{i}", rng.normal(size=3)) for i in range(10)], schema)
         w = tuple(float(x) for x in rng.normal(size=3))
-        matrix = FeatureMatrix.from_vectors(vecs)
         base = score(LinearModel(schema, w, "pairwise_hinge"), matrix).ids()
         scaled = score(
             LinearModel(schema, tuple(3.7 * x for x in w), "pairwise_hinge"), matrix
@@ -286,9 +272,8 @@ class TestScore:
         schema_a = FeatureSchema("a", ("x",))
         schema_b = FeatureSchema("b", ("y",))
         model = LinearModel(schema_a, (1.0,), "pairwise_hinge")
-        vecs = [FeatureVector(schema_b, (1.0,), "q", "i")]
         with pytest.raises(SchemaError):
-            score(model, FeatureMatrix.from_vectors(vecs))
+            score(model, _matrix([("i", (1.0,))], schema_b))
 
 
 class TestNdcg:
@@ -321,16 +306,30 @@ class TestModelIO:
         loaded = LinearModel.load(tmp_path / "m.json")
         assert loaded == model
 
+    def test_reloaded_joint_model_scores_joint_rows(self, tmp_path):
+        from psgrank.rank import jpds_schema
 
-def _random_examples(rng, n_queries=4, n_items=12, n_features=5, grades=4):
-    """Examples with items listed out of id order and repeated grades."""
+        rng = np.random.default_rng(40)
+        schema = jpds_schema()
+        matrix = _matrix([(f"d{i}", rng.normal(size=len(schema))) for i in range(12)], schema)
+        grades = [int(g) for g in rng.integers(0, 3, size=12)]
+        model = train_pairwise(TrainingSet([(matrix, grades)]), c=1.0, epochs=50, seed=2)
+        model.save(tmp_path / "jpds.json")
+        loaded = LinearModel.load(tmp_path / "jpds.json")
+        assert loaded == model
+        assert score(loaded, matrix) == score(model, matrix)
+
+
+def _random_rows(rng, n_queries=4, n_items=12, n_features=5, grades=4):
+    """(query_id, item_id, values, grade) rows with queries interleaved, items
+    listed out of id order and repeated grades."""
     rows = []
     for q in range(n_queries):
         for i in rng.permutation(n_items):
             values = rng.normal(size=n_features) * 10.0 ** rng.integers(-3, 3, size=n_features)
             rows.append((f"q{q}", f"i{i:02d}", values, int(rng.integers(0, grades))))
     rng.shuffle(rows)
-    return _examples(rows)
+    return rows
 
 
 class TestBitExactContracts:
@@ -339,46 +338,42 @@ class TestBitExactContracts:
     def test_difference_matrix_equals_nested_loops(self):
         from psgrank.ltr import _difference_matrix
 
-        import row_references
-
         rng = np.random.default_rng(31)
         for trial in range(5):
-            data = _random_examples(rng)
-            expected = row_references.difference_rows(data, 10**6, seed=trial)
-            got = _difference_matrix(TrainingSet.from_examples(data), 10**6, seed=trial)
+            rows = _random_rows(rng)
+            expected = row_references.difference_rows(rows, 10**6, seed=trial)
+            got = _difference_matrix(_training(rows), 10**6, seed=trial)
             assert got.shape == expected.shape and len(got) > 100
             assert np.array_equal(got, expected)
             # The subsample draws the same rows, so their order must match.
-            expected = row_references.difference_rows(data, 37, seed=trial)
-            got = _difference_matrix(TrainingSet.from_examples(data), 37, seed=trial)
+            expected = row_references.difference_rows(rows, 37, seed=trial)
+            got = _difference_matrix(_training(rows), 37, seed=trial)
             assert got.shape == (37, 5)
             assert np.array_equal(got, expected)
 
     def test_difference_matrix_no_signal_raises(self):
         from psgrank.ltr import _difference_matrix
 
-        data = _examples([("q1", "a", [1.0], 1), ("q1", "b", [0.0], 1)])
+        data = _training([("q1", "a", [1.0], 1), ("q1", "b", [0.0], 1)])
         with pytest.raises(TrainingError):
-            _difference_matrix(TrainingSet.from_examples(data), 10, seed=0)
+            _difference_matrix(data, 10, seed=0)
 
     def test_score_equals_per_row_dot(self):
-        import row_references
-
         rng = np.random.default_rng(32)
         for n_features in (6, 13, 24, 25, 39):
             schema = FeatureSchema("s", tuple(f"f{i}" for i in range(n_features)))
-            vecs = [
-                FeatureVector(schema, tuple(rng.normal(size=n_features)), "q", f"i{i:03d}")
-                for i in range(200)
-            ]
+            matrix = _matrix(
+                [(f"i{i:03d}", rng.normal(size=n_features)) for i in range(200)], schema
+            )
             weights = tuple(float(x) for x in rng.normal(size=n_features))
             model = LinearModel(schema, weights, "pairwise_hinge")
-            run = score(model, FeatureMatrix.from_vectors(vecs))
-            assert dict(run.entries) == row_references.score_rows(weights, vecs)
+            run = score(model, matrix)
+            rows = row_references.rows_of(matrix)[1]
+            assert dict(run.entries) == row_references.score_rows(weights, rows)
 
     def test_training_set_counts_rows_and_orders_queries(self):
         rows = [("q2", "b", [1.0], 1), ("q1", "a", [2.0], 0), ("q2", "a", [0.0], 0)]
-        train = TrainingSet.from_examples(_examples(rows))
+        train = _training(rows)
         assert len(train) == 3
         assert [m.query_id for m, _ in train.queries] == ["q1", "q2"]
         assert train.queries[1][0].item_ids == ("b", "a")

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
+import row_references
 from conftest import make_query
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
     FeatureMatrix,
     FeatureSchema,
-    FeatureVector,
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
@@ -166,8 +166,6 @@ class TestRerankRrf:
         assert sorted(out.ids()) == sorted(doc_list.ids())
 
     def test_equals_max_over_passages_bit_for_bit(self):
-        import row_references
-
         rng = np.random.default_rng(35)
         for _ in range(30):
             docs = [f"d{i}" for i in range(12)]
@@ -277,26 +275,29 @@ class TestSelectPassage:
         assert select_passage(passages, psg_list, "best") is None
 
 
-def _matrix(vectors: dict) -> FeatureMatrix:
-    return FeatureMatrix.from_vectors(list(vectors.values()))
+def _matrix(table: tuple) -> FeatureMatrix:
+    """One query's matrix from a (schema, {item_id: values}) table."""
+    schema, values = table
+    return FeatureMatrix(schema, "q", list(values), list(values.values()))
+
+
+def _row(matrix: FeatureMatrix, item_id: str) -> dict[str, float]:
+    """One row of a matrix as feature name -> value."""
+    return dict(zip(matrix.schema.features, matrix.values[matrix.rows([item_id])[0]].tolist()))
 
 
 def _joint_fixture():
-    """Doc vectors, passage vectors and rankings for 3 docs x 2 passages."""
+    """Doc and passage feature tables and rankings for 3 docs x 2 passages."""
     rng = np.random.default_rng(7)
     doc_ids = ["d1", "d2", "d3"]
     doc_list = RankedList.from_scores("q", {d: float(10 - i) for i, d in enumerate(doc_ids)})
     passages_by_doc = {d: _passages_for(d, 2) for d in doc_ids}
-    doc_vectors = {
-        d: FeatureVector(DOC_SCHEMA, tuple(rng.uniform(size=6)), "q", d) for d in doc_ids
-    }
-    psg_vectors = {}
+    doc_vectors = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6)) for d in doc_ids})
+    psg_vectors = (PSG_SCHEMA, {})
     for d in doc_ids:
         for p in passages_by_doc[d]:
-            psg_vectors[p.passage_id] = FeatureVector(
-                PSG_SCHEMA, tuple(rng.uniform(size=20)), "q", p.passage_id
-            )
-    psg_scores = {pid: float(rng.uniform(0, 1)) for pid in psg_vectors}
+            psg_vectors[1][p.passage_id] = tuple(rng.uniform(size=20))
+    psg_scores = {pid: float(rng.uniform(0, 1)) for pid in psg_vectors[1]}
     psg_list = RankedList.from_scores("q", psg_scores)
     return doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list
 
@@ -305,33 +306,37 @@ class TestJpds:
     def test_schema_arity(self):
         assert len(jpds_schema(include_query_length=False)) == 24
         assert len(jpds_schema(include_query_length=True)) == 25
+        # Features ablated upstream leave the joint schema, exclusions or not.
+        reduced = PSG_SCHEMA.without({"QueryLength", "W2V"})
+        assert len(jpds_schema(DOC_SCHEMA.without({"SW1"}), reduced)) == 22
+        assert len(jpds_schema(psg_schema=reduced, two_passages=True)) == 23 + 14
 
     def test_vector_contents_match_manual_concat(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
-        vectors = build_jpds_vectors(
+        joint = build_jpds_vectors(
             doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best",
-        ).vectors()
+        )
         ranks = psg_list.ranks()
-        for vec in vectors:
-            doc_id = vec.item_id
+        assert joint.schema == jpds_schema() and joint.values.shape == (3, 24)
+        for doc_id, values in zip(joint.item_ids, joint.values.tolist()):
             best = min(passages_by_doc[doc_id], key=lambda p: ranks[p.passage_id])
-            expected = list(doc_vectors[doc_id].values)
-            psg = psg_vectors[best.passage_id]
-            for name, value in zip(PSG_SCHEMA.features, psg.values):
+            expected = list(doc_vectors[1][doc_id])
+            psg = psg_vectors[1][best.passage_id]
+            for name, value in zip(PSG_SCHEMA.features, psg):
                 if name not in ("DocQuerySim", "QueryLength"):
                     expected.append(value)
-            assert vec.values == pytest.approx(tuple(expected))
-            assert len(vec.values) == 24
+            assert values == pytest.approx(expected)
 
     def test_jpd2_appends_reduced_second_passage(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
-        vectors = build_jpds_vectors(
+        joint = build_jpds_vectors(
             doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best", two_passages=True,
-        ).vectors()
+        )
         # 6 + 18 + 15: second passage drops the five redundant features.
-        assert all(len(v.values) == 39 for v in vectors)
+        assert joint.values.shape == (3, 39)
+        assert joint.schema == jpds_schema(two_passages=True)
 
     def test_fallback_when_no_passage_ranked(self):
         # A document whose passages all miss the ranking falls back to its
@@ -339,29 +344,25 @@ class TestJpds:
         doc_list = RankedList.from_scores("q", {"d1": 2.0, "d2": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2), "d2": _passages_for("d2", 1)}
         rng = np.random.default_rng(5)
-        doc_vectors = {
-            d: FeatureVector(DOC_SCHEMA, tuple(rng.uniform(size=6)), "q", d)
-            for d in ("d1", "d2")
-        }
+        doc_vectors = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6)) for d in ("d1", "d2")})
         sim_idx = PSG_SCHEMA.index_of("PsgQuerySim")
-        psg_vectors = {}
+        psg_vectors = (PSG_SCHEMA, {})
         for pid, sim in (("d1#0", 0.2), ("d1#1", 0.9), ("d2#0", 0.5)):
             values = list(rng.uniform(size=20))
             values[sim_idx] = sim
-            psg_vectors[pid] = FeatureVector(PSG_SCHEMA, tuple(values), "q", pid)
+            psg_vectors[1][pid] = tuple(values)
         psg_list = RankedList.from_scores("q", {"d2#0": 1.0})  # d1 unranked
-        vectors = build_jpds_vectors(
+        joint = build_jpds_vectors(
             doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best",
-        ).vectors()
-        d1_vec = next(v for v in vectors if v.item_id == "d1")
-        # d1#1 has the higher similarity, so its vector is appended.
+        )
+        # d1#1 has the higher similarity, so its row is appended.
         expected_tail = [
             v
-            for name, v in zip(PSG_SCHEMA.features, psg_vectors["d1#1"].values)
+            for name, v in zip(PSG_SCHEMA.features, psg_vectors[1]["d1#1"])
             if name not in ("DocQuerySim", "QueryLength")
         ]
-        assert d1_vec.values[6:] == pytest.approx(tuple(expected_tail))
+        assert list(_row(joint, "d1").values())[6:] == pytest.approx(expected_tail)
 
     def test_fallback_with_reduced_schema(self):
         # Ablating PsgQuerySim leaves no similarity to fall back on; the
@@ -370,42 +371,37 @@ class TestJpds:
         doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2)}
         rng = np.random.default_rng(6)
-        doc_vectors = {"d1": FeatureVector(DOC_SCHEMA, tuple(rng.uniform(size=6)), "q", "d1")}
-        psg_vectors = {
-            pid: FeatureVector(reduced, tuple(rng.uniform(size=19)), "q", pid)
-            for pid in ("d1#0", "d1#1")
-        }
+        doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
+        psg_vectors = (reduced, {pid: tuple(rng.uniform(size=19)) for pid in ("d1#0", "d1#1")})
         psg_list = RankedList.from_scores("q", {"other#0": 1.0})
-        vectors = build_jpds_vectors(
+        joint = build_jpds_vectors(
             doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best",
-        ).vectors()
+        )
         expected_tail = [
             v
-            for name, v in zip(reduced.features, psg_vectors["d1#0"].values)
+            for name, v in zip(reduced.features, psg_vectors[1]["d1#0"])
             if name not in ("DocQuerySim", "QueryLength")
         ]
-        assert vectors[0].values[6:] == pytest.approx(tuple(expected_tail))
+        assert joint.values[0, 6:].tolist() == pytest.approx(expected_tail)
 
     def test_jpd2_single_passage_falls_back_to_same(self):
         doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 1)}
         rng = np.random.default_rng(0)
-        doc_vectors = {"d1": FeatureVector(DOC_SCHEMA, tuple(rng.uniform(size=6)), "q", "d1")}
-        psg_vectors = {
-            "d1#0": FeatureVector(PSG_SCHEMA, tuple(rng.uniform(size=20)), "q", "d1#0")
-        }
+        doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
+        psg_vectors = (PSG_SCHEMA, {"d1#0": tuple(rng.uniform(size=20))})
         psg_list = RankedList.from_scores("q", {"d1#0": 1.0})
-        vec = build_jpds_vectors(
+        joint = build_jpds_vectors(
             doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
             which="best", two_passages=True,
-        ).vectors()[0]
+        )
         reduced = [
             v
-            for name, v in zip(PSG_SCHEMA.features, psg_vectors["d1#0"].values)
+            for name, v in zip(PSG_SCHEMA.features, psg_vectors[1]["d1#0"])
             if name not in ("DocQuerySim", "MaxPDSim", "AvgPDSim", "StdPDSim", "QueryLength")
         ]
-        assert vec.values[-15:] == pytest.approx(tuple(reduced))
+        assert joint.values[0, -15:].tolist() == pytest.approx(reduced)
 
 
 class TestJpdm:
@@ -413,63 +409,58 @@ class TestJpdm:
         doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 1)}
         rng = np.random.default_rng(1)
-        doc_vectors = {"d1": FeatureVector(DOC_SCHEMA, tuple(rng.uniform(size=6)), "q", "d1")}
-        psg_vectors = {
-            "d1#0": FeatureVector(PSG_SCHEMA, tuple(rng.uniform(size=20)), "q", "d1#0")
-        }
+        doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
+        psg_vectors = (PSG_SCHEMA, {"d1#0": tuple(rng.uniform(size=20))})
         outs = {
             agg: build_jpdm_vectors(
                 doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
-            ).vectors()[0]
+            )
             for agg in ("avg", "max", "min")
         }
-        assert outs["avg"].values[6:] == pytest.approx(outs["max"].values[6:])
+        assert outs["avg"].values[0, 6:].tolist() == pytest.approx(
+            outs["max"].values[0, 6:].tolist()
+        )
         # min keeps PsgQuerySim, so compare the shared suffix feature-wise.
+        avg, low = _row(outs["avg"], "d1"), _row(outs["min"], "d1")
         for name in outs["avg"].schema.features[6:]:
             bare = name.split(".", 1)[1]
-            assert outs["avg"].value_of(name) == pytest.approx(
-                outs["min"].value_of(f"min.{bare}")
-            )
+            assert avg[name] == pytest.approx(low[f"min.{bare}"])
 
     def test_two_passage_aggregates(self):
         doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2)}
-        doc_vectors = {"d1": FeatureVector(DOC_SCHEMA, (0.0,) * 6, "q", "d1")}
-        psg_vectors = {
-            "d1#0": FeatureVector(PSG_SCHEMA, (0.2,) * 20, "q", "d1#0"),
-            "d1#1": FeatureVector(PSG_SCHEMA, (0.8,) * 20, "q", "d1#1"),
-        }
+        doc_vectors = (DOC_SCHEMA, {"d1": (0.0,) * 6})
+        psg_vectors = (PSG_SCHEMA, {"d1#0": (0.2,) * 20, "d1#1": (0.8,) * 20})
         for agg, expected in (("avg", 0.5), ("max", 0.8), ("min", 0.2)):
-            vec = build_jpdm_vectors(
+            joint = build_jpdm_vectors(
                 doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
-            ).vectors()[0]
-            assert all(v == pytest.approx(expected) for v in vec.values[6:])
+            )
+            assert all(v == pytest.approx(expected) for v in joint.values[0, 6:].tolist())
 
     def test_aggregates_match_brute_force_and_ordering(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, _ = _joint_fixture()
         outs = {
             agg: build_jpdm_vectors(
                 doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
-            ).vectors()
+            )
             for agg in ("avg", "max", "min")
         }
-        for doc_idx, (doc_id, _) in enumerate(doc_list):
-            mat = np.array(
-                [psg_vectors[p.passage_id].values for p in passages_by_doc[doc_id]]
-            )
+        for doc_id, _ in doc_list:
+            mat = np.array([psg_vectors[1][p.passage_id] for p in passages_by_doc[doc_id]])
             for agg, fn in (("avg", np.mean), ("max", np.max), ("min", np.min)):
-                vec = outs[agg][doc_idx]
-                for name in vec.schema.features[6:]:
+                row = _row(outs[agg], doc_id)
+                for name in outs[agg].schema.features[6:]:
                     bare = name.split(".", 1)[1]
                     col = PSG_SCHEMA.index_of(bare)
-                    assert vec.value_of(name) == pytest.approx(float(fn(mat[:, col])))
+                    assert row[name] == pytest.approx(float(fn(mat[:, col])))
         # Feature-wise max >= avg >= min on the shared features.
-        for doc_idx in range(3):
-            for name in outs["avg"][doc_idx].schema.features[6:]:
+        for doc_id, _ in doc_list:
+            rows = {agg: _row(outs[agg], doc_id) for agg in outs}
+            for name in outs["avg"].schema.features[6:]:
                 bare = name.split(".", 1)[1]
-                vmax = outs["max"][doc_idx].value_of(f"max.{bare}")
-                vavg = outs["avg"][doc_idx].value_of(f"avg.{bare}")
-                vmin = outs["min"][doc_idx].value_of(f"min.{bare}")
+                vmax = rows["max"][f"max.{bare}"]
+                vavg = rows["avg"][f"avg.{bare}"]
+                vmin = rows["min"][f"min.{bare}"]
                 assert vmax >= vavg - 1e-12
                 assert vavg >= vmin - 1e-12
 
@@ -477,16 +468,16 @@ class TestJpdm:
 class TestSmpdVectors:
     def test_schema_and_values(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
-        vectors = build_smpd_vectors(
+        joint = build_smpd_vectors(
             doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
-        ).vectors()
-        assert all(v.schema is SMPD_SCHEMA for v in vectors)
+        )
+        assert joint.schema is SMPD_SCHEMA
         assert len(SMPD_SCHEMA) == 13
-        for vec in vectors:
+        for doc_id, values in zip(joint.item_ids, joint.values.tolist()):
             stats = smpd_features(
-                [p.passage_id for p in passages_by_doc[vec.item_id]], psg_list, 30.0
+                [p.passage_id for p in passages_by_doc[doc_id]], psg_list, 30.0
             )
-            assert vec.values[6:] == pytest.approx(stats)
+            assert values[6:] == pytest.approx(stats)
 
 
 class TestFpd:
@@ -525,21 +516,18 @@ class TestFpd:
             query, store, index, sorted(texts), passages_by_doc,
             SemanticResources(), LmParams(10.0),
         )
-        psg_vectors = {v.item_id: v for v in extractor.all_vectors()}
+        psg_vectors = extractor.matrix()
         doc_list = RankedList.from_scores("q", {"d1": 3.0, "d2": 2.0, "d3": 1.0})
         weights = tuple(
             1.0 if f == "PsgQuerySim" else 0.0 for f in PSG_SCHEMA.features
         )
         model = LinearModel(PSG_SCHEMA, weights, "pairwise_hinge")
-        gmax = {}
-        for d in sorted(texts):
-            best = max(
-                passages_by_doc[d],
-                key=lambda p: extractor.psg_sims[p.passage_id],
-            )
-            base = psg_vectors[best.passage_id]
-            gmax[d] = FeatureVector(PSG_SCHEMA, base.values, "q", d)
-        model_ranking = score(model, FeatureMatrix.from_vectors([gmax[d] for d in sorted(texts)]))
+        best = [
+            max(passages_by_doc[d], key=lambda p: extractor.psg_sims[p.passage_id]).passage_id
+            for d in sorted(texts)
+        ]
+        gmax = FeatureMatrix(PSG_SCHEMA, "q", sorted(texts), psg_vectors.take(best).values)
+        model_ranking = score(model, gmax)
         out = rerank_fpd(doc_list, model_ranking, FusionParams(nu=0.0, alpha=0.0))
         best_sim = {
             d: max(extractor.psg_sims[p.passage_id] for p in passages_by_doc[d])
@@ -772,41 +760,41 @@ class TestBuildersEqualRowReferences:
 
     @staticmethod
     def _assert_builders_equal(pipe, mu, nu=30.0):
-        import row_references
-
+        rows_of = row_references.rows_of
         for qid in sorted(pipe.queries):
             data = pipe.query_data(qid)
             doc_m, psg_m = pipe.doc_vectors(qid, mu), pipe.psg_vectors(qid, mu)
-            docs = {v.item_id: v for v in doc_m.vectors()}
-            psgs = {v.item_id: v for v in psg_m.vectors()}
+            docs, psgs = row_references.table_of(doc_m), row_references.table_of(psg_m)
             by_doc = data.passages_by_doc
             full = pipe.qsf(qid, mu, 0.3)
             # A short passage list leaves documents with no ranked passage.
             for psg_list in (full, full.truncated(5)):
                 doc_list = data.c_init
-                assert build_smpd_vectors(
-                    doc_list, doc_m, by_doc, psg_list, nu
-                ).vectors() == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
+                assert rows_of(
+                    build_smpd_vectors(doc_list, doc_m, by_doc, psg_list, nu)
+                ) == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
                 for which in ("best", "second", "third", "lowest"):
-                    assert build_jpds_vectors(
-                        doc_list, doc_m, psg_m, by_doc, psg_list, which=which
-                    ).vectors() == row_references.jpds_rows(
+                    assert rows_of(
+                        build_jpds_vectors(doc_list, doc_m, psg_m, by_doc, psg_list, which=which)
+                    ) == row_references.jpds_rows(
                         doc_list, docs, psgs, by_doc, psg_list, which=which
                     )
-                assert build_jpds_vectors(
-                    doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True,
-                    include_query_length=True,
-                ).vectors() == row_references.jpds_rows(
+                assert rows_of(
+                    build_jpds_vectors(
+                        doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True,
+                        include_query_length=True,
+                    )
+                ) == row_references.jpds_rows(
                     doc_list, docs, psgs, by_doc, psg_list, two_passages=True,
                     include_query_length=True,
                 )
-                assert build_fpd_vectors(
-                    doc_list, psg_m, by_doc, psg_list
-                ).vectors() == row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
+                assert rows_of(
+                    build_fpd_vectors(doc_list, psg_m, by_doc, psg_list)
+                ) == row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
             for agg in ("avg", "max", "min"):
-                assert build_jpdm_vectors(
-                    data.c_init, doc_m, psg_m, by_doc, agg
-                ).vectors() == row_references.jpdm_rows(data.c_init, docs, psgs, by_doc, agg)
+                assert rows_of(
+                    build_jpdm_vectors(data.c_init, doc_m, psg_m, by_doc, agg)
+                ) == row_references.jpdm_rows(data.c_init, docs, psgs, by_doc, agg)
 
     def test_tiny_corpus(self, tmp_path):
         from test_experiment import _tiny_config, _tiny_corpus
@@ -822,24 +810,20 @@ class TestBuildersEqualRowReferences:
 
     def test_jpdm_mean_over_many_passages(self):
         # Twelve passages per document reach numpy's unrolled summation.
-        import row_references
-
         rng = np.random.default_rng(36)
         doc_ids = [f"d{i}" for i in range(5)]
         doc_list = RankedList.from_scores("q", {d: float(rng.normal()) for d in doc_ids})
         by_doc = {d: _passages_for(d, 12) for d in doc_ids}
-        docs = {d: FeatureVector(DOC_SCHEMA, tuple(rng.normal(size=6)), "q", d) for d in doc_ids}
-        psgs = {
-            p.passage_id: FeatureVector(
-                PSG_SCHEMA, tuple(rng.normal(size=20) * 1e3), "q", p.passage_id
-            )
+        docs = (DOC_SCHEMA, {d: tuple(rng.normal(size=6).tolist()) for d in doc_ids})
+        psgs = (PSG_SCHEMA, {
+            p.passage_id: tuple((rng.normal(size=20) * 1e3).tolist())
             for d in doc_ids
             for p in by_doc[d]
-        }
+        })
         for agg in ("avg", "max", "min"):
-            assert build_jpdm_vectors(
-                doc_list, _matrix(docs), _matrix(psgs), by_doc, agg
-            ).vectors() == row_references.jpdm_rows(doc_list, docs, psgs, by_doc, agg)
+            assert row_references.rows_of(
+                build_jpdm_vectors(doc_list, _matrix(docs), _matrix(psgs), by_doc, agg)
+            ) == row_references.jpdm_rows(doc_list, docs, psgs, by_doc, agg)
 
     def test_empty_document_list_keeps_schema(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
