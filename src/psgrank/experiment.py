@@ -101,6 +101,16 @@ class _Method:
     split: str = "train"  # the queries the grid is selected on: "train" or "validation"
     hyper_in_params: bool = True  # report the trainer setting with the tuned params
     features: bool = True  # reads feature vectors, so ablating a feature can move it
+    # The fold stages whose tuned parameters the vectors read, for vectors
+    # that read no fold-trained model: their min-maxed matrices are shared
+    # across folds. None: the matrices are built per fold.
+    shared_stages: tuple | None = None
+
+    @property
+    def fold_free(self) -> bool:
+        """Ranks from judgment-free pipeline data alone, so a query's run at
+        one grid point is the same in every fold."""
+        return not (self.vectors or self.init_ltr or self.psg_ranking)
 
 
 def _fusion(p: dict) -> FusionParams:
@@ -199,7 +209,7 @@ _METHODS = {
     ),
     "init-LTR": _Method(
         "doc", init_ltr=True, vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),),
-        split="validation", hyper_in_params=False,
+        split="validation", hyper_in_params=False, shared_stages=(),
     ),
     "RRF": _Method(
         "doc", init_ltr=True, psg_ranking=True, grid=(("alpha", "alpha"), ("nu", "nu")),
@@ -234,7 +244,7 @@ _METHODS = {
     ),
     "PsgLTR": _Method(
         "psg", psg_ranker="ltr", vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
-        split="validation", hyper_in_params=False,
+        split="validation", hyper_in_params=False, shared_stages=("QSF",),
     ),
 }
 ALL_METHODS = tuple(_METHODS)
@@ -248,6 +258,11 @@ def _grid_points(config: "ExperimentConfig", axes: tuple) -> Iterator[dict]:
     for values in itertools.product(*(config.grids[grid] for _, grid in axes)):
         # Sequence points (SDM weight triples) are reported as fresh lists.
         yield dict(zip(names, (list(v) if isinstance(v, (list, tuple)) else v for v in values)))
+
+
+def _frozen(params: Mapping) -> tuple:
+    """Grid parameters as a hashable key; SDM weight lists become tuples."""
+    return tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in sorted(params.items()))
 
 
 class ConfigError(ValueError):
@@ -613,6 +628,16 @@ class _Pipeline:
         self._segmented: dict[str, list[Passage]] = {}
         self._query_data: dict[str, _QueryData] = {}
         self._esa_cache: dict = {}
+        # Work whose inputs do not depend on the fold, kept for the whole run:
+        # QSF runs, fold-free methods' per-query tuning metrics and shared
+        # normalized matrices (see _FoldRunner).
+        self._memo: dict = {}
+
+    def memo(self, key: tuple, compute: Callable[[], object]):
+        """The value kept under ``key``, computed on first request."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def _esa_index(self) -> PositionalIndex:
         if self.config.esa_corpus:
@@ -760,8 +785,12 @@ class _Pipeline:
         return got
 
     def qsf(self, query_id: str, mu: float, lam: float, k: int | None = None) -> RankedList:
-        psg_doc = self.query_data(query_id).psg_doc
-        return qsf_from_sims(query_id, *self.sims(query_id, mu), psg_doc, lam, k)
+        return self.memo(
+            ("qsf", query_id, mu, lam, k),
+            lambda: qsf_from_sims(
+                query_id, *self.sims(query_id, mu), self.query_data(query_id).psg_doc, lam, k
+            ),
+        )
 
     # -- metric helpers --
 
@@ -844,8 +873,12 @@ class _FoldRunner:
                 qsf = self.params["QSF"]
                 got = self.pipe.qsf(query_id, qsf["mu"], qsf["lambda"])
             else:
-                vectors = self.pipe.psg_vectors(query_id, self.params["PsgLTR"]["mu"])
-                got = score(self.models["PsgLTR"], minmax_normalize(vectors))
+                mu = self.params["PsgLTR"]["mu"]
+                matrix = self.pipe.memo(
+                    ("passages", query_id, mu),
+                    lambda: minmax_normalize(self.pipe.psg_vectors(query_id, mu)),
+                )
+                got = score(self.models["PsgLTR"], matrix)
             self._psg_ranking_cache[query_id] = got
         return got
 
@@ -887,9 +920,7 @@ class _FoldRunner:
         rankings = {}
         for vpoint in _grid_points(cfg, rec.vector_grid):
             if rec.vectors:
-                matrices = [
-                    minmax_normalize(rec.vectors(self, qid, vpoint)) for qid in self.train_queries
-                ]
+                matrices = [self._normalized(rec, qid, vpoint) for qid in self.train_queries]
                 training = TrainingSet(
                     (m, [grade(m.query_id, i) for i in m.item_ids]) for m in matrices
                 )
@@ -903,9 +934,21 @@ class _FoldRunner:
                     if rec.feasible and not rec.feasible(rpoint):
                         continue
                     params = {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
-                    m = mean_metric(
-                        [metric(self._run(rec, q, params, rankings.get(q))) for q in queries]
-                    )
+                    if rec.fold_free:
+                        # A fold-free run is the same in every fold: its
+                        # metric is kept per query for the whole run.
+                        key = ("metric", method, _frozen(params))
+                        values = [
+                            self.pipe.memo(
+                                (*key, q), lambda q=q: metric(self._run(rec, q, params, None))
+                            )
+                            for q in queries
+                        ]
+                    else:
+                        values = [
+                            metric(self._run(rec, q, params, rankings.get(q))) for q in queries
+                        ]
+                    m = mean_metric(values)
                     if best is None or m > best[0]:
                         best = (m, params, model)
         return best[1], best[2]
@@ -930,7 +973,23 @@ class _FoldRunner:
         """A learned method's model ranking; None when the query has no candidates."""
         if self._no_candidates(query_id):
             return None
-        return score(model, minmax_normalize(rec.vectors(self, query_id, params)))
+        return score(model, self._normalized(rec, query_id, params))
+
+    def _normalized(self, rec: _Method, query_id: str, params: dict) -> FeatureMatrix:
+        """A learned method's min-maxed matrix for one query. Shared across
+        folds when the vectors read no fold-trained model, keyed by the
+        vector-grid point and the tuned parameters of the stages they read."""
+        def compute():
+            return minmax_normalize(rec.vectors(self, query_id, params))
+
+        if rec.shared_stages is None:
+            return compute()
+        key = (
+            "matrix", rec.vectors, query_id,
+            tuple(params[name] for name, _ in rec.vector_grid),
+            *(_frozen(self.params[stage]) for stage in rec.shared_stages),
+        )
+        return self.pipe.memo(key, compute)
 
     def _run(
         self, rec: _Method, query_id: str, params: dict, ranking: RankedList | None

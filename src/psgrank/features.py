@@ -593,8 +593,10 @@ def read_svmlight(
 ) -> list[tuple[FeatureMatrix, list[int]]]:
     """Read a dump produced by :func:`write_svmlight`: one feature matrix and
     its grades per query, queries and rows in first-appearance order.
-    Features absent from a row read as 0."""
+    Features absent from a row read as 0. An item id may appear once per
+    query: a repeat would carry a second, possibly contradictory grade."""
     queries: dict[str, tuple[list[str], list[list[float]], list[int]]] = {}
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -611,10 +613,14 @@ def read_svmlight(
                 if not 1 <= i <= len(schema):
                     raise ValueError(f"feature index {i} outside 1..{len(schema)}")
                 values[i - 1] = float(val)
+            key = (parts[1][4:], comment.strip())
+            if key in seen:
+                raise ValueError(f"item {key[1]!r} repeated in query {key[0]!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: malformed SVMlight row: {exc}") from None
-        item_ids, rows, grades = queries.setdefault(parts[1][4:], ([], [], []))
-        item_ids.append(comment.strip())
+        seen.add(key)
+        item_ids, rows, grades = queries.setdefault(key[0], ([], [], []))
+        item_ids.append(key[1])
         rows.append(values)
         grades.append(grade)
     return [

@@ -157,7 +157,11 @@ def _difference_matrix(data: TrainingSet, max_pairs: int, seed: int) -> np.ndarr
 
 def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:
     """Pairs not strictly ordered correctly by the weight vector."""
-    return int(np.sum(diffs @ weights <= 0.0))
+    return _misordered(diffs @ weights)
+
+
+def _misordered(margins: np.ndarray) -> int:
+    return int(np.sum(margins <= 0.0))
 
 
 def train_pairwise(
@@ -173,19 +177,22 @@ def train_pairwise(
     Full-batch subgradient descent with a 1/(1+t) decaying step; the model
     returned is the epoch with the fewest misordered training pairs (ties
     favor the earlier epoch). Raises TrainingError when no within-query
-    pair of distinct grades exists.
+    pair of distinct grades exists. One product ``diffs @ w`` per epoch
+    serves both the error count of the new weights and the next epoch's
+    hinge violations.
     """
     schema = data.schema()
     diffs = _difference_matrix(data, max_pairs, seed)
     w = np.zeros(len(schema))
     best_w = w.copy()
-    best_err = pairwise_error_count(w, diffs)
+    margins = diffs @ w
+    best_err = _misordered(margins)
     for t in range(epochs):
-        margins = diffs @ w
         violating = margins < 1.0
         grad = w - c * diffs[violating].sum(axis=0)
         w = w - (learning_rate / (1.0 + t)) * grad
-        err = pairwise_error_count(w, diffs)
+        margins = diffs @ w
+        err = _misordered(margins)
         if err < best_err:
             best_err = err
             best_w = w.copy()

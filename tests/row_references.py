@@ -68,6 +68,24 @@ def difference_rows(rows, max_pairs: int, seed: int) -> np.ndarray:
     return mat
 
 
+def pairwise_hinge(diffs, c: float, epochs: int, learning_rate: float):
+    """The hinge trainer's epoch loop over a difference matrix, with one
+    product for the epoch's violations and another for its error count.
+    Returns the best weights as floats and their epoch (-1: the zero start)."""
+    w = np.zeros(diffs.shape[1])
+    best_w, best_epoch = w.copy(), -1
+    best_err = int(np.sum(diffs @ w <= 0.0))
+    for t in range(epochs):
+        margins = diffs @ w
+        violating = margins < 1.0
+        grad = w - c * diffs[violating].sum(axis=0)
+        w = w - (learning_rate / (1.0 + t)) * grad
+        err = int(np.sum(diffs @ w <= 0.0))
+        if err < best_err:
+            best_err, best_w, best_epoch = err, w.copy(), t
+    return tuple(float(x) for x in best_w), best_epoch
+
+
 def minmax_rows(rows) -> list[tuple[str, tuple]]:
     mat = np.array([values for _, values in rows], dtype=float)
     lo = mat.min(axis=0)

@@ -116,10 +116,18 @@ class TestTrainInputValidation:
             # Index 0 once landed in the last feature, and training went on.
             (GOOD_ROWS + "0 qid:q1 0:0.2 # c\n", SIDECAR, 2, "feats.txt:3: malformed SVMlight"),
             (GOOD_ROWS + "0 qid:q1 3: # c\n", SIDECAR, 2, "index 3 outside 1..2"),
+            # A repeated item once trained, and the grade map kept its last grade.
+            (
+                GOOD_ROWS + "2 qid:q1 1:0.1 # a\n", SIDECAR, 2,
+                "feats.txt:3: malformed SVMlight row: item 'a' repeated in query 'q1'",
+            ),
             (GOOD_ROWS, {"features": ["f0", "f1"]}, 1, '"name" string'),
             (GOOD_ROWS, {"name": "s"}, 1, '"features" list'),
         ],
-        ids=["index-0", "index-past-schema", "sidecar-without-name", "sidecar-without-features"],
+        ids=[
+            "index-0", "index-past-schema", "repeated-item", "sidecar-without-name",
+            "sidecar-without-features",
+        ],
     )
     def test_bad_dump_or_sidecar_exits_without_traceback(
         self, tmp_path, capsys, rows, sidecar, code, message

@@ -322,6 +322,114 @@ class TestDeterminism:
         self._assert_staging_order_invariant(tmp_path, monkeypatch, grids=grids)
 
 
+    @pytest.mark.parametrize("mus", [[1500.0], [500.0, 2500.0]], ids=["one-mu", "two-mu"])
+    def test_fold_order_does_not_change_artifacts(self, tmp_path, monkeypatch, mus):
+        # Fold-free work is shared across folds; running the folds in
+        # reverse must give the same bytes, so nothing fold-specific can
+        # reach the shared values.
+        from psgrank.evaluation import CvPlan
+
+        paths = _tiny_corpus(tmp_path)
+        grids = {
+            **_TINY_GRIDS, "mu": mus, "svm_c": [0.01, 0.1], "qsf_lambda": [0.3, 0.6],
+            "sdm_weights": [[0.8, 0.1, 0.1], [0.2, 0.3, 0.5]],
+        }
+        config = _tiny_config(paths, ["LM", "QSF", "PsgLTR", "RRF", "JPDs", "SDM"], grids=grids)
+        run_experiment(config, tmp_path / "forward")
+        folds = CvPlan.folds
+        monkeypatch.setattr(CvPlan, "folds", lambda plan: iter(list(folds(plan))[::-1]))
+        run_experiment(config, tmp_path / "reversed")
+        forward = _tree_bytes(tmp_path / "forward")
+        reversed_ = _tree_bytes(tmp_path / "reversed")
+        assert forward.keys() == reversed_.keys()
+        for name in forward:
+            assert forward[name] == reversed_[name], name
+
+
+class TestCrossFoldMemo:
+    """Each value shared across folds equals the one a cold pipeline computes."""
+
+    def test_fold_free_and_shared_records(self):
+        from psgrank.experiment import _METHODS
+
+        assert [m for m, r in _METHODS.items() if r.fold_free] == [
+            "LM", "SDM", "DocPsg", "QSF", "PLM"
+        ]
+        shared = {m: r.shared_stages for m, r in _METHODS.items() if r.shared_stages is not None}
+        assert shared == {"init-LTR": (), "PsgLTR": ("QSF",)}
+
+    def test_memo_holds_only_fold_free_work(self, tmp_path, monkeypatch):
+        # A model-reading method's runs differ between folds, so none of its
+        # metrics or matrices may be kept for the whole run.
+        from psgrank import experiment
+
+        pipes = []
+
+        class Recorded(experiment._Pipeline):
+            def __init__(self, config):
+                super().__init__(config)
+                pipes.append(self)
+
+        monkeypatch.setattr(experiment, "_Pipeline", Recorded)
+        paths = _tiny_corpus(tmp_path)
+        run_experiment(_tiny_config(paths, ["SDM", "QSF", "RRF", "FPD"]), tmp_path / "out")
+        kinds = {}
+        for key in pipes[0]._memo:
+            kinds.setdefault(key[0], set()).add(key[1])
+        assert kinds["metric"] == {"SDM", "QSF"}
+        assert kinds["matrix"] == {
+            experiment._METHODS[m].vectors for m in ("init-LTR", "PsgLTR")
+        }
+
+    def test_shared_matrix_keyed_by_tuned_qsf(self, tmp_path):
+        import numpy as np
+
+        from psgrank import experiment
+
+        paths = _tiny_corpus(tmp_path)
+        # A short passage cutoff makes the QSF universe depend on lambda.
+        config = _tiny_config(paths, ["PsgLTR"], psg_cutoff=5)
+        qids = sorted(experiment._Pipeline(config).queries)
+        fold = (qids[0], qids[1:4], qids[4:])
+        rec = experiment._METHODS["PsgLTR"]
+
+        def matrix(pipe, lam):
+            runner = experiment._FoldRunner(pipe, fold)
+            runner.params["QSF"] = {"mu": 1500.0, "lambda": lam}
+            return runner._normalized(rec, qids[1], {"mu": 1500.0})
+
+        pipe = experiment._Pipeline(config)
+        warm = {lam: matrix(pipe, lam) for lam in (0.1, 0.9)}
+        assert warm[0.1].item_ids != warm[0.9].item_ids
+        for lam, got in warm.items():
+            cold = matrix(experiment._Pipeline(config), lam)
+            assert got.item_ids == cold.item_ids
+            assert np.array_equal(got.values, cold.values)
+
+    def test_sdm_weight_triples_get_their_own_metrics(self, tmp_path):
+        from psgrank import experiment
+
+        paths = _tiny_corpus(tmp_path)
+        triples = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+        config = _tiny_config(paths, ["SDM"], grids={**_TINY_GRIDS, "sdm_weights": triples})
+        pipe = experiment._Pipeline(config)
+        qids = sorted(pipe.queries)
+        fold = (qids[0], qids[1:], [])
+        experiment._FoldRunner(pipe, fold)._walk("SDM")
+        entries = {k: v for k, v in pipe._memo.items() if k[:2] == ("metric", "SDM")}
+        assert len(entries) == len(triples) * len(fold[1])
+        cold = experiment._Pipeline(config)
+        cold_runner = experiment._FoldRunner(cold, fold)
+        by_triple = {}
+        for (_, _, params, qid), value in entries.items():
+            params = dict(params)
+            cold_value = cold.doc_metric(experiment._sdm(cold_runner, qid, params))
+            assert value == cold_value
+            by_triple.setdefault(params["weights"], []).append(value)
+        assert sorted(by_triple) == [tuple(t) for t in sorted(triples)]
+        assert by_triple[(1.0, 0.0, 0.0)] != by_triple[(0.0, 0.0, 1.0)]
+
+
 class TestStaging:
     @staticmethod
     def _counted(monkeypatch) -> dict:

@@ -608,7 +608,7 @@ class TestSvmlight:
 
     @pytest.mark.parametrize(
         "row", ["0 qid:q1 0:0.2 # a", "0 qid:q1 3: # a", "0 qid:q1 x:1 # a", "0 q1 1:1 # a",
-                "g qid:q1 1:1 # a", "0 qid:q1 1: # a"],
+                "g qid:q1 1:1 # a", "0 qid:q1 1: # a", "0 qid:q1 1:1 # ok"],
     )
     def test_malformed_rows_name_the_line(self, tmp_path, row):
         path = tmp_path / "bad.svmlight"

@@ -351,6 +351,33 @@ class TestBitExactContracts:
             assert got.shape == (37, 5)
             assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize(
+        "rows,max_pairs,c,best_epoch",
+        [
+            (_random_rows(np.random.default_rng(33)), 10**6, 0.01, None),
+            (_random_rows(np.random.default_rng(34), n_features=9), 10**6, 0.5, None),
+            (_random_rows(np.random.default_rng(35), n_items=20), 150, 0.1, None),
+            # Separable in one step: no later epoch beats the first.
+            ([("q1", f"p{i}", [1.0], 1) for i in range(3)]
+             + [("q1", f"n{i}", [0.0], 0) for i in range(3)], 10**6, 1.0, 0),
+        ],
+        ids=["random", "random-wide", "subsampled", "best-epoch-0"],
+    )
+    def test_one_product_trainer_equals_two_product_loop(self, rows, max_pairs, c, best_epoch):
+        from psgrank.ltr import _difference_matrix
+
+        data = _training(rows)
+        assert max_pairs == 10**6 or len(_difference_matrix(data, 10**6, seed=7)) > max_pairs
+        expected, epoch = row_references.pairwise_hinge(
+            _difference_matrix(data, max_pairs, seed=7), c, epochs=80, learning_rate=0.5
+        )
+        got = train_pairwise(data, c=c, epochs=80, seed=7, learning_rate=0.5, max_pairs=max_pairs)
+        assert got.weights == expected
+        if best_epoch is not None:
+            assert epoch == best_epoch
+        else:
+            assert epoch > 0
+
     def test_difference_matrix_no_signal_raises(self):
         from psgrank.ltr import _difference_matrix
 
