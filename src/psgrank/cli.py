@@ -13,19 +13,23 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import CorpusError, CorpusStore, ingest_corpus, load_topics
+from .corpus import CORPUS_FORMATS, CorpusError, CorpusStore, ingest_corpus, load_topics
 from .evaluation import (
+    QRELS_LOADERS,
     JudgmentError,
     average_precision,
+    check_ttest_params,
     interpolated_precision,
     load_char_qrels,
     load_doc_qrels,
-    load_sentence_qrels,
     mean_metric,
     paired_ttest,
     precision_at,
 )
-from .experiment import FEATURE_FREE_METHODS, ConfigError, ExperimentConfig, run_experiment
+from .experiment import (
+    CONFIG_FIELDS, FEATURE_FREE_METHODS, TRAINERS, ConfigError, ExperimentConfig,
+    _default_trainer_params, run_experiment,
+)
 from .features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
@@ -48,7 +52,7 @@ from .ltr import (
     train_coordinate_ascent,
     train_pairwise,
 )
-from .passage import SegmentationParams, segment
+from .passage import SEGMENTATION_MODES, SegmentationParams, segment
 from .rank import read_trec_run
 
 
@@ -182,15 +186,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-_RUN_OVERRIDES = ("seed", "trainer", "psg_ranker", "window_len")
-
-
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    for name in _RUN_OVERRIDES:  # flags override scalar config fields only
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
+    for f in CONFIG_FIELDS:
+        if f.override and getattr(args, f.name) is not None:
+            setattr(config, f.name, getattr(args, f.name))
     report = run_experiment(config, args.out)
     for method in sorted(report.methods):
         parts = "  ".join(f"{k}={v:.4f}" for k, v in sorted(report.methods[method].items()))
@@ -202,12 +202,7 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     runs = read_trec_run(args.run)
     mode = args.mode
-    if mode == "doc_graded":
-        judgments = load_doc_qrels(args.qrels)
-    elif mode == "char_focused":
-        judgments = load_char_qrels(args.qrels)
-    else:
-        judgments = load_sentence_qrels(args.qrels)
+    judgments = QRELS_LOADERS[mode](args.qrels)
 
     per_query: list[dict] = []
     if mode == "char_focused":
@@ -317,20 +312,24 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+# The per-query measures `psgrank ttest` compares: (run, judgments, cutoff) -> value.
+_TTEST_MEASURES = {
+    "map": lambda run, judgments, cutoff: average_precision(run, judgments, cutoff),
+    "p10": lambda run, judgments, cutoff: precision_at(run, judgments, 10),
+}
+
+
 def _metric_per_query(run_path: str, qrels_path: str, measure: str, cutoff: int) -> dict:
     judgments = load_doc_qrels(qrels_path)
-    values = {}
-    for run in read_trec_run(run_path):
-        if measure == "map":
-            values[run.query_id] = average_precision(run, judgments, cutoff)
-        elif measure == "p10":
-            values[run.query_id] = precision_at(run, judgments, 10)
-        else:
-            raise UsageError(f"unknown measure {measure!r}; use map or p10")
-    return values
+    measure = _TTEST_MEASURES[measure]
+    return {run.query_id: measure(run, judgments, cutoff) for run in read_trec_run(run_path)}
 
 
 def _cmd_ttest(args) -> int:
+    try:
+        check_ttest_params(args.alpha, args.corrections)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     a = _metric_per_query(args.run_a, args.qrels, args.measure, args.cutoff)
     b = _metric_per_query(args.run_b, args.qrels, args.measure, args.cutoff)
     qids = sorted(q for q in a if a[q] is not None and q in b and b[q] is not None)
@@ -359,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="ingest a corpus and build the positional index")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--format", default="jsonl", choices=["jsonl", "trecweb"])
+    p.add_argument("--format", default="jsonl", choices=CORPUS_FORMATS)
     p.add_argument("--out", required=True, help="store directory to create")
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("segment", help="write the passage table of a stored corpus")
     p.add_argument("--store", required=True)
     p.add_argument("--length", type=int, default=300)
-    p.add_argument("--mode", default="fixed", choices=["fixed", "sentence"])
+    p.add_argument("--mode", default="fixed", choices=SEGMENTATION_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_segment)
 
@@ -380,40 +379,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-mu", type=float, default=1000.0, dest="init_mu")
     p.add_argument("--k-docs", type=int, default=1000, dest="k_docs")
     p.add_argument("--length", type=int, default=300)
-    p.add_argument("--seg-mode", default="fixed", choices=["fixed", "sentence"], dest="seg_mode")
+    p.add_argument("--seg-mode", default="fixed", choices=SEGMENTATION_MODES, dest="seg_mode")
     p.add_argument("--normalize", action="store_true", help="min-max normalize per query")
     p.set_defaults(func=_cmd_features)
 
     p = sub.add_parser("train", help="train a linear model from an SVMlight dump")
     p.add_argument("--features", required=True)
-    p.add_argument("--trainer", default="pairwise_hinge",
-                   choices=["pairwise_hinge", "coordinate_ascent"])
+    p.add_argument("--trainer", default="pairwise_hinge", choices=TRAINERS)
     p.add_argument("--out", required=True)
     p.add_argument("--c", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--learning-rate", type=float, default=0.5, dest="learning_rate")
-    p.add_argument("--restarts", type=int, default=2)
-    p.add_argument("--max-passes", type=int, default=25, dest="max_passes")
+    for name, default in _default_trainer_params().items():
+        if name != "max_pairs":  # not a flag of `train`
+            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("run", help="run a configured experiment end to end")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--trainer", choices=["pairwise_hinge", "coordinate_ascent"])
-    p.add_argument("--psg-ranker", choices=["ltr", "qsf"], dest="psg_ranker")
-    p.add_argument("--window-len", type=int, dest="window_len")
+    for f in CONFIG_FIELDS:
+        if f.override:
+            p.add_argument(
+                "--" + f.name.replace("_", "-"), help=f"override the config {f.name}",
+                type=int if f.kind == "int" else None,
+                choices=f.rule if f.kind == "choice" else None,
+            )
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="evaluate a TREC run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--mode", default="doc_graded",
-                   choices=["doc_graded", "char_focused", "sentence_binary"])
+    p.add_argument("--mode", default="doc_graded", choices=QRELS_LOADERS)
     p.add_argument("--store", help="store directory (char_focused only)")
     p.add_argument("--length", type=int, default=300)
-    p.add_argument("--seg-mode", default="fixed", choices=["fixed", "sentence"], dest="seg_mode")
+    p.add_argument("--seg-mode", default="fixed", choices=SEGMENTATION_MODES, dest="seg_mode")
     p.add_argument("--cutoff", type=int, default=1000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-a", required=True, dest="run_a")
     p.add_argument("--run-b", required=True, dest="run_b")
     p.add_argument("--qrels", required=True)
-    p.add_argument("--measure", default="map", choices=["map", "p10"])
+    p.add_argument("--measure", default="map", choices=_TTEST_MEASURES)
     p.add_argument("--cutoff", type=int, default=1000)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--corrections", type=int, default=1)
@@ -456,7 +455,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, CorpusError, JudgmentError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IndexError_, FileNotFoundError, ValueError, ArithmeticError) as exc:
+    except (IndexError_, OSError, ValueError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -453,6 +453,10 @@ def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
         yield docno.group(1), body
 
 
+_RECORD_READERS = {"jsonl": _iter_jsonl_records, "trecweb": _iter_trecweb_records}
+CORPUS_FORMATS = tuple(_RECORD_READERS)
+
+
 def ingest_corpus(
     source: str | Path,
     corpus_format: str = "jsonl",
@@ -468,12 +472,9 @@ def ingest_corpus(
     path = Path(source)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
-    if corpus_format == "jsonl":
-        records = _iter_jsonl_records(path)
-    elif corpus_format == "trecweb":
-        records = _iter_trecweb_records(path)
-    else:
+    if corpus_format not in _RECORD_READERS:
         raise CorpusError(f"unknown corpus format: {corpus_format!r}")
+    records = _RECORD_READERS[corpus_format](path)
 
     tokenizer = tokenizer or Tokenizer()
     documents = []

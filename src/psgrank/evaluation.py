@@ -40,7 +40,7 @@ class JudgmentSet:
     char_spans: dict[str, dict[str, list[tuple[int, int]]]]
 
     def __post_init__(self):
-        if self.mode not in ("doc_graded", "char_focused", "sentence_binary"):
+        if self.mode not in QRELS_LOADERS:
             raise JudgmentError(f"unknown judgment mode: {self.mode!r}")
 
     def grade(self, query_id: str, item_id: str) -> int:
@@ -114,6 +114,14 @@ def load_sentence_qrels(path: str | Path) -> JudgmentSet:
             raise JudgmentError(f"{path}:{lineno}: sentence judgments are binary")
         grades.setdefault(qid, {})[pid] = g
     return JudgmentSet(mode="sentence_binary", grades=grades, char_spans={})
+
+
+# Each judgment mode and the reader of its qrels format.
+QRELS_LOADERS = {
+    "doc_graded": load_doc_qrels,
+    "char_focused": load_char_qrels,
+    "sentence_binary": load_sentence_qrels,
+}
 
 
 def average_precision(
@@ -312,6 +320,14 @@ class TTestResult:
     significant: bool
 
 
+def check_ttest_params(alpha: float = 0.05, corrections: int = 1) -> None:
+    """A paired t-test's level must lie in (0, 1) and its Bonferroni count be >= 1."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if corrections < 1:
+        raise ValueError(f"corrections must be >= 1, got {corrections}")
+
+
 def paired_ttest(
     per_query_a: Sequence[float],
     per_query_b: Sequence[float],
@@ -323,13 +339,12 @@ def paired_ttest(
     Identical samples short-circuit to (t=0, p=1, not significant); a
     constant non-zero difference has no variance and raises ValueError.
     """
+    check_ttest_params(alpha, corrections)
     if len(per_query_a) != len(per_query_b):
         raise ValueError("paired samples must have equal lengths")
     n = len(per_query_a)
     if n < 2:
         raise ValueError("paired t-test needs at least 2 observations")
-    if corrections < 1:
-        raise ValueError(f"corrections must be >= 1, got {corrections}")
     diffs = [b - a for a, b in zip(per_query_a, per_query_b)]
     if all(d == 0.0 for d in diffs):
         return TTestResult(t=0.0, p=1.0, significant=False)

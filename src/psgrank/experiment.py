@@ -14,23 +14,23 @@ byte-identical run files, models and reports.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .corpus import Query, ingest_corpus, load_topics
+from .corpus import CORPUS_FORMATS, Query, ingest_corpus, load_topics
 from .evaluation import (
+    QRELS_LOADERS,
     CvPlan,
-    JudgmentSet,
     average_precision,
+    check_ttest_params,
     interpolated_precision,
-    load_char_qrels,
     load_doc_qrels,
-    load_sentence_qrels,
     mean_metric,
     paired_ttest,
     precision_at,
@@ -47,11 +47,11 @@ from .features import (
     load_synonyms,
     minmax_normalize,
 )
-from .index import LmParams, PositionalIndex, SdmWeights, build_index, retrieve_lm
+from .index import LmParams, SdmWeights, build_index, retrieve_lm
 from .ltr import (
     LinearModel, TrainingSet, passage_grade, score, train_coordinate_ascent, train_pairwise,
 )
-from .passage import Passage, SegmentationParams, segment
+from .passage import SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, segment
 from .rank import (
     FusionParams,
     RankedList,
@@ -299,214 +299,130 @@ def _default_trainer_params() -> dict:
     }
 
 
-@dataclass
-class ExperimentConfig:
-    """Resolved configuration for one experiment run."""
-
-    corpus: Path
-    topics: Path
-    methods: list[str]
-    corpus_format: str = "jsonl"
-    doc_qrels: Path | None = None
-    psg_qrels: Path | None = None
-    psg_qrels_mode: str = "char_focused"
-    embeddings: Path | None = None
-    synonyms: Path | None = None
-    entities: Path | None = None
-    esa_corpus: Path | None = None
-    window_len: int = 300
-    segmentation_mode: str = "fixed"
-    trainer: str = "pairwise_hinge"
-    psg_ranker: str = "ltr"
-    seed: int = 0
-    init_mu: float = 1000.0
-    doc_cutoff: int = 1000
-    psg_cutoff: int = 1500
-    grids: dict = field(default_factory=_default_grids)
-    trainer_params: dict = field(default_factory=_default_trainer_params)
-    exclusions: list[str] = field(default_factory=list)
-    ttest_alpha: float = 0.05
-    ttest_corrections: int | None = None
-    sentence_universe: str = "retrieved"
-
-    @classmethod
-    def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {data!r}")
-        data = dict(data)
-        if "method" in data and "methods" not in data:
-            m = data.pop("method")
-            data["methods"] = [m] if isinstance(m, str) else m
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        base = Path(base_dir) if base_dir else Path(".")
-        # A non-object is kept as given, for validate() to report.
-        grids = data.get("grids", {})
-        if isinstance(grids, dict):
-            grids = {**_default_grids(), **grids}
-        trainer_params = data.get("trainer_params", {})
-        if isinstance(trainer_params, dict):
-            trainer_params = {**_default_trainer_params(), **trainer_params}
-        methods = data.get("methods", [])
-        # Optional paths resolve against base_dir; scalars are kept as given.
-        extra = {
-            k: ((base / v) if v else None) if types[k] == "Path | None" else v
-            for k, v in data.items()
-            if k not in ("corpus", "topics", "methods", "grids", "trainer_params")
-        }
-        return cls(
-            corpus=base / data.get("corpus", "corpus.jsonl"),
-            topics=base / data.get("topics", "topics.tsv"),
-            methods=list(methods) if isinstance(methods, (list, tuple)) else methods,
-            grids=grids,
-            trainer_params=trainer_params,
-            **extra,
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return cls.from_dict(data, base_dir=path.parent)
-
-    def _records(self) -> list[_Method]:
-        methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
-        return [_METHODS[m] for m in methods if isinstance(m, str) and m in _METHODS]
-
-    def needs_doc_qrels(self) -> bool:
-        return any(r.kind == "doc" for r in self._records())
-
-    def needs_psg_qrels(self) -> bool:
-        # Any passage ranking (learned or QSF) is tuned by a passage metric.
-        return any(r.kind == "psg" or r.psg_ranking for r in self._records())
-
-    def validate(self) -> list[str]:
-        """Collect every problem; empty list means the config is usable."""
-        problems = []
-        if not isinstance(self.methods, (list, tuple)):
-            problems.append(f"methods must be a list of method names, got {self.methods!r}")
-        elif not self.methods:
-            problems.append("no methods configured")
-        else:
-            names = [m for m in self.methods if isinstance(m, str)]
-            for m in self.methods:
-                if not isinstance(m, str):
-                    problems.append(f"methods entry {m!r} must be a method name")
-                elif m not in _METHODS:
-                    problems.append(f"unknown method {m!r}; allowed: {', '.join(ALL_METHODS)}")
-            if len(set(names)) != len(names):
-                problems.append("duplicate methods configured")
-        if self.trainer not in TRAINERS:
-            problems.append(f"unknown trainer {self.trainer!r}; allowed: {', '.join(TRAINERS)}")
-        if self.psg_ranker not in ("ltr", "qsf"):
-            problems.append(f"psg_ranker must be 'ltr' or 'qsf', got {self.psg_ranker!r}")
-        if self.psg_qrels_mode not in ("char_focused", "sentence_binary"):
-            problems.append(f"unknown psg_qrels_mode {self.psg_qrels_mode!r}")
-        if self.segmentation_mode not in ("fixed", "sentence"):
-            problems.append(f"unknown segmentation_mode {self.segmentation_mode!r}")
-        if self.sentence_universe not in ("retrieved", "judged"):
-            problems.append(f"unknown sentence_universe {self.sentence_universe!r}")
-        if not self.corpus.exists():
-            problems.append(f"corpus not found: {self.corpus}")
-        if not self.topics.exists():
-            problems.append(f"topics not found: {self.topics}")
-        if self.needs_doc_qrels():
-            if self.doc_qrels is None:
-                problems.append("configured methods need doc_qrels")
-            elif not self.doc_qrels.exists():
-                problems.append(f"doc_qrels not found: {self.doc_qrels}")
-        if self.needs_psg_qrels():
-            if self.psg_qrels is None:
-                problems.append("configured methods need psg_qrels")
-            elif not self.psg_qrels.exists():
-                problems.append(f"psg_qrels not found: {self.psg_qrels}")
-        for key, path in (
-            ("embeddings", self.embeddings),
-            ("synonyms", self.synonyms),
-            ("entities", self.entities),
-            ("esa_corpus", self.esa_corpus),
-        ):
-            if path is not None and not path.exists():
-                problems.append(f"{key} not found: {path}")
-        problems.extend(self._grid_problems())
-        problems.extend(self._trainer_param_problems())
-        for key, least in (("window_len", 1), ("doc_cutoff", 1), ("psg_cutoff", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if not _is_int(value):
-                problems.append(f"{key} must be an integer, got {value!r}")
-            elif value < least:
-                problems.append(f"{key} must be >= {least}, got {value}")
-        if not _is_number(self.init_mu) or not self.init_mu >= 0:
-            problems.append(f"init_mu must be a number >= 0, got {self.init_mu!r}")
-        if not isinstance(self.exclusions, (list, tuple)):
-            problems.append(f"exclusions must be a list of feature names, got {self.exclusions!r}")
-        else:
-            for name in self.exclusions:
-                if not isinstance(name, str):
-                    problems.append(f"exclusions entry {name!r} must be a feature name")
-            problems.extend(
-                _parse_exclusions([e for e in self.exclusions if isinstance(e, str)])[2]
-            )
-        return problems
-
-    def _trainer_param_problems(self) -> list[str]:
-        if not isinstance(self.trainer_params, dict):
-            return [f"trainer_params must be a JSON object, got {self.trainer_params!r}"]
-        problems = []
-        known_params = _default_trainer_params()
-        for name in sorted(set(self.trainer_params) - set(known_params)):
-            problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
-        for name, default in known_params.items():
-            # Counts must be integers and rates numbers, like their defaults.
-            value = self.trainer_params.get(name, default)
-            if _is_int(default) and not _is_int(value):
-                problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
-            elif not _is_number(value):
-                problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
-        return problems
-
-    def _grid_problems(self) -> list[str]:
-        if not isinstance(self.grids, dict):
-            return [f"grids must be a JSON object, got {self.grids!r}"]
-        problems = []
-        known_grids = _default_grids()
-        for name in sorted(set(self.grids) - set(known_grids)):
-            problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
-        usable = {}
-        for name in known_grids:
-            points = self.grids.get(name)
-            if not isinstance(points, (list, tuple)):
-                problems.append(f"grid {name!r} must be a list, got {points!r}")
-                continue
-            if not points:
-                problems.append(f"grid {name!r} is empty")
-            usable[name] = []
-            for point in points:
-                problem = _point_problem(name, point)
-                if problem:
-                    problems.append(f"grid {name!r} point {point!r}: {problem}")
-                else:
-                    usable[name].append(point)
-        lams, betas = usable.get("plm_lambda"), usable.get("plm_beta")
-        if lams and betas and not any(plm_weights_feasible(a, b) for a in lams for b in betas):
-            problems.append("no (plm_lambda, plm_beta) pair has lambda + beta <= 1")
-        return problems
-
-    def resolved(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            out[key] = str(value) if isinstance(value, Path) else value
-        return out
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a scalar kind's value must be, and the test for it.
+_KINDS = {
+    "path": ("a path", lambda v: isinstance(v, (str, Path))),
+    "int": ("an integer", _is_int),
+    "number": ("a number", _is_number),
+    "mapping": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+
+
+@dataclass(frozen=True)
+class ConfigField:
+    """One experiment config field: its kind, default and rule.
+
+    ``kind`` is path, int, number, choice, list or mapping; a field whose
+    default is None may also be null, and a path must name a file. The rule
+    is an int's least value, a choice's allowed values, a check that raises
+    ValueError (the consumer's own where it has one), or, for a list or
+    mapping, a function that returns every problem with the whole value.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    rule: object = None
+    override: bool = False  # `psgrank run` may set it by a flag
+    load: Callable | None = None  # (path, config) -> the resource a run reads
+
+    def problems(self, value) -> list[str]:
+        """Every problem with ``value`` as this field's setting."""
+        name, rule = self.name, self.rule
+        if self.kind == "list":
+            return rule(value)
+        if value is None and self.default is None:
+            return []
+        if self.kind == "choice":
+            allowed = ", ".join(rule)
+            return [] if value in rule else [f"unknown {name} {value!r}; allowed: {allowed}"]
+        noun, is_kind = _KINDS[self.kind]
+        if not is_kind(value):
+            return [f"{name} must be {noun}, got {value!r}"]
+        if self.kind == "mapping":
+            return rule(value)
+        if self.kind == "path":
+            return [] if Path(value).is_file() else [f"{name} is not an existing file: {value}"]
+        if _is_int(rule):
+            return [] if value >= rule else [f"{name} must be >= {rule}, got {value}"]
+        try:
+            rule(value)
+        except ValueError as exc:
+            return [f"{name}: {exc}"]
+        return []
+
+
+def _string_entries(name: str, value, noun: str) -> tuple[list[str], list[str]]:
+    """Problems with a list of names, and its entries that are names."""
+    if not isinstance(value, (list, tuple)):
+        return [f"{name} must be a list of {noun}s, got {value!r}"], []
+    problems = [f"{name} entry {v!r} must be a {noun}" for v in value if not isinstance(v, str)]
+    return problems, [v for v in value if isinstance(v, str)]
+
+
+def _method_problems(methods) -> list[str]:
+    problems, names = _string_entries("methods", methods, "method name")
+    allowed = ", ".join(ALL_METHODS)
+    problems += [f"unknown method {m!r}; allowed: {allowed}" for m in names if m not in _METHODS]
+    if not problems and not names:
+        problems.append("no methods configured")
+    if len(set(names)) != len(names):
+        problems.append("duplicate methods configured")
+    return problems
+
+
+def _exclusion_problems(exclusions) -> list[str]:
+    problems, names = _string_entries("exclusions", exclusions, "feature name")
+    return problems + _parse_exclusions(names)[2]
+
+
+def _trainer_param_problems(trainer_params: dict) -> list[str]:
+    problems = []
+    known_params = _default_trainer_params()
+    for name in sorted(set(trainer_params) - set(known_params)):
+        problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
+    for name, default in known_params.items():
+        # Counts must be integers and rates numbers, like their defaults.
+        value = trainer_params.get(name, default)
+        if _is_int(default) and not _is_int(value):
+            problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
+        elif not _is_number(value):
+            problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
+    return problems
+
+
+def _grid_problems(grids: dict) -> list[str]:
+    problems = []
+    known_grids = _default_grids()
+    for name in sorted(set(grids) - set(known_grids)):
+        problems.append(f"unknown grid {name!r}; known: {', '.join(known_grids)}")
+    usable = {}
+    for name in known_grids:
+        points = grids.get(name)
+        if not isinstance(points, (list, tuple)):
+            problems.append(f"grid {name!r} must be a list, got {points!r}")
+            continue
+        if not points:
+            problems.append(f"grid {name!r} is empty")
+        usable[name] = []
+        for point in points:
+            problem = _point_problem(name, point)
+            if problem:
+                problems.append(f"grid {name!r} point {point!r}: {problem}")
+            else:
+                usable[name].append(point)
+    lams, betas = usable.get("plm_lambda"), usable.get("plm_beta")
+    if lams and betas and not any(plm_weights_feasible(a, b) for a in lams for b in betas):
+        problems.append("no (plm_lambda, plm_beta) pair has lambda + beta <= 1")
+    return problems
 
 
 # The check each grid's consumer runs on one point; it raises ValueError.
@@ -539,6 +455,107 @@ def _point_problem(grid: str, point) -> str | None:
     return None
 
 
+# Every config field, in the order validate() reports problems. Loaders run
+# in this order too; corpus and topics are read with the run's tokenizer.
+CONFIG_FIELDS = (
+    ConfigField("corpus", "path", "corpus.jsonl"),
+    ConfigField("topics", "path", "topics.tsv"),
+    ConfigField("methods", "list", [], _method_problems),
+    ConfigField("corpus_format", "choice", "jsonl", CORPUS_FORMATS),
+    ConfigField("doc_qrels", "path", load=lambda path, config: load_doc_qrels(path)),
+    ConfigField(
+        "psg_qrels", "path",
+        load=lambda path, config: QRELS_LOADERS[config.psg_qrels_mode](path),
+    ),
+    ConfigField("psg_qrels_mode", "choice", "char_focused", ("char_focused", "sentence_binary")),
+    ConfigField("embeddings", "path", load=lambda path, config: load_embeddings(path)),
+    ConfigField("synonyms", "path", load=lambda path, config: load_synonyms(path)),
+    ConfigField("entities", "path", load=lambda path, config: load_entities(path)),
+    ConfigField(
+        "esa_corpus", "path",
+        load=lambda path, config: build_index(ingest_corpus(path, config.corpus_format)),
+    ),
+    ConfigField("window_len", "int", 300, 1, override=True),
+    ConfigField("segmentation_mode", "choice", "fixed", SEGMENTATION_MODES),
+    ConfigField("trainer", "choice", "pairwise_hinge", TRAINERS, override=True),
+    ConfigField("psg_ranker", "choice", "ltr", ("ltr", "qsf"), override=True),
+    ConfigField("seed", "int", 0, 0, override=True),
+    ConfigField("init_mu", "number", 1000.0, LmParams),
+    ConfigField("doc_cutoff", "int", 1000, 1),
+    ConfigField("psg_cutoff", "int", 1500, 1),
+    ConfigField("grids", "mapping", _default_grids(), _grid_problems),
+    ConfigField("trainer_params", "mapping", _default_trainer_params(), _trainer_param_problems),
+    ConfigField("exclusions", "list", [], _exclusion_problems),
+    ConfigField("ttest_alpha", "number", 0.05, lambda v: check_ttest_params(alpha=v)),
+    # null: one correction per other configured method.
+    ConfigField("ttest_corrections", "int", None, lambda v: check_ttest_params(corrections=v)),
+    ConfigField("sentence_universe", "choice", "retrieved", ("retrieved", "judged")),
+)
+
+
+class ExperimentConfig:
+    """Configuration for one experiment run: an attribute per ``CONFIG_FIELDS``
+    entry, holding its default until set."""
+
+    def __init__(self):
+        for f in CONFIG_FIELDS:
+            setattr(self, f.name, copy.deepcopy(f.default))
+
+    @classmethod
+    def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
+        data = dict(data)
+        if "method" in data and "methods" not in data:
+            m = data.pop("method")
+            data["methods"] = [m] if isinstance(m, str) else m
+        unknown = set(data) - {f.name for f in CONFIG_FIELDS}
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        base = Path(base_dir) if base_dir else Path(".")
+        config = cls()
+        # Paths resolve against base_dir, and objects merge over the default;
+        # a value of the wrong kind is kept as given, for validate() to report.
+        for f in CONFIG_FIELDS:
+            value = data.get(f.name, getattr(config, f.name))
+            if f.kind == "path" and isinstance(value, (str, Path)):
+                value = base / value
+            elif f.kind == "mapping" and isinstance(value, dict):
+                value = {**getattr(config, f.name), **value}
+            setattr(config, f.name, value)
+        return config
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "ExperimentConfig":
+        path = Path(path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        return cls.from_dict(data, base_dir=path.parent)
+
+    def _records(self) -> list[_Method]:
+        methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
+        return [_METHODS[m] for m in methods if isinstance(m, str) and m in _METHODS]
+
+    def needs_doc_qrels(self) -> bool:
+        return any(r.kind == "doc" for r in self._records())
+
+    def needs_psg_qrels(self) -> bool:
+        # Any passage ranking (learned or QSF) is tuned by a passage metric.
+        return any(r.kind == "psg" or r.psg_ranking for r in self._records())
+
+    def validate(self) -> list[str]:
+        """Collect every problem; empty list means the config is usable."""
+        problems = [p for f in CONFIG_FIELDS for p in f.problems(getattr(self, f.name))]
+        needs = {"doc_qrels": self.needs_doc_qrels(), "psg_qrels": self.needs_psg_qrels()}
+        for name, needed in needs.items():
+            if needed and getattr(self, name) is None:
+                problems.append(f"configured methods need {name}")
+        return problems
+
+    def resolved(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in CONFIG_FIELDS}
+        return {k: str(v) if isinstance(v, Path) else v for k, v in values.items()}
+
+
 def _parse_exclusions(exclusions: Sequence[str]):
     """Split 'doc.X' / 'psg.X' / bare names into per-schema exclusion sets."""
     doc_excl, psg_excl, problems = set(), set(), []
@@ -563,12 +580,6 @@ def _parse_exclusions(exclusions: Sequence[str]):
                 f"{', '.join(PSG_SCHEMA.features)}"
             )
     return doc_excl, psg_excl, problems
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 @dataclass
@@ -599,20 +610,16 @@ class _Pipeline:
         self.store = ingest_corpus(config.corpus, config.corpus_format)
         self.index = build_index(self.store)
         self.seg_params = SegmentationParams(config.window_len, config.segmentation_mode)
-        self.doc_judgments = load_doc_qrels(config.doc_qrels) if config.doc_qrels else None
-        if config.psg_qrels:
-            if config.psg_qrels_mode == "char_focused":
-                self.psg_judgments = load_char_qrels(config.psg_qrels)
-            else:
-                self.psg_judgments = load_sentence_qrels(config.psg_qrels)
-        else:
-            self.psg_judgments = None
-
+        loaded = {
+            f.name: f.load(value, config)
+            for f in CONFIG_FIELDS
+            if f.load and (value := getattr(config, f.name)) is not None
+        }
+        self.doc_judgments = loaded.get("doc_qrels")
+        self.psg_judgments = loaded.get("psg_qrels")
         self.resources = SemanticResources(
-            embeddings=load_embeddings(config.embeddings) if config.embeddings else None,
-            synonyms=load_synonyms(config.synonyms) if config.synonyms else None,
-            entities=load_entities(config.entities) if config.entities else None,
-            esa_index=self._esa_index(),
+            loaded.get("embeddings"), loaded.get("synonyms"), loaded.get("entities"),
+            loaded.get("esa_corpus", self.index),
         )
 
         doc_excl, psg_excl, _ = _parse_exclusions(config.exclusions)
@@ -639,24 +646,15 @@ class _Pipeline:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def _esa_index(self) -> PositionalIndex:
-        if self.config.esa_corpus:
-            esa_store = ingest_corpus(self.config.esa_corpus, self.config.corpus_format)
-            return build_index(esa_store)
-        return self.index
-
     def _filter_queries(self, queries: Sequence[Query]) -> list[Query]:
         """Drop queries with no relevant items in the required qrels."""
-        kept = []
-        for q in queries:
-            ok = True
-            if self.config.needs_doc_qrels() and self.doc_judgments is not None:
-                ok = ok and self.doc_judgments.has_judgments(q.query_id)
-            if self.config.needs_psg_qrels() and self.psg_judgments is not None:
-                ok = ok and self.psg_judgments.has_judgments(q.query_id)
-            if ok:
-                kept.append(q)
-        return kept
+        required = [
+            judgments for judgments, needed in (
+                (self.doc_judgments, self.config.needs_doc_qrels()),
+                (self.psg_judgments, self.config.needs_psg_qrels()),
+            ) if needed
+        ]
+        return [q for q in queries if all(j.has_judgments(q.query_id) for j in required)]
 
     def _passages(self, doc_id: str) -> list[Passage]:
         got = self._segmented.get(doc_id)
@@ -681,17 +679,11 @@ class _Pipeline:
             and self.psg_judgments is not None
         ):
             judged = {
-                self._doc_of_sentence(pid)
+                parse_passage_id(pid)[0]
                 for pid in self.psg_judgments.grades.get(query.query_id, {})
             }
             return sorted(d for d in judged if d in self.store.by_id)
         return c_init.ids()
-
-    @staticmethod
-    def _doc_of_sentence(pid: str) -> str:
-        from .passage import parse_passage_id
-
-        return parse_passage_id(pid)[0]
 
     def _stage_query(self, query: Query) -> _QueryData:
         cfg = self.config
@@ -1134,18 +1126,9 @@ def _assemble_report(config, pipe, runs, fold_summaries) -> ExperimentReport:
         "config": config.resolved(),
         "corpus_manifest": pipe.store.manifest(),
         "resource_checksums": {
-            name: _sha256(path)
-            for name, path in (
-                ("corpus", config.corpus),
-                ("topics", config.topics),
-                ("doc_qrels", config.doc_qrels),
-                ("psg_qrels", config.psg_qrels),
-                ("embeddings", config.embeddings),
-                ("synonyms", config.synonyms),
-                ("entities", config.entities),
-                ("esa_corpus", config.esa_corpus),
-            )
-            if path is not None
+            f.name: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for f in CONFIG_FIELDS
+            if f.kind == "path" and (path := getattr(config, f.name)) is not None
         },
         "resource_degradations": pipe.resources.degradations(),
         "queries": sorted(pipe.queries),

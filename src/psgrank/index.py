@@ -39,7 +39,7 @@ class LmParams:
     mu: float = 1000.0
 
     def __post_init__(self):
-        if self.mu < 0:
+        if not self.mu >= 0:  # NaN too
             raise ValueError(f"mu must be >= 0, got {self.mu}")
 
 

@@ -13,6 +13,7 @@ from .corpus import Document
 
 _ID_SEP = "#"
 _SENTENCE_BREAK_RE = re.compile(r"[.!?]+(?=\s|$)")
+SEGMENTATION_MODES = ("fixed", "sentence")
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class SegmentationParams:
     def __post_init__(self):
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
-        if self.mode not in ("fixed", "sentence"):
+        if self.mode not in SEGMENTATION_MODES:
             raise ValueError(f"unknown segmentation mode: {self.mode!r}")
 
     @property

@@ -1,8 +1,11 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer
+from psgrank.synthetic import SyntheticSpec, generate
 
 
 TINY_STOPWORDS = ("the", "of", "and", "an")
@@ -36,3 +39,49 @@ def store_factory(tokenizer):
 
 def make_query(query_id: str, text: str, tokenizer: Tokenizer) -> Query:
     return Query(query_id, text, tokenizer)
+
+
+
+def noisy_corpus(out_dir, seed=7):
+    """A small synthetic corpus on which document rankers fall short of AP 1.
+
+    The tiny corpus of the experiment tests lets passage-aware methods
+    reach mean AP 1.0, so a wrong tuning pick changes no artifact. Here
+    query terms are sparser (3 occurrences per term, distractors included),
+    112 noise documents each carry one term of 3 queries (every 3-subset of
+    the 8 queries twice; the benchmark's deep corpus is built the same way),
+    and document ids are shuffled, so breaking ties by id favours neither
+    relevant documents nor distractors. With 8 queries some queries are
+    validation queries in more than one fold, so work wrongly shared across
+    folds changes the tuned values.
+    """
+    spec = SyntheticSpec(
+        n_docs=64, n_queries=8, doc_tokens=90, window_len=30, relevant_per_query=4,
+        distractors_per_query=4, occurrences_per_term=3, distractor_occurrences=3,
+        vocab_size=300, seed=seed,
+    )
+    paths = generate(spec, out_dir)
+    rng = np.random.default_rng([seed, 1])
+    corpus = [json.loads(line) for line in paths["corpus"].read_text().splitlines()]
+    topics = {}
+    for line in paths["topics"].read_text().splitlines():
+        qid, text = line.split("\t", 1)
+        topics[qid] = text.split()
+    query_terms = {t for terms in topics.values() for t in terms}
+    background = [t for rec in corpus for t in rec["text"].split() if t not in query_terms]
+    subsets = list(itertools.combinations(sorted(topics), 3)) * 2
+    for n, i in enumerate(rng.permutation(len(subsets))):
+        tokens = [background[j] for j in rng.integers(0, len(background), size=spec.doc_tokens)]
+        slots = rng.choice(spec.doc_tokens, size=3, replace=False)
+        for slot, qid in zip(slots, subsets[i]):
+            tokens[slot] = topics[qid][int(rng.integers(0, len(topics[qid])))]
+        corpus.append({"id": f"noise{n:04d}", "text": " ".join(tokens)})
+    order = np.random.default_rng([seed, 3]).permutation(len(corpus))
+    new_ids = {rec["id"]: f"doc{n:04d}" for rec, n in zip(corpus, order)}
+    write_jsonl(paths["corpus"], [{"id": new_ids[r["id"]], "text": r["text"]} for r in corpus])
+    for name, sep, column in (("doc_qrels", " ", 2), ("psg_qrels", "\t", 1)):
+        rows = [line.split(sep) for line in paths[name].read_text().splitlines()]
+        for row in rows:
+            row[column] = new_ids[row[column]]
+        paths[name].write_text("".join(sep.join(row) + "\n" for row in rows))
+    return paths

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import TINY_STOPWORDS, build_store, make_query
+from conftest import TINY_STOPWORDS, build_store, make_query, noisy_corpus
 from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.experiment import ExperimentConfig, run_experiment
 from psgrank.features import (
@@ -478,7 +478,16 @@ def _small_config(paths, methods):
 
 
 def test_criterion_8_cv_hygiene(tmp_path):
-    paths = _small_experiment_paths(tmp_path)
+    _assert_cv_hygiene(tmp_path, _small_experiment_paths(tmp_path))
+
+
+def test_criterion_8_cv_hygiene_leak_sensitive(tmp_path):
+    # On this corpus JPDs falls short of AP 1.0, so a test query's
+    # judgments reaching its fold would move the tuned models.
+    _assert_cv_hygiene(tmp_path, noisy_corpus(tmp_path / "data"))
+
+
+def _assert_cv_hygiene(tmp_path, paths):
     run_experiment(_small_config(paths, ["JPDs"]), tmp_path / "clean")
 
     target = "q02"

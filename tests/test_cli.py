@@ -214,6 +214,21 @@ class TestTtestCommand:
         assert "queries: 5" in out and "t:" in out and "significant:" in out
 
 
+    @pytest.mark.parametrize(
+        "flags,problem",
+        [(["--alpha", "5"], "alpha must lie in (0, 1), got 5.0"),
+         (["--corrections", "0"], "corrections must be >= 1, got 0")],
+    )
+    def test_bad_parameters_rejected_before_reading_runs(self, tmp_path, capsys, flags, problem):
+        # The run files do not exist: reading them would be a runtime error (exit 2).
+        rc = main(
+            ["--workdir", str(tmp_path), "ttest", "--run-a", "a.trec", "--run-b", "b.trec",
+             "--qrels", "qrels.txt", *flags]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
+
 def _run_config(tmp_path, methods, **overrides):
     spec = SyntheticSpec(
         n_docs=32, n_queries=4, doc_tokens=60, window_len=20,
@@ -328,6 +343,38 @@ class TestRunCommand:
         assert problem in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "overrides,problems",
+        [
+            ({"ttest_alpha": "x"}, ["ttest_alpha must be a number, got 'x'"]),
+            ({"ttest_alpha": 5}, ["ttest_alpha: alpha must lie in (0, 1), got 5"]),
+            ({"ttest_corrections": "a"}, ["ttest_corrections must be an integer, got 'a'"]),
+            ({"ttest_corrections": -3}, ["ttest_corrections: corrections must be >= 1, got -3"]),
+            ({"ttest_corrections": 0}, ["ttest_corrections: corrections must be >= 1, got 0"]),
+            ({"corpus": 5}, ["corpus must be a path, got 5"]),
+            ({"corpus": None}, ["corpus must be a path, got None"]),
+            ({"doc_qrels": 5}, ["doc_qrels must be a path, got 5"]),
+            ({"embeddings": ["a"]}, ["embeddings must be a path, got ['a']"]),
+            (
+                {"corpus_format": "xml", "grids": {"mu": [-5.0]}},
+                ["unknown corpus_format 'xml'; allowed: jsonl, trecweb",
+                 "grid 'mu' point -5.0: mu must be >= 0, got -5.0"],
+            ),
+        ],
+    )
+    def test_bad_field_values_exit_one_before_any_work(
+        self, tmp_path, capsys, overrides, problems
+    ):
+        _run_config(tmp_path, ["LM", "QSF"], **overrides)
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for problem in problems:
+            assert problem in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("body", ["[1]", "5"])
     def test_non_object_config_exit_one(self, tmp_path, capsys, body):
         (tmp_path / "config.json").write_text(body)
@@ -350,6 +397,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "methods must be a list of method names, got 5" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unreadable_config_is_a_runtime_error(self, tmp_path, capsys):
+        (tmp_path / "config.json").mkdir()
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_workers_key_and_flag_rejected(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from psgrank.evaluation import (
     _measure,
     _subtract,
     average_precision,
+    check_ttest_params,
     interpolated_precision,
     load_char_qrels,
     load_doc_qrels,
@@ -318,6 +319,18 @@ class TestPairedTTest:
         assert plain.p == corrected.p
         if plain.significant:
             assert not corrected.significant
+
+    @pytest.mark.parametrize(
+        "alpha,corrections,problem",
+        [(0.0, 1, "alpha"), (1.0, 1, "alpha"), (5, 1, "alpha"), (float("nan"), 1, "alpha"),
+         (0.05, 0, "corrections"), (0.05, -3, "corrections")],
+    )
+    def test_parameters_checked(self, alpha, corrections, problem):
+        with pytest.raises(ValueError, match=f"^{problem} must"):
+            check_ttest_params(alpha, corrections)
+        with pytest.raises(ValueError, match=f"^{problem} must"):
+            paired_ttest([0.1, 0.5, 0.2], [0.3, 0.4, 0.9], alpha=alpha, corrections=corrections)
+        check_ttest_params(0.05, 1)
 
     @pytest.mark.parametrize("t,df", [(0.0, 5), (1.5, 3), (2.8, 19), (-2.1, 7), (10.0, 2)])
     def test_t_cdf_against_quadrature(self, t, df):
