@@ -14,7 +14,6 @@ import hashlib
 import json
 import re
 import warnings
-from collections import Counter
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -270,7 +269,7 @@ class Document:
 
     __slots__ = (
         "doc_id", "raw_text", "term_ids", "char_starts", "char_ends", "stopword_ids",
-        "vocabulary", "_stems", "_stem_counts",
+        "vocabulary", "_stems",
     )
 
     def __init__(self, doc_id: str, raw_text: str, columns: Sequence, vocabulary: list[str]):
@@ -283,7 +282,6 @@ class Document:
         self.term_ids, self.char_starts, self.char_ends, self.stopword_ids = arrays
         self.vocabulary = vocabulary
         self._stems: list[str] | None = None
-        self._stem_counts: Counter | None = None
 
     @property
     def length(self) -> int:
@@ -299,11 +297,6 @@ class Document:
         if self._stems is None:
             self._stems = list(map(self.vocabulary.__getitem__, self.term_ids.tolist()))
         return self._stems
-
-    def stem_counts(self) -> Counter:
-        if self._stem_counts is None:
-            self._stem_counts = Counter(self.stems())
-        return self._stem_counts
 
     def __repr__(self) -> str:
         return f"Document({self.doc_id!r}, {self.length} tokens)"

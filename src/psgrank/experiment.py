@@ -528,7 +528,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            where = f"{path}:{exc.lineno}:{exc.colno}"
+            raise ConfigError(f"{where}: not valid JSON: {exc.msg}") from None
         return cls.from_dict(data, base_dir=path.parent)
 
     def _records(self) -> list[_Method]:

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -201,12 +201,19 @@ def stopword_coverage(stopword_ids: np.ndarray, stopwords: StopwordList) -> floa
     return len(np.unique(stopword_ids[stopword_ids >= 0])) / len(stopwords)
 
 
-def term_entropy(counts: Mapping[str, int]) -> float:
-    """Natural-log entropy of the unit's term distribution; 0 when empty."""
-    total = sum(counts.values())
+def term_entropy(counts: Collection[int]) -> float:
+    """Natural-log entropy of a unit's term distribution, from its term
+    counts in order of first occurrence; 0 when empty."""
+    total = sum(counts)
     if total == 0:
         return 0.0
-    return -sum((c / total) * math.log(c / total) for c in counts.values() if c)
+    return -sum((c / total) * math.log(c / total) for c in counts if c)
+
+
+def doc_entropy(term_ids: np.ndarray) -> float:
+    """:func:`term_entropy` of a term-id column, bit for bit as over a Counter of its stems."""
+    _, first, counts = np.unique(term_ids, return_index=True, return_counts=True)
+    return term_entropy(counts[np.argsort(first)].tolist())
 
 
 def query_similarities(
@@ -246,7 +253,7 @@ def doc_features(
         f_u,
         stopword_fraction(doc.stopword_ids),
         stopword_coverage(doc.stopword_ids, stopwords),
-        term_entropy(doc.stem_counts()),
+        doc_entropy(doc.term_ids),
     )
 
 
@@ -553,7 +560,7 @@ class PassageFeatureExtractor:
             length_ratio,
             sim_pre,
             sim_follow,
-            term_entropy(counts),
+            term_entropy(counts.values()),
             stopword_fraction(stopword_ids),
             stopword_coverage(stopword_ids, self.store.tokenizer.stopwords),
             float(self.query.unique_term_count),

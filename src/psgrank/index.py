@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -61,20 +62,42 @@ class SdmWeights:
 
 @dataclass
 class PositionalIndex:
-    """Stem -> (doc_id, positions) postings plus collection statistics."""
+    """Positional postings as read-only CSR (compressed sparse row) arrays.
 
-    postings: dict[str, list[tuple[str, list[int]]]]
+    Stem ``stems[s]`` (first-occurrence order after a build, file order
+    after a load) owns postings ``stem_bounds[s]:stem_bounds[s + 1]``.
+    Posting ``p`` is document ``doc_order[posting_docs[p]]``, ascending by
+    slot within a stem, with ascending positions
+    ``posting_positions[posting_bounds[p]:posting_bounds[p + 1]]``.
+    """
+
+    stems: list[str]
+    stem_bounds: np.ndarray
+    posting_docs: np.ndarray
+    posting_bounds: np.ndarray
+    posting_positions: np.ndarray
     doc_lengths: dict[str, int]
-    collection_term_counts: dict[str, int]
     collection_length: int
     doc_order: list[str]
     corpus_checksum: str
+    collection_term_counts: dict[str, int] = field(init=False)
+    _row: dict = field(init=False, repr=False)
+    _slot_of: dict = field(init=False, repr=False)
+    _slot_rank: np.ndarray = field(init=False, repr=False)  # doc rank of each slot
     _pair_cache: dict = field(default_factory=dict, repr=False)
-    _postings_by_doc: dict = field(default_factory=dict, repr=False)
-    _stem_arrays: dict = field(default_factory=dict, repr=False)
     _lm_logs: dict = field(default_factory=dict, repr=False)
     _idf: dict = field(default_factory=dict, repr=False)
     _doc_table: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for a in (self.stem_bounds, self.posting_docs, self.posting_bounds, self.posting_positions):
+            a.flags.writeable = False
+        counts = np.diff(self.posting_bounds[self.stem_bounds]).tolist()
+        self.collection_term_counts = dict(zip(self.stems, counts))
+        self._row = {s: r for r, s in enumerate(self.stems)}
+        self._slot_of = {d: s for s, d in enumerate(self.doc_order)}
+        rank_of = {d: r for r, d in enumerate(sorted(self.doc_lengths))}  # as doc_table
+        self._slot_rank = np.fromiter(map(rank_of.__getitem__, self.doc_order), np.int64)
 
     def collection_prob(self, stem: str) -> float:
         count = self.collection_term_counts.get(stem, 0)
@@ -85,8 +108,16 @@ class PositionalIndex:
     def doc_count(self) -> int:
         return len(self.doc_order)
 
+    def _span(self, stem: str) -> tuple[int, int]:
+        """The stem's range of posting numbers, empty when no document holds it."""
+        row = self._row.get(stem)
+        if row is None:
+            return 0, 0
+        return int(self.stem_bounds[row]), int(self.stem_bounds[row + 1])
+
     def document_frequency(self, stem: str) -> int:
-        return len(self.postings.get(stem, ()))
+        lo, hi = self._span(stem)
+        return hi - lo
 
     def idfs(self, stems: Iterable[str]) -> list[float | None]:
         """ln(N / df) of each stem, cached per stem; None for a stem no document holds."""
@@ -98,12 +129,14 @@ class PositionalIndex:
                 cache[stem] = math.log(self.doc_count() / df) if df else None
         return [cache[stem] for stem in stems]
 
-    def positions(self, stem: str, doc_id: str) -> list[int]:
-        by_doc = self._postings_by_doc.get(stem)
-        if by_doc is None:
-            by_doc = {d: p for d, p in self.postings.get(stem, ())}
-            self._postings_by_doc[stem] = by_doc
-        return by_doc.get(doc_id, [])
+    def positions(self, stem: str, doc_id: str) -> np.ndarray:
+        """The stem's ascending positions in the document, as a read-only view."""
+        lo, hi = self._span(stem)
+        slot = self._slot_of.get(doc_id, -1)
+        p = lo + int(np.searchsorted(self.posting_docs[lo:hi], slot))
+        if p < hi and self.posting_docs[p] == slot:
+            return self.posting_positions[self.posting_bounds[p] : self.posting_bounds[p + 1]]
+        return self.posting_positions[:0]
 
     def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray, np.ndarray]:
         """Doc ids in string order, each id's rank in it, the distinct document
@@ -117,15 +150,8 @@ class PositionalIndex:
 
     def stem_arrays(self, stem: str) -> tuple[np.ndarray, np.ndarray]:
         """Doc ranks (see :meth:`doc_table`) and term frequencies of a stem's postings."""
-        if stem not in self._stem_arrays:
-            rank_of = self.doc_table()[1]
-            plist = self.postings.get(stem, ())
-            doc_ids, positions = zip(*plist) if plist else ((), ())
-            self._stem_arrays[stem] = (
-                np.fromiter(map(rank_of.__getitem__, doc_ids), np.int64, len(doc_ids)),
-                np.fromiter(map(len, positions), np.int64, len(positions)),
-            )
-        return self._stem_arrays[stem]
+        lo, hi = self._span(stem)
+        return self._slot_rank[self.posting_docs[lo:hi]], np.diff(self.posting_bounds[lo : hi + 1])
 
     def lm_logs(self, stem: str, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """ln theta of a stem under Dirichlet smoothing with ``mu``, cached per (stem, mu).
@@ -154,38 +180,38 @@ class PositionalIndex:
             got = self._lm_logs[key] = (ranks, posting, background)
         return got
 
-    # -- collection-level pair statistics, computed lazily per query pair --
-
-    def ordered_pair_count(self, a: str, b: str) -> int:
-        key = ("o", a, b)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = self._scan_pairs(a, b, ordered=True)
-            self._pair_cache[key] = cached
-        return cached
-
-    def window_pair_count(self, a: str, b: str) -> int:
-        key = ("u", a, b)
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            cached = self._scan_pairs(a, b, ordered=False)
-            self._pair_cache[key] = cached
-        return cached
+    def pair_count(self, a: str, b: str, ordered: bool) -> int:
+        """Collection count of a immediately followed by b (``ordered``), or of
+        a and b within an SDM window; cached per query pair."""
+        key = (ordered, a, b)
+        if key not in self._pair_cache:
+            self._pair_cache[key] = self._scan_pairs(a, b, ordered)
+        return self._pair_cache[key]
 
     def _scan_pairs(self, a: str, b: str, ordered: bool) -> int:
-        docs_a = {d: p for d, p in self.postings.get(a, ())}
-        docs_b = {d: p for d, p in self.postings.get(b, ())}
-        total = 0
-        for doc_id in docs_a.keys() & docs_b.keys():
-            if ordered:
-                total += count_ordered_pairs(docs_a[doc_id], docs_b[doc_id])
-            else:
-                total += count_window_pairs(docs_a[doc_id], docs_b[doc_id], a == b)
-        return total
+        """Counts over each stem's positions in the documents holding both,
+        keyed slot * stride + position: the keys ascend, and keys in different
+        documents lie more than SDM_WINDOW apart, so the counts add up per
+        document."""
+        stride = max(self.doc_lengths.values(), default=0) + SDM_WINDOW
+
+        def keys(stem: str, other: str) -> np.ndarray:
+            (lo, hi), (other_lo, other_hi) = self._span(stem), self._span(other)
+            docs, tf = self.posting_docs[lo:hi], np.diff(self.posting_bounds[lo : hi + 1])
+            keep = np.repeat(np.isin(docs, self.posting_docs[other_lo:other_hi]), tf)
+            at = self.posting_positions[self.posting_bounds[lo] : self.posting_bounds[hi]]
+            return (np.repeat(docs.astype(np.int64) * stride, tf) + at)[keep]
+
+        keys_a, keys_b = keys(a, b), keys(b, a)
+        if ordered:
+            return count_ordered_pairs(keys_a, keys_b)
+        return count_window_pairs(keys_a, keys_b, a == b)
 
     # -- persistence --
 
     def save(self, path: str | Path) -> None:
+        """Write the bytes of ``json.dumps(payload, sort_keys=True)``, postings
+        as stem -> [[doc_id, positions], ...]."""
         payload = {
             "version": INDEX_VERSION,
             "corpus_checksum": self.corpus_checksum,
@@ -193,73 +219,170 @@ class PositionalIndex:
             "doc_order": self.doc_order,
             "doc_lengths": self.doc_lengths,
             "collection_term_counts": self.collection_term_counts,
-            # json writes each (doc_id, positions) tuple as an array, so no
-            # list per posting is built.
-            "postings": self.postings,
+            "postings": {},
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        head, key, tail = json.dumps(payload, sort_keys=True).rpartition('"postings": {')
+        with Path(path).open("w", encoding="utf-8") as f:
+            f.write(head + key)
+            f.writelines(self._postings_json())
+            f.write(tail)
+
+    def _postings_json(self, block: int = 1 << 16) -> Iterator[str]:
+        """The postings object's members, stems sorted, as json.dumps writes
+        them, in chunks of about ``block`` positions."""
+        order = sorted(range(len(self.stems)), key=self.stems.__getitem__)
+        dumped = [json.dumps(d) for d in self.doc_order]
+        opening = np.array([f"]], [{d}, [" for d in dumped], object)
+        longest = max(self.doc_lengths.values(), default=0)
+        numerals = np.array(list(map(str, range(longest))), object)
+        # A chunk starts at each stem whose positions cross a multiple of block.
+        sizes = np.diff(self.posting_bounds[self.stem_bounds])[order]
+        cuts = np.flatnonzero(np.diff(np.cumsum(sizes) // block, prepend=-1)).tolist()
+        cuts.append(len(order))
+        for start, end in zip(cuts, cuts[1:]):
+            stems = order[start:end]
+            postings, stem_bounds = _regroup(self.stem_bounds, np.array(stems, dtype=np.int64))
+            tokens, posting_bounds = _regroup(self.posting_bounds, postings)
+            docs = self.posting_docs[postings]
+            # Each position follows its prefix: ", " within a posting, the
+            # close of the previous posting and its own opening at its first
+            # position, and the stem's key as well at the stem's first.
+            prefix = np.empty(len(tokens), dtype=object)
+            prefix[:] = ", "  # one shared str; np.full would copy it per element
+            prefix[posting_bounds[:-1]] = opening[docs]
+            prefix[posting_bounds[stem_bounds[:-1]]] = [
+                f"{']]], ' if start + i else ''}{json.dumps(self.stems[s])}: [[{dumped[d]}, ["
+                for i, (s, d) in enumerate(zip(stems, docs[stem_bounds[:-1]].tolist()))
+            ]
+            pieces = np.empty(2 * len(tokens), dtype=object)
+            pieces[0::2], pieces[1::2] = prefix, numerals[self.posting_positions[tokens]]
+            yield "".join(pieces.tolist())
+        if order:
+            yield "]]]"
 
     @classmethod
     def load(cls, path: str | Path, store: CorpusStore | None = None) -> "PositionalIndex":
+        """Read an index.json, rejecting postings that name an unknown document,
+        break doc order, hold positions out of order or outside the document,
+        or disagree with the collection counts."""
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != INDEX_VERSION:
-            raise IndexError_(f"unsupported index version: {payload.get('version')}")
-        if store is not None and payload["corpus_checksum"] != store.checksum():
+        version = payload.get("version") if isinstance(payload, dict) else None
+        if version != INDEX_VERSION:
+            raise IndexError_(f"unsupported index version: {version}")
+        if store is not None and payload.get("corpus_checksum") != store.checksum():
             raise IndexError_("index does not match the corpus store (checksum mismatch)")
-        return cls(
-            postings={t: [(d, p) for d, p in plist] for t, plist in payload["postings"].items()},
-            doc_lengths=payload["doc_lengths"],
-            collection_term_counts=payload["collection_term_counts"],
-            collection_length=payload["collection_length"],
-            doc_order=payload["doc_order"],
-            corpus_checksum=payload["corpus_checksum"],
+        try:
+            postings, doc_order = payload["postings"], payload["doc_order"]
+            counts = dict(payload["collection_term_counts"])
+            names = ("doc_lengths", "collection_length", "corpus_checksum")
+            fields = {name: payload[name] for name in names}
+            stems, plists = list(postings), list(postings.values())
+            sizes = np.fromiter(map(len, plists), np.int64, len(plists))
+            flat = list(chain.from_iterable(plists))
+            doc_ids, position_lists = list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat))
+            slot_of = {d: s for s, d in enumerate(doc_order)}
+            docs = np.fromiter(map(slot_of.get, doc_ids, repeat(-1)), np.int32, len(flat))
+            tf = np.fromiter(map(len, position_lists), np.int64, len(flat))
+            positions = np.fromiter(chain.from_iterable(position_lists), np.int32, int(tf.sum()))
+            # Slot -1, a document missing from doc_order, reads length 0.
+            lengths = np.array([payload["doc_lengths"][d] for d in doc_order] + [0], np.int32)
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise IndexError_(f"malformed index file: {exc!r}") from None
+        # The parsed postings are arrays now; free their lists before checking.
+        del payload["postings"], postings, plists, flat, position_lists
+        if not sizes.all():
+            raise IndexError_(f"index stem {stems[int(np.argmin(sizes))]!r} has no postings")
+        stem_bounds, posting_bounds = _bounds(sizes), _bounds(tf)
+
+        def check(problem: str, bad: np.ndarray) -> None:
+            """Reject the first posting flagged in ``bad``."""
+            if bad.any():
+                p = int(np.argmax(bad))
+                stem = stems[int(np.searchsorted(stem_bounds, p, "right")) - 1]
+                raise IndexError_(f"index posting ({stem!r}, {doc_ids[p]!r}) {problem}")
+
+        check("names a document missing from doc_order", docs < 0)
+        check("has no positions", tf == 0)
+        check("repeats a document or breaks doc_order", ~_rises(docs, stem_bounds))
+        bad = ~_rises(positions, posting_bounds) | (positions < 0)
+        bad |= positions >= np.repeat(lengths[docs], tf)
+        check(
+            "has positions out of order or outside the document",
+            np.logical_or.reduceat(bad, posting_bounds[:-1]),
         )
+        index = cls(
+            stems=stems,
+            stem_bounds=stem_bounds,
+            posting_docs=docs,
+            posting_bounds=posting_bounds,
+            posting_positions=positions,
+            doc_order=doc_order,
+            **fields,
+        )
+        derived = index.collection_term_counts
+        wrong = [s for s in {**derived, **counts} if derived.get(s) != counts.get(s)]
+        if wrong:
+            raise IndexError_(f"index postings of {wrong[0]!r} disagree with its collection count")
+        return index
+
+
+def _bounds(sizes: np.ndarray) -> np.ndarray:
+    """Bounds [0, s0, s0 + s1, ...] of consecutive groups of these sizes."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _rises(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each value exceeds the one before it within its group (groups
+    over ``bounds``, none empty); a group's first value always does."""
+    rises = np.empty(len(values), dtype=bool)
+    rises[1:] = values[1:] > values[:-1]
+    rises[bounds[:-1]] = True
+    return rises
+
+
+def _regroup(bounds: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The element numbers of ``groups`` (groups over ``bounds``), group after
+    group in that order, and the bounds of those groups in the result."""
+    sizes = np.diff(bounds)[groups]
+    new_bounds = _bounds(sizes)
+    elements = np.arange(new_bounds[-1]) + np.repeat(bounds[groups] - new_bounds[:-1], sizes)
+    return elements, new_bounds
 
 
 def build_index(store: CorpusStore) -> PositionalIndex:
     """Index every document's stem positions; validates store non-empty.
 
-    Stems are keyed in order of first occurrence in the corpus, and a
-    document's postings are appended in order of first occurrence in it.
+    One stable argsort of the store's concatenated term-id columns groups
+    tokens by term, then by document and position; stems are then
+    regrouped in order of first occurrence in the corpus.
     """
     if len(store) == 0:
         raise IndexError_("cannot index an empty corpus store")
-    postings: dict[str, list[tuple[str, list[int]]]] = defaultdict(list)
-    doc_lengths = {}
-    collection_term_counts: dict[str, int] = defaultdict(int)
-    collection_length = 0
-    for doc in store.documents:
-        doc_lengths[doc.doc_id] = doc.length
-        collection_length += doc.length
-        vocabulary = doc.vocabulary
-        for term_id, positions in _term_positions(doc.term_ids):
-            stem = vocabulary[term_id]
-            postings[stem].append((doc.doc_id, positions))
-            collection_term_counts[stem] += len(positions)
+    documents = store.documents
+    vocabulary = documents[0].vocabulary
+    if any(doc.vocabulary is not vocabulary for doc in documents):
+        raise IndexError_("cannot index documents over different vocabularies")
+    lengths = np.fromiter((doc.length for doc in documents), np.int64, len(documents))
+    order = np.argsort(column := np.concatenate([d.term_ids for d in documents]), kind="stable")
+    term = column[order]
+    slot = np.repeat(np.arange(len(documents), dtype=np.int32), lengths)[order]
+    starts = np.flatnonzero((np.diff(term, prepend=-1) != 0) | (np.diff(slot, prepend=-1) != 0))
+    stem_starts = np.flatnonzero(np.diff(term[starts], prepend=-1))
+    # A group's first token is its earliest, and no two groups share one.
+    by_first = np.argsort(order[starts[stem_starts]])
+    postings, stem_bounds = _regroup(_bounds(np.diff(stem_starts, append=len(starts))), by_first)
+    tokens, posting_bounds = _regroup(_bounds(np.diff(starts, append=len(order))), postings)
     return PositionalIndex(
-        postings=dict(postings),
-        doc_lengths=doc_lengths,
-        collection_term_counts=dict(collection_term_counts),
-        collection_length=collection_length,
+        stems=[vocabulary[t] for t in term[starts[stem_starts[by_first]]].tolist()],
+        stem_bounds=stem_bounds,
+        posting_docs=slot[starts][postings],
+        posting_bounds=posting_bounds,
+        posting_positions=(order - _bounds(lengths)[slot])[tokens].astype(np.int32),
+        doc_lengths=dict(zip(store.doc_ids(), lengths.tolist())),
+        collection_length=int(lengths.sum()),
         doc_order=store.doc_ids(),
         corpus_checksum=store.checksum(),
     )
-
-
-def _term_positions(term_ids: np.ndarray) -> list[tuple[int, list[int]]]:
-    """Each distinct term id with its ascending positions, in order of first occurrence."""
-    if not len(term_ids):
-        return []
-    # A stable sort groups positions by term and keeps them ascending.
-    order = np.argsort(term_ids, kind="stable")
-    grouped = term_ids[order]
-    starts = np.flatnonzero(np.concatenate(([True], grouped[1:] != grouped[:-1])))
-    # Each group's first position is distinct, so this order has no ties.
-    by_first = np.argsort(order[starts]).tolist()
-    bounds = [*starts.tolist(), len(term_ids)]
-    positions = order.tolist()
-    ids = grouped[starts].tolist()
-    return [(ids[g], positions[bounds[g] : bounds[g + 1]]) for g in by_first]
 
 
 def lm_similarity(
@@ -370,9 +493,10 @@ def retrieve_lm(query: Query, index: PositionalIndex, params: LmParams, k: int):
 
 
 def count_ordered_pairs(positions_a: Sequence[int], positions_b: Sequence[int]) -> int:
-    """Exact adjacencies: occurrences of a immediately followed by b."""
-    b_set = set(positions_b)
-    return sum(1 for p in positions_a if p + 1 in b_set)
+    """Exact adjacencies: occurrences of a immediately followed by b (positions ascend)."""
+    after = np.asarray(positions_a, dtype=np.int64) + 1
+    b = np.asarray(positions_b, dtype=np.int64)
+    return int(np.count_nonzero(np.searchsorted(b, after, "right") - np.searchsorted(b, after)))
 
 
 def count_window_pairs(
@@ -384,23 +508,16 @@ def count_window_pairs(
 
     A pair of occurrences counts when both fit inside a span of SDM_WINDOW
     consecutive positions (|i - j| <= SDM_WINDOW - 1). For a == b, each
-    unordered occurrence pair counts once.
+    unordered occurrence pair counts once, and ``positions_b`` is not read.
+    Positions ascend.
     """
     span = SDM_WINDOW - 1
-    total = 0
+    a = np.asarray(positions_a, dtype=np.int64)
     if same_term:
-        pos = sorted(positions_a)
-        for i, p in enumerate(pos):
-            for q in pos[i + 1:]:
-                if q - p > span:
-                    break
-                total += 1
-        return total
-    for p in positions_a:
-        for q in positions_b:
-            if abs(p - q) <= span:
-                total += 1
-    return total
+        # Occurrences after each one, up to span positions on.
+        return int((np.searchsorted(a, a + span, "right") - np.arange(1, len(a) + 1)).sum())
+    b = np.asarray(positions_b, dtype=np.int64)
+    return int((np.searchsorted(b, a + span, "right") - np.searchsorted(b, a - span)).sum())
 
 
 def sdm_components(
@@ -411,7 +528,8 @@ def sdm_components(
     Each summand is ln of the Dirichlet-smoothed probability of the term
     (or adjacent query-term pair) in the document, smoothed against the
     matching collection statistic; ln(0) is floored at LOG_FLOOR. A
-    single-term query has zero ordered/unordered components.
+    single-term query has zero ordered/unordered components. Positions
+    and term frequencies come from the index, which must hold ``doc``.
     """
     terms = query.stems()
     doc_len = doc.length
@@ -426,20 +544,16 @@ def sdm_components(
             return LOG_FLOOR
         return max(math.log(theta), LOG_FLOOR)
 
-    counts = doc.stem_counts()
+    positions = {t: index.positions(t, doc.doc_id) for t in terms}
     f_t = sum(
-        smoothed_log(counts.get(t, 0), index.collection_term_counts.get(t, 0)) for t in terms
+        smoothed_log(len(positions[t]), index.collection_term_counts.get(t, 0)) for t in terms
     )
 
     f_o = 0.0
     f_u = 0.0
-    if len(terms) >= 2:
-        positions: dict[str, list[int]] = defaultdict(list)
-        for pos, stem in enumerate(doc.stems()):
-            positions[stem].append(pos)
-        for a, b in zip(terms, terms[1:]):
-            ord_count = count_ordered_pairs(positions.get(a, ()), positions.get(b, ()))
-            win_count = count_window_pairs(positions.get(a, ()), positions.get(b, ()), a == b)
-            f_o += smoothed_log(ord_count, index.ordered_pair_count(a, b))
-            f_u += smoothed_log(win_count, index.window_pair_count(a, b))
+    for a, b in zip(terms, terms[1:]):
+        ord_count = count_ordered_pairs(positions[a], positions[b])
+        win_count = count_window_pairs(positions[a], positions[b], a == b)
+        f_o += smoothed_log(ord_count, index.pair_count(a, b, ordered=True))
+        f_u += smoothed_log(win_count, index.pair_count(a, b, ordered=False))
     return f_t, f_o, f_u

@@ -14,8 +14,14 @@ cached log tables.
 The document store is one Token per match here, and the index, sentence
 breaks and stopword priors read those tokens; the package keeps token
 columns. ExactMatch compares a list pair per window.
+
+The index is one (doc_id, positions) pair per stem and document here,
+written as one JSON dump and scanned with sets and nested loops; the
+package keeps CSR arrays, writes the same bytes piecewise and counts with
+searchsorted.
 """
 
+import json
 import math
 import re
 from collections import defaultdict
@@ -24,7 +30,7 @@ import numpy as np
 
 from psgrank.corpus import Token
 from psgrank.features import DOC_SCHEMA, FeatureSchema, _cosine, concat_schemas
-from psgrank.index import doc_lm_similarity
+from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, doc_lm_similarity
 from psgrank.rank import (
     JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, RankedList, smpd_features,
 )
@@ -228,7 +234,7 @@ def lm_top_k(terms, index, params, k):
     scores dropped, top k by score with ties by id."""
     kept = {t for t in terms if index.collection_term_counts.get(t)}
     scores = {}
-    for doc_id in {d for t in kept for d, _ in index.postings[t]}:
+    for doc_id in {d for d in index.doc_order for t in kept if len(index.positions(t, d))}:
         s = doc_lm_similarity(terms, doc_id, index, params)
         if s > 0.0:
             scores[doc_id] = s
@@ -296,6 +302,105 @@ def postings(store):
             out[stem].append((doc.doc_id, positions))
             counts[stem] += len(positions)
     return dict(out), dict(counts)
+
+
+def postings_of(index):
+    """Stem -> [(doc_id, positions)] of an index in its stem order, documents
+    in doc order, read through ``positions``."""
+    out = {}
+    for stem in index.stems:
+        found = [(d, index.positions(stem, d).tolist()) for d in index.doc_order]
+        out[stem] = [(d, positions) for d, positions in found if positions]
+    return out
+
+
+def index_json(store) -> str:
+    """index.json as one json.dumps of the per-pair postings of :func:`postings`."""
+    stem_postings, counts = postings(store)
+    payload = {
+        "version": INDEX_VERSION,
+        "corpus_checksum": store.checksum(),
+        "collection_length": sum(doc.length for doc in store.documents),
+        "doc_order": store.doc_ids(),
+        "doc_lengths": {doc.doc_id: doc.length for doc in store.documents},
+        "collection_term_counts": counts,
+        "postings": stem_postings,
+    }
+    return json.dumps(payload, sort_keys=True)
+
+
+def count_ordered_pairs(positions_a, positions_b) -> int:
+    b_set = set(positions_b)
+    return sum(1 for p in positions_a if p + 1 in b_set)
+
+
+def count_window_pairs(positions_a, positions_b, same_term: bool) -> int:
+    span = SDM_WINDOW - 1
+    total = 0
+    if same_term:
+        pos = sorted(positions_a)
+        for i, p in enumerate(pos):
+            for q in pos[i + 1:]:
+                if q - p > span:
+                    break
+                total += 1
+        return total
+    for p in positions_a:
+        for q in positions_b:
+            if abs(p - q) <= span:
+                total += 1
+    return total
+
+
+def scan_pairs(stem_postings, a, b, ordered: bool) -> int:
+    """The collection's ordered or window pair count over :func:`postings_of`,
+    one document at a time."""
+    docs_a = dict(stem_postings.get(a, ()))
+    docs_b = dict(stem_postings.get(b, ()))
+    total = 0
+    for doc_id in docs_a.keys() & docs_b.keys():
+        if ordered:
+            total += count_ordered_pairs(docs_a[doc_id], docs_b[doc_id])
+        else:
+            total += count_window_pairs(docs_a[doc_id], docs_b[doc_id], a == b)
+    return total
+
+
+def sdm_components(query, doc, index, mu: float) -> tuple[float, float, float]:
+    """SDM's three log sums, the document's positions scanned from doc.stems()."""
+    terms = query.stems()
+    denom = doc.length + mu
+
+    def smoothed_log(count, collection_count):
+        p_c = collection_count / index.collection_length if index.collection_length else 0.0
+        if denom <= 0:
+            return LOG_FLOOR
+        theta = (count + mu * p_c) / denom
+        if theta <= 0.0:
+            return LOG_FLOOR
+        return max(math.log(theta), LOG_FLOOR)
+
+    positions = defaultdict(list)
+    for pos, stem in enumerate(doc.stems()):
+        positions[stem].append(pos)
+    f_t = sum(
+        smoothed_log(len(positions.get(t, ())), index.collection_term_counts.get(t, 0))
+        for t in terms
+    )
+    f_o = f_u = 0.0
+    for a, b in zip(terms, terms[1:]):
+        pa, pb = positions.get(a, ()), positions.get(b, ())
+        f_o += smoothed_log(count_ordered_pairs(pa, pb), index.pair_count(a, b, True))
+        f_u += smoothed_log(count_window_pairs(pa, pb, a == b), index.pair_count(a, b, False))
+    return f_t, f_o, f_u
+
+
+def term_entropy(counts) -> float:
+    """Entropy of a stem -> count mapping, summands in its key order."""
+    total = sum(counts.values())
+    if total == 0:
+        return 0.0
+    return -sum((c / total) * math.log(c / total) for c in counts.values() if c)
 
 
 def sentence_bounds(doc, break_re) -> list[tuple[int, int]]:

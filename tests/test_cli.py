@@ -49,6 +49,34 @@ class TestIndexCommand:
         assert (corpus_dir / "store" / "manifest.json").read_bytes() == first
 
 
+class TestInconsistentIndex:
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda p: p["postings"]["zebra"].append(["zz", [0]]), "missing from doc_order"),
+            (lambda p: p["postings"]["zebra"][0][1].reverse(), "outside the document"),
+            (lambda p: p["collection_term_counts"].update(zebra=7), "collection count"),
+        ],
+    )
+    def test_features_exit_two_naming_the_problem(self, corpus_dir, capsys, edit, problem):
+        store = _index(corpus_dir)
+        payload = json.loads((store / "index.json").read_text())
+        edit(payload)
+        (store / "index.json").write_text(json.dumps(payload, sort_keys=True))
+        (corpus_dir / "topics.tsv").write_text("q1\tzebra crane\n")
+        capsys.readouterr()
+        rc = main(
+            [
+                "--workdir", str(corpus_dir), "features", "--store", "store",
+                "--topics", "topics.tsv", "--kind", "doc", "--out", "feats.txt",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: index ")
+        assert problem in err and "Traceback" not in err
+
+
 class TestSegmentCommand:
     def test_writes_table(self, corpus_dir, capsys):
         _index(corpus_dir)
@@ -298,6 +326,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "window_len" in err and "doc_cutoff" in err and "[0.5, 0.5, 0.5]" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_json_exit_one_naming_line_and_column(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text('{"methods": [\n')
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "runtime error" not in err
+        assert f"{tmp_path / 'config.json'}:2:1: not valid JSON: Expecting value" in err
         assert not (tmp_path / "out").exists()
 
     def test_methods_string_exit_one(self, tmp_path, capsys):

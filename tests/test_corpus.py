@@ -346,7 +346,7 @@ class TestColumnarStore:
         store = build_store(texts, tokenizer)
         index = build_index(store)
         postings, counts = row_references.postings(store)
-        assert list(index.postings.items()) == list(postings.items())
+        assert list(row_references.postings_of(index).items()) == list(postings.items())
         assert list(index.collection_term_counts.items()) == list(counts.items())
 
     def test_stopword_priors_equal_token_formulas(self, tokenizer):

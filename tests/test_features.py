@@ -19,6 +19,7 @@ from psgrank.features import (
     SemanticResources,
     _is_subsequence,
     concat_schemas,
+    doc_entropy,
     doc_features,
     esa_retrieval_profile,
     load_embeddings,
@@ -197,6 +198,32 @@ class TestDocFeatures:
                 oracles.entropy(stems[doc.doc_id]),
             )
             assert vec == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+class TestDocEntropyFromTermIds:
+    """doc_entropy over the term-id column equals the Counter form bit for bit."""
+
+    def _check(self, doc):
+        got = doc_entropy(doc.term_ids)
+        assert got.hex() == row_references.term_entropy(Counter(doc.stems())).hex()
+        return got
+
+    def test_empty_document(self, store_factory):
+        assert self._check(store_factory({"d": ""}).get("d")) == 0.0
+
+    def test_one_term_document(self, store_factory):
+        assert self._check(store_factory({"d": "cat cat cat"}).get("d")) == 0.0
+
+    def test_random_documents(self, store_factory, tokenizer):
+        rng = np.random.default_rng(8)
+        # Term ids in another order than first occurrence in the documents.
+        tokenizer.tokenize(" ".join(f"w{i}" for i in range(40, -1, -1)))
+        texts = {}
+        for n in range(20):
+            ids = rng.zipf(1.3, size=int(rng.integers(1, 300))) % 41
+            texts[f"d{n}"] = " ".join(f"w{i}" for i in ids.tolist())
+        for doc in store_factory(texts).documents:
+            self._check(doc)
 
 
 def _psg_fixture(store_factory, tokenizer):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 import row_references
-from conftest import make_query
+from conftest import make_query, noisy_corpus
 from psgrank.corpus import Query
 from psgrank.index import (
     IndexError_,
@@ -21,6 +22,7 @@ from psgrank.index import (
     retrieve_lm,
     sdm_components,
 )
+from psgrank.synthetic import SyntheticSpec, generate
 
 
 def _stems(store):
@@ -39,8 +41,9 @@ class TestBuildIndex:
     def test_hand_enumerable_postings(self, store_factory):
         store = store_factory({"d1": "a b a", "d2": "b"})
         index = build_index(store)
-        assert index.postings["a"] == [("d1", [0, 2])]
-        assert index.postings["b"] == [("d1", [1]), ("d2", [0])]
+        postings = row_references.postings_of(index)
+        assert postings["a"] == [("d1", [0, 2])]
+        assert postings["b"] == [("d1", [1]), ("d2", [0])]
         assert index.collection_length == 4
         assert index.doc_lengths == {"d1": 3, "d2": 1}
 
@@ -48,7 +51,8 @@ class TestBuildIndex:
         store = store_factory({"d1": "a", "d2": ""})
         index = build_index(store)
         assert index.doc_lengths["d2"] == 0
-        assert all("d2" not in dict(plist) for plist in index.postings.values())
+        postings = row_references.postings_of(index)
+        assert all("d2" not in dict(plist) for plist in postings.values())
 
     def test_invariants_and_scan_oracle(self, store_factory):
         rng = np.random.default_rng(42)
@@ -56,6 +60,7 @@ class TestBuildIndex:
         store = store_factory(_random_texts(rng, 100, vocab))
         index = build_index(store)
         stems = _stems(store)
+        postings = row_references.postings_of(index)
         # Brute-force linear-scan counter.
         for term in vocab:
             expected = {
@@ -63,12 +68,12 @@ class TestBuildIndex:
                 for d, slist in stems.items()
                 if term in slist
             }
-            assert dict(index.postings.get(term, ())) == expected
+            assert dict(postings.get(term, ())) == expected
         assert index.collection_length == sum(len(s) for s in stems.values())
-        for term, plist in index.postings.items():
+        for term, plist in postings.items():
             assert index.collection_term_counts[term] == sum(len(p) for _, p in plist)
         per_doc = {d: 0 for d in stems}
-        for plist in index.postings.values():
+        for plist in postings.values():
             for d, positions in plist:
                 per_doc[d] += len(positions)
         assert per_doc == index.doc_lengths
@@ -82,7 +87,7 @@ class TestBuildIndex:
         index = build_index(store)
         index.save(tmp_path / "index.json")
         loaded = PositionalIndex.load(tmp_path / "index.json", store)
-        assert loaded.postings == index.postings
+        assert row_references.postings_of(loaded) == row_references.postings_of(index)
         assert loaded.doc_lengths == index.doc_lengths
         assert loaded.collection_length == index.collection_length
 
@@ -92,6 +97,116 @@ class TestBuildIndex:
         other = store_factory({"d1": "b"})
         with pytest.raises(IndexError_, match="checksum"):
             PositionalIndex.load(tmp_path / "index.json", other)
+
+
+def _synthetic_store(tmp_path, corpus_fn, tokenizer):
+    from psgrank.corpus import ingest_corpus
+
+    return ingest_corpus(corpus_fn(tmp_path)["corpus"], "jsonl", tokenizer=tokenizer)
+
+
+def _tiny(tmp_path):
+    spec = SyntheticSpec(
+        n_docs=48, n_queries=6, doc_tokens=90, window_len=30, relevant_per_query=4,
+        distractors_per_query=4, vocab_size=300, seed=5,
+    )
+    return generate(spec, tmp_path / "data")
+
+
+def _noisy(tmp_path):
+    return noisy_corpus(tmp_path / "data")
+
+
+ESCAPED_TEXTS = {
+    'd"1': "caf\u00e9 na\u00efve a b a",
+    "a\\b": "b c \u00e9t\u00e9",
+    "\u00e9": "c a c",
+    "x\u2028y": "a \u2028 a b",
+}
+
+
+class TestIndexFile:
+    """index.json is the bytes of one json.dumps(payload, sort_keys=True)."""
+
+    def _check(self, store, tmp_path):
+        build_index(store).save(tmp_path / "index.json")
+        written = (tmp_path / "index.json").read_bytes()
+        assert written == row_references.index_json(store).encode("utf-8")
+        postings = "".join(build_index(store)._postings_json(block=3))
+        assert f'"postings": {{{postings}}}'.encode() in written
+        PositionalIndex.load(tmp_path / "index.json", store).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == written
+
+    def test_tiny_corpus(self, tmp_path, tokenizer):
+        self._check(_synthetic_store(tmp_path, _tiny, tokenizer), tmp_path)
+
+    def test_ids_needing_escapes(self, tmp_path, store_factory):
+        store = store_factory(ESCAPED_TEXTS)
+        assert any(not d.isascii() for d in store.doc_ids())
+        self._check(store, tmp_path)
+
+    def test_empty_document(self, tmp_path, store_factory):
+        self._check(store_factory({"d1": "a b a", "d2": "", "d3": "b c"}), tmp_path)
+
+    def test_only_empty_documents(self, tmp_path, store_factory):
+        self._check(store_factory({"d1": "", "d2": ""}), tmp_path)
+
+
+class TestLoadRejectsInconsistentPostings:
+    @pytest.fixture
+    def written(self, tmp_path, store_factory):
+        store = store_factory({"d1": "a b a", "d2": "b c"})
+        build_index(store).save(tmp_path / "index.json")
+        return tmp_path / "index.json", store
+
+    def _load_edited(self, written, edit):
+        path, store = written
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload, sort_keys=True))
+        return PositionalIndex.load(path)
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda p: p["postings"]["b"].append(["zz", [0]]), "missing from doc_order"),
+            (lambda p: p["postings"]["a"][0][1].reverse(), "out of order"),
+            (lambda p: p["postings"]["a"][0][1].append(2), "out of order"),
+            (lambda p: p["postings"]["c"][0][1].__setitem__(0, 2), "outside the document"),
+            (lambda p: p["postings"]["c"][0][1].__setitem__(0, -1), "outside the document"),
+            (lambda p: p["postings"]["b"].reverse(), "doc_order"),
+            (lambda p: p["postings"]["c"][0][1].clear(), "no positions"),
+            (lambda p: p["postings"]["c"].clear(), "no postings"),
+            (lambda p: p["collection_term_counts"].update(a=3), "collection count"),
+            (lambda p: p["collection_term_counts"].update(z=1), "collection count"),
+            (lambda p: p["postings"]["a"].append(7), "malformed"),
+            (lambda p: p["doc_lengths"].pop("d2"), "malformed"),
+            (lambda p: p["postings"]["c"][0].pop(), "malformed"),
+            (lambda p: p.pop("collection_term_counts"), "malformed"),
+            (lambda p: p["postings"].update(c=5), "malformed"),
+        ],
+    )
+    def test_rejected(self, written, edit, problem):
+        with pytest.raises(IndexError_, match=problem):
+            self._load_edited(written, edit)
+
+    def test_non_object_file_rejected(self, written):
+        written[0].write_text("[]")
+        with pytest.raises(IndexError_, match="unsupported index version: None"):
+            PositionalIndex.load(written[0])
+
+    def test_missing_checksum_rejected(self, written):
+        path, store = written
+        payload = json.loads(path.read_text())
+        del payload["corpus_checksum"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IndexError_, match="checksum"):
+            PositionalIndex.load(path, store)
+
+    def test_unchanged_file_loads(self, written):
+        index = self._load_edited(written, lambda p: None)
+        assert index.positions("a", "d1").tolist() == [0, 2]
+        assert not index.positions("a", "d1").flags.writeable
 
 
 class TestLmSimilarity:
@@ -235,9 +350,11 @@ class TestRankDocumentsLm:
 
     def test_mu_zero_drops_docs_missing_a_term(self, index):
         got = self._check(["w1", "w2"], index, 0.0, 1000)
-        holding_any = {d for t in ("w1", "w2") for d, _ in index.postings[t]}
+        postings = row_references.postings_of(index)
+        holding_any = {d for t in ("w1", "w2") for d, _ in postings[t]}
         holding_all = {
-            d for d in holding_any if index.positions("w1", d) and index.positions("w2", d)
+            d for d in holding_any
+            if len(index.positions("w1", d)) and len(index.positions("w2", d))
         }
         assert {d for d, _ in got} == holding_all < holding_any
 
@@ -259,6 +376,61 @@ class TestRankDocumentsLm:
         assert top[-1][0] == "t1" and full[k] == ("t2", top[-1][1])
 
 
+class TestPairCountersEqualLoops:
+    CASES = [
+        ([], [], False),
+        ([], [3], False),
+        ([3], [], False),
+        ([0, 3, 5], [0, 3, 5], True),
+        ([2, 4, 9, 10, 30], [2, 4, 9, 10, 30], True),
+        ([0, 1, 2, 3], [], True),
+        ([], [], True),
+        ([0, 4, 20], [1, 5, 6, 40], False),
+        ([0], [7], False),
+        ([0], [8], False),
+        ([7], [0], False),
+        ([8], [0], False),
+        ([0, 7], [0, 7], True),
+        ([0, 8], [0, 8], True),
+    ]
+
+    @pytest.mark.parametrize("a,b,same", CASES)
+    def test_cases(self, a, b, same):
+        assert count_window_pairs(a, b, same) == row_references.count_window_pairs(a, b, same)
+        assert count_ordered_pairs(a, b) == row_references.count_ordered_pairs(a, b)
+
+    def test_window_edges(self):
+        assert count_window_pairs([0], [7], same_term=False) == 1
+        assert count_window_pairs([0], [8], same_term=False) == 0
+        assert count_window_pairs([0, 7], [], same_term=True) == 1
+        assert count_window_pairs([0, 8], [], same_term=True) == 0
+
+    def test_random(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            a = np.sort(rng.choice(60, size=int(rng.integers(0, 12)), replace=False))
+            b = np.sort(rng.choice(60, size=int(rng.integers(0, 12)), replace=False))
+            a, b = a.astype(np.int32), b.astype(np.int32)
+            ref_a, ref_b = a.tolist(), b.tolist()
+            assert count_ordered_pairs(a, b) == row_references.count_ordered_pairs(ref_a, ref_b)
+            for same in (False, True):
+                got = count_window_pairs(a, b, same)
+                assert got == row_references.count_window_pairs(ref_a, ref_b, same)
+
+    @pytest.mark.parametrize("corpus_fn", [_tiny, _noisy])
+    def test_scan_pairs_over_corpora(self, tmp_path, tokenizer, corpus_fn):
+        index = build_index(_synthetic_store(tmp_path, corpus_fn, tokenizer))
+        postings = row_references.postings_of(index)
+        rng = np.random.default_rng(5)
+        frequent = sorted(index.stems, key=lambda s: -index.document_frequency(s))[:12]
+        stems = frequent + [str(s) for s in rng.choice(index.stems, size=12)] + ["zebra"]
+        for a in stems:
+            for b in stems:
+                for ordered in (True, False):
+                    got = index._scan_pairs(a, b, ordered)
+                    assert got == row_references.scan_pairs(postings, a, b, ordered), (a, b)
+
+
 class TestSdm:
     def test_ordered_adjacency(self, store_factory, tokenizer):
         store = store_factory({"d1": "a b c", "d2": "a c b"})
@@ -273,6 +445,17 @@ class TestSdm:
         assert count_window_pairs([0], [2], same_term=False) == 1
         assert count_window_pairs([0], [9], same_term=False) == 0
         assert count_window_pairs([0, 3, 5], [0, 3, 5], same_term=True) == 3
+
+    def test_equals_per_document_scan(self, tmp_path, tokenizer):
+        index = build_index(store := _synthetic_store(tmp_path, _noisy, tokenizer))
+        rng = np.random.default_rng(4)
+        for n in range(10):
+            text = " ".join(rng.choice(index.stems, size=int(rng.integers(1, 6))))
+            query = make_query(f"q{n}", text + (" " + text.split()[0]) * (n % 2), tokenizer)
+            for doc in store.documents[::7]:
+                for mu in (0.0, 1500.0):
+                    got = sdm_components(query, doc, index, LmParams(mu))
+                    assert got == row_references.sdm_components(query, doc, index, mu)
 
     def test_single_term_query_zero_pairs(self, store_factory, tokenizer):
         store = store_factory({"d1": "a b c"})
