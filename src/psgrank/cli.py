@@ -13,18 +13,21 @@ import json
 import sys
 from pathlib import Path
 
-from .corpus import CORPUS_FORMATS, CorpusError, CorpusStore, ingest_corpus, load_topics
+from .corpus import (
+    CORPUS_FORMATS, CorpusError, CorpusStore, ingest_corpus, load_topics, read_json_file,
+)
 from .evaluation import (
     QRELS_LOADERS,
     JudgmentError,
     average_precision,
     check_ttest_params,
-    interpolated_precision,
+    interpolated_precision,  # noqa: F401  (benchmarks/spans.py wraps it here)
     load_char_qrels,
     load_doc_qrels,
     mean_metric,
     paired_ttest,
     precision_at,
+    query_metrics,
 )
 from .experiment import (
     CONFIG_FIELDS, FEATURE_FREE_METHODS, TRAINERS, ConfigError, ExperimentConfig,
@@ -42,7 +45,7 @@ from .features import (
     read_svmlight,
     write_svmlight,
 )
-from .index import IndexError_, LmParams, PositionalIndex, build_index, retrieve_lm
+from .index import IndexError_, LmParams, build_index, retrieve_lm
 from .ltr import (
     LinearModel,
     TrainingError,
@@ -74,12 +77,6 @@ def _cmd_index(args) -> int:
     return 0
 
 
-def _load_store_and_index(store_dir: str) -> tuple[CorpusStore, PositionalIndex]:
-    store = CorpusStore.load(store_dir)
-    index = PositionalIndex.load(Path(store_dir) / "index.json", store)
-    return store, index
-
-
 def _cmd_segment(args) -> int:
     store = CorpusStore.load(args.store)
     params = SegmentationParams(args.length, args.mode)
@@ -99,7 +96,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    store, index = _load_store_and_index(args.store)
+    store = CorpusStore.load(args.store)
+    index = build_index(store)
     queries = load_topics(args.topics, store.tokenizer)
     params = LmParams(args.mu)
     dump = []
@@ -150,7 +148,7 @@ def _cmd_train(args) -> int:
     schema_path = Path(args.features).with_suffix(Path(args.features).suffix + ".schema.json")
     if not schema_path.exists():
         raise UsageError(f"schema sidecar not found: {schema_path}")
-    meta = json.loads(schema_path.read_text(encoding="utf-8"))
+    meta = read_json_file(schema_path, UsageError)
     if not (
         isinstance(meta, dict)
         and isinstance(meta.get("name"), str)
@@ -201,42 +199,27 @@ def _cmd_run(args) -> int:
 
 def _cmd_eval(args) -> int:
     runs = read_trec_run(args.run)
-    mode = args.mode
-    judgments = QRELS_LOADERS[mode](args.qrels)
-
-    per_query: list[dict] = []
-    if mode == "char_focused":
+    judgments = QRELS_LOADERS[args.mode](args.qrels)
+    spans = {}
+    if args.mode == "char_focused":
         if not args.store:
             raise UsageError("char_focused evaluation needs --store to resolve passage spans")
         store = CorpusStore.load(args.store)
         seg = SegmentationParams(args.length, args.seg_mode)
-        spans = {}
         for doc in store.documents:
             for p in segment(doc, seg):
                 spans[p.passage_id] = (p.doc_id, p.char_range[0], p.char_range[1])
-        for run in runs:
-            got = interpolated_precision(run, judgments, spans, recall_points=(0.01, 0.1))
-            row = {"query_id": run.query_id}
-            if got is None:
-                row.update({"ip_0.01": None, "ip_0.1": None, "maip": None})
-            else:
-                ip, maip = got
-                row.update({"ip_0.01": ip[0.01], "ip_0.1": ip[0.1], "maip": maip})
-            per_query.append(row)
+    per_query = [
+        {"query_id": run.query_id, **query_metrics(run, judgments, args.cutoff, spans)}
+        for run in runs
+    ]
+    if args.mode == "char_focused":
         aggregate = {
             "mean_ip_0.01": mean_metric([r["ip_0.01"] for r in per_query]),
             "mean_ip_0.1": mean_metric([r["ip_0.1"] for r in per_query]),
             "maip": mean_metric([r["maip"] for r in per_query]),
         }
     else:
-        for run in runs:
-            per_query.append(
-                {
-                    "query_id": run.query_id,
-                    "ap": average_precision(run, judgments, args.cutoff),
-                    "p10": precision_at(run, judgments, 10),
-                }
-            )
         aggregate = {
             "map": mean_metric([r["ap"] for r in per_query]),
             "mean_p10": mean_metric([r["p10"] for r in per_query]),

@@ -22,6 +22,8 @@ import numpy as np
 
 TOKENIZER_ID = "alnum-v1"
 STORE_VERSION = 1
+# The manifest fields CorpusStore.load reads.
+_MANIFEST_FIELDS = ("version", "stopwords", "stemmer", "format", "checksum")
 
 _SPLIT_RE = re.compile(r"([0-9A-Za-z]+)")
 _VOWELS = set("aeiou")
@@ -36,6 +38,14 @@ _MAX_STOPWORDS = int(np.iinfo(np.int16).max)
 
 class CorpusError(ValueError):
     """Malformed corpus input or store/manifest inconsistency."""
+
+
+def read_json_file(path: Path, error: type[ValueError]):
+    """The JSON value a file holds; ``error`` naming path:line:column if it is not JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from None
 
 
 class Token(NamedTuple):
@@ -374,9 +384,14 @@ class CorpusStore:
     @classmethod
     def load(cls, directory: str | Path, stopwords: StopwordList | None = None) -> "CorpusStore":
         directory = Path(directory)
-        manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
-        if manifest.get("version") != STORE_VERSION:
-            raise CorpusError(f"unsupported store version: {manifest.get('version')}")
+        manifest_path = directory / "manifest.json"
+        manifest = read_json_file(manifest_path, CorpusError)
+        if not (isinstance(manifest, dict) and all(k in manifest for k in _MANIFEST_FIELDS)):
+            raise CorpusError(
+                f"{manifest_path}: expected a JSON object with {', '.join(_MANIFEST_FIELDS)}"
+            )
+        if manifest["version"] != STORE_VERSION:
+            raise CorpusError(f"unsupported store version: {manifest['version']}")
         stopwords = stopwords or default_stopwords()
         if stopwords.name != manifest["stopwords"]:
             raise CorpusError(
@@ -384,16 +399,11 @@ class CorpusStore:
                 f"got {stopwords.name!r}"
             )
         tokenizer = Tokenizer(stemmer_by_identity(manifest["stemmer"]), stopwords)
-        records = []
-        with (directory / "docs.jsonl").open(encoding="utf-8") as f:
-            for line in f:
-                rec = json.loads(line)
-                records.append((rec["id"], rec["text"]))
+        records = list(_iter_jsonl_records(directory / "docs.jsonl"))
         if _records_checksum(records) != manifest["checksum"]:
             raise CorpusError("store checksum mismatch: docs.jsonl was modified")
         docs = [tokenizer.document(doc_id, text) for doc_id, text in records]
-        store = cls(docs, tokenizer, manifest["format"])
-        return store
+        return cls(docs, tokenizer, manifest["format"])
 
 
 def _records_checksum(records: Iterable[tuple[str, str]]) -> str:

@@ -63,6 +63,13 @@ class JudgmentSet:
         return self.relevant_count(query_id) > 0
 
 
+def _qrels_int(path: str | Path, lineno: int, field: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise JudgmentError(f"{path}:{lineno}: not an integer: {field!r}") from None
+
+
 def load_doc_qrels(path: str | Path) -> JudgmentSet:
     """TREC format: 'query_id 0 doc_id grade'."""
     grades: dict[str, dict[str, int]] = {}
@@ -73,7 +80,7 @@ def load_doc_qrels(path: str | Path) -> JudgmentSet:
         if len(parts) != 4:
             raise JudgmentError(f"{path}:{lineno}: expected 'query_id 0 doc_id grade'")
         qid, _, doc_id, grade = parts
-        g = int(grade)
+        g = _qrels_int(path, lineno, grade)
         if g < 0:
             raise JudgmentError(f"{path}:{lineno}: negative grade")
         grades.setdefault(qid, {})[doc_id] = g
@@ -92,7 +99,7 @@ def load_char_qrels(path: str | Path) -> JudgmentSet:
                 f"{path}:{lineno}: expected query_id<TAB>doc_id<TAB>start<TAB>end"
             )
         qid, doc_id, start, end = parts
-        s, e = int(start), int(end)
+        s, e = _qrels_int(path, lineno, start), _qrels_int(path, lineno, end)
         if e <= s:
             raise JudgmentError(f"{path}:{lineno}: empty or inverted span")
         spans.setdefault(qid, {}).setdefault(doc_id, []).append((s, e))
@@ -109,7 +116,7 @@ def load_sentence_qrels(path: str | Path) -> JudgmentSet:
         if len(parts) != 3:
             raise JudgmentError(f"{path}:{lineno}: expected query_id<TAB>passage_id<TAB>grade")
         qid, pid, grade = parts
-        g = int(grade)
+        g = _qrels_int(path, lineno, grade)
         if g not in (0, 1):
             raise JudgmentError(f"{path}:{lineno}: sentence judgments are binary")
         grades.setdefault(qid, {})[pid] = g
@@ -246,6 +253,25 @@ def interpolated_precision(
     ip_points = {x: ip(x) for x in recall_points}
     maip = sum(ip(x) for x in MAIP_RECALL_POINTS) / len(MAIP_RECALL_POINTS)
     return ip_points, maip
+
+
+def query_metrics(
+    run: RankedList,
+    judgments: JudgmentSet,
+    cutoff: int,
+    passage_spans: Mapping[str, tuple[str, int, int]],
+) -> dict[str, float | None]:
+    """One query's metrics: iP at recall 0.01 and 0.1 and MAiP over
+    ``passage_spans`` for char_focused judgments, else AP over the top
+    ``cutoff`` and P@10."""
+    if judgments.mode == "char_focused":
+        got = interpolated_precision(run, judgments, passage_spans, recall_points=(0.01, 0.1))
+        if got is None:
+            return {"ip_0.01": None, "ip_0.1": None, "maip": None}
+        ip, maip = got
+        return {"ip_0.01": ip[0.01], "ip_0.1": ip[0.1], "maip": maip}
+    ap = average_precision(run, judgments, cutoff)
+    return {"ap": ap, "p10": precision_at(run, judgments, 10)}
 
 
 # -- paired t-test --

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .corpus import CORPUS_FORMATS, Query, ingest_corpus, load_topics
+from .corpus import CORPUS_FORMATS, Query, ingest_corpus, load_topics, read_json_file
 from .evaluation import (
     QRELS_LOADERS,
     CvPlan,
@@ -33,7 +33,7 @@ from .evaluation import (
     load_doc_qrels,
     mean_metric,
     paired_ttest,
-    precision_at,
+    query_metrics,
 )
 from .features import (
     DOC_SCHEMA,
@@ -528,12 +528,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            where = f"{path}:{exc.lineno}:{exc.colno}"
-            raise ConfigError(f"{where}: not valid JSON: {exc.msg}") from None
-        return cls.from_dict(data, base_dir=path.parent)
+        return cls.from_dict(read_json_file(path, ConfigError), base_dir=path.parent)
 
     def _records(self) -> list[_Method]:
         methods = self.methods if isinstance(self.methods, (list, tuple)) else ()
@@ -1055,29 +1050,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
 def _per_query_metrics(
     config: ExperimentConfig, pipe: _Pipeline, method: str, run: RankedList, qid: str
 ) -> dict:
-    row = {"query_id": qid, "method": method}
     if method in DOC_METHODS:
-        row["ap"] = average_precision(run, pipe.doc_judgments, config.doc_cutoff)
-        row["p10"] = precision_at(run, pipe.doc_judgments, 10)
-        row["primary"] = row["ap"]
-        return row
-    if pipe.psg_judgments.mode == "char_focused":
-        data = pipe.query_data(qid)
-        got = interpolated_precision(
-            run, pipe.psg_judgments, data.passage_spans, recall_points=(0.01, 0.1)
-        )
-        if got is None:
-            row["ip_0.01"] = row["ip_0.1"] = row["maip"] = None
-        else:
-            ip, aip = got
-            row["ip_0.01"] = ip[0.01]
-            row["ip_0.1"] = ip[0.1]
-            row["maip"] = aip
-        row["primary"] = row["maip"]
-        return row
-    row["ap"] = average_precision(run, pipe.psg_judgments, config.psg_cutoff)
-    row["p10"] = precision_at(run, pipe.psg_judgments, 10)
-    row["primary"] = row["ap"]
+        metrics = query_metrics(run, pipe.doc_judgments, config.doc_cutoff, {})
+    else:
+        spans = pipe.query_data(qid).passage_spans
+        metrics = query_metrics(run, pipe.psg_judgments, config.psg_cutoff, spans)
+    row = {"query_id": qid, "method": method, **metrics}
+    row["primary"] = row["maip"] if "maip" in row else row["ap"]
     return row
 
 

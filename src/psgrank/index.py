@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,7 +28,7 @@ SDM_WINDOW = 8
 
 
 class IndexError_(ValueError):
-    """Index build/load inconsistency."""
+    """A store that cannot be indexed."""
 
 
 @dataclass
@@ -64,10 +62,10 @@ class SdmWeights:
 class PositionalIndex:
     """Positional postings as read-only CSR (compressed sparse row) arrays.
 
-    Stem ``stems[s]`` (first-occurrence order after a build, file order
-    after a load) owns postings ``stem_bounds[s]:stem_bounds[s + 1]``.
-    Posting ``p`` is document ``doc_order[posting_docs[p]]``, ascending by
-    slot within a stem, with ascending positions
+    Stem ``stems[s]`` (in order of first occurrence in the corpus) owns
+    postings ``stem_bounds[s]:stem_bounds[s + 1]``. Posting ``p`` is
+    document ``doc_order[posting_docs[p]]``, ascending by slot within a
+    stem, with ascending positions
     ``posting_positions[posting_bounds[p]:posting_bounds[p + 1]]``.
     """
 
@@ -261,83 +259,16 @@ class PositionalIndex:
             yield "]]]"
 
     @classmethod
-    def load(cls, path: str | Path, store: CorpusStore | None = None) -> "PositionalIndex":
-        """Read an index.json, rejecting postings that name an unknown document,
-        break doc order, hold positions out of order or outside the document,
-        or disagree with the collection counts."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        version = payload.get("version") if isinstance(payload, dict) else None
-        if version != INDEX_VERSION:
-            raise IndexError_(f"unsupported index version: {version}")
-        if store is not None and payload.get("corpus_checksum") != store.checksum():
-            raise IndexError_("index does not match the corpus store (checksum mismatch)")
-        try:
-            postings, doc_order = payload["postings"], payload["doc_order"]
-            counts = dict(payload["collection_term_counts"])
-            names = ("doc_lengths", "collection_length", "corpus_checksum")
-            fields = {name: payload[name] for name in names}
-            stems, plists = list(postings), list(postings.values())
-            sizes = np.fromiter(map(len, plists), np.int64, len(plists))
-            flat = list(chain.from_iterable(plists))
-            doc_ids, position_lists = list(map(itemgetter(0), flat)), list(map(itemgetter(1), flat))
-            slot_of = {d: s for s, d in enumerate(doc_order)}
-            docs = np.fromiter(map(slot_of.get, doc_ids, repeat(-1)), np.int32, len(flat))
-            tf = np.fromiter(map(len, position_lists), np.int64, len(flat))
-            positions = np.fromiter(chain.from_iterable(position_lists), np.int32, int(tf.sum()))
-            # Slot -1, a document missing from doc_order, reads length 0.
-            lengths = np.array([payload["doc_lengths"][d] for d in doc_order] + [0], np.int32)
-        except (KeyError, IndexError, TypeError, AttributeError) as exc:
-            raise IndexError_(f"malformed index file: {exc!r}") from None
-        # The parsed postings are arrays now; free their lists before checking.
-        del payload["postings"], postings, plists, flat, position_lists
-        if not sizes.all():
-            raise IndexError_(f"index stem {stems[int(np.argmin(sizes))]!r} has no postings")
-        stem_bounds, posting_bounds = _bounds(sizes), _bounds(tf)
-
-        def check(problem: str, bad: np.ndarray) -> None:
-            """Reject the first posting flagged in ``bad``."""
-            if bad.any():
-                p = int(np.argmax(bad))
-                stem = stems[int(np.searchsorted(stem_bounds, p, "right")) - 1]
-                raise IndexError_(f"index posting ({stem!r}, {doc_ids[p]!r}) {problem}")
-
-        check("names a document missing from doc_order", docs < 0)
-        check("has no positions", tf == 0)
-        check("repeats a document or breaks doc_order", ~_rises(docs, stem_bounds))
-        bad = ~_rises(positions, posting_bounds) | (positions < 0)
-        bad |= positions >= np.repeat(lengths[docs], tf)
-        check(
-            "has positions out of order or outside the document",
-            np.logical_or.reduceat(bad, posting_bounds[:-1]),
-        )
-        index = cls(
-            stems=stems,
-            stem_bounds=stem_bounds,
-            posting_docs=docs,
-            posting_bounds=posting_bounds,
-            posting_positions=positions,
-            doc_order=doc_order,
-            **fields,
-        )
-        derived = index.collection_term_counts
-        wrong = [s for s in {**derived, **counts} if derived.get(s) != counts.get(s)]
-        if wrong:
-            raise IndexError_(f"index postings of {wrong[0]!r} disagree with its collection count")
-        return index
+    def load(cls, store_dir: str | Path) -> "PositionalIndex":
+        """The index of a saved store, rebuilt from its documents. The store's
+        index.json is an export and is never read; the traced benchmark
+        (benchmarks/spans.py) still wraps this name."""
+        return build_index(CorpusStore.load(store_dir))
 
 
 def _bounds(sizes: np.ndarray) -> np.ndarray:
     """Bounds [0, s0, s0 + s1, ...] of consecutive groups of these sizes."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-
-
-def _rises(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Whether each value exceeds the one before it within its group (groups
-    over ``bounds``, none empty); a group's first value always does."""
-    rises = np.empty(len(values), dtype=bool)
-    rises[1:] = values[1:] > values[:-1]
-    rises[bounds[:-1]] = True
-    return rises
 
 
 def _regroup(bounds: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -700,8 +700,12 @@ def read_trec_run(path: str | Path) -> list[RankedList]:
             if len(parts) != 6:
                 raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
             qid, _, item_id, _, score, _ = parts
+            try:
+                entry = (item_id, float(score))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: score {score!r} is not a number") from None
             if qid not in per_query:
                 per_query[qid] = []
                 order.append(qid)
-            per_query[qid].append((item_id, float(score)))
+            per_query[qid].append(entry)
     return [RankedList(qid, tuple(per_query[qid])) for qid in order]

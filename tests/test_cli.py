@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,32 +53,62 @@ class TestIndexCommand:
         assert (corpus_dir / "store" / "manifest.json").read_bytes() == first
 
 
-class TestInconsistentIndex:
-    @pytest.mark.parametrize(
-        "edit,problem",
-        [
-            (lambda p: p["postings"]["zebra"].append(["zz", [0]]), "missing from doc_order"),
-            (lambda p: p["postings"]["zebra"][0][1].reverse(), "outside the document"),
-            (lambda p: p["collection_term_counts"].update(zebra=7), "collection count"),
-        ],
-    )
-    def test_features_exit_two_naming_the_problem(self, corpus_dir, capsys, edit, problem):
+class TestFeaturesRebuildTheIndex:
+    """The index comes from the store; index.json is never read."""
+
+    @pytest.mark.parametrize("kind", ["doc", "psg"])
+    def test_same_dump_whatever_index_json_holds(self, corpus_dir, kind):
         store = _index(corpus_dir)
-        payload = json.loads((store / "index.json").read_text())
-        edit(payload)
-        (store / "index.json").write_text(json.dumps(payload, sort_keys=True))
-        (corpus_dir / "topics.tsv").write_text("q1\tzebra crane\n")
+        (corpus_dir / "topics.tsv").write_text("q1\tzebra crane\nq2\tstork heron\n")
+        index_json, dumps = store / "index.json", []
+        for edit in (lambda: None, index_json.unlink, lambda: index_json.write_text("[]")):
+            edit()
+            rc = main(
+                [
+                    "--workdir", str(corpus_dir), "features", "--store", "store",
+                    "--topics", "topics.tsv", "--kind", kind, "--out", "feats.txt",
+                    "--length", "2", "--normalize",
+                ]
+            )
+            assert rc == 0
+            dumps.append((corpus_dir / "feats.txt").read_bytes())
+        assert dumps[0] and dumps == [dumps[0]] * 3
+
+
+class TestDamagedInputs:
+    """A damaged store or qrels file exits 1 naming it, without a traceback."""
+
+    def _fails(self, capsys, argv, where):
         capsys.readouterr()
-        rc = main(
-            [
-                "--workdir", str(corpus_dir), "features", "--store", "store",
-                "--topics", "topics.tsv", "--kind", "doc", "--out", "feats.txt",
-            ]
-        )
-        assert rc == 2
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("runtime error: index ")
-        assert problem in err and "Traceback" not in err
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
+
+    def test_manifest_missing_a_field(self, corpus_dir, capsys):
+        store = _index(corpus_dir)
+        manifest = json.loads((store / "manifest.json").read_text())
+        del manifest["stopwords"]
+        (store / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--workdir", str(corpus_dir), "segment", "--store", "store", "--out", "p.tsv"]
+        self._fails(capsys, argv, "manifest.json: expected a JSON object")
+
+    def test_docs_record_without_id(self, corpus_dir, capsys):
+        store = _index(corpus_dir)
+        lines = (store / "docs.jsonl").read_text().splitlines()
+        lines[1] = json.dumps({"text": "crane"})
+        (store / "docs.jsonl").write_text("\n".join(lines) + "\n")
+        (corpus_dir / "topics.tsv").write_text("q1\tzebra crane\n")
+        argv = [
+            "--workdir", str(corpus_dir), "features", "--store", "store",
+            "--topics", "topics.tsv", "--kind", "doc", "--out", "feats.txt",
+        ]
+        self._fails(capsys, argv, "docs.jsonl:2: record must carry 'id' and 'text'")
+
+    def test_qrels_grade_not_an_integer(self, tmp_path, capsys):
+        (tmp_path / "qrels.txt").write_text("q1 0 d1 1\nq1 0 d2 x\n")
+        (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 t\n")
+        argv = ["--workdir", str(tmp_path), "eval", "--run", "run.trec", "--qrels", "qrels.txt"]
+        self._fails(capsys, argv, "qrels.txt:2: not an integer: 'x'")
 
 
 class TestSegmentCommand:
@@ -151,17 +185,23 @@ class TestTrainInputValidation:
             ),
             (GOOD_ROWS, {"features": ["f0", "f1"]}, 1, '"name" string'),
             (GOOD_ROWS, {"name": "s"}, 1, '"features" list'),
+            (
+                GOOD_ROWS, '{"name": "s",\n "features": [}\n', 1,
+                "feats.txt.schema.json:2:15: not valid JSON",
+            ),
         ],
         ids=[
             "index-0", "index-past-schema", "repeated-item", "sidecar-without-name",
-            "sidecar-without-features",
+            "sidecar-without-features", "sidecar-not-json",
         ],
     )
     def test_bad_dump_or_sidecar_exits_without_traceback(
         self, tmp_path, capsys, rows, sidecar, code, message
     ):
         (tmp_path / "feats.txt").write_text(rows)
-        (tmp_path / "feats.txt.schema.json").write_text(json.dumps(sidecar))
+        if not isinstance(sidecar, str):
+            sidecar = json.dumps(sidecar)
+        (tmp_path / "feats.txt.schema.json").write_text(sidecar)
         rc = main(
             ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json"]
         )
@@ -548,3 +588,13 @@ class TestHelp:
         out = capsys.readouterr().out
         for cmd in ("index", "segment", "features", "train", "run", "eval", "ablate", "ttest"):
             assert cmd in out
+
+
+class TestBenchmarkHooks:
+    def test_traced_bench_finds_every_name_it_wraps(self):
+        """benchmarks/spans.py wraps psgrank functions by module attribute,
+        so each name it wraps must stay importable where it looks."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        code = "import spans; spans.install(spans.Tracer())"
+        subprocess.run([sys.executable, "-c", code], cwd=root / "benchmarks", env=env, check=True)

@@ -249,6 +249,40 @@ class TestStorePersistence:
         with pytest.raises(CorpusError, match="checksum"):
             CorpusStore.load(tmp_path / "store", stopwords=tokenizer.stopwords)
 
+    @pytest.fixture
+    def saved(self, tmp_path, tokenizer):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d1", "text": "alpha"}, {"id": "d2", "text": "beta"}])
+        ingest_corpus(path, tokenizer=tokenizer).save(tmp_path / "store")
+        return tmp_path / "store"
+
+    @pytest.mark.parametrize("field", ["version", "stopwords", "stemmer", "format", "checksum"])
+    def test_manifest_missing_a_field_rejected(self, saved, tokenizer, field):
+        manifest = json.loads((saved / "manifest.json").read_text())
+        del manifest[field]
+        (saved / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorpusError, match="manifest.json: expected a JSON object with"):
+            CorpusStore.load(saved, stopwords=tokenizer.stopwords)
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [("[]", ": expected a JSON object"), ('{"version": 1', ":1:14: not valid JSON")],
+    )
+    def test_manifest_not_a_json_object_rejected(self, saved, tokenizer, text, problem):
+        (saved / "manifest.json").write_text(text)
+        with pytest.raises(CorpusError, match=f"manifest.json{problem}"):
+            CorpusStore.load(saved, stopwords=tokenizer.stopwords)
+
+    @pytest.mark.parametrize(
+        "record,problem",
+        [('{"text": "beta"}', "record must carry 'id' and 'text'"), ("{", "malformed JSON")],
+    )
+    def test_bad_docs_record_names_path_and_line(self, saved, tokenizer, record, problem):
+        docs = saved / "docs.jsonl"
+        docs.write_text(docs.read_text().splitlines()[0] + "\n" + record + "\n")
+        with pytest.raises(CorpusError, match=f"docs.jsonl:2: {problem}"):
+            CorpusStore.load(saved, stopwords=tokenizer.stopwords)
+
 
 class TestTopics:
     def test_load(self, tmp_path, tokenizer):

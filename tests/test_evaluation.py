@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from psgrank.evaluation import (
     mean_metric,
     paired_ttest,
     precision_at,
+    query_metrics,
     regularized_incomplete_beta,
     student_t_two_tailed_p,
 )
@@ -278,6 +280,41 @@ class TestQrelsLoaders:
         p.write_text("q1\td1#0\t3\n")
         with pytest.raises(JudgmentError, match="binary"):
             load_sentence_qrels(p)
+
+    @pytest.mark.parametrize(
+        "loader,text",
+        [
+            (load_doc_qrels, "q1 0 d1 1\nq1 0 d2 x\n"),
+            (load_char_qrels, "q1\td1\t0\t10\nq1\td1\t5\tten\n"),
+            (load_char_qrels, "q1\td1\t0\t10\nq1\td1\t1.5\t9\n"),
+            (load_sentence_qrels, "q1\td1#0\t1\nq1\td1#1\tyes\n"),
+        ],
+    )
+    def test_non_integer_field_names_path_and_line(self, tmp_path, loader, text):
+        p = tmp_path / "qrels"
+        p.write_text(text)
+        with pytest.raises(JudgmentError, match=f"^{re.escape(str(p))}:2: not an integer: "):
+            loader(p)
+
+
+class TestQueryMetrics:
+    def test_doc_row(self):
+        run, judgments = _run(["a", "b", "c"]), _doc_judgments({"b", "z"})
+        row = query_metrics(run, judgments, 2, {})
+        assert list(row) == ["ap", "p10"]
+        assert row["ap"] == average_precision(run, judgments, 2) == 0.25
+        assert row["p10"] == precision_at(run, judgments, 10) == 0.1
+
+    def test_char_focused_row(self):
+        judgments = JudgmentSet("char_focused", {}, {"q1": {"d1": [(0, 10)]}})
+        spans = {"d1#0": ("d1", 0, 5), "d1#1": ("d1", 5, 20)}
+        run = _run(["d1#0", "d1#1"])
+        row = query_metrics(run, judgments, 1000, spans)
+        assert list(row) == ["ip_0.01", "ip_0.1", "maip"]
+        ip, maip = interpolated_precision(run, judgments, spans, (0.01, 0.1))
+        assert row == {"ip_0.01": ip[0.01], "ip_0.1": ip[0.1], "maip": maip}
+        unjudged = RankedList("q2", run.entries)
+        assert query_metrics(unjudged, judgments, 1000, spans) == dict.fromkeys(row)
 
 
 class TestPairedTTest:

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from collections import Counter
 
@@ -752,6 +753,12 @@ class TestTrecIO:
         path = tmp_path / "run.trec"
         path.write_text("q1 Q0 doc1 1 0.5\n")
         with pytest.raises(ValueError, match="6"):
+            read_trec_run(path)
+
+    def test_non_number_score_names_path_and_line(self, tmp_path):
+        path = tmp_path / "run.trec"
+        path.write_text("q1 Q0 doc1 1 0.5 t\nq1 Q0 doc2 2 high t\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: score 'high' is not a number"):
             read_trec_run(path)
 
 
