@@ -427,9 +427,11 @@ def _iter_jsonl_records(path: Path) -> Iterator[tuple[str, str]]:
                 raise CorpusError(f"{path}:{lineno}: malformed JSON record: {exc}") from None
             if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
                 raise CorpusError(f"{path}:{lineno}: record must carry 'id' and 'text' fields")
-            text = rec["text"]
-            if rec.get("title"):
-                text = rec["title"] + "\n" + text
+            text, title = rec["text"], rec.get("title")
+            if not isinstance(text, str) or not isinstance(title, (str, type(None))):
+                raise CorpusError(f"{path}:{lineno}: 'text' and 'title' must be strings")
+            if title:
+                text = title + "\n" + text
             yield str(rec["id"]), text
 
 

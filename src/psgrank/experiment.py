@@ -18,7 +18,7 @@ import copy
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -41,6 +41,7 @@ from .features import (
     FeatureMatrix,
     PassageFeatureExtractor,
     SemanticResources,
+    doc_entropy,
     doc_features,
     load_embeddings,
     load_entities,
@@ -90,9 +91,9 @@ class _Method:
     # (runner, query_id, params) -> run; for a learned method,
     # (runner, query_id, params, model ranking) -> run, or None for the model's ranking.
     rank: Callable | None = None
-    init_ltr: bool = False  # reads the tuned document LTR ranking
-    psg_ranking: bool = False  # reads the ranking of all candidate passages
-    psg_ranker: str | None = None  # reports this passage ranker's output: "qsf" or "ltr"
+    # The fold stages it reads, tuned before it: "init-LTR", "QSF", or
+    # "passages", the configured passage ranking (_FoldRunner.stage).
+    reads: tuple = ()
     # (runner, query_id, vector-grid point) -> raw FeatureMatrix; learned
     vectors: Callable | None = None
     vector_grid: tuple = ()
@@ -101,16 +102,20 @@ class _Method:
     split: str = "train"  # the queries the grid is selected on: "train" or "validation"
     hyper_in_params: bool = True  # report the trainer setting with the tuned params
     features: bool = True  # reads feature vectors, so ablating a feature can move it
-    # The fold stages whose tuned parameters the vectors read, for vectors
-    # that read no fold-trained model: their min-maxed matrices are shared
-    # across folds. None: the matrices are built per fold.
-    shared_stages: tuple | None = None
 
     @property
     def fold_free(self) -> bool:
         """Ranks from judgment-free pipeline data alone, so a query's run at
         one grid point is the same in every fold."""
-        return not (self.vectors or self.init_ltr or self.psg_ranking)
+        return not (self.vectors or self.reads)
+
+    @property
+    def shares_matrices(self) -> bool:
+        """A learned method whose stages are all fold-free ("passages" may be
+        trained) shares its min-maxed matrices across folds, keyed by the
+        tuned parameters of ``reads``."""
+        stages = [_METHODS.get(s) for s in self.reads]  # None for "passages"
+        return bool(self.vectors) and all(r and r.fold_free for r in stages)
 
 
 def _fusion(p: dict) -> FusionParams:
@@ -174,10 +179,9 @@ def _jpds(which: str, two_passages: bool = False) -> _Method:
             pipe.psg_vectors(query_id, run.psg_feature_mu()),
             pipe.query_data(query_id).passages_by_doc,
             run.passage_ranking(query_id), which=which, two_passages=two_passages,
-            include_query_length=False,
         )
 
-    return _Method("doc", init_ltr=True, psg_ranking=True, vectors=vectors, split="validation")
+    return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors, split="validation")
 
 
 def _jpdm(agg: str) -> _Method:
@@ -191,7 +195,7 @@ def _jpdm(agg: str) -> _Method:
             pipe.query_data(query_id).passages_by_doc, agg,
         )
 
-    return _Method("doc", init_ltr=True, vectors=vectors, split="validation")
+    return _Method("doc", reads=("init-LTR",), vectors=vectors, split="validation")
 
 
 def _vectors_for_fpd(run, query_id: str, p: dict) -> FeatureMatrix:
@@ -208,16 +212,16 @@ _METHODS = {
         "doc", rank=_docpsg, grid=(("mu", "mu"), ("lambda_max", "docpsg_lambda")), features=False
     ),
     "init-LTR": _Method(
-        "doc", init_ltr=True, vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),),
-        split="validation", hyper_in_params=False, shared_stages=(),
+        "doc", vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),), split="validation",
+        hyper_in_params=False,
     ),
     "RRF": _Method(
-        "doc", init_ltr=True, psg_ranking=True, grid=(("alpha", "alpha"), ("nu", "nu")),
+        "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
         split="validation",
     ),
     "SMPD": _Method(
-        "doc", init_ltr=True, psg_ranking=True, vectors=_vectors_for_smpd,
+        "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_smpd,
         vector_grid=(("nu", "nu"),), split="validation", hyper_in_params=False,
     ),
     "JPDs": _jpds("best"),
@@ -229,12 +233,12 @@ _METHODS = {
     "JPDm-max": _jpdm("max"),
     "JPDm-min": _jpdm("min"),
     "FPD": _Method(
-        "doc", init_ltr=True, psg_ranking=True, vectors=_vectors_for_fpd,
+        "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
         grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
     ),
     "QSF": _Method(
-        "psg", psg_ranker="qsf", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),
+        "psg", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),
         rank=lambda run, q, p: run.pipe.qsf(q, p["mu"], p["lambda"], k=run.config.psg_cutoff),
     ),
     "PLM": _Method(
@@ -243,8 +247,8 @@ _METHODS = {
         feasible=lambda p: plm_weights_feasible(p["lambda"], p["beta"]),
     ),
     "PsgLTR": _Method(
-        "psg", psg_ranker="ltr", vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
-        split="validation", hyper_in_params=False, shared_stages=("QSF",),
+        "psg", reads=("QSF",), vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
+        split="validation", hyper_in_params=False,
     ),
 }
 ALL_METHODS = tuple(_METHODS)
@@ -539,7 +543,7 @@ class ExperimentConfig:
 
     def needs_psg_qrels(self) -> bool:
         # Any passage ranking (learned or QSF) is tuned by a passage metric.
-        return any(r.kind == "psg" or r.psg_ranking for r in self._records())
+        return any(r.kind == "psg" or "passages" in r.reads for r in self._records())
 
     def validate(self) -> list[str]:
         """Collect every problem; empty list means the config is usable."""
@@ -581,9 +585,9 @@ def _parse_exclusions(exclusions: Sequence[str]):
     return doc_excl, psg_excl, problems
 
 
-@dataclass
+@dataclass(frozen=True)
 class _QueryData:
-    """Cached per-query artifacts shared across folds (judgment-free)."""
+    """A query's judgment-free staged data, shared across folds."""
 
     query: Query
     c_init: RankedList
@@ -591,11 +595,13 @@ class _QueryData:
     passage_spans: dict[str, tuple[str, int, int]]
     psg_doc: dict[str, str]
     psg_grades: dict[str, int]
-    # Filled on first read, keyed by mu:
-    extractors: dict[float, PassageFeatureExtractor] = field(default_factory=dict)
-    doc_vectors: dict[float, FeatureMatrix] = field(default_factory=dict)  # document id order
-    psg_vectors: dict[float, FeatureMatrix] = field(default_factory=dict)  # then passage order
-    pos_sims: dict = field(default_factory=dict)  # (mu, sigma) -> {pid: sim}
+
+
+def _memoized(memo: dict, key: tuple, compute: Callable[[], object]):
+    """The value kept in ``memo`` under ``key``, computed on first request."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 class _Pipeline:
@@ -631,19 +637,17 @@ class _Pipeline:
             raise ConfigError(
                 "need at least 2 judged queries for leave-one-out cross validation"
             )
-        self._segmented: dict[str, list[Passage]] = {}
-        self._query_data: dict[str, _QueryData] = {}
         self._esa_cache: dict = {}
-        # Work whose inputs do not depend on the fold, kept for the whole run:
+        # Work whose inputs do not depend on the fold, kept for the whole run
+        # under a key of its kind and everything else it reads: segmentation,
+        # query data, extractors, feature matrices, positional similarities,
         # QSF runs, fold-free methods' per-query tuning metrics and shared
         # normalized matrices (see _FoldRunner).
         self._memo: dict = {}
 
     def memo(self, key: tuple, compute: Callable[[], object]):
         """The value kept under ``key``, computed on first request."""
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        return _memoized(self._memo, key, compute)
 
     def _filter_queries(self, queries: Sequence[Query]) -> list[Query]:
         """Drop queries with no relevant items in the required qrels."""
@@ -655,21 +659,10 @@ class _Pipeline:
         ]
         return [q for q in queries if all(j.has_judgments(q.query_id) for j in required)]
 
-    def _passages(self, doc_id: str) -> list[Passage]:
-        got = self._segmented.get(doc_id)
-        if got is None:
-            got = segment(self.store.get(doc_id), self.seg_params)
-            self._segmented[doc_id] = got
-        return got
-
     # -- per-query staging --
 
     def query_data(self, query_id: str) -> _QueryData:
-        data = self._query_data.get(query_id)
-        if data is None:
-            data = self._stage_query(self.queries[query_id])
-            self._query_data[query_id] = data
-        return data
+        return self.memo(("query", query_id), lambda: self._stage_query(self.queries[query_id]))
 
     def _candidate_doc_ids(self, query: Query, c_init: RankedList) -> list[str]:
         if (
@@ -688,7 +681,10 @@ class _Pipeline:
         cfg = self.config
         c_init = retrieve_lm(query, self.index, LmParams(cfg.init_mu), cfg.doc_cutoff)
         doc_ids = self._candidate_doc_ids(query, c_init)
-        passages_by_doc = {d: self._passages(d) for d in doc_ids}
+        passages_by_doc = {
+            d: self.memo(("segment", d), lambda d=d: segment(self.store.get(d), self.seg_params))
+            for d in doc_ids
+        }
         passage_spans = {
             p.passage_id: (d, p.char_range[0], p.char_range[1])
             for d, plist in passages_by_doc.items()
@@ -724,27 +720,24 @@ class _Pipeline:
         return grades
 
     def _extractor(self, query_id: str, mu: float) -> PassageFeatureExtractor:
-        data = self.query_data(query_id)
-        got = data.extractors.get(mu)
-        if got is None:
-            got = PassageFeatureExtractor(
+        def compute():
+            data = self.query_data(query_id)
+            return PassageFeatureExtractor(
                 data.query, self.store, self.index, sorted(data.passages_by_doc),
                 data.passages_by_doc, self.resources, LmParams(mu), esa_cache=self._esa_cache,
             )
-            data.extractors[mu] = got
-        return got
+
+        return self.memo(("extractor", query_id, mu), compute)
 
     def positional_sims(self, query_id: str, mu: float, sigma: float) -> dict[str, float]:
-        data = self.query_data(query_id)
-        key = (mu, sigma)
-        got = data.pos_sims.get(key)
-        if got is None:
-            got = best_positional_similarities(
+        def compute():
+            data = self.query_data(query_id)
+            return best_positional_similarities(
                 data.query, self.store, self.index, sorted(data.passages_by_doc),
                 data.passages_by_doc, LmParams(mu), sigma,
             )
-            data.pos_sims[key] = got
-        return got
+
+        return self.memo(("positional_sims", query_id, mu, sigma), compute)
 
     # -- ranking building blocks --
 
@@ -753,27 +746,33 @@ class _Pipeline:
         extractor = self._extractor(query_id, mu)
         return extractor.doc_sims, extractor.psg_sims
 
+    def _entropy(self, doc_id: str) -> float:
+        """The document's entropy prior, which reads the document alone."""
+        return self.memo(("entropy", doc_id), lambda: doc_entropy(self.store.get(doc_id).term_ids))
+
     def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
-        data = self.query_data(query_id)
-        got = data.doc_vectors.get(mu)
-        if got is None:
+        """The query's document features at ``mu``, in document id order."""
+        def compute():
+            data = self.query_data(query_id)
             params, stopwords = LmParams(mu), self.store.tokenizer.stopwords
             doc_ids = sorted(data.passages_by_doc)
             rows = [
-                doc_features(data.query, self.store.get(d), self.index, params, stopwords)
+                doc_features(
+                    data.query, self.store.get(d), self.index, params, stopwords,
+                    entropy=self._entropy(d),
+                )
                 for d in doc_ids
             ]
-            got = FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
-            data.doc_vectors[mu] = got
-        return got
+            return FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
+
+        return self.memo(("doc_vectors", query_id, mu), compute)
 
     def psg_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
-        data = self.query_data(query_id)
-        got = data.psg_vectors.get(mu)
-        if got is None:
-            got = self._extractor(query_id, mu).matrix().columns(self.psg_schema)
-            data.psg_vectors[mu] = got
-        return got
+        """The query's passage features at ``mu``, in passage order."""
+        return self.memo(
+            ("psg_vectors", query_id, mu),
+            lambda: self._extractor(query_id, mu).matrix().columns(self.psg_schema),
+        )
 
     def qsf(self, query_id: str, mu: float, lam: float, k: int | None = None) -> RankedList:
         return self.memo(
@@ -833,9 +832,9 @@ def _train(config: ExperimentConfig, data: TrainingSet, hyper: dict) -> LinearMo
 class _FoldRunner:
     """Trains and tunes every component needed by the configured methods.
 
-    The document ranker (init-LTR), QSF and the passage ranker (PsgLTR)
-    are tuned first when any configured method reads them, then every
-    other configured method by its own grid walk.
+    Each method is tuned after the stages it reads (the document ranker
+    init-LTR, QSF and the passage ranking), depth first, then by its own
+    grid walk.
     """
 
     def __init__(self, pipeline: _Pipeline, fold: tuple[str, list[str], list[str]]):
@@ -844,11 +843,17 @@ class _FoldRunner:
         self.test_query, self.train_queries, self.val_queries = fold
         self.params: dict[str, dict] = {}  # tuned parameters by method, stages included
         self.models: dict[str, LinearModel] = {}  # trained models by method
-        self._runs: dict[tuple[str, str], RankedList] = {}
-        self._psg_ranking_cache: dict[str, RankedList] = {}
+        self._memo: dict = {}  # the fold's tuned runs and passage rankings
 
     def _no_candidates(self, query_id: str) -> bool:
         return not self.pipe.query_data(query_id).passages_by_doc
+
+    def stage(self, name: str) -> str:
+        """The method a read stage names: "passages" is the configured passage
+        ranking, QSF or the learned PsgLTR."""
+        if name != "passages":
+            return name
+        return "QSF" if self.config.psg_ranker == "qsf" else "PsgLTR"
 
     def c_ltr(self, query_id: str) -> RankedList:
         """The tuned document LTR ranking of the query's candidates."""
@@ -856,47 +861,36 @@ class _FoldRunner:
 
     def passage_ranking(self, query_id: str) -> RankedList:
         """G: ranking of ALL passages of the query's candidate documents."""
-        got = self._psg_ranking_cache.get(query_id)
-        if got is None:
+        def compute():
             if self._no_candidates(query_id):
-                got = RankedList(query_id, ())
-            elif self.config.psg_ranker == "qsf":
-                qsf = self.params["QSF"]
-                got = self.pipe.qsf(query_id, qsf["mu"], qsf["lambda"])
-            else:
-                mu = self.params["PsgLTR"]["mu"]
-                matrix = self.pipe.memo(
-                    ("passages", query_id, mu),
-                    lambda: minmax_normalize(self.pipe.psg_vectors(query_id, mu)),
-                )
-                got = score(self.models["PsgLTR"], matrix)
-            self._psg_ranking_cache[query_id] = got
-        return got
+                return RankedList(query_id, ())
+            stage = self.stage("passages")
+            p = self.params[stage]
+            if stage == "QSF":
+                return self.pipe.qsf(query_id, p["mu"], p["lambda"])
+            matrix = self.pipe.memo(
+                ("passages", query_id, p["mu"]),
+                lambda: minmax_normalize(self.pipe.psg_vectors(query_id, p["mu"])),
+            )
+            return score(self.models[stage], matrix)
+
+        return _memoized(self._memo, ("passages", query_id), compute)
 
     def psg_feature_mu(self) -> float:
         """The smoothing of the passage features joined to document vectors."""
-        if self.config.psg_ranker == "ltr" and "PsgLTR" in self.params:
-            return self.params["PsgLTR"]["mu"]
-        return self.params.get("QSF", self.params["init-LTR"])["mu"]
+        return self.params[self.stage("passages")]["mu"]
 
     def prepare(self, methods: Sequence[str]) -> None:
-        records = [_METHODS[m] for m in methods]
-        # A method reports its own passage ranker or reads the configured one.
-        rankers = {
-            r.psg_ranker or (self.config.psg_ranker if r.psg_ranking else None) for r in records
-        }
-        stages = []
-        if any(r.init_ltr for r in records):
-            stages.append("init-LTR")
-        if rankers & {"qsf", "ltr"}:
-            stages.append("QSF")
-        if "ltr" in rankers:
-            stages.append("PsgLTR")
-        for m in dict.fromkeys(stages + list(methods)):
-            if _METHODS[m].grid or _METHODS[m].vectors:
-                self.params[m], model = self._walk(m)
-                if model is not None:
-                    self.models[m] = model
+        """Tunes each method with a grid after the stages it reads, depth first."""
+        for name in methods:
+            m = self.stage(name)
+            rec = _METHODS[m]
+            if m in self.params or not (rec.grid or rec.vectors):
+                continue
+            self.prepare(rec.reads)
+            self.params[m], model = self._walk(m)
+            if model is not None:
+                self.models[m] = model
 
     def _walk(self, method: str) -> tuple[dict, LinearModel | None]:
         """The first grid point (and model) with the strictly best mean metric."""
@@ -946,8 +940,7 @@ class _FoldRunner:
 
     def run_method(self, method: str, query_id: str) -> RankedList:
         """The method's tuned run for one query (cached)."""
-        key = (method, query_id)
-        if key not in self._runs:
+        def compute():
             rec = _METHODS[method]
             params = self.params.get(method, {})
             ranking = (
@@ -955,8 +948,9 @@ class _FoldRunner:
                 if rec.vectors
                 else None
             )
-            self._runs[key] = self._run(rec, query_id, params, ranking)
-        return self._runs[key]
+            return self._run(rec, query_id, params, ranking)
+
+        return _memoized(self._memo, ("run", method, query_id), compute)
 
     def _model_ranking(
         self, rec: _Method, query_id: str, params: dict, model: LinearModel
@@ -968,17 +962,17 @@ class _FoldRunner:
 
     def _normalized(self, rec: _Method, query_id: str, params: dict) -> FeatureMatrix:
         """A learned method's min-maxed matrix for one query. Shared across
-        folds when the vectors read no fold-trained model, keyed by the
-        vector-grid point and the tuned parameters of the stages they read."""
+        folds when the method says so, keyed by the vector-grid point and the
+        tuned parameters of the stages it reads."""
         def compute():
             return minmax_normalize(rec.vectors(self, query_id, params))
 
-        if rec.shared_stages is None:
+        if not rec.shares_matrices:
             return compute()
         key = (
             "matrix", rec.vectors, query_id,
             tuple(params[name] for name, _ in rec.vector_grid),
-            *(_frozen(self.params[stage]) for stage in rec.shared_stages),
+            *(_frozen(self.params[stage]) for stage in rec.reads),
         )
         return self.pipe.memo(key, compute)
 

@@ -243,9 +243,11 @@ def doc_features(
     index: PositionalIndex,
     params: LmParams,
     stopwords: StopwordList,
+    entropy: float | None = None,
 ) -> tuple[float, ...]:
     """The 6 document features, in :data:`DOC_SCHEMA` order: SDM components
-    + SW1/SW2/Ent priors."""
+    + SW1/SW2/Ent priors. ``entropy`` is the document's :func:`doc_entropy`,
+    for a caller that keeps it per document."""
     f_t, f_o, f_u = sdm_components(query, doc, index, params)
     return (
         f_t,
@@ -253,7 +255,7 @@ def doc_features(
         f_u,
         stopword_fraction(doc.stopword_ids),
         stopword_coverage(doc.stopword_ids, stopwords),
-        doc_entropy(doc.term_ids),
+        doc_entropy(doc.term_ids) if entropy is None else entropy,
     )
 
 

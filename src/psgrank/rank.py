@@ -253,13 +253,9 @@ def build_smpd_vectors(
         ],
         dtype=float,
     ).reshape(len(doc_ids), len(SMPD_FEATURES))
-    schema = (
-        SMPD_SCHEMA
-        if doc_vectors.schema == DOC_SCHEMA
-        else concat_schemas(
-            doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
-            name="smpd", a_prefix="d.", b_prefix="p.",
-        )
+    schema = concat_schemas(
+        doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
+        name="smpd", a_prefix="d.", b_prefix="p.",
     )
     values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
@@ -328,21 +324,19 @@ def _selected_ids(
 def jpds_schema(
     doc_schema: FeatureSchema = DOC_SCHEMA,
     psg_schema: FeatureSchema = PSG_SCHEMA,
-    include_query_length: bool = False,
     two_passages: bool = False,
 ) -> FeatureSchema:
     """Joint document+passage schema: the document features as ``d.*``, the
     passage's as ``p.*`` and, for two passages, the second's as ``p2.*``.
 
-    Over the full schemas it has 24 features without QueryLength and 25
-    with. Excluding a feature already removed upstream (e.g. by the
-    ablation harness) is a no-op.
+    The passage's DocQuerySim and QueryLength are left out, so over the full
+    schemas it has 24 features. Excluding a feature already removed upstream
+    (e.g. by the ablation harness) is a no-op.
     """
     present = set(psg_schema.features)
-    base = {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
     schema = concat_schemas(
         doc_schema, psg_schema, name="jpd2" if two_passages else "jpds",
-        a_prefix="d.", b_prefix="p.", exclusions=base & present,
+        a_prefix="d.", b_prefix="p.", exclusions={"DocQuerySim", "QueryLength"} & present,
     )
     if two_passages:
         schema = concat_schemas(
@@ -365,7 +359,6 @@ def build_jpds_vectors(
     psg_list: RankedList,
     which: str = "best",
     two_passages: bool = False,
-    include_query_length: bool = False,
 ) -> FeatureMatrix:
     """Joint document+selected-passage rows for every listed document.
 
@@ -373,9 +366,7 @@ def build_jpds_vectors(
     two-passage variant also appends the second-ranked passage's row
     with its redundant features removed.
     """
-    schema = jpds_schema(
-        doc_vectors.schema, psg_vectors.schema, include_query_length, two_passages
-    )
+    schema = jpds_schema(doc_vectors.schema, psg_vectors.schema, two_passages)
     doc_ids = doc_list.ids()
 
     def passage_rows(which: str, prefix: str) -> np.ndarray:

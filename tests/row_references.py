@@ -151,14 +151,10 @@ def smpd_rows(doc_list, docs, passages_by_doc, psg_list, nu):
     return schema, out
 
 
-def jpds_rows(
-    doc_list, docs, psgs, passages_by_doc, psg_list, which="best",
-    two_passages=False, include_query_length=False,
-):
+def jpds_rows(doc_list, docs, psgs, passages_by_doc, psg_list, which="best", two_passages=False):
     doc_schema, doc_values = docs
     psg_schema, psg_values = psgs
-    base = {"DocQuerySim"} if include_query_length else {"DocQuerySim", "QueryLength"}
-    first = base & set(psg_schema.features)
+    first = {"DocQuerySim", "QueryLength"} & set(psg_schema.features)
     second_excl = JPD2_SECOND_EXCLUSIONS & set(psg_schema.features)
     schema = concat_schemas(
         doc_schema, psg_schema, name="jpd2" if two_passages else "jpds",

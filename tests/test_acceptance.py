@@ -18,11 +18,13 @@ from conftest import TINY_STOPWORDS, build_store, make_query, noisy_corpus
 from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.experiment import ExperimentConfig, run_experiment
 from psgrank.features import (
+    DOC_SCHEMA,
     PSG_SCHEMA,
     FeatureMatrix,
     FeatureSchema,
     PassageFeatureExtractor,
     SemanticResources,
+    concat_schemas,
     doc_features,
 )
 from psgrank.index import LmParams, build_index, doc_lm_similarity, lm_similarity, sdm_components
@@ -244,8 +246,12 @@ def test_criterion_2_grade_buckets():
 
 
 def test_criterion_3_schema_arity():
-    without_ql = len(jpds_schema(include_query_length=False))
-    with_ql = len(jpds_schema(include_query_length=True))
+    # Models train on the joint schema without the passage's QueryLength;
+    # the paper's footnote counts 25 features with it.
+    without_ql = len(jpds_schema())
+    with_ql = len(concat_schemas(
+        DOC_SCHEMA, PSG_SCHEMA, a_prefix="d.", b_prefix="p.", exclusions={"DocQuerySim"}
+    ))
     _report(3, "JPDs schema arity", (without_ql, with_ql) == (24, 25),
             f"{without_ql}/{with_ql}")
 

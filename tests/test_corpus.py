@@ -182,6 +182,15 @@ class TestIngest:
         with pytest.raises(CorpusError, match="text"):
             ingest_corpus(path, tokenizer=tokenizer)
 
+    @pytest.mark.parametrize(
+        "record", [{"id": "d1", "text": 5}, {"id": "d1", "text": "body", "title": 7}]
+    )
+    def test_non_string_text_or_title_names_line(self, tmp_path, tokenizer, record):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d0", "text": "ok"}, record])
+        with pytest.raises(CorpusError, match="c.jsonl:2: 'text' and 'title' must be strings"):
+            ingest_corpus(path, tokenizer=tokenizer)
+
     def test_empty_text_kept_with_warning(self, tmp_path, tokenizer):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "d1", "text": ""}])

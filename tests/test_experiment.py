@@ -437,8 +437,33 @@ class TestCrossFoldMemo:
         assert [m for m, r in _METHODS.items() if r.fold_free] == [
             "LM", "SDM", "DocPsg", "QSF", "PLM"
         ]
-        shared = {m: r.shared_stages for m, r in _METHODS.items() if r.shared_stages is not None}
+        shared = {m: r.reads for m, r in _METHODS.items() if r.shares_matrices}
         assert shared == {"init-LTR": (), "PsgLTR": ("QSF",)}
+
+    @pytest.mark.parametrize("psg_ranker", ["ltr", "qsf"])
+    def test_stages_tuned_before_their_readers(self, monkeypatch, psg_ranker):
+        # The order in which one method's fold stages are tuned, with the grid
+        # walk stubbed out: the stages it reads come first, depth first.
+        from types import SimpleNamespace
+
+        from psgrank import experiment
+
+        config = ExperimentConfig()
+        config.psg_ranker = psg_ranker
+        monkeypatch.setattr(experiment._FoldRunner, "_walk", lambda runner, method: ({}, None))
+        passages = ["QSF", "PsgLTR"] if psg_ranker == "ltr" else ["QSF"]
+        expected = {m: [m] for m in ("SDM", "DocPsg", "init-LTR", "QSF", "PLM")}
+        expected.update(LM=[], PsgLTR=["QSF", "PsgLTR"])
+        fused = ("RRF", "SMPD", "JPDs", "JPDs-second", "JPDs-third", "JPDs-lowest", "JPD-2", "FPD")
+        for m in fused:
+            expected[m] = ["init-LTR", *passages, m]
+        for m in ("JPDm-avg", "JPDm-max", "JPDm-min"):
+            expected[m] = ["init-LTR", m]
+        assert sorted(expected) == sorted(experiment.ALL_METHODS)
+        for method in experiment.ALL_METHODS:
+            runner = experiment._FoldRunner(SimpleNamespace(config=config), ("q1", [], []))
+            runner.prepare([method])
+            assert list(runner.params) == expected[method], method
 
     def test_memo_holds_only_fold_free_work(self, tmp_path, monkeypatch):
         # A model-reading method's runs differ between folds, so none of its

@@ -305,8 +305,7 @@ def _joint_fixture():
 
 class TestJpds:
     def test_schema_arity(self):
-        assert len(jpds_schema(include_query_length=False)) == 24
-        assert len(jpds_schema(include_query_length=True)) == 25
+        assert len(jpds_schema()) == 24
         # Features ablated upstream leave the joint schema, exclusions or not.
         reduced = PSG_SCHEMA.without({"QueryLength", "W2V"})
         assert len(jpds_schema(DOC_SCHEMA.without({"SW1"}), reduced)) == 22
@@ -472,7 +471,7 @@ class TestSmpdVectors:
         joint = build_smpd_vectors(
             doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
         )
-        assert joint.schema is SMPD_SCHEMA
+        assert joint.schema == SMPD_SCHEMA
         assert len(SMPD_SCHEMA) == 13
         for doc_id, values in zip(joint.item_ids, joint.values.tolist()):
             stats = smpd_features(
@@ -787,13 +786,9 @@ class TestBuildersEqualRowReferences:
                         doc_list, docs, psgs, by_doc, psg_list, which=which
                     )
                 assert rows_of(
-                    build_jpds_vectors(
-                        doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True,
-                        include_query_length=True,
-                    )
+                    build_jpds_vectors(doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True)
                 ) == row_references.jpds_rows(
-                    doc_list, docs, psgs, by_doc, psg_list, two_passages=True,
-                    include_query_length=True,
+                    doc_list, docs, psgs, by_doc, psg_list, two_passages=True
                 )
                 assert rows_of(
                     build_fpd_vectors(doc_list, psg_m, by_doc, psg_list)
@@ -840,7 +835,7 @@ class TestBuildersEqualRowReferences:
         )
         assert len(out) == 0 and len(out.schema) == 24
         out = build_smpd_vectors(empty, _matrix(doc_vectors), passages_by_doc, psg_list, 30.0)
-        assert len(out) == 0 and out.schema is SMPD_SCHEMA
+        assert len(out) == 0 and out.schema == SMPD_SCHEMA
 
 
 class TestPstdev:
