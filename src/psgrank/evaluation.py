@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .passage import merge_intervals
 from .rank import RankedList
 
@@ -148,6 +150,33 @@ def average_precision(
             hits += 1
             precision_sum += hits / r
     return precision_sum / total_relevant
+
+
+def average_precisions(
+    query_id: str,
+    item_ids: Sequence[str],
+    orders: np.ndarray,
+    judgments: JudgmentSet,
+    cutoff: int = 1000,
+) -> list[float | None]:
+    """:func:`average_precision` of many runs over the same items at once.
+
+    Row i of ``orders`` is one run, as positions in ``item_ids``, best
+    first. Each AP adds hits / rank at its relevant ranks in rank order, as
+    the scalar one does, so the values are equal.
+    """
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    total_relevant = judgments.relevant_count(query_id)
+    if total_relevant == 0:
+        return [None] * len(orders)
+    relevant = np.array([judgments.is_relevant(query_id, i) for i in item_ids], dtype=bool)
+    hits = relevant[orders[:, :cutoff]]
+    if not hits.shape[1]:
+        return [0.0] * len(orders)
+    precision = np.where(hits, np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1), 0.0)
+    # cumsum adds left to right, as the scalar loop; its last column is the sum.
+    return (np.cumsum(precision, axis=1)[:, -1] / total_relevant).tolist()
 
 
 def precision_at(ranked: RankedList, judgments: JudgmentSet, k: int = 10) -> float:

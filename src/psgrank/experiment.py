@@ -28,6 +28,7 @@ from .evaluation import (
     QRELS_LOADERS,
     CvPlan,
     average_precision,
+    average_precisions,
     check_ttest_params,
     interpolated_precision,
     load_doc_qrels,
@@ -55,6 +56,7 @@ from .ltr import (
 from .passage import SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, segment
 from .rank import (
     FusionParams,
+    PassageRanks,
     RankedList,
     best_positional_similarities,
     build_fpd_vectors,
@@ -64,6 +66,7 @@ from .rank import (
     check_sigma,
     check_weight,
     docpsg_from_sims,
+    fusion_orders,
     plm_from_sims,
     plm_weights_feasible,
     qsf_from_sims,
@@ -82,7 +85,9 @@ class _Method:
     A grid is a tuple of (parameter, config grid name) axes; every
     combination is tried, the last axis fastest, and the first point with
     the strictly best mean metric wins. A learned method trains one model
-    per vector-grid point and trainer setting, then walks ``grid``.
+    per vector-grid point and trainer setting, then walks ``grid``. A
+    method with a grid scorer has each query's metric at every point of
+    ``grid`` computed at once; the others run and evaluate point by point.
     Functions receive the fold runner and find every psgrank function
     through this module's globals when called.
     """
@@ -98,6 +103,9 @@ class _Method:
     vectors: Callable | None = None
     vector_grid: tuple = ()
     grid: tuple = ()
+    # (runner, query_id, [params], model ranking or None) -> the query's
+    # metric at every grid point, equal to evaluating each point's run.
+    grid_metrics: Callable | None = None
     feasible: Callable | None = None  # params -> False for a grid point to skip
     split: str = "train"  # the queries the grid is selected on: "train" or "validation"
     hyper_in_params: bool = True  # report the trainer setting with the tuned params
@@ -120,6 +128,33 @@ class _Method:
 
 def _fusion(p: dict) -> FusionParams:
     return FusionParams(nu=p["nu"], alpha=p["alpha"])
+
+
+def _fusion_grid(other_ranks: Callable) -> Callable:
+    """A grid scorer for a fusion of the document ranking with r' from
+    ``other_ranks(runner, query_id, doc_ids, model ranking)``: every
+    (alpha, nu) point's run as one array row, then each row's AP."""
+    def metrics(run, query_id: str, points: list[dict], ranking) -> list[float | None]:
+        doc_list = run.c_ltr(query_id)
+        doc_ids = doc_list.ids()
+        orders = fusion_orders(
+            doc_list, other_ranks(run, query_id, doc_ids, ranking),
+            [p["alpha"] for p in points], [p["nu"] for p in points],
+        )
+        return average_precisions(
+            query_id, doc_ids, orders, run.pipe.doc_judgments, run.config.doc_cutoff
+        )
+
+    return metrics
+
+
+def _best_passage_ranks(run, query_id: str, doc_ids: list[str], ranking) -> Sequence[int]:
+    return run.passage_ranks(query_id).best_ranks(doc_ids)
+
+
+def _model_ranks(run, query_id: str, doc_ids: list[str], ranking) -> Sequence[int]:
+    ranks = ranking.ranks() if ranking else {}
+    return [ranks.get(d, 0) for d in doc_ids]
 
 
 def _sdm(run, query_id: str, p: dict) -> RankedList:
@@ -167,7 +202,7 @@ def _vectors_for_smpd(run, query_id: str, p: dict) -> FeatureMatrix:
     pipe = run.pipe
     return build_smpd_vectors(
         run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
-        pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id), p["nu"],
+        run.passage_ranks(query_id), p["nu"],
     )
 
 
@@ -176,9 +211,8 @@ def _jpds(which: str, two_passages: bool = False) -> _Method:
         pipe = run.pipe
         return build_jpds_vectors(
             run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
-            pipe.psg_vectors(query_id, run.psg_feature_mu()),
-            pipe.query_data(query_id).passages_by_doc,
-            run.passage_ranking(query_id), which=which, two_passages=two_passages,
+            pipe.psg_vectors(query_id, run.psg_feature_mu()), run.passage_ranks(query_id),
+            which=which, two_passages=two_passages,
         )
 
     return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors, split="validation")
@@ -201,7 +235,7 @@ def _jpdm(agg: str) -> _Method:
 def _vectors_for_fpd(run, query_id: str, p: dict) -> FeatureMatrix:
     return build_fpd_vectors(
         run.c_ltr(query_id), run.pipe.psg_vectors(query_id, run.psg_feature_mu()),
-        run.pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id),
+        run.passage_ranks(query_id),
     )
 
 
@@ -218,6 +252,7 @@ _METHODS = {
     "RRF": _Method(
         "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
+        grid_metrics=_fusion_grid(_best_passage_ranks),
         split="validation",
     ),
     "SMPD": _Method(
@@ -236,6 +271,7 @@ _METHODS = {
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
         grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
+        grid_metrics=_fusion_grid(_model_ranks),
     ),
     "QSF": _Method(
         "psg", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),
@@ -787,8 +823,12 @@ class _Pipeline:
     def doc_metric(self, run: RankedList) -> float | None:
         return average_precision(run, self.doc_judgments, self.config.doc_cutoff)
 
-    def psg_grade(self, query_id: str, passage_id: str) -> int:
-        return self.query_data(query_id).psg_grades[passage_id]
+    def grades(self, kind: str, query_id: str) -> Mapping[str, int]:
+        """The query's document or passage grades by item id; an item
+        missing from them has grade 0."""
+        if kind == "doc":
+            return self.doc_judgments.grades.get(query_id, {})
+        return self.query_data(query_id).psg_grades
 
     def psg_metric(self, run: RankedList) -> float | None:
         if self.psg_judgments.mode == "char_focused":
@@ -876,6 +916,15 @@ class _FoldRunner:
 
         return _memoized(self._memo, ("passages", query_id), compute)
 
+    def passage_ranks(self, query_id: str) -> PassageRanks:
+        """The passage ranking G as integer ranks of the candidates' passages."""
+        return _memoized(
+            self._memo, ("passage_ranks", query_id),
+            lambda: PassageRanks(
+                self.pipe.query_data(query_id).passages_by_doc, self.passage_ranking(query_id)
+            ),
+        )
+
     def psg_feature_mu(self) -> float:
         """The smoothing of the passage features joined to document vectors."""
         return self.params[self.stage("passages")]["mu"]
@@ -897,46 +946,58 @@ class _FoldRunner:
         rec = _METHODS[method]
         cfg = self.config
         queries = self.train_queries if rec.split == "train" else self.val_queries
-        if rec.kind == "doc":
-            metric, grade = self.pipe.doc_metric, self.pipe.doc_judgments.grade
-        else:
-            metric, grade = self.pipe.psg_metric, self.pipe.psg_grade
+        rpoints = [p for p in _grid_points(cfg, rec.grid) if not rec.feasible or rec.feasible(p)]
         best = model = None
         rankings = {}
         for vpoint in _grid_points(cfg, rec.vector_grid):
             if rec.vectors:
-                matrices = [self._normalized(rec, qid, vpoint) for qid in self.train_queries]
-                training = TrainingSet(
-                    (m, [grade(m.query_id, i) for i in m.item_ids]) for m in matrices
-                )
+                training = self._training_set(rec, vpoint)
             for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
                 if rec.vectors:
                     model = _train(cfg, training, hyper)
                     # The vectors depend on the vector-grid point only, so the
                     # model ranks each query once for the whole grid.
                     rankings = {q: self._model_ranking(rec, q, vpoint, model) for q in queries}
-                for rpoint in _grid_points(cfg, rec.grid):
-                    if rec.feasible and not rec.feasible(rpoint):
-                        continue
-                    params = {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
-                    if rec.fold_free:
-                        # A fold-free run is the same in every fold: its
-                        # metric is kept per query for the whole run.
-                        key = ("metric", method, _frozen(params))
-                        values = [
-                            self.pipe.memo(
-                                (*key, q), lambda q=q: metric(self._run(rec, q, params, None))
-                            )
-                            for q in queries
-                        ]
-                    else:
-                        values = [
-                            metric(self._run(rec, q, params, rankings.get(q))) for q in queries
-                        ]
-                    m = mean_metric(values)
+                points = [
+                    {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
+                    for rpoint in rpoints
+                ]
+                values = [self._grid_metrics(method, q, points, rankings.get(q)) for q in queries]
+                for i, params in enumerate(points):
+                    m = mean_metric([v[i] for v in values])
                     if best is None or m > best[0]:
                         best = (m, params, model)
         return best[1], best[2]
+
+    def _training_set(self, rec: _Method, vpoint: dict) -> TrainingSet:
+        """The train queries' min-maxed matrices at ``vpoint``, graded from
+        each query's grades, read once per matrix."""
+        examples = []
+        for qid in self.train_queries:
+            matrix, grades = self._normalized(rec, qid, vpoint), self.pipe.grades(rec.kind, qid)
+            examples.append((matrix, [grades.get(i, 0) for i in matrix.item_ids]))
+        return TrainingSet(examples)
+
+    def _grid_metrics(
+        self, method: str, query_id: str, points: list[dict], ranking: RankedList | None
+    ) -> list[float | None]:
+        """The query's metric at every grid point, by the method's grid scorer
+        or point by point."""
+        rec = _METHODS[method]
+        if rec.grid_metrics:
+            return rec.grid_metrics(self, query_id, points, ranking)
+        metric = self.pipe.doc_metric if rec.kind == "doc" else self.pipe.psg_metric
+        if rec.fold_free:
+            # A fold-free run is the same in every fold: its metric is kept
+            # per query for the whole run.
+            return [
+                self.pipe.memo(
+                    ("metric", method, _frozen(p), query_id),
+                    lambda p=p: metric(self._run(rec, query_id, p, None)),
+                )
+                for p in points
+            ]
+        return [metric(self._run(rec, query_id, p, ranking)) for p in points]
 
     def run_method(self, method: str, query_id: str) -> RankedList:
         """The method's tuned run for one query (cached)."""

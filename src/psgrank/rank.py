@@ -5,6 +5,11 @@ passage's rank, per-document passage-rank statistics, joint
 document+passage feature vectors (single passage, two passages, and
 per-feature aggregates), two-stage fusion, and the unsupervised
 similarity-interpolation and positional-LM passage scorers.
+
+The passage-based builders read a passage ranking as a
+:class:`PassageRanks` table of integer ranks, and a fusion grid is scored
+as one array (:func:`fusion_orders`); :func:`rerank_rrf`,
+:func:`smpd_features` and :func:`select_passage` are the per-item forms.
 """
 
 from __future__ import annotations
@@ -151,6 +156,27 @@ def _fuse(
     return RankedList.from_scores(doc_list.query_id, scores)
 
 
+def fusion_orders(
+    doc_list: RankedList, other_ranks: Sequence[int], alphas: Sequence[float], nus: Sequence[float]
+) -> np.ndarray:
+    """The runs :func:`_fuse` makes at every (alphas[i], nus[i]) point, as rows.
+
+    ``other_ranks`` holds each listed document's r', 0 for none. Scores take
+    the formula's own operations in the same order, so each equals the
+    scalar one, and row i lists positions in ``doc_list`` in the order of
+    ``RankedList.from_scores``: by descending score, ties by ascending id.
+    """
+    ids = doc_list.ids()
+    alpha = np.asarray(alphas, dtype=float)[:, None]
+    nu = np.asarray(nus, dtype=float)[:, None]
+    has = np.asarray(other_ranks) > 0
+    term = np.where(has, 1.0 / (nu + np.where(has, other_ranks, 1)), 0.0)
+    scores = alpha / (nu + np.arange(1, len(ids) + 1)) + (1.0 - alpha) * term
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=-1)
+
+
 def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams) -> RankedList:
     """Fuse a document ranking with each document's best passage rank.
 
@@ -203,6 +229,62 @@ def smpd_features(
     )
 
 
+_WHICH_INDEX = {"best": 0, "second": 1, "third": 2}
+
+
+class PassageRanks:
+    """A passage ranking as the integer rank of every candidate passage.
+
+    ``ranks`` lists the passages of ``passages_by_doc`` in passage order
+    (its documents in order, each document's passages as segmented) with
+    their rank in the ranking, 1 for the top and 0 for a passage it leaves
+    out; ``bounds`` delimits each document's passages. Passages of other
+    documents are ignored. RRF's best passage ranks, SMPD's statistics and
+    the JPDs and FPD passage picks read it, so a ranking is looked up once.
+    """
+
+    def __init__(self, passages_by_doc: Mapping[str, Sequence[Passage]], psg_list: RankedList):
+        rank_of = psg_list.ranks()
+        self.doc_row = {d: i for i, d in enumerate(passages_by_doc)}
+        self.passage_ids = [p.passage_id for plist in passages_by_doc.values() for p in plist]
+        counts = np.array([len(plist) for plist in passages_by_doc.values()], dtype=np.int64)
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
+        self.ranks = np.array([rank_of.get(p, 0) for p in self.passage_ids], dtype=np.int64)
+        ranked = self.ranks > 0
+        owner = np.repeat(np.arange(len(counts)), counts)
+        # Each document's passages, its ranked ones first and in rank order.
+        self._by_rank = np.lexsort((np.where(ranked, self.ranks, len(psg_list) + 1), owner))
+        self._ranked_count = np.bincount(owner[ranked], minlength=len(counts))
+
+    def rows(self, doc_ids: Sequence[str]) -> np.ndarray:
+        return np.array([self.doc_row[d] for d in doc_ids], dtype=np.int64)
+
+    def passages_of(self, doc_id: str) -> list[str]:
+        row = self.doc_row[doc_id]
+        return self.passage_ids[self.bounds[row] : self.bounds[row + 1]]
+
+    def picks(self, doc_ids: Sequence[str], which: str) -> np.ndarray:
+        """Each document's best, second, third or lowest ranked passage, as
+        a position in ``ranks``, or -1 when none is ranked; with fewer ranked
+        passages than asked for, the lowest (as :func:`select_passage`)."""
+        if which != "lowest" and which not in _WHICH_INDEX:
+            raise ValueError(f"unknown passage selector: {which!r}")
+        rows = self.rows(doc_ids)
+        count = self._ranked_count[rows]
+        nth = count - 1 if which == "lowest" else np.minimum(_WHICH_INDEX[which], count - 1)
+        out = np.full(len(rows), -1, dtype=np.int64)
+        has = count > 0
+        out[has] = self._by_rank[self.bounds[rows[has]] + nth[has]]
+        return out
+
+    def best_ranks(self, doc_ids: Sequence[str]) -> np.ndarray:
+        """Each document's best passage rank, 0 when none is ranked."""
+        picks = self.picks(doc_ids, "best")
+        out = np.zeros(len(picks), dtype=np.int64)
+        out[picks >= 0] = self.ranks[picks[picks >= 0]]
+        return out
+
+
 def pstdev(values: Sequence[float]) -> float:
     """Population standard deviation of floats, correctly rounded.
 
@@ -238,30 +320,38 @@ SMPD_SCHEMA = concat_schemas(
 
 
 def build_smpd_vectors(
-    doc_list: RankedList,
-    doc_vectors: FeatureMatrix,
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    psg_list: RankedList,
-    nu: float,
+    doc_list: RankedList, doc_vectors: FeatureMatrix, psg_ranks: PassageRanks, nu: float
 ) -> FeatureMatrix:
-    """Document rows extended with the 7 passage-rank statistics."""
+    """Document rows extended with the 7 passage-rank statistics of
+    :func:`smpd_features`, taken from the table's integer ranks."""
     doc_ids = doc_list.ids()
-    stats = np.array(
-        [
-            smpd_features([p.passage_id for p in passages_by_doc[d]], psg_list, nu)
-            for d in doc_ids
-        ],
-        dtype=float,
-    ).reshape(len(doc_ids), len(SMPD_FEATURES))
+    ranks = psg_ranks.ranks
+    ranked = ranks > 0
+    rr = np.where(ranked, 1.0 / (nu + np.where(ranked, ranks, 1)), 0.0).tolist()
+    in50, in100 = (
+        np.concatenate(([0], np.cumsum(ranked & (ranks <= top)))).tolist() for top in (50, 100)
+    )
+    bounds = psg_ranks.bounds.tolist()
+    rows = []
+    for row in psg_ranks.rows(doc_ids).tolist():
+        lo, hi = bounds[row], bounds[row + 1]
+        n = hi - lo
+        if not n:
+            raise ValueError("document has no passages")
+        # The same floats in passage order, reduced by the same builtins as
+        # smpd_features, so every statistic equals its own.
+        values = rr[lo:hi]
+        rows.append((
+            max(values), min(values), sum(values) / n, pstdev(values) if n > 1 else 0.0,
+            (in50[hi] - in50[lo]) / n, (in100[hi] - in100[lo]) / n, float(n),
+        ))
+    stats = np.array(rows, dtype=float).reshape(len(doc_ids), len(SMPD_FEATURES))
     schema = concat_schemas(
         doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
         name="smpd", a_prefix="d.", b_prefix="p.",
     )
     values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
-
-
-_WHICH_INDEX = {"best": 0, "second": 1, "third": 2}
 
 
 def select_passage(
@@ -288,37 +378,26 @@ def select_passage(
     return ranked[idx] if idx < len(ranked) else ranked[-1]
 
 
-def _fallback_by_query_sim(
-    doc_passages: Sequence[Passage], psg_vectors: FeatureMatrix
-) -> Passage:
+def _fallback_by_query_sim(passage_ids: Sequence[str], psg_vectors: FeatureMatrix) -> str:
     # No ranked passage: pick by the passage-query similarity feature, or
     # the document's first passage if that feature was excluded.
     if "PsgQuerySim" not in psg_vectors.schema.features:
-        return doc_passages[0]
+        return passage_ids[0]
     sims = psg_vectors.values[:, psg_vectors.schema.index_of("PsgQuerySim")]
-    rows = psg_vectors.rows(p.passage_id for p in doc_passages)
-    return max(
-        zip(doc_passages, rows), key=lambda pr: (sims[pr[1]], pr[0].passage_id)
-    )[0]
+    rows = psg_vectors.rows(passage_ids)
+    return max(zip(passage_ids, rows), key=lambda pr: (sims[pr[1]], pr[0]))[0]
 
 
 def _selected_ids(
-    doc_ids: Sequence[str],
-    psg_vectors: FeatureMatrix,
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    psg_list: RankedList,
-    which: str,
+    doc_ids: Sequence[str], psg_vectors: FeatureMatrix, psg_ranks: PassageRanks, which: str
 ) -> list[str]:
     """Each document's ``which`` passage, by query similarity when the
     document has no ranked passage."""
-    out = []
-    for doc_id in doc_ids:
-        passages = passages_by_doc[doc_id]
-        pick = select_passage(passages, psg_list, which)
-        if pick is None:
-            pick = _fallback_by_query_sim(passages, psg_vectors)
-        out.append(pick.passage_id)
-    return out
+    ids = psg_ranks.passage_ids
+    return [
+        ids[pick] if pick >= 0 else _fallback_by_query_sim(psg_ranks.passages_of(d), psg_vectors)
+        for d, pick in zip(doc_ids, psg_ranks.picks(doc_ids, which).tolist())
+    ]
 
 
 def jpds_schema(
@@ -355,8 +434,7 @@ def build_jpds_vectors(
     doc_list: RankedList,
     doc_vectors: FeatureMatrix,
     psg_vectors: FeatureMatrix,
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    psg_list: RankedList,
+    psg_ranks: PassageRanks,
     which: str = "best",
     two_passages: bool = False,
 ) -> FeatureMatrix:
@@ -370,7 +448,7 @@ def build_jpds_vectors(
     doc_ids = doc_list.ids()
 
     def passage_rows(which: str, prefix: str) -> np.ndarray:
-        chosen = _selected_ids(doc_ids, psg_vectors, passages_by_doc, psg_list, which)
+        chosen = _selected_ids(doc_ids, psg_vectors, psg_ranks, which)
         rows = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
         return rows[:, _source_columns(schema, prefix, psg_vectors.schema)]
 
@@ -418,14 +496,11 @@ def build_jpdm_vectors(
 
 
 def build_fpd_vectors(
-    doc_list: RankedList,
-    psg_vectors: FeatureMatrix,
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    psg_list: RankedList,
+    doc_list: RankedList, psg_vectors: FeatureMatrix, psg_ranks: PassageRanks
 ) -> FeatureMatrix:
     """Each listed document's best-ranked passage row, keyed by the document."""
     doc_ids = doc_list.ids()
-    chosen = _selected_ids(doc_ids, psg_vectors, passages_by_doc, psg_list, "best")
+    chosen = _selected_ids(doc_ids, psg_vectors, psg_ranks, "best")
     values = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
     return FeatureMatrix(psg_vectors.schema, psg_vectors.query_id, doc_ids, values)
 

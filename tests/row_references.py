@@ -19,6 +19,11 @@ The index is one (doc_id, positions) pair per stem and document here,
 written as one JSON dump and scanned with sets and nested loops; the
 package keeps CSR arrays, writes the same bytes piecewise and counts with
 searchsorted.
+
+A fusion grid is one fused RankedList and one average_precision per
+(alpha, nu) point here, and SMPD, JPDs and FPD read each passage's rank
+from the passage ranking one document at a time; the package scores a
+query's whole grid as one array and reads ranks from a PassageRanks table.
 """
 
 import json
@@ -29,10 +34,11 @@ from collections import defaultdict
 import numpy as np
 
 from psgrank.corpus import Token
-from psgrank.features import DOC_SCHEMA, FeatureSchema, _cosine, concat_schemas
+from psgrank.evaluation import average_precision
+from psgrank.features import DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas
 from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, doc_lm_similarity
 from psgrank.rank import (
-    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, RankedList, smpd_features,
+    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, smpd_features,
 )
 
 
@@ -223,6 +229,67 @@ def rrf_scores(doc_list, psg_list, nu: float, alpha: float) -> dict[str, float]:
         best = max((1.0 / (nu + psg_ranks[p]) for p in by_doc.get(doc_id, ())), default=0.0)
         scores[doc_id] = alpha / (nu + rank) + (1.0 - alpha) * best
     return scores
+
+
+def fusion_grid_aps(doc_list, fuse, points, judgments, cutoff) -> list:
+    """The AP of each (alpha, nu) point's run: ``fuse(doc_list, params)``
+    builds one RankedList per point, and average_precision scores it."""
+    return [
+        average_precision(
+            fuse(doc_list, FusionParams(nu=p["nu"], alpha=p["alpha"])), judgments, cutoff
+        )
+        for p in points
+    ]
+
+
+def matrix_of(query_id, table) -> FeatureMatrix:
+    """A (schema, [(item_id, values)]) reference table as a feature matrix."""
+    schema, rows = table
+    values = np.array([v for _, v in rows], dtype=float).reshape(len(rows), len(schema))
+    return FeatureMatrix(schema, query_id, [i for i, _ in rows], values)
+
+
+def per_point_methods(methods) -> dict:
+    """Method records as they ran before the passage-rank table: RRF and FPD
+    walk their (alpha, nu) grid one run and one AP at a time, and SMPD, FPD
+    and the JPDs variants build rows from the passage ranking with
+    smpd_features and select_passage. ``methods`` is the experiment's table."""
+    from dataclasses import replace
+
+    def smpd(run, q, p):
+        docs = table_of(run.pipe.doc_vectors(q, run.params["init-LTR"]["mu"]))
+        by_doc = run.pipe.query_data(q).passages_by_doc
+        return matrix_of(q, smpd_rows(
+            run.c_ltr(q), docs, by_doc, run.passage_ranking(q), p["nu"]
+        ))
+
+    def fpd(run, q, p):
+        psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
+        by_doc = run.pipe.query_data(q).passages_by_doc
+        return matrix_of(q, fpd_rows(run.c_ltr(q), psgs, by_doc, run.passage_ranking(q)))
+
+    def jpds(which, two_passages):
+        def vectors(run, q, p):
+            docs = table_of(run.pipe.doc_vectors(q, run.params["init-LTR"]["mu"]))
+            psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
+            by_doc = run.pipe.query_data(q).passages_by_doc
+            return matrix_of(q, jpds_rows(
+                run.c_ltr(q), docs, psgs, by_doc, run.passage_ranking(q), which, two_passages
+            ))
+
+        return vectors
+
+    out = {
+        "RRF": replace(methods["RRF"], grid_metrics=None),
+        "FPD": replace(methods["FPD"], grid_metrics=None, vectors=fpd),
+        "SMPD": replace(methods["SMPD"], vectors=smpd),
+    }
+    for name, which, two in (
+        ("JPDs", "best", False), ("JPDs-second", "second", False), ("JPDs-third", "third", False),
+        ("JPDs-lowest", "lowest", False), ("JPD-2", "best", True),
+    ):
+        out[name] = replace(methods[name], vectors=jpds(which, two))
+    return out
 
 
 def lm_top_k(terms, index, params, k):

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+import row_references
 from conftest import noisy_corpus
 from psgrank.experiment import ConfigError, ExperimentConfig, run_experiment
+from psgrank.rank import rerank_rrf
 from psgrank.synthetic import SyntheticSpec, generate
 
 
@@ -592,7 +594,7 @@ def _rescoring_walk(runner, method):
     if rec.kind == "doc":
         metric, grade = runner.pipe.doc_metric, runner.pipe.doc_judgments.grade
     else:
-        metric, grade = runner.pipe.psg_metric, runner.pipe.psg_grade
+        metric, grade = runner.pipe.psg_metric, lambda q, i: runner.pipe.grades("psg", q)[i]
     best = model = None
     for vpoint in experiment._grid_points(cfg, rec.vector_grid):
         if rec.vectors:
@@ -650,6 +652,64 @@ class TestWalkScoresEachModelOnce:
         assert counts == {"fpd": 96, "fpd-rescoring": 126, "jpds": 96, "jpds-rescoring": 96}
         for name in ("fpd", "jpds"):
             assert _tree_bytes(tmp_path / name) == _tree_bytes(tmp_path / f"{name}-rescoring")
+
+
+class TestGridScorersEqualPerPointWalk:
+    def test_tuned_params_and_runs_equal_per_point_walk(self, tmp_path, monkeypatch):
+        # RRF and FPD score each query's (alpha, nu) grid as one array, and
+        # SMPD, FPD and JPDs read the passage-rank table; walking the grids
+        # one run and one AP per point, with rows from smpd_features and
+        # select_passage, tunes the same points and writes the same bytes.
+        from psgrank import experiment
+
+        paths = _noisy_corpus(tmp_path)
+        defaults = experiment._default_grids()
+        grids = {**_TINY_GRIDS, "alpha": defaults["alpha"], "nu": defaults["nu"]}
+        methods = ["RRF", "FPD", "SMPD", "JPDs-lowest"]
+        grid = run_experiment(_tiny_config(paths, methods, grids=grids), tmp_path / "grid")
+        for name, rec in row_references.per_point_methods(experiment._METHODS).items():
+            monkeypatch.setitem(experiment._METHODS, name, rec)
+        fused = []
+        monkeypatch.setattr(
+            experiment, "rerank_rrf", lambda *a: fused.append(1) or rerank_rrf(*a)
+        )
+        per_point = run_experiment(
+            _tiny_config(paths, methods, grids=grids), tmp_path / "per-point"
+        )
+        # The reference fused every validation query at every point.
+        assert len(fused) > len(grid.folds) * len(grids["alpha"]) * len(grids["nu"])
+        assert grid.folds == per_point.folds
+        picks = {(f["method_params"]["RRF"]["alpha"], f["method_params"]["RRF"]["nu"])
+                 for f in grid.folds.values()}
+        assert len(picks) > 1, picks
+        assert _tree_bytes(tmp_path / "grid") == _tree_bytes(tmp_path / "per-point")
+
+
+class TestTrainingGrades:
+    def test_training_set_grades_equal_per_item_lookup(self, tmp_path):
+        # Each training matrix is graded from its query's grades, read once;
+        # every row's grade equals the judgment lookup of its own item.
+        from psgrank import experiment
+        from psgrank.evaluation import CvPlan
+
+        paths = _noisy_corpus(tmp_path)
+        pipe = experiment._Pipeline(_tiny_config(paths, ["JPDs"]))
+        fold = CvPlan(tuple(sorted(pipe.queries)), seed=pipe.config.seed).folds()[0]
+        runner = experiment._FoldRunner(pipe, fold)
+        runner.prepare(["JPDs"])
+        for method in ("init-LTR", "PsgLTR", "JPDs"):
+            rec = experiment._METHODS[method]
+            vpoint = next(experiment._grid_points(pipe.config, rec.vector_grid))
+            training = runner._training_set(rec, vpoint)
+            assert len(training.queries) == len(runner.train_queries)
+            for matrix, grades in training.queries:
+                q = matrix.query_id
+                if rec.kind == "doc":
+                    expected = [pipe.doc_judgments.grade(q, i) for i in matrix.item_ids]
+                else:
+                    expected = [pipe.query_data(q).psg_grades[i] for i in matrix.item_ids]
+                assert grades.tolist() == expected
+            assert any(grades.any() for _, grades in training.queries), method
 
 
 class TestCvHygiene:

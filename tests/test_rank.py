@@ -9,6 +9,7 @@ import pytest
 import oracles
 import row_references
 from conftest import make_query
+from psgrank.evaluation import average_precisions
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
@@ -23,12 +24,14 @@ from psgrank.ltr import LinearModel, score
 from psgrank.passage import SegmentationParams, segment
 from psgrank.rank import (
     FusionParams,
+    PassageRanks,
     RankedList,
     SMPD_SCHEMA,
     build_fpd_vectors,
     build_jpdm_vectors,
     build_jpds_vectors,
     build_smpd_vectors,
+    fusion_orders,
     jpds_schema,
     positional_similarities,
     pstdev,
@@ -314,7 +317,8 @@ class TestJpds:
     def test_vector_contents_match_manual_concat(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
+            PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         ranks = psg_list.ranks()
@@ -331,7 +335,8 @@ class TestJpds:
     def test_jpd2_appends_reduced_second_passage(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
+            PassageRanks(passages_by_doc, psg_list),
             which="best", two_passages=True,
         )
         # 6 + 18 + 15: second passage drops the five redundant features.
@@ -353,7 +358,8 @@ class TestJpds:
             psg_vectors[1][pid] = tuple(values)
         psg_list = RankedList.from_scores("q", {"d2#0": 1.0})  # d1 unranked
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
+            PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         # d1#1 has the higher similarity, so its row is appended.
@@ -375,7 +381,8 @@ class TestJpds:
         psg_vectors = (reduced, {pid: tuple(rng.uniform(size=19)) for pid in ("d1#0", "d1#1")})
         psg_list = RankedList.from_scores("q", {"other#0": 1.0})
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
+            PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         expected_tail = [
@@ -393,7 +400,8 @@ class TestJpds:
         psg_vectors = (PSG_SCHEMA, {"d1#0": tuple(rng.uniform(size=20))})
         psg_list = RankedList.from_scores("q", {"d1#0": 1.0})
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list,
+            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
+            PassageRanks(passages_by_doc, psg_list),
             which="best", two_passages=True,
         )
         reduced = [
@@ -469,7 +477,7 @@ class TestSmpdVectors:
     def test_schema_and_values(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_smpd_vectors(
-            doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
+            doc_list, _matrix(doc_vectors), PassageRanks(passages_by_doc, psg_list), nu=30.0
         )
         assert joint.schema == SMPD_SCHEMA
         assert len(SMPD_SCHEMA) == 13
@@ -776,22 +784,23 @@ class TestBuildersEqualRowReferences:
             # A short passage list leaves documents with no ranked passage.
             for psg_list in (full, full.truncated(5)):
                 doc_list = data.c_init
+                table = PassageRanks(by_doc, psg_list)
                 assert rows_of(
-                    build_smpd_vectors(doc_list, doc_m, by_doc, psg_list, nu)
+                    build_smpd_vectors(doc_list, doc_m, table, nu)
                 ) == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
                 for which in ("best", "second", "third", "lowest"):
                     assert rows_of(
-                        build_jpds_vectors(doc_list, doc_m, psg_m, by_doc, psg_list, which=which)
+                        build_jpds_vectors(doc_list, doc_m, psg_m, table, which=which)
                     ) == row_references.jpds_rows(
                         doc_list, docs, psgs, by_doc, psg_list, which=which
                     )
                 assert rows_of(
-                    build_jpds_vectors(doc_list, doc_m, psg_m, by_doc, psg_list, two_passages=True)
+                    build_jpds_vectors(doc_list, doc_m, psg_m, table, two_passages=True)
                 ) == row_references.jpds_rows(
                     doc_list, docs, psgs, by_doc, psg_list, two_passages=True
                 )
                 assert rows_of(
-                    build_fpd_vectors(doc_list, psg_m, by_doc, psg_list)
+                    build_fpd_vectors(doc_list, psg_m, table)
                 ) == row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
             for agg in ("avg", "max", "min"):
                 assert rows_of(
@@ -830,12 +839,164 @@ class TestBuildersEqualRowReferences:
     def test_empty_document_list_keeps_schema(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         empty = RankedList("q", ())
-        out = build_jpds_vectors(
-            empty, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, psg_list
-        )
+        table = PassageRanks(passages_by_doc, psg_list)
+        out = build_jpds_vectors(empty, _matrix(doc_vectors), _matrix(psg_vectors), table)
         assert len(out) == 0 and len(out.schema) == 24
-        out = build_smpd_vectors(empty, _matrix(doc_vectors), passages_by_doc, psg_list, 30.0)
+        out = build_smpd_vectors(empty, _matrix(doc_vectors), table, 30.0)
         assert len(out) == 0 and out.schema == SMPD_SCHEMA
+
+
+def _ranked_passages_case(rng, n_docs, ranked_share):
+    """Documents of 1-5 passages (one of them a single passage), a passage
+    ranking over a random share of them with integer-valued scores (so ties
+    break by id), and passage rows whose query similarity ties too."""
+    doc_ids = [f"d{i:02d}" for i in rng.permutation(n_docs)]
+    by_doc = {d: _passages_for(d, 1 if i == 0 else int(rng.integers(1, 6)))
+              for i, d in enumerate(doc_ids)}
+    pids = [p.passage_id for d in doc_ids for p in by_doc[d]]
+    kept = [pid for pid in pids if rng.random() < ranked_share]
+    psg_list = RankedList.from_scores("q", {pid: float(rng.integers(0, 6)) for pid in kept})
+    sim = PSG_SCHEMA.index_of("PsgQuerySim")
+    psgs = {}
+    for pid in pids:
+        values = rng.uniform(size=len(PSG_SCHEMA)).tolist()
+        values[sim] = float(rng.integers(0, 3))
+        psgs[pid] = tuple(values)
+    docs = {d: tuple(rng.uniform(size=len(DOC_SCHEMA)).tolist()) for d in doc_ids}
+    doc_list = RankedList.from_scores("q", {d: float(rng.integers(0, 4)) for d in doc_ids})
+    return doc_list, by_doc, psg_list, (DOC_SCHEMA, docs), (PSG_SCHEMA, psgs)
+
+
+class TestPassageRanks:
+    """SMPD, JPDs and FPD read a PassageRanks table; they equal the per-item
+    references built on smpd_features and select_passage, bit for bit."""
+
+    @pytest.mark.parametrize("ranked_share", [0.0, 0.3, 0.7, 1.0])
+    def test_builders_equal_per_item_references(self, ranked_share):
+        from psgrank.experiment import _default_grids
+
+        rows_of = row_references.rows_of
+        rng = np.random.default_rng([41, int(ranked_share * 10)])
+        # 40 documents rank passages past the top-50 and top-100 bounds.
+        for n_docs in (1, 12, 12, 12, 12, 12, 40, 40):
+            doc_list, by_doc, psg_list, docs, psgs = _ranked_passages_case(
+                rng, n_docs, ranked_share
+            )
+            table = PassageRanks(by_doc, psg_list)
+            doc_m, psg_m = _matrix(docs), _matrix(psgs)
+            for nu in _default_grids()["nu"]:
+                assert rows_of(build_smpd_vectors(doc_list, doc_m, table, nu)) == (
+                    row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
+                )
+            for which in ("best", "second", "third", "lowest"):
+                assert rows_of(
+                    build_jpds_vectors(doc_list, doc_m, psg_m, table, which=which)
+                ) == row_references.jpds_rows(doc_list, docs, psgs, by_doc, psg_list, which)
+            assert rows_of(
+                build_jpds_vectors(doc_list, doc_m, psg_m, table, two_passages=True)
+            ) == row_references.jpds_rows(
+                doc_list, docs, psgs, by_doc, psg_list, two_passages=True
+            )
+            assert rows_of(build_fpd_vectors(doc_list, psg_m, table)) == (
+                row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
+            )
+
+    def test_picks_and_best_ranks_equal_select_passage(self):
+        rng = np.random.default_rng(42)
+        seen = set()
+        for _ in range(20):
+            doc_list, by_doc, psg_list, _, _ = _ranked_passages_case(rng, 10, 0.5)
+            table = PassageRanks(by_doc, psg_list)
+            doc_ids = doc_list.ids()
+            for which in ("best", "second", "third", "lowest"):
+                got = [table.passage_ids[i] if i >= 0 else None
+                       for i in table.picks(doc_ids, which).tolist()]
+                expected = []
+                for d in doc_ids:
+                    pick = select_passage(by_doc[d], psg_list, which)
+                    expected.append(pick and pick.passage_id)
+                    ranked = sum(p.passage_id in psg_list.ranks() for p in by_doc[d])
+                    seen.add((which, min(ranked, 4), len(by_doc[d]) == 1))
+                assert got == expected
+            best = psg_list.best_passage_ranks()
+            assert table.best_ranks(doc_ids).tolist() == [best.get(d, 0) for d in doc_ids]
+        # Every selector met documents with no, too few and enough ranked
+        # passages, and single-passage documents.
+        for which in ("best", "second", "third", "lowest"):
+            assert {r for w, r, _ in seen if w == which} == {0, 1, 2, 3, 4}
+            assert (which, 1, True) in seen and (which, 0, True) in seen
+
+    def test_passages_outside_the_candidates_are_ignored(self):
+        by_doc = {"d1": _passages_for("d1", 2)}
+        psg_list = RankedList.from_scores("q", {"x#0": 3.0, "d1#1": 2.0})
+        table = PassageRanks(by_doc, psg_list)
+        assert table.ranks.tolist() == [0, 2]
+        assert table.picks(["d1"], "best").tolist() == [1]
+        with pytest.raises(ValueError, match="unknown passage selector"):
+            table.picks(["d1"], "fourth")
+
+
+class TestFusionGrid:
+    """One query's (alpha, nu) grid scored as arrays equals a fused run and
+    an average_precision per point (row_references.fusion_grid_aps)."""
+
+    POINTS = [{"alpha": round(0.1 * a, 1), "nu": nu}
+              for a in range(11) for nu in (0.0, 30.0, 60.0, 90.0, 100.0)]
+
+    @staticmethod
+    def _grid(doc_list, other, judgments, cutoff, points):
+        return average_precisions(
+            doc_list.query_id, doc_list.ids(),
+            fusion_orders(doc_list, other, [p["alpha"] for p in points],
+                          [p["nu"] for p in points]),
+            judgments, cutoff,
+        )
+
+    def test_rrf_and_fpd_grids_equal_per_point_loop(self):
+        from psgrank.evaluation import JudgmentSet
+
+        rng = np.random.default_rng(43)
+        ties = 0
+        for case in range(40):
+            doc_list, by_doc, psg_list, _, _ = _ranked_passages_case(
+                rng, int(rng.integers(1, 14)), float(rng.uniform(0.2, 1.0))
+            )
+            doc_ids = doc_list.ids()
+            # Case 0 has no relevant document, so every AP is None.
+            grades = {} if case == 0 else {d: int(rng.integers(0, 3)) for d in doc_ids}
+            judgments = JudgmentSet("doc_graded", {"q": grades}, {})
+            model = RankedList.from_scores(
+                "q", {d: float(rng.integers(0, 3)) for d in doc_ids if rng.random() < 0.8}
+            )
+            best = PassageRanks(by_doc, psg_list).best_ranks(doc_ids)
+            model_ranks = [model.ranks().get(d, 0) for d in doc_ids]
+            for cutoff in (1, 3, len(doc_ids) + 2):
+                assert self._grid(doc_list, best, judgments, cutoff, self.POINTS) == (
+                    row_references.fusion_grid_aps(
+                        doc_list, lambda dl, fp: rerank_rrf(dl, psg_list, fp), self.POINTS,
+                        judgments, cutoff,
+                    )
+                )
+                assert self._grid(doc_list, model_ranks, judgments, cutoff, self.POINTS) == (
+                    row_references.fusion_grid_aps(
+                        doc_list, lambda dl, fp: rerank_fpd(dl, model, fp), self.POINTS,
+                        judgments, cutoff,
+                    )
+                )
+            for p in self.POINTS:
+                run = rerank_rrf(doc_list, psg_list, FusionParams(nu=p["nu"], alpha=p["alpha"]))
+                scores = [s for _, s in run.entries]
+                ties += len(scores) - len(set(scores))
+        assert ties > 0
+
+    def test_empty_document_list(self):
+        from psgrank.evaluation import JudgmentSet
+
+        judgments = JudgmentSet("doc_graded", {"q": {"d1": 1}}, {})
+        empty = RankedList("q", ())
+        assert self._grid(empty, [], judgments, 10, self.POINTS[:3]) == [0.0] * 3
+        none = JudgmentSet("doc_graded", {}, {})
+        assert self._grid(empty, [], none, 10, self.POINTS[:3]) == [None] * 3
 
 
 class TestPstdev:
