@@ -130,31 +130,18 @@ def _fusion(p: dict) -> FusionParams:
     return FusionParams(nu=p["nu"], alpha=p["alpha"])
 
 
-def _fusion_grid(other_ranks: Callable) -> Callable:
-    """A grid scorer for a fusion of the document ranking with r' from
-    ``other_ranks(runner, query_id, doc_ids, model ranking)``: every
-    (alpha, nu) point's run as one array row, then each row's AP."""
-    def metrics(run, query_id: str, points: list[dict], ranking) -> list[float | None]:
-        doc_list = run.c_ltr(query_id)
-        doc_ids = doc_list.ids()
-        orders = fusion_orders(
-            doc_list, other_ranks(run, query_id, doc_ids, ranking),
-            [p["alpha"] for p in points], [p["nu"] for p in points],
-        )
-        return average_precisions(
-            query_id, doc_ids, orders, run.pipe.doc_judgments, run.config.doc_cutoff
-        )
-
-    return metrics
-
-
-def _best_passage_ranks(run, query_id: str, doc_ids: list[str], ranking) -> Sequence[int]:
-    return run.passage_ranks(query_id).best_ranks(doc_ids)
-
-
-def _model_ranks(run, query_id: str, doc_ids: list[str], ranking) -> Sequence[int]:
-    ranks = ranking.ranks() if ranking else {}
-    return [ranks.get(d, 0) for d in doc_ids]
+def _rrf_grid(run, query_id: str, points: list[dict], ranking) -> list[float | None]:
+    """RRF's grid scorer: every (alpha, nu) point's fusion of the document
+    ranking with the best passage ranks as one array row, then each row's AP."""
+    doc_list = run.c_ltr(query_id)
+    doc_ids = doc_list.ids()
+    orders = fusion_orders(
+        doc_list, run.passage_ranks(query_id).best_ranks(doc_ids),
+        [p["alpha"] for p in points], [p["nu"] for p in points],
+    )
+    return average_precisions(
+        query_id, doc_ids, orders, run.pipe.doc_judgments, run.config.doc_cutoff
+    )
 
 
 def _sdm(run, query_id: str, p: dict) -> RankedList:
@@ -202,7 +189,7 @@ def _vectors_for_smpd(run, query_id: str, p: dict) -> FeatureMatrix:
     pipe = run.pipe
     return build_smpd_vectors(
         run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
-        run.passage_ranks(query_id), p["nu"],
+        pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id), p["nu"],
     )
 
 
@@ -252,7 +239,7 @@ _METHODS = {
     "RRF": _Method(
         "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
-        grid_metrics=_fusion_grid(_best_passage_ranks),
+        grid_metrics=_rrf_grid,
         split="validation",
     ),
     "SMPD": _Method(
@@ -271,7 +258,6 @@ _METHODS = {
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
         grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
-        grid_metrics=_fusion_grid(_model_ranks),
     ),
     "QSF": _Method(
         "psg", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),

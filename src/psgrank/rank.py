@@ -6,10 +6,10 @@ document+passage feature vectors (single passage, two passages, and
 per-feature aggregates), two-stage fusion, and the unsupervised
 similarity-interpolation and positional-LM passage scorers.
 
-The passage-based builders read a passage ranking as a
-:class:`PassageRanks` table of integer ranks, and a fusion grid is scored
-as one array (:func:`fusion_orders`); :func:`rerank_rrf`,
-:func:`smpd_features` and :func:`select_passage` are the per-item forms.
+RRF's best passage ranks and the JPDs and FPD passage picks read a
+passage ranking as a :class:`PassageRanks` table of integer ranks, and an
+RRF grid is scored as one array (:func:`fusion_orders`); :func:`rerank_rrf`
+is the per-point form.
 """
 
 from __future__ import annotations
@@ -239,8 +239,8 @@ class PassageRanks:
     (its documents in order, each document's passages as segmented) with
     their rank in the ranking, 1 for the top and 0 for a passage it leaves
     out; ``bounds`` delimits each document's passages. Passages of other
-    documents are ignored. RRF's best passage ranks, SMPD's statistics and
-    the JPDs and FPD passage picks read it, so a ranking is looked up once.
+    documents are ignored. RRF's best passage ranks and the JPDs and FPD
+    passage picks read it, so a ranking is looked up once.
     """
 
     def __init__(self, passages_by_doc: Mapping[str, Sequence[Passage]], psg_list: RankedList):
@@ -266,7 +266,7 @@ class PassageRanks:
     def picks(self, doc_ids: Sequence[str], which: str) -> np.ndarray:
         """Each document's best, second, third or lowest ranked passage, as
         a position in ``ranks``, or -1 when none is ranked; with fewer ranked
-        passages than asked for, the lowest (as :func:`select_passage`)."""
+        passages than asked for, the lowest."""
         if which != "lowest" and which not in _WHICH_INDEX:
             raise ValueError(f"unknown passage selector: {which!r}")
         rows = self.rows(doc_ids)
@@ -320,62 +320,27 @@ SMPD_SCHEMA = concat_schemas(
 
 
 def build_smpd_vectors(
-    doc_list: RankedList, doc_vectors: FeatureMatrix, psg_ranks: PassageRanks, nu: float
+    doc_list: RankedList,
+    doc_vectors: FeatureMatrix,
+    passages_by_doc: Mapping[str, Sequence[Passage]],
+    psg_list: RankedList,
+    nu: float,
 ) -> FeatureMatrix:
-    """Document rows extended with the 7 passage-rank statistics of
-    :func:`smpd_features`, taken from the table's integer ranks."""
+    """Document rows extended with the 7 passage-rank statistics."""
     doc_ids = doc_list.ids()
-    ranks = psg_ranks.ranks
-    ranked = ranks > 0
-    rr = np.where(ranked, 1.0 / (nu + np.where(ranked, ranks, 1)), 0.0).tolist()
-    in50, in100 = (
-        np.concatenate(([0], np.cumsum(ranked & (ranks <= top)))).tolist() for top in (50, 100)
-    )
-    bounds = psg_ranks.bounds.tolist()
-    rows = []
-    for row in psg_ranks.rows(doc_ids).tolist():
-        lo, hi = bounds[row], bounds[row + 1]
-        n = hi - lo
-        if not n:
-            raise ValueError("document has no passages")
-        # The same floats in passage order, reduced by the same builtins as
-        # smpd_features, so every statistic equals its own.
-        values = rr[lo:hi]
-        rows.append((
-            max(values), min(values), sum(values) / n, pstdev(values) if n > 1 else 0.0,
-            (in50[hi] - in50[lo]) / n, (in100[hi] - in100[lo]) / n, float(n),
-        ))
-    stats = np.array(rows, dtype=float).reshape(len(doc_ids), len(SMPD_FEATURES))
+    stats = np.array(
+        [
+            smpd_features([p.passage_id for p in passages_by_doc[d]], psg_list, nu)
+            for d in doc_ids
+        ],
+        dtype=float,
+    ).reshape(len(doc_ids), len(SMPD_FEATURES))
     schema = concat_schemas(
         doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
         name="smpd", a_prefix="d.", b_prefix="p.",
     )
     values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
-
-
-def select_passage(
-    doc_passages: Sequence[Passage], psg_list: RankedList, which: str
-) -> Passage | None:
-    """The document's best/second/third/lowest passage by global rank.
-
-    Documents with fewer ranked passages than requested fall back to their
-    lowest-ranked passage; returns None when no passage is ranked at all.
-    """
-    psg_ranks = psg_list.ranks()
-    ranked = sorted(
-        (p for p in doc_passages if p.passage_id in psg_ranks),
-        key=lambda p: psg_ranks[p.passage_id],
-    )
-    if not ranked:
-        return None
-    if which == "lowest":
-        return ranked[-1]
-    try:
-        idx = _WHICH_INDEX[which]
-    except KeyError:
-        raise ValueError(f"unknown passage selector: {which!r}") from None
-    return ranked[idx] if idx < len(ranked) else ranked[-1]
 
 
 def _fallback_by_query_sim(passage_ids: Sequence[str], psg_vectors: FeatureMatrix) -> str:

@@ -20,10 +20,10 @@ written as one JSON dump and scanned with sets and nested loops; the
 package keeps CSR arrays, writes the same bytes piecewise and counts with
 searchsorted.
 
-A fusion grid is one fused RankedList and one average_precision per
-(alpha, nu) point here, and SMPD, JPDs and FPD read each passage's rank
+An RRF grid is one fused RankedList and one average_precision per
+(alpha, nu) point here, and JPDs and FPD pick each document's passage
 from the passage ranking one document at a time; the package scores a
-query's whole grid as one array and reads ranks from a PassageRanks table.
+query's whole RRF grid as one array and picks from a PassageRanks table.
 """
 
 import json
@@ -250,18 +250,11 @@ def matrix_of(query_id, table) -> FeatureMatrix:
 
 
 def per_point_methods(methods) -> dict:
-    """Method records as they ran before the passage-rank table: RRF and FPD
-    walk their (alpha, nu) grid one run and one AP at a time, and SMPD, FPD
-    and the JPDs variants build rows from the passage ranking with
-    smpd_features and select_passage. ``methods`` is the experiment's table."""
+    """Method records as they ran before the passage-rank table: RRF walks
+    its (alpha, nu) grid one run and one AP at a time, and FPD and the JPDs
+    variants build rows from the passage ranking with select_passage.
+    ``methods`` is the experiment's table."""
     from dataclasses import replace
-
-    def smpd(run, q, p):
-        docs = table_of(run.pipe.doc_vectors(q, run.params["init-LTR"]["mu"]))
-        by_doc = run.pipe.query_data(q).passages_by_doc
-        return matrix_of(q, smpd_rows(
-            run.c_ltr(q), docs, by_doc, run.passage_ranking(q), p["nu"]
-        ))
 
     def fpd(run, q, p):
         psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
@@ -281,8 +274,7 @@ def per_point_methods(methods) -> dict:
 
     out = {
         "RRF": replace(methods["RRF"], grid_metrics=None),
-        "FPD": replace(methods["FPD"], grid_metrics=None, vectors=fpd),
-        "SMPD": replace(methods["SMPD"], vectors=smpd),
+        "FPD": replace(methods["FPD"], vectors=fpd),
     }
     for name, which, two in (
         ("JPDs", "best", False), ("JPDs-second", "second", False), ("JPDs-third", "third", False),

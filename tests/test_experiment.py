@@ -656,16 +656,16 @@ class TestWalkScoresEachModelOnce:
 
 class TestGridScorersEqualPerPointWalk:
     def test_tuned_params_and_runs_equal_per_point_walk(self, tmp_path, monkeypatch):
-        # RRF and FPD score each query's (alpha, nu) grid as one array, and
-        # SMPD, FPD and JPDs read the passage-rank table; walking the grids
-        # one run and one AP per point, with rows from smpd_features and
+        # RRF scores each query's (alpha, nu) grid as one array, and RRF,
+        # FPD and JPDs read the passage-rank table; walking RRF's grid one
+        # run and one AP per point, with FPD and JPDs rows picked by
         # select_passage, tunes the same points and writes the same bytes.
         from psgrank import experiment
 
         paths = _noisy_corpus(tmp_path)
         defaults = experiment._default_grids()
         grids = {**_TINY_GRIDS, "alpha": defaults["alpha"], "nu": defaults["nu"]}
-        methods = ["RRF", "FPD", "SMPD", "JPDs-lowest"]
+        methods = ["RRF", "FPD", "JPDs-lowest"]
         grid = run_experiment(_tiny_config(paths, methods, grids=grids), tmp_path / "grid")
         for name, rec in row_references.per_point_methods(experiment._METHODS).items():
             monkeypatch.setitem(experiment._METHODS, name, rec)

@@ -42,7 +42,6 @@ from psgrank.rank import (
     rerank_fpd,
     rerank_rrf,
     rr_score,
-    select_passage,
     smpd_features,
     write_trec_run,
 )
@@ -242,19 +241,21 @@ def _passages_for(doc_id, n):
 
 
 class TestSelectPassage:
+    """The reference selection that the PassageRanks picks are checked against."""
+
     def test_fallback_when_fewer_than_requested(self):
         passages = _passages_for("d", 1)
         psg_list = RankedList.from_scores("q", {"d#0": 1.0})
-        assert select_passage(passages, psg_list, "third") is passages[0]
+        assert row_references.select_passage(passages, psg_list, "third") is passages[0]
 
     def test_best_by_global_rank(self):
         passages = _passages_for("d", 3)
         psg_list = RankedList.from_scores(
             "q", {"d#0": 5.0, "d#1": 2.0, "d#2": 8.0, "x#0": 9.0, "x#1": 6.0}
         )
-        assert select_passage(passages, psg_list, "best") is passages[2]
-        assert select_passage(passages, psg_list, "second") is passages[0]
-        assert select_passage(passages, psg_list, "lowest") is passages[1]
+        assert row_references.select_passage(passages, psg_list, "best") is passages[2]
+        assert row_references.select_passage(passages, psg_list, "second") is passages[0]
+        assert row_references.select_passage(passages, psg_list, "lowest") is passages[1]
 
     def test_selection_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -264,11 +265,11 @@ class TestSelectPassage:
         psg_list = RankedList.from_scores("q", scores)
         ranks = psg_list.ranks()
         by_rank = sorted(passages, key=lambda p: ranks[p.passage_id])
-        assert select_passage(passages, psg_list, "best") is by_rank[0]
-        assert select_passage(passages, psg_list, "second") is by_rank[1]
-        assert select_passage(passages, psg_list, "third") is by_rank[2]
-        assert select_passage(passages, psg_list, "lowest") is by_rank[-1]
-        best = select_passage(passages, psg_list, "best")
+        assert row_references.select_passage(passages, psg_list, "best") is by_rank[0]
+        assert row_references.select_passage(passages, psg_list, "second") is by_rank[1]
+        assert row_references.select_passage(passages, psg_list, "third") is by_rank[2]
+        assert row_references.select_passage(passages, psg_list, "lowest") is by_rank[-1]
+        best = row_references.select_passage(passages, psg_list, "best")
         assert all(
             ranks[best.passage_id] <= ranks[p.passage_id] for p in passages
         )
@@ -276,7 +277,7 @@ class TestSelectPassage:
     def test_none_when_no_passage_ranked(self):
         passages = _passages_for("d", 2)
         psg_list = RankedList.from_scores("q", {"z#0": 1.0})
-        assert select_passage(passages, psg_list, "best") is None
+        assert row_references.select_passage(passages, psg_list, "best") is None
 
 
 def _matrix(table: tuple) -> FeatureMatrix:
@@ -477,7 +478,7 @@ class TestSmpdVectors:
     def test_schema_and_values(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_smpd_vectors(
-            doc_list, _matrix(doc_vectors), PassageRanks(passages_by_doc, psg_list), nu=30.0
+            doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
         )
         assert joint.schema == SMPD_SCHEMA
         assert len(SMPD_SCHEMA) == 13
@@ -786,7 +787,7 @@ class TestBuildersEqualRowReferences:
                 doc_list = data.c_init
                 table = PassageRanks(by_doc, psg_list)
                 assert rows_of(
-                    build_smpd_vectors(doc_list, doc_m, table, nu)
+                    build_smpd_vectors(doc_list, doc_m, by_doc, psg_list, nu)
                 ) == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
                 for which in ("best", "second", "third", "lowest"):
                     assert rows_of(
@@ -842,7 +843,7 @@ class TestBuildersEqualRowReferences:
         table = PassageRanks(passages_by_doc, psg_list)
         out = build_jpds_vectors(empty, _matrix(doc_vectors), _matrix(psg_vectors), table)
         assert len(out) == 0 and len(out.schema) == 24
-        out = build_smpd_vectors(empty, _matrix(doc_vectors), table, 30.0)
+        out = build_smpd_vectors(empty, _matrix(doc_vectors), passages_by_doc, psg_list, 30.0)
         assert len(out) == 0 and out.schema == SMPD_SCHEMA
 
 
@@ -868,26 +869,20 @@ def _ranked_passages_case(rng, n_docs, ranked_share):
 
 
 class TestPassageRanks:
-    """SMPD, JPDs and FPD read a PassageRanks table; they equal the per-item
-    references built on smpd_features and select_passage, bit for bit."""
+    """JPDs and FPD pick passages from a PassageRanks table, and RRF reads its
+    best passage ranks; they equal the per-item references built on
+    row_references.select_passage, bit for bit."""
 
     @pytest.mark.parametrize("ranked_share", [0.0, 0.3, 0.7, 1.0])
     def test_builders_equal_per_item_references(self, ranked_share):
-        from psgrank.experiment import _default_grids
-
         rows_of = row_references.rows_of
         rng = np.random.default_rng([41, int(ranked_share * 10)])
-        # 40 documents rank passages past the top-50 and top-100 bounds.
         for n_docs in (1, 12, 12, 12, 12, 12, 40, 40):
             doc_list, by_doc, psg_list, docs, psgs = _ranked_passages_case(
                 rng, n_docs, ranked_share
             )
             table = PassageRanks(by_doc, psg_list)
             doc_m, psg_m = _matrix(docs), _matrix(psgs)
-            for nu in _default_grids()["nu"]:
-                assert rows_of(build_smpd_vectors(doc_list, doc_m, table, nu)) == (
-                    row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
-                )
             for which in ("best", "second", "third", "lowest"):
                 assert rows_of(
                     build_jpds_vectors(doc_list, doc_m, psg_m, table, which=which)
@@ -913,7 +908,7 @@ class TestPassageRanks:
                        for i in table.picks(doc_ids, which).tolist()]
                 expected = []
                 for d in doc_ids:
-                    pick = select_passage(by_doc[d], psg_list, which)
+                    pick = row_references.select_passage(by_doc[d], psg_list, which)
                     expected.append(pick and pick.passage_id)
                     ranked = sum(p.passage_id in psg_list.ranks() for p in by_doc[d])
                     seen.add((which, min(ranked, 4), len(by_doc[d]) == 1))
@@ -937,8 +932,8 @@ class TestPassageRanks:
 
 
 class TestFusionGrid:
-    """One query's (alpha, nu) grid scored as arrays equals a fused run and
-    an average_precision per point (row_references.fusion_grid_aps)."""
+    """One query's RRF (alpha, nu) grid scored as arrays equals a fused run
+    and an average_precision per point (row_references.fusion_grid_aps)."""
 
     POINTS = [{"alpha": round(0.1 * a, 1), "nu": nu}
               for a in range(11) for nu in (0.0, 30.0, 60.0, 90.0, 100.0)]
@@ -952,7 +947,7 @@ class TestFusionGrid:
             judgments, cutoff,
         )
 
-    def test_rrf_and_fpd_grids_equal_per_point_loop(self):
+    def test_rrf_grid_equals_per_point_loop(self):
         from psgrank.evaluation import JudgmentSet
 
         rng = np.random.default_rng(43)
@@ -965,21 +960,11 @@ class TestFusionGrid:
             # Case 0 has no relevant document, so every AP is None.
             grades = {} if case == 0 else {d: int(rng.integers(0, 3)) for d in doc_ids}
             judgments = JudgmentSet("doc_graded", {"q": grades}, {})
-            model = RankedList.from_scores(
-                "q", {d: float(rng.integers(0, 3)) for d in doc_ids if rng.random() < 0.8}
-            )
             best = PassageRanks(by_doc, psg_list).best_ranks(doc_ids)
-            model_ranks = [model.ranks().get(d, 0) for d in doc_ids]
             for cutoff in (1, 3, len(doc_ids) + 2):
                 assert self._grid(doc_list, best, judgments, cutoff, self.POINTS) == (
                     row_references.fusion_grid_aps(
                         doc_list, lambda dl, fp: rerank_rrf(dl, psg_list, fp), self.POINTS,
-                        judgments, cutoff,
-                    )
-                )
-                assert self._grid(doc_list, model_ranks, judgments, cutoff, self.POINTS) == (
-                    row_references.fusion_grid_aps(
-                        doc_list, lambda dl, fp: rerank_fpd(dl, model, fp), self.POINTS,
                         judgments, cutoff,
                     )
                 )
