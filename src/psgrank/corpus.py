@@ -25,7 +25,8 @@ STORE_VERSION = 1
 # The manifest fields CorpusStore.load reads.
 _MANIFEST_FIELDS = ("version", "stopwords", "stemmer", "format", "checksum")
 
-_SPLIT_RE = re.compile(r"([0-9A-Za-z]+)")
+# Tokens are maximal runs of [0-9A-Za-z]; this maps every other byte to a space.
+_SEPARATORS = bytes(b if chr(b).isascii() and chr(b).isalnum() else 32 for b in range(256))
 _VOWELS = set("aeiou")
 
 # A surface's code holds its term id in the high bits and its stopword id
@@ -236,17 +237,19 @@ class Tokenizer:
 
     def _columns(self, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Term ids, char starts, char ends and stopword ids of the text's tokens."""
-        # Separators and tokens alternate, starting and ending with a
-        # (possibly empty) separator.
-        parts = _SPLIT_RE.split(text)
-        surfaces = parts[1::2]
-        n = len(surfaces)
-        offsets = np.cumsum(np.fromiter(map(len, parts), np.int64, len(parts)))
-        codes = np.fromiter(map(self._codes.__getitem__, surfaces), np.int64, n)
+        # Every non-ASCII code point is a separator, and "replace" writes one
+        # byte for each, so byte offsets are character offsets.
+        separated = text.encode("ascii", "replace").translate(_SEPARATORS)
+        surfaces = separated.decode("ascii").split()
+        # Token starts and ends alternate where the padded mask changes.
+        is_alnum = np.zeros(len(separated) + 2, bool)
+        np.not_equal(np.frombuffer(separated, np.uint8), 32, out=is_alnum[1:-1])
+        edges = np.flatnonzero(is_alnum[1:] != is_alnum[:-1])
+        codes = np.fromiter(map(self._codes.__getitem__, surfaces), np.int64, len(surfaces))
         return (
             (codes >> _CODE_SHIFT).astype(np.int32),
-            offsets[0:-1:2].copy(),
-            offsets[1::2].copy(),
+            edges[0::2],
+            edges[1::2],
             ((codes & _STOPWORD_MASK) - 1).astype(np.int16),
         )
 
@@ -432,7 +435,15 @@ def _iter_jsonl_records(path: Path) -> Iterator[tuple[str, str]]:
                 raise CorpusError(f"{path}:{lineno}: 'text' and 'title' must be strings")
             if title:
                 text = title + "\n" + text
-            yield str(rec["id"]), text
+            doc_id = str(rec["id"])
+            try:  # JSON can escape a lone surrogate; the store's UTF-8 cannot hold one.
+                doc_id.encode("utf-8"), text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusError(
+                    f"{path}:{lineno}: 'id', 'text' and 'title' must not hold an unpaired "
+                    f"surrogate, found {exc.object[exc.start]!r}"
+                ) from None
+            yield doc_id, text
 
 
 _DOC_RE = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)

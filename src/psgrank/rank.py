@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -118,9 +118,6 @@ class RankedList:
             return self._ranks[item_id]
         except KeyError:
             raise ValueError(f"item {item_id!r} not in ranked list") from None
-
-    def truncated(self, k: int) -> "RankedList":
-        return RankedList(self.query_id, self.entries[:k])
 
 
 @dataclass(frozen=True)
@@ -395,6 +392,14 @@ def _source_columns(schema: FeatureSchema, prefix: str, source: FeatureSchema) -
     return [source.index_of(f[len(prefix):]) for f in schema.features if f.startswith(prefix)]
 
 
+@lru_cache(maxsize=64)
+def _jpds_layout(doc_schema: FeatureSchema, psg_schema: FeatureSchema, two_passages: bool):
+    """The joint schema and its ``p.*`` (then ``p2.*``) passage columns, once per schema pair."""
+    schema = jpds_schema(doc_schema, psg_schema, two_passages)
+    prefixes = ("p.", "p2.") if two_passages else ("p.",)
+    return (schema, *(tuple(_source_columns(schema, p, psg_schema)) for p in prefixes))
+
+
 def build_jpds_vectors(
     doc_list: RankedList,
     doc_vectors: FeatureMatrix,
@@ -409,18 +414,17 @@ def build_jpds_vectors(
     two-passage variant also appends the second-ranked passage's row
     with its redundant features removed.
     """
-    schema = jpds_schema(doc_vectors.schema, psg_vectors.schema, two_passages)
+    schema, *columns = _jpds_layout(doc_vectors.schema, psg_vectors.schema, two_passages)
     doc_ids = doc_list.ids()
 
-    def passage_rows(which: str, prefix: str) -> np.ndarray:
+    def passage_rows(which: str, columns: tuple[int, ...]) -> np.ndarray:
         chosen = _selected_ids(doc_ids, psg_vectors, psg_ranks, which)
         rows = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
-        return rows[:, _source_columns(schema, prefix, psg_vectors.schema)]
+        return rows[:, columns]
 
-    blocks = [doc_vectors.take(doc_ids).values, passage_rows(which, "p.")]
-    if two_passages:
-        # With fewer than two ranked passages the second pick is the first.
-        blocks.append(passage_rows("second", "p2."))
+    # With fewer than two ranked passages the second pick is the first.
+    blocks = [doc_vectors.take(doc_ids).values]
+    blocks += [passage_rows(w, c) for w, c in zip((which, "second"), columns)]
     values = np.concatenate(blocks, axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 

@@ -57,6 +57,11 @@ def ranks(ranked) -> dict[str, int]:
     return {item_id: r for r, (item_id, _) in enumerate(ranked.entries, start=1)}
 
 
+def truncated(ranked, k: int) -> RankedList:
+    """The top ``k`` entries of a ranked list."""
+    return RankedList(ranked.query_id, ranked.entries[:k])
+
+
 def difference_rows(rows, max_pairs: int, seed: int) -> np.ndarray:
     """x_hi - x_lo for every within-query pair with grade_hi > grade_lo, from
     (query_id, item_id, values, grade) rows: queries by id, items by id, hi

@@ -76,7 +76,7 @@ class TestFeaturesRebuildTheIndex:
 
 
 class TestDamagedInputs:
-    """A damaged store or qrels file exits 1 naming it, without a traceback."""
+    """A damaged corpus, store or qrels file exits 1 naming it, without a traceback."""
 
     def _fails(self, capsys, argv, where):
         capsys.readouterr()
@@ -109,6 +109,29 @@ class TestDamagedInputs:
         (tmp_path / "run.trec").write_text("q1 Q0 d1 1 2.0 t\n")
         argv = ["--workdir", str(tmp_path), "eval", "--run", "run.trec", "--qrels", "qrels.txt"]
         self._fails(capsys, argv, "qrels.txt:2: not an integer: 'x'")
+
+    # A JSON escape such as "\ud800" decodes to a lone surrogate, which the
+    # store's UTF-8 cannot hold.
+    SURROGATE = "'id', 'text' and 'title' must not hold an unpaired surrogate, found {!r}"
+
+    @pytest.mark.parametrize("field", ["id", "text", "title"])
+    def test_lone_surrogate_in_corpus_index(self, tmp_path, capsys, field):
+        record = {"id": "d2", "text": "crane stork", field: "crane \ud800 stork"}
+        lines = [json.dumps({"id": "d1", "text": "zebra"}), json.dumps(record)]
+        (tmp_path / "c.jsonl").write_text("\n".join(lines) + "\n")
+        argv = ["--workdir", str(tmp_path), "index", "--corpus", "c.jsonl", "--out", "store"]
+        self._fails(capsys, argv, "c.jsonl:2: " + self.SURROGATE.format("\ud800"))
+        assert not (tmp_path / "store").exists()
+
+    def test_lone_surrogate_in_corpus_run(self, tmp_path, capsys):
+        _run_config(tmp_path, ["LM"])
+        corpus = tmp_path / "data" / "corpus.jsonl"
+        lines = corpus.read_text().splitlines()
+        lines.append(json.dumps({"id": "bad", "text": "crane \udfff"}))
+        corpus.write_text("\n".join(lines) + "\n")
+        argv = ["--workdir", str(tmp_path), "run", "--config", "config.json", "--out", "out"]
+        where = f"corpus.jsonl:{len(lines)}: " + self.SURROGATE.format("\udfff")
+        self._fails(capsys, argv, where)
 
 
 class TestSegmentCommand:

@@ -1,6 +1,9 @@
 import gc
 import json
+import random
+import string
 
+import numpy as np
 import pytest
 
 import row_references
@@ -336,6 +339,70 @@ def _corpus_texts():
     for i in range(12):
         texts[f"w{i:02d}"] = " ".join(words[(i * 7 + 3 * k) % len(words)] for k in range(5 * i))
     return texts
+
+
+# Tokens are ASCII alphanumeric runs, so every other unit here must split:
+# ASCII punctuation and controls, Unicode spaces (U+0085, U+00A0, U+3000),
+# non-ASCII letters, an astral code point and a lone surrogate. Whole words
+# bring stopwords in mixed case and stems shared by several surfaces.
+FUZZ_UNITS = (
+    list(string.ascii_letters + string.digits + string.punctuation + " \t\n")
+    + ["\x00", "\x1c", "\x1d", "\x1e", "\x1f", "\x7f", "\x85", "\xa0", "\u3000"]
+    + ["é", "日", "\U0001f600", "\ud800"]
+    + ["the", "The", "OF", "and", "Running", "runs", "cats", "Cats", "ies", "42"]
+)
+
+
+def _fuzz_texts(n=3000, seed=16):
+    rng = random.Random(seed)
+    return ["".join(rng.choices(FUZZ_UNITS, k=rng.randrange(16))) for _ in range(n)]
+
+
+def _columns_of(doc):
+    return [(c.dtype, c.tolist()) for c in (
+        doc.term_ids, doc.char_starts, doc.char_ends, doc.stopword_ids
+    )]
+
+
+class TestTokenizerFuzz:
+    """The byte-level tokenizer against the regex reference on random texts."""
+
+    def test_tokens_and_columns_equal_reference(self):
+        texts = _fuzz_texts()
+        tokenizer = Tokenizer()
+        docs = [tokenizer.document(f"d{i}", text) for i, text in enumerate(texts)]
+        ordered = sorted(tokenizer.stopwords.terms)
+        # Term ids number the stems in order of first occurrence.
+        term_ids: dict[str, int] = {}
+        for text, doc in zip(texts, docs):
+            ref = row_references.tokenize(text, tokenizer.stemmer, tokenizer.stopwords)
+            assert tokenizer.tokenize(text) == ref
+            assert doc.tokens == ref
+            for t in ref:
+                term_ids.setdefault(t.stem, len(term_ids))
+            assert _columns_of(doc) == [
+                (np.dtype(np.int32), [term_ids[t.stem] for t in ref]),
+                (np.dtype(np.int64), [t.char_start for t in ref]),
+                (np.dtype(np.int64), [t.char_end for t in ref]),
+                (np.dtype(np.int16), [
+                    ordered.index(t.surface.lower()) if t.is_stopword else -1 for t in ref
+                ]),
+            ]
+        assert docs[0].vocabulary == list(term_ids)
+
+    def test_cold_and_warm_tokenizers_agree(self):
+        texts = _fuzz_texts(seed=17)
+        cold = Tokenizer()
+        first = [_columns_of(cold.document("d", text)) for text in texts]
+        vocabulary = list(cold.document("d", "").vocabulary)
+        # The same texts again, read from the warm surface cache.
+        assert [_columns_of(cold.document("d", text)) for text in texts] == first
+        warm = Tokenizer()
+        for text in texts:
+            warm.tokenize(text)
+        assert [_columns_of(warm.document("d", text)) for text in texts] == first
+        assert warm.document("d", "").vocabulary == vocabulary
+        assert cold.document("d", "").vocabulary == vocabulary
 
 
 class TestColumnarStore:

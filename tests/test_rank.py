@@ -27,6 +27,8 @@ from psgrank.rank import (
     PassageRanks,
     RankedList,
     SMPD_SCHEMA,
+    _jpds_layout,
+    _source_columns,
     build_fpd_vectors,
     build_jpdm_vectors,
     build_jpds_vectors,
@@ -291,6 +293,13 @@ def _row(matrix: FeatureMatrix, item_id: str) -> dict[str, float]:
     return dict(zip(matrix.schema.features, matrix.values[matrix.rows([item_id])[0]].tolist()))
 
 
+def _ablated(table: tuple, drop: set) -> tuple:
+    """A (schema, {item_id: values}) table without the features in ``drop``."""
+    schema, rows = table
+    keep = [i for i, f in enumerate(schema.features) if f not in drop]
+    return schema.without(drop), {k: tuple(v[i] for i in keep) for k, v in rows.items()}
+
+
 def _joint_fixture():
     """Doc and passage feature tables and rankings for 3 docs x 2 passages."""
     rng = np.random.default_rng(7)
@@ -314,6 +323,43 @@ class TestJpds:
         reduced = PSG_SCHEMA.without({"QueryLength", "W2V"})
         assert len(jpds_schema(DOC_SCHEMA.without({"SW1"}), reduced)) == 22
         assert len(jpds_schema(psg_schema=reduced, two_passages=True)) == 23 + 14
+
+    @pytest.mark.parametrize("two_passages", [False, True])
+    def test_layout_equals_per_call_derivation(self, two_passages):
+        # Equal but distinct schemas share one cached layout.
+        schemas = [
+            (DOC_SCHEMA, PSG_SCHEMA),
+            (DOC_SCHEMA.without({"SW1"}), PSG_SCHEMA.without({"QueryLength", "W2V"})),
+            (DOC_SCHEMA, PSG_SCHEMA.without({"DocQuerySim", "ESA"})),
+        ]
+        for doc_schema, psg_schema in schemas + [
+            (FeatureSchema(d.name, d.features), FeatureSchema(p.name, p.features))
+            for d, p in schemas
+        ]:
+            schema, *columns = _jpds_layout(doc_schema, psg_schema, two_passages)
+            expected = jpds_schema(doc_schema, psg_schema, two_passages)
+            assert schema == expected
+            assert [list(c) for c in columns] == [
+                _source_columns(expected, prefix, psg_schema)
+                for prefix in ("p.", "p2.")[: 1 + two_passages]
+            ]
+            assert _jpds_layout(doc_schema, psg_schema, two_passages)[0] is schema
+
+    @pytest.mark.parametrize("two_passages", [False, True])
+    def test_builder_equals_per_row_reference_across_schemas(self, two_passages):
+        # Schema pairs alternate, so each call reads another pair's layout.
+        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        table = PassageRanks(passages_by_doc, psg_list)
+        ablations = [(set(), set()), ({"SW1"}, {"QueryLength", "W2V"}), (set(), {"ESA"})]
+        for doc_drop, psg_drop in ablations * 2:
+            docs, psgs = _ablated(doc_vectors, doc_drop), _ablated(psg_vectors, psg_drop)
+            for which in ("best", "lowest"):
+                joint = build_jpds_vectors(
+                    doc_list, _matrix(docs), _matrix(psgs), table, which, two_passages
+                )
+                assert row_references.rows_of(joint) == row_references.jpds_rows(
+                    doc_list, docs, psgs, passages_by_doc, psg_list, which, two_passages
+                )
 
     def test_vector_contents_match_manual_concat(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
@@ -783,7 +829,7 @@ class TestBuildersEqualRowReferences:
             by_doc = data.passages_by_doc
             full = pipe.qsf(qid, mu, 0.3)
             # A short passage list leaves documents with no ranked passage.
-            for psg_list in (full, full.truncated(5)):
+            for psg_list in (full, row_references.truncated(full, 5)):
                 doc_list = data.c_init
                 table = PassageRanks(by_doc, psg_list)
                 assert rows_of(
