@@ -420,8 +420,15 @@ def _records_checksum(records: Iterable[tuple[str, str]]) -> str:
 
 
 def _iter_jsonl_records(path: Path) -> Iterator[tuple[str, str]]:
-    with path.open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+    with path.open("rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{path}:{lineno}: not UTF-8: byte 0x{raw[exc.start]:02x} "
+                    f"at column {exc.start + 1}"
+                ) from None
             if not line.strip():
                 continue
             try:
@@ -452,7 +459,11 @@ _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 
 def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
-    data = path.read_text(encoding="utf-8")
+    try:  # The whole file is decoded at once, so the error's offset is the file's.
+        data = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise CorpusError(f"{path}: not UTF-8: byte 0x{bad:02x} at byte {exc.start}") from None
     if "<DOC>" in data and "</DOC>" not in data:
         raise CorpusError(f"{path}: unterminated <DOC> block")
     for m in _DOC_RE.finditer(data):

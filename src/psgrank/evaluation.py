@@ -137,19 +137,12 @@ def average_precision(
     ranked: RankedList, judgments: JudgmentSet, cutoff: int = 1000
 ) -> float | None:
     """AP over the top ``cutoff``; None when the query has nothing relevant
-    (such queries are excluded from MAP)."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    total_relevant = judgments.relevant_count(ranked.query_id)
-    if total_relevant == 0:
-        return None
-    hits = 0
-    precision_sum = 0.0
-    for r, (item_id, _) in enumerate(ranked.entries[:cutoff], start=1):
-        if judgments.is_relevant(ranked.query_id, item_id):
-            hits += 1
-            precision_sum += hits / r
-    return precision_sum / total_relevant
+    (such queries are excluded from MAP). It is the one-row
+    :func:`average_precisions`."""
+    ids = ranked.ids()[:cutoff]
+    return average_precisions(
+        ranked.query_id, ids, np.arange(len(ids))[None, :], judgments, cutoff
+    )[0]
 
 
 def average_precisions(
@@ -159,11 +152,12 @@ def average_precisions(
     judgments: JudgmentSet,
     cutoff: int = 1000,
 ) -> list[float | None]:
-    """:func:`average_precision` of many runs over the same items at once.
+    """AP over the top ``cutoff`` of many runs over the same items at once.
 
     Row i of ``orders`` is one run, as positions in ``item_ids``, best
-    first. Each AP adds hits / rank at its relevant ranks in rank order, as
-    the scalar one does, so the values are equal.
+    first. Each AP adds hits / rank at its relevant ranks in rank order,
+    then divides by the query's relevant count; each is None when the query
+    has nothing relevant.
     """
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
@@ -175,7 +169,7 @@ def average_precisions(
     if not hits.shape[1]:
         return [0.0] * len(orders)
     precision = np.where(hits, np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1), 0.0)
-    # cumsum adds left to right, as the scalar loop; its last column is the sum.
+    # cumsum adds left to right, one rank at a time; its last column is the sum.
     return (np.cumsum(precision, axis=1)[:, -1] / total_relevant).tolist()
 
 
@@ -441,8 +435,6 @@ class CvPlan:
         but fully reproducible; validation gets at least one query and so
         does training.
         """
-        import numpy as np
-
         ordered = sorted(self.query_ids)
         out = []
         for i, test_q in enumerate(ordered):

@@ -66,7 +66,7 @@ from .rank import (
     check_sigma,
     check_weight,
     docpsg_from_sims,
-    fusion_orders,
+    fusion_rows,
     plm_from_sims,
     plm_weights_feasible,
     qsf_from_sims,
@@ -86,10 +86,10 @@ class _Method:
     combination is tried, the last axis fastest, and the first point with
     the strictly best mean metric wins. A learned method trains one model
     per vector-grid point and trainer setting, then walks ``grid``. A
-    method with a grid scorer has each query's metric at every point of
-    ``grid`` computed at once; the others run and evaluate point by point.
-    Functions receive the fold runner and find every psgrank function
-    through this module's globals when called.
+    fusion (RRF, FPD) has each query's metric at every (alpha, nu) point of
+    ``grid`` computed at once, as rows of one array; the others run and
+    evaluate point by point. Functions receive the fold runner and find
+    every psgrank function through this module's globals when called.
     """
 
     kind: str  # "doc" or "psg": the judgments it is evaluated and tuned by
@@ -103,9 +103,9 @@ class _Method:
     vectors: Callable | None = None
     vector_grid: tuple = ()
     grid: tuple = ()
-    # (runner, query_id, [params], model ranking or None) -> the query's
-    # metric at every grid point, equal to evaluating each point's run.
-    grid_metrics: Callable | None = None
+    # A fusion's second ranking, the one ``rank`` fuses with: (runner,
+    # query_id, model ranking or None) -> r' of each c_ltr document, 0 for none.
+    fuse_with: Callable | None = None
     feasible: Callable | None = None  # params -> False for a grid point to skip
     split: str = "train"  # the queries the grid is selected on: "train" or "validation"
     hyper_in_params: bool = True  # report the trainer setting with the tuned params
@@ -128,20 +128,6 @@ class _Method:
 
 def _fusion(p: dict) -> FusionParams:
     return FusionParams(nu=p["nu"], alpha=p["alpha"])
-
-
-def _rrf_grid(run, query_id: str, points: list[dict], ranking) -> list[float | None]:
-    """RRF's grid scorer: every (alpha, nu) point's fusion of the document
-    ranking with the best passage ranks as one array row, then each row's AP."""
-    doc_list = run.c_ltr(query_id)
-    doc_ids = doc_list.ids()
-    orders = fusion_orders(
-        doc_list, run.passage_ranks(query_id).best_ranks(doc_ids),
-        [p["alpha"] for p in points], [p["nu"] for p in points],
-    )
-    return average_precisions(
-        query_id, doc_ids, orders, run.pipe.doc_judgments, run.config.doc_cutoff
-    )
 
 
 def _sdm(run, query_id: str, p: dict) -> RankedList:
@@ -239,7 +225,7 @@ _METHODS = {
     "RRF": _Method(
         "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
-        grid_metrics=_rrf_grid,
+        fuse_with=lambda run, q, ranking: run.passage_ranks(q).best_ranks(run.c_ltr(q).ids()),
         split="validation",
     ),
     "SMPD": _Method(
@@ -258,6 +244,7 @@ _METHODS = {
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
         grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
+        fuse_with=lambda run, q, ranking: [ranking.ranks().get(d, 0) for d in run.c_ltr(q).ids()],
     ),
     "QSF": _Method(
         "psg", features=False, grid=(("mu", "mu"), ("lambda", "qsf_lambda")),
@@ -967,11 +954,18 @@ class _FoldRunner:
     def _grid_metrics(
         self, method: str, query_id: str, points: list[dict], ranking: RankedList | None
     ) -> list[float | None]:
-        """The query's metric at every grid point, by the method's grid scorer
-        or point by point."""
+        """The query's metric at every grid point: a fusion's as one array
+        row per point, any other method's point by point."""
         rec = _METHODS[method]
-        if rec.grid_metrics:
-            return rec.grid_metrics(self, query_id, points, ranking)
+        if rec.fuse_with:
+            doc_list = self.c_ltr(query_id)
+            _, orders = fusion_rows(
+                doc_list, rec.fuse_with(self, query_id, ranking),
+                [p["alpha"] for p in points], [p["nu"] for p in points],
+            )
+            return average_precisions(
+                query_id, doc_list.ids(), orders, self.pipe.doc_judgments, self.config.doc_cutoff
+            )
         metric = self.pipe.doc_metric if rec.kind == "doc" else self.pipe.psg_metric
         if rec.fold_free:
             # A fold-free run is the same in every fold: its metric is kept
@@ -1001,10 +995,10 @@ class _FoldRunner:
 
     def _model_ranking(
         self, rec: _Method, query_id: str, params: dict, model: LinearModel
-    ) -> RankedList | None:
-        """A learned method's model ranking; None when the query has no candidates."""
+    ) -> RankedList:
+        """A learned method's model ranking; empty when the query has no candidates."""
         if self._no_candidates(query_id):
-            return None
+            return RankedList(query_id, ())
         return score(model, self._normalized(rec, query_id, params))
 
     def _normalized(self, rec: _Method, query_id: str, params: dict) -> FeatureMatrix:
@@ -1030,8 +1024,6 @@ class _FoldRunner:
         ``ranking``, fused with the document ranking when the method says so."""
         if not rec.vectors:
             return rec.rank(self, query_id, params)
-        if ranking is None:
-            return RankedList(query_id, ())
         return rec.rank(self, query_id, params, ranking) if rec.rank else ranking
 
 

@@ -7,9 +7,9 @@ per-feature aggregates), two-stage fusion, and the unsupervised
 similarity-interpolation and positional-LM passage scorers.
 
 RRF's best passage ranks and the JPDs and FPD passage picks read a
-passage ranking as a :class:`PassageRanks` table of integer ranks, and an
-RRF grid is scored as one array (:func:`fusion_orders`); :func:`rerank_rrf`
-is the per-point form.
+passage ranking as a :class:`PassageRanks` table of integer ranks. RRF and
+FPD fuse through :func:`fusion_rows` alone: a tuning grid is its rows, and
+:func:`rerank_rrf` and :func:`rerank_fpd` are one row of it.
 """
 
 from __future__ import annotations
@@ -139,29 +139,16 @@ def rr_score(item_id: str, ranked: RankedList, nu: float) -> float:
     return 1.0 / (nu + ranked.rank_of(item_id))
 
 
-def _fuse(
-    doc_list: RankedList, other_ranks: Mapping[str, int], params: FusionParams
-) -> RankedList:
-    """Score(d) = alpha/(nu + r) + (1 - alpha)/(nu + r'), with r the rank of d
-    in ``doc_list`` and r' its rank in ``other_ranks``; a document without
-    r' gets a zero second term."""
-    scores = {}
-    for doc_id, rank in doc_list.ranks().items():
-        other = other_ranks.get(doc_id)
-        term = 1.0 / (params.nu + other) if other is not None else 0.0
-        scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * term
-    return RankedList.from_scores(doc_list.query_id, scores)
-
-
-def fusion_orders(
+def fusion_rows(
     doc_list: RankedList, other_ranks: Sequence[int], alphas: Sequence[float], nus: Sequence[float]
-) -> np.ndarray:
-    """The runs :func:`_fuse` makes at every (alphas[i], nus[i]) point, as rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score(d) = alpha/(nu + r) + (1 - alpha)/(nu + r') at every
+    (alphas[i], nus[i]) point, as row i, with r the rank of d in ``doc_list``
+    and ``other_ranks`` each listed document's r', 0 for none, which gives a
+    zero second term.
 
-    ``other_ranks`` holds each listed document's r', 0 for none. Scores take
-    the formula's own operations in the same order, so each equals the
-    scalar one, and row i lists positions in ``doc_list`` in the order of
-    ``RankedList.from_scores``: by descending score, ties by ascending id.
+    Returns the scores and each row's positions in ``doc_list`` in the order
+    of ``RankedList.from_scores``: by descending score, ties by ascending id.
     """
     ids = doc_list.ids()
     alpha = np.asarray(alphas, dtype=float)[:, None]
@@ -171,7 +158,19 @@ def fusion_orders(
     scores = alpha / (nu + np.arange(1, len(ids) + 1)) + (1.0 - alpha) * term
     id_rank = np.empty(len(ids), dtype=np.int64)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=-1)
+    return scores, np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores), axis=-1)
+
+
+def _fused(
+    doc_list: RankedList, other_ranks: Mapping[str, int], params: FusionParams
+) -> RankedList:
+    """The one-row :func:`fusion_rows` run at ``params``, with that row's scores."""
+    ids = doc_list.ids()
+    scores, orders = fusion_rows(
+        doc_list, [other_ranks.get(d, 0) for d in ids], [params.alpha], [params.nu]
+    )
+    row = scores[0].tolist()
+    return RankedList(doc_list.query_id, tuple((ids[i], row[i]) for i in orders[0].tolist()))
 
 
 def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams) -> RankedList:
@@ -186,7 +185,7 @@ def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams)
     unknown = best_ranks.keys() - doc_list.ranks().keys()
     if unknown:
         raise ValueError(f"passages reference documents outside the list: {sorted(unknown)[:3]}")
-    return _fuse(doc_list, best_ranks, params)
+    return _fused(doc_list, best_ranks, params)
 
 
 def smpd_features(
@@ -479,7 +478,7 @@ def rerank_fpd(
 ) -> RankedList:
     """Fuse the original document ranking with a ranking produced by a
     model over best-passage features, reciprocal-rank style on both."""
-    return _fuse(doc_list, model_ranking.ranks(), params)
+    return _fused(doc_list, model_ranking.ranks(), params)
 
 
 def _normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:

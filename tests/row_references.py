@@ -20,10 +20,12 @@ written as one JSON dump and scanned with sets and nested loops; the
 package keeps CSR arrays, writes the same bytes piecewise and counts with
 searchsorted.
 
-An RRF grid is one fused RankedList and one average_precision per
-(alpha, nu) point here, and JPDs and FPD pick each document's passage
-from the passage ranking one document at a time; the package scores a
-query's whole RRF grid as one array and picks from a PassageRanks table.
+Fusion and AP are scalar loops here: ``fuse`` scores one document and
+``average_precision`` one rank at a time, and a fusion grid is one fused
+RankedList and one AP per (alpha, nu) point. JPDs and FPD pick each
+document's passage from the passage ranking one document at a time. The
+package fuses and scores AP as array rows only, a final run being one row,
+and picks from a PassageRanks table.
 """
 
 import json
@@ -34,7 +36,6 @@ from collections import defaultdict
 import numpy as np
 
 from psgrank.corpus import Token
-from psgrank.evaluation import average_precision
 from psgrank.features import DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas
 from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, doc_lm_similarity
 from psgrank.rank import (
@@ -236,12 +237,42 @@ def rrf_scores(doc_list, psg_list, nu: float, alpha: float) -> dict[str, float]:
     return scores
 
 
-def fusion_grid_aps(doc_list, fuse, points, judgments, cutoff) -> list:
-    """The AP of each (alpha, nu) point's run: ``fuse(doc_list, params)``
-    builds one RankedList per point, and average_precision scores it."""
+def fuse(doc_list, other_ranks, params) -> RankedList:
+    """Score(d) = alpha/(nu + r) + (1 - alpha)/(nu + r'), with r the rank of d
+    in ``doc_list`` and r' its rank in ``other_ranks``; a document without
+    r' gets a zero second term."""
+    scores = {}
+    for doc_id, rank in doc_list.ranks().items():
+        other = other_ranks.get(doc_id)
+        term = 1.0 / (params.nu + other) if other is not None else 0.0
+        scores[doc_id] = params.alpha / (params.nu + rank) + (1.0 - params.alpha) * term
+    return RankedList.from_scores(doc_list.query_id, scores)
+
+
+def average_precision(ranked, judgments, cutoff: int = 1000):
+    """AP over the top ``cutoff``, adding hits / rank one entry at a time;
+    None when the query has nothing relevant."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    total_relevant = judgments.relevant_count(ranked.query_id)
+    if total_relevant == 0:
+        return None
+    hits = 0
+    precision_sum = 0.0
+    for r, (item_id, _) in enumerate(ranked.entries[:cutoff], start=1):
+        if judgments.is_relevant(ranked.query_id, item_id):
+            hits += 1
+            precision_sum += hits / r
+    return precision_sum / total_relevant
+
+
+def fusion_grid_aps(doc_list, other_ranks, points, judgments, cutoff) -> list:
+    """The AP of each (alpha, nu) point's run: :func:`fuse` builds one
+    RankedList per point, and :func:`average_precision` scores it."""
     return [
         average_precision(
-            fuse(doc_list, FusionParams(nu=p["nu"], alpha=p["alpha"])), judgments, cutoff
+            fuse(doc_list, other_ranks, FusionParams(nu=p["nu"], alpha=p["alpha"])),
+            judgments, cutoff,
         )
         for p in points
     ]
@@ -255,11 +286,21 @@ def matrix_of(query_id, table) -> FeatureMatrix:
 
 
 def per_point_methods(methods) -> dict:
-    """Method records as they ran before the passage-rank table: RRF walks
-    its (alpha, nu) grid one run and one AP at a time, and FPD and the JPDs
-    variants build rows from the passage ranking with select_passage.
-    ``methods`` is the experiment's table."""
+    """Method records that walk the fusion grids one run at a time: RRF and
+    FPD fuse each (alpha, nu) point's run with :func:`fuse`, and FPD and the
+    JPDs variants build rows from the passage ranking with select_passage.
+    ``methods`` is the experiment's table; the walk scores each run by the
+    experiment's ``average_precision``, which a caller may replace too."""
     from dataclasses import replace
+
+    def params(p):
+        return FusionParams(nu=p["nu"], alpha=p["alpha"])
+
+    def rrf(run, q, p):
+        return fuse(run.c_ltr(q), run.passage_ranking(q).best_passage_ranks(), params(p))
+
+    def fpd_rank(run, q, p, ranking):
+        return fuse(run.c_ltr(q), ranking.ranks(), params(p))
 
     def fpd(run, q, p):
         psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
@@ -278,8 +319,8 @@ def per_point_methods(methods) -> dict:
         return vectors
 
     out = {
-        "RRF": replace(methods["RRF"], grid_metrics=None),
-        "FPD": replace(methods["FPD"], vectors=fpd),
+        "RRF": replace(methods["RRF"], rank=rrf, fuse_with=None),
+        "FPD": replace(methods["FPD"], rank=fpd_rank, vectors=fpd, fuse_with=None),
     }
     for name, which, two in (
         ("JPDs", "best", False), ("JPDs-second", "second", False), ("JPDs-third", "third", False),

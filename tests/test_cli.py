@@ -134,6 +134,13 @@ class TestDamagedInputs:
         self._fails(capsys, argv, where)
 
 
+    def test_corpus_not_utf8_index(self, tmp_path, capsys):
+        data = b'{"id": "d1", "text": "ok"}\n{"id": "d2", "text": "\xff"}\n'
+        (tmp_path / "c.jsonl").write_bytes(data)
+        argv = ["--workdir", str(tmp_path), "index", "--corpus", "c.jsonl", "--out", "store"]
+        self._fails(capsys, argv, "c.jsonl:2: not UTF-8: byte 0xff at column 23")
+        assert not (tmp_path / "store").exists()
+
 class TestSegmentCommand:
     def test_writes_table(self, corpus_dir, capsys):
         _index(corpus_dir)

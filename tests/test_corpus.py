@@ -205,6 +205,20 @@ class TestIngest:
         with pytest.raises(CorpusError, match="not found"):
             ingest_corpus("no/such/file.jsonl", tokenizer=tokenizer)
 
+    def test_jsonl_not_utf8_names_line_and_byte(self, tmp_path, tokenizer):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"id": "d1", "text": "ok"}\n{"id": "d2", "text": "b\xffd"}\n')
+        with pytest.raises(CorpusError, match=r"c.jsonl:2: not UTF-8: byte 0xff at column 24$"):
+            ingest_corpus(path, tokenizer=tokenizer)
+
+    def test_jsonl_crlf_and_non_ascii_lines(self, tmp_path, tokenizer):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes('{"id": "d1", "text": "caf\u00e9 ok"}\r\n\r\n{"id": "d2", "text": "x"}'
+                         .encode("utf-8"))
+        store = ingest_corpus(path, tokenizer=tokenizer)
+        assert store.doc_ids() == ["d1", "d2"]
+        assert store.get("d1").raw_text == "caf\u00e9 ok"
+
     def test_trecweb(self, tmp_path, tokenizer):
         path = tmp_path / "c.trecweb"
         path.write_text(
@@ -221,6 +235,19 @@ class TestIngest:
         with pytest.raises(CorpusError, match="DOCNO"):
             ingest_corpus(path, "trecweb", tokenizer=tokenizer)
 
+
+    def test_trecweb_not_utf8_names_byte_offset(self, tmp_path, tokenizer):
+        # The offset counts bytes of the file, past CRLF line ends and a
+        # multi-byte character.
+        head = "<DOC>\r\n<DOCNO>d1</DOCNO>\r\n<TEXT>caf\u00e9" + " x" * 5000
+        head += "</TEXT></DOC>\r\n"
+        data = head.encode("utf-8") + b"<DOC><DOCNO>d2</DOCNO><TEXT>\xfe</TEXT></DOC>\n"
+        path = tmp_path / "c.trecweb"
+        path.write_bytes(data)
+        offset = len(head.encode("utf-8")) + len("<DOC><DOCNO>d2</DOCNO><TEXT>")
+        where = f"c.trecweb: not UTF-8: byte 0xfe at byte {offset}$"
+        with pytest.raises(CorpusError, match=where):
+            ingest_corpus(path, "trecweb", tokenizer=tokenizer)
 
 class TestStorePersistence:
     def test_save_load_round_trip(self, tmp_path, tokenizer):
@@ -295,6 +322,13 @@ class TestStorePersistence:
         with pytest.raises(CorpusError, match=f"docs.jsonl:2: {problem}"):
             CorpusStore.load(saved, stopwords=tokenizer.stopwords)
 
+
+    def test_docs_not_utf8_names_path_and_line(self, saved, tokenizer):
+        docs = saved / "docs.jsonl"
+        lines = docs.read_bytes().splitlines()
+        docs.write_bytes(lines[0] + b"\n" + lines[1].replace(b"beta", b"be\xc3ta") + b"\n")
+        with pytest.raises(CorpusError, match="docs.jsonl:2: not UTF-8: byte 0xc3 at column"):
+            CorpusStore.load(saved, stopwords=tokenizer.stopwords)
 
 class TestTopics:
     def test_load(self, tmp_path, tokenizer):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import row_references
 from psgrank.evaluation import (
     CvPlan,
     JudgmentError,
@@ -85,6 +86,49 @@ class TestAveragePrecision:
         run_a = RankedList("q1", tuple((i, float(10 - r)) for r, i in enumerate(ids)))
         run_b = RankedList("q1", tuple((i, 1.0 / (1 + r)) for r, i in enumerate(ids)))
         assert average_precision(run_a, judgments) == average_precision(run_b, judgments)
+
+
+class TestAveragePrecisionEqualsScalarReference:
+    """average_precision is one row of average_precisions; it equals the
+    scalar loop of row_references.average_precision, bit for bit."""
+
+    @staticmethod
+    def _cases(rng, mode):
+        for case in range(80):
+            n = int(rng.integers(0, 30))
+            if mode == "sentence_binary":  # binary grades of passage ids
+                ids = list(dict.fromkeys(f"d{int(rng.integers(0, 5))}#s{i}" for i in range(n)))
+                top = 2
+            else:
+                ids = [f"d{i:02d}" for i in rng.permutation(n)]
+                top = 3
+            # Judged items in and outside the run; case 0 judges nothing
+            # relevant, and case 1 retrieves nothing of a relevant item.
+            judged = ids + [f"x{i}" for i in range(int(rng.integers(0, 4)))]
+            grades = {i: 0 if case == 0 else int(rng.integers(0, top))
+                      for i in judged if rng.random() < 0.7}
+            if case == 1:
+                ids, grades = [], {"x0": 1}
+            run = RankedList.from_scores("q1", {i: float(rng.integers(0, 4)) for i in ids})
+            yield run, JudgmentSet(mode, {"q1": grades}, {})
+
+    @pytest.mark.parametrize("mode", ["doc_graded", "sentence_binary"])
+    def test_equals_scalar_loop(self, mode):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for run, judgments in self._cases(rng, mode):
+            for cutoff in (1, 3, len(run) + 2):
+                got = average_precision(run, judgments, cutoff)
+                assert got == row_references.average_precision(run, judgments, cutoff)
+                seen.add("none" if got is None else "empty" if not len(run) else "ap")
+        assert seen == {"none", "empty", "ap"}
+
+    def test_empty_run_and_nothing_relevant(self):
+        empty = RankedList("q1", ())
+        assert average_precision(empty, _doc_judgments({"a"})) == 0.0
+        assert average_precision(empty, JudgmentSet("doc_graded", {}, {})) is None
+        with pytest.raises(ValueError, match="cutoff"):
+            average_precision(_run(["a"]), _doc_judgments({"a"}), cutoff=0)
 
 
 class TestPrecisionAt:

@@ -656,33 +656,53 @@ class TestWalkScoresEachModelOnce:
 
 class TestGridScorersEqualPerPointWalk:
     def test_tuned_params_and_runs_equal_per_point_walk(self, tmp_path, monkeypatch):
-        # RRF scores each query's (alpha, nu) grid as one array, and RRF,
-        # FPD and JPDs read the passage-rank table; walking RRF's grid one
-        # run and one AP per point, with FPD and JPDs rows picked by
-        # select_passage, tunes the same points and writes the same bytes.
+        # RRF and FPD score each query's (alpha, nu) grid as array rows, and
+        # RRF, FPD and JPDs read the passage-rank table; walking both fusion
+        # grids one scalar fusion and one scalar AP per point
+        # (row_references.fuse and average_precision), with FPD and JPDs rows
+        # picked by select_passage, tunes the same points and writes the
+        # same bytes, under either passage ranker.
+        from dataclasses import replace
+
         from psgrank import experiment
 
         paths = _noisy_corpus(tmp_path)
         defaults = experiment._default_grids()
         grids = {**_TINY_GRIDS, "alpha": defaults["alpha"], "nu": defaults["nu"]}
         methods = ["RRF", "FPD", "JPDs-lowest"]
-        grid = run_experiment(_tiny_config(paths, methods, grids=grids), tmp_path / "grid")
-        for name, rec in row_references.per_point_methods(experiment._METHODS).items():
-            monkeypatch.setitem(experiment._METHODS, name, rec)
-        fused = []
-        monkeypatch.setattr(
-            experiment, "rerank_rrf", lambda *a: fused.append(1) or rerank_rrf(*a)
-        )
-        per_point = run_experiment(
-            _tiny_config(paths, methods, grids=grids), tmp_path / "per-point"
-        )
-        # The reference fused every validation query at every point.
-        assert len(fused) > len(grid.folds) * len(grids["alpha"]) * len(grids["nu"])
-        assert grid.folds == per_point.folds
-        picks = {(f["method_params"]["RRF"]["alpha"], f["method_params"]["RRF"]["nu"])
-                 for f in grid.folds.values()}
-        assert len(picks) > 1, picks
-        assert _tree_bytes(tmp_path / "grid") == _tree_bytes(tmp_path / "per-point")
+        points = len(grids["alpha"]) * len(grids["nu"])
+        # Under the learned passage ranker every fold tunes FPD to (0, 0);
+        # under QSF its picks vary, so a wrong grid score moves an artifact.
+        for psg_ranker, varying in (("ltr", ("RRF",)), ("qsf", ("RRF", "FPD"))):
+            config = _tiny_config(paths, methods, grids=grids, psg_ranker=psg_ranker)
+            grid = run_experiment(config, tmp_path / psg_ranker / "grid")
+            fused = {"RRF": 0, "FPD": 0}
+
+            def counted(name, rank):
+                def wrapper(*args):
+                    fused[name] += 1
+                    return rank(*args)
+
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                for name, rec in row_references.per_point_methods(experiment._METHODS).items():
+                    if name in fused:
+                        rec = replace(rec, rank=counted(name, rec.rank))
+                    patch.setitem(experiment._METHODS, name, rec)
+                patch.setattr(experiment, "average_precision", row_references.average_precision)
+                per_point = run_experiment(config, tmp_path / psg_ranker / "per-point")
+            # The reference fused every validation query at every point.
+            assert fused["RRF"] > len(grid.folds) * points
+            assert fused["FPD"] > len(grid.folds) * points * len(grids["svm_c"])
+            assert grid.folds == per_point.folds
+            for method in varying:
+                picks = {(f["method_params"][method]["alpha"], f["method_params"][method]["nu"])
+                         for f in grid.folds.values()}
+                assert len(picks) > 1, (psg_ranker, method, picks)
+            assert _tree_bytes(tmp_path / psg_ranker / "grid") == _tree_bytes(
+                tmp_path / psg_ranker / "per-point"
+            )
 
 
 class TestTrainingGrades:
@@ -1001,6 +1021,41 @@ class TestReportShape:
         assert qxx["ap"] == 0.0  # judged relevant docs, nothing retrieved
         run_text = (tmp_path / "out" / "runs" / "RRF.trec").read_text()
         assert not any(line.startswith("qxx ") for line in run_text.splitlines())
+
+    def test_fpd_grid_scores_a_query_without_candidates_as_the_empty_run(self, tmp_path):
+        # A validation query with no candidates has an empty FPD model ranking
+        # and an empty c_ltr; its metric is the empty run's at every point.
+        from psgrank import experiment
+        from psgrank.evaluation import CvPlan
+        from psgrank.rank import RankedList
+
+        paths = _tiny_corpus(tmp_path)
+        extra = {
+            "topics": "qxx\tunmatchableterm\n", "doc_qrels": "qxx 0 doc0000 1\n",
+            "psg_qrels": "qxx\tdoc0000\t0\t30\n",
+        }
+        for name, line in extra.items():
+            path = tmp_path / f"{name}_plus"
+            path.write_text(Path(paths[name]).read_text() + line)
+            paths[name] = path
+        config = _tiny_config(paths, ["FPD"])
+        pipe = experiment._Pipeline(config)
+        folds = [f for f in CvPlan(tuple(sorted(pipe.queries)), seed=config.seed).folds()
+                 if "qxx" in f[2]]
+        assert folds
+        runner = experiment._FoldRunner(pipe, folds[0])
+        runner.prepare(["FPD"])
+        ranking = runner._model_ranking(experiment._METHODS["FPD"], "qxx", {}, None)
+        assert ranking == RankedList("qxx", ()) and runner.c_ltr("qxx") == ranking
+        points = list(experiment._grid_points(config, experiment._METHODS["FPD"].grid))
+        empty = pipe.doc_metric(ranking)
+        assert empty == 0.0
+        assert runner._grid_metrics("FPD", "qxx", points, ranking) == [empty] * len(points)
+        assert runner.run_method("FPD", "qxx") == ranking
+        report = run_experiment(config, tmp_path / "out")
+        assert "qxx" in report.manifest["queries"]
+        qxx = next(r for r in report.per_query if r["query_id"] == "qxx")
+        assert qxx["ap"] == 0.0
 
     def test_coordinate_ascent_trainer_end_to_end(self, tmp_path):
         paths = _tiny_corpus(tmp_path)

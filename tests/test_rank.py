@@ -33,7 +33,7 @@ from psgrank.rank import (
     build_jpdm_vectors,
     build_jpds_vectors,
     build_smpd_vectors,
-    fusion_orders,
+    fusion_rows,
     jpds_schema,
     positional_similarities,
     pstdev,
@@ -978,20 +978,18 @@ class TestPassageRanks:
 
 
 class TestFusionGrid:
-    """One query's RRF (alpha, nu) grid scored as arrays equals a fused run
-    and an average_precision per point (row_references.fusion_grid_aps)."""
+    """One query's RRF (alpha, nu) grid scored as array rows equals a scalar
+    fusion and a scalar AP per point (row_references.fusion_grid_aps)."""
 
     POINTS = [{"alpha": round(0.1 * a, 1), "nu": nu}
               for a in range(11) for nu in (0.0, 30.0, 60.0, 90.0, 100.0)]
 
     @staticmethod
     def _grid(doc_list, other, judgments, cutoff, points):
-        return average_precisions(
-            doc_list.query_id, doc_list.ids(),
-            fusion_orders(doc_list, other, [p["alpha"] for p in points],
-                          [p["nu"] for p in points]),
-            judgments, cutoff,
+        _, orders = fusion_rows(
+            doc_list, other, [p["alpha"] for p in points], [p["nu"] for p in points]
         )
+        return average_precisions(doc_list.query_id, doc_list.ids(), orders, judgments, cutoff)
 
     def test_rrf_grid_equals_per_point_loop(self):
         from psgrank.evaluation import JudgmentSet
@@ -1010,8 +1008,7 @@ class TestFusionGrid:
             for cutoff in (1, 3, len(doc_ids) + 2):
                 assert self._grid(doc_list, best, judgments, cutoff, self.POINTS) == (
                     row_references.fusion_grid_aps(
-                        doc_list, lambda dl, fp: rerank_rrf(dl, psg_list, fp), self.POINTS,
-                        judgments, cutoff,
+                        doc_list, psg_list.best_passage_ranks(), self.POINTS, judgments, cutoff,
                     )
                 )
             for p in self.POINTS:
@@ -1028,6 +1025,59 @@ class TestFusionGrid:
         assert self._grid(empty, [], judgments, 10, self.POINTS[:3]) == [0.0] * 3
         none = JudgmentSet("doc_graded", {}, {})
         assert self._grid(empty, [], none, 10, self.POINTS[:3]) == [None] * 3
+
+
+class TestFusionEqualsScalarReference:
+    """rerank_rrf and rerank_fpd are one row of fusion_rows; their entries,
+    ids and scores, equal row_references.fuse, the scalar formula."""
+
+    PARAMS = [FusionParams(nu=nu, alpha=alpha)
+              for alpha in (0.0, 0.3, 0.5, 1.0) for nu in (0.0, 1.0, 60.0)]
+
+    def test_rrf_and_fpd_equal_scalar_fusion(self):
+        rng = np.random.default_rng(47)
+        seen = Counter()
+        for case in range(60):
+            doc_list, _, psg_list, _, _ = _ranked_passages_case(
+                rng, int(rng.integers(1, 16)), float(rng.uniform(0.0, 1.0))
+            )
+            doc_ids = doc_list.ids()
+            # A model ranking over a random subset of the documents, with ties.
+            model = RankedList.from_scores(
+                "q", {d: float(rng.integers(0, 3)) for d in doc_ids if rng.random() < 0.8}
+            )
+            best = psg_list.best_passage_ranks()
+            seen["without r'"] += sum(d not in best for d in doc_ids)
+            seen["without model rank"] += sum(d not in model.ranks() for d in doc_ids)
+            for params in self.PARAMS:
+                rrf = rerank_rrf(doc_list, psg_list, params)
+                fpd = rerank_fpd(doc_list, model, params)
+                assert rrf.entries == row_references.fuse(doc_list, best, params).entries
+                assert fpd.entries == row_references.fuse(doc_list, model.ranks(), params).entries
+                scores = [s for _, s in rrf.entries]
+                seen["ties"] += len(scores) - len(set(scores))
+        assert all(seen[k] > 0 for k in ("without r'", "without model rank", "ties")), seen
+
+    def test_empty_document_list(self):
+        empty = RankedList("q", ())
+        for params in self.PARAMS:
+            assert rerank_rrf(empty, RankedList("q", ()), params) == empty
+            assert rerank_fpd(empty, RankedList("q", ()), params) == empty
+            assert row_references.fuse(empty, {}, params) == empty
+
+    def test_scores_are_the_grid_row(self):
+        doc_list = RankedList.from_scores("q", {"a": 3.0, "b": 2.0, "c": 2.0, "d": 1.0})
+        model = RankedList.from_scores("q", {"d": 2.0, "c": 1.0})
+        scores, orders = fusion_rows(doc_list, [0, 0, 2, 1], [0.2, 1.0], [0.0, 60.0])
+        for row, params in enumerate((FusionParams(nu=0.0, alpha=0.2),
+                                      FusionParams(nu=60.0, alpha=1.0))):
+            fused = rerank_fpd(doc_list, model, params)
+            ids = doc_list.ids()
+            assert fused.entries == tuple(
+                (ids[i], float(scores[row, i])) for i in orders[row].tolist()
+            )
+        # alpha = 1 keeps the document ranking.
+        assert rerank_fpd(doc_list, model, FusionParams(alpha=1.0)).ids() == doc_list.ids()
 
 
 class TestPstdev:
