@@ -209,6 +209,13 @@ def _cmd_eval(args) -> int:
         for doc in store.documents:
             for p in segment(doc, seg):
                 spans[p.passage_id] = (p.doc_id, p.char_range[0], p.char_range[1])
+        for run in runs:
+            unknown = next((pid for pid in run.ids() if pid not in spans), None)
+            if unknown is not None:
+                raise JudgmentError(
+                    f"query {run.query_id}: run passage {unknown!r} is not a passage of "
+                    f"{args.store} under --length {args.length} --seg-mode {args.seg_mode}"
+                )
     per_query = [
         {"query_id": run.query_id, **query_metrics(run, judgments, args.cutoff, spans)}
         for run in runs

@@ -458,6 +458,14 @@ _DOCNO_RE = re.compile(r"<DOCNO>\s*(.*?)\s*</DOCNO>", re.DOTALL)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 
+def _block_byte_offset(path: Path, n: int) -> int:
+    """The byte offset in the file of its ``n``-th ``<DOC>`` block. Reading
+    text translates line ends, so the block is found again in the file's
+    bytes, where it is the ``n``-th match too."""
+    raw_doc_re = re.compile(_DOC_RE.pattern.encode("ascii"), re.DOTALL)
+    return list(raw_doc_re.finditer(path.read_bytes()))[n].start()
+
+
 def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
     try:  # The whole file is decoded at once, so the error's offset is the file's.
         data = path.read_text(encoding="utf-8")
@@ -466,11 +474,11 @@ def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
         raise CorpusError(f"{path}: not UTF-8: byte 0x{bad:02x} at byte {exc.start}") from None
     if "<DOC>" in data and "</DOC>" not in data:
         raise CorpusError(f"{path}: unterminated <DOC> block")
-    for m in _DOC_RE.finditer(data):
+    for n, m in enumerate(_DOC_RE.finditer(data)):
         block = m.group(1)
         docno = _DOCNO_RE.search(block)
         if docno is None:
-            offset = m.start()
+            offset = _block_byte_offset(path, n)
             raise CorpusError(f"{path}: <DOC> block at byte {offset} has no <DOCNO>")
         texts = _TEXT_RE.findall(block)
         if texts:

@@ -11,7 +11,6 @@ evenly spaced recall points for MAiP.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -194,37 +193,6 @@ def mean_metric(values: Sequence[float | None]) -> float:
 # -- character-level focused retrieval --
 
 
-def _measure(intervals: Sequence[tuple[int, int]]) -> int:
-    return sum(e - s for s, e in intervals)
-
-
-def _subtract(span: tuple[int, int], covered: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Parts of span not already covered (covered is merged & sorted)."""
-    out = []
-    s, e = span
-    for cs, ce in covered:
-        if ce <= s:
-            continue
-        if cs >= e:
-            break
-        if cs > s:
-            out.append((s, cs))
-        s = max(s, ce)
-        if s >= e:
-            break
-    if s < e:
-        out.append((s, e))
-    return out
-
-
-def _intersect(a: Sequence[tuple[int, int]], b: Sequence[tuple[int, int]]) -> int:
-    total = 0
-    for s1, e1 in a:
-        for s2, e2 in b:
-            total += max(0, min(e1, e2) - max(s1, s2))
-    return total
-
-
 def interpolated_precision(
     psg_run: RankedList,
     judgments: JudgmentSet,
@@ -233,48 +201,70 @@ def interpolated_precision(
 ) -> tuple[dict[float, float], float] | None:
     """Character-precision iP[x] at the requested recall points, and MAiP.
 
-    Walks the run accumulating retrieved characters (deduplicated per
-    document) and relevant characters among them; iP[x] is the maximum
-    precision at any rank whose recall reaches x (0 if unreachable), and
-    MAiP averages iP over the 101-point recall grid. Returns None for a
-    query with no relevant characters.
+    A character is retrieved at the first rank whose passage covers it, so
+    retrieved characters are deduplicated per document. One array pass per
+    query: each document's run spans and merged relevant spans are cut at
+    all their endpoints, each elementary segment takes its first covering
+    rank, and the retrieved and relevant characters down the run are
+    integer prefix sums. iP[x] is the maximum precision at any rank whose
+    recall reaches x (0 if unreachable), and MAiP averages iP over the
+    101-point recall grid. Returns None for a query with no relevant
+    characters. Overlapping, nested and empty spans need no special case.
     """
     if judgments.mode != "char_focused":
         raise JudgmentError("interpolated precision needs char_focused judgments")
-    qid = psg_run.query_id
     relevant = {
         doc_id: merge_intervals(spans)
-        for doc_id, spans in judgments.char_spans.get(qid, {}).items()
+        for doc_id, spans in judgments.char_spans.get(psg_run.query_id, {}).items()
     }
-    total_relevant = sum(_measure(iv) for iv in relevant.values())
+    total_relevant = sum(e - s for spans in relevant.values() for s, e in spans)
     if total_relevant == 0:
         return None
+    docs, starts, ends = tuple(zip(*map(passage_spans.__getitem__, psg_run.ids()))) or ((),) * 3
+    code = {doc_id: c for c, doc_id in enumerate(dict.fromkeys(docs))}
+    # The run's spans by rank, then the relevant spans of the documents it
+    # retrieves, as (document code, start, end) columns.
+    rel = [(c, s, e) for doc_id, c in code.items() for s, e in relevant.get(doc_id, ())]
+    rel_docs, rel_starts, rel_ends = tuple(zip(*rel)) or ((),) * 3
+    doc = np.array([*map(code.__getitem__, docs), *rel_docs], dtype=np.int64)
+    start = np.array(starts + rel_starts, dtype=np.int64)
+    end = np.array(ends + rel_ends, dtype=np.int64)
+    kept = np.flatnonzero(end > start)  # an empty span covers nothing
+    ranks = kept[kept < len(docs)]
+    # One sorted key per (document, offset): documents in disjoint ranges.
+    lo = start[kept].min(initial=0)
+    stride = end[kept].max(initial=0) - lo + 1
+    keys = doc[kept, None] * stride + (np.stack((start[kept], end[kept]), axis=1) - lo)
+    cuts, bounds = np.unique(keys, return_inverse=True)
+    bounds = bounds.reshape(keys.shape)  # elementary segments [start, end) per span
+    run_bounds, rel_bounds = bounds[: len(ranks)], bounds[len(ranks):]
 
-    covered: dict[str, list[tuple[int, int]]] = {}
-    retrieved_chars = 0
-    relevant_chars = 0
-    recalls: list[float] = []  # per rank; never decreases down the run
-    best_from: list[float] = []  # per rank: max precision at this rank or below
-    for pid, _ in psg_run:
-        doc_id, start, end = passage_spans[pid]
-        new_parts = _subtract((start, end), covered.get(doc_id, ()))
-        if new_parts:
-            retrieved_chars += _measure(new_parts)
-            relevant_chars += _intersect(new_parts, relevant.get(doc_id, ()))
-            covered[doc_id] = merge_intervals(covered.get(doc_id, []) + new_parts)
-        recalls.append(relevant_chars / total_relevant)
-        best_from.append(relevant_chars / retrieved_chars if retrieved_chars else 0.0)
-    for i in range(len(best_from) - 2, -1, -1):
-        if best_from[i + 1] > best_from[i]:
-            best_from[i] = best_from[i + 1]
-    best_from.append(0.0)  # no rank reaches x
+    # Expand each run span into its (rank, segment) pairs, in rank order;
+    # a segment's first pair holds its first covering rank.
+    counts = run_bounds[:, 1] - run_bounds[:, 0]
+    offsets = np.repeat(run_bounds[:, 0] - (np.cumsum(counts) - counts), counts)
+    segments, first = np.unique(offsets + np.arange(counts.sum()), return_index=True)
+    rank_of = np.repeat(ranks, counts)[first]
+    length = cuts[segments + 1] - cuts[segments]
+    covered = np.cumsum(
+        np.bincount(rel_bounds[:, 0], minlength=len(cuts))
+        - np.bincount(rel_bounds[:, 1], minlength=len(cuts))
+    )
+    retrieved = np.zeros(len(docs), dtype=np.int64)
+    hits = np.zeros(len(docs), dtype=np.int64)
+    np.add.at(retrieved, rank_of, length)
+    np.add.at(hits, rank_of, np.where(covered[segments] > 0, length, 0))
+    retrieved, hits = np.cumsum(retrieved), np.cumsum(hits)
 
-    def ip(x: float) -> float:
-        # The ranks whose recall reaches x form a suffix of the run.
-        return best_from[bisect_left(recalls, x - 1e-12)]
-
-    ip_points = {x: ip(x) for x in recall_points}
-    maip = sum(ip(x) for x in MAIP_RECALL_POINTS) / len(MAIP_RECALL_POINTS)
+    recalls = hits / total_relevant  # never decreases down the run
+    precisions = np.divide(hits, retrieved, out=np.zeros(len(docs)), where=retrieved > 0)
+    # Per rank, the best precision at this rank or below; then 0: no rank reaches x.
+    best_from = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
+    # The ranks whose recall reaches x form a suffix of the run.
+    xs = np.array([*recall_points, *MAIP_RECALL_POINTS], dtype=np.float64)
+    ips = best_from[np.searchsorted(recalls, xs - 1e-12, side="left")].tolist()
+    ip_points = dict(zip(recall_points, ips))
+    maip = sum(ips[-len(MAIP_RECALL_POINTS):]) / len(MAIP_RECALL_POINTS)
     return ip_points, maip
 
 

@@ -109,6 +109,8 @@ class TrainingSet:
                 raise ValueError(f"{len(grades)} grades for {len(matrix)} rows")
             if (grades < 0).any():
                 raise ValueError(f"grade must be >= 0, got {int(grades.min())}")
+            if len(set(matrix.item_ids)) != len(matrix):
+                raise ValueError(f"query {matrix.query_id!r} lists an item id twice")
             if len(matrix):
                 kept.append((matrix, grades))
         kept.sort(key=lambda mg: mg[0].query_id)
@@ -210,27 +212,39 @@ def train_pairwise(
     )
 
 
-def dcg_at_k(grades_in_rank_order: Sequence[int], k: int) -> float:
-    return sum(
-        (2.0**g - 1.0) / math.log2(r + 1)
-        for r, g in enumerate(grades_in_rank_order[:k], start=1)
-    )
+def _gains(grades) -> np.ndarray:
+    """2^grade - 1 per grade, exactly (a power of two less one)."""
+    return np.ldexp(1.0, np.asarray(grades, dtype=np.int64)) - 1.0
+
+
+def _dcg_rows(gains: np.ndarray, k: int) -> np.ndarray:
+    """DCG@k of each row of a gain matrix in rank order: gain / log2(r + 1)
+    over the first k ranks, added left to right one rank at a time. A row
+    padded with gain 0 keeps its sum."""
+    discounts = np.array([math.log2(r + 1) for r in range(1, min(k, gains.shape[1]) + 1)])
+    if not len(discounts):
+        return np.zeros(len(gains))
+    # cumsum adds left to right; its last column is the sum.
+    return np.cumsum(gains[:, : len(discounts)] / discounts, axis=1)[:, -1]
+
+
+def _ndcg_rows(dcg: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """dcg / ideal per row, 0 where the ideal DCG is 0."""
+    return np.divide(dcg, ideal, out=np.zeros_like(dcg), where=ideal != 0.0)
 
 
 def ndcg_at_k(ranked, grades: Mapping[str, int], k: int = 10) -> float:
     """NDCG@k with 2^grade - 1 gains; 0 when nothing relevant is judged.
 
     ``ranked`` may be a RankedList or any iterable of (item_id, score).
-    The ideal ranking considers every item in ``grades``.
+    The ideal ranking considers every item in ``grades``. It is row 0 of
+    the DCG code the coordinate-ascent objective runs.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    in_order = [grades.get(item_id, 0) for item_id, _ in ranked]
-    ideal = sorted(grades.values(), reverse=True)
-    idcg = dcg_at_k(ideal, k)
-    if idcg == 0.0:
-        return 0.0
-    return dcg_at_k(in_order, k) / idcg
+    in_order = _gains([[grades.get(item_id, 0) for item_id, _ in ranked]])
+    ideal = _gains([sorted(grades.values(), reverse=True)])
+    return float(_ndcg_rows(_dcg_rows(in_order, k), _dcg_rows(ideal, k))[0])
 
 
 def score(model: LinearModel, matrix: FeatureMatrix):
@@ -255,17 +269,34 @@ def score(model: LinearModel, matrix: FeatureMatrix):
     return RankedList.from_scores(matrix.query_id, scores)
 
 
-def _mean_ndcg(
-    weights: np.ndarray,
-    matrices: Sequence[tuple[np.ndarray, list[str], dict[str, int]]],
-    k: int,
-) -> float:
-    total = 0.0
-    for mat, item_ids, grades in matrices:
-        raw = mat @ weights
-        order = sorted(zip(item_ids, raw), key=lambda kv: (-kv[1], kv[0]))
-        total += ndcg_at_k(order, grades, k)
-    return total / len(matrices)
+def _ndcg_objective(data: TrainingSet, k: int):
+    """Mean NDCG@k over the training queries, as a function of the weights.
+
+    The gains, padded per query with gain 0, and each query's ideal DCG are
+    computed once. An evaluation writes each query's ``x @ w`` into a row
+    padded with -inf, ranks every row with one stable argsort of the
+    negated scores (rows are in item-id order, so ties break by id), and
+    adds the per-query NDCGs left to right.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    queries = list(data.by_item())
+    matrices = [x for x, _, _ in queries]
+    grades = np.zeros((len(queries), max(map(len, matrices))), dtype=np.int64)
+    for row, (_, _, g) in zip(grades, queries):
+        row[: len(g)] = g
+    gains = _gains(grades)
+    ideal = _dcg_rows(-np.sort(-gains, axis=1), k)
+    raw = np.full(grades.shape, -np.inf)
+
+    def mean_ndcg(weights: np.ndarray) -> float:
+        for row, x in zip(raw, matrices):
+            row[: len(x)] = x @ weights
+        order = np.argsort(-raw, axis=1, kind="stable")[:, :k]
+        ndcg = _ndcg_rows(_dcg_rows(np.take_along_axis(gains, order, axis=1), k), ideal)
+        return float(np.cumsum(ndcg)[-1] / len(ndcg))
+
+    return mean_ndcg
 
 
 def train_coordinate_ascent(
@@ -285,12 +316,14 @@ def train_coordinate_ascent(
     best restart wins (ties favor the earlier restart). ``max_passes=0``
     returns the uniform initial weights unchanged. When ``trace`` is given,
     (restart, objective) is appended at the start and after every accepted
-    step.
+    step. Every objective evaluation is one array pass over all training
+    queries (see :func:`_ndcg_objective`), equal to :func:`ndcg_at_k` per
+    query, ranked by score with ties by ascending id, and averaged.
     """
     schema = data.schema()
     if all(len(set(g.tolist())) < 2 for _, g in data.queries):
         raise TrainingError("no training signal: every within-query pair has equal grades")
-    matrices = [(x, ids, dict(zip(ids, g.tolist()))) for x, ids, g in data.by_item()]
+    objective = _ndcg_objective(data, k)
 
     n = len(schema)
     rng = np.random.default_rng(seed)
@@ -303,7 +336,7 @@ def train_coordinate_ascent(
             w = rng.standard_normal(n)
             norm = np.linalg.norm(w)
             w = w / norm if norm > 0 else np.full(n, 1.0 / n)
-        obj = _mean_ndcg(w, matrices, k)
+        obj = objective(w)
         if trace is not None:
             trace.append((restart, obj))
         if max_passes == 0 and restart == 0:
@@ -326,7 +359,7 @@ def train_coordinate_ascent(
                     if cand == current:
                         continue
                     w[coord] = cand
-                    cand_obj = _mean_ndcg(w, matrices, k)
+                    cand_obj = objective(w)
                     if cand_obj > best_cand_obj:
                         best_cand_obj = cand_obj
                         best_cand = cand

@@ -128,7 +128,7 @@ class FusionParams:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.nu < 0:
+        if not self.nu >= 0:  # NaN too
             raise ValueError(f"nu must be >= 0, got {self.nu}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")

@@ -26,18 +26,28 @@ RankedList and one AP per (alpha, nu) point. JPDs and FPD pick each
 document's passage from the passage ranking one document at a time. The
 package fuses and scores AP as array rows only, a final run being one row,
 and picks from a PassageRanks table.
+
+NDCG is a scalar loop here: ``dcg_at_k`` adds one rank at a time, and the
+coordinate-ascent objective sorts each query's (id, score) pairs with
+``sorted`` and recomputes its ideal DCG on every call. iP walks a run one
+passage at a time, subtracting the characters already covered in its
+document and intersecting the rest with the merged relevant spans. The
+package runs both as array passes over all queries or all ranks at once.
 """
 
 import json
 import math
 import re
+from bisect import bisect_left
 from collections import defaultdict
 
 import numpy as np
 
 from psgrank.corpus import Token
 from psgrank.features import DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas
+from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
 from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, doc_lm_similarity
+from psgrank.passage import merge_intervals
 from psgrank.rank import (
     JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, smpd_features,
 )
@@ -264,6 +274,125 @@ def average_precision(ranked, judgments, cutoff: int = 1000):
             hits += 1
             precision_sum += hits / r
     return precision_sum / total_relevant
+
+
+def dcg_at_k(grades_in_rank_order, k: int) -> float:
+    """(2^g - 1) / log2(r + 1) over the top k, added one rank at a time."""
+    total = 0
+    for r, g in enumerate(grades_in_rank_order[:k], start=1):
+        total += (2.0**g - 1.0) / math.log2(r + 1)
+    return total
+
+
+def ndcg_at_k(ranked, grades, k: int = 10) -> float:
+    """NDCG@k of (item_id, score) pairs in rank order; 0 with no ideal gain."""
+    in_order = [grades.get(item_id, 0) for item_id, _ in ranked]
+    idcg = dcg_at_k(sorted(grades.values(), reverse=True), k)
+    if idcg == 0.0:
+        return 0.0
+    return dcg_at_k(in_order, k) / idcg
+
+
+def mean_ndcg(weights, matrices, k: int) -> float:
+    """Mean NDCG@k over (rows, item ids, id -> grade) queries: each query's
+    ``rows @ weights`` sorted by score with ties by id, NDCGs added in order."""
+    total = 0.0
+    for mat, item_ids, grades in matrices:
+        raw = mat @ weights
+        order = sorted(zip(item_ids, raw), key=lambda kv: (-kv[1], kv[0]))
+        total += ndcg_at_k(order, grades, k)
+    return total / len(matrices)
+
+
+def ndcg_objective(data, k: int):
+    """:func:`mean_ndcg` over a TrainingSet, as a function of the weights."""
+    matrices = [(x, ids, dict(zip(ids, g.tolist()))) for x, ids, g in data.by_item()]
+    return lambda weights: mean_ndcg(weights, matrices, k)
+
+
+def _measure(intervals) -> int:
+    return sum(e - s for s, e in intervals)
+
+
+def _subtract(span, covered) -> list[tuple[int, int]]:
+    """Parts of span not already covered (covered is merged & sorted)."""
+    out = []
+    s, e = span
+    for cs, ce in covered:
+        if ce <= s:
+            continue
+        if cs >= e:
+            break
+        if cs > s:
+            out.append((s, cs))
+        s = max(s, ce)
+        if s >= e:
+            break
+    if s < e:
+        out.append((s, e))
+    return out
+
+
+def _intersect(a, b) -> int:
+    total = 0
+    for s1, e1 in a:
+        for s2, e2 in b:
+            total += max(0, min(e1, e2) - max(s1, s2))
+    return total
+
+
+def relevant_spans(judgments, query_id):
+    """Document -> merged relevant spans of a query, and their character count."""
+    relevant = {
+        doc_id: merge_intervals(spans)
+        for doc_id, spans in judgments.char_spans.get(query_id, {}).items()
+    }
+    return relevant, sum(_measure(iv) for iv in relevant.values())
+
+
+def ip_curve(pids, passage_spans, relevant, total_relevant):
+    """(recall, precision) after each rank of a passage run, walked one
+    passage at a time; ``relevant`` is from :func:`relevant_spans`."""
+    covered = {}
+    retrieved_chars = relevant_chars = 0
+    curve = []
+    for pid in pids:
+        doc_id, start, end = passage_spans[pid]
+        new_parts = _subtract((start, end), covered.get(doc_id, ()))
+        if new_parts:
+            retrieved_chars += _measure(new_parts)
+            relevant_chars += _intersect(new_parts, relevant.get(doc_id, ()))
+            covered[doc_id] = merge_intervals(covered.get(doc_id, []) + new_parts)
+        curve.append((
+            relevant_chars / total_relevant,
+            relevant_chars / retrieved_chars if retrieved_chars else 0.0,
+        ))
+    return curve
+
+
+def interpolated_precision(psg_run, judgments, passage_spans, recall_points=(0.01, 0.1)):
+    """iP[x] and MAiP from :func:`ip_curve`, with a suffix maximum over the
+    per-rank precisions and a bisection for the first rank reaching x."""
+    if judgments.mode != "char_focused":
+        raise JudgmentError("interpolated precision needs char_focused judgments")
+    relevant, total_relevant = relevant_spans(judgments, psg_run.query_id)
+    if total_relevant == 0:
+        return None
+    curve = ip_curve(psg_run.ids(), passage_spans, relevant, total_relevant)
+    recalls = [r for r, _ in curve]
+    best_from = [p for _, p in curve]
+    for i in range(len(best_from) - 2, -1, -1):
+        if best_from[i + 1] > best_from[i]:
+            best_from[i] = best_from[i + 1]
+    best_from.append(0.0)  # no rank reaches x
+
+    def ip(x):
+        # The ranks whose recall reaches x form a suffix of the run.
+        return best_from[bisect_left(recalls, x - 1e-12)]
+
+    ip_points = {x: ip(x) for x in recall_points}
+    maip = sum(ip(x) for x in MAIP_RECALL_POINTS) / len(MAIP_RECALL_POINTS)
+    return ip_points, maip
 
 
 def fusion_grid_aps(doc_list, other_ranks, points, judgments, cutoff) -> list:

@@ -141,6 +141,22 @@ class TestDamagedInputs:
         self._fails(capsys, argv, "c.jsonl:2: not UTF-8: byte 0xff at column 23")
         assert not (tmp_path / "store").exists()
 
+    def test_char_focused_run_names_a_passage_the_segmentation_lacks(self, corpus_dir, capsys):
+        store = _index(corpus_dir)
+        (corpus_dir / "qrels.tsv").write_text("q1\td1\t0\t10\n")
+        # d1 has 5 tokens: passages d1#0 to d1#2 at --length 2.
+        (corpus_dir / "run.trec").write_text("q1 Q0 d1#0 1 2.0 t\nq1 Q0 d1#9 2 1.0 t\n")
+        argv = [
+            "--workdir", str(corpus_dir), "eval", "--run", "run.trec", "--qrels", "qrels.tsv",
+            "--mode", "char_focused", "--store", "store", "--length", "2",
+        ]
+        where = f"query q1: run passage 'd1#9' is not a passage of {store} under --length 2"
+        self._fails(capsys, argv, where + " --seg-mode fixed")
+        # The same command on a run of known passages succeeds.
+        (corpus_dir / "run.trec").write_text("q1 Q0 d1#0 1 2.0 t\n")
+        assert main(argv) == 0
+
+
 class TestSegmentCommand:
     def test_writes_table(self, corpus_dir, capsys):
         _index(corpus_dir)

@@ -236,6 +236,18 @@ class TestIngest:
             ingest_corpus(path, "trecweb", tokenizer=tokenizer)
 
 
+    def test_trecweb_missing_docno_names_byte_offset(self, tmp_path, tokenizer):
+        # The offset counts bytes of the file, past CRLF line ends and a
+        # multi-byte character, and points at the block's "<DOC>".
+        head = "<DOC>\r\n<DOCNO>d1</DOCNO>\r\n<TEXT>caf\u00e9 \u4e16\r\nx</TEXT>\r\n</DOC>\r\n"
+        data = head.encode("utf-8") + b"<DOC>\r\n<TEXT>orphan</TEXT>\r\n</DOC>\r\n"
+        path = tmp_path / "c.trecweb"
+        path.write_bytes(data)
+        offset = len(head.encode("utf-8"))
+        assert offset != len(head.replace("\r\n", "\n"))
+        with pytest.raises(CorpusError, match=f"<DOC> block at byte {offset} has no <DOCNO>$"):
+            ingest_corpus(path, "trecweb", tokenizer=tokenizer)
+
     def test_trecweb_not_utf8_names_byte_offset(self, tmp_path, tokenizer):
         # The offset counts bytes of the file, past CRLF line ends and a
         # multi-byte character.

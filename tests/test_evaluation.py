@@ -10,9 +10,6 @@ from psgrank.evaluation import (
     CvPlan,
     JudgmentError,
     JudgmentSet,
-    _intersect,
-    _measure,
-    _subtract,
     average_precision,
     check_ttest_params,
     interpolated_precision,
@@ -26,7 +23,6 @@ from psgrank.evaluation import (
     regularized_incomplete_beta,
     student_t_two_tailed_p,
 )
-from psgrank.passage import merge_intervals
 from psgrank.rank import RankedList
 
 
@@ -223,17 +219,8 @@ class TestInterpolatedPrecision:
         # Reference: the (recall, precision) curve walked the same way, with
         # every iP[x] taken as a max over a rescan of the whole curve.
         def rescan(pids, passage_spans, rel, points):
-            rel = {d: merge_intervals(spans) for d, spans in rel.items()}
-            total = sum(_measure(spans) for spans in rel.values())
-            covered, retrieved, relevant, curve = {}, 0, 0, []
-            for pid in pids:
-                doc_id, start, end = passage_spans[pid]
-                new_parts = _subtract((start, end), covered.get(doc_id, ()))
-                if new_parts:
-                    retrieved += _measure(new_parts)
-                    relevant += _intersect(new_parts, rel.get(doc_id, ()))
-                    covered[doc_id] = merge_intervals(covered.get(doc_id, []) + new_parts)
-                curve.append((relevant / total, relevant / retrieved if retrieved else 0.0))
+            rel, total = row_references.relevant_spans(_char_judgments(rel), "q1")
+            curve = row_references.ip_curve(pids, passage_spans, rel, total)
 
             def ip(x):
                 return max((p for r, p in curve if r >= x - 1e-12), default=0.0)
@@ -264,6 +251,62 @@ class TestInterpolatedPrecision:
             expected = rescan(pids, passage_spans, rel, points)
             assert got == expected
             assert repr(got) == repr(expected)
+
+    @staticmethod
+    def _random_case(rng):
+        """Passage spans that overlap, nest, touch or are empty (end <= start),
+        in documents with and without relevant spans, and a shuffled run."""
+        passage_spans = {}
+        for d in range(int(rng.integers(1, 6))):
+            edges = np.sort(rng.integers(-5, 120, size=4))
+            shapes = [
+                (int(edges[0]), int(edges[2])),  # overlaps the next one
+                (int(edges[1]), int(edges[3])),
+                (int(edges[1]), int(edges[2])),  # nested in both
+                (int(edges[3]), int(edges[3]) + 7),  # touches the second
+                (int(edges[2]), int(edges[2]) - int(rng.integers(0, 3))),  # empty
+            ]
+            for i in rng.permutation(len(shapes))[: int(rng.integers(1, len(shapes) + 1))]:
+                passage_spans[f"d{d}#{i}"] = (f"d{d}", *shapes[i])
+        rel = {}
+        for d in range(int(rng.integers(1, 7))):  # d5: relevant, never retrieved
+            if rng.random() < 0.7:
+                starts = rng.integers(-10, 140, size=int(rng.integers(1, 4)))
+                rel[f"d{d}"] = [(int(x), int(x) + int(rng.integers(-2, 50))) for x in starts]
+        if not any(e > s for spans in rel.values() for s, e in spans):
+            rel["d0"] = [(0, 10)]
+        pids = list(passage_spans)
+        rng.shuffle(pids)
+        return pids[: int(rng.integers(0, len(pids) + 1))], passage_spans, rel
+
+    def test_equals_passage_walk(self):
+        rng = np.random.default_rng(43)
+        points = (0.0, 0.01, 0.1, 0.5, 1.0, 0.1)
+        seen = {"empty run": 0, "no rank reaches 0.1": 0, "full recall": 0}
+        for _ in range(600):
+            pids, passage_spans, rel = self._random_case(rng)
+            run, judgments = _run(pids), _char_judgments(rel)
+            got = interpolated_precision(run, judgments, passage_spans, recall_points=points)
+            expected = row_references.interpolated_precision(
+                run, judgments, passage_spans, recall_points=points
+            )
+            assert repr(got) == repr(expected)
+            seen["empty run"] += not pids
+            seen["no rank reaches 0.1"] += got[0][0.1] == 0.0
+            seen["full recall"] += got[0][1.0] > 0.0
+        assert all(seen.values()), seen
+
+    def test_rank_at_the_recall_tolerance_counts(self):
+        # Rank 1 reaches recall 0.5 at precision 1; rank 2 recall 1 at 0.2.
+        # iP[x] takes ranks with recall >= x - 1e-12, so rank 1 counts at
+        # x = 0.5 + 1e-12, where x - 1e-12 is 0.5 exactly.
+        x = 0.5 + 1e-12
+        assert x - 1e-12 == 0.5
+        passage_spans = {"d1#0": ("d1", 0, 1), "d1#1": ("d1", 1, 10)}
+        run, judgments = _run(["d1#0", "d1#1"]), _char_judgments({"d1": [(0, 2)]})
+        for ip in (interpolated_precision, row_references.interpolated_precision):
+            got, _ = ip(run, judgments, passage_spans, recall_points=(x, 0.5 + 1e-11))
+            assert got == {x: 1.0, 0.5 + 1e-11: 0.2}
 
     def test_ip_curve_non_increasing_in_x(self):
         passage_spans = {

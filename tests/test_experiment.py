@@ -224,6 +224,19 @@ class TestConfigValidation:
         )
         assert config.validate() == ["no (plm_lambda, plm_beta) pair has lambda + beta <= 1"]
 
+    @pytest.mark.parametrize("method", ["RRF", "SMPD"])
+    def test_nan_nu_rejected(self, tmp_path, method):
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, [method], grids={**_TINY_GRIDS, "nu": [60.0, float("nan")]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.resolved()))
+        assert '"nu": [60.0, NaN]' in path.read_text()
+        config = ExperimentConfig.from_file(path)
+        assert config.validate() == ["grid 'nu' point nan: nu must be >= 0, got nan"]
+        with pytest.raises(ConfigError, match="nu must be >= 0, got nan"):
+            run_experiment(config, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_grids_and_trainer_params_listed(self, tmp_path):
         paths = _tiny_corpus(tmp_path)
         config = _tiny_config(paths, ["LM"], grids=[1], trainer_params=5)

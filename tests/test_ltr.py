@@ -378,6 +378,61 @@ class TestBitExactContracts:
         else:
             assert epoch > 0
 
+    @staticmethod
+    def _ndcg_rows(rng):
+        """Queries of 1 to 30 items with grades 0-3, one of them all zero,
+        small integer features with duplicated rows, so scores tie."""
+        rows = []
+        for q in range(6):
+            n_items = int(rng.integers(1, 31))
+            values = rng.integers(-2, 3, size=(n_items, 4)).astype(float)
+            values[n_items // 2:] = values[: n_items - n_items // 2]
+            for i in rng.permutation(n_items):
+                grade = 0 if q == 2 else int(rng.integers(0, 4))
+                rows.append((f"q{q}", f"i{i:02d}", values[i], grade))
+        return rows
+
+    def test_ndcg_objective_equals_sorted_loop(self):
+        from psgrank.ltr import _ndcg_objective
+
+        rng = np.random.default_rng(36)
+        for _ in range(4):
+            data = _training(self._ndcg_rows(rng))
+            assert any(len(m) < 10 for m, _ in data.queries)
+            assert any(len(m) > 10 for m, _ in data.queries)
+            for k in (1, 3, 10):
+                got, expected = _ndcg_objective(data, k), row_references.ndcg_objective(data, k)
+                weight_sets = [np.zeros(4), np.full(4, -1.0)] + [
+                    rng.normal(size=4) * rng.integers(-1, 2, size=4) for _ in range(25)
+                ]
+                for w in weight_sets:
+                    assert repr(got(w)) == repr(expected(w))
+
+    def test_ndcg_at_k_equals_scalar_loop(self):
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            items = [f"i{j}" for j in range(int(rng.integers(0, 15)))]
+            grades = {i: int(rng.integers(0, 4)) for i in items if rng.random() < 0.8}
+            run = [(i, 0.0) for i in rng.permutation(items + ["unjudged"])]
+            for k in (1, 5, 10):
+                got = ndcg_at_k(run, grades, k)
+                assert repr(got) == repr(row_references.ndcg_at_k(run, grades, k))
+
+    @pytest.mark.parametrize("restarts,seed", [(1, 0), (3, 5)])
+    def test_coordinate_ascent_equals_reference_objective_run(self, monkeypatch, restarts, seed):
+        import psgrank.ltr as ltr
+
+        data = _training(self._ndcg_rows(np.random.default_rng(38)))
+        trace = []
+        model = train_coordinate_ascent(data, restarts=restarts, seed=seed, trace=trace)
+        monkeypatch.setattr(ltr, "_ndcg_objective", row_references.ndcg_objective)
+        expected_trace = []
+        expected = train_coordinate_ascent(
+            data, restarts=restarts, seed=seed, trace=expected_trace
+        )
+        assert model.weights == expected.weights
+        assert repr(trace) == repr(expected_trace) and len(trace) > restarts
+
     def test_difference_matrix_no_signal_raises(self):
         from psgrank.ltr import _difference_matrix
 
@@ -409,3 +464,5 @@ class TestBitExactContracts:
             TrainingSet([(train.queries[0][0], [0, 1])])
         with pytest.raises(TrainingError, match="no training examples"):
             train_pairwise(TrainingSet([]))
+        with pytest.raises(ValueError, match="lists an item id twice"):
+            _training([("q1", "a", [2.0], 0), ("q1", "a", [0.0], 1)])
