@@ -47,6 +47,7 @@ from .features import (
 )
 from .index import IndexError_, LmParams, build_index, retrieve_lm
 from .ltr import (
+    PARAM_CHECKS,
     LinearModel,
     TrainingError,
     TrainingSet,
@@ -145,6 +146,15 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    problems = []
+    for name, check in PARAM_CHECKS.items():
+        if hasattr(args, name):  # every setting but max_pairs is a flag
+            try:
+                check(**{name: getattr(args, name)})
+            except ValueError as exc:
+                problems.append(f"--{name.replace('_', '-')}: {exc}")
+    if problems:
+        raise UsageError("; ".join(problems))
     schema_path = Path(args.features).with_suffix(Path(args.features).suffix + ".schema.json")
     if not schema_path.exists():
         raise UsageError(f"schema sidecar not found: {schema_path}")

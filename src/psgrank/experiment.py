@@ -51,7 +51,8 @@ from .features import (
 )
 from .index import LmParams, SdmWeights, build_index, retrieve_lm
 from .ltr import (
-    LinearModel, TrainingSet, passage_grade, score, train_coordinate_ascent, train_pairwise,
+    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grade, score,
+    train_coordinate_ascent, train_pairwise,
 )
 from .passage import SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, segment
 from .rank import (
@@ -403,12 +404,18 @@ def _trainer_param_problems(trainer_params: dict) -> list[str]:
     for name in sorted(set(trainer_params) - set(known_params)):
         problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
     for name, default in known_params.items():
-        # Counts must be integers and rates numbers, like their defaults.
+        # Counts must be integers and rates numbers, like their defaults, and
+        # each must pass the check of the trainer it belongs to.
         value = trainer_params.get(name, default)
         if _is_int(default) and not _is_int(value):
             problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
         elif not _is_number(value):
             problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
+        else:
+            try:
+                PARAM_CHECKS[name](**{name: value})
+            except ValueError as exc:
+                problems.append(f"trainer_params {name!r}: {exc}")
     return problems
 
 
@@ -441,6 +448,7 @@ def _grid_problems(grids: dict) -> list[str]:
 # The check each grid's consumer runs on one point; it raises ValueError.
 _GRID_CHECKS = {
     "mu": LmParams,
+    "svm_c": lambda v: check_pairwise_params(c=v),
     "alpha": lambda v: FusionParams(alpha=v),
     "nu": lambda v: FusionParams(nu=v),
     "qsf_lambda": lambda v: check_weight("lambda", v),

@@ -71,9 +71,10 @@ class FeatureMatrix:
     """One query's feature rows under one schema.
 
     ``values`` is a read-only C-contiguous float64 array with one row per
-    item id, checked for finite values once, at construction; ``len()`` is
-    the row count. Extraction, the SVMlight files, training and scoring all
-    carry features in this form.
+    item id, checked for finite values once, at construction, as the item
+    ids are for an id listed twice; ``len()`` is the row count. Extraction,
+    the SVMlight files, training and scoring all carry features in this
+    form.
     """
 
     schema: FeatureSchema
@@ -94,6 +95,10 @@ class FeatureMatrix:
         if not np.isfinite(values).all():
             bad = item_ids[int(np.argmin(np.isfinite(values).all(axis=1)))]
             raise SchemaError(f"non-finite feature value for item {bad!r}")
+        if len(set(item_ids)) != len(item_ids):
+            counts = Counter(item_ids)
+            twice = next(i for i in item_ids if counts[i] > 1)
+            raise SchemaError(f"query {self.query_id!r} lists an item id twice: {twice!r}")
         values = values.view()
         values.flags.writeable = False
         object.__setattr__(self, "item_ids", item_ids)

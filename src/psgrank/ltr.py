@@ -98,7 +98,9 @@ class TrainingSet:
     """Training data: one feature matrix and one grade per row for each query.
 
     Queries are kept in query-id order, and queries without rows are
-    dropped; ``len()`` is the number of rows (training examples).
+    dropped; ``len()`` is the number of rows (training examples). A
+    ``FeatureMatrix`` lists each item id once, so rows in item-id order
+    are well defined.
     """
 
     def __init__(self, queries: Iterable[tuple[FeatureMatrix, Sequence[int]]]):
@@ -109,8 +111,6 @@ class TrainingSet:
                 raise ValueError(f"{len(grades)} grades for {len(matrix)} rows")
             if (grades < 0).any():
                 raise ValueError(f"grade must be >= 0, got {int(grades.min())}")
-            if len(set(matrix.item_ids)) != len(matrix):
-                raise ValueError(f"query {matrix.query_id!r} lists an item id twice")
             if len(matrix):
                 kept.append((matrix, grades))
         kept.sort(key=lambda mg: mg[0].query_id)
@@ -163,7 +163,22 @@ def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:
 
 
 def _misordered(margins: np.ndarray) -> int:
-    return int(np.sum(margins <= 0.0))
+    return np.count_nonzero(margins <= 0.0)
+
+
+def check_pairwise_params(
+    c: float = 0.01, epochs: int = 200, learning_rate: float = 0.5, max_pairs: int = 10**6
+) -> None:
+    """The hinge trainer's settings: ``c`` finite and >= 0, ``learning_rate``
+    finite and > 0, ``epochs`` and ``max_pairs`` >= 1. Raises ValueError."""
+    if not 0.0 <= c < math.inf:  # NaN too
+        raise ValueError(f"c must be finite and >= 0, got {c}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if not epochs >= 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not max_pairs >= 1:
+        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
 
 
 def train_pairwise(
@@ -178,26 +193,34 @@ def train_pairwise(
 
     Full-batch subgradient descent with a 1/(1+t) decaying step; the model
     returned is the epoch with the fewest misordered training pairs (ties
-    favor the earlier epoch). Raises TrainingError when no within-query
-    pair of distinct grades exists. One product ``diffs @ w`` per epoch
-    serves both the error count of the new weights and the next epoch's
-    hinge violations.
+    favor the earlier epoch). Raises ValueError for settings that
+    :func:`check_pairwise_params` rejects, and TrainingError when no
+    within-query pair of distinct grades exists. One product ``diffs @ w``
+    per epoch serves both the error count of the new weights and the next
+    epoch's hinge violations.
+
+    Training stops at the first epoch that misorders no pair. The best
+    epoch is replaced only by one with strictly fewer misordered pairs,
+    and no count is below 0, so every later epoch would leave it the best:
+    the weights equal those of running all ``epochs``, bit for bit.
     """
+    check_pairwise_params(c, epochs, learning_rate, max_pairs)
     schema = data.schema()
     diffs = _difference_matrix(data, max_pairs, seed)
     w = np.zeros(len(schema))
-    best_w = w.copy()
+    # w is rebound every epoch, never changed in place, so best_w needs no copy.
+    best_w = w
     margins = diffs @ w
     best_err = _misordered(margins)
     for t in range(epochs):
-        violating = margins < 1.0
-        grad = w - c * diffs[violating].sum(axis=0)
+        grad = w - c * diffs[margins < 1.0].sum(axis=0)
         w = w - (learning_rate / (1.0 + t)) * grad
         margins = diffs @ w
         err = _misordered(margins)
         if err < best_err:
-            best_err = err
-            best_w = w.copy()
+            best_err, best_w = err, w
+            if not err:
+                break
     return LinearModel(
         schema=schema,
         weights=tuple(float(x) for x in best_w),
@@ -299,6 +322,22 @@ def _ndcg_objective(data: TrainingSet, k: int):
     return mean_ndcg
 
 
+def check_coordinate_ascent_params(restarts: int = 2, max_passes: int = 25) -> None:
+    """The coordinate-ascent trainer's settings: ``restarts`` and
+    ``max_passes`` >= 0. Raises ValueError."""
+    if not restarts >= 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if not max_passes >= 0:
+        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
+
+
+# The check of the trainer each setting belongs to, by setting name.
+PARAM_CHECKS = {
+    **dict.fromkeys(("c", "epochs", "learning_rate", "max_pairs"), check_pairwise_params),
+    **dict.fromkeys(("restarts", "max_passes"), check_coordinate_ascent_params),
+}
+
+
 def train_coordinate_ascent(
     data: TrainingSet,
     restarts: int = 2,
@@ -318,8 +357,11 @@ def train_coordinate_ascent(
     (restart, objective) is appended at the start and after every accepted
     step. Every objective evaluation is one array pass over all training
     queries (see :func:`_ndcg_objective`), equal to :func:`ndcg_at_k` per
-    query, ranked by score with ties by ascending id, and averaged.
+    query, ranked by score with ties by ascending id, and averaged. Raises
+    ValueError for settings that :func:`check_coordinate_ascent_params`
+    rejects.
     """
+    check_coordinate_ascent_params(restarts, max_passes)
     schema = data.schema()
     if all(len(set(g.tolist())) < 2 for _, g in data.queries):
         raise TrainingError("no training signal: every within-query pair has equal grades")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,6 +257,35 @@ class TestTrainInputValidation:
         assert not (tmp_path / "m.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "flags,messages",
+        [
+            (["--c", "nan"], ["--c: c must be finite and >= 0, got nan"]),
+            (["--c", "-1"], ["--c: c must be finite and >= 0, got -1.0"]),
+            (["--epochs", "-3"], ["--epochs: epochs must be >= 1, got -3"]),
+            (
+                ["--learning-rate", "nan", "--max-passes", "-1", "--trainer", "coordinate_ascent"],
+                ["--learning-rate: learning_rate must be finite and > 0, got nan",
+                 "--max-passes: max_passes must be >= 0, got -1"],
+            ),
+        ],
+        ids=["c-nan", "c-negative", "epochs-negative", "every-problem"],
+    )
+    def test_bad_trainer_setting_exits_one_naming_the_flag(self, tmp_path, capsys, flags, messages):
+        (tmp_path / "feats.txt").write_text(self.GOOD_ROWS)
+        (tmp_path / "feats.txt.schema.json").write_text(json.dumps(self.SIDECAR))
+        rc = main(
+            ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json"]
+            + flags
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for message in messages:
+            assert message in err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestEvalCommand:
     def test_perfect_run_map_one(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"
@@ -497,6 +527,33 @@ class TestRunCommand:
         assert "Traceback" not in err
         for problem in problems:
             assert problem in err
+        assert not (tmp_path / "out").exists()
+
+    def test_trainer_settings_out_of_range_exit_one(self, tmp_path, capsys):
+        # NaN c or rate once wrote nan scores, and negative epochs all-zero ones.
+        _run_config(
+            tmp_path, ["JPDs"], grids={"svm_c": [0.01, math.nan, -1.0]},
+            trainer_params={
+                "epochs": -3, "learning_rate": math.nan, "max_pairs": 0,
+                "restarts": -1, "max_passes": -2,
+            },
+        )
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for problem in (
+            "grid 'svm_c' point nan: c must be finite and >= 0, got nan",
+            "grid 'svm_c' point -1.0: c must be finite and >= 0, got -1.0",
+            "trainer_params 'epochs': epochs must be >= 1, got -3",
+            "trainer_params 'learning_rate': learning_rate must be finite and > 0, got nan",
+            "trainer_params 'max_pairs': max_pairs must be >= 1, got 0",
+            "trainer_params 'restarts': restarts must be >= 0, got -1",
+            "trainer_params 'max_passes': max_passes must be >= 0, got -2",
+        ):
+            assert problem in err, problem
+        assert "point 0.01" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("body", ["[1]", "5"])

@@ -140,6 +140,14 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
+    def test_item_id_listed_twice_rejected(self):
+        schema = FeatureSchema("s", ("a",))
+        with pytest.raises(SchemaError, match="query 'q7' lists an item id twice: 'a'"):
+            FeatureMatrix(schema, "q7", ("b", "a", "c", "a"), [[0.0], [1.0], [2.0], [3.0]])
+        m = FeatureMatrix(schema, "q7", ("b", "a", "c"), [[0.0], [1.0], [2.0]])
+        with pytest.raises(SchemaError, match="lists an item id twice: 'c'"):
+            m.take(["c", "b", "c"])
+
     def test_rows_take_and_columns(self):
         schema = FeatureSchema("s", ("a", "b", "c"))
         m = FeatureMatrix(schema, "q", ("x", "y", "z"), np.arange(9.0).reshape(3, 3))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,43 @@ class TestTrainPairwise:
         b = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
         assert a.weights == b.weights
         assert a.weights[0] > 0
+
+
+class TestTrainerSettings:
+    """Each trainer rejects a setting it cannot use before any training."""
+
+    ROWS = [("q1", "a", [1.0], 1), ("q1", "b", [0.0], 0)]
+
+    @pytest.mark.parametrize(
+        "trainer,setting,message",
+        [
+            (train_pairwise, {"c": math.nan}, "c must be finite and >= 0, got nan"),
+            (train_pairwise, {"c": math.inf}, "c must be finite and >= 0, got inf"),
+            (train_pairwise, {"c": -1.0}, "c must be finite and >= 0, got -1.0"),
+            (train_pairwise, {"learning_rate": math.nan}, "learning_rate must be finite and > 0"),
+            (train_pairwise, {"learning_rate": 0.0}, "learning_rate must be finite and > 0"),
+            (train_pairwise, {"learning_rate": -math.inf}, "learning_rate must be finite"),
+            (train_pairwise, {"epochs": -3}, "epochs must be >= 1, got -3"),
+            (train_pairwise, {"epochs": 0}, "epochs must be >= 1, got 0"),
+            (train_pairwise, {"max_pairs": 0}, "max_pairs must be >= 1, got 0"),
+            (train_coordinate_ascent, {"restarts": -1}, "restarts must be >= 0, got -1"),
+            (train_coordinate_ascent, {"max_passes": -1}, "max_passes must be >= 0, got -1"),
+        ],
+        ids=[
+            "c-nan", "c-inf", "c-negative", "rate-nan", "rate-zero", "rate-minus-inf",
+            "epochs-negative", "epochs-zero", "max-pairs-zero", "restarts-negative",
+            "max-passes-negative",
+        ],
+    )
+    def test_rejected(self, trainer, setting, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            trainer(_training(self.ROWS), **setting)
+
+    def test_bounds_accepted(self):
+        data = _training(self.ROWS)
+        assert train_pairwise(data, c=0.0, epochs=1, max_pairs=1).weights == (0.0,)
+        model = train_coordinate_ascent(data, restarts=0, max_passes=0)
+        assert model.weights == (1.0,)
 
 
 class TestCoordinateAscent:
@@ -332,6 +370,46 @@ def _random_rows(rng, n_queries=4, n_items=12, n_features=5, grades=4):
     return rows
 
 
+def _separable_rows(rng, n_queries=3, n_items=8):
+    """Rows graded by a random linear score of features on scales 1, 10 and
+    0.1, so that some take the hinge trainer many epochs to order."""
+    w_star = rng.normal(size=4)
+    rows = []
+    for q in range(n_queries):
+        values = rng.normal(size=(n_items, 4)) * np.array([1.0, 10.0, 0.1, 1.0])
+        scores = values @ w_star
+        grades = scores > np.median(scores)
+        for i in rng.permutation(n_items):
+            rows.append((f"q{q}", f"i{i:02d}", values[i], int(grades[i])))
+    return rows
+
+
+# Rows where no weight vector orders the pair: a before b in q1, b before a in q2.
+_CONTRADICTORY_ROWS = [
+    ("q1", "a", [1.0], 1), ("q1", "b", [0.0], 0),
+    ("q2", "a", [1.0], 0), ("q2", "b", [0.0], 1),
+]
+
+# (rows, max_pairs, c, best epoch or None for some epoch > 0, error of the best epoch is 0)
+_HINGE_CASES = {
+    "random": (_random_rows(np.random.default_rng(33)), 10**6, 0.01, None, False),
+    "random-wide": (_random_rows(np.random.default_rng(34), n_features=9), 10**6, 0.5, None, False),
+    "subsampled": (_random_rows(np.random.default_rng(35), n_items=20), 150, 0.1, None, False),
+    # Separable in one step: no later epoch beats the first.
+    "best-epoch-0": (
+        [("q1", f"p{i}", [1.0], 1) for i in range(3)]
+        + [("q1", f"n{i}", [0.0], 0) for i in range(3)], 10**6, 1.0, 0, True,
+    ),
+    "separable-at-epoch-0": (_separable_rows(np.random.default_rng(0)), 10**6, 0.1, 0, True),
+    # One misordered pair from epoch 0 to 17, none from epoch 18.
+    "separable-at-epoch-18": (_separable_rows(np.random.default_rng(21)), 10**6, 0.1, 18, True),
+    # Misordered pairs fall from 8 at epoch 0 to 1 at epoch 61, and to 0 at 65.
+    "separable-at-epoch-65": (_separable_rows(np.random.default_rng(29)), 10**6, 0.1, 65, True),
+    # The zero start misorders both pairs and no step leaves it.
+    "never-leaves-zero": (_CONTRADICTORY_ROWS, 10**6, 1.0, -1, False),
+}
+
+
 class TestBitExactContracts:
     """The matrix code equals the per-row loops it replaced, bit for bit."""
 
@@ -352,31 +430,45 @@ class TestBitExactContracts:
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
-        "rows,max_pairs,c,best_epoch",
-        [
-            (_random_rows(np.random.default_rng(33)), 10**6, 0.01, None),
-            (_random_rows(np.random.default_rng(34), n_features=9), 10**6, 0.5, None),
-            (_random_rows(np.random.default_rng(35), n_items=20), 150, 0.1, None),
-            # Separable in one step: no later epoch beats the first.
-            ([("q1", f"p{i}", [1.0], 1) for i in range(3)]
-             + [("q1", f"n{i}", [0.0], 0) for i in range(3)], 10**6, 1.0, 0),
-        ],
-        ids=["random", "random-wide", "subsampled", "best-epoch-0"],
+        "rows,max_pairs,c,best_epoch,separable", _HINGE_CASES.values(), ids=_HINGE_CASES.keys()
     )
-    def test_one_product_trainer_equals_two_product_loop(self, rows, max_pairs, c, best_epoch):
+    def test_one_product_trainer_equals_two_product_loop(
+        self, rows, max_pairs, c, best_epoch, separable
+    ):
         from psgrank.ltr import _difference_matrix
 
         data = _training(rows)
         assert max_pairs == 10**6 or len(_difference_matrix(data, 10**6, seed=7)) > max_pairs
-        expected, epoch = row_references.pairwise_hinge(
-            _difference_matrix(data, max_pairs, seed=7), c, epochs=80, learning_rate=0.5
-        )
+        diffs = _difference_matrix(data, max_pairs, seed=7)
+        expected, epoch = row_references.pairwise_hinge(diffs, c, epochs=80, learning_rate=0.5)
         got = train_pairwise(data, c=c, epochs=80, seed=7, learning_rate=0.5, max_pairs=max_pairs)
         assert got.weights == expected
         if best_epoch is not None:
             assert epoch == best_epoch
         else:
-            assert epoch > 0
+            assert 0 < epoch < 79  # epochs after the best one must leave it unchanged
+        assert (pairwise_error_count(np.array(expected), diffs) == 0) == separable
+
+    @pytest.mark.parametrize("case", ["best-epoch-0", "separable-at-epoch-18", "random"])
+    def test_no_epoch_runs_after_the_first_with_no_misordered_pair(self, monkeypatch, case):
+        from psgrank import ltr
+
+        rows, max_pairs, c, best_epoch, separable = _HINGE_CASES[case]
+        counts = []
+        misordered = ltr._misordered
+
+        def counting(margins):
+            counts.append(misordered(margins))
+            return counts[-1]
+
+        monkeypatch.setattr(ltr, "_misordered", counting)
+        data = _training(rows)
+        model = train_pairwise(data, c=c, epochs=80, seed=7, max_pairs=max_pairs)
+        # One count for the zero start, then one per epoch run.
+        assert len(counts) == (best_epoch + 2 if separable else 81)
+        assert (counts[-1] == 0) == separable and 0 not in counts[:-1]
+        diffs = ltr._difference_matrix(data, max_pairs, seed=7)
+        assert pairwise_error_count(np.array(model.weights), diffs) == min(counts)
 
     @staticmethod
     def _ndcg_rows(rng):
