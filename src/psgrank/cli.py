@@ -52,11 +52,11 @@ from .ltr import (
     TrainingError,
     TrainingSet,
     ndcg_at_k,
-    passage_grade,
+    passage_grades,
     train_coordinate_ascent,
     train_pairwise,
 )
-from .passage import SEGMENTATION_MODES, SegmentationParams, segment
+from .passage import SEGMENTATION_MODES, SegmentationParams, passage_spans, segment
 from .rank import read_trec_run
 
 
@@ -124,13 +124,8 @@ def _cmd_features(args) -> int:
             matrix = PassageFeatureExtractor(
                 q, store, index, run.ids(), passages_by_doc, resources, params
             ).matrix()
-            spans_by_doc = judgments.char_spans.get(q.query_id, {}) if judgments else {}
-            grades = [
-                passage_grade(p, spans_by_doc.get(d))
-                for d, plist in passages_by_doc.items()
-                for p in plist
-            ]
-            dump.append((matrix, grades))
+            grades = passage_grades(judgments, q.query_id, passages_by_doc)
+            dump.append((matrix, [grades.get(p, 0) for p in matrix.item_ids]))
     if args.normalize:
         dump = [(minmax_normalize(matrix), grades) for matrix, grades in dump]
     write_svmlight(args.out, dump)
@@ -216,9 +211,7 @@ def _cmd_eval(args) -> int:
             raise UsageError("char_focused evaluation needs --store to resolve passage spans")
         store = CorpusStore.load(args.store)
         seg = SegmentationParams(args.length, args.seg_mode)
-        for doc in store.documents:
-            for p in segment(doc, seg):
-                spans[p.passage_id] = (p.doc_id, p.char_range[0], p.char_range[1])
+        spans = passage_spans(p for doc in store.documents for p in segment(doc, seg))
         for run in runs:
             unknown = next((pid for pid in run.ids() if pid not in spans), None)
             if unknown is not None:

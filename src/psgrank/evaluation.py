@@ -53,11 +53,6 @@ class JudgmentSet:
     def relevant_count(self, query_id: str) -> int:
         return sum(1 for g in self.grades.get(query_id, {}).values() if g >= 1)
 
-    def query_ids(self) -> list[str]:
-        if self.mode == "char_focused":
-            return sorted(self.char_spans)
-        return sorted(self.grades)
-
     def has_judgments(self, query_id: str) -> bool:
         if self.mode == "char_focused":
             return bool(self.char_spans.get(query_id))

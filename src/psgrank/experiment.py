@@ -51,10 +51,12 @@ from .features import (
 )
 from .index import LmParams, SdmWeights, build_index, retrieve_lm
 from .ltr import (
-    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grade, score,
+    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grades, score,
     train_coordinate_ascent, train_pairwise,
 )
-from .passage import SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, segment
+from .passage import (
+    SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, passage_spans, segment,
+)
 from .rank import (
     FusionParams,
     PassageRanks,
@@ -108,14 +110,14 @@ class _Method:
     # query_id, model ranking or None) -> r' of each c_ltr document, 0 for none.
     fuse_with: Callable | None = None
     feasible: Callable | None = None  # params -> False for a grid point to skip
-    split: str = "train"  # the queries the grid is selected on: "train" or "validation"
     hyper_in_params: bool = True  # report the trainer setting with the tuned params
     features: bool = True  # reads feature vectors, so ablating a feature can move it
 
     @property
     def fold_free(self) -> bool:
         """Ranks from judgment-free pipeline data alone, so a query's run at
-        one grid point is the same in every fold."""
+        one grid point is the same in every fold. Its grid is picked on the
+        train queries; any other method's on the validation queries."""
         return not (self.vectors or self.reads)
 
     @property
@@ -155,8 +157,8 @@ def _plm(run, query_id: str, p: dict) -> RankedList:
     pipe = run.pipe
     return plm_from_sims(
         query_id, *pipe.sims(query_id, p["mu"]),
-        pipe.positional_sims(query_id, p["mu"], p["sigma"]), pipe.query_data(query_id).psg_doc,
-        p["lambda"], p["beta"], k=run.config.psg_cutoff,
+        pipe.positional_sims(query_id, p["mu"], p["sigma"]),
+        pipe.query_data(query_id).passages_by_doc, p["lambda"], p["beta"], k=run.config.psg_cutoff,
     )
 
 
@@ -189,7 +191,7 @@ def _jpds(which: str, two_passages: bool = False) -> _Method:
             which=which, two_passages=two_passages,
         )
 
-    return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors, split="validation")
+    return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors)
 
 
 def _jpdm(agg: str) -> _Method:
@@ -203,7 +205,7 @@ def _jpdm(agg: str) -> _Method:
             pipe.query_data(query_id).passages_by_doc, agg,
         )
 
-    return _Method("doc", reads=("init-LTR",), vectors=vectors, split="validation")
+    return _Method("doc", reads=("init-LTR",), vectors=vectors)
 
 
 def _vectors_for_fpd(run, query_id: str, p: dict) -> FeatureMatrix:
@@ -220,18 +222,18 @@ _METHODS = {
         "doc", rank=_docpsg, grid=(("mu", "mu"), ("lambda_max", "docpsg_lambda")), features=False
     ),
     "init-LTR": _Method(
-        "doc", vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),), split="validation",
-        hyper_in_params=False,
+        "doc", vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),), hyper_in_params=False,
     ),
     "RRF": _Method(
         "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
-        fuse_with=lambda run, q, ranking: run.passage_ranks(q).best_ranks(run.c_ltr(q).ids()),
-        split="validation",
+        fuse_with=lambda run, q, ranking: [
+            run.passage_ranking(q).best_passage_ranks().get(d, 0) for d in run.c_ltr(q).ids()
+        ],
     ),
     "SMPD": _Method(
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_smpd,
-        vector_grid=(("nu", "nu"),), split="validation", hyper_in_params=False,
+        vector_grid=(("nu", "nu"),), hyper_in_params=False,
     ),
     "JPDs": _jpds("best"),
     "JPDs-second": _jpds("second"),
@@ -243,7 +245,7 @@ _METHODS = {
     "JPDm-min": _jpdm("min"),
     "FPD": _Method(
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
-        grid=(("alpha", "alpha"), ("nu", "nu")), split="validation",
+        grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
         fuse_with=lambda run, q, ranking: [ranking.ranks().get(d, 0) for d in run.c_ltr(q).ids()],
     ),
@@ -258,12 +260,11 @@ _METHODS = {
     ),
     "PsgLTR": _Method(
         "psg", reads=("QSF",), vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
-        split="validation", hyper_in_params=False,
+        hyper_in_params=False,
     ),
 }
 ALL_METHODS = tuple(_METHODS)
 DOC_METHODS = tuple(m for m, r in _METHODS.items() if r.kind == "doc")
-PSG_METHODS = tuple(m for m, r in _METHODS.items() if r.kind == "psg")
 FEATURE_FREE_METHODS = tuple(m for m, r in _METHODS.items() if not r.features)
 
 
@@ -610,7 +611,6 @@ class _QueryData:
     c_init: RankedList
     passages_by_doc: dict[str, list[Passage]]
     passage_spans: dict[str, tuple[str, int, int]]
-    psg_doc: dict[str, str]
     psg_grades: dict[str, int]
 
 
@@ -702,39 +702,13 @@ class _Pipeline:
             d: self.memo(("segment", d), lambda d=d: segment(self.store.get(d), self.seg_params))
             for d in doc_ids
         }
-        passage_spans = {
-            p.passage_id: (d, p.char_range[0], p.char_range[1])
-            for d, plist in passages_by_doc.items()
-            for p in plist
-        }
-        psg_doc = {p: d for p, (d, _, _) in passage_spans.items()}
         return _QueryData(
             query=query,
             c_init=c_init,
             passages_by_doc=passages_by_doc,
-            passage_spans=passage_spans,
-            psg_doc=psg_doc,
-            psg_grades=self._passage_grades(query.query_id, passages_by_doc),
+            passage_spans=passage_spans(p for plist in passages_by_doc.values() for p in plist),
+            psg_grades=passage_grades(self.psg_judgments, query.query_id, passages_by_doc),
         )
-
-    def _passage_grades(
-        self, query_id: str, passages_by_doc: Mapping[str, Sequence[Passage]]
-    ) -> dict[str, int]:
-        grades = {}
-        if self.psg_judgments is None:
-            return grades
-        if self.psg_judgments.mode == "char_focused":
-            spans_by_doc = self.psg_judgments.char_spans.get(query_id, {})
-            for d, plist in passages_by_doc.items():
-                spans = spans_by_doc.get(d)
-                for p in plist:
-                    grades[p.passage_id] = passage_grade(p, spans)
-        else:
-            judged = self.psg_judgments.grades.get(query_id, {})
-            for plist in passages_by_doc.values():
-                for p in plist:
-                    grades[p.passage_id] = judged.get(p.passage_id, 0)
-        return grades
 
     def _extractor(self, query_id: str, mu: float) -> PassageFeatureExtractor:
         def compute():
@@ -795,7 +769,8 @@ class _Pipeline:
         return self.memo(
             ("qsf", query_id, mu, lam, k),
             lambda: qsf_from_sims(
-                query_id, *self.sims(query_id, mu), self.query_data(query_id).psg_doc, lam, k
+                query_id, *self.sims(query_id, mu), self.query_data(query_id).passages_by_doc,
+                lam, k,
             ),
         )
 
@@ -926,7 +901,7 @@ class _FoldRunner:
         """The first grid point (and model) with the strictly best mean metric."""
         rec = _METHODS[method]
         cfg = self.config
-        queries = self.train_queries if rec.split == "train" else self.val_queries
+        queries = self.train_queries if rec.fold_free else self.val_queries
         rpoints = [p for p in _grid_points(cfg, rec.grid) if not rec.feasible or rec.feasible(p)]
         best = model = None
         rankings = {}

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .evaluation import JudgmentSet
 from .features import FeatureMatrix, FeatureSchema, SchemaError
 from .passage import Passage, char_overlap
 
@@ -50,6 +51,22 @@ def passage_grade(passage: Passage, spans: Iterable[tuple[int, int]] | None) -> 
         return 0
     overlap, total = char_overlap(passage, spans)
     return bucket_grade(overlap / total) if total else 0
+
+
+def passage_grades(
+    judgments: JudgmentSet | None, query_id: str, passages_by_doc: Mapping[str, Sequence[Passage]]
+) -> dict[str, int]:
+    """Every passage's grade for the query: from its document's relevant
+    character spans, or as judged by id (0 when unjudged) in the other
+    passage modes; ``{}`` without judgments."""
+    if judgments is None:
+        return {}
+    passages = [(d, p) for d, plist in passages_by_doc.items() for p in plist]
+    if judgments.mode == "char_focused":
+        spans_by_doc = judgments.char_spans.get(query_id, {})
+        return {p.passage_id: passage_grade(p, spans_by_doc.get(d)) for d, p in passages}
+    judged = judgments.grades.get(query_id, {})
+    return {p.passage_id: judged.get(p.passage_id, 0) for _, p in passages}
 
 
 @dataclass(frozen=True)
@@ -163,7 +180,8 @@ def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:
 
 
 def _misordered(margins: np.ndarray) -> int:
-    return np.count_nonzero(margins <= 0.0)
+    # Counted as not > 0, so a NaN margin is misordered too.
+    return len(margins) - np.count_nonzero(margins > 0.0)
 
 
 def check_pairwise_params(
@@ -193,7 +211,8 @@ def train_pairwise(
 
     Full-batch subgradient descent with a 1/(1+t) decaying step; the model
     returned is the epoch with the fewest misordered training pairs (ties
-    favor the earlier epoch). Raises ValueError for settings that
+    favor the earlier epoch), among those whose weights did not overflow; a
+    NaN margin counts as misordered. Raises ValueError for settings that
     :func:`check_pairwise_params` rejects, and TrainingError when no
     within-query pair of distinct grades exists. One product ``diffs @ w``
     per epoch serves both the error count of the new weights and the next
@@ -217,7 +236,7 @@ def train_pairwise(
         w = w - (learning_rate / (1.0 + t)) * grad
         margins = diffs @ w
         err = _misordered(margins)
-        if err < best_err:
+        if err < best_err and np.isfinite(w).all():
             best_err, best_w = err, w
             if not err:
                 break

@@ -115,6 +115,12 @@ def _sentence_bounds(doc: Document) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def passage_spans(passages: Iterable[Passage]) -> dict[str, tuple[str, int, int]]:
+    """Passage id -> (document id, char start, char end), the spans that
+    interpolated precision reads."""
+    return {p.passage_id: (p.doc_id, *p.char_range) for p in passages}
+
+
 def neighbors(p: Passage, doc_passages: Sequence[Passage]) -> tuple[Passage, Passage]:
     """Preceding and following passages; at a document boundary the passage
     stands in for its own missing neighbor."""

@@ -6,10 +6,12 @@ document+passage feature vectors (single passage, two passages, and
 per-feature aggregates), two-stage fusion, and the unsupervised
 similarity-interpolation and positional-LM passage scorers.
 
-RRF's best passage ranks and the JPDs and FPD passage picks read a
-passage ranking as a :class:`PassageRanks` table of integer ranks. RRF and
-FPD fuse through :func:`fusion_rows` alone: a tuning grid is its rows, and
-:func:`rerank_rrf` and :func:`rerank_fpd` are one row of it.
+RRF reads each document's best passage rank from
+:meth:`RankedList.best_passage_ranks`, in tuning and in the written run;
+the JPDs and FPD passage picks read a passage ranking as a
+:class:`PassageRanks` table of integer ranks. RRF and FPD fuse through
+:func:`fusion_rows` alone: a tuning grid is its rows, and :func:`rerank_rrf`
+and :func:`rerank_fpd` are one row of it.
 """
 
 from __future__ import annotations
@@ -181,11 +183,11 @@ def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams)
     a zero passage term.
     """
     # 1/(nu + r) falls with r, so the best passage rank gives the max.
-    best_ranks = psg_list.best_passage_ranks()
-    unknown = best_ranks.keys() - doc_list.ranks().keys()
+    best = psg_list.best_passage_ranks()
+    unknown = best.keys() - doc_list.ranks().keys()
     if unknown:
         raise ValueError(f"passages reference documents outside the list: {sorted(unknown)[:3]}")
-    return _fused(doc_list, best_ranks, params)
+    return _fused(doc_list, best, params)
 
 
 def smpd_features(
@@ -235,8 +237,8 @@ class PassageRanks:
     (its documents in order, each document's passages as segmented) with
     their rank in the ranking, 1 for the top and 0 for a passage it leaves
     out; ``bounds`` delimits each document's passages. Passages of other
-    documents are ignored. RRF's best passage ranks and the JPDs and FPD
-    passage picks read it, so a ranking is looked up once.
+    documents are ignored. The JPDs and FPD passage picks read it, so a
+    ranking is looked up once.
     """
 
     def __init__(self, passages_by_doc: Mapping[str, Sequence[Passage]], psg_list: RankedList):
@@ -273,13 +275,6 @@ class PassageRanks:
         out[has] = self._by_rank[self.bounds[rows[has]] + nth[has]]
         return out
 
-    def best_ranks(self, doc_ids: Sequence[str]) -> np.ndarray:
-        """Each document's best passage rank, 0 when none is ranked."""
-        picks = self.picks(doc_ids, "best")
-        out = np.zeros(len(picks), dtype=np.int64)
-        out[picks >= 0] = self.ranks[picks[picks >= 0]]
-        return out
-
 
 def pstdev(values: Sequence[float]) -> float:
     """Population standard deviation of floats, correctly rounded.
@@ -306,13 +301,16 @@ def pstdev(values: Sequence[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-SMPD_SCHEMA = concat_schemas(
-    DOC_SCHEMA,
-    FeatureSchema("smpd-stats", SMPD_FEATURES),
-    name="smpd",
-    a_prefix="d.",
-    b_prefix="p.",
-)
+@lru_cache(maxsize=64)
+def _smpd_schema(doc_schema: FeatureSchema) -> FeatureSchema:
+    """The document schema as ``d.*`` and the 7 statistics as ``p.*``, once per schema."""
+    return concat_schemas(
+        doc_schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
+        name="smpd", a_prefix="d.", b_prefix="p.",
+    )
+
+
+SMPD_SCHEMA = _smpd_schema(DOC_SCHEMA)
 
 
 def build_smpd_vectors(
@@ -331,12 +329,8 @@ def build_smpd_vectors(
         ],
         dtype=float,
     ).reshape(len(doc_ids), len(SMPD_FEATURES))
-    schema = concat_schemas(
-        doc_vectors.schema, FeatureSchema("smpd-stats", SMPD_FEATURES),
-        name="smpd", a_prefix="d.", b_prefix="p.",
-    )
     values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
-    return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
+    return FeatureMatrix(_smpd_schema(doc_vectors.schema), doc_vectors.query_id, doc_ids, values)
 
 
 def _fallback_by_query_sim(passage_ids: Sequence[str], psg_vectors: FeatureMatrix) -> str:
@@ -505,27 +499,24 @@ def plm_weights_feasible(lam: float, beta: float) -> bool:
     return lam + beta <= 1.0 + 1e-9
 
 
-def _passage_docs(
-    doc_ids: Sequence[str], passages_by_doc: Mapping[str, Sequence[Passage]]
-) -> dict[str, str]:
-    return {p.passage_id: d for d in doc_ids for p in passages_by_doc[d]}
-
-
 def qsf_from_sims(
     query_id: str,
     doc_sims: Mapping[str, float],
     psg_sims: Mapping[str, float],
-    psg_doc: Mapping[str, str],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
     lam: float,
     k: int | None = None,
 ) -> RankedList:
     """Interpolate sum-normalized passage-query and ambient-document-query
-    similarities: (1 - lam) * norm sim(q, g) + lam * norm sim(q, d_g)."""
+    similarities, (1 - lam) * norm sim(q, g) + lam * norm sim(q, d_g), over
+    the passages of the documents of ``doc_sims``."""
     check_weight("lambda", lam)
     norm_psg = _normalize_by_sum(psg_sims)
     norm_doc = _normalize_by_sum(doc_sims)
     scores = {
-        pid: (1.0 - lam) * norm_psg[pid] + lam * norm_doc[psg_doc[pid]] for pid in norm_psg
+        p.passage_id: (1.0 - lam) * norm_psg[p.passage_id] + lam * norm_doc[d]
+        for d in doc_sims
+        for p in passages_by_doc[d]
     }
     return RankedList.from_scores(query_id, scores, k=k)
 
@@ -544,8 +535,7 @@ def rank_qsf(
     doc_sims, psg_sims = query_similarities(
         query.stems(), store, index, doc_ids, passages_by_doc, params
     )
-    psg_doc = _passage_docs(doc_ids, passages_by_doc)
-    return qsf_from_sims(query.query_id, doc_sims, psg_sims, psg_doc, lam, k)
+    return qsf_from_sims(query.query_id, doc_sims, psg_sims, passages_by_doc, lam, k)
 
 
 def positional_similarities(
@@ -613,13 +603,14 @@ def plm_from_sims(
     doc_sims: Mapping[str, float],
     psg_sims: Mapping[str, float],
     pos_sims: Mapping[str, float],
-    psg_doc: Mapping[str, str],
+    passages_by_doc: Mapping[str, Sequence[Passage]],
     lam: float,
     beta: float,
     k: int | None = None,
 ) -> RankedList:
     """lam * norm positional + beta * norm passage + (1 - lam - beta) *
-    norm ambient-document similarity, each sum-normalized over its universe."""
+    norm ambient-document similarity, each sum-normalized over its universe,
+    over the passages of the documents of ``doc_sims``."""
     check_weight("lambda", lam)
     check_weight("beta", beta)
     if not plm_weights_feasible(lam, beta):
@@ -628,10 +619,11 @@ def plm_from_sims(
     norm_psg = _normalize_by_sum(psg_sims)
     norm_doc = _normalize_by_sum(doc_sims)
     scores = {
-        pid: lam * norm_pos[pid]
-        + beta * norm_psg[pid]
-        + (1.0 - lam - beta) * norm_doc[psg_doc[pid]]
-        for pid in norm_psg
+        p.passage_id: lam * norm_pos[p.passage_id]
+        + beta * norm_psg[p.passage_id]
+        + (1.0 - lam - beta) * norm_doc[d]
+        for d in doc_sims
+        for p in passages_by_doc[d]
     }
     return RankedList.from_scores(query_id, scores, k=k)
 
@@ -661,8 +653,9 @@ def rank_plm(
     pos_sims = best_positional_similarities(
         query, store, index, doc_ids, passages_by_doc, params, sigma
     )
-    psg_doc = _passage_docs(doc_ids, passages_by_doc)
-    return plm_from_sims(query.query_id, doc_sims, psg_sims, pos_sims, psg_doc, lam, beta, k)
+    return plm_from_sims(
+        query.query_id, doc_sims, psg_sims, pos_sims, passages_by_doc, lam, beta, k
+    )
 
 
 def docpsg_from_sims(

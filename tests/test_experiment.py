@@ -455,6 +455,40 @@ class TestCrossFoldMemo:
         shared = {m: r.reads for m, r in _METHODS.items() if r.shares_matrices}
         assert shared == {"init-LTR": (), "PsgLTR": ("QSF",)}
 
+    # The queries each method's grid is picked on, as the methods table
+    # stated them before the split was derived from fold_free.
+    SPLITS = {
+        "LM": "train", "SDM": "train", "DocPsg": "train", "QSF": "train", "PLM": "train",
+        **dict.fromkeys(
+            ("init-LTR", "RRF", "SMPD", "JPDs", "JPDs-second", "JPDs-third", "JPDs-lowest",
+             "JPD-2", "JPDm-avg", "JPDm-max", "JPDm-min", "FPD", "PsgLTR"),
+            "validation",
+        ),
+    }
+
+    def test_walk_picks_on_the_split_of_each_method(self, monkeypatch):
+        from psgrank import experiment
+
+        assert set(self.SPLITS) == set(experiment.ALL_METHODS)
+        runner = experiment._FoldRunner.__new__(experiment._FoldRunner)
+        runner.config = ExperimentConfig()
+        runner.train_queries, runner.val_queries = ["t1", "t2"], ["v1"]
+        seen = []
+
+        def metrics(method, query_id, points, ranking):
+            seen.append(query_id)
+            return [0.0] * len(points)
+
+        monkeypatch.setattr(runner, "_grid_metrics", metrics, raising=False)
+        monkeypatch.setattr(runner, "_training_set", lambda rec, vpoint: None, raising=False)
+        monkeypatch.setattr(experiment, "_train", lambda config, data, hyper: None)
+        monkeypatch.setattr(runner, "_model_ranking", lambda *args: None, raising=False)
+        for method, split in self.SPLITS.items():
+            seen.clear()
+            runner._walk(method)
+            expected = runner.train_queries if split == "train" else runner.val_queries
+            assert set(seen) == set(expected), method
+
     @pytest.mark.parametrize("psg_ranker", ["ltr", "qsf"])
     def test_stages_tuned_before_their_readers(self, monkeypatch, psg_ranker):
         # The order in which one method's fold stages are tuned, with the grid
@@ -603,7 +637,7 @@ def _rescoring_walk(runner, method):
 
     rec = experiment._METHODS[method]
     cfg = runner.config
-    queries = runner.train_queries if rec.split == "train" else runner.val_queries
+    queries = runner.train_queries if rec.fold_free else runner.val_queries
     if rec.kind == "doc":
         metric, grade = runner.pipe.doc_metric, runner.pipe.doc_judgments.grade
     else:

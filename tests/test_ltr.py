@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import row_references
+from psgrank.evaluation import JudgmentSet
 from psgrank.features import FeatureMatrix, FeatureSchema, SchemaError
 from psgrank.ltr import (
     LinearModel,
@@ -14,10 +15,12 @@ from psgrank.ltr import (
     bucket_grade,
     ndcg_at_k,
     pairwise_error_count,
+    passage_grades,
     score,
     train_coordinate_ascent,
     train_pairwise,
 )
+from psgrank.passage import Passage
 
 
 def _queries(rows):
@@ -62,6 +65,36 @@ class TestBucketGrade:
         grid = [i / 1000 for i in range(1001)]
         grades = [bucket_grade(x) for x in grid]
         assert grades == sorted(grades)
+
+
+class TestPassageGrades:
+    # d1's relevant span covers 80% of d1#0 and 20% of d1#1; d2 has no
+    # relevant span; d3's one passage is empty.
+    BY_DOC = {
+        "d1": [Passage("d1#0", "d1", 0, (0, 10), (0, 100)),
+               Passage("d1#1", "d1", 1, (10, 20), (100, 200))],
+        "d2": [Passage("d2#0", "d2", 0, (0, 5), (0, 50))],
+        "d3": [Passage("d3#0", "d3", 0, (0, 0), (0, 0))],
+    }
+    CHAR = JudgmentSet("char_focused", {}, {"q": {"d1": [(20, 120)], "d3": [(0, 10)]}})
+
+    def test_char_focused_grades_by_relevant_characters(self):
+        grades = passage_grades(self.CHAR, "q", self.BY_DOC)
+        assert grades == {"d1#0": 4, "d1#1": 1, "d2#0": 0, "d3#0": 0}
+
+    def test_unjudged_query_grades_every_passage_0(self):
+        assert passage_grades(self.CHAR, "other", self.BY_DOC) == dict.fromkeys(
+            ("d1#0", "d1#1", "d2#0", "d3#0"), 0
+        )
+
+    def test_sentence_binary_grades_by_passage_id(self):
+        judgments = JudgmentSet("sentence_binary", {"q": {"d1#1": 1, "d9#0": 1}}, {})
+        assert passage_grades(judgments, "q", self.BY_DOC) == {
+            "d1#0": 0, "d1#1": 1, "d2#0": 0, "d3#0": 0
+        }
+
+    def test_no_judgments(self):
+        assert passage_grades(None, "q", self.BY_DOC) == {}
 
 
 class TestTrainPairwise:
@@ -149,6 +182,22 @@ class TestTrainPairwise:
         b = train_pairwise(data, c=1.0, epochs=50, seed=4, max_pairs=20)
         assert a.weights == b.weights
         assert a.weights[0] > 0
+
+
+class TestOverflow:
+    def test_overflowed_weights_are_never_the_model(self):
+        # A step of 1e308 overflows the weights to inf and NaN within two epochs.
+        for seed in range(3):
+            data = _training(_random_rows(np.random.default_rng(seed)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                model = train_pairwise(data, learning_rate=1e308)
+            assert all(math.isfinite(x) for x in model.weights)
+
+    def test_nan_margin_counts_as_misordered(self):
+        # Margins 1, NaN (inf - inf), -1 and 0.
+        diffs = np.array([[1.0, 0.0], [np.inf, -np.inf], [-1.0, 0.0], [0.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            assert pairwise_error_count(np.array([1.0, 1.0]), diffs) == 3
 
 
 class TestTrainerSettings:

@@ -8,6 +8,7 @@ from psgrank.passage import (
     make_passage_id,
     neighbors,
     parse_passage_id,
+    passage_spans,
     passage_stems,
     segment,
 )
@@ -110,6 +111,24 @@ class TestPassageIds:
     def test_invalid(self):
         with pytest.raises(ValueError):
             parse_passage_id("nosordinal")
+
+
+class TestPassageSpans:
+    def test_spans_are_document_and_char_range(self, store_factory):
+        store = store_factory({"d1": " ".join(f"w{i}" for i in range(25)), "d2": ""})
+        passages = [
+            p for d in ("d1", "d2") for p in segment(store.get(d), SegmentationParams(10))
+        ]
+        spans = passage_spans(passages)
+        assert list(spans) == ["d1#0", "d1#1", "d1#2", "d2#0"]
+        assert spans["d1#0"] == ("d1", 0, len(" ".join(f"w{i}" for i in range(10))))
+        assert spans["d2#0"] == ("d2", 0, 0)
+        for p in passages:
+            doc_id, start, end = spans[p.passage_id]
+            assert (doc_id, (start, end)) == (p.doc_id, p.char_range)
+
+    def test_no_passages(self):
+        assert passage_spans([]) == {}
 
 
 class TestNeighbors:

@@ -959,8 +959,12 @@ class TestPassageRanks:
                     ranked = sum(p.passage_id in psg_list.ranks() for p in by_doc[d])
                     seen.add((which, min(ranked, 4), len(by_doc[d]) == 1))
                 assert got == expected
+            # The best pick holds the rank RRF reads as the document's r'.
             best = psg_list.best_passage_ranks()
-            assert table.best_ranks(doc_ids).tolist() == [best.get(d, 0) for d in doc_ids]
+            picks = table.picks(doc_ids, "best").tolist()
+            assert [table.ranks[i] if i >= 0 else 0 for i in picks] == (
+                [best.get(d, 0) for d in doc_ids]
+            )
         # Every selector met documents with no, too few and enough ranked
         # passages, and single-passage documents.
         for which in ("best", "second", "third", "lowest"):
@@ -1004,7 +1008,7 @@ class TestFusionGrid:
             # Case 0 has no relevant document, so every AP is None.
             grades = {} if case == 0 else {d: int(rng.integers(0, 3)) for d in doc_ids}
             judgments = JudgmentSet("doc_graded", {"q": grades}, {})
-            best = PassageRanks(by_doc, psg_list).best_ranks(doc_ids)
+            best = [psg_list.best_passage_ranks().get(d, 0) for d in doc_ids]
             for cutoff in (1, 3, len(doc_ids) + 2):
                 assert self._grid(doc_list, best, judgments, cutoff, self.POINTS) == (
                     row_references.fusion_grid_aps(
