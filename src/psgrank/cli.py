@@ -41,6 +41,7 @@ from .features import (
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
+    doc_priors,
     minmax_normalize,
     read_svmlight,
     write_svmlight,
@@ -105,10 +106,13 @@ def _cmd_features(args) -> int:
     if args.kind == "doc":
         schema = DOC_SCHEMA
         judgments = load_doc_qrels(args.qrels) if args.qrels else None
+        stopwords, priors = store.tokenizer.stopwords, {}
         for q in queries:
             doc_ids = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs).ids()
+            missing = [d for d in doc_ids if d not in priors]
+            priors.update(zip(missing, doc_priors([store.get(d) for d in missing], stopwords)))
             rows = [
-                doc_features(q, store.get(d), index, params, store.tokenizer.stopwords)
+                doc_features(q, store.get(d), index, params, stopwords, priors=priors[d])
                 for d in doc_ids
             ]
             grades = [judgments.grade(q.query_id, d) if judgments else 0 for d in doc_ids]

@@ -226,6 +226,10 @@ class Tokenizer:
     def stopwords(self) -> StopwordList:
         return self._stopwords
 
+    def term_id(self, stem: str) -> int:
+        """The stem's term id; -1 when no text this tokenizer analysed held it."""
+        return self._term_ids.get(stem, -1)
+
     def _analyse(self, surface: str) -> int:
         lower = surface.lower()
         stem = self._stemmer.stem(lower)

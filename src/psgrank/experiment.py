@@ -42,8 +42,8 @@ from .features import (
     FeatureMatrix,
     PassageFeatureExtractor,
     SemanticResources,
-    doc_entropy,
     doc_features,
+    doc_priors,
     load_embeddings,
     load_entities,
     load_synonyms,
@@ -737,9 +737,13 @@ class _Pipeline:
         extractor = self._extractor(query_id, mu)
         return extractor.doc_sims, extractor.psg_sims
 
-    def _entropy(self, doc_id: str) -> float:
-        """The document's entropy prior, which reads the document alone."""
-        return self.memo(("entropy", doc_id), lambda: doc_entropy(self.store.get(doc_id).term_ids))
+    def _priors(self, doc_ids: Sequence[str]) -> list[tuple[float, float, float]]:
+        """Each document's SW1/SW2/Ent priors, kept per document; the missing in one pass."""
+        missing = [d for d in doc_ids if ("priors", d) not in self._memo]
+        docs = [self.store.get(d) for d in missing]
+        for d, priors in zip(missing, doc_priors(docs, self.store.tokenizer.stopwords)):
+            self._memo[("priors", d)] = priors
+        return [self._memo[("priors", d)] for d in doc_ids]
 
     def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
         """The query's document features at ``mu``, in document id order."""
@@ -749,10 +753,9 @@ class _Pipeline:
             doc_ids = sorted(data.passages_by_doc)
             rows = [
                 doc_features(
-                    data.query, self.store.get(d), self.index, params, stopwords,
-                    entropy=self._entropy(d),
+                    data.query, self.store.get(d), self.index, params, stopwords, priors=priors,
                 )
-                for d in doc_ids
+                for d, priors in zip(doc_ids, self._priors(doc_ids))
             ]
             return FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
 
@@ -762,7 +765,7 @@ class _Pipeline:
         """The query's passage features at ``mu``, in passage order."""
         return self.memo(
             ("psg_vectors", query_id, mu),
-            lambda: self._extractor(query_id, mu).matrix().columns(self.psg_schema),
+            lambda: self._extractor(query_id, mu).matrix(self.psg_schema),
         )
 
     def qsf(self, query_id: str, mu: float, lam: float, k: int | None = None) -> RankedList:

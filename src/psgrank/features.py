@@ -18,15 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, doc_lm_similarity, lm_similarity, lm_top_ranks, sdm_components,
+    LmParams, PositionalIndex, exact_log, lm_similarities, lm_top_ranks, sdm_components,
 )
-from .passage import Passage, neighbors, passage_stems, passage_term_counts
+from .passage import Passage, neighbors
 
 
 class SchemaError(ValueError):
@@ -191,55 +191,114 @@ def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(matrix.schema, matrix.query_id, matrix.item_ids, normed)
 
 
-# -- relevance priors shared by documents and passages --
+# -- token columns and the relevance priors shared by documents and passages --
 
 
-def stopword_fraction(stopword_ids: np.ndarray) -> float:
-    """SW1: fraction of the unit's tokens that are stopwords (id >= 0)."""
-    if not len(stopword_ids):
-        return 0.0
-    return int(np.count_nonzero(stopword_ids >= 0)) / len(stopword_ids)
+class _TokenColumns:
+    """Units of consecutive document tokens (passages or whole documents) as
+    concatenated term-id and stopword-id columns, each token's unit, and a count table."""
+
+    def __init__(self, docs: Sequence[Document], ranges: Sequence[tuple[int, int]]):
+        self.docs = docs
+        self.lengths = np.fromiter((end - start for start, end in ranges), np.int64, len(ranges))
+        self.owner = np.repeat(np.arange(len(ranges)), self.lengths)
+        spans = [(d, slice(*r)) for d, r in zip(docs, ranges)]
+        none = [np.zeros(0, np.int64)]
+        self.term_ids = np.concatenate([d.term_ids[r] for d, r in spans] or none)
+        self.stopword_ids = np.concatenate([d.stopword_ids[r] for d, r in spans] or none)
+
+    @cached_property
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Unit, term id and count of each distinct (unit, term) pair, unit
+        by unit, within one in order of first occurrence (a Counter's
+        order); and each unit's bounds among them."""
+        width = int(self.term_ids.max(initial=0)) + 1
+        keys, first, tf = np.unique(
+            self.owner * width + self.term_ids, return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        unit, term = np.divmod(keys[order], width)
+        return unit, term, tf[order], np.searchsorted(unit, np.arange(len(self.lengths) + 1))
 
 
-def stopword_coverage(stopword_ids: np.ndarray, stopwords: StopwordList) -> float:
-    """SW2: fraction of the stopword list that appears in the unit."""
-    return len(np.unique(stopword_ids[stopword_ids >= 0])) / len(stopwords)
+def stopword_priors(
+    stopword_ids: np.ndarray, lengths: np.ndarray, n_stopwords: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per unit of consecutive tokens of the given ``lengths``: SW1, the
+    fraction of its tokens that are stopwords (id >= 0; 0 when empty); SW2,
+    the fraction of the ``n_stopwords`` list it holds; and its non-stopword
+    count."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    is_stop = stopword_ids >= 0
+    stops = np.bincount(owner[is_stop], minlength=len(lengths))
+    held = np.unique(owner[is_stop] * n_stopwords + stopword_ids[is_stop])
+    coverage = np.bincount(held // n_stopwords, minlength=len(lengths)) / n_stopwords
+    fraction = np.divide(stops, lengths, out=np.zeros(len(lengths)), where=lengths > 0)
+    return fraction, coverage, (lengths - stops).astype(float)
 
 
-def term_entropy(counts: Collection[int]) -> float:
-    """Natural-log entropy of a unit's term distribution, from its term
-    counts in order of first occurrence; 0 when empty."""
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    return -sum((c / total) * math.log(c / total) for c in counts if c)
+def term_entropies(tf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Natural-log entropy of each unit's term distribution; 0 when empty.
 
-
-def doc_entropy(term_ids: np.ndarray) -> float:
-    """:func:`term_entropy` of a term-id column, bit for bit as over a Counter of its stems."""
-    _, first, counts = np.unique(term_ids, return_index=True, return_counts=True)
-    return term_entropy(counts[np.argsort(first)].tolist())
+    Unit u's term counts are ``tf[bounds[u]:bounds[u + 1]]``, in order of
+    first occurrence. Bit for bit as ``-sum(c/n * math.log(c/n))`` over a
+    Counter's counts: the logs come from :func:`exact_log`, one per
+    distinct c/n, and each unit's summands are added left to right, the
+    j-th summands of all units one step, so no unit is padded.
+    """
+    sizes = np.diff(bounds)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    ratio = tf / np.diff(np.concatenate(([0], np.cumsum(tf)))[bounds])[owner]
+    distinct, inverse = np.unique(ratio, return_inverse=True)
+    summands = ratio * exact_log(distinct)[inverse]
+    # Units by size, largest first: those with a j-th summand are a prefix.
+    by_size = np.argsort(-sizes, kind="stable")
+    starts = bounds[by_size]
+    totals = np.zeros(len(sizes))
+    for j, held in enumerate(np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))):
+        totals[:held] += summands[starts[:held] + j]
+    return np.where(sizes > 0, -totals[np.argsort(by_size)], 0.0)
 
 
 def query_similarities(
     terms: Sequence[str],
-    store: CorpusStore,
     index: PositionalIndex,
     doc_ids: Sequence[str],
     passages_by_doc: Mapping[str, Sequence[Passage]],
     params: LmParams,
 ) -> tuple[dict[str, float], dict[str, float]]:
     """Query likelihoods of each candidate document and of each of its
-    passages, keyed by id in ``doc_ids`` order."""
-    doc_sims = {d: doc_lm_similarity(terms, d, index, params) for d in doc_ids}
-    psg_sims = {}
-    for d in doc_ids:
-        doc = store.get(d)
-        for p in passages_by_doc[d]:
-            psg_sims[p.passage_id] = lm_similarity(
-                terms, passage_term_counts(doc, p), p.length, index, params
-            )
-    return doc_sims, psg_sims
+    passages, keyed by id in ``doc_ids`` order: one
+    :func:`lm_similarities` pass each, counts read from postings."""
+    passages = [p for d in doc_ids for p in passages_by_doc[d]]
+    # Positions and passage bounds as keys document * stride + token.
+    stride = max((index.doc_lengths[d] for d in doc_ids), default=0) + 1
+    slot = {d: np.int64(i * stride) for i, d in enumerate(doc_ids)}
+    bounds = np.array([slot[p.doc_id] + i for p in passages for i in p.token_range], np.int64)
+    doc_tf, psg_tf = {}, {}
+    for t in set(terms):
+        positions = [index.positions(t, d) for d in doc_ids]
+        doc_tf[t] = [len(at) for at in positions]
+        keys = np.concatenate([slot[d] + at for d, at in zip(doc_ids, positions)] or [bounds[:0]])
+        at = np.searchsorted(keys, bounds)
+        psg_tf[t] = at[1::2] - at[::2]
+    lengths = np.array([index.doc_lengths[d] for d in doc_ids], dtype=np.int64)
+    doc_sims = lm_similarities(terms, doc_tf, lengths, index, params)
+    psg_sims = lm_similarities(terms, psg_tf, np.array([p.length for p in passages]), index, params)
+    return (
+        dict(zip(doc_ids, doc_sims.tolist())),
+        dict(zip((p.passage_id for p in passages), psg_sims.tolist())),
+    )
+
+
+def doc_priors(
+    docs: Sequence[Document], stopwords: StopwordList
+) -> list[tuple[float, float, float]]:
+    """Each document's SW1, SW2 and Ent: the passage columns' passes over
+    whole documents. They read the document alone, so a caller may keep them."""
+    cols = _TokenColumns(docs, [(0, d.length) for d in docs])
+    sw1, sw2, _ = stopword_priors(cols.stopword_ids, cols.lengths, len(stopwords))
+    return list(zip(sw1.tolist(), sw2.tolist(), term_entropies(*cols.counts[2:]).tolist()))
 
 
 def doc_features(
@@ -248,20 +307,13 @@ def doc_features(
     index: PositionalIndex,
     params: LmParams,
     stopwords: StopwordList,
-    entropy: float | None = None,
+    priors: tuple[float, float, float] | None = None,
 ) -> tuple[float, ...]:
     """The 6 document features, in :data:`DOC_SCHEMA` order: SDM components
-    + SW1/SW2/Ent priors. ``entropy`` is the document's :func:`doc_entropy`,
-    for a caller that keeps it per document."""
-    f_t, f_o, f_u = sdm_components(query, doc, index, params)
-    return (
-        f_t,
-        f_o,
-        f_u,
-        stopword_fraction(doc.stopword_ids),
-        stopword_coverage(doc.stopword_ids, stopwords),
-        doc_entropy(doc.term_ids) if entropy is None else entropy,
-    )
+    + the :func:`doc_priors`, which a caller that keeps them per document
+    passes as ``priors``."""
+    priors = priors or doc_priors([doc], stopwords)[0]
+    return (*sdm_components(query, doc, index, params), *priors)
 
 
 # -- semantic resources --
@@ -396,31 +448,47 @@ def profile_cosine(a: ConceptProfile, b: ConceptProfile) -> float:
     return _cosine(va, vb)
 
 
+def _top_tfidf_rows(
+    group: np.ndarray, tf: np.ndarray, term: np.ndarray, stems: Sequence[str],
+    esa_index: PositionalIndex, k: int,
+) -> np.ndarray:
+    """The rows of each group's k terms with the highest tf * ln(N/df) over
+    the concept space, group by group, best first, ties by stem; row r is
+    term ``stems[term[r]]`` (stems distinct). Terms no concept document
+    holds are skipped; idf is looked up once per stem."""
+    idf = np.array([math.nan if v is None else v for v in esa_index.idfs(stems)])
+    stem_rank = np.empty(len(stems), np.int64)
+    stem_rank[sorted(range(len(stems)), key=stems.__getitem__)] = np.arange(len(stems))
+    score = tf * idf[term]
+    rows = np.flatnonzero(~np.isnan(score))
+    rows = rows[np.lexsort((stem_rank[term[rows]], -score[rows], group[rows]))]
+    # Sorted by group: a row's place in its group is its distance to the first.
+    place = np.arange(len(rows)) - np.searchsorted(group[rows], group[rows])
+    return rows[place < k]
+
+
 def top_tfidf_stems(
     counts: Mapping[str, int], esa_index: PositionalIndex, k: int = 20
 ) -> list[str]:
     """The unit's k stems with the highest tf * ln(N/df) over the concept
-    space; ties break lexicographically, unseen stems are skipped."""
-    scored = [
-        (-(tf * idf), stem)
-        for (stem, tf), idf in zip(counts.items(), esa_index.idfs(counts))
-        if idf is not None
-    ]
-    scored.sort()
-    return [stem for _, stem in scored[:k]]
+    space; ties break lexicographically, unseen stems are skipped. The
+    one-unit case of the passage keyword pick."""
+    stems, tf = list(counts), np.fromiter(counts.values(), np.int64, len(counts))
+    one = np.zeros(len(stems), np.int64)
+    return [stems[r] for r in _top_tfidf_rows(one, tf, np.arange(len(stems)), stems, esa_index, k)]
 
 
-def _is_subsequence(needle: Sequence[str], haystack: Sequence[str]) -> bool:
-    """Whether needle occurs as a contiguous run of haystack (never when empty)."""
-    needle, haystack = list(needle), list(haystack)
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return False
-    first = needle[0]
-    return any(
-        haystack[i] == first and haystack[i : i + n] == needle
-        for i in range(len(haystack) - n + 1)
-    )
+def _exact_matches(cols: _TokenColumns, needle: Sequence[int]) -> np.ndarray:
+    """1.0 for each unit whose term ids hold ``needle`` as a contiguous run
+    (never when empty or holding an unknown id -1), else 0.0."""
+    terms, owner, found, n = cols.term_ids, cols.owner, np.zeros(len(cols.lengths)), len(needle)
+    if n == 0 or n > len(terms) or min(needle) < 0:
+        return found
+    starts = np.flatnonzero(terms[: len(terms) - n + 1] == needle[0])
+    for j in range(1, n):
+        starts = starts[terms[starts + j] == needle[j]]
+    found[owner[starts[owner[starts] == owner[starts + n - 1]]]] = 1.0
+    return found
 
 
 class PassageFeatureExtractor:
@@ -433,6 +501,12 @@ class PassageFeatureExtractor:
     ``psg_sims`` pays for nothing else. An optional shared ``esa_cache``
     maps (passage_id, mu) -> :class:`ConceptProfile`, which is
     query-independent and safe to reuse across queries.
+
+    :meth:`matrix` builds the features a column family at a time, each
+    family one pass over the concatenated token columns of the passages
+    (:class:`_TokenColumns`), and only the families that own a column of
+    the schema asked for. Every value equals the per-passage formulas bit
+    for bit.
     """
 
     def __init__(
@@ -460,7 +534,7 @@ class PassageFeatureExtractor:
         self.unique_query_stems = sorted(set(terms))
 
         self.doc_sims, self.psg_sims = query_similarities(
-            terms, store, index, self.doc_ids, passages_by_doc, params
+            terms, index, self.doc_ids, passages_by_doc, params
         )
         self.doc_sim_sum = sum(self.doc_sims.values())
         self.psg_sim_sum = sum(self.psg_sims.values())
@@ -497,97 +571,119 @@ class PassageFeatureExtractor:
             return None
         return np.mean(vecs, axis=0)
 
-    def _esa(self, passage: Passage, counts: Counter) -> float:
-        if not self.query_profile:
-            return 0.0
-        key = (passage.passage_id, self.params.mu)
-        profile = self.esa_cache.get(key)
-        if profile is None:
-            keywords = top_tfidf_stems(counts, self.resources.esa_index)
-            profile = esa_retrieval_profile(keywords, self.resources.esa_index, self.params)
-            self.esa_cache[key] = profile
-        return profile_cosine(self.query_profile, profile)
+    # -- column families: each returns its features' columns in PSG_SCHEMA order --
 
-    def _w2v(self, stems: Sequence[str]) -> float:
-        if self.query_centroid is None:
-            return 0.0
-        centroid = self._centroid(sorted(set(stems)))
-        if centroid is None:
-            return 0.0
-        return _cosine(self.query_centroid, centroid)
+    def _similarity_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> np.ndarray:
+        rows = []
+        for p, doc in zip(passages, cols.docs):
+            doc_passages = self.passages_by_doc[p.doc_id]
+            pre, follow = neighbors(p, doc_passages)
+            rows.append((
+                self.psg_sims[p.passage_id] / self.psg_sim_sum if self.psg_sim_sum > 0 else 0.0,
+                self.doc_sims[p.doc_id] / self.doc_sim_sum if self.doc_sim_sum > 0 else 0.0,
+                *self.doc_psg_stats[p.doc_id],
+                p.length / doc.length if doc.length else 1.0,
+                self.psg_sims[pre.passage_id],
+                self.psg_sims[follow.passage_id],
+                float(self.query.unique_term_count),
+                (p.ordinal + 1) / len(doc_passages),
+            ))
+        return np.array(rows, dtype=float).reshape(len(rows), 10).T
 
-    def _entity(self, passage: Passage) -> float:
-        if self.query_entities is None:
-            return 0.0
-        psg_entities = self.resources.entities.get(passage.passage_id, frozenset())
-        union = self.query_entities | psg_entities
-        if not union:
-            return 0.0
-        return len(self.query_entities & psg_entities) / len(union)
-
-    def _overlaps(self, psg_stems: set[str]) -> tuple[float, float]:
-        stems = self.unique_query_stems
-        if not stems:
-            return 0.0, 0.0
-        hits = sum(1 for s in stems if s in psg_stems)
+    def _overlap_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> list:
+        stems, n = self.unique_query_stems, len(passages)
+        psg, term, _, _ = cols.counts
         syn_table = self.resources.synonyms or {}
-        syn_hits = 0
-        for s in stems:
-            if s in psg_stems or any(x in psg_stems for x in syn_table.get(s, ())):
-                syn_hits += 1
-        return hits / len(stems), syn_hits / len(stems)
+
+        def holding(group: Iterable[str]) -> np.ndarray:
+            held = np.zeros(n, dtype=np.int64)
+            held[psg[np.isin(term, [self.store.tokenizer.term_id(s) for s in group])]] = 1
+            return held
+
+        hits = sum((holding([s]) for s in stems), np.zeros(n, np.int64))
+        syn_hits = sum((holding([s, *syn_table.get(s, ())]) for s in stems), np.zeros(n, np.int64))
+        return [hits / max(len(stems), 1), syn_hits / max(len(stems), 1)]
+
+    def _esa_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> list:
+        """Keywords for every passage from one pick over the count table;
+        profiles for the passages the cache lacks."""
+        esa = np.zeros(len(passages))
+        if not (self.query_profile and len(esa)):
+            return [esa]
+        esa_index, mu = self.resources.esa_index, self.params.mu
+        psg, term, tf, _ = cols.counts
+        distinct, inverse = np.unique(term, return_inverse=True)
+        stems = [cols.docs[0].vocabulary[t] for t in distinct.tolist()]
+        top = _top_tfidf_rows(psg, tf, inverse, stems, esa_index, k=20)
+        keywords = np.split(inverse[top], np.searchsorted(psg[top], np.arange(1, len(esa))))
+        for i, p in enumerate(passages):
+            profile = self.esa_cache.get((p.passage_id, mu))
+            if profile is None:
+                words = [stems[t] for t in keywords[i].tolist()]
+                profile = esa_retrieval_profile(words, esa_index, self.params)
+                self.esa_cache[(p.passage_id, mu)] = profile
+            esa[i] = profile_cosine(self.query_profile, profile)
+        return [esa]
+
+    def _semantic_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> list:
+        """W2V, the cosine of the query's and the passage's embedding
+        centroids, and Entity, the Jaccard of their entity sets."""
+        w2v, entity = np.zeros(len(passages)), np.zeros(len(passages))
+        _, term, _, bounds = cols.counts
+        for i, p in enumerate(passages):
+            if self.query_centroid is not None:
+                vocabulary = cols.docs[i].vocabulary
+                stems = sorted(vocabulary[t] for t in term[bounds[i] : bounds[i + 1]].tolist())
+                centroid = self._centroid(stems)
+                w2v[i] = 0.0 if centroid is None else _cosine(self.query_centroid, centroid)
+            if self.query_entities is not None:
+                psg_entities = self.resources.entities.get(p.passage_id, frozenset())
+                union = self.query_entities | psg_entities
+                entity[i] = len(self.query_entities & psg_entities) / len(union) if union else 0.0
+        return [w2v, entity]
+
+    def _rows(self, passages: Sequence[Passage], schema: FeatureSchema) -> FeatureMatrix:
+        docs = [self.store.get(p.doc_id) for p in passages]
+        cols = _TokenColumns(docs, [p.token_range for p in passages])
+        built: dict[str, np.ndarray] = {}
+        for f in schema.features:
+            if f not in built:
+                features, build = _FAMILY_OF[f]
+                built.update(zip(features, build(self, passages, cols)))
+        values = np.array([built[f] for f in schema.features], dtype=float).T
+        return FeatureMatrix(
+            schema, self.query.query_id, [p.passage_id for p in passages],
+            values.reshape(len(passages), len(schema)),
+        )
+
+    def matrix(self, schema: FeatureSchema = PSG_SCHEMA) -> FeatureMatrix:
+        """Every passage's features named by ``schema`` (a part of
+        :data:`PSG_SCHEMA`), documents in ``doc_ids`` order."""
+        return self._rows([p for d in self.doc_ids for p in self.passages_by_doc[d]], schema)
 
     def vector(self, passage: Passage) -> tuple[float, ...]:
-        """The passage's 20 features, in :data:`PSG_SCHEMA` order."""
-        doc = self.store.get(passage.doc_id)
-        doc_passages = self.passages_by_doc[passage.doc_id]
-        stopword_ids = doc.stopword_ids[passage.token_range[0] : passage.token_range[1]]
-        stems = passage_stems(doc, passage)
-        counts = Counter(stems)
-        stem_set = set(stems)
+        """The passage's 20 features, in :data:`PSG_SCHEMA` order: the one-row
+        case of :meth:`matrix`, which never calls it."""
+        return tuple(self._rows([passage], PSG_SCHEMA).values[0].tolist())
 
-        sim = self.psg_sims[passage.passage_id]
-        psg_query_sim = sim / self.psg_sim_sum if self.psg_sim_sum > 0 else 0.0
-        doc_sim = self.doc_sims[passage.doc_id]
-        doc_query_sim = doc_sim / self.doc_sim_sum if self.doc_sim_sum > 0 else 0.0
-        max_pd, avg_pd, std_pd = self.doc_psg_stats[passage.doc_id]
-        length_ratio = passage.length / doc.length if doc.length else 1.0
-        pre, follow = neighbors(passage, doc_passages)
-        sim_pre = self.psg_sims[pre.passage_id]
-        sim_follow = self.psg_sims[follow.passage_id]
-        term_overlap, syn_overlap = self._overlaps(stem_set)
-        exact = 1.0 if _is_subsequence(self.query_terms, stems) else 0.0
 
-        return (
-            psg_query_sim,
-            doc_query_sim,
-            max_pd,
-            avg_pd,
-            std_pd,
-            length_ratio,
-            sim_pre,
-            sim_follow,
-            term_entropy(counts.values()),
-            stopword_fraction(stopword_ids),
-            stopword_coverage(stopword_ids, self.store.tokenizer.stopwords),
-            float(self.query.unique_term_count),
-            exact,
-            term_overlap,
-            syn_overlap,
-            float(np.count_nonzero(stopword_ids < 0)),
-            (passage.ordinal + 1) / len(doc_passages),
-            self._esa(passage, counts),
-            self._w2v(stems),
-            self._entity(passage),
-        )
-
-    def matrix(self) -> FeatureMatrix:
-        """Every passage's features, documents in ``doc_ids`` order."""
-        passages = [p for d in self.doc_ids for p in self.passages_by_doc[d]]
-        return FeatureMatrix(
-            PSG_SCHEMA, self.query.query_id, [p.passage_id for p in passages],
-            [self.vector(p) for p in passages],
-        )
+# The column families: their features, in PSG_SCHEMA order, and builders.
+_FAMILY_OF = {
+    f: family
+    for family in (
+        (PSG_FEATURES[:8] + ("QueryLength", "PsgLocation"),
+         PassageFeatureExtractor._similarity_columns),
+        (("Ent",), lambda ex, passages, cols: [term_entropies(*cols.counts[2:])]),
+        (("SW1", "SW2", "PsgLength"), lambda ex, passages, cols: stopword_priors(
+            cols.stopword_ids, cols.lengths, len(ex.store.tokenizer.stopwords))),
+        (("ExactMatch",), lambda ex, passages, cols: [
+            _exact_matches(cols, [ex.store.tokenizer.term_id(t) for t in ex.query_terms])]),
+        (("TermOverlap", "SynonymsOverlap"), PassageFeatureExtractor._overlap_columns),
+        (("ESA",), PassageFeatureExtractor._esa_columns),
+        (("W2V", "Entity"), PassageFeatureExtractor._semantic_columns),
+    )
+    for f in family[0]
+}
 
 
 def write_svmlight(

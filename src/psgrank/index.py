@@ -158,7 +158,7 @@ class PositionalIndex:
         ln((tf + mu p_c) / (len + mu)) at each of them, and ln(mu p_c /
         (len + mu)), for a document lacking the stem, at each distinct
         length of :meth:`doc_table` (-inf where theta is 0). The logs come
-        from :mod:`math`, so sums of them match :func:`lm_similarity` bit
+        from :mod:`math`, so sums of them match :func:`lm_similarities` bit
         for bit. The table costs df + (distinct lengths) floats.
         """
         key = (stem, mu)
@@ -173,7 +173,7 @@ class PositionalIndex:
             posting = (tf + smooth) / denom[slot[ranks]]
             posting = np.fromiter(map(math.log, posting.tolist()), float, len(ranks))
             background = np.divide(smooth, denom, out=np.zeros(len(denom)), where=denom > 0)
-            background = _exact_log(background)
+            background = exact_log(background)
             posting.flags.writeable = background.flags.writeable = False
             got = self._lm_logs[key] = (ranks, posting, background)
         return got
@@ -316,49 +316,48 @@ def build_index(store: CorpusStore) -> PositionalIndex:
     )
 
 
-def lm_similarity(
+def lm_similarities(
     terms: Sequence[str],
-    counts: Mapping[str, float],
-    length: float,
+    counts: Mapping[str, float | np.ndarray],
+    lengths: np.ndarray,
     index: PositionalIndex,
     params: LmParams,
-) -> float:
-    """exp(-cross-entropy) similarity between a term sequence and a text unit.
-
-    ``counts``/``length`` describe the scored unit (document, passage, or a
-    positional pseudo-document with fractional counts). Terms absent from
-    the whole collection are dropped from the sequence before scoring; if
-    all are dropped, or any kept term has zero smoothed probability
-    (mu = 0 and no occurrence), the similarity is 0.
-    """
+) -> np.ndarray:
+    """exp(-cross-entropy) similarity between a term sequence and each of
+    several text units (documents, passages, or positional pseudo-documents
+    with fractional counts): ``counts[t]`` holds stem t's count in each unit
+    (absent: 0), ``lengths`` each unit's length. Terms absent from the
+    collection are dropped; if all are, or a kept term has zero smoothed
+    probability in a unit (mu = 0 and no occurrence), the unit scores 0.
+    Logs and exps come from :mod:`math`, and the ``inv_n * log(theta)``
+    summands are added in query order, repeats included."""
     kept = [t for t in terms if index.collection_term_counts.get(t)]
     if not kept:
-        return 0.0
-    denom = length + params.mu
-    if denom <= 0:
-        return 0.0
-    log_sum = 0.0
-    inv_n = 1.0 / len(kept)
+        return np.zeros(len(lengths))
+    row_of = {t: row for row, t in enumerate(dict.fromkeys(kept))}
+    tf = np.zeros((len(row_of), len(lengths)))
+    for t, row in row_of.items():
+        tf[row] = counts.get(t, 0.0)
+    smooth = np.array([params.mu * index.collection_prob(t) for t in row_of])
+    denom = lengths + params.mu
+    # theta is 0 where the denominator is, and ln 0 = -inf scores exp 0.
+    theta = np.divide(tf + smooth[:, None], denom, out=np.zeros(tf.shape), where=denom > 0)
+    logs = (1.0 / len(kept)) * exact_log(theta)
+    log_sum = np.zeros(len(lengths))
     for t in kept:
-        p_c = index.collection_prob(t)
-        theta = (counts.get(t, 0.0) + params.mu * p_c) / denom
-        if theta <= 0.0:
-            return 0.0
-        log_sum += inv_n * math.log(theta)
-    return math.exp(log_sum)
+        log_sum += logs[row_of[t]]
+    return np.fromiter(map(math.exp, log_sum.tolist()), float, len(lengths))
 
 
-def doc_lm_similarity(
-    terms: Sequence[str], doc_id: str, index: PositionalIndex, params: LmParams
-) -> float:
-    """lm_similarity against an indexed document, counts read from postings."""
-    counts = {t: len(index.positions(t, doc_id)) for t in set(terms)}
-    return lm_similarity(terms, counts, index.doc_lengths[doc_id], index, params)
-
-
-def _exact_log(x: np.ndarray) -> np.ndarray:
+def exact_log(x: np.ndarray) -> np.ndarray:
     """math.log of each entry (-inf where <= 0); numpy's SIMD log can differ in the last bit."""
-    return np.array([math.log(v) if v > 0.0 else -math.inf for v in x.tolist()])
+    logs = [math.log(v) if v > 0.0 else -math.inf for v in x.ravel().tolist()]
+    return np.array(logs, dtype=float).reshape(x.shape)
+
+
+# How far below the k-th largest log sum lm_top_ranks still takes exp: far
+# wider than exp's rounding, so no candidate below it scores with the top k.
+_TOP_MARGIN = 1e-6
 
 
 def lm_top_ranks(
@@ -367,11 +366,15 @@ def lm_top_ranks(
     """Doc ranks (see :meth:`PositionalIndex.doc_table`) and scores of the
     top k documents holding a kept term, best first.
 
-    Scores are bit-identical to :func:`doc_lm_similarity` (run files record
+    Scores are bit-identical to :func:`lm_similarities` (run files record
     them with repr): the logs come from :meth:`PositionalIndex.lm_logs`,
     the ``inv_n * log(theta)`` summands are added in query order, repeats
     included, and exp comes from :mod:`math`. A zero theta (mu = 0) scores
-    0. Zero scores are excluded and ties break by ascending doc id.
+    0. Zero scores are excluded and ties break by ascending doc id. The top
+    k is picked on the log sums (``np.partition``): exp is taken only of
+    those within a margin of the k-th largest, unless exp maps the k-th
+    largest and the margin below it to one value (subnormal and zero
+    scores), when all are kept, so ties after exp keep their id order.
     """
     kept = [t for t in terms if index.collection_term_counts.get(t)]
     if not kept:
@@ -396,6 +399,13 @@ def lm_top_ranks(
     log_sum = np.zeros(len(cand))
     for summand in logs:
         log_sum += summand
+    if k < len(cand):
+        kth = float(np.partition(log_sum, len(cand) - k)[len(cand) - k])
+        # exp is monotone: a log sum more than the margin below the k-th
+        # largest scores below k candidates, once exp tells the two apart.
+        if math.exp(kth - _TOP_MARGIN) != math.exp(kth):
+            near = log_sum >= kth - _TOP_MARGIN
+            cand, log_sum = cand[near], log_sum[near]
     scores = np.fromiter(map(math.exp, log_sum.tolist()), float, len(cand))
     positive = scores > 0.0
     cand, scores = cand[positive], scores[positive]

@@ -214,9 +214,10 @@ def train_pairwise(
     favor the earlier epoch), among those whose weights did not overflow; a
     NaN margin counts as misordered. Raises ValueError for settings that
     :func:`check_pairwise_params` rejects, and TrainingError when no
-    within-query pair of distinct grades exists. One product ``diffs @ w``
-    per epoch serves both the error count of the new weights and the next
-    epoch's hinge violations.
+    within-query pair of distinct grades exists, or when the weights
+    overflow before any epoch improves on the zero start. One product
+    ``diffs @ w`` per epoch serves both the error count of the new
+    weights and the next epoch's hinge violations.
 
     Training stops at the first epoch that misorders no pair. The best
     epoch is replaced only by one with strictly fewer misordered pairs,
@@ -228,15 +229,24 @@ def train_pairwise(
     diffs = _difference_matrix(data, max_pairs, seed)
     w = np.zeros(len(schema))
     # w is rebound every epoch, never changed in place, so best_w needs no copy.
-    best_w = w
+    best_w = start = w
     margins = diffs @ w
     best_err = _misordered(margins)
     for t in range(epochs):
-        grad = w - c * diffs[margins < 1.0].sum(axis=0)
-        w = w - (learning_rate / (1.0 + t)) * grad
-        margins = diffs @ w
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = w - c * diffs[margins < 1.0].sum(axis=0)
+            w = w - (learning_rate / (1.0 + t)) * grad
+            margins = diffs @ w
+        if not np.isfinite(w).all():
+            # inf and NaN absorb every later step: no later epoch is a model.
+            if best_w is start:
+                raise TrainingError(
+                    f"learning_rate {learning_rate!r} overflows the weights"
+                    " before any epoch improves on the zero start"
+                )
+            break
         err = _misordered(margins)
-        if err < best_err and np.isfinite(w).all():
+        if err < best_err:
             best_err, best_w = err, w
             if not err:
                 break

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -154,12 +153,3 @@ def char_overlap(
     lo, hi = p.char_range
     clipped = merge_intervals((max(s, lo), min(e, hi)) for s, e in spans)
     return sum(e - s for s, e in clipped), hi - lo
-
-
-def passage_stems(doc: Document, p: Passage) -> list[str]:
-    start, end = p.token_range
-    return doc.stems()[start:end]
-
-
-def passage_term_counts(doc: Document, p: Passage) -> Counter:
-    return Counter(passage_stems(doc, p))

@@ -533,7 +533,7 @@ def rank_qsf(
 ) -> RankedList:
     """QSF over the passages of ``doc_ids``; see :func:`qsf_from_sims`."""
     doc_sims, psg_sims = query_similarities(
-        query.stems(), store, index, doc_ids, passages_by_doc, params
+        query.stems(), index, doc_ids, passages_by_doc, params
     )
     return qsf_from_sims(query.query_id, doc_sims, psg_sims, passages_by_doc, lam, k)
 
@@ -648,7 +648,7 @@ def rank_plm(
     :func:`plm_from_sims`.
     """
     doc_sims, psg_sims = query_similarities(
-        query.stems(), store, index, doc_ids, passages_by_doc, params
+        query.stems(), index, doc_ids, passages_by_doc, params
     )
     pos_sims = best_positional_similarities(
         query, store, index, doc_ids, passages_by_doc, params, sigma
@@ -699,7 +699,7 @@ def rank_docpsg(
 ) -> RankedList:
     """DocPsg over ``doc_ids``; see :func:`docpsg_from_sims`."""
     doc_sims, psg_sims = query_similarities(
-        query.stems(), store, index, doc_ids, passages_by_doc, params
+        query.stems(), index, doc_ids, passages_by_doc, params
     )
     return docpsg_from_sims(
         query.query_id, doc_sims, psg_sims, passages_by_doc, index.doc_lengths, lambda_max

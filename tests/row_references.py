@@ -7,13 +7,20 @@ in the order the matrix code must reproduce, so tests can require ``==``
 between the two. A joint builder's reference also derives the output schema
 on its own. Rank maps are rebuilt here on every call, as the loops once did.
 
+Query likelihood is a scalar loop here (:func:`lm_similarity`), one unit
+and one term at a time; the package scores many units in one array pass.
 Concept profiles are id -> value dicts here, scored one document at a time
-by the scalar LM formula; the package keeps them as rank arrays scored from
-cached log tables.
+by that loop; the package keeps them as rank arrays scored from cached log
+tables.
 
 The document store is one Token per match here, and the index, sentence
 breaks and stopword priors read those tokens; the package keeps token
 columns. ExactMatch compares a list pair per window.
+
+Passage features are one passage at a time here (:func:`passage_vector`):
+a Counter of its stems, a stopword scan of its tokens, a keyword sort and
+a list scan per passage. The package builds each feature family as one
+column pass over all of a query's passages.
 
 The index is one (doc_id, positions) pair per stem and document here,
 written as one JSON dump and scanned with sets and nested loops; the
@@ -39,15 +46,18 @@ import json
 import math
 import re
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from psgrank.corpus import Token
-from psgrank.features import DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas
+from psgrank.features import (
+    DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas, esa_retrieval_profile,
+)
+from psgrank.features import profile_cosine as concept_cosine
 from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
-from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, doc_lm_similarity
-from psgrank.passage import merge_intervals
+from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW
+from psgrank.passage import merge_intervals, neighbors
 from psgrank.rank import (
     JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, smpd_features,
 )
@@ -459,6 +469,34 @@ def per_point_methods(methods) -> dict:
     return out
 
 
+def lm_similarity(terms, counts, length, index, params) -> float:
+    """exp(-cross-entropy) similarity between a term sequence and one unit
+    of ``counts``/``length``. Terms absent from the collection are dropped;
+    if all are, or a kept term has zero smoothed probability (mu = 0 and no
+    occurrence), the similarity is 0."""
+    kept = [t for t in terms if index.collection_term_counts.get(t)]
+    if not kept:
+        return 0.0
+    denom = length + params.mu
+    if denom <= 0:
+        return 0.0
+    log_sum = 0.0
+    inv_n = 1.0 / len(kept)
+    for t in kept:
+        p_c = index.collection_prob(t)
+        theta = (counts.get(t, 0.0) + params.mu * p_c) / denom
+        if theta <= 0.0:
+            return 0.0
+        log_sum += inv_n * math.log(theta)
+    return math.exp(log_sum)
+
+
+def doc_lm_similarity(terms, doc_id, index, params) -> float:
+    """lm_similarity against an indexed document, counts read from postings."""
+    counts = {t: len(index.positions(t, doc_id)) for t in set(terms)}
+    return lm_similarity(terms, counts, index.doc_lengths[doc_id], index, params)
+
+
 def lm_top_k(terms, index, params, k):
     """The scalar formula over every document holding a kept term, zero
     scores dropped, top k by score with ties by id."""
@@ -683,3 +721,82 @@ def is_subsequence(needle, haystack) -> bool:
             return True
     return False
 
+
+
+def passage_stems(doc, passage) -> list[str]:
+    return doc.stems()[passage.token_range[0] : passage.token_range[1]]
+
+
+def passage_term_counts(doc, passage) -> Counter:
+    return Counter(passage_stems(doc, passage))
+
+
+def passage_vector(extractor, passage) -> tuple[float, ...]:
+    """The passage's 20 features in PSG_SCHEMA order, from the extractor's
+    similarities, one passage at a time; its concept profile is computed
+    here, never read from the extractor's cache."""
+    ex = extractor
+    doc = ex.store.get(passage.doc_id)
+    doc_passages = ex.passages_by_doc[passage.doc_id]
+    tokens = doc.tokens[passage.token_range[0] : passage.token_range[1]]
+    stems = passage_stems(doc, passage)
+    counts = Counter(stems)
+    stem_set = set(stems)
+
+    sim = ex.psg_sims[passage.passage_id]
+    doc_sim = ex.doc_sims[passage.doc_id]
+    max_pd, avg_pd, std_pd = ex.doc_psg_stats[passage.doc_id]
+    pre, follow = neighbors(passage, doc_passages)
+
+    query_stems = ex.unique_query_stems
+    term_overlap = syn_overlap = 0.0
+    if query_stems:
+        syn_table = ex.resources.synonyms or {}
+        hits = sum(1 for s in query_stems if s in stem_set)
+        syn_hits = sum(
+            1 for s in query_stems
+            if s in stem_set or any(x in stem_set for x in syn_table.get(s, ()))
+        )
+        term_overlap, syn_overlap = hits / len(query_stems), syn_hits / len(query_stems)
+
+    esa = 0.0
+    if ex.query_profile:
+        keywords = top_tfidf_stems(counts, ex.resources.esa_index)
+        profile = esa_retrieval_profile(keywords, ex.resources.esa_index, ex.params)
+        esa = concept_cosine(ex.query_profile, profile)
+
+    w2v = 0.0
+    if ex.query_centroid is not None:
+        centroid = ex._centroid(sorted(stem_set))
+        if centroid is not None:
+            w2v = _cosine(ex.query_centroid, centroid)
+
+    entity = 0.0
+    if ex.query_entities is not None:
+        psg_entities = ex.resources.entities.get(passage.passage_id, frozenset())
+        union = ex.query_entities | psg_entities
+        if union:
+            entity = len(ex.query_entities & psg_entities) / len(union)
+
+    return (
+        sim / ex.psg_sim_sum if ex.psg_sim_sum > 0 else 0.0,
+        doc_sim / ex.doc_sim_sum if ex.doc_sim_sum > 0 else 0.0,
+        max_pd,
+        avg_pd,
+        std_pd,
+        passage.length / doc.length if doc.length else 1.0,
+        ex.psg_sims[pre.passage_id],
+        ex.psg_sims[follow.passage_id],
+        term_entropy(counts),
+        stopword_fraction(tokens),
+        stopword_coverage(tokens, ex.store.tokenizer.stopwords),
+        float(ex.query.unique_term_count),
+        1.0 if is_subsequence(ex.query_terms, stems) else 0.0,
+        term_overlap,
+        syn_overlap,
+        non_stopword_count(tokens),
+        (passage.ordinal + 1) / len(doc_passages),
+        esa,
+        w2v,
+        entity,
+    )

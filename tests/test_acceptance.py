@@ -26,8 +26,9 @@ from psgrank.features import (
     SemanticResources,
     concat_schemas,
     doc_features,
+    query_similarities,
 )
-from psgrank.index import LmParams, build_index, doc_lm_similarity, lm_similarity, sdm_components
+from psgrank.index import LmParams, build_index, sdm_components
 from psgrank.ltr import (
     TrainingSet,
     bucket_grade,
@@ -37,7 +38,7 @@ from psgrank.ltr import (
     train_coordinate_ascent,
     train_pairwise,
 )
-from psgrank.passage import SegmentationParams, passage_term_counts, segment
+from psgrank.passage import SegmentationParams, segment
 from psgrank.rank import (
     FusionParams,
     RankedList,
@@ -57,6 +58,7 @@ from psgrank.evaluation import (
     precision_at,
 )
 from psgrank.synthetic import SyntheticSpec, generate
+from row_references import lm_similarity, passage_term_counts
 
 
 def _report(criterion: int, name: str, ok: bool, detail: str = ""):
@@ -95,11 +97,19 @@ def test_criterion_1_formula_oracles():
     params = LmParams(mu)
 
     ok = True
-    # lm_similarity on documents and passages.
-    for doc_id in list(texts)[:12]:
-        got = doc_lm_similarity(query.stems(), doc_id, index, params)
+    # Query likelihood of documents and of their passages.
+    lm_docs = list(texts)[:12]
+    lm_passages = {d: segment(store.get(d), SegmentationParams(window_len=10)) for d in lm_docs}
+    doc_sims, psg_sims = query_similarities(
+        query.stems(), index, lm_docs, lm_passages, params
+    )
+    for doc_id in lm_docs:
         exp = oracles.doc_lm_similarity(query.stems(), doc_id, stems, mu)
-        ok &= _approx_rel(got, exp)
+        ok &= _approx_rel(doc_sims[doc_id], exp)
+        for p in lm_passages[doc_id]:
+            s = stems[doc_id][p.token_range[0] : p.token_range[1]]
+            exp = oracles.lm_similarity(query.stems(), Counter(s), len(s), stems, mu)
+            ok &= _approx_rel(psg_sims[p.passage_id], exp)
     # sdm components.
     for doc_id in list(texts)[:12]:
         got = sdm_components(query, store.get(doc_id), index, params)
@@ -135,9 +145,11 @@ def test_criterion_1_formula_oracles():
     extractor = PassageFeatureExtractor(
         query, store, index, doc_ids, passages_by_doc, resources, params
     )
+    matrix = extractor.matrix()
+    rows = dict(zip(matrix.item_ids, map(tuple, matrix.values.tolist())))
     for d in doc_ids:
         for p in passages_by_doc[d]:
-            got = extractor.vector(p)
+            got = rows[p.passage_id]
             exp = oracles.passage_feature_vector(
                 query, store, passages_by_doc, resources, mu, p, set(TINY_STOPWORDS)
             )

@@ -285,6 +285,21 @@ class TestTrainInputValidation:
             assert message in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_learning_rate_exits_one(self, tmp_path, capsys):
+        rows = "1 qid:q1 1:1000.0 2:0.0 # a\n0 qid:q1 1:0.0 2:1.0 # b\n"
+        (tmp_path / "feats.txt").write_text(rows)
+        (tmp_path / "feats.txt.schema.json").write_text(json.dumps(self.SIDECAR))
+        rc = main(
+            ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json",
+             "--learning-rate", "1e308"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "learning_rate 1e+308 overflows the weights before any epoch" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestEvalCommand:
     def test_perfect_run_map_one(self, tmp_path, capsys):

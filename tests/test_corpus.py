@@ -25,8 +25,7 @@ from psgrank.features import (
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
-    stopword_coverage,
-    stopword_fraction,
+    stopword_priors,
 )
 from psgrank.index import LmParams, build_index
 from psgrank.passage import _SENTENCE_BREAK_RE, SegmentationParams, segment
@@ -516,6 +515,8 @@ class TestColumnarStore:
             query, store, index, store.doc_ids(), passages_by_doc,
             SemanticResources(), LmParams(50.0),
         )
+        matrix = extractor.matrix()
+        rows = dict(zip(matrix.item_ids, matrix.values.tolist()))
         sw1, sw2, nonstop = (PSG_SCHEMA.index_of(f) for f in ("SW1", "SW2", "PsgLength"))
         for doc in store.documents:
             tokens = doc.tokens
@@ -526,11 +527,13 @@ class TestColumnarStore:
             for p in passages_by_doc[doc.doc_id]:
                 unit = tokens[p.token_range[0] : p.token_range[1]]
                 ids = doc.stopword_ids[p.token_range[0] : p.token_range[1]]
-                assert stopword_fraction(ids) == row_references.stopword_fraction(unit)
-                assert stopword_coverage(ids, stopwords) == row_references.stopword_coverage(
-                    unit, stopwords
+                fraction, coverage, count = stopword_priors(
+                    ids, np.array([len(ids)]), len(stopwords)
                 )
-                values = extractor.vector(p)
+                assert fraction.tolist() == [row_references.stopword_fraction(unit)]
+                assert coverage.tolist() == [row_references.stopword_coverage(unit, stopwords)]
+                assert count.tolist() == [row_references.non_stopword_count(unit)]
+                values = rows[p.passage_id]
                 assert values[sw1] == row_references.stopword_fraction(unit)
                 assert values[sw2] == row_references.stopword_coverage(unit, stopwords)
                 assert values[nonstop] == row_references.non_stopword_count(unit)

@@ -591,7 +591,7 @@ class TestStaging:
     def _counted(monkeypatch) -> dict:
         from psgrank import experiment, features
 
-        counts = {"extractors": 0, "vectors": 0, "doc_features": 0, "esa_profiles": 0}
+        counts = {"extractors": 0, "matrices": 0, "doc_features": 0, "esa_profiles": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -602,7 +602,7 @@ class TestStaging:
 
         extractor = features.PassageFeatureExtractor
         monkeypatch.setattr(extractor, "__init__", counting("extractors", extractor.__init__))
-        monkeypatch.setattr(extractor, "vector", counting("vectors", extractor.vector))
+        monkeypatch.setattr(extractor, "matrix", counting("matrices", extractor.matrix))
         monkeypatch.setattr(
             experiment, "doc_features", counting("doc_features", experiment.doc_features)
         )
@@ -616,7 +616,7 @@ class TestStaging:
         paths = _tiny_corpus(tmp_path)
         counts = self._counted(monkeypatch)
         run_experiment(_tiny_config(paths, ["LM"]), tmp_path / "out")
-        assert counts == {"extractors": 0, "vectors": 0, "doc_features": 0, "esa_profiles": 0}
+        assert counts == {"extractors": 0, "matrices": 0, "doc_features": 0, "esa_profiles": 0}
 
     @pytest.mark.parametrize("methods", [["QSF"], ["PLM", "DocPsg"]])
     def test_similarity_methods_build_no_vectors(self, tmp_path, monkeypatch, methods):
@@ -624,8 +624,18 @@ class TestStaging:
         counts = self._counted(monkeypatch)
         run_experiment(_tiny_config(paths, methods), tmp_path / "out")
         assert counts["extractors"] > 0
-        assert counts["vectors"] == 0 and counts["doc_features"] == 0
+        assert counts["matrices"] == 0 and counts["doc_features"] == 0
         assert counts["esa_profiles"] == 0
+
+    def test_excluded_esa_builds_no_profiles(self, tmp_path, monkeypatch):
+        paths = _tiny_corpus(tmp_path)
+        counts = self._counted(monkeypatch)
+        run_experiment(_tiny_config(paths, ["JPDs"]), tmp_path / "full")
+        assert counts["matrices"] > 0 and counts["esa_profiles"] > 0
+        counts.update(dict.fromkeys(counts, 0))
+        config = _tiny_config(paths, ["JPDs"], exclusions=["psg.ESA"])
+        run_experiment(config, tmp_path / "ablated")
+        assert counts["matrices"] > 0 and counts["esa_profiles"] == 0
 
 
 def _rescoring_walk(runner, method):

@@ -1,13 +1,15 @@
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 import row_references
-from conftest import TINY_STOPWORDS, make_query
+from conftest import TINY_STOPWORDS, build_store, make_query, noisy_corpus
+from psgrank.corpus import StopwordList, Tokenizer, ingest_corpus, load_topics
 from psgrank.features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
@@ -17,9 +19,11 @@ from psgrank.features import (
     PassageFeatureExtractor,
     SchemaError,
     SemanticResources,
-    _is_subsequence,
+    _FAMILY_OF,
+    _exact_matches,
+    _TokenColumns,
     concat_schemas,
-    doc_entropy,
+    doc_priors,
     doc_features,
     esa_retrieval_profile,
     load_embeddings,
@@ -27,12 +31,13 @@ from psgrank.features import (
     load_synonyms,
     minmax_normalize,
     profile_cosine,
+    query_similarities,
     read_svmlight,
     top_tfidf_stems,
     write_svmlight,
 )
-from psgrank.index import LmParams, build_index, retrieve_lm
-from psgrank.passage import SegmentationParams, segment
+from psgrank.index import LmParams, build_index, rank_documents_lm, retrieve_lm
+from psgrank.passage import Passage, SegmentationParams, segment
 
 
 def _matrix(rows):
@@ -209,11 +214,15 @@ class TestDocFeatures:
 
 
 class TestDocEntropyFromTermIds:
-    """doc_entropy over the term-id column equals the Counter form bit for bit."""
+    """The Ent prior over term-id columns equals the Counter form bit for
+    bit, alone and with other documents in one pass."""
 
-    def _check(self, doc):
-        got = doc_entropy(doc.term_ids)
+    def _check(self, doc, others=()):
+        stopwords = StopwordList("tiny", TINY_STOPWORDS)
+        got = doc_priors([doc], stopwords)[0][2]
         assert got.hex() == row_references.term_entropy(Counter(doc.stems())).hex()
+        together = doc_priors([*others, doc, *others], stopwords)
+        assert together[len(others)][2].hex() == got.hex()
         return got
 
     def test_empty_document(self, store_factory):
@@ -230,8 +239,17 @@ class TestDocEntropyFromTermIds:
         for n in range(20):
             ids = rng.zipf(1.3, size=int(rng.integers(1, 300))) % 41
             texts[f"d{n}"] = " ".join(f"w{i}" for i in ids.tolist())
-        for doc in store_factory(texts).documents:
-            self._check(doc)
+        documents = store_factory(texts).documents
+        for doc in documents:
+            self._check(doc, documents[:3])
+
+    def test_long_document_among_short_ones(self, store_factory):
+        # 3,000 distinct terms in one document, at most 3 in the others.
+        texts = {"long": " ".join(f"x{i} x{i % 7}" for i in range(3000)), "empty": ""}
+        texts.update({f"s{n}": " ".join(["cat", "dog", "owl"][: n % 3 + 1] * n) for n in range(6)})
+        documents = store_factory(texts).documents
+        for doc in documents:
+            self._check(doc, documents)
 
 
 def _psg_fixture(store_factory, tokenizer):
@@ -272,9 +290,11 @@ class TestPassageFeatures:
             query, store, index, sorted(passages_by_doc), passages_by_doc,
             resources, LmParams(mu),
         )
+        matrix = extractor.matrix()
+        rows = dict(zip(matrix.item_ids, map(tuple, matrix.values.tolist())))
         for d in sorted(passages_by_doc):
             for p in passages_by_doc[d]:
-                got = extractor.vector(p)
+                got = rows[p.passage_id]
                 expected = oracles.passage_feature_vector(
                     query, store, passages_by_doc, resources, mu, p,
                     set(TINY_STOPWORDS),
@@ -433,10 +453,230 @@ class TestPassageFeatures:
         hits = 0
         for needle, haystack in cases:
             expected = row_references.is_subsequence(needle, haystack)
-            assert _is_subsequence(needle, haystack) == expected
-            assert _is_subsequence(tuple(needle), tuple(haystack)) == expected
+            ids = [vocab.index(t) for t in needle]
+            got = _exact_matches(_units([[vocab.index(t) for t in haystack]]), ids)
+            assert got.tolist() == [float(expected)]
             hits += expected
         assert 0 < hits < len(cases)
+        # All haystacks as units of one column: a run crossing a unit
+        # boundary is no match, and an unknown id (-1) matches nothing.
+        for needle in (["a", "b"], ["c"], ["a", "a", "b"]):
+            units = [haystack for _, haystack in cases]
+            cols = _units([[vocab.index(t) for t in unit] for unit in units])
+            ids = [vocab.index(t) for t in needle]
+            got = _exact_matches(cols, ids)
+            assert got.tolist() == [
+                float(row_references.is_subsequence(needle, unit)) for unit in units
+            ]
+            assert not _exact_matches(cols, ids + [-1]).any()
+
+
+def _units(units) -> _TokenColumns:
+    """Token columns of consecutive units of term ids, as passages of one document."""
+    terms = np.array([t for unit in units for t in unit], dtype=np.int64)
+    doc = SimpleNamespace(term_ids=terms, stopword_ids=np.full(len(terms), -1))
+    ends = np.cumsum([len(unit) for unit in units], dtype=np.int64).tolist()
+    return _TokenColumns([doc] * len(units), list(zip([0] + ends[:-1], ends)))
+
+
+def _hexes(values) -> list[str]:
+    """Floats as hex strings, so -0.0 and 0.0 differ."""
+    return [float(v).hex() for v in values]
+
+
+class _Case:
+    """One query's passages over a store, and their per-passage reference rows."""
+
+    def __init__(self, query, store, index, passages_by_doc, resources, mu):
+        self.args = (query, store, index, sorted(passages_by_doc), passages_by_doc, resources)
+        self.params = LmParams(mu)
+        extractor = self.extractor()
+        self.reference = {
+            p.passage_id: row_references.passage_vector(extractor, p)
+            for d in extractor.doc_ids for p in passages_by_doc[d]
+        }
+
+    def extractor(self) -> PassageFeatureExtractor:
+        """A new extractor, so the concept profiles start from an empty cache."""
+        return PassageFeatureExtractor(*self.args, self.params, esa_cache={})
+
+
+def _noisy_cases(root) -> list[_Case]:
+    """The noisy corpus's queries over their top 12 documents, with synonyms,
+    embeddings and entities, at two smoothings."""
+    paths = noisy_corpus(root)
+    store = ingest_corpus(paths["corpus"], "jsonl")
+    index = build_index(store)
+    queries = load_topics(paths["topics"], store.tokenizer)
+    vocab = sorted({s for doc in store.documents for s in doc.stems()})
+    rng = np.random.default_rng(31)
+
+    def picks(pool, n):
+        return frozenset(rng.choice(pool, size=n, replace=False).tolist())
+
+    entity_pool = [f"E{i}" for i in range(5)]
+    entities = {f"{d}#{i}": picks(entity_pool, 2) for d in store.doc_ids() for i in range(2)}
+    entities.update({q.query_id: picks(entity_pool, 2) for q in queries})
+    resources = SemanticResources(
+        embeddings={w: rng.standard_normal(4) for w in vocab if rng.random() < 0.7},
+        synonyms={s: picks(vocab, 3) for q in queries for s in q.stems()},
+        entities=entities,
+        esa_index=index,
+    )
+    seg = SegmentationParams(window_len=30)
+    cases = []
+    for query in queries:
+        doc_ids = [d for d, _ in rank_documents_lm(query.stems(), index, LmParams(1000.0), 12)]
+        passages_by_doc = {d: segment(store.get(d), seg) for d in doc_ids}
+        for mu in (0.0, 1500.0):
+            cases.append(_Case(query, store, index, passages_by_doc, resources, mu))
+    return cases
+
+
+def _edge_cases(tokenizer) -> list[_Case]:
+    """Passages that are empty, of one term, shorter than the query, with
+    a query run across a passage boundary or inside one, and with more
+    tied keywords than the concept profile keeps."""
+    texts = {
+        "empty": "",
+        "one": "cat",
+        "same": "cat cat cat",
+        "short": "owl the emu of yak gnu cat dog bird",
+        "cross": "ant bee cow elk fox cat dog bird hen",
+        "inside": "cat dog bird ant cat dog",
+        "ties": " ".join(f"t{i:02d}" for i in reversed(range(25))) + " cat the dog cat",
+    }
+    store = build_store(texts, tokenizer)
+    index = build_index(store)
+    passages_by_doc = {
+        d: segment(store.get(d), SegmentationParams(window_len=30 if d == "ties" else 6))
+        for d in texts
+    }
+    resources = SemanticResources(
+        embeddings={"cat": np.array([1.0, 0.5]), "owl": np.array([-0.25, 2.0])},
+        synonyms={"cat": frozenset({"feline", "hen"}), "zebra": frozenset({"owl"})},
+        entities={"q1": frozenset({"E1"}), "cross#1": frozenset({"E1", "E2"})},
+        esa_index=index,
+    )
+    # "zebra" comes from another tokenizer, so the store's vocabulary lacks it.
+    other = Tokenizer(stopwords=StopwordList("tiny", TINY_STOPWORDS))
+    queries = [
+        make_query("q1", "cat dog", tokenizer),
+        make_query("q2", "cat cat dog zebra", other),
+        make_query("q3", "cat dog bird ant cat dog bird", tokenizer),
+    ]
+    return [
+        _Case(query, store, index, passages_by_doc, resources, mu)
+        for query in queries for mu in (0.0, 30.0)
+    ]
+
+
+@pytest.fixture(scope="module")
+def noisy_cases(tmp_path_factory):
+    return _noisy_cases(tmp_path_factory.mktemp("noisy"))
+
+
+@pytest.fixture
+def edge_cases(tokenizer):
+    return _edge_cases(tokenizer)
+
+
+class TestColumnFamilies:
+    """Each column family of the matrix equals the per-passage reference bit
+    for bit, and an ablated matrix equals the full matrix's columns."""
+
+    @pytest.mark.parametrize(
+        "features", list(dict.fromkeys(f for f, _ in _FAMILY_OF.values())), ids=lambda f: f[0]
+    )
+    @pytest.mark.parametrize("corpus", ["noisy", "edge"])
+    def test_family_equals_reference(self, features, corpus, request):
+        cases = request.getfixturevalue(f"{corpus}_cases")
+        schema = FeatureSchema("family", features)
+        at = [PSG_SCHEMA.index_of(f) for f in features]
+        for case in cases:
+            got = case.extractor().matrix(schema)
+            full = case.extractor().matrix()
+            assert got.item_ids == full.item_ids == tuple(case.reference)
+            assert got.values.tobytes() == full.columns(schema).values.tobytes()
+            for item_id, row in zip(got.item_ids, got.values.tolist()):
+                expected = [case.reference[item_id][i] for i in at]
+                assert _hexes(row) == _hexes(expected), (item_id, features)
+
+    def test_edge_values(self, edge_cases):
+        rows = row_references.table_of(edge_cases[3].extractor().matrix())[1]  # q2, mu = 30
+        column = {
+            f: {item_id: row[PSG_SCHEMA.index_of(f)] for item_id, row in rows.items()}
+            for f in PSG_SCHEMA.features
+        }
+        assert column["Ent"]["empty#0"].hex() == "0x0.0p+0"  # not -0.0
+        assert column["Ent"]["same#0"] == 0.0 and column["SW1"]["empty#0"] == 0.0
+        assert set(column["ExactMatch"].values()) == {0.0}  # "zebra" is nowhere
+        assert column["TermOverlap"]["short#1"] == 2 / 3  # cat and dog, not zebra
+        assert column["TermOverlap"]["short#0"] == 0.0
+        assert column["SynonymsOverlap"]["short#0"] == 1 / 3  # owl stands in for zebra
+        assert column["SW1"]["short#0"] == 2 / 6
+        q1 = edge_cases[1].extractor().matrix()
+        exact = dict(zip(q1.item_ids, _column(q1, "ExactMatch")))
+        assert exact["inside#0"] == 1.0
+        assert exact["cross#0"] == exact["cross#1"] == 0.0  # "cat | dog" crosses
+
+    def test_one_row_vector_equals_reference(self, edge_cases):
+        for case in edge_cases:
+            extractor = case.extractor()
+            for item_id, expected in case.reference.items():
+                doc_id = item_id.rsplit("#", 1)[0]
+                passage = extractor.passages_by_doc[doc_id][int(item_id.rsplit("#", 1)[1])]
+                assert _hexes(extractor.vector(passage)) == _hexes(expected)
+
+    @pytest.mark.parametrize("corpus", ["noisy", "edge"])
+    def test_passage_sims_equal_scalar_formula(self, corpus, request):
+        for case in request.getfixturevalue(f"{corpus}_cases"):
+            query, store, index, doc_ids, passages_by_doc, _ = case.args
+            extractor = case.extractor()
+            for d in doc_ids:
+                expected = row_references.doc_lm_similarity(query.stems(), d, index, case.params)
+                assert extractor.doc_sims[d].hex() == expected.hex()
+                for p in passages_by_doc[d]:
+                    counts = row_references.passage_term_counts(store.get(d), p)
+                    expected = row_references.lm_similarity(
+                        query.stems(), counts, p.length, index, case.params
+                    )
+                    assert extractor.psg_sims[p.passage_id].hex() == expected.hex()
+
+    def test_passage_counts_past_int32_keys(self):
+        # 1,000 documents of 3M tokens: the keys document * stride + token
+        # pass 2^31, far above the int32 positions the index stores.
+        class Index:
+            doc_lengths = {f"d{i:04d}": 3_000_000 for i in range(1000)}
+            collection_term_counts = {"a": 2000}
+
+            def positions(self, stem, doc_id):
+                return np.array([5, 2_999_999], np.int32)
+
+            def collection_prob(self, stem):
+                return 2000 / 3e9
+
+        last = Passage("d0999#0", "d0999", 0, (0, 6), (0, 0))
+        tail = Passage("d0999#1", "d0999", 1, (6, 3_000_000), (0, 0))
+        passages_by_doc = {d: [] for d in Index.doc_lengths} | {"d0999": [last, tail]}
+        _, psg_sims = query_similarities(
+            ["a"], Index(), list(Index.doc_lengths), passages_by_doc, LmParams(10.0)
+        )
+        for p in (last, tail):
+            expected = row_references.lm_similarity(
+                ["a"], {"a": 1}, p.length, Index(), LmParams(10.0)
+            )
+            assert psg_sims[p.passage_id].hex() == expected.hex()
+
+    def test_tied_keywords_break_by_stem(self, edge_cases):
+        index = edge_cases[0].args[2]
+        store = edge_cases[0].args[1]
+        counts = Counter(store.get("ties").stems())
+        keywords = top_tfidf_stems(counts, index)
+        assert keywords == row_references.top_tfidf_stems(counts, index)
+        # 25 terms share tf 1 and df 1, in reverse stem order in the text:
+        # the first 20 by stem are kept.
+        assert keywords == [f"t{i:02d}" for i in range(20)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

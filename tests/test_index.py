@@ -14,8 +14,7 @@ from psgrank.index import (
     build_index,
     count_ordered_pairs,
     count_window_pairs,
-    doc_lm_similarity,
-    lm_similarity,
+    lm_similarities,
     rank_documents_lm,
     retrieve_lm,
     sdm_components,
@@ -25,6 +24,17 @@ from psgrank.synthetic import SyntheticSpec, generate
 
 def _stems(store):
     return {d.doc_id: d.stems() for d in store.documents}
+
+
+def lm_similarity(terms, counts, length, index, params) -> float:
+    """lm_similarities over one unit."""
+    return float(lm_similarities(terms, counts, np.array([length]), index, params)[0])
+
+
+def doc_lm_similarity(terms, doc_id, index, params) -> float:
+    """lm_similarity against an indexed document, counts read from postings."""
+    counts = {t: len(index.positions(t, doc_id)) for t in set(terms)}
+    return lm_similarity(terms, counts, index.doc_lengths[doc_id], index, params)
 
 
 def _random_texts(rng, n_docs, vocab, min_len=5, max_len=40):
@@ -186,6 +196,27 @@ class TestLmSimilarity:
         dup = lm_similarity(["a", "b"], {"a": 2, "b": 4}, 6, index, LmParams(0.0))
         assert one == pytest.approx(dup, rel=1e-12)
 
+    def test_units_equal_scalar_loop(self, store_factory):
+        # Many units in one pass, each bit for bit the scalar loop: fractional
+        # counts, repeated and unknown query terms, and mu = 0 with a kept
+        # term absent from a unit (theta 0, score 0) or a zero-length unit.
+        rng = np.random.default_rng(11)
+        vocab = [f"w{i}" for i in range(8)]
+        store = store_factory(_random_texts(rng, 15, vocab))
+        index = build_index(store)
+        for trial in range(40):
+            terms = list(rng.choice(vocab + ["zz"], size=int(rng.integers(1, 6))))
+            n = int(rng.integers(1, 7))
+            table = rng.integers(0, 3, size=(len(vocab), n)) * rng.choice([1.0, 0.37], size=n)
+            counts = {t: table[i] for i, t in enumerate(vocab)}
+            lengths = table.sum(axis=0)
+            params = LmParams(0.0 if trial % 3 == 0 else float(rng.uniform(0, 50)))
+            got = lm_similarities(terms, counts, lengths, index, params)
+            for u in range(n):
+                unit = {t: float(c[u]) for t, c in counts.items()}
+                expected = row_references.lm_similarity(terms, unit, lengths[u], index, params)
+                assert got[u].hex() == expected.hex()
+
     def test_result_in_unit_interval(self, store_factory):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(10)]
@@ -303,6 +334,31 @@ class TestRankDocumentsLm:
         top = self._check(["w1", "w2", "w3"], index, 1500.0, k)
         assert len(top) == k < len(full)
         assert top[-1][0] == "t1" and full[k] == ("t2", top[-1][1])
+
+
+    def test_duplicate_documents_tie_across_every_cut(self, store_factory):
+        texts = _random_texts(np.random.default_rng(10), 30, self.VOCAB, min_len=3, max_len=30)
+        for n in range(6):
+            texts[f"dup{n}"] = "w1 w2 w3 w1 w7"
+        index = build_index(store_factory(texts))
+        full = self._check(["w1", "w7", "w3"], index, 300.0, 1000)
+        first = [d for d, _ in full].index("dup0")
+        assert [d for d, _ in full[first : first + 6]] == [f"dup{n}" for n in range(6)]
+        for k in range(1, len(full) + 2):
+            assert self._check(["w1", "w7", "w3"], index, 300.0, k) == full[:k]
+
+    def test_subnormal_scores(self, index):
+        """A tiny mu makes a missing term's theta subnormal, and many repeats
+        of it pull the log sums to where exp is subnormal or 0."""
+        subnormal = 0
+        for mu in (1e-300, 1e-310, 1e-318, 1e-320, 1e-321):
+            for repeats in (5, 40, 400):
+                terms = ["w1"] + ["w13"] * repeats
+                full = self._check(terms, index, mu, 1000)
+                subnormal += sum(0.0 < s < 2.2250738585072014e-308 for _, s in full)
+                for k in range(1, len(full) + 1):
+                    assert rank_documents_lm(terms, index, LmParams(mu), k) == full[:k]
+        assert subnormal > 0
 
 
 class TestPairCountersEqualLoops:

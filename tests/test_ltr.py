@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 import row_references
+from psgrank import ltr
 from psgrank.evaluation import JudgmentSet
 from psgrank.features import FeatureMatrix, FeatureSchema, SchemaError
 from psgrank.ltr import (
@@ -185,13 +186,36 @@ class TestTrainPairwise:
 
 
 class TestOverflow:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_weights_are_never_the_model(self):
-        # A step of 1e308 overflows the weights to inf and NaN within two epochs.
+        # A step of 1e308 overflows the weights in the first epoch, and so in
+        # every epoch: no model is returned, not even the zero start. numpy's
+        # overflow warnings are not raised either.
         for seed in range(3):
             data = _training(_random_rows(np.random.default_rng(seed)))
-            with np.errstate(over="ignore", invalid="ignore"):
-                model = train_pairwise(data, learning_rate=1e308)
+            with pytest.raises(TrainingError, match="learning_rate 1e\\+308 overflows"):
+                train_pairwise(data, learning_rate=1e308)
+            model = train_pairwise(data, learning_rate=1e300)
             assert all(math.isfinite(x) for x in model.weights)
+            assert any(model.weights)
+
+    # One feature, pairs with differences 1 and -0.5: epoch 0's weight,
+    # 0.5 * c * learning_rate, orders one pair of two; epoch 1's overflows.
+    LATE = [("q1", "a", [1.0], 1), ("q1", "b", [0.0], 0),
+            ("q2", "a", [0.0], 1), ("q2", "b", [0.5], 0)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_after_a_better_epoch_keeps_it(self):
+        model = train_pairwise(_training(self.LATE), c=0.01, learning_rate=1e200)
+        assert model.weights == (0.5 * 0.01 * 1e200,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_after_no_better_epoch_is_an_error(self, monkeypatch):
+        # Every epoch counted as misordering all pairs, as the zero start
+        # does: epoch 0 is finite but no better, and epoch 1 overflows.
+        monkeypatch.setattr(ltr, "_misordered", len)
+        with pytest.raises(TrainingError, match="learning_rate 1e\\+200 overflows"):
+            train_pairwise(_training(self.LATE), c=0.01, learning_rate=1e200)
 
     def test_nan_margin_counts_as_misordered(self):
         # Margins 1, NaN (inf - inf), -1 and 0.

@@ -9,9 +9,9 @@ from psgrank.passage import (
     neighbors,
     parse_passage_id,
     passage_spans,
-    passage_stems,
     segment,
 )
+from row_references import passage_stems
 
 
 def _doc(store_factory, n_tokens, word="tok"):

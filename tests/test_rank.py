@@ -677,8 +677,7 @@ class TestPlm:
 
     def test_flat_kernel_matches_whole_passage(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
-        from psgrank.passage import passage_term_counts
-        from psgrank.index import lm_similarity
+        from row_references import lm_similarity, passage_term_counts
 
         for d, plist in passages_by_doc.items():
             for p in plist:
