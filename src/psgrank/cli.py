@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .corpus import (
@@ -46,7 +47,7 @@ from .features import (
     read_svmlight,
     write_svmlight,
 )
-from .index import IndexError_, LmParams, build_index, retrieve_lm
+from .index import IndexError_, LmParams, build_index, memoized, retrieve_lm
 from .ltr import (
     PARAM_CHECKS,
     LinearModel,
@@ -102,18 +103,20 @@ def _cmd_features(args) -> int:
     index = build_index(store)
     queries = load_topics(args.topics, store.tokenizer)
     params = LmParams(args.mu)
+    memo: dict = {}  # document priors and concept profiles, shared by the queries as in a run
     dump = []
     if args.kind == "doc":
         schema = DOC_SCHEMA
         judgments = load_doc_qrels(args.qrels) if args.qrels else None
-        stopwords, priors = store.tokenizer.stopwords, {}
+        stopwords = store.tokenizer.stopwords
         for q in queries:
             doc_ids = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs).ids()
-            missing = [d for d in doc_ids if d not in priors]
-            priors.update(zip(missing, doc_priors([store.get(d) for d in missing], stopwords)))
+            missing = [d for d in doc_ids if ("priors", d) not in memo]
+            fresh = dict(zip(missing, doc_priors([store.get(d) for d in missing], stopwords)))
+            priors = [memoized(memo, ("priors", d), lambda d=d: fresh[d]) for d in doc_ids]
             rows = [
-                doc_features(q, store.get(d), index, params, stopwords, priors=priors[d])
-                for d in doc_ids
+                doc_features(q, store.get(d), index, params, stopwords, priors=kept)
+                for d, kept in zip(doc_ids, priors)
             ]
             grades = [judgments.grade(q.query_id, d) if judgments else 0 for d in doc_ids]
             dump.append((FeatureMatrix(schema, q.query_id, doc_ids, rows), grades))
@@ -126,7 +129,8 @@ def _cmd_features(args) -> int:
             run = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs)
             passages_by_doc = {d: segment(store.get(d), seg) for d in run.ids()}
             matrix = PassageFeatureExtractor(
-                q, store, index, run.ids(), passages_by_doc, resources, params
+                q, store, index, run.ids(), passages_by_doc, resources, params,
+                memo=partial(memoized, memo),
             ).matrix()
             grades = passage_grades(judgments, q.query_id, passages_by_doc)
             dump.append((matrix, [grades.get(p, 0) for p in matrix.item_ids]))

@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -49,7 +50,7 @@ from .features import (
     load_synonyms,
     minmax_normalize,
 )
-from .index import LmParams, SdmWeights, build_index, retrieve_lm
+from .index import LmParams, SdmWeights, build_index, memoized, retrieve_lm
 from .ltr import (
     PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grades, score,
     train_coordinate_ascent, train_pairwise,
@@ -110,7 +111,6 @@ class _Method:
     # query_id, model ranking or None) -> r' of each c_ltr document, 0 for none.
     fuse_with: Callable | None = None
     feasible: Callable | None = None  # params -> False for a grid point to skip
-    hyper_in_params: bool = True  # report the trainer setting with the tuned params
     features: bool = True  # reads feature vectors, so ablating a feature can move it
 
     @property
@@ -119,6 +119,12 @@ class _Method:
         one grid point is the same in every fold. Its grid is picked on the
         train queries; any other method's on the validation queries."""
         return not (self.vectors or self.reads)
+
+    @property
+    def hyper_in_params(self) -> bool:
+        """Whether the trainer setting is reported with the tuned parameters:
+        only when the method has no vector grid of its own."""
+        return not self.vector_grid
 
     @property
     def shares_matrices(self) -> bool:
@@ -221,9 +227,7 @@ _METHODS = {
     "DocPsg": _Method(
         "doc", rank=_docpsg, grid=(("mu", "mu"), ("lambda_max", "docpsg_lambda")), features=False
     ),
-    "init-LTR": _Method(
-        "doc", vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),), hyper_in_params=False,
-    ),
+    "init-LTR": _Method("doc", vectors=_vectors_for_doc_ltr, vector_grid=(("mu", "mu"),)),
     "RRF": _Method(
         "doc", reads=("init-LTR", "passages"), grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p: rerank_rrf(run.c_ltr(q), run.passage_ranking(q), _fusion(p)),
@@ -233,7 +237,7 @@ _METHODS = {
     ),
     "SMPD": _Method(
         "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_smpd,
-        vector_grid=(("nu", "nu"),), hyper_in_params=False,
+        vector_grid=(("nu", "nu"),),
     ),
     "JPDs": _jpds("best"),
     "JPDs-second": _jpds("second"),
@@ -260,7 +264,6 @@ _METHODS = {
     ),
     "PsgLTR": _Method(
         "psg", reads=("QSF",), vectors=_vectors_for_psg_ltr, vector_grid=(("mu", "mu"),),
-        hyper_in_params=False,
     ),
 }
 ALL_METHODS = tuple(_METHODS)
@@ -614,13 +617,6 @@ class _QueryData:
     psg_grades: dict[str, int]
 
 
-def _memoized(memo: dict, key: tuple, compute: Callable[[], object]):
-    """The value kept in ``memo`` under ``key``, computed on first request."""
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
 class _Pipeline:
     """Loads artifacts, stages per-query data, and executes folds."""
 
@@ -654,17 +650,14 @@ class _Pipeline:
             raise ConfigError(
                 "need at least 2 judged queries for leave-one-out cross validation"
             )
-        self._esa_cache: dict = {}
         # Work whose inputs do not depend on the fold, kept for the whole run
         # under a key of its kind and everything else it reads: segmentation,
-        # query data, extractors, feature matrices, positional similarities,
-        # QSF runs, fold-free methods' per-query tuning metrics and shared
-        # normalized matrices (see _FoldRunner).
+        # document priors, query data, extractors, concept profiles, feature
+        # matrices, positional similarities, QSF runs, fold-free methods'
+        # per-query tuning metrics and shared normalized matrices (see
+        # _FoldRunner).
         self._memo: dict = {}
-
-    def memo(self, key: tuple, compute: Callable[[], object]):
-        """The value kept under ``key``, computed on first request."""
-        return _memoized(self._memo, key, compute)
+        self.memo = partial(memoized, self._memo)  # (key, compute) -> the kept value
 
     def _filter_queries(self, queries: Sequence[Query]) -> list[Query]:
         """Drop queries with no relevant items in the required qrels."""
@@ -715,7 +708,7 @@ class _Pipeline:
             data = self.query_data(query_id)
             return PassageFeatureExtractor(
                 data.query, self.store, self.index, sorted(data.passages_by_doc),
-                data.passages_by_doc, self.resources, LmParams(mu), esa_cache=self._esa_cache,
+                data.passages_by_doc, self.resources, LmParams(mu), memo=self.memo,
             )
 
         return self.memo(("extractor", query_id, mu), compute)
@@ -741,9 +734,8 @@ class _Pipeline:
         """Each document's SW1/SW2/Ent priors, kept per document; the missing in one pass."""
         missing = [d for d in doc_ids if ("priors", d) not in self._memo]
         docs = [self.store.get(d) for d in missing]
-        for d, priors in zip(missing, doc_priors(docs, self.store.tokenizer.stopwords)):
-            self._memo[("priors", d)] = priors
-        return [self._memo[("priors", d)] for d in doc_ids]
+        fresh = dict(zip(missing, doc_priors(docs, self.store.tokenizer.stopwords)))
+        return [self.memo(("priors", d), lambda d=d: fresh[d]) for d in doc_ids]
 
     def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
         """The query's document features at ``mu``, in document id order."""
@@ -873,11 +865,11 @@ class _FoldRunner:
             )
             return score(self.models[stage], matrix)
 
-        return _memoized(self._memo, ("passages", query_id), compute)
+        return memoized(self._memo, ("passages", query_id), compute)
 
     def passage_ranks(self, query_id: str) -> PassageRanks:
         """The passage ranking G as integer ranks of the candidates' passages."""
-        return _memoized(
+        return memoized(
             self._memo, ("passage_ranks", query_id),
             lambda: PassageRanks(
                 self.pipe.query_data(query_id).passages_by_doc, self.passage_ranking(query_id)
@@ -977,7 +969,7 @@ class _FoldRunner:
             )
             return self._run(rec, query_id, params, ranking)
 
-        return _memoized(self._memo, ("run", method, query_id), compute)
+        return memoized(self._memo, ("run", method, query_id), compute)
 
     def _model_ranking(
         self, rec: _Method, query_id: str, params: dict, model: LinearModel

@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, exact_log, lm_similarities, lm_top_ranks, sdm_components,
+    LmParams, PositionalIndex, exact_log, lm_similarities, lm_top_ranks, memoized, sdm_components,
 )
 from .passage import Passage, neighbors
 
@@ -498,9 +498,9 @@ class PassageFeatureExtractor:
     universe is all passages of those documents. Similarities are computed
     at construction; per-document statistics and the query-side concept
     profile on first use, so a caller reading only ``doc_sims`` and
-    ``psg_sims`` pays for nothing else. An optional shared ``esa_cache``
-    maps (passage_id, mu) -> :class:`ConceptProfile`, which is
-    query-independent and safe to reuse across queries.
+    ``psg_sims`` pays for nothing else. Concept profiles are kept by
+    ``memo(("esa", passage_id, mu), compute)``, a :func:`memoized` over a dict
+    that callers may share across queries (the default is the extractor's own).
 
     :meth:`matrix` builds the features a column family at a time, each
     family one pass over the concatenated token columns of the passages
@@ -518,7 +518,7 @@ class PassageFeatureExtractor:
         passages_by_doc: Mapping[str, Sequence[Passage]],
         resources: SemanticResources,
         params: LmParams,
-        esa_cache: dict | None = None,
+        memo: Callable | None = None,
     ):
         self.query = query
         self.store = store
@@ -527,7 +527,7 @@ class PassageFeatureExtractor:
         self.passages_by_doc = passages_by_doc
         self.resources = resources
         self.params = params
-        self.esa_cache = esa_cache if esa_cache is not None else {}
+        self.memo = memo or partial(memoized, {})
 
         terms = query.stems()
         self.query_terms = terms
@@ -606,7 +606,7 @@ class PassageFeatureExtractor:
 
     def _esa_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> list:
         """Keywords for every passage from one pick over the count table;
-        profiles for the passages the cache lacks."""
+        profiles for the passages the memo lacks."""
         esa = np.zeros(len(passages))
         if not (self.query_profile and len(esa)):
             return [esa]
@@ -617,11 +617,9 @@ class PassageFeatureExtractor:
         top = _top_tfidf_rows(psg, tf, inverse, stems, esa_index, k=20)
         keywords = np.split(inverse[top], np.searchsorted(psg[top], np.arange(1, len(esa))))
         for i, p in enumerate(passages):
-            profile = self.esa_cache.get((p.passage_id, mu))
-            if profile is None:
-                words = [stems[t] for t in keywords[i].tolist()]
-                profile = esa_retrieval_profile(words, esa_index, self.params)
-                self.esa_cache[(p.passage_id, mu)] = profile
+            profile = self.memo(("esa", p.passage_id, mu), lambda i=i: esa_retrieval_profile(
+                [stems[t] for t in keywords[i].tolist()], esa_index, self.params
+            ))
             esa[i] = profile_cosine(self.query_profile, profile)
         return [esa]
 

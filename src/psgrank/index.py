@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,14 @@ SDM_WINDOW = 8
 
 class IndexError_(ValueError):
     """A store that cannot be indexed."""
+
+
+def memoized(memo: dict, key: tuple, compute: Callable[[], object]):
+    """The value kept in ``memo`` under ``key``, computed on first request.
+    Every cache goes through here: patched to always compute, nothing is shared."""
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 @dataclass
@@ -82,10 +90,8 @@ class PositionalIndex:
     _row: dict = field(init=False, repr=False)
     _slot_of: dict = field(init=False, repr=False)
     _slot_rank: np.ndarray = field(init=False, repr=False)  # doc rank of each slot
-    _pair_cache: dict = field(default_factory=dict, repr=False)
-    _lm_logs: dict = field(default_factory=dict, repr=False)
-    _idf: dict = field(default_factory=dict, repr=False)
-    _doc_table: tuple | None = field(default=None, repr=False)
+    # ("idf", stem), ("lm_logs", stem, mu), ("pair", ordered, a, b), ("doc_table",)
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for a in (self.stem_bounds, self.posting_docs, self.posting_bounds, self.posting_positions):
@@ -119,13 +125,11 @@ class PositionalIndex:
 
     def idfs(self, stems: Iterable[str]) -> list[float | None]:
         """ln(N / df) of each stem, cached per stem; None for a stem no document holds."""
-        stems = list(stems)
-        cache = self._idf
-        for stem in stems:
-            if stem not in cache:
-                df = self.document_frequency(stem)
-                cache[stem] = math.log(self.doc_count() / df) if df else None
-        return [cache[stem] for stem in stems]
+        def idf(stem: str) -> float | None:
+            df = self.document_frequency(stem)
+            return math.log(self.doc_count() / df) if df else None
+
+        return [memoized(self._memo, ("idf", s), lambda s=s: idf(s)) for s in stems]
 
     def positions(self, stem: str, doc_id: str) -> np.ndarray:
         """The stem's ascending positions in the document, as a read-only view."""
@@ -139,12 +143,13 @@ class PositionalIndex:
     def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray, np.ndarray]:
         """Doc ids in string order, each id's rank in it, the distinct document
         lengths (ascending), and each rank's slot among them."""
-        if self._doc_table is None:
+        def compute():
             ids = sorted(self.doc_lengths)
             lengths = np.array([self.doc_lengths[d] for d in ids], dtype=np.int64)
             distinct, slot = np.unique(lengths, return_inverse=True)
-            self._doc_table = (ids, {d: r for r, d in enumerate(ids)}, distinct, slot)
-        return self._doc_table
+            return ids, {d: r for r, d in enumerate(ids)}, distinct, slot
+
+        return memoized(self._memo, ("doc_table",), compute)
 
     def stem_arrays(self, stem: str) -> tuple[np.ndarray, np.ndarray]:
         """Doc ranks (see :meth:`doc_table`) and term frequencies of a stem's postings."""
@@ -161,9 +166,7 @@ class PositionalIndex:
         from :mod:`math`, so sums of them match :func:`lm_similarities` bit
         for bit. The table costs df + (distinct lengths) floats.
         """
-        key = (stem, mu)
-        got = self._lm_logs.get(key)
-        if got is None:
+        def compute():
             _, _, distinct, slot = self.doc_table()
             ranks, tf = self.stem_arrays(stem)
             smooth = mu * self.collection_prob(stem)
@@ -175,16 +178,15 @@ class PositionalIndex:
             background = np.divide(smooth, denom, out=np.zeros(len(denom)), where=denom > 0)
             background = exact_log(background)
             posting.flags.writeable = background.flags.writeable = False
-            got = self._lm_logs[key] = (ranks, posting, background)
-        return got
+            return ranks, posting, background
+
+        return memoized(self._memo, ("lm_logs", stem, mu), compute)
 
     def pair_count(self, a: str, b: str, ordered: bool) -> int:
         """Collection count of a immediately followed by b (``ordered``), or of
         a and b within an SDM window; cached per query pair."""
-        key = (ordered, a, b)
-        if key not in self._pair_cache:
-            self._pair_cache[key] = self._scan_pairs(a, b, ordered)
-        return self._pair_cache[key]
+        key = ("pair", ordered, a, b)
+        return memoized(self._memo, key, lambda: self._scan_pairs(a, b, ordered))
 
     def _scan_pairs(self, a: str, b: str, ordered: bool) -> int:
         """Counts over each stem's positions in the documents holding both,

@@ -549,10 +549,9 @@ def positional_similarities(
     """Query similarity of the Gaussian-kernel pseudo-document at every
     position of the passage; empty passages give an empty array."""
     check_sigma(sigma)
-    doc = store.get(p.doc_id)
     start, end = p.token_range
-    stems = doc.stems()[start:end]
-    m = len(stems)
+    term_ids = store.get(p.doc_id).term_ids[start:end]
+    m = len(term_ids)
     if m == 0:
         return np.zeros(0)
     terms = [t for t in query.stems() if index.collection_term_counts.get(t)]
@@ -566,8 +565,8 @@ def positional_similarities(
     inv_n = 1.0 / len(terms)
     counts = {}
     for t in set(terms):
-        positions = [i for i, s in enumerate(stems) if s == t]
-        counts[t] = kernel[:, positions].sum(axis=1) if positions else np.zeros(m)
+        positions = np.flatnonzero(term_ids == store.tokenizer.term_id(t))
+        counts[t] = kernel[:, positions].sum(axis=1) if positions.size else np.zeros(m)
     valid = np.ones(m, dtype=bool)
     for t in terms:
         p_c = index.collection_prob(t)

@@ -40,6 +40,9 @@ coordinate-ascent objective sorts each query's (id, score) pairs with
 passage at a time, subtracting the characters already covered in its
 document and intersecting the rest with the merged relevant spans. The
 package runs both as array passes over all queries or all ranks at once.
+
+PLM's positional similarities find each query term's positions by a scan
+of the passage's stems here; the package compares its term-id column.
 """
 
 import json
@@ -800,3 +803,33 @@ def passage_vector(extractor, passage) -> tuple[float, ...]:
         w2v,
         entity,
     )
+
+
+def positional_similarities(query, store, index, p, params, sigma) -> np.ndarray:
+    """rank.positional_similarities, with each term's positions from a scan of the stems."""
+    start, end = p.token_range
+    stems = store.get(p.doc_id).stems()[start:end]
+    m = len(stems)
+    if m == 0:
+        return np.zeros(0)
+    terms = [t for t in query.stems() if index.collection_term_counts.get(t)]
+    if not terms:
+        return np.zeros(m)
+    idx = np.arange(m, dtype=float)
+    kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
+    denom = kernel.sum(axis=1) + params.mu
+    log_scores = np.zeros(m)
+    counts = {}
+    for t in set(terms):
+        positions = [i for i, s in enumerate(stems) if s == t]
+        counts[t] = kernel[:, positions].sum(axis=1) if positions else np.zeros(m)
+    valid = np.ones(m, dtype=bool)
+    for t in terms:
+        theta = (counts[t] + params.mu * index.collection_prob(t)) / denom
+        term_valid = theta > 0
+        valid &= term_valid
+        with np.errstate(divide="ignore"):
+            log_scores += (1.0 / len(terms)) * np.where(
+                term_valid, np.log(np.where(term_valid, theta, 1.0)), 0.0
+            )
+    return np.where(valid, np.exp(log_scores), 0.0)

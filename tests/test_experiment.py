@@ -586,6 +586,57 @@ class TestCrossFoldMemo:
         assert by_triple[(1.0, 0.0, 0.0)] != by_triple[(0.0, 0.0, 1.0)]
 
 
+class TestMemoOff:
+    """A run with every cache bypassed writes the bytes of the cached run,
+    so each cached value is keyed by everything it depends on. The larger
+    mu comes first: the grid walks keep the first of tied points, so a key
+    lacking mu shows only when a reader of the second mu gets the first
+    mu's value and a fold picks the second. With these QSF lambdas and a
+    5-passage cutoff, the tuned QSF (mu, lambda) differs between folds."""
+
+    GRIDS = {**_TINY_GRIDS, "mu": [2500.0, 500.0], "qsf_lambda": [0.1, 0.9]}
+    # The key kind each case guards, its methods and its other settings.
+    CASES = {
+        # Extractors by (query, mu): QSF, PLM and DocPsg read both.
+        "extractor": (["LM", "SDM", "QSF", "PLM", "DocPsg"], {}),
+        # PsgLTR's shared matrices by the tuned QSF, whose top passages
+        # they hold.
+        "matrix": (["PsgLTR"], {"exclusions": ["psg.ESA"]}),
+        # Concept profiles by (passage, mu): FPD reads the passage features
+        # at each fold's QSF mu.
+        "esa": (["FPD"], {"psg_ranker": "qsf"}),
+        # The PsgLTR passage ranking that RRF fuses is trained per fold, so
+        # the fold keeps it.
+        "passages": (["RRF"], {"exclusions": ["psg.ESA"]}),
+    }
+
+    @pytest.mark.parametrize("guarded", list(CASES))
+    def test_bypassed_run_writes_same_bytes(self, tmp_path, monkeypatch, guarded):
+        from psgrank import experiment, features, index
+
+        methods, overrides = self.CASES[guarded]
+        config = _tiny_config(
+            _tiny_corpus(tmp_path), methods, grids=self.GRIDS, psg_cutoff=5,
+            trainer_params={"epochs": 5}, **overrides,
+        )
+        run_experiment(config, tmp_path / "cached")
+        kinds = set()
+
+        def compute_always(memo, key, compute):
+            assert not memo, f"{next(iter(memo))} written past the memo helper"
+            kinds.add(key[0])
+            return compute()
+
+        for module in (index, features, experiment):
+            monkeypatch.setattr(module, "memoized", compute_always)
+        run_experiment(config, tmp_path / "bypassed")
+        assert guarded in kinds
+        cached, bypassed = _tree_bytes(tmp_path / "cached"), _tree_bytes(tmp_path / "bypassed")
+        assert cached.keys() == bypassed.keys()
+        for name in cached:
+            assert cached[name] == bypassed[name], name
+
+
 class TestStaging:
     @staticmethod
     def _counted(monkeypatch) -> dict:

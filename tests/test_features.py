@@ -1,6 +1,7 @@
 import math
 import re
 from collections import Counter
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +37,7 @@ from psgrank.features import (
     top_tfidf_stems,
     write_svmlight,
 )
-from psgrank.index import LmParams, build_index, rank_documents_lm, retrieve_lm
+from psgrank.index import LmParams, build_index, memoized, rank_documents_lm, retrieve_lm
 from psgrank.passage import Passage, SegmentationParams, segment
 
 
@@ -407,10 +408,10 @@ class TestPassageFeatures:
             store_factory, tokenizer
         )
 
-        def esa_values(mu, cache):
+        def esa_values(mu, memo):
             extractor = PassageFeatureExtractor(
                 query, store, index, sorted(passages_by_doc), passages_by_doc,
-                resources, LmParams(mu), esa_cache=cache,
+                resources, LmParams(mu), memo=partial(memoized, memo),
             )
             return _column(extractor.matrix(), "ESA")
 
@@ -418,6 +419,7 @@ class TestPassageFeatures:
         warm_500 = esa_values(500.0, shared)
         assert esa_values(2500.0, shared) == esa_values(2500.0, {})
         assert esa_values(500.0, shared) == warm_500 == esa_values(500.0, {})
+        assert {key[2] for key in shared} == {500.0, 2500.0}
 
     def test_corpus_order_invariance(self, tokenizer, store_factory):
         texts = {
@@ -498,7 +500,7 @@ class _Case:
 
     def extractor(self) -> PassageFeatureExtractor:
         """A new extractor, so the concept profiles start from an empty cache."""
-        return PassageFeatureExtractor(*self.args, self.params, esa_cache={})
+        return PassageFeatureExtractor(*self.args, self.params)
 
 
 def _noisy_cases(root) -> list[_Case]:

@@ -694,6 +694,24 @@ class TestPlm:
                 if pos.size:
                     assert float(pos.max()) == pytest.approx(whole, abs=1e-6)
 
+    def test_term_id_positions_equal_stem_scan(self, store_factory, tokenizer):
+        from psgrank.passage import Passage
+
+        store, index, _, query = _scored_corpus(store_factory, tokenizer)
+        repeated = make_query("r", "dog cat dog zebu", tokenizer)
+        for window_len in (1, 3, 7, 300):
+            seg = SegmentationParams(window_len=window_len)
+            passages = [p for d in store.doc_ids() for p in segment(store.get(d), seg)]
+            passages.append(Passage("d1#9", "d1", 9, (2, 2), (0, 0)))  # empty
+            for p in passages:
+                for q in (query, repeated):
+                    for sigma in (0.5, 2.0, 50.0, 1e6):
+                        args = (q, store, index, p, LmParams(20.0), sigma)
+                        got = positional_similarities(*args)
+                        want = row_references.positional_similarities(*args)
+                        assert got.shape == want.shape == (p.length,)
+                        assert got.tobytes() == want.tobytes(), (p.passage_id, sigma)
+
     def test_brute_force_per_position_oracle(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat dog bird cat fish dog cat owl bat dog"})
         index = build_index(store)
