@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .corpus import (
@@ -31,30 +30,26 @@ from .evaluation import (
     query_metrics,
 )
 from .experiment import (
-    CONFIG_FIELDS, FEATURE_FREE_METHODS, TRAINERS, ConfigError, ExperimentConfig,
+    CONFIG_FIELDS, FEATURE_FREE_METHODS, TRAINERS, ConfigError, ExperimentConfig, _Pipeline,
     _default_trainer_params, run_experiment,
 )
 from .features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
-    FeatureMatrix,
     FeatureSchema,
-    PassageFeatureExtractor,
     SemanticResources,
-    doc_features,
-    doc_priors,
+    doc_features,  # noqa: F401  (benchmarks/spans.py wraps it here)
     minmax_normalize,
     read_svmlight,
     write_svmlight,
 )
-from .index import IndexError_, LmParams, build_index, memoized, retrieve_lm
+from .index import IndexError_, LmParams, build_index
+from .index import retrieve_lm  # noqa: F401  (benchmarks/spans.py wraps it here)
 from .ltr import (
     PARAM_CHECKS,
-    LinearModel,
     TrainingError,
     TrainingSet,
     ndcg_at_k,
-    passage_grades,
     train_coordinate_ascent,
     train_pairwise,
 )
@@ -98,44 +93,49 @@ def _cmd_segment(args) -> int:
     return 0
 
 
+def _features_config(args) -> ExperimentConfig:
+    """The config of a run whose staging the dump is; raises UsageError
+    naming every bad flag."""
+    config = ExperimentConfig()
+    config.segmentation_mode = args.seg_mode
+    fields = {f.name: f for f in CONFIG_FIELDS}
+    problems = []
+    for flag, name in (("init_mu", "init_mu"), ("k_docs", "doc_cutoff"), ("length", "window_len")):
+        setattr(config, name, getattr(args, flag))
+        flag = "--" + flag.replace("_", "-")
+        problems += [f"{flag}: {p}" for p in fields[name].problems(getattr(config, name))]
+    try:
+        LmParams(args.mu)
+    except ValueError as exc:
+        problems.append(f"--mu: {exc}")
+    if problems:
+        raise UsageError("; ".join(problems))
+    return config
+
+
 def _cmd_features(args) -> int:
+    config = _features_config(args)
     store = CorpusStore.load(args.store)
     index = build_index(store)
-    queries = load_topics(args.topics, store.tokenizer)
-    params = LmParams(args.mu)
-    memo: dict = {}  # document priors and concept profiles, shared by the queries as in a run
+    load_qrels = load_doc_qrels if args.kind == "doc" else load_char_qrels
+    pipe = _Pipeline(
+        config, store, index, load_topics(args.topics, store.tokenizer),
+        SemanticResources(esa_index=index),
+        **{f"{args.kind}_judgments": load_qrels(args.qrels) if args.qrels else None},
+    )
+    vectors = pipe.doc_vectors if args.kind == "doc" else pipe.psg_vectors
     dump = []
-    if args.kind == "doc":
-        schema = DOC_SCHEMA
-        judgments = load_doc_qrels(args.qrels) if args.qrels else None
-        stopwords = store.tokenizer.stopwords
-        for q in queries:
-            doc_ids = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs).ids()
-            missing = [d for d in doc_ids if ("priors", d) not in memo]
-            fresh = dict(zip(missing, doc_priors([store.get(d) for d in missing], stopwords)))
-            priors = [memoized(memo, ("priors", d), lambda d=d: fresh[d]) for d in doc_ids]
-            rows = [
-                doc_features(q, store.get(d), index, params, stopwords, priors=kept)
-                for d, kept in zip(doc_ids, priors)
-            ]
-            grades = [judgments.grade(q.query_id, d) if judgments else 0 for d in doc_ids]
-            dump.append((FeatureMatrix(schema, q.query_id, doc_ids, rows), grades))
-    else:
-        schema = PSG_SCHEMA
-        judgments = load_char_qrels(args.qrels) if args.qrels else None
-        seg = SegmentationParams(args.length, args.seg_mode)
-        resources = SemanticResources(esa_index=index)
-        for q in queries:
-            run = retrieve_lm(q, index, LmParams(args.init_mu), args.k_docs)
-            passages_by_doc = {d: segment(store.get(d), seg) for d in run.ids()}
-            matrix = PassageFeatureExtractor(
-                q, store, index, run.ids(), passages_by_doc, resources, params,
-                memo=partial(memoized, memo),
-            ).matrix()
-            grades = passage_grades(judgments, q.query_id, passages_by_doc)
-            dump.append((matrix, [grades.get(p, 0) for p in matrix.item_ids]))
+    for qid in pipe.queries:
+        # Rows in retrieval order: the candidates, or each candidate's passages.
+        data = pipe.query_data(qid)
+        order = data.c_init.ids()
+        if args.kind == "psg":
+            order = [p.passage_id for d in order for p in data.passages_by_doc[d]]
+        grades = pipe.grades(args.kind, qid)
+        dump.append((vectors(qid, args.mu).take(order), [grades.get(i, 0) for i in order]))
     if args.normalize:
         dump = [(minmax_normalize(matrix), grades) for matrix, grades in dump]
+    schema = DOC_SCHEMA if args.kind == "doc" else PSG_SCHEMA
     write_svmlight(args.out, dump)
     schema_path = Path(args.out).with_suffix(Path(args.out).suffix + ".schema.json")
     schema_path.write_text(

@@ -24,10 +24,11 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import __version__
-from .corpus import CORPUS_FORMATS, Query, ingest_corpus, load_topics, read_json_file
+from .corpus import CORPUS_FORMATS, CorpusStore, Query, ingest_corpus, load_topics, read_json_file
 from .evaluation import (
     QRELS_LOADERS,
     CvPlan,
+    JudgmentSet,
     average_precision,
     average_precisions,
     check_ttest_params,
@@ -50,7 +51,7 @@ from .features import (
     load_synonyms,
     minmax_normalize,
 )
-from .index import LmParams, SdmWeights, build_index, memoized, retrieve_lm
+from .index import LmParams, PositionalIndex, SdmWeights, build_index, memoized, retrieve_lm
 from .ltr import (
     PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grades, score,
     train_coordinate_ascent, train_pairwise,
@@ -618,38 +619,21 @@ class _QueryData:
 
 
 class _Pipeline:
-    """Loads artifacts, stages per-query data, and executes folds."""
+    """Stages per-query data over loaded inputs, and executes folds."""
 
-    def __init__(self, config: ExperimentConfig):
-        problems = config.validate()
-        if problems:
-            raise ConfigError("; ".join(problems))
+    def __init__(
+        self, config: ExperimentConfig, store: CorpusStore, index: PositionalIndex,
+        queries: Sequence[Query], resources: SemanticResources,
+        doc_judgments: JudgmentSet | None = None, psg_judgments: JudgmentSet | None = None,
+    ):
         self.config = config
-        self.store = ingest_corpus(config.corpus, config.corpus_format)
-        self.index = build_index(self.store)
+        self.store, self.index, self.resources = store, index, resources
+        self.queries = {q.query_id: q for q in queries}
+        self.doc_judgments, self.psg_judgments = doc_judgments, psg_judgments
         self.seg_params = SegmentationParams(config.window_len, config.segmentation_mode)
-        loaded = {
-            f.name: f.load(value, config)
-            for f in CONFIG_FIELDS
-            if f.load and (value := getattr(config, f.name)) is not None
-        }
-        self.doc_judgments = loaded.get("doc_qrels")
-        self.psg_judgments = loaded.get("psg_qrels")
-        self.resources = SemanticResources(
-            loaded.get("embeddings"), loaded.get("synonyms"), loaded.get("entities"),
-            loaded.get("esa_corpus", self.index),
-        )
-
         doc_excl, psg_excl, _ = _parse_exclusions(config.exclusions)
         self.doc_schema = DOC_SCHEMA.without(doc_excl) if doc_excl else DOC_SCHEMA
         self.psg_schema = PSG_SCHEMA.without(psg_excl) if psg_excl else PSG_SCHEMA
-
-        all_queries = load_topics(config.topics, self.store.tokenizer)
-        self.queries = {q.query_id: q for q in self._filter_queries(all_queries)}
-        if len(self.queries) < 2:
-            raise ConfigError(
-                "need at least 2 judged queries for leave-one-out cross validation"
-            )
         # Work whose inputs do not depend on the fold, kept for the whole run
         # under a key of its kind and everything else it reads: segmentation,
         # document priors, query data, extractors, concept profiles, feature
@@ -659,15 +643,34 @@ class _Pipeline:
         self._memo: dict = {}
         self.memo = partial(memoized, self._memo)  # (key, compute) -> the kept value
 
-    def _filter_queries(self, queries: Sequence[Query]) -> list[Query]:
-        """Drop queries with no relevant items in the required qrels."""
-        required = [
-            judgments for judgments, needed in (
-                (self.doc_judgments, self.config.needs_doc_qrels()),
-                (self.psg_judgments, self.config.needs_psg_qrels()),
-            ) if needed
+    @classmethod
+    def load(cls, config: ExperimentConfig) -> "_Pipeline":
+        """A run's pipeline: the config checked, its inputs read, and the topics
+        without relevant items in the qrels the methods need dropped."""
+        problems = config.validate()
+        if problems:
+            raise ConfigError("; ".join(problems))
+        store = ingest_corpus(config.corpus, config.corpus_format)
+        index = build_index(store)
+        loaded = {
+            f.name: f.load(value, config)
+            for f in CONFIG_FIELDS
+            if f.load and (value := getattr(config, f.name)) is not None
+        }
+        resources = SemanticResources(
+            loaded.get("embeddings"), loaded.get("synonyms"), loaded.get("entities"),
+            loaded.get("esa_corpus", index),
+        )
+        judgments = loaded.get("doc_qrels"), loaded.get("psg_qrels")
+        needed = config.needs_doc_qrels(), config.needs_psg_qrels()
+        required = [j for j, need in zip(judgments, needed) if need]
+        queries = [
+            q for q in load_topics(config.topics, store.tokenizer)
+            if all(j.has_judgments(q.query_id) for j in required)
         ]
-        return [q for q in queries if all(j.has_judgments(q.query_id) for j in required)]
+        if len(queries) < 2:
+            raise ConfigError("need at least 2 judged queries for leave-one-out cross validation")
+        return cls(config, store, index, queries, resources, *judgments)
 
     # -- per-query staging --
 
@@ -741,12 +744,9 @@ class _Pipeline:
         """The query's document features at ``mu``, in document id order."""
         def compute():
             data = self.query_data(query_id)
-            params, stopwords = LmParams(mu), self.store.tokenizer.stopwords
-            doc_ids = sorted(data.passages_by_doc)
+            params, doc_ids = LmParams(mu), sorted(data.passages_by_doc)
             rows = [
-                doc_features(
-                    data.query, self.store.get(d), self.index, params, stopwords, priors=priors,
-                )
+                doc_features(data.query, self.store.get(d), self.index, params, priors)
                 for d, priors in zip(doc_ids, self._priors(doc_ids))
             ]
             return FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
@@ -778,7 +778,7 @@ class _Pipeline:
         """The query's document or passage grades by item id; an item
         missing from them has grade 0."""
         if kind == "doc":
-            return self.doc_judgments.grades.get(query_id, {})
+            return self.doc_judgments.grades.get(query_id, {}) if self.doc_judgments else {}
         return self.query_data(query_id).psg_grades
 
     def psg_metric(self, run: RankedList) -> float | None:
@@ -1027,7 +1027,7 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
     """Execute the leave-one-out protocol and write all artifacts."""
     out_dir = Path(out_dir)
-    pipe = _Pipeline(config)
+    pipe = _Pipeline.load(config)
     plan = CvPlan(tuple(sorted(pipe.queries)), seed=config.seed)
 
     runs: dict[str, dict[str, RankedList]] = {m: {} for m in config.methods}

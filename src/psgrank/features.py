@@ -306,13 +306,10 @@ def doc_features(
     doc: Document,
     index: PositionalIndex,
     params: LmParams,
-    stopwords: StopwordList,
-    priors: tuple[float, float, float] | None = None,
+    priors: tuple[float, float, float],
 ) -> tuple[float, ...]:
     """The 6 document features, in :data:`DOC_SCHEMA` order: SDM components
-    + the :func:`doc_priors`, which a caller that keeps them per document
-    passes as ``priors``."""
-    priors = priors or doc_priors([doc], stopwords)[0]
+    + the document's :func:`doc_priors`, which the caller keeps per document."""
     return (*sdm_components(query, doc, index, params), *priors)
 
 

@@ -26,6 +26,7 @@ from psgrank.features import (
     SemanticResources,
     concat_schemas,
     doc_features,
+    doc_priors,
     query_similarities,
 )
 from psgrank.index import LmParams, build_index, sdm_components
@@ -118,7 +119,7 @@ def test_criterion_1_formula_oracles():
     # 6 document features.
     for doc_id in list(texts)[:12]:
         doc = store.get(doc_id)
-        vec = doc_features(query, doc, index, params, tokenizer.stopwords)
+        vec = doc_features(query, doc, index, params, doc_priors([doc], tokenizer.stopwords)[0])
         f = oracles.sdm_components(query.stems(), stems[doc_id], stems, mu)
         lower = [t.surface.lower() for t in doc.tokens]
         exp = f + (

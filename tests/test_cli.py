@@ -9,6 +9,8 @@ import pytest
 
 from conftest import write_jsonl
 from psgrank.cli import main
+from psgrank.experiment import ExperimentConfig, _Pipeline
+from psgrank.features import DOC_SCHEMA, PSG_SCHEMA, minmax_normalize, read_svmlight
 from psgrank.synthetic import SyntheticSpec, generate
 
 
@@ -74,6 +76,108 @@ class TestFeaturesRebuildTheIndex:
             assert rc == 0
             dumps.append((corpus_dir / "feats.txt").read_bytes())
         assert dumps[0] and dumps == [dumps[0]] * 3
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The CI tiny corpus (30-token windows) and its store."""
+    root = tmp_path_factory.mktemp("tiny")
+    spec = SyntheticSpec(
+        n_docs=48, n_queries=6, doc_tokens=90, window_len=30,
+        relevant_per_query=4, distractors_per_query=4, vocab_size=300, seed=5,
+    )
+    paths = generate(spec, root / "data")
+    assert main(["index", "--corpus", str(paths["corpus"]), "--out", str(root / "store")]) == 0
+    return root, paths
+
+
+class TestFeaturesDumpTheRunsStaging:
+    """`psgrank features` writes the rows and grades a run with the same
+    settings stages, in retrieval order."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("kind", ["doc", "psg"])
+    def test_rows_are_the_pipelines(self, tiny, kind, normalize):
+        root, paths = tiny
+        out = root / f"{kind}-{normalize}.txt"
+        rc = main(
+            [
+                "features", "--store", str(root / "store"), "--topics", str(paths["topics"]),
+                "--kind", kind, "--qrels", str(paths[f"{kind}_qrels"]), "--length", "30",
+                "--mu", "2500", "--init-mu", "500", "--k-docs", "12", "--out", str(out),
+                *(["--normalize"] if normalize else []),
+            ]
+        )
+        assert rc == 0
+        config = ExperimentConfig.from_dict(
+            {
+                **{name: str(path) for name, path in paths.items()},
+                "methods": ["LM", "QSF"], "window_len": 30, "init_mu": 500.0, "doc_cutoff": 12,
+            }
+        )
+        pipe = _Pipeline.load(config)
+        dump = read_svmlight(out, DOC_SCHEMA if kind == "doc" else PSG_SCHEMA)
+        assert [matrix.query_id for matrix, _ in dump] == list(pipe.queries)
+        for matrix, grades in dump:
+            qid = matrix.query_id
+            data = pipe.query_data(qid)
+            order = data.c_init.ids()
+            if kind == "psg":
+                order = [p.passage_id for d in order for p in data.passages_by_doc[d]]
+            assert list(matrix.item_ids) == order and len(order) > 1
+            staged = pipe.doc_vectors(qid, 2500.0) if kind == "doc" else pipe.psg_vectors(qid, 2500.0)
+            want = (minmax_normalize(staged) if normalize else staged).take(order)
+            assert [[x.hex() for x in row] for row in matrix.values.tolist()] == [
+                [x.hex() for x in row] for row in want.values.tolist()
+            ]
+            judged = pipe.grades(kind, qid)
+            assert grades == [judged.get(i, 0) for i in order] and any(grades)
+
+
+class TestFeaturesFlagChecks:
+    """A bad smoothing, depth or window flag exits 1 naming it, before the
+    store is read and without writing anything."""
+
+    @pytest.mark.parametrize("kind", ["doc", "psg"])
+    @pytest.mark.parametrize(
+        "flag, value, problem",
+        [
+            ("--mu", "-1", "mu must be >= 0"),
+            ("--mu", "nan", "mu must be >= 0"),
+            ("--init-mu", "-5", "mu must be >= 0"),
+            ("--k-docs", "0", "doc_cutoff must be >= 1"),
+            ("--length", "0", "window_len must be >= 1"),
+        ],
+    )
+    def test_bad_flag_exits_one_naming_it(self, tiny, tmp_path, capsys, kind, flag, value, problem):
+        root, paths = tiny
+        for store in (root / "store", tmp_path / "no-store"):
+            rc = main(
+                [
+                    "features", "--store", str(store), "--topics", str(paths["topics"]),
+                    "--kind", kind, "--out", str(tmp_path / "feats.txt"), flag, value,
+                ]
+            )
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert f"error: {flag}: " in err and problem in err
+            assert "Traceback" not in err
+            assert not list(tmp_path.iterdir())
+
+    def test_every_bad_flag_listed(self, tiny, tmp_path, capsys):
+        root, paths = tiny
+        rc = main(
+            [
+                "features", "--store", str(root / "store"), "--topics", str(paths["topics"]),
+                "--kind", "doc", "--out", str(tmp_path / "feats.txt"),
+                "--mu", "-1", "--init-mu", "-1", "--k-docs", "0", "--length", "0",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        for flag in ("--mu", "--init-mu", "--k-docs", "--length"):
+            assert f"{flag}: " in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestDamagedInputs:

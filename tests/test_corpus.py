@@ -25,6 +25,7 @@ from psgrank.features import (
     PassageFeatureExtractor,
     SemanticResources,
     doc_features,
+    doc_priors,
     stopword_priors,
 )
 from psgrank.index import LmParams, build_index
@@ -520,7 +521,8 @@ class TestColumnarStore:
         sw1, sw2, nonstop = (PSG_SCHEMA.index_of(f) for f in ("SW1", "SW2", "PsgLength"))
         for doc in store.documents:
             tokens = doc.tokens
-            doc_values = doc_features(query, doc, index, LmParams(50.0), stopwords)
+            priors = doc_priors([doc], stopwords)[0]
+            doc_values = doc_features(query, doc, index, LmParams(50.0), priors)
             vec = dict(zip(DOC_SCHEMA.features, doc_values))
             assert vec["SW1"] == row_references.stopword_fraction(tokens)
             assert vec["SW2"] == row_references.stopword_coverage(tokens, stopwords)

@@ -380,8 +380,8 @@ class TestDeterminism:
         run_experiment(config, tmp_path / "lazy")
 
         class ReverseStaged(experiment._Pipeline):
-            def __init__(self, config):
-                super().__init__(config)
+            def __init__(self, config, *inputs):
+                super().__init__(config, *inputs)
                 for qid in sorted(self.queries, reverse=True):
                     for mu in reversed(config.grids["mu"]):
                         self.psg_vectors(qid, mu)
@@ -522,8 +522,8 @@ class TestCrossFoldMemo:
         pipes = []
 
         class Recorded(experiment._Pipeline):
-            def __init__(self, config):
-                super().__init__(config)
+            def __init__(self, config, *inputs):
+                super().__init__(config, *inputs)
                 pipes.append(self)
 
         monkeypatch.setattr(experiment, "_Pipeline", Recorded)
@@ -545,7 +545,7 @@ class TestCrossFoldMemo:
         paths = _tiny_corpus(tmp_path)
         # A short passage cutoff makes the QSF universe depend on lambda.
         config = _tiny_config(paths, ["PsgLTR"], psg_cutoff=5)
-        qids = sorted(experiment._Pipeline(config).queries)
+        qids = sorted(experiment._Pipeline.load(config).queries)
         fold = (qids[0], qids[1:4], qids[4:])
         rec = experiment._METHODS["PsgLTR"]
 
@@ -554,11 +554,11 @@ class TestCrossFoldMemo:
             runner.params["QSF"] = {"mu": 1500.0, "lambda": lam}
             return runner._normalized(rec, qids[1], {"mu": 1500.0})
 
-        pipe = experiment._Pipeline(config)
+        pipe = experiment._Pipeline.load(config)
         warm = {lam: matrix(pipe, lam) for lam in (0.1, 0.9)}
         assert warm[0.1].item_ids != warm[0.9].item_ids
         for lam, got in warm.items():
-            cold = matrix(experiment._Pipeline(config), lam)
+            cold = matrix(experiment._Pipeline.load(config), lam)
             assert got.item_ids == cold.item_ids
             assert np.array_equal(got.values, cold.values)
 
@@ -568,13 +568,13 @@ class TestCrossFoldMemo:
         paths = _tiny_corpus(tmp_path)
         triples = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
         config = _tiny_config(paths, ["SDM"], grids={**_TINY_GRIDS, "sdm_weights": triples})
-        pipe = experiment._Pipeline(config)
+        pipe = experiment._Pipeline.load(config)
         qids = sorted(pipe.queries)
         fold = (qids[0], qids[1:], [])
         experiment._FoldRunner(pipe, fold)._walk("SDM")
         entries = {k: v for k, v in pipe._memo.items() if k[:2] == ("metric", "SDM")}
         assert len(entries) == len(triples) * len(fold[1])
-        cold = experiment._Pipeline(config)
+        cold = experiment._Pipeline.load(config)
         cold_runner = experiment._FoldRunner(cold, fold)
         by_triple = {}
         for (_, _, params, qid), value in entries.items():
@@ -687,6 +687,39 @@ class TestStaging:
         config = _tiny_config(paths, ["JPDs"], exclusions=["psg.ESA"])
         run_experiment(config, tmp_path / "ablated")
         assert counts["matrices"] > 0 and counts["esa_profiles"] == 0
+
+
+class TestSentenceUniverse:
+    """Under sentence segmentation, "judged" stages the documents the
+    sentence judgments name that the store holds, in id order; "retrieved"
+    stages the initial ranking."""
+
+    @pytest.mark.parametrize("universe", ["judged", "retrieved"])
+    def test_staged_documents(self, tmp_path, universe):
+        from psgrank import experiment
+
+        paths = _tiny_corpus(tmp_path)
+        qids = [line.split("\t")[0] for line in Path(paths["topics"]).read_text().splitlines()]
+        # Documents of every query, out of id order, and one the store lacks.
+        judged = ["doc0041", "doc0003", "doc0017", "nodoc"]
+        qrels = tmp_path / "sentences.tsv"
+        qrels.write_text(
+            "".join(f"{q}\t{d}#{n}\t{int(n == 0)}\n" for q in qids for n, d in enumerate(judged))
+        )
+        config = _tiny_config(
+            paths, ["QSF"], psg_qrels=str(qrels), psg_qrels_mode="sentence_binary",
+            segmentation_mode="sentence", sentence_universe=universe,
+        )
+        pipe = experiment._Pipeline.load(config)
+        assert list(pipe.queries) == qids
+        differ = 0
+        for qid in qids:
+            data = pipe.query_data(qid)
+            want = sorted(judged[:3]) if universe == "judged" else data.c_init.ids()
+            assert list(data.passages_by_doc) == want
+            assert all(data.passages_by_doc.values())
+            differ += sorted(judged[:3]) != data.c_init.ids()
+        assert differ == len(qids)
 
 
 def _rescoring_walk(runner, method):
@@ -821,7 +854,7 @@ class TestTrainingGrades:
         from psgrank.evaluation import CvPlan
 
         paths = _noisy_corpus(tmp_path)
-        pipe = experiment._Pipeline(_tiny_config(paths, ["JPDs"]))
+        pipe = experiment._Pipeline.load(_tiny_config(paths, ["JPDs"]))
         fold = CvPlan(tuple(sorted(pipe.queries)), seed=pipe.config.seed).folds()[0]
         runner = experiment._FoldRunner(pipe, fold)
         runner.prepare(["JPDs"])
@@ -1147,7 +1180,7 @@ class TestReportShape:
             path.write_text(Path(paths[name]).read_text() + line)
             paths[name] = path
         config = _tiny_config(paths, ["FPD"])
-        pipe = experiment._Pipeline(config)
+        pipe = experiment._Pipeline.load(config)
         folds = [f for f in CvPlan(tuple(sorted(pipe.queries)), seed=config.seed).folds()
                  if "qxx" in f[2]]
         assert folds

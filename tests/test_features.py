@@ -165,26 +165,30 @@ class TestFeatureMatrix:
         assert sub.values.flags.c_contiguous
 
 
+def _doc_features(q, doc, index, mu, tokenizer):
+    return doc_features(q, doc, index, LmParams(mu), doc_priors([doc], tokenizer.stopwords)[0])
+
+
 class TestDocFeatures:
     def test_sw1_example(self, store_factory, tokenizer):
         store = store_factory({"d1": "the cat the dog"})
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
-        vec = doc_features(q, store.get("d1"), index, LmParams(10.0), tokenizer.stopwords)
+        vec = _doc_features(q, store.get("d1"), index, 10.0, tokenizer)
         assert vec[DOC_SCHEMA.index_of("SW1")] == pytest.approx(0.5)
 
     def test_entropy_uniform_four_terms(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat dog bird fish"})
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
-        vec = doc_features(q, store.get("d1"), index, LmParams(10.0), tokenizer.stopwords)
+        vec = _doc_features(q, store.get("d1"), index, 10.0, tokenizer)
         assert vec[DOC_SCHEMA.index_of("Ent")] == pytest.approx(math.log(4))
 
     def test_empty_document(self, store_factory, tokenizer):
         store = store_factory({"d1": "cat", "d2": ""})
         index = build_index(store)
         q = make_query("q", "cat", tokenizer)
-        vec = doc_features(q, store.get("d2"), index, LmParams(10.0), tokenizer.stopwords)
+        vec = _doc_features(q, store.get("d2"), index, 10.0, tokenizer)
         assert vec[DOC_SCHEMA.index_of("SW1")] == 0.0
         assert vec[DOC_SCHEMA.index_of("Ent")] == 0.0
 
@@ -200,7 +204,7 @@ class TestDocFeatures:
         q = make_query("q", "cat dog", tokenizer)
         stems = {d.doc_id: d.stems() for d in store.documents}
         for doc in store.documents:
-            vec = doc_features(q, doc, index, LmParams(25.0), tokenizer.stopwords)
+            vec = _doc_features(q, doc, index, 25.0, tokenizer)
             f_t, f_o, f_u = oracles.sdm_components(q.stems(), stems[doc.doc_id], stems, 25.0)
             lower = [t.surface.lower() for t in doc.tokens]
             expected = (

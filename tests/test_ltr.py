@@ -8,7 +8,7 @@ import oracles
 import row_references
 from psgrank import ltr
 from psgrank.evaluation import JudgmentSet
-from psgrank.features import FeatureMatrix, FeatureSchema, SchemaError
+from psgrank.features import FeatureMatrix, FeatureSchema, SchemaError, minmax_normalize
 from psgrank.ltr import (
     LinearModel,
     TrainingError,
@@ -631,3 +631,67 @@ class TestBitExactContracts:
             train_pairwise(TrainingSet([]))
         with pytest.raises(ValueError, match="lists an item id twice"):
             _training([("q1", "a", [2.0], 0), ("q1", "a", [0.0], 1)])
+
+
+class TestRowOrder:
+    """Permuting a query's rows, each keeping its item id and grade, changes
+    no bit of the min-max, of either trainer's weights or of a scored run:
+    the trainers read rows in item-id order, min-max reads each column's
+    extremes, and a run orders ties by id. So a matrix builder's row order
+    (JPDm's follows the fold's document ranking) cannot reach a model."""
+
+    SCHEMA = FeatureSchema("t", tuple(f"f{i}" for i in range(5)))
+
+    def _queries(self, rng):
+        queries = []
+        for q in range(4):
+            n = int(rng.integers(8, 16))
+            values = rng.normal(size=(n, 5)) * np.array([1e-3, 1.0, 1.0, 1e3, 7.0])
+            values[1] = values[0]  # a repeated row
+            values[-1] = values[2]
+            values[:, 4] = values[0, 4]  # a constant column
+            ids = [f"d{i:02d}" for i in rng.permutation(n)]
+            grades = rng.integers(0, 3, size=n).tolist()  # tied grades
+            queries.append((FeatureMatrix(self.SCHEMA, f"q{q}", ids, values), grades))
+        return queries
+
+    @staticmethod
+    def _permuted(queries, rng):
+        out = []
+        for matrix, grades in queries:
+            order = rng.permutation(len(matrix))
+            out.append(
+                (matrix.take([matrix.item_ids[i] for i in order]), [grades[i] for i in order])
+            )
+        return out[::-1]
+
+    @staticmethod
+    def _bits(weights) -> list[str]:
+        return [float(w).hex() for w in weights]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_minmax_train_and_score_ignore_row_order(self, seed):
+        rng = np.random.default_rng([seed, 41])
+        queries = self._queries(rng)
+        shuffled = self._permuted(queries, rng)
+        for (matrix, _), (moved, _) in zip(queries, shuffled[::-1]):
+            want = minmax_normalize(matrix).values
+            got = minmax_normalize(moved).take(matrix.item_ids).values
+            assert want.tobytes() == got.tobytes()
+        data, moved = TrainingSet(queries), TrainingSet(shuffled)
+        models = []
+        for max_pairs in (10**6, 7):  # all pairs, and a seeded subsample
+            for c in (0.01, 10.0):
+                want = train_pairwise(data, c=c, epochs=40, seed=seed, max_pairs=max_pairs)
+                got = train_pairwise(moved, c=c, epochs=40, seed=seed, max_pairs=max_pairs)
+                assert self._bits(want.weights) == self._bits(got.weights)
+                models.append(want)
+        for restarts in (0, 2):
+            want = train_coordinate_ascent(data, restarts=restarts, seed=seed, max_passes=4)
+            got = train_coordinate_ascent(moved, restarts=restarts, seed=seed, max_passes=4)
+            assert self._bits(want.weights) == self._bits(got.weights)
+            models.append(want)
+        for model in models:
+            for (matrix, _), (moved_matrix, _) in zip(queries, shuffled[::-1]):
+                want, got = score(model, matrix), score(model, moved_matrix)
+                assert [(i, s.hex()) for i, s in want] == [(i, s.hex()) for i, s in got]

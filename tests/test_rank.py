@@ -877,11 +877,11 @@ class TestBuildersEqualRowReferences:
         from psgrank.experiment import _Pipeline
 
         paths = _tiny_corpus(tmp_path)
-        self._assert_builders_equal(_Pipeline(_tiny_config(paths, ["JPDs"])), 1500.0)
+        self._assert_builders_equal(_Pipeline.load(_tiny_config(paths, ["JPDs"])), 1500.0)
         ablated = _tiny_config(
             paths, ["JPDs"], exclusions=["psg.DocQuerySim", "psg.PsgQuerySim", "doc.SW1"]
         )
-        self._assert_builders_equal(_Pipeline(ablated), 1500.0, nu=0.0)
+        self._assert_builders_equal(_Pipeline.load(ablated), 1500.0, nu=0.0)
 
     def test_jpdm_mean_over_many_passages(self):
         # Twelve passages per document reach numpy's unrolled summation.
