@@ -127,14 +127,6 @@ class _Method:
         only when the method has no vector grid of its own."""
         return not self.vector_grid
 
-    @property
-    def shares_matrices(self) -> bool:
-        """A learned method whose stages are all fold-free ("passages" may be
-        trained) shares its min-maxed matrices across folds, keyed by the
-        tuned parameters of ``reads``."""
-        stages = [_METHODS.get(s) for s in self.reads]  # None for "passages"
-        return bool(self.vectors) and all(r and r.fold_free for r in stages)
-
 
 def _fusion(p: dict) -> FusionParams:
     return FusionParams(nu=p["nu"], alpha=p["alpha"])
@@ -182,10 +174,9 @@ def _vectors_for_psg_ltr(run, query_id: str, p: dict) -> FeatureMatrix:
 
 
 def _vectors_for_smpd(run, query_id: str, p: dict) -> FeatureMatrix:
-    pipe = run.pipe
     return build_smpd_vectors(
-        run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
-        pipe.query_data(query_id).passages_by_doc, run.passage_ranking(query_id), p["nu"],
+        run.pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]), run.passage_ranks(query_id),
+        p["nu"],
     )
 
 
@@ -193,7 +184,7 @@ def _jpds(which: str, two_passages: bool = False) -> _Method:
     def vectors(run, query_id, p):
         pipe = run.pipe
         return build_jpds_vectors(
-            run.c_ltr(query_id), pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
+            pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
             pipe.psg_vectors(query_id, run.psg_feature_mu()), run.passage_ranks(query_id),
             which=which, two_passages=two_passages,
         )
@@ -208,7 +199,7 @@ def _jpdm(agg: str) -> _Method:
         pipe = run.pipe
         mu = run.params["init-LTR"]["mu"]
         return build_jpdm_vectors(
-            run.c_ltr(query_id), pipe.doc_vectors(query_id, mu), pipe.psg_vectors(query_id, mu),
+            pipe.doc_vectors(query_id, mu), pipe.psg_vectors(query_id, mu),
             pipe.query_data(query_id).passages_by_doc, agg,
         )
 
@@ -216,9 +207,10 @@ def _jpdm(agg: str) -> _Method:
 
 
 def _vectors_for_fpd(run, query_id: str, p: dict) -> FeatureMatrix:
+    pipe = run.pipe
     return build_fpd_vectors(
-        run.c_ltr(query_id), run.pipe.psg_vectors(query_id, run.psg_feature_mu()),
-        run.passage_ranks(query_id),
+        pipe.doc_vectors(query_id, run.params["init-LTR"]["mu"]),
+        pipe.psg_vectors(query_id, run.psg_feature_mu()), run.passage_ranks(query_id),
     )
 
 
@@ -979,19 +971,25 @@ class _FoldRunner:
             return RankedList(query_id, ())
         return score(model, self._normalized(rec, query_id, params))
 
+    def shares_matrices(self, rec: _Method) -> bool:
+        """Whether a learned method's min-maxed matrices are the same in every
+        fold: its builder reads the tuned parameters of the stages it reads
+        but no trained model's ranking, unless "passages" is PsgLTR."""
+        return bool(rec.vectors) and "PsgLTR" not in map(self.stage, rec.reads)
+
     def _normalized(self, rec: _Method, query_id: str, params: dict) -> FeatureMatrix:
         """A learned method's min-maxed matrix for one query. Shared across
-        folds when the method says so, keyed by the vector-grid point and the
-        tuned parameters of the stages it reads."""
+        folds when :meth:`shares_matrices`, keyed by the vector-grid point and
+        the tuned parameters of every stage it reads."""
         def compute():
             return minmax_normalize(rec.vectors(self, query_id, params))
 
-        if not rec.shares_matrices:
+        if not self.shares_matrices(rec):
             return compute()
         key = (
             "matrix", rec.vectors, query_id,
             tuple(params[name] for name, _ in rec.vector_grid),
-            *(_frozen(self.params[stage]) for stage in rec.reads),
+            *(_frozen(self.params[self.stage(name)]) for name in rec.reads),
         )
         return self.pipe.memo(key, compute)
 

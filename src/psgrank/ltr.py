@@ -302,8 +302,10 @@ def ndcg_at_k(ranked, grades: Mapping[str, int], k: int = 10) -> float:
 def score(model: LinearModel, matrix: FeatureMatrix):
     """Rank one query's rows by w . x; ties break by ascending item id.
 
-    Each row is its own ``np.dot(w, row)``: a matrix product can round a
-    row's score differently in the last bit, and runs write scores in full.
+    The rows are scored by one ``np.vecdot``, whose float64 loop calls the
+    1-D dot kernel per row, so each score has the bits of ``np.dot(w, row)``;
+    a matrix product (``values @ w``) can round a row differently in the
+    last bit, and runs write scores in full.
     """
     from .rank import RankedList
 
@@ -314,11 +316,8 @@ def score(model: LinearModel, matrix: FeatureMatrix):
             f"vector schema {matrix.schema.name!r} does not match model "
             f"schema {model.schema.name!r}"
         )
-    w = np.array(model.weights)
-    scores = {
-        item_id: float(np.dot(w, row)) for item_id, row in zip(matrix.item_ids, matrix.values)
-    }
-    return RankedList.from_scores(matrix.query_id, scores)
+    scores = np.vecdot(matrix.values, np.array(model.weights)).tolist()
+    return RankedList.from_scores(matrix.query_id, zip(matrix.item_ids, scores))
 
 
 def _ndcg_objective(data: TrainingSet, k: int):

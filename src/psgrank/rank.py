@@ -8,8 +8,8 @@ similarity-interpolation and positional-LM passage scorers.
 
 RRF reads each document's best passage rank from
 :meth:`RankedList.best_passage_ranks`, in tuning and in the written run;
-the JPDs and FPD passage picks read a passage ranking as a
-:class:`PassageRanks` table of integer ranks. RRF and FPD fuse through
+SMPD's statistics and the JPDs and FPD passage picks read a passage ranking
+as a :class:`PassageRanks` table of integer ranks. RRF and FPD fuse through
 :func:`fusion_rows` alone: a tuning grid is its rows, and :func:`rerank_rrf`
 and :func:`rerank_fpd` are one row of it.
 """
@@ -190,43 +190,6 @@ def rerank_rrf(doc_list: RankedList, psg_list: RankedList, params: FusionParams)
     return _fused(doc_list, best, params)
 
 
-def smpd_features(
-    doc_passage_ids: Sequence[str], psg_list: RankedList, nu: float
-) -> tuple[float, float, float, float, float, float, float]:
-    """Rank statistics of a document's passages in the passage ranking.
-
-    Returns (max, min, avg, std, top50, top100, numPsg): the extremes,
-    mean and population standard deviation of the passages' reciprocal
-    rank scores (0 for unranked passages), the fraction ranked within the
-    top 50 and top 100, and the passage count.
-    """
-    if not doc_passage_ids:
-        raise ValueError("document has no passages")
-    psg_ranks = psg_list.ranks()
-    rr = []
-    in50 = in100 = 0
-    for pid in doc_passage_ids:
-        rank = psg_ranks.get(pid)
-        if rank is None:
-            rr.append(0.0)
-            continue
-        rr.append(1.0 / (nu + rank))
-        if rank <= 50:
-            in50 += 1
-        if rank <= 100:
-            in100 += 1
-    n = len(doc_passage_ids)
-    return (
-        max(rr),
-        min(rr),
-        sum(rr) / n,
-        pstdev(rr) if n > 1 else 0.0,
-        in50 / n,
-        in100 / n,
-        float(n),
-    )
-
-
 _WHICH_INDEX = {"best": 0, "second": 1, "third": 2}
 
 
@@ -237,8 +200,8 @@ class PassageRanks:
     (its documents in order, each document's passages as segmented) with
     their rank in the ranking, 1 for the top and 0 for a passage it leaves
     out; ``bounds`` delimits each document's passages. Passages of other
-    documents are ignored. The JPDs and FPD passage picks read it, so a
-    ranking is looked up once.
+    documents are ignored. SMPD's statistics and the JPDs and FPD passage
+    picks read it, so a ranking is looked up once.
     """
 
     def __init__(self, passages_by_doc: Mapping[str, Sequence[Passage]], psg_list: RankedList):
@@ -314,23 +277,51 @@ SMPD_SCHEMA = _smpd_schema(DOC_SCHEMA)
 
 
 def build_smpd_vectors(
-    doc_list: RankedList,
-    doc_vectors: FeatureMatrix,
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    psg_list: RankedList,
-    nu: float,
+    doc_vectors: FeatureMatrix, psg_ranks: PassageRanks, nu: float
 ) -> FeatureMatrix:
-    """Document rows extended with the 7 passage-rank statistics."""
-    doc_ids = doc_list.ids()
-    stats = np.array(
-        [
-            smpd_features([p.passage_id for p in passages_by_doc[d]], psg_list, nu)
-            for d in doc_ids
-        ],
-        dtype=float,
-    ).reshape(len(doc_ids), len(SMPD_FEATURES))
-    values = np.concatenate([doc_vectors.take(doc_ids).values, stats], axis=1)
-    return FeatureMatrix(_smpd_schema(doc_vectors.schema), doc_vectors.query_id, doc_ids, values)
+    """Document rows extended with 7 statistics of the document's passages
+    in the passage ranking: (max, min, avg, std, top50, top100, numPsg),
+    the extremes, mean and population standard deviation of their
+    reciprocal rank scores 1/(nu + rank) (0 for an unranked passage), the
+    fraction ranked within the top 50 and top 100, and the passage count.
+
+    The statistics are taken over a (document, passage position) table, one
+    position at a time, so each mean adds a document's scores left to right
+    from 0, as ``sum`` adds a list of floats on Python 3.10 and 3.11; the
+    deviation is exact, per document.
+    """
+    rows = psg_ranks.rows(doc_vectors.item_ids)
+    starts = psg_ranks.bounds[rows]
+    n = psg_ranks.bounds[rows + 1] - starts
+    if not n.all():
+        raise ValueError("document has no passages")
+    ranks = psg_ranks.ranks
+    rr = np.where(ranks > 0, 1.0 / (float(nu) + np.maximum(ranks, 1)), 0.0)
+    # Padding with 0 leaves each sum and max as it is, since scores are >= 0.
+    positions = np.arange(n.max(initial=0))
+    inside = positions < n[:, None]
+    at = np.where(inside, starts[:, None] + positions, 0)
+    scores, in_table = np.where(inside, rr[at], 0.0), np.where(inside, ranks[at], 0)
+    total = np.zeros(len(rows))
+    for column in scores.T:
+        total += column
+    std = np.zeros(len(rows))
+    for i in np.flatnonzero(n > 1).tolist():
+        std[i] = pstdev(scores[i, : n[i]].tolist())
+    ranked = in_table > 0
+    stats = np.column_stack([
+        scores.max(axis=1, initial=0.0),
+        np.where(inside, scores, np.inf).min(axis=1, initial=np.inf),
+        total / n,
+        std,
+        (ranked & (in_table <= 50)).sum(axis=1) / n,
+        (ranked & (in_table <= 100)).sum(axis=1) / n,
+        n.astype(float),
+    ])
+    values = np.concatenate([doc_vectors.values, stats], axis=1)
+    return FeatureMatrix(
+        _smpd_schema(doc_vectors.schema), doc_vectors.query_id, doc_vectors.item_ids, values
+    )
 
 
 def _fallback_by_query_sim(passage_ids: Sequence[str], psg_vectors: FeatureMatrix) -> str:
@@ -394,21 +385,20 @@ def _jpds_layout(doc_schema: FeatureSchema, psg_schema: FeatureSchema, two_passa
 
 
 def build_jpds_vectors(
-    doc_list: RankedList,
     doc_vectors: FeatureMatrix,
     psg_vectors: FeatureMatrix,
     psg_ranks: PassageRanks,
     which: str = "best",
     two_passages: bool = False,
 ) -> FeatureMatrix:
-    """Joint document+selected-passage rows for every listed document.
+    """Joint document+selected-passage rows, one per row of ``doc_vectors``.
 
     The selected passage's row is appended to the document row; the
     two-passage variant also appends the second-ranked passage's row
     with its redundant features removed.
     """
     schema, *columns = _jpds_layout(doc_vectors.schema, psg_vectors.schema, two_passages)
-    doc_ids = doc_list.ids()
+    doc_ids = doc_vectors.item_ids
 
     def passage_rows(which: str, columns: tuple[int, ...]) -> np.ndarray:
         chosen = _selected_ids(doc_ids, psg_vectors, psg_ranks, which)
@@ -416,21 +406,20 @@ def build_jpds_vectors(
         return rows[:, columns]
 
     # With fewer than two ranked passages the second pick is the first.
-    blocks = [doc_vectors.take(doc_ids).values]
+    blocks = [doc_vectors.values]
     blocks += [passage_rows(w, c) for w, c in zip((which, "second"), columns)]
     values = np.concatenate(blocks, axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
 
 def build_jpdm_vectors(
-    doc_list: RankedList,
     doc_vectors: FeatureMatrix,
     psg_vectors: FeatureMatrix,
     passages_by_doc: Mapping[str, Sequence[Passage]],
     agg: str,
 ) -> FeatureMatrix:
-    """Document rows extended with per-feature aggregates over ALL of the
-    document's passages; independent of any passage ranking."""
+    """Each row of ``doc_vectors`` extended with per-feature aggregates over
+    ALL of the document's passages; independent of any passage ranking."""
     if agg not in ("avg", "max", "min"):
         raise ValueError(f"unknown aggregate: {agg!r}")
     psg_schema = psg_vectors.schema
@@ -445,7 +434,7 @@ def build_jpdm_vectors(
     )
     kept = _source_columns(schema, f"{agg}.", psg_schema)
     fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
-    doc_ids = doc_list.ids()
+    doc_ids = doc_vectors.item_ids
     aggs = []
     for doc_id in doc_ids:
         rows = psg_vectors.rows(p.passage_id for p in passages_by_doc[doc_id])
@@ -453,15 +442,16 @@ def build_jpdm_vectors(
         # was: its memory order fixes the summation order of the mean.
         aggs.append(fn(np.take(psg_vectors.values, rows, axis=0)[:, kept], axis=0))
     aggs = np.array(aggs, dtype=float).reshape(len(doc_ids), len(kept))
-    values = np.concatenate([doc_vectors.take(doc_ids).values, aggs], axis=1)
+    values = np.concatenate([doc_vectors.values, aggs], axis=1)
     return FeatureMatrix(schema, doc_vectors.query_id, doc_ids, values)
 
 
 def build_fpd_vectors(
-    doc_list: RankedList, psg_vectors: FeatureMatrix, psg_ranks: PassageRanks
+    doc_vectors: FeatureMatrix, psg_vectors: FeatureMatrix, psg_ranks: PassageRanks
 ) -> FeatureMatrix:
-    """Each listed document's best-ranked passage row, keyed by the document."""
-    doc_ids = doc_list.ids()
+    """The best-ranked passage row of each document of ``doc_vectors``, keyed
+    by the document."""
+    doc_ids = doc_vectors.item_ids
     chosen = _selected_ids(doc_ids, psg_vectors, psg_ranks, "best")
     values = np.take(psg_vectors.values, psg_vectors.rows(chosen), axis=0)
     return FeatureMatrix(psg_vectors.schema, psg_vectors.query_id, doc_ids, values)

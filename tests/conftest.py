@@ -42,23 +42,23 @@ def make_query(query_id: str, text: str, tokenizer: Tokenizer) -> Query:
 
 
 
-def noisy_corpus(out_dir, seed=7):
+def noisy_corpus(out_dir, seed=7, n_queries=8):
     """A small synthetic corpus on which document rankers fall short of AP 1.
 
     The tiny corpus of the experiment tests lets passage-aware methods
     reach mean AP 1.0, so a wrong tuning pick changes no artifact. Here
     query terms are sparser (3 occurrences per term, distractors included),
-    112 noise documents each carry one term of 3 queries (every 3-subset of
-    the 8 queries twice; the benchmark's deep corpus is built the same way),
-    and document ids are shuffled, so breaking ties by id favours neither
-    relevant documents nor distractors. With 8 queries some queries are
-    validation queries in more than one fold, so work wrongly shared across
-    folds changes the tuned values.
+    noise documents each carry one term of 3 queries (every 3-subset of the
+    queries twice, 112 documents for the default 8 queries; the benchmark's
+    deep corpus is built the same way), and document ids are shuffled, so
+    breaking ties by id favours neither relevant documents nor distractors.
+    With 8 queries some queries are validation queries in more than one
+    fold, so work wrongly shared across folds changes the tuned values.
     """
     spec = SyntheticSpec(
-        n_docs=64, n_queries=8, doc_tokens=90, window_len=30, relevant_per_query=4,
-        distractors_per_query=4, occurrences_per_term=3, distractor_occurrences=3,
-        vocab_size=300, seed=seed,
+        n_docs=8 * n_queries, n_queries=n_queries, doc_tokens=90, window_len=30,
+        relevant_per_query=4, distractors_per_query=4, occurrences_per_term=3,
+        distractor_occurrences=3, vocab_size=300, seed=seed,
     )
     paths = generate(spec, out_dir)
     rng = np.random.default_rng([seed, 1])

@@ -32,7 +32,11 @@ Fusion and AP are scalar loops here: ``fuse`` scores one document and
 RankedList and one AP per (alpha, nu) point. JPDs and FPD pick each
 document's passage from the passage ranking one document at a time. The
 package fuses and scores AP as array rows only, a final run being one row,
-and picks from a PassageRanks table.
+and picks from a PassageRanks table. SMPD's statistics are one document at
+a time here (:func:`smpd_features`, over the ranking's rank map); the
+package reads them from that table, one passage position at a time. A
+model scores one row at a time here; the package scores a matrix with one
+``np.vecdot``.
 
 NDCG is a scalar loop here: ``dcg_at_k`` adds one rank at a time, and the
 coordinate-ascent objective sorts each query's (id, score) pairs with
@@ -62,7 +66,7 @@ from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
 from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW
 from psgrank.passage import merge_intervals, neighbors
 from psgrank.rank import (
-    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, smpd_features,
+    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, pstdev,
 )
 
 
@@ -138,6 +142,7 @@ def minmax_rows(rows) -> list[tuple[str, tuple]]:
 
 
 def score_rows(weights, rows) -> dict[str, float]:
+    """Each row's score as its own ``np.dot(w, values)``."""
     w = np.array(weights)
     return {item_id: float(np.dot(w, values)) for item_id, values in rows}
 
@@ -169,7 +174,46 @@ def _joined(left, schema, right, exclusions) -> tuple:
     return tuple(left) + tuple(v for f, v in zip(schema.features, right) if f not in exclusions)
 
 
-def smpd_rows(doc_list, docs, passages_by_doc, psg_list, nu):
+def smpd_features(doc_passage_ids, psg_list, nu: float) -> tuple:
+    """Rank statistics of a document's passages in the passage ranking.
+
+    Returns (max, min, avg, std, top50, top100, numPsg): the extremes,
+    mean and population standard deviation of the passages' reciprocal
+    rank scores (0 for unranked passages), the fraction ranked within the
+    top 50 and top 100, and the passage count.
+    """
+    if not doc_passage_ids:
+        raise ValueError("document has no passages")
+    psg_ranks = psg_list.ranks()
+    rr = []
+    in50 = in100 = 0
+    for pid in doc_passage_ids:
+        rank = psg_ranks.get(pid)
+        if rank is None:
+            rr.append(0.0)
+            continue
+        rr.append(1.0 / (nu + rank))
+        if rank <= 50:
+            in50 += 1
+        if rank <= 100:
+            in100 += 1
+    n = len(doc_passage_ids)
+    # Left to right, as ``sum`` adds floats before Python 3.12.
+    total = 0.0
+    for x in rr:
+        total += x
+    return (
+        max(rr),
+        min(rr),
+        total / n,
+        pstdev(rr) if n > 1 else 0.0,
+        in50 / n,
+        in100 / n,
+        float(n),
+    )
+
+
+def smpd_rows(doc_ids, docs, passages_by_doc, psg_list, nu):
     doc_schema, doc_values = docs
     schema = (
         SMPD_SCHEMA
@@ -180,13 +224,13 @@ def smpd_rows(doc_list, docs, passages_by_doc, psg_list, nu):
         )
     )
     out = []
-    for doc_id, _ in doc_list:
+    for doc_id in doc_ids:
         stats = smpd_features([p.passage_id for p in passages_by_doc[doc_id]], psg_list, nu)
         out.append((doc_id, tuple(doc_values[doc_id]) + tuple(stats)))
     return schema, out
 
 
-def jpds_rows(doc_list, docs, psgs, passages_by_doc, psg_list, which="best", two_passages=False):
+def jpds_rows(doc_ids, docs, psgs, passages_by_doc, psg_list, which="best", two_passages=False):
     doc_schema, doc_values = docs
     psg_schema, psg_values = psgs
     first = {"DocQuerySim", "QueryLength"} & set(psg_schema.features)
@@ -200,7 +244,7 @@ def jpds_rows(doc_list, docs, psgs, passages_by_doc, psg_list, which="best", two
             schema, psg_schema, name="jpd2", b_prefix="p2.", exclusions=second_excl
         )
     out = []
-    for doc_id, _ in doc_list:
+    for doc_id in doc_ids:
         passages = passages_by_doc[doc_id]
         chosen = select_passage(passages, psg_list, which)
         if chosen is None:
@@ -215,7 +259,7 @@ def jpds_rows(doc_list, docs, psgs, passages_by_doc, psg_list, which="best", two
     return schema, out
 
 
-def jpdm_rows(doc_list, docs, psgs, passages_by_doc, agg):
+def jpdm_rows(doc_ids, docs, psgs, passages_by_doc, agg):
     doc_schema, doc_values = docs
     psg_schema, psg_values = psgs
     exclusions = ({"PsgQuerySim"} if agg in ("avg", "max") else set()) & set(
@@ -228,17 +272,17 @@ def jpdm_rows(doc_list, docs, psgs, passages_by_doc, agg):
     kept = [psg_schema.index_of(f) for f in psg_schema.features if f not in exclusions]
     fn = {"avg": np.mean, "max": np.max, "min": np.min}[agg]
     out = []
-    for doc_id, _ in doc_list:
+    for doc_id in doc_ids:
         mat = np.array([psg_values[p.passage_id] for p in passages_by_doc[doc_id]], dtype=float)
         agg_vals = fn(mat[:, kept], axis=0)
         out.append((doc_id, tuple(doc_values[doc_id]) + tuple(float(v) for v in agg_vals)))
     return schema, out
 
 
-def fpd_rows(doc_list, psgs, passages_by_doc, psg_list):
+def fpd_rows(doc_ids, psgs, passages_by_doc, psg_list):
     psg_schema, psg_values = psgs
     out = []
-    for doc_id, _ in doc_list:
+    for doc_id in doc_ids:
         passages = passages_by_doc[doc_id]
         chosen = select_passage(passages, psg_list, "best")
         if chosen is None:
@@ -430,7 +474,8 @@ def matrix_of(query_id, table) -> FeatureMatrix:
 def per_point_methods(methods) -> dict:
     """Method records that walk the fusion grids one run at a time: RRF and
     FPD fuse each (alpha, nu) point's run with :func:`fuse`, and FPD and the
-    JPDs variants build rows from the passage ranking with select_passage.
+    JPDs variants build rows from the passage ranking with select_passage,
+    in the document ranking's order, as the builders once did.
     ``methods`` is the experiment's table; the walk scores each run by the
     experiment's ``average_precision``, which a caller may replace too."""
     from dataclasses import replace
@@ -447,7 +492,7 @@ def per_point_methods(methods) -> dict:
     def fpd(run, q, p):
         psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
         by_doc = run.pipe.query_data(q).passages_by_doc
-        return matrix_of(q, fpd_rows(run.c_ltr(q), psgs, by_doc, run.passage_ranking(q)))
+        return matrix_of(q, fpd_rows(run.c_ltr(q).ids(), psgs, by_doc, run.passage_ranking(q)))
 
     def jpds(which, two_passages):
         def vectors(run, q, p):
@@ -455,7 +500,8 @@ def per_point_methods(methods) -> dict:
             psgs = table_of(run.pipe.psg_vectors(q, run.psg_feature_mu()))
             by_doc = run.pipe.query_data(q).passages_by_doc
             return matrix_of(q, jpds_rows(
-                run.c_ltr(q), docs, psgs, by_doc, run.passage_ranking(q), which, two_passages
+                run.c_ltr(q).ids(), docs, psgs, by_doc, run.passage_ranking(q), which,
+                two_passages,
             ))
 
         return vectors

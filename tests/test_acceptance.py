@@ -42,7 +42,9 @@ from psgrank.ltr import (
 from psgrank.passage import SegmentationParams, segment
 from psgrank.rank import (
     FusionParams,
+    PassageRanks,
     RankedList,
+    build_smpd_vectors,
     jpds_schema,
     positional_similarities,
     rank_plm,
@@ -50,7 +52,6 @@ from psgrank.rank import (
     rerank_fpd,
     rerank_rrf,
     rr_score,
-    smpd_features,
 )
 from psgrank.evaluation import (
     JudgmentSet,
@@ -178,10 +179,12 @@ def test_criterion_1_formula_oracles():
         )
         exp = alpha / (nu + doc_ranks[d]) + (1 - alpha) * best
         ok &= _approx_rel(fused_scores[d], exp)
-    # SMPD's 7 statistics.
-    for d in doc_ids:
+    # SMPD's 7 statistics, as the builder appends them to each document row.
+    doc_rows = FeatureMatrix(DOC_SCHEMA, "q1", doc_ids, np.zeros((len(doc_ids), len(DOC_SCHEMA))))
+    smpd = build_smpd_vectors(doc_rows, PassageRanks(passages_by_doc, psg_list), nu)
+    for d, row in zip(smpd.item_ids, smpd.values.tolist()):
         mine = [p.passage_id for p in passages_by_doc[d]]
-        got = smpd_features(mine, psg_list, nu)
+        got = tuple(row[len(DOC_SCHEMA):])
         rr = [1.0 / (nu + psg_ranks[p]) for p in mine]
         mean = sum(rr) / len(rr)
         exp = (

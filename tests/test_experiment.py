@@ -447,13 +447,27 @@ class TestCrossFoldMemo:
     """Each value shared across folds equals the one a cold pipeline computes."""
 
     def test_fold_free_and_shared_records(self):
-        from psgrank.experiment import _METHODS
+        from types import SimpleNamespace
+
+        from psgrank.experiment import _METHODS, _FoldRunner
 
         assert [m for m, r in _METHODS.items() if r.fold_free] == [
             "LM", "SDM", "DocPsg", "QSF", "PLM"
         ]
-        shared = {m: r.reads for m, r in _METHODS.items() if r.shares_matrices}
-        assert shared == {"init-LTR": (), "PsgLTR": ("QSF",)}
+        # Every learned method that reads no trained passage ranking.
+        expected = {"init-LTR": (), "PsgLTR": ("QSF",)}
+        expected.update(dict.fromkeys(("JPDm-avg", "JPDm-max", "JPDm-min"), ("init-LTR",)))
+        for psg_ranker in ("ltr", "qsf"):
+            if psg_ranker == "qsf":
+                expected.update(dict.fromkeys(
+                    ("SMPD", "JPDs", "JPDs-second", "JPDs-third", "JPDs-lowest", "JPD-2", "FPD"),
+                    ("init-LTR", "passages"),
+                ))
+            config = ExperimentConfig()
+            config.psg_ranker = psg_ranker
+            runner = _FoldRunner(SimpleNamespace(config=config), ("q1", [], []))
+            shared = {m: r.reads for m, r in _METHODS.items() if runner.shares_matrices(r)}
+            assert shared == expected, psg_ranker
 
     # The queries each method's grid is picked on, as the methods table
     # stated them before the split was derived from fold_free.
@@ -595,31 +609,45 @@ class TestMemoOff:
     5-passage cutoff, the tuned QSF (mu, lambda) differs between folds."""
 
     GRIDS = {**_TINY_GRIDS, "mu": [2500.0, 500.0], "qsf_lambda": [0.1, 0.9]}
-    # The key kind each case guards, its methods and its other settings.
+    # The key kind each case guards, its methods and its other settings. The
+    # "-noisy" cases run on a 5-query noisy corpus, where init-LTR's tuned mu
+    # differs between folds.
     CASES = {
         # Extractors by (query, mu): QSF, PLM and DocPsg read both.
-        "extractor": (["LM", "SDM", "QSF", "PLM", "DocPsg"], {}),
+        "extractor": ("extractor", ["LM", "SDM", "QSF", "PLM", "DocPsg"], {}),
         # PsgLTR's shared matrices by the tuned QSF, whose top passages
         # they hold.
-        "matrix": (["PsgLTR"], {"exclusions": ["psg.ESA"]}),
+        "matrix": ("matrix", ["PsgLTR"], {"exclusions": ["psg.ESA"]}),
         # Concept profiles by (passage, mu): FPD reads the passage features
         # at each fold's QSF mu.
-        "esa": (["FPD"], {"psg_ranker": "qsf"}),
+        "esa": ("esa", ["FPD"], {"psg_ranker": "qsf"}),
         # The PsgLTR passage ranking that RRF fuses is trained per fold, so
         # the fold keeps it.
-        "passages": (["RRF"], {"exclusions": ["psg.ESA"]}),
+        "passages": ("passages", ["RRF"], {"exclusions": ["psg.ESA"]}),
+        # JPDm's shared matrices by init-LTR's tuned mu, at which they hold
+        # the document and passage features.
+        "matrix-jpdm-noisy": ("matrix", ["JPDm-avg", "JPDm-min"], {"exclusions": ["psg.ESA"]}),
+        # With QSF as the passage ranking, SMPD's, FPD's and JPD-2's matrices
+        # are shared too, by init-LTR's and QSF's tuned parameters.
+        "matrix-qsf-noisy": (
+            "matrix", ["SMPD", "FPD", "JPD-2"], {"psg_ranker": "qsf", "exclusions": ["psg.ESA"]},
+        ),
     }
 
-    @pytest.mark.parametrize("guarded", list(CASES))
-    def test_bypassed_run_writes_same_bytes(self, tmp_path, monkeypatch, guarded):
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bypassed_run_writes_same_bytes(self, tmp_path, monkeypatch, case):
         from psgrank import experiment, features, index
 
-        methods, overrides = self.CASES[guarded]
+        guarded, methods, overrides = self.CASES[case]
+        noisy = case.endswith("-noisy")
+        paths = noisy_corpus(tmp_path / "data", n_queries=5) if noisy else _tiny_corpus(tmp_path)
         config = _tiny_config(
-            _tiny_corpus(tmp_path), methods, grids=self.GRIDS, psg_cutoff=5,
-            trainer_params={"epochs": 5}, **overrides,
+            paths, methods, grids=self.GRIDS, psg_cutoff=5, trainer_params={"epochs": 5},
+            **overrides,
         )
-        run_experiment(config, tmp_path / "cached")
+        report = run_experiment(config, tmp_path / "cached")
+        if noisy:
+            assert len({fold["init_mu"] for fold in report.folds.values()}) > 1
         kinds = set()
 
         def compute_always(memo, key, compute):
@@ -790,7 +818,7 @@ class TestWalkScoresEachModelOnce:
             run_experiment(_tiny_config(paths, methods), tmp_path / name)
             counts[name] = len(calls)
         # 3 x 2 (alpha, nu) points cost FPD 5 extra scorings per fold before.
-        assert counts == {"fpd": 96, "fpd-rescoring": 126, "jpds": 96, "jpds-rescoring": 96}
+        assert counts == {"fpd": 72, "fpd-rescoring": 102, "jpds": 60, "jpds-rescoring": 60}
         for name in ("fpd", "jpds"):
             assert _tree_bytes(tmp_path / name) == _tree_bytes(tmp_path / f"{name}-rescoring")
 

@@ -22,6 +22,7 @@ from psgrank.ltr import (
     train_pairwise,
 )
 from psgrank.passage import Passage
+from psgrank.rank import RankedList
 
 
 def _queries(rows):
@@ -385,6 +386,60 @@ class TestScore:
         model = LinearModel(schema_a, (1.0,), "pairwise_hinge")
         with pytest.raises(SchemaError):
             score(model, _matrix([("i", (1.0,))], schema_b))
+
+
+class TestScoreEqualsPerRowDot:
+    """score ranks a matrix by one ``np.vecdot``; every score has the bits of
+    the row's own ``np.dot(w, row)`` (row_references.score_rows), and the run
+    breaks ties by ascending id."""
+
+    @staticmethod
+    def _assert_equal(weights, matrix):
+        model = LinearModel(matrix.schema, tuple(float(w) for w in weights), "pairwise_hinge")
+        expected = row_references.score_rows(model.weights, row_references.rows_of(matrix)[1])
+        run = score(model, matrix)
+        assert run.entries == RankedList.from_scores(matrix.query_id, expected).entries
+        return run
+
+    @staticmethod
+    def _schema(n):
+        return FeatureSchema("s", tuple(f"f{i}" for i in range(n)))
+
+    def test_hand_built(self):
+        one = self._schema(1)
+        # One row, one column.
+        self._assert_equal([2.5], _matrix([("a", (0.1,))], one))
+        # One column, rows whose scores tie.
+        rows = [("c", (1.0,)), ("a", (3.0,)), ("b", (1.0,)), ("d", (3.0,))]
+        run = self._assert_equal([-0.5], _matrix(rows, one))
+        assert run.ids() == ["b", "c", "a", "d"]
+        # Rows that cancel to 0.1 + 0.2 - 0.3, which no exact sum gives.
+        three = self._schema(3)
+        rows = [("x", (0.1, 0.2, -0.3)), ("y", (0.3, -0.2, -0.1)), ("z", (1e300, -1e300, 1e-300))]
+        self._assert_equal([1.0, 1.0, 1.0], _matrix(rows, three))
+        # Zero weights tie every row.
+        run = self._assert_equal([0.0] * 3, _matrix(rows, three))
+        assert run.ids() == ["x", "y", "z"]
+
+    @pytest.mark.parametrize("n_features", [1, 6, 13, 20, 24, 25, 33, 64])
+    def test_random_widths_and_magnitudes(self, n_features):
+        rng = np.random.default_rng([33, n_features])
+        schema = self._schema(n_features)
+        for n_rows in (1, 2, 7, 60, 200):
+            ids = [f"i{i:03d}" for i in rng.permutation(n_rows)]
+            # Magnitudes from 1e-300 to 1e300, column by column and row by row.
+            scale = 10.0 ** rng.integers(-300, 301, size=(n_rows, n_features))
+            values = rng.normal(size=(n_rows, n_features)) * scale
+            weights = rng.normal(size=n_features)
+            matrix = FeatureMatrix(schema, "q", ids, values)
+            self._assert_equal(weights, matrix)
+            # Rows from take (a new order and a subset) and from minmax_normalize.
+            subset = [ids[i] for i in rng.permutation(n_rows)[: max(1, n_rows // 2)]]
+            self._assert_equal(weights, matrix.take(subset))
+            self._assert_equal(weights, minmax_normalize(matrix))
+            # Integer-valued rows and weights, whose scores tie.
+            ties = FeatureMatrix(schema, "q", ids, rng.integers(0, 2, size=(n_rows, n_features)))
+            self._assert_equal(rng.integers(-1, 2, size=n_features), ties)
 
 
 class TestNdcg:

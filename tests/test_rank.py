@@ -2,6 +2,7 @@ import math
 import re
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +45,6 @@ from psgrank.rank import (
     rerank_fpd,
     rerank_rrf,
     rr_score,
-    smpd_features,
     write_trec_run,
 )
 
@@ -186,12 +186,21 @@ class TestRerankRrf:
                 )
 
 
+def _smpd_stats(passage_ids, psg_list, nu):
+    """The 7 statistics build_smpd_vectors appends to the row of a document
+    whose passages are ``passage_ids``."""
+    by_doc = {"d": [SimpleNamespace(passage_id=p) for p in passage_ids]}
+    docs = FeatureMatrix(DOC_SCHEMA, "q", ["d"], np.zeros((1, len(DOC_SCHEMA))))
+    row = build_smpd_vectors(docs, PassageRanks(by_doc, psg_list), nu).values[0]
+    return tuple(row[len(DOC_SCHEMA):].tolist())
+
+
 class TestSmpdFeatures:
     def test_single_passage_top_rank(self):
         psg_list = RankedList.from_scores(
             "q", {f"x#{i}": float(200 - i) for i in range(200)} | {"d#0": 999.0}
         )
-        stats = smpd_features(["d#0"], psg_list, nu=0.0)
+        stats = _smpd_stats(["d#0"], psg_list, nu=0.0)
         assert stats == (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
 
     def test_top50_top100_fractions(self):
@@ -199,7 +208,7 @@ class TestSmpdFeatures:
         psg_list = RankedList.from_scores("q", scores)
         ids = psg_list.ids()
         mine = [ids[9], ids[59]]  # ranks 10 and 60
-        stats = smpd_features(mine, psg_list, nu=60.0)
+        stats = _smpd_stats(mine, psg_list, nu=60.0)
         assert stats[4] == pytest.approx(0.5)
         assert stats[5] == pytest.approx(1.0)
         assert stats[6] == 2.0
@@ -212,7 +221,7 @@ class TestSmpdFeatures:
         nu = 30.0
         for doc in {p.rsplit("#", 1)[0] for p in scores}:
             mine = sorted(p for p in scores if p.rsplit("#", 1)[0] == doc)
-            got = smpd_features(mine, psg_list, nu)
+            got = _smpd_stats(mine, psg_list, nu)
             rr = [1.0 / (nu + ranks[p]) for p in mine]
             mean = sum(rr) / len(rr)
             expected = (
@@ -228,7 +237,7 @@ class TestSmpdFeatures:
 
     def test_missing_passage_counts_zero(self):
         psg_list = RankedList.from_scores("q", {"d#0": 1.0})
-        stats = smpd_features(["d#0", "d#1"], psg_list, nu=0.0)
+        stats = _smpd_stats(["d#0", "d#1"], psg_list, nu=0.0)
         assert stats[1] == 0.0  # min includes the unranked passage
         assert stats[6] == 2.0
 
@@ -348,24 +357,21 @@ class TestJpds:
     @pytest.mark.parametrize("two_passages", [False, True])
     def test_builder_equals_per_row_reference_across_schemas(self, two_passages):
         # Schema pairs alternate, so each call reads another pair's layout.
-        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        _, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         table = PassageRanks(passages_by_doc, psg_list)
         ablations = [(set(), set()), ({"SW1"}, {"QueryLength", "W2V"}), (set(), {"ESA"})]
         for doc_drop, psg_drop in ablations * 2:
             docs, psgs = _ablated(doc_vectors, doc_drop), _ablated(psg_vectors, psg_drop)
             for which in ("best", "lowest"):
-                joint = build_jpds_vectors(
-                    doc_list, _matrix(docs), _matrix(psgs), table, which, two_passages
-                )
+                joint = build_jpds_vectors(_matrix(docs), _matrix(psgs), table, which, two_passages)
                 assert row_references.rows_of(joint) == row_references.jpds_rows(
-                    doc_list, docs, psgs, passages_by_doc, psg_list, which, two_passages
+                    list(docs[1]), docs, psgs, passages_by_doc, psg_list, which, two_passages
                 )
 
     def test_vector_contents_match_manual_concat(self):
-        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        _, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
-            PassageRanks(passages_by_doc, psg_list),
+            _matrix(doc_vectors), _matrix(psg_vectors), PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         ranks = psg_list.ranks()
@@ -380,10 +386,9 @@ class TestJpds:
             assert values == pytest.approx(expected)
 
     def test_jpd2_appends_reduced_second_passage(self):
-        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        _, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
-            PassageRanks(passages_by_doc, psg_list),
+            _matrix(doc_vectors), _matrix(psg_vectors), PassageRanks(passages_by_doc, psg_list),
             which="best", two_passages=True,
         )
         # 6 + 18 + 15: second passage drops the five redundant features.
@@ -393,7 +398,6 @@ class TestJpds:
     def test_fallback_when_no_passage_ranked(self):
         # A document whose passages all miss the ranking falls back to its
         # best passage by the similarity feature.
-        doc_list = RankedList.from_scores("q", {"d1": 2.0, "d2": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2), "d2": _passages_for("d2", 1)}
         rng = np.random.default_rng(5)
         doc_vectors = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6)) for d in ("d1", "d2")})
@@ -405,8 +409,7 @@ class TestJpds:
             psg_vectors[1][pid] = tuple(values)
         psg_list = RankedList.from_scores("q", {"d2#0": 1.0})  # d1 unranked
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
-            PassageRanks(passages_by_doc, psg_list),
+            _matrix(doc_vectors), _matrix(psg_vectors), PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         # d1#1 has the higher similarity, so its row is appended.
@@ -421,15 +424,13 @@ class TestJpds:
         # Ablating PsgQuerySim leaves no similarity to fall back on; the
         # document's first passage is used, deterministically.
         reduced = PSG_SCHEMA.without({"PsgQuerySim"})
-        doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2)}
         rng = np.random.default_rng(6)
         doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
         psg_vectors = (reduced, {pid: tuple(rng.uniform(size=19)) for pid in ("d1#0", "d1#1")})
         psg_list = RankedList.from_scores("q", {"other#0": 1.0})
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
-            PassageRanks(passages_by_doc, psg_list),
+            _matrix(doc_vectors), _matrix(psg_vectors), PassageRanks(passages_by_doc, psg_list),
             which="best",
         )
         expected_tail = [
@@ -440,15 +441,13 @@ class TestJpds:
         assert joint.values[0, 6:].tolist() == pytest.approx(expected_tail)
 
     def test_jpd2_single_passage_falls_back_to_same(self):
-        doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 1)}
         rng = np.random.default_rng(0)
         doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
         psg_vectors = (PSG_SCHEMA, {"d1#0": tuple(rng.uniform(size=20))})
         psg_list = RankedList.from_scores("q", {"d1#0": 1.0})
         joint = build_jpds_vectors(
-            doc_list, _matrix(doc_vectors), _matrix(psg_vectors),
-            PassageRanks(passages_by_doc, psg_list),
+            _matrix(doc_vectors), _matrix(psg_vectors), PassageRanks(passages_by_doc, psg_list),
             which="best", two_passages=True,
         )
         reduced = [
@@ -461,15 +460,12 @@ class TestJpds:
 
 class TestJpdm:
     def test_single_passage_all_aggregates_equal(self):
-        doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 1)}
         rng = np.random.default_rng(1)
         doc_vectors = (DOC_SCHEMA, {"d1": tuple(rng.uniform(size=6))})
         psg_vectors = (PSG_SCHEMA, {"d1#0": tuple(rng.uniform(size=20))})
         outs = {
-            agg: build_jpdm_vectors(
-                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
-            )
+            agg: build_jpdm_vectors(_matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg)
             for agg in ("avg", "max", "min")
         }
         assert outs["avg"].values[0, 6:].tolist() == pytest.approx(
@@ -482,22 +478,19 @@ class TestJpdm:
             assert avg[name] == pytest.approx(low[f"min.{bare}"])
 
     def test_two_passage_aggregates(self):
-        doc_list = RankedList.from_scores("q", {"d1": 1.0})
         passages_by_doc = {"d1": _passages_for("d1", 2)}
         doc_vectors = (DOC_SCHEMA, {"d1": (0.0,) * 6})
         psg_vectors = (PSG_SCHEMA, {"d1#0": (0.2,) * 20, "d1#1": (0.8,) * 20})
         for agg, expected in (("avg", 0.5), ("max", 0.8), ("min", 0.2)):
             joint = build_jpdm_vectors(
-                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
+                _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
             )
             assert all(v == pytest.approx(expected) for v in joint.values[0, 6:].tolist())
 
     def test_aggregates_match_brute_force_and_ordering(self):
         doc_list, passages_by_doc, doc_vectors, psg_vectors, _ = _joint_fixture()
         outs = {
-            agg: build_jpdm_vectors(
-                doc_list, _matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg
-            )
+            agg: build_jpdm_vectors(_matrix(doc_vectors), _matrix(psg_vectors), passages_by_doc, agg)
             for agg in ("avg", "max", "min")
         }
         for doc_id, _ in doc_list:
@@ -522,17 +515,89 @@ class TestJpdm:
 
 class TestSmpdVectors:
     def test_schema_and_values(self):
-        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
+        _, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
         joint = build_smpd_vectors(
-            doc_list, _matrix(doc_vectors), passages_by_doc, psg_list, nu=30.0
+            _matrix(doc_vectors), PassageRanks(passages_by_doc, psg_list), nu=30.0
         )
         assert joint.schema == SMPD_SCHEMA
         assert len(SMPD_SCHEMA) == 13
+        assert joint.item_ids == tuple(doc_vectors[1])
         for doc_id, values in zip(joint.item_ids, joint.values.tolist()):
-            stats = smpd_features(
+            assert values[:6] == list(doc_vectors[1][doc_id])
+            stats = row_references.smpd_features(
                 [p.passage_id for p in passages_by_doc[doc_id]], psg_list, 30.0
             )
-            assert values[6:] == pytest.approx(stats)
+            assert tuple(values[6:]) == stats
+
+
+class TestSmpdEqualsRowReference:
+    """build_smpd_vectors reads the PassageRanks table one passage position
+    at a time; its rows equal row_references.smpd_rows, one document at a
+    time over smpd_features, bit for bit."""
+
+    @staticmethod
+    def _assert_equal(docs, by_doc, psg_list, nu):
+        got = build_smpd_vectors(_matrix(docs), PassageRanks(by_doc, psg_list), nu)
+        assert row_references.rows_of(got) == row_references.smpd_rows(
+            list(docs[1]), docs, by_doc, psg_list, nu
+        )
+
+    @pytest.mark.parametrize("nu", [0.0, 100.0])
+    def test_hand_built(self, nu):
+        # One-passage documents ranked and unranked, and a 12-passage document
+        # ranked at the top, past 50, past 100 and not at all; 150 passages of
+        # other documents fill the ranks between them.
+        by_doc = {"d3": _passages_for("d3", 12), "d1": _passages_for("d1", 1)}
+        by_doc["d2"] = _passages_for("d2", 1)
+        order = ["d1#0", "d3#4"] + [f"x#{i}" for i in range(60)] + ["d3#0", "d3#7"]
+        order += [f"x#{i}" for i in range(60, 150)] + ["d3#11", "d3#2"]
+        psg_list = RankedList.from_scores("q", {p: float(-i) for i, p in enumerate(order)})
+        docs = (DOC_SCHEMA, {d: tuple(float(i) for i in range(6)) for d in by_doc})
+        self._assert_equal(docs, by_doc, psg_list, nu)
+        stats = dict(zip(SMPD_SCHEMA.features, build_smpd_vectors(
+            _matrix(docs), PassageRanks(by_doc, psg_list), nu
+        ).values[0].tolist()))
+        assert stats["p.numPsg"] == 12.0 and stats["p.min"] == 0.0
+        assert stats["p.top50"] == 1 / 12 and stats["p.top100"] == 3 / 12
+        # A truncated ranking leaves d1 ranked and every other passage out.
+        self._assert_equal(docs, by_doc, row_references.truncated(psg_list, 1), nu)
+
+    @pytest.mark.parametrize("nu", [0.0, 30.0, 100.0])
+    def test_random_rankings(self, nu):
+        rng = np.random.default_rng([44, int(nu)])
+        seen = Counter()
+        for n_docs, most in ((1, 1), (1, 12), (12, 12), (40, 5), (40, 12)):
+            doc_ids = [f"d{i:02d}" for i in rng.permutation(n_docs)]
+            by_doc = {d: _passages_for(d, int(rng.integers(1, most + 1))) for d in doc_ids}
+            pids = [p.passage_id for d in doc_ids for p in by_doc[d]]
+            pids += [f"x#{i}" for i in range(int(rng.integers(0, 150)))]
+            # Integer-valued scores tie, so ties break by passage id.
+            scores = {p: float(rng.integers(0, 20)) for p in pids if rng.random() < 0.8}
+            psg_list = RankedList.from_scores("q", scores)
+            docs = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6).tolist()) for d in doc_ids})
+            for k in (len(psg_list), 5, 0):
+                self._assert_equal(docs, by_doc, row_references.truncated(psg_list, k), nu)
+            seen["12 passages"] += any(len(v) == 12 for v in by_doc.values())
+            seen["1 passage"] += any(len(v) == 1 for v in by_doc.values())
+            seen["past 100"] += len(psg_list) > 100
+        assert all(seen.values()) and len(seen) == 3, seen
+
+    def test_empty_document_list(self):
+        empty = (DOC_SCHEMA, {})
+        by_doc = {"d1": _passages_for("d1", 2)}
+        psg_list = RankedList.from_scores("q", {"d1#1": 1.0})
+        self._assert_equal(empty, by_doc, psg_list, 30.0)
+        out = build_smpd_vectors(_matrix(empty), PassageRanks(by_doc, psg_list), 30.0)
+        assert len(out) == 0 and out.schema == SMPD_SCHEMA
+
+    def test_document_without_passages_raises(self):
+        docs = (DOC_SCHEMA, {"d1": (0.0,) * 6, "d2": (1.0,) * 6})
+        by_doc = {"d1": _passages_for("d1", 2), "d2": []}
+        psg_list = RankedList.from_scores("q", {"d1#1": 1.0})
+        with pytest.raises(ValueError, match="document has no passages"):
+            build_smpd_vectors(_matrix(docs), PassageRanks(by_doc, psg_list), 30.0)
+        with pytest.raises(ValueError, match="document has no passages"):
+            row_references.smpd_rows(list(docs[1]), docs, by_doc, psg_list, 30.0)
 
 
 class TestFpd:
@@ -846,30 +911,30 @@ class TestBuildersEqualRowReferences:
             by_doc = data.passages_by_doc
             full = pipe.qsf(qid, mu, 0.3)
             # A short passage list leaves documents with no ranked passage.
+            doc_ids = doc_m.item_ids
             for psg_list in (full, row_references.truncated(full, 5)):
-                doc_list = data.c_init
                 table = PassageRanks(by_doc, psg_list)
                 assert rows_of(
-                    build_smpd_vectors(doc_list, doc_m, by_doc, psg_list, nu)
-                ) == row_references.smpd_rows(doc_list, docs, by_doc, psg_list, nu)
+                    build_smpd_vectors(doc_m, table, nu)
+                ) == row_references.smpd_rows(doc_ids, docs, by_doc, psg_list, nu)
                 for which in ("best", "second", "third", "lowest"):
                     assert rows_of(
-                        build_jpds_vectors(doc_list, doc_m, psg_m, table, which=which)
+                        build_jpds_vectors(doc_m, psg_m, table, which=which)
                     ) == row_references.jpds_rows(
-                        doc_list, docs, psgs, by_doc, psg_list, which=which
+                        doc_ids, docs, psgs, by_doc, psg_list, which=which
                     )
                 assert rows_of(
-                    build_jpds_vectors(doc_list, doc_m, psg_m, table, two_passages=True)
+                    build_jpds_vectors(doc_m, psg_m, table, two_passages=True)
                 ) == row_references.jpds_rows(
-                    doc_list, docs, psgs, by_doc, psg_list, two_passages=True
+                    doc_ids, docs, psgs, by_doc, psg_list, two_passages=True
                 )
                 assert rows_of(
-                    build_fpd_vectors(doc_list, psg_m, table)
-                ) == row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
+                    build_fpd_vectors(doc_m, psg_m, table)
+                ) == row_references.fpd_rows(doc_ids, psgs, by_doc, psg_list)
             for agg in ("avg", "max", "min"):
                 assert rows_of(
-                    build_jpdm_vectors(data.c_init, doc_m, psg_m, by_doc, agg)
-                ) == row_references.jpdm_rows(data.c_init, docs, psgs, by_doc, agg)
+                    build_jpdm_vectors(doc_m, psg_m, by_doc, agg)
+                ) == row_references.jpdm_rows(doc_ids, docs, psgs, by_doc, agg)
 
     def test_tiny_corpus(self, tmp_path):
         from test_experiment import _tiny_config, _tiny_corpus
@@ -887,7 +952,6 @@ class TestBuildersEqualRowReferences:
         # Twelve passages per document reach numpy's unrolled summation.
         rng = np.random.default_rng(36)
         doc_ids = [f"d{i}" for i in range(5)]
-        doc_list = RankedList.from_scores("q", {d: float(rng.normal()) for d in doc_ids})
         by_doc = {d: _passages_for(d, 12) for d in doc_ids}
         docs = (DOC_SCHEMA, {d: tuple(rng.normal(size=6).tolist()) for d in doc_ids})
         psgs = (PSG_SCHEMA, {
@@ -897,17 +961,21 @@ class TestBuildersEqualRowReferences:
         })
         for agg in ("avg", "max", "min"):
             assert row_references.rows_of(
-                build_jpdm_vectors(doc_list, _matrix(docs), _matrix(psgs), by_doc, agg)
-            ) == row_references.jpdm_rows(doc_list, docs, psgs, by_doc, agg)
+                build_jpdm_vectors(_matrix(docs), _matrix(psgs), by_doc, agg)
+            ) == row_references.jpdm_rows(doc_ids, docs, psgs, by_doc, agg)
 
     def test_empty_document_list_keeps_schema(self):
-        doc_list, passages_by_doc, doc_vectors, psg_vectors, psg_list = _joint_fixture()
-        empty = RankedList("q", ())
+        _, passages_by_doc, _, psg_vectors, psg_list = _joint_fixture()
+        empty = FeatureMatrix(DOC_SCHEMA, "q", [], np.zeros((0, len(DOC_SCHEMA))))
         table = PassageRanks(passages_by_doc, psg_list)
-        out = build_jpds_vectors(empty, _matrix(doc_vectors), _matrix(psg_vectors), table)
+        out = build_jpds_vectors(empty, _matrix(psg_vectors), table)
         assert len(out) == 0 and len(out.schema) == 24
-        out = build_smpd_vectors(empty, _matrix(doc_vectors), passages_by_doc, psg_list, 30.0)
+        out = build_smpd_vectors(empty, table, 30.0)
         assert len(out) == 0 and out.schema == SMPD_SCHEMA
+        out = build_jpdm_vectors(empty, _matrix(psg_vectors), passages_by_doc, "avg")
+        assert len(out) == 0 and len(out.schema) == 6 + 19
+        out = build_fpd_vectors(empty, _matrix(psg_vectors), table)
+        assert len(out) == 0 and out.schema == PSG_SCHEMA
 
 
 def _ranked_passages_case(rng, n_docs, ranked_share):
@@ -946,17 +1014,18 @@ class TestPassageRanks:
             )
             table = PassageRanks(by_doc, psg_list)
             doc_m, psg_m = _matrix(docs), _matrix(psgs)
+            doc_ids = doc_m.item_ids
             for which in ("best", "second", "third", "lowest"):
                 assert rows_of(
-                    build_jpds_vectors(doc_list, doc_m, psg_m, table, which=which)
-                ) == row_references.jpds_rows(doc_list, docs, psgs, by_doc, psg_list, which)
+                    build_jpds_vectors(doc_m, psg_m, table, which=which)
+                ) == row_references.jpds_rows(doc_ids, docs, psgs, by_doc, psg_list, which)
             assert rows_of(
-                build_jpds_vectors(doc_list, doc_m, psg_m, table, two_passages=True)
+                build_jpds_vectors(doc_m, psg_m, table, two_passages=True)
             ) == row_references.jpds_rows(
-                doc_list, docs, psgs, by_doc, psg_list, two_passages=True
+                doc_ids, docs, psgs, by_doc, psg_list, two_passages=True
             )
-            assert rows_of(build_fpd_vectors(doc_list, psg_m, table)) == (
-                row_references.fpd_rows(doc_list, psgs, by_doc, psg_list)
+            assert rows_of(build_fpd_vectors(doc_m, psg_m, table)) == (
+                row_references.fpd_rows(doc_ids, psgs, by_doc, psg_list)
             )
 
     def test_picks_and_best_ranks_equal_select_passage(self):
