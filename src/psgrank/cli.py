@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, Mapping
 
 from .corpus import (
     CORPUS_FORMATS, CorpusError, CorpusStore, ingest_corpus, load_topics, read_json_file,
@@ -20,6 +22,7 @@ from .evaluation import (
     QRELS_LOADERS,
     JudgmentError,
     average_precision,
+    check_cutoff,
     check_ttest_params,
     interpolated_precision,  # noqa: F401  (benchmarks/spans.py wraps it here)
     load_char_qrels,
@@ -61,6 +64,20 @@ class UsageError(ValueError):
     """CLI-level validation failure (exit code 1)."""
 
 
+def _check_flags(checks: Mapping[str, Callable[[], object]], problems=()) -> None:
+    """Run each flag's check; raise UsageError naming every flag whose check
+    raises ValueError, after any ``problems`` already found. Commands call it
+    before reading any input."""
+    problems = list(problems)
+    for flag, check in checks.items():
+        try:
+            check()
+        except ValueError as exc:
+            problems.append(f"{flag}: {exc}")
+    if problems:
+        raise UsageError("; ".join(problems))
+
+
 def _cmd_index(args) -> int:
     store = ingest_corpus(args.corpus, args.format)
     out = Path(args.out)
@@ -76,8 +93,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_segment(args) -> int:
-    store = CorpusStore.load(args.store)
+    _check_flags({"--length": partial(SegmentationParams, args.length, args.mode)})
     params = SegmentationParams(args.length, args.mode)
+    store = CorpusStore.load(args.store)
     count = 0
     with Path(args.out).open("w", encoding="utf-8") as f:
         f.write("passage_id\tdoc_id\ttoken_start\ttoken_end\tchar_start\tchar_end\n")
@@ -104,12 +122,7 @@ def _features_config(args) -> ExperimentConfig:
         setattr(config, name, getattr(args, flag))
         flag = "--" + flag.replace("_", "-")
         problems += [f"{flag}: {p}" for p in fields[name].problems(getattr(config, name))]
-    try:
-        LmParams(args.mu)
-    except ValueError as exc:
-        problems.append(f"--mu: {exc}")
-    if problems:
-        raise UsageError("; ".join(problems))
+    _check_flags({"--mu": partial(LmParams, args.mu)}, problems)
     return config
 
 
@@ -149,15 +162,11 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    problems = []
-    for name, check in PARAM_CHECKS.items():
-        if hasattr(args, name):  # every setting but max_pairs is a flag
-            try:
-                check(**{name: getattr(args, name)})
-            except ValueError as exc:
-                problems.append(f"--{name.replace('_', '-')}: {exc}")
-    if problems:
-        raise UsageError("; ".join(problems))
+    _check_flags({
+        "--" + name.replace("_", "-"): partial(check, **{name: getattr(args, name)})
+        for name, check in PARAM_CHECKS.items()
+        if hasattr(args, name)  # every setting but max_pairs is a flag
+    })
     schema_path = Path(args.features).with_suffix(Path(args.features).suffix + ".schema.json")
     if not schema_path.exists():
         raise UsageError(f"schema sidecar not found: {schema_path}")
@@ -211,6 +220,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    checks = {"--cutoff": partial(check_cutoff, args.cutoff)}
+    if args.mode == "char_focused":
+        checks["--length"] = partial(SegmentationParams, args.length, args.seg_mode)
+    _check_flags(checks)
     runs = read_trec_run(args.run)
     judgments = QRELS_LOADERS[args.mode](args.qrels)
     spans = {}
@@ -231,17 +244,11 @@ def _cmd_eval(args) -> int:
         {"query_id": run.query_id, **query_metrics(run, judgments, args.cutoff, spans)}
         for run in runs
     ]
-    if args.mode == "char_focused":
-        aggregate = {
-            "mean_ip_0.01": mean_metric([r["ip_0.01"] for r in per_query]),
-            "mean_ip_0.1": mean_metric([r["ip_0.1"] for r in per_query]),
-            "maip": mean_metric([r["maip"] for r in per_query]),
-        }
-    else:
-        aggregate = {
-            "map": mean_metric([r["ap"] for r in per_query]),
-            "mean_p10": mean_metric([r["p10"] for r in per_query]),
-        }
+    means = (
+        {"mean_ip_0.01": "ip_0.01", "mean_ip_0.1": "ip_0.1", "maip": "maip"}
+        if args.mode == "char_focused" else {"map": "ap", "mean_p10": "p10"}
+    )
+    aggregate = {name: mean_metric([r[key] for r in per_query]) for name, key in means.items()}
     if args.json:
         print(json.dumps({"per_query": per_query, "aggregate": aggregate}, sort_keys=True))
     else:
@@ -268,9 +275,12 @@ def _cmd_ablate(args) -> int:
             f"configured: {', '.join(config.methods)}"
         )
     features = args.feature
-    baseline = run_experiment(config, Path(args.out) / "baseline")
     ablated_config = ExperimentConfig.from_file(args.config)
     ablated_config.exclusions = list(ablated_config.exclusions) + features
+    problems = ablated_config.validate()
+    if problems:
+        raise ConfigError("; ".join(problems))
+    baseline = run_experiment(config, Path(args.out) / "baseline")
     ablated = run_experiment(ablated_config, Path(args.out) / "ablated")
 
     comparison = {}
@@ -331,6 +341,7 @@ def _cmd_ttest(args) -> int:
         check_ttest_params(args.alpha, args.corrections)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    _check_flags({"--cutoff": partial(check_cutoff, args.cutoff)})
     a = _metric_per_query(args.run_a, args.qrels, args.measure, args.cutoff)
     b = _metric_per_query(args.run_b, args.qrels, args.measure, args.cutoff)
     qids = sorted(q for q in a if a[q] is not None and q in b and b[q] is not None)

@@ -139,6 +139,12 @@ def average_precision(
     )[0]
 
 
+def check_cutoff(cutoff: int) -> None:
+    """AP reads the top ``cutoff`` ranks, at least one."""
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+
+
 def average_precisions(
     query_id: str,
     item_ids: Sequence[str],
@@ -153,8 +159,7 @@ def average_precisions(
     then divides by the query's relevant count; each is None when the query
     has nothing relevant.
     """
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    check_cutoff(cutoff)
     total_relevant = judgments.relevant_count(query_id)
     if total_relevant == 0:
         return [None] * len(orders)

@@ -177,18 +177,25 @@ def concat_schemas(
     return FeatureSchema(name or f"{a.name}+{b.name}", left + right)
 
 
-def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
-    """Per-feature (v - min) / (max - min) over one query's rows; constant
-    features map to 0. Idempotent."""
-    if not len(matrix):
-        return matrix
-    mat = matrix.values
-    lo = mat.min(axis=0)
-    hi = mat.max(axis=0)
+def minmax(values: np.ndarray) -> np.ndarray:
+    """Per column (v - min) / (max - min) over the rows of ``values`` (a 1-D
+    array is one column); a constant column maps to 0. No rows, no change."""
+    if not len(values):
+        return values
+    lo, hi = values.min(axis=0), values.max(axis=0)
     span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    normed = np.where(span > 0, (mat - lo) / safe, 0.0)
-    return FeatureMatrix(matrix.schema, matrix.query_id, matrix.item_ids, normed)
+    return np.where(span > 0, (values - lo) / np.where(span > 0, span, 1.0), 0.0)
+
+
+def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
+    """:func:`minmax` of one query's rows. Idempotent."""
+    return FeatureMatrix(matrix.schema, matrix.query_id, matrix.item_ids, minmax(matrix.values))
+
+
+def normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:
+    """Each value over the sum of all; all 0 when that sum is not positive."""
+    total = sum(values.values())
+    return {k: v / total if total > 0 else 0.0 for k, v in values.items()}
 
 
 # -- token columns and the relevance priors shared by documents and passages --
@@ -421,12 +428,8 @@ def esa_retrieval_profile(
     """Min-max normalized top-k retrieval score list over the concept space;
     all values are 0 when the top-k scores are equal."""
     ranks, scores = lm_top_ranks(terms, esa_index, params, k)
-    if len(scores):
-        lo, hi = scores.min(), scores.max()
-        span = hi - lo
-        scores = (scores - lo) / span if span > 0 else np.zeros(len(scores))
     order = np.argsort(ranks)
-    return ConceptProfile(ranks[order], scores[order])
+    return ConceptProfile(ranks[order], minmax(scores)[order])
 
 
 def profile_cosine(a: ConceptProfile, b: ConceptProfile) -> float:
@@ -533,8 +536,6 @@ class PassageFeatureExtractor:
         self.doc_sims, self.psg_sims = query_similarities(
             terms, index, self.doc_ids, passages_by_doc, params
         )
-        self.doc_sim_sum = sum(self.doc_sims.values())
-        self.psg_sim_sum = sum(self.psg_sims.values())
         if resources.embeddings is not None:
             self.query_centroid = self._centroid(self.unique_query_stems)
         else:
@@ -571,13 +572,14 @@ class PassageFeatureExtractor:
     # -- column families: each returns its features' columns in PSG_SCHEMA order --
 
     def _similarity_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> np.ndarray:
+        norm_psg, norm_doc = normalize_by_sum(self.psg_sims), normalize_by_sum(self.doc_sims)
         rows = []
         for p, doc in zip(passages, cols.docs):
             doc_passages = self.passages_by_doc[p.doc_id]
             pre, follow = neighbors(p, doc_passages)
             rows.append((
-                self.psg_sims[p.passage_id] / self.psg_sim_sum if self.psg_sim_sum > 0 else 0.0,
-                self.doc_sims[p.doc_id] / self.doc_sim_sum if self.doc_sim_sum > 0 else 0.0,
+                norm_psg[p.passage_id],
+                norm_doc[p.doc_id],
                 *self.doc_psg_stats[p.doc_id],
                 p.length / doc.length if doc.length else 1.0,
                 self.psg_sims[pre.passage_id],

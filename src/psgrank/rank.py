@@ -32,9 +32,11 @@ from .features import (
     FeatureMatrix,
     FeatureSchema,
     concat_schemas,
+    minmax,
+    normalize_by_sum,
     query_similarities,
 )
-from .index import LmParams, PositionalIndex
+from .index import LmParams, PositionalIndex, lm_similarities
 from .passage import Passage, parse_passage_id
 
 SMPD_FEATURES = ("max", "min", "avg", "std", "top50", "top100", "numPsg")
@@ -465,13 +467,6 @@ def rerank_fpd(
     return _fused(doc_list, model_ranking.ranks(), params)
 
 
-def _normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:
-    total = sum(values.values())
-    if total <= 0:
-        return {k: 0.0 for k in values}
-    return {k: v / total for k, v in values.items()}
-
-
 def check_weight(name: str, value: float) -> None:
     """Interpolation weights of QSF, PLM and DocPsg lie in [0, 1]."""
     if not 0.0 <= value <= 1.0:
@@ -501,8 +496,8 @@ def qsf_from_sims(
     similarities, (1 - lam) * norm sim(q, g) + lam * norm sim(q, d_g), over
     the passages of the documents of ``doc_sims``."""
     check_weight("lambda", lam)
-    norm_psg = _normalize_by_sum(psg_sims)
-    norm_doc = _normalize_by_sum(doc_sims)
+    norm_psg = normalize_by_sum(psg_sims)
+    norm_doc = normalize_by_sum(doc_sims)
     scores = {
         p.passage_id: (1.0 - lam) * norm_psg[p.passage_id] + lam * norm_doc[d]
         for d in doc_sims
@@ -537,36 +532,27 @@ def positional_similarities(
     sigma: float,
 ) -> np.ndarray:
     """Query similarity of the Gaussian-kernel pseudo-document at every
-    position of the passage; empty passages give an empty array."""
+    position of the passage; empty passages give an empty array.
+
+    The pseudo-document at position i counts the token at j with weight
+    exp(-(i - j)^2 / (2 sigma^2)) and has the kernel's row sum as its
+    length; all of them are scored in one :func:`lm_similarities` pass.
+    """
     check_sigma(sigma)
     start, end = p.token_range
     term_ids = store.get(p.doc_id).term_ids[start:end]
     m = len(term_ids)
     if m == 0:
         return np.zeros(0)
-    terms = [t for t in query.stems() if index.collection_term_counts.get(t)]
-    if not terms:
-        return np.zeros(m)
-    idx = np.arange(m, dtype=float)
-    kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
-    z = kernel.sum(axis=1)
-    denom = z + params.mu
-    log_scores = np.zeros(m)
-    inv_n = 1.0 / len(terms)
+    # Row i holds the weights at offsets |i - j|: a window over the m offsets mirrored.
+    offsets = [math.exp(-(d * d) / (2.0 * sigma * sigma)) for d in range(m)]
+    kernel = np.lib.stride_tricks.sliding_window_view(np.array(offsets[:0:-1] + offsets), m)[::-1]
     counts = {}
-    for t in set(terms):
+    for t in set(query.stems()):
         positions = np.flatnonzero(term_ids == store.tokenizer.term_id(t))
-        counts[t] = kernel[:, positions].sum(axis=1) if positions.size else np.zeros(m)
-    valid = np.ones(m, dtype=bool)
-    for t in terms:
-        p_c = index.collection_prob(t)
-        theta = (counts[t] + params.mu * p_c) / denom
-        term_valid = theta > 0
-        valid &= term_valid
-        with np.errstate(divide="ignore"):
-            log_scores += inv_n * np.where(term_valid, np.log(np.where(term_valid, theta, 1.0)), 0.0)
-    scores = np.where(valid, np.exp(log_scores), 0.0)
-    return scores
+        if positions.size:
+            counts[t] = kernel[:, positions].sum(axis=1)
+    return lm_similarities(query.stems(), counts, kernel.sum(axis=1), index, params)
 
 
 def best_positional_similarities(
@@ -604,9 +590,9 @@ def plm_from_sims(
     check_weight("beta", beta)
     if not plm_weights_feasible(lam, beta):
         raise ValueError(f"lambda + beta must be <= 1, got {lam} + {beta}")
-    norm_pos = _normalize_by_sum(pos_sims)
-    norm_psg = _normalize_by_sum(psg_sims)
-    norm_doc = _normalize_by_sum(doc_sims)
+    norm_pos = normalize_by_sum(pos_sims)
+    norm_psg = normalize_by_sum(psg_sims)
+    norm_doc = normalize_by_sum(doc_sims)
     scores = {
         p.passage_id: lam * norm_pos[p.passage_id]
         + beta * norm_psg[p.passage_id]
@@ -663,15 +649,9 @@ def docpsg_from_sims(
     constant-length candidate set degenerates to lambda_max everywhere.
     """
     check_weight("lambda_max", lambda_max)
-    if not doc_sims:
-        return RankedList(query_id, ())
-    log_lens = {d: math.log1p(doc_lengths[d]) for d in doc_sims}
-    lo, hi = min(log_lens.values()), max(log_lens.values())
-    span = hi - lo
+    lams = lambda_max * (1.0 - minmax(np.array([math.log1p(doc_lengths[d]) for d in doc_sims])))
     scores = {}
-    for d, doc_sim in doc_sims.items():
-        mm = (log_lens[d] - lo) / span if span > 0 else 0.0
-        lam_d = lambda_max * (1.0 - mm)
+    for (d, doc_sim), lam_d in zip(doc_sims.items(), lams.tolist()):
         best = max((psg_sims[p.passage_id] for p in passages_by_doc[d]), default=0.0)
         scores[d] = lam_d * doc_sim + (1.0 - lam_d) * best
     return RankedList.from_scores(query_id, scores)

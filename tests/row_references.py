@@ -46,7 +46,14 @@ document and intersecting the rest with the merged relevant spans. The
 package runs both as array passes over all queries or all ranks at once.
 
 PLM's positional similarities find each query term's positions by a scan
-of the passage's stems here; the package compares its term-id column.
+of the passage's stems here, build the kernel one entry at a time and score
+one query term at a time over all positions; the package compares its
+term-id column, takes the kernel's rows as windows over its m offsets, and
+scores through ``lm_similarities``. Both take logs and exps from ``math``.
+
+The concept profile and DocPsg's length weights each min-maxed their values
+inline once, as :func:`esa_minmax` and :func:`docpsg_minmax` here; the
+package runs both, and ``minmax_normalize``, through one ``minmax``.
 """
 
 import json
@@ -139,6 +146,24 @@ def minmax_rows(rows) -> list[tuple[str, tuple]]:
     safe = np.where(span > 0, span, 1.0)
     normed = np.where(span > 0, (mat - lo) / safe, 0.0)
     return [(item_id, tuple(row.tolist())) for (item_id, _), row in zip(rows, normed)]
+
+
+def esa_minmax(scores: np.ndarray) -> np.ndarray:
+    """The concept profile's inline min-max of its top-k scores."""
+    if len(scores):
+        lo, hi = scores.min(), scores.max()
+        span = hi - lo
+        scores = (scores - lo) / span if span > 0 else np.zeros(len(scores))
+    return scores
+
+
+def docpsg_minmax(log_lens: dict) -> dict:
+    """DocPsg's inline min-max of its candidates' log lengths, one float at a time."""
+    if not log_lens:
+        return {}
+    lo, hi = min(log_lens.values()), max(log_lens.values())
+    span = hi - lo
+    return {d: (v - lo) / span if span > 0 else 0.0 for d, v in log_lens.items()}
 
 
 def score_rows(weights, rows) -> dict[str, float]:
@@ -794,6 +819,7 @@ def passage_vector(extractor, passage) -> tuple[float, ...]:
 
     sim = ex.psg_sims[passage.passage_id]
     doc_sim = ex.doc_sims[passage.doc_id]
+    psg_sim_sum, doc_sim_sum = sum(ex.psg_sims.values()), sum(ex.doc_sims.values())
     max_pd, avg_pd, std_pd = ex.doc_psg_stats[passage.doc_id]
     pre, follow = neighbors(passage, doc_passages)
 
@@ -828,8 +854,8 @@ def passage_vector(extractor, passage) -> tuple[float, ...]:
             entity = len(ex.query_entities & psg_entities) / len(union)
 
     return (
-        sim / ex.psg_sim_sum if ex.psg_sim_sum > 0 else 0.0,
-        doc_sim / ex.doc_sim_sum if ex.doc_sim_sum > 0 else 0.0,
+        sim / psg_sim_sum if psg_sim_sum > 0 else 0.0,
+        doc_sim / doc_sim_sum if doc_sim_sum > 0 else 0.0,
         max_pd,
         avg_pd,
         std_pd,
@@ -852,7 +878,9 @@ def passage_vector(extractor, passage) -> tuple[float, ...]:
 
 
 def positional_similarities(query, store, index, p, params, sigma) -> np.ndarray:
-    """rank.positional_similarities, with each term's positions from a scan of the stems."""
+    """rank.positional_similarities, with each term's positions from a scan
+    of the stems, the kernel built entry by entry, and one query term's
+    ``inv_n * log(theta)`` added at a time, in query order."""
     start, end = p.token_range
     stems = store.get(p.doc_id).stems()[start:end]
     m = len(stems)
@@ -861,8 +889,9 @@ def positional_similarities(query, store, index, p, params, sigma) -> np.ndarray
     terms = [t for t in query.stems() if index.collection_term_counts.get(t)]
     if not terms:
         return np.zeros(m)
-    idx = np.arange(m, dtype=float)
-    kernel = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
+    kernel = np.array(
+        [[math.exp(-((i - j) ** 2) / (2.0 * sigma * sigma)) for j in range(m)] for i in range(m)]
+    )
     denom = kernel.sum(axis=1) + params.mu
     log_scores = np.zeros(m)
     counts = {}
@@ -872,10 +901,7 @@ def positional_similarities(query, store, index, p, params, sigma) -> np.ndarray
     valid = np.ones(m, dtype=bool)
     for t in terms:
         theta = (counts[t] + params.mu * index.collection_prob(t)) / denom
-        term_valid = theta > 0
-        valid &= term_valid
-        with np.errstate(divide="ignore"):
-            log_scores += (1.0 / len(terms)) * np.where(
-                term_valid, np.log(np.where(term_valid, theta, 1.0)), 0.0
-            )
-    return np.where(valid, np.exp(log_scores), 0.0)
+        valid &= theta > 0
+        logs = np.array([math.log(v) if v > 0 else 0.0 for v in theta.tolist()])
+        log_scores += (1.0 / len(terms)) * logs
+    return np.where(valid, [math.exp(v) for v in log_scores.tolist()], 0.0)

@@ -180,6 +180,57 @@ class TestFeaturesFlagChecks:
         assert not list(tmp_path.iterdir())
 
 
+class TestCommandFlagChecks:
+    """segment, eval and ttest check their flags as features does: a bad one
+    exits 1 naming it, before any input is read, writing nothing."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, problem",
+        [
+            (["segment", "--store", "{store}", "--length", "0", "--out", "{out}"],
+             "--length", "window_len must be >= 1"),
+            (["eval", "--run", "{run}", "--qrels", "{doc_qrels}", "--cutoff", "0"],
+             "--cutoff", "cutoff must be >= 1"),
+            (["eval", "--run", "{run}", "--qrels", "{psg_qrels}", "--mode", "char_focused",
+              "--store", "{store}", "--length", "0"],
+             "--length", "window_len must be >= 1"),
+            (["ttest", "--run-a", "{run}", "--run-b", "{run}", "--qrels", "{doc_qrels}",
+              "--cutoff", "0"],
+             "--cutoff", "cutoff must be >= 1"),
+        ],
+    )
+    def test_bad_flag_exits_one_naming_it(self, tiny, tmp_path, capsys, argv, flag, problem):
+        root, paths = tiny
+        run = root / "flag-check.trec"
+        run.write_text("q01 Q0 doc0001 1 1.0 t\n")
+        present = {
+            "store": root / "store", "run": run,
+            "doc_qrels": paths["doc_qrels"], "psg_qrels": paths["psg_qrels"],
+        }
+        missing = {name: tmp_path / f"no-{name}" for name in present}
+        out = tmp_path / "out"
+        for inputs in (present, missing):
+            rc = main([a.format(out=out, **inputs) for a in argv])
+            err = capsys.readouterr().err
+            assert rc == 1, err
+            assert f"error: {flag}: " in err and problem in err
+            assert "Traceback" not in err
+            assert not out.exists()
+
+    def test_every_bad_eval_flag_listed(self, tmp_path, capsys):
+        rc = main(
+            [
+                "--workdir", str(tmp_path), "eval", "--run", "no.trec", "--qrels", "no.tsv",
+                "--mode", "char_focused", "--store", "no-store", "--length", "0",
+                "--cutoff", "-3",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--cutoff: cutoff must be >= 1, got -3" in err
+        assert "--length: window_len must be >= 1, got 0" in err
+
+
 class TestDamagedInputs:
     """A damaged corpus, store or qrels file exits 1 naming it, without a traceback."""
 
@@ -762,6 +813,19 @@ class TestAblateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "NoSuchFeature" in err and "PsgQuerySim" in err
+
+    def test_unknown_feature_rejected_before_the_baseline(self, tmp_path, capsys):
+        _run_config(tmp_path, ["LM", "JPDs"])
+        rc = main(
+            [
+                "--workdir", str(tmp_path), "ablate", "--config", "config.json",
+                "--feature", "psg.W2V", "--feature", "psg.Nope", "--out", "abl",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'psg.Nope'" in err and "'psg.W2V'" not in err and "Traceback" not in err
+        assert not (tmp_path / "abl").exists()
 
     def test_removing_only_signal_drops_map(self, tmp_path):
         # Single-term queries zero the bigram features; distractors carry

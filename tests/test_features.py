@@ -30,7 +30,9 @@ from psgrank.features import (
     load_embeddings,
     load_entities,
     load_synonyms,
+    minmax,
     minmax_normalize,
+    normalize_by_sum,
     profile_cosine,
     query_similarities,
     read_svmlight,
@@ -131,6 +133,54 @@ class TestMinMaxNormalize:
     def test_empty_matrix_passes_through(self):
         empty = FeatureMatrix(DOC_SCHEMA, "q", (), [])
         assert len(minmax_normalize(empty)) == 0
+
+
+def _minmax_inputs():
+    """Constant, one-item and random 1-D inputs, magnitudes 1e-300 to 1e300."""
+    rng = np.random.default_rng(41)
+    yield np.array([0.25, 0.25, 0.25])
+    yield np.array([7.0])
+    yield np.array([0.0])
+    yield np.array([1.0, 1.0 + 2.0**-52])
+    for n in (2, 5, 100, 166):
+        yield rng.uniform(0.0, 1.0, size=n)
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n).astype(float)
+        yield np.log1p(rng.integers(0, 5000, size=n).astype(float))
+
+
+class TestSharedMinMax:
+    """``minmax`` gives the bytes of each inline form it replaced."""
+
+    def test_equals_concept_profile_form(self):
+        for values in _minmax_inputs():
+            assert minmax(values).tobytes() == row_references.esa_minmax(values).tobytes()
+
+    def test_equals_docpsg_form(self):
+        for values in _minmax_inputs():
+            by_doc = {f"d{i}": v for i, v in enumerate(values.tolist())}
+            assert minmax(values).tolist() == list(row_references.docpsg_minmax(by_doc).values())
+
+    def test_no_items(self):
+        assert minmax(np.zeros(0)).shape == (0,)
+        assert row_references.esa_minmax(np.zeros(0)).shape == (0,)
+        assert row_references.docpsg_minmax({}) == {}
+
+    def test_columns_are_independent(self):
+        for values in _minmax_inputs():
+            wide = np.column_stack([values, np.full(len(values), 3.0), values[::-1]])
+            got = minmax(wide)
+            assert got[:, 0].tobytes() == minmax(values).tobytes()
+            assert not got[:, 1].any()
+            assert got[:, 2].tobytes() == minmax(values[::-1]).tobytes()
+
+
+class TestNormalizeBySum:
+    def test_each_over_the_sum(self):
+        assert normalize_by_sum({"a": 1.0, "b": 3.0}) == {"a": 0.25, "b": 0.75}
+
+    def test_zero_sum_maps_to_zero(self):
+        assert normalize_by_sum({"a": 0.0, "b": 0.0}) == {"a": 0.0, "b": 0.0}
+        assert normalize_by_sum({}) == {}
 
 
 class TestFeatureMatrix:

@@ -1,7 +1,11 @@
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 
 import oracles
 import row_references
-from conftest import make_query
+from conftest import TINY_STOPWORDS, build_store, make_query
 from psgrank.evaluation import average_precisions
 from psgrank.features import (
     DOC_SCHEMA,
@@ -20,9 +24,10 @@ from psgrank.features import (
     SemanticResources,
     doc_features,
 )
+from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.index import LmParams, build_index
 from psgrank.ltr import LinearModel, score
-from psgrank.passage import SegmentationParams, segment
+from psgrank.passage import Passage, SegmentationParams, segment
 from psgrank.rank import (
     FusionParams,
     PassageRanks,
@@ -818,6 +823,68 @@ class TestPlm:
             LmParams(20.0), lam=1.0 - beta,
         )
         assert plm.ids() == qsf.ids()
+
+
+# numpy's AVX-512 float64 exp and log may round differently from libm's
+# in the last bit. numpy dispatches them under these names on x86-64.
+_AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def plm_bytes() -> dict[str, str]:
+    """Hex bytes of positional_similarities over a seeded 3-document corpus,
+    per (passage, query, mu, sigma): passages of 0, 1, 3, 7 and whole-document
+    lengths, queries with repeated and unknown terms."""
+    rng = np.random.default_rng(26)
+    words = ["cat", "dog", "owl", "bat", "elk", "yak"]
+    texts = {
+        f"d{i}": " ".join(words[j] for j in rng.integers(0, len(words), size=n))
+        for i, n in enumerate((9, 40, 75))
+    }
+    tokenizer = Tokenizer(stopwords=StopwordList("tiny", TINY_STOPWORDS))
+    store = build_store(texts, tokenizer)
+    index = build_index(store)
+    queries = [
+        make_query(qid, text, tokenizer)
+        for qid, text in (("a", "cat dog"), ("b", "dog cat dog zebu"), ("c", "owl"))
+    ]
+    out = {}
+    for window_len in (1, 3, 7, 300):
+        passages = [p for d in texts for p in segment(store.get(d), SegmentationParams(window_len))]
+        passages.append(Passage("d1#99", "d1", 99, (4, 4), (0, 0)))  # empty
+        for p in passages:
+            for q in queries:
+                for mu in (0.0, 20.0, 1500.0):
+                    for sigma in (0.5, 2.0, 7.3, 50.0, 1e6):
+                        got = positional_similarities(q, store, index, p, LmParams(mu), sigma)
+                        case = f"{window_len} {p.passage_id} {q.query_id} {mu} {sigma}"
+                        out[case] = got.tobytes().hex()
+    return out
+
+
+class TestPlmBytesAcrossCpuFeatures:
+    def test_bytes_equal_with_avx512_disabled(self):
+        """A child process with numpy's AVX-512 paths disabled writes the
+        default process's bytes. Only targets this numpy dispatches and this
+        CPU has are named (numpy refuses to import when told to disable a
+        baseline feature, and warns about names it does not dispatch); on a
+        CPU without them the child disables nothing and must still agree."""
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        targets = [t for t in _AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests_dir.parent / "src"), str(tests_dir), env.get("PYTHONPATH", "")]
+        )
+        code = "import json, test_rank; print(json.dumps(test_rank.plm_bytes()))"
+        child = subprocess.run(
+            [sys.executable, "-c", code], cwd=tests_dir, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        got, want = json.loads(child.stdout), plm_bytes()
+        assert got.keys() == want.keys()
+        differ = [case for case in want if got[case] != want[case]]
+        assert not differ, f"{len(differ)} of {len(want)} cases differ, first {differ[0]!r}"
 
 
 class TestDocPsg:
