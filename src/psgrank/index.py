@@ -46,8 +46,8 @@ class LmParams:
     mu: float = 1000.0
 
     def __post_init__(self):
-        if not self.mu >= 0:  # NaN too
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not 0 <= self.mu < math.inf:  # NaN too
+            raise ValueError(f"mu must be >= 0 and finite, got {self.mu}")
 
 
 @dataclass

@@ -232,24 +232,25 @@ def train_pairwise(
     best_w = start = w
     margins = diffs @ w
     best_err = _misordered(margins)
-    for t in range(epochs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = w - c * diffs[margins < 1.0].sum(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(epochs):
+            # Gathered by index: a boolean mask's rows, order and sum, read faster.
+            grad = w - c * diffs.take(np.flatnonzero(margins < 1.0), axis=0).sum(axis=0)
             w = w - (learning_rate / (1.0 + t)) * grad
             margins = diffs @ w
-        if not np.isfinite(w).all():
-            # inf and NaN absorb every later step: no later epoch is a model.
-            if best_w is start:
-                raise TrainingError(
-                    f"learning_rate {learning_rate!r} overflows the weights"
-                    " before any epoch improves on the zero start"
-                )
-            break
-        err = _misordered(margins)
-        if err < best_err:
-            best_err, best_w = err, w
-            if not err:
+            if not np.isfinite(w).all():
+                # inf and NaN absorb every later step: no later epoch is a model.
+                if best_w is start:
+                    raise TrainingError(
+                        f"learning_rate {learning_rate!r} overflows the weights"
+                        " before any epoch improves on the zero start"
+                    )
                 break
+            err = _misordered(margins)
+            if err < best_err:
+                best_err, best_w = err, w
+                if not err:
+                    break
     return LinearModel(
         schema=schema,
         weights=tuple(float(x) for x in best_w),

@@ -132,8 +132,8 @@ class FusionParams:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not self.nu >= 0:  # NaN too
-            raise ValueError(f"nu must be >= 0, got {self.nu}")
+        if not 0 <= self.nu < math.inf:  # NaN too
+            raise ValueError(f"nu must be >= 0 and finite, got {self.nu}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
 
@@ -246,16 +246,28 @@ def pstdev(values: Sequence[float]) -> float:
 
     The variance is exact: every float is an integer over a power of two,
     so over their common denominator 2**k it is num / den with integers
-    num = n * sum(x**2) - sum(x)**2 and den = n**2 * 4**k. Its root is
-    rounded once, as ``statistics.pstdev`` does on Python >= 3.11 (without
-    Fractions): an integer root with at least 2 * 53 + 3 bits, rounded to
-    odd, then one correctly rounded int / int division.
+    num = n * sum(x**2) - sum(x)**2 and den = n**2 * 4**k, whose root
+    :func:`_sqrt_ratio` rounds once.
     """
-    ratios = [v.as_integer_ratio() for v in values]
-    k = max(d.bit_length() for _, d in ratios) - 1
-    nums = [p << (k + 1 - d.bit_length()) for p, d in ratios]
+    nums, k = _common_scale(values)
     n, total = len(nums), sum(nums)
-    num, den = n * sum(x * x for x in nums) - total * total, n * n << (2 * k)
+    return _sqrt_ratio(n * sum(x * x for x in nums) - total * total, n * n << (2 * k))
+
+
+def _common_scale(values: Sequence[float]) -> tuple[list[int], int]:
+    """Each float as an integer over their common denominator 2**k, and k."""
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max((d.bit_length() for _, d in ratios), default=1) - 1
+    return [p << (k + 1 - d.bit_length()) for p, d in ratios], k
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den) for integers num >= 0 and den > 0, rounded once, as
+    ``statistics.pstdev`` does on Python >= 3.11 (without Fractions): an
+    integer root with at least 2 * 53 + 3 bits, rounded to odd, then one
+    correctly rounded int / int division. Scaling num and den by the same
+    4**s leaves the result as it is: for num > 0 it changes neither q, the
+    integer root nor the odd bit, and num = 0 gives 0.0 at any scale."""
     q = (num.bit_length() - den.bit_length() - 109) // 2
     if q >= 0:
         den <<= 2 * q
@@ -289,8 +301,11 @@ def build_smpd_vectors(
 
     The statistics are taken over a (document, passage position) table, one
     position at a time, so each mean adds a document's scores left to right
-    from 0, as ``sum`` adds a list of floats on Python 3.10 and 3.11; the
-    deviation is exact, per document.
+    from 0, as ``sum`` adds a list of floats on Python 3.10 and 3.11. The
+    deviation is :func:`pstdev`'s at one scale for the call: each passage's
+    score becomes an integer a once, over the power of two 2**k that the
+    largest denominator needs, and each document's n * sum(a**2) - sum(a)**2
+    over n**2 * 4**k goes through pstdev's rounding step.
     """
     rows = psg_ranks.rows(doc_vectors.item_ids)
     starts = psg_ranks.bounds[rows]
@@ -307,9 +322,12 @@ def build_smpd_vectors(
     total = np.zeros(len(rows))
     for column in scores.T:
         total += column
+    a, k = _common_scale(rr.tolist())
     std = np.zeros(len(rows))
-    for i in np.flatnonzero(n > 1).tolist():
-        std[i] = pstdev(scores[i, : n[i]].tolist())
+    multi = np.flatnonzero(n > 1)
+    for i, lo, m in zip(multi.tolist(), starts[multi].tolist(), n[multi].tolist()):
+        sa = sum(a[lo : lo + m])
+        std[i] = _sqrt_ratio(m * sum(x * x for x in a[lo : lo + m]) - sa * sa, m * m << (2 * k))
     ranked = in_table > 0
     stats = np.column_stack([
         scores.max(axis=1, initial=0.0),

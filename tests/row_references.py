@@ -38,6 +38,9 @@ package reads them from that table, one passage position at a time. A
 model scores one row at a time here; the package scores a matrix with one
 ``np.vecdot``.
 
+The hinge trainer's epochs gather the violating pairs by a boolean mask
+here (:func:`pairwise_hinge`); the package gathers them by index.
+
 NDCG is a scalar loop here: ``dcg_at_k`` adds one rank at a time, and the
 coordinate-ascent objective sorts each query's (id, score) pairs with
 ``sorted`` and recomputes its ideal DCG on every call. iP walks a run one
@@ -120,19 +123,29 @@ def difference_rows(rows, max_pairs: int, seed: int) -> np.ndarray:
     return mat
 
 
-def pairwise_hinge(diffs, c: float, epochs: int, learning_rate: float):
+def pairwise_hinge(diffs, c: float, epochs: int, learning_rate: float, violating=None):
     """The hinge trainer's epoch loop over a difference matrix, with one
-    product for the epoch's violations and another for its error count.
-    Returns the best weights as floats and their epoch (-1: the zero start)."""
+    product for the epoch's violations, gathered by a boolean mask, and
+    another for its error count, which counts a NaN margin as misordered.
+    It stops at the first epoch whose weights are not all finite. Returns
+    the best weights as floats and their epoch (-1: the zero start), or
+    None for the weights when they overflow before any epoch improves on
+    the zero start. When ``violating`` is a list, each epoch appends the
+    fraction of pairs with margin < 1 that its step reads."""
     w = np.zeros(diffs.shape[1])
     best_w, best_epoch = w.copy(), -1
-    best_err = int(np.sum(diffs @ w <= 0.0))
+    best_err = int(np.sum(~(diffs @ w > 0.0)))
     for t in range(epochs):
-        margins = diffs @ w
-        violating = margins < 1.0
-        grad = w - c * diffs[violating].sum(axis=0)
-        w = w - (learning_rate / (1.0 + t)) * grad
-        err = int(np.sum(diffs @ w <= 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = diffs @ w
+            mask = margins < 1.0
+            if violating is not None:
+                violating.append(np.count_nonzero(mask) / len(mask))
+            grad = w - c * diffs[mask].sum(axis=0)
+            w = w - (learning_rate / (1.0 + t)) * grad
+            if not np.isfinite(w).all():
+                return (None if best_epoch < 0 else tuple(float(x) for x in best_w)), best_epoch
+            err = int(np.sum(~(diffs @ w > 0.0)))
         if err < best_err:
             best_err, best_w, best_epoch = err, w.copy(), t
     return tuple(float(x) for x in best_w), best_epoch

@@ -145,6 +145,8 @@ class TestFeaturesFlagChecks:
             ("--mu", "-1", "mu must be >= 0"),
             ("--mu", "nan", "mu must be >= 0"),
             ("--init-mu", "-5", "mu must be >= 0"),
+            ("--mu", "inf", "mu must be >= 0 and finite, got inf"),
+            ("--init-mu", "inf", "mu must be >= 0 and finite, got inf"),
             ("--k-docs", "0", "doc_cutoff must be >= 1"),
             ("--length", "0", "window_len must be >= 1"),
         ],
@@ -682,7 +684,12 @@ class TestRunCommand:
             (
                 {"corpus_format": "xml", "grids": {"mu": [-5.0]}},
                 ["unknown corpus_format 'xml'; allowed: jsonl, trecweb",
-                 "grid 'mu' point -5.0: mu must be >= 0, got -5.0"],
+                 "grid 'mu' point -5.0: mu must be >= 0 and finite, got -5.0"],
+            ),
+            (
+                {"init_mu": float("inf"), "grids": {"nu": [float("inf")]}},
+                ["init_mu: mu must be >= 0 and finite, got inf",
+                 "grid 'nu' point inf: nu must be >= 0 and finite, got inf"],
             ),
         ],
     )

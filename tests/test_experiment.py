@@ -232,8 +232,8 @@ class TestConfigValidation:
         path.write_text(json.dumps(config.resolved()))
         assert '"nu": [60.0, NaN]' in path.read_text()
         config = ExperimentConfig.from_file(path)
-        assert config.validate() == ["grid 'nu' point nan: nu must be >= 0, got nan"]
-        with pytest.raises(ConfigError, match="nu must be >= 0, got nan"):
+        assert config.validate() == ["grid 'nu' point nan: nu must be >= 0 and finite, got nan"]
+        with pytest.raises(ConfigError, match="nu must be >= 0 and finite, got nan"):
             run_experiment(config, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -686,6 +687,89 @@ class TestBitExactContracts:
             train_pairwise(TrainingSet([]))
         with pytest.raises(ValueError, match="lists an item id twice"):
             _training([("q1", "a", [2.0], 0), ("q1", "a", [0.0], 1)])
+
+
+def _few_violating_rows():
+    """4 queries of 20 rows graded 0-3 by a noisy linear score of features on
+    scales 1, 10 and 0.1: from epoch 1 on, only 1-4 % of the pairs keep a
+    margin below 1, as in the deep workload's trainings."""
+    rng = np.random.default_rng(30)
+    w_star = rng.normal(size=4)
+    rows = []
+    for q in range(4):
+        values = rng.normal(size=(20, 4)) * np.array([1.0, 10.0, 0.1, 1.0])
+        scores = values @ w_star
+        scores = scores + rng.normal(size=20) * 0.1 * scores.std()
+        grades = np.searchsorted(np.quantile(scores, [0.5, 0.8, 0.95]), scores)
+        for i in rng.permutation(20):
+            rows.append((f"q{q}", f"i{i:02d}", values[i], int(grades[i])))
+    return rows
+
+
+# (rows, train_pairwise settings); epochs 80 and seed 7 unless given.
+_EPOCH_CASES = {
+    "few-violating": (_few_violating_rows(), {"c": 0.1}),
+    "one-feature": (_random_rows(np.random.default_rng(41), n_features=1), {"c": 0.01}),
+    "c-zero": (_random_rows(np.random.default_rng(42)), {"c": 0.0}),
+    "max-pairs": (
+        _random_rows(np.random.default_rng(43), n_items=20), {"c": 0.1, "max_pairs": 60}
+    ),
+    # Epoch 0 orders one pair of two and epoch 1 overflows: epoch 0 is the model.
+    "overflow-after-better-epoch": (TestOverflow.LATE, {"c": 0.01, "learning_rate": 1e200}),
+    # Epoch 0 overflows: no model, a TrainingError.
+    "overflow-at-epoch-0": (
+        _random_rows(np.random.default_rng(44)), {"c": 0.01, "learning_rate": 1e308}
+    ),
+}
+
+
+class TestEpochCases:
+    """The trainer's epochs, which gather the violating pairs by index in one
+    error state, give the weights of row_references.pairwise_hinge, which
+    gathers them by a boolean mask, bit for bit, in the cases real runs
+    reach."""
+
+    @staticmethod
+    def _both(rows, settings):
+        settings = {"epochs": 80, "seed": 7, "learning_rate": 0.5, "max_pairs": 10**6, **settings}
+        data = _training(rows)
+        diffs = ltr._difference_matrix(data, settings["max_pairs"], settings["seed"])
+        violating = []
+        expected, epoch = row_references.pairwise_hinge(
+            diffs, settings["c"], settings["epochs"], settings["learning_rate"], violating
+        )
+        if expected is None:
+            with pytest.raises(TrainingError, match="overflows the weights"):
+                train_pairwise(data, **settings)
+            return None, None, epoch, violating
+        got = train_pairwise(data, **settings)
+        return got.weights, expected, epoch, violating
+
+    @pytest.mark.parametrize("case", _EPOCH_CASES)
+    def test_weight_bits_equal_mask_loop(self, case):
+        got, expected, epoch, violating = self._both(*_EPOCH_CASES[case])
+        if got is not None:
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+        if case == "few-violating":
+            assert epoch > 30 and all(0.01 <= v <= 0.04 for v in violating[1:])
+        elif case == "c-zero":
+            assert epoch == -1 and got == (0.0,) * 5
+        elif case == "overflow-after-better-epoch":
+            assert epoch == 0 and got == (0.5 * 0.01 * 1e200,)
+        elif case == "overflow-at-epoch-0":
+            assert epoch == -1 and got is None
+        else:
+            assert epoch > 0
+        if case == "one-feature":
+            assert len(got) == 1
+        if case == "max-pairs":
+            assert len(ltr._difference_matrix(_training(_EPOCH_CASES[case][0]), 10**6, 7)) > 60
+
+    def test_no_warning_escapes_the_error_state(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows, settings in _EPOCH_CASES.values():
+                self._both(rows, settings)
 
 
 class TestRowOrder:

@@ -587,6 +587,40 @@ class TestSmpdEqualsRowReference:
             seen["past 100"] += len(psg_list) > 100
         assert all(seen.values()) and len(seen) == 3, seen
 
+    @pytest.mark.parametrize("nu", [0.0, 30.0, 1e300, 1.7e308])
+    def test_deep_shape_bytes(self, nu):
+        # deep's shape: 166 documents of 3 passages, ranks up to 5,000, so at
+        # nu = 0 the scores' exponents differ by more than 10 bits; 1.7e308
+        # makes them subnormal, over a scale of more than 1,000 bits. Ten
+        # 3-passage and three 1-passage documents are unranked, three
+        # 1-passage documents ranked, and 30 documents have a third passage
+        # unranked, so that the deviation is not 0 at any nu.
+        rng = np.random.default_rng(45)
+        doc_ids = [f"d{i:03d}" for i in rng.permutation(172)]
+        by_doc = {d: _passages_for(d, 3 if j < 166 else 1) for j, d in enumerate(doc_ids)}
+        unranked = {p.passage_id for d in doc_ids[:10] + doc_ids[166:169] for p in by_doc[d]}
+        unranked |= {f"{d}#2" for d in doc_ids[10:40]}
+        ranked = [p.passage_id for d in doc_ids for p in by_doc[d] if p.passage_id not in unranked]
+        pids = ranked + [f"x#{i}" for i in range(5000 - len(ranked))]
+        psg_list = RankedList.from_scores(
+            "q", dict(zip(pids, rng.permutation(len(pids)).astype(float).tolist()))
+        )
+        docs = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6).tolist()) for d in doc_ids})
+        got = build_smpd_vectors(_matrix(docs), PassageRanks(by_doc, psg_list), nu)
+        schema, rows = row_references.smpd_rows(list(docs[1]), docs, by_doc, psg_list, nu)
+        assert got.schema == schema and list(got.item_ids) == [i for i, _ in rows]
+        assert got.values.tobytes() == np.array([v for _, v in rows]).tobytes()
+
+        ranks = [psg_list.ranks()[p] for p in ranked]
+        assert max(ranks) > 4900 and min(ranks) < 100
+        denominators = [(1.0 / (nu + r)).as_integer_ratio()[1].bit_length() for r in ranks]
+        if nu == 0.0:
+            assert max(denominators) - min(denominators) > 10
+        if nu == 1.7e308:
+            assert max(denominators) > 1000 and 1.0 / (nu + 1) < sys.float_info.min
+        std = got.values[:, SMPD_SCHEMA.features.index("p.std")]
+        assert (std > 0).sum() >= (30 if nu > 1e299 else 100) and (std == 0).sum() >= 16
+
     def test_empty_document_list(self):
         empty = (DOC_SCHEMA, {})
         by_doc = {"d1": _passages_for("d1", 2)}
@@ -1279,6 +1313,20 @@ class TestPstdev:
             below = (Fraction(got) + Fraction(math.nextafter(got, 0.0))) / 2
             above = (Fraction(got) + Fraction(math.nextafter(got, math.inf))) / 2
             assert (below**2 if got > 0 else 0) <= var <= above**2, values
+
+    def test_rounding_step_ignores_a_common_scale(self):
+        # SMPD passes its documents' num and den at one scale for the whole
+        # table, 4**s times each document's own.
+        from psgrank.rank import _sqrt_ratio
+
+        for values in self._lists(2_000, 39) + [[0.0, 0.0], [0.5, 0.5, 0.0]]:
+            ratios = [v.as_integer_ratio() for v in values]
+            k = max(d.bit_length() for _, d in ratios) - 1
+            a = [p << (k + 1 - d.bit_length()) for p, d in ratios]
+            n = len(a)
+            num, den = n * sum(x * x for x in a) - sum(a) ** 2, n * n << (2 * k)
+            for s in (0, 1, 17, 1100):
+                assert _sqrt_ratio(num << 2 * s, den << 2 * s) == pstdev(values), (values, s)
 
     def test_constant_and_simple(self):
         assert pstdev([0.25, 0.25, 0.25]) == 0.0
