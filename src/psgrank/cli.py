@@ -46,7 +46,7 @@ from .features import (
     read_svmlight,
     write_svmlight,
 )
-from .index import IndexError_, LmParams, build_index
+from .index import IndexError_, LmParams, build_index, float_sum
 from .index import retrieve_lm  # noqa: F401  (benchmarks/spans.py wraps it here)
 from .ltr import (
     PARAM_CHECKS,
@@ -201,7 +201,7 @@ def _cmd_train(args) -> int:
         ndcgs.append(ndcg_at_k(run, dict(zip(matrix.item_ids, grades.tolist())), 10))
     print(f"examples: {len(data)}")
     print(f"queries: {len(data.queries)}")
-    print(f"train mean NDCG@10: {sum(ndcgs) / len(ndcgs):.4f}")
+    print(f"train mean NDCG@10: {float_sum(ndcgs) / len(ndcgs):.4f}")
     print(f"model: {args.out}")
     return 0
 

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .index import float_sum
 from .passage import merge_intervals
 from .rank import RankedList
 
@@ -187,7 +188,7 @@ def precision_at(ranked: RankedList, judgments: JudgmentSet, k: int = 10) -> flo
 
 def mean_metric(values: Sequence[float | None]) -> float:
     kept = [v for v in values if v is not None]
-    return sum(kept) / len(kept) if kept else 0.0
+    return float_sum(kept) / len(kept) if kept else 0.0
 
 
 # -- character-level focused retrieval --
@@ -264,7 +265,7 @@ def interpolated_precision(
     xs = np.array([*recall_points, *MAIP_RECALL_POINTS], dtype=np.float64)
     ips = best_from[np.searchsorted(recalls, xs - 1e-12, side="left")].tolist()
     ip_points = dict(zip(recall_points, ips))
-    maip = sum(ips[-len(MAIP_RECALL_POINTS):]) / len(MAIP_RECALL_POINTS)
+    maip = float_sum(ips[-len(MAIP_RECALL_POINTS):]) / len(MAIP_RECALL_POINTS)
     return ip_points, maip
 
 
@@ -387,8 +388,8 @@ def paired_ttest(
     diffs = [b - a for a, b in zip(per_query_a, per_query_b)]
     if all(d == 0.0 for d in diffs):
         return TTestResult(t=0.0, p=1.0, significant=False)
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = float_sum(diffs) / n
+    var = float_sum((d - mean) ** 2 for d in diffs) / (n - 1)
     if var == 0.0:
         raise ValueError("degenerate paired t-test: differences have zero variance")
     t = mean / math.sqrt(var / n)

@@ -53,8 +53,8 @@ from .features import (
 )
 from .index import LmParams, PositionalIndex, SdmWeights, build_index, memoized, retrieve_lm
 from .ltr import (
-    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, passage_grades, score,
-    train_coordinate_ascent, train_pairwise,
+    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, grade_pairs, passage_grades,
+    score, train_coordinate_ascent, train_pairwise,
 )
 from .passage import (
     SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, passage_spans, segment,
@@ -106,6 +106,9 @@ class _Method:
     reads: tuple = ()
     # (runner, query_id, vector-grid point) -> raw FeatureMatrix; learned
     vectors: Callable | None = None
+    # The PassageRanks.picks selectors, when ``vectors`` reads the passage
+    # ranking through those picks alone (JPDs, JPD-2, FPD).
+    picks: tuple = ()
     vector_grid: tuple = ()
     grid: tuple = ()
     # A fusion's second ranking, the one ``rank`` fuses with: (runner,
@@ -189,7 +192,9 @@ def _jpds(which: str, two_passages: bool = False) -> _Method:
             which=which, two_passages=two_passages,
         )
 
-    return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors)
+    # The two-passage rows append the "second" pick's row too.
+    picks = (which, "second") if two_passages else (which,)
+    return _Method("doc", reads=("init-LTR", "passages"), vectors=vectors, picks=picks)
 
 
 def _jpdm(agg: str) -> _Method:
@@ -241,7 +246,7 @@ _METHODS = {
     "JPDm-max": _jpdm("max"),
     "JPDm-min": _jpdm("min"),
     "FPD": _Method(
-        "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd,
+        "doc", reads=("init-LTR", "passages"), vectors=_vectors_for_fpd, picks=("best",),
         grid=(("alpha", "alpha"), ("nu", "nu")),
         rank=lambda run, q, p, ranking: rerank_fpd(run.c_ltr(q), ranking, _fusion(p)),
         fuse_with=lambda run, q, ranking: [ranking.ranks().get(d, 0) for d in run.c_ltr(q).ids()],
@@ -630,8 +635,8 @@ class _Pipeline:
         # under a key of its kind and everything else it reads: segmentation,
         # document priors, query data, extractors, concept profiles, feature
         # matrices, positional similarities, QSF runs, fold-free methods'
-        # per-query tuning metrics and shared normalized matrices (see
-        # _FoldRunner).
+        # per-query tuning metrics, shared normalized matrices and training
+        # pairs (see _FoldRunner).
         self._memo: dict = {}
         self.memo = partial(memoized, self._memo)  # (key, compute) -> the kept value
 
@@ -914,12 +919,21 @@ class _FoldRunner:
 
     def _training_set(self, rec: _Method, vpoint: dict) -> TrainingSet:
         """The train queries' min-maxed matrices at ``vpoint``, graded from
-        each query's grades, read once per matrix."""
+        each query's grades, read once per matrix. A query's training pairs
+        are kept for the whole run: its grades, so its pairs, depend on the
+        kind of judgments and its item ids alone."""
         examples = []
         for qid in self.train_queries:
             matrix, grades = self._normalized(rec, qid, vpoint), self.pipe.grades(rec.kind, qid)
             examples.append((matrix, [grades.get(i, 0) for i in matrix.item_ids]))
-        return TrainingSet(examples)
+
+        def pairs(matrix: FeatureMatrix, grades) -> tuple:
+            return self.pipe.memo(
+                ("pairs", rec.kind, matrix.query_id, matrix.item_ids),
+                lambda: grade_pairs(matrix.item_ids, grades),
+            )
+
+        return TrainingSet(examples, pairs)
 
     def _grid_metrics(
         self, method: str, query_id: str, points: list[dict], ranking: RankedList | None
@@ -971,27 +985,41 @@ class _FoldRunner:
             return RankedList(query_id, ())
         return score(model, self._normalized(rec, query_id, params))
 
+    def _reads_trained_passages(self, rec: _Method) -> bool:
+        return "PsgLTR" in map(self.stage, rec.reads)
+
     def shares_matrices(self, rec: _Method) -> bool:
-        """Whether a learned method's min-maxed matrices are the same in every
-        fold: its builder reads the tuned parameters of the stages it reads
-        but no trained model's ranking, unless "passages" is PsgLTR."""
-        return bool(rec.vectors) and "PsgLTR" not in map(self.stage, rec.reads)
+        """Whether a learned method's min-maxed matrices are kept across folds:
+        its builder reads the tuned parameters of the stages it reads and no
+        trained model's ranking but through its passage picks, unless
+        "passages" is PsgLTR and it reads the whole ranking (SMPD)."""
+        return bool(rec.vectors) and (bool(rec.picks) or not self._reads_trained_passages(rec))
 
     def _normalized(self, rec: _Method, query_id: str, params: dict) -> FeatureMatrix:
         """A learned method's min-maxed matrix for one query. Shared across
         folds when :meth:`shares_matrices`, keyed by the vector-grid point and
-        the tuned parameters of every stage it reads."""
+        the tuned parameters of every stage it reads. One that reads the
+        trained PsgLTR ranking through its picks keeps one matrix per such
+        key, for the last picks seen: folds' rankings differ far more often
+        than the passages they pick."""
         def compute():
             return minmax_normalize(rec.vectors(self, query_id, params))
 
         if not self.shares_matrices(rec):
             return compute()
         key = (
-            "matrix", rec.vectors, query_id,
+            rec.vectors, query_id,
             tuple(params[name] for name, _ in rec.vector_grid),
             *(_frozen(self.params[self.stage(name)]) for name in rec.reads),
         )
-        return self.pipe.memo(key, compute)
+        if not self._reads_trained_passages(rec):
+            return self.pipe.memo(("matrix", *key), compute)
+        ranks = self.passage_ranks(query_id)
+        picks = tuple(ranks.picks(list(ranks.doc_row), which).tobytes() for which in rec.picks)
+        slot = self.pipe.memo(("picks", *key), dict)
+        if picks not in slot:
+            slot.clear()
+        return memoized(slot, picks, compute)
 
     def _run(
         self, rec: _Method, query_id: str, params: dict, ranking: RankedList | None
@@ -1023,24 +1051,22 @@ class ExperimentReport:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentReport:
-    """Execute the leave-one-out protocol and write all artifacts."""
+    """Execute the leave-one-out protocol and write all artifacts. Nothing is
+    written before the last fold ends, so a run that fails writes nothing."""
     out_dir = Path(out_dir)
     pipe = _Pipeline.load(config)
     plan = CvPlan(tuple(sorted(pipe.queries)), seed=config.seed)
 
     runs: dict[str, dict[str, RankedList]] = {m: {} for m in config.methods}
+    models: dict[str, dict[str, LinearModel]] = {}  # by held-out query, then method
     fold_summaries = {}
-    (out_dir / "models").mkdir(parents=True, exist_ok=True)
     for fold in plan.folds():
         runner = _FoldRunner(pipe, fold)
         runner.prepare(config.methods)
         test_q = fold[0]
         for method in config.methods:
             runs[method][test_q] = runner.run_method(method, test_q)
-        model_dir = out_dir / "models" / test_q
-        model_dir.mkdir(parents=True, exist_ok=True)
-        for method, model in runner.models.items():
-            model.save(model_dir / _MODEL_FILES.get(method, f"{method}.json"))
+        models[test_q] = runner.models
         params = runner.params
         fold_summaries[test_q] = {
             "train": runner.train_queries,
@@ -1052,7 +1078,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> ExperimentR
         }
 
     report = _assemble_report(config, pipe, runs, fold_summaries)
-    _write_outputs(config, out_dir, runs, report)
+    _write_outputs(config, out_dir, runs, models, report)
     return report
 
 
@@ -1135,7 +1161,12 @@ def _assemble_report(config, pipe, runs, fold_summaries) -> ExperimentReport:
     )
 
 
-def _write_outputs(config, out_dir: Path, runs, report: ExperimentReport) -> None:
+def _write_outputs(config, out_dir: Path, runs, models, report: ExperimentReport) -> None:
+    for test_q, fold_models in models.items():
+        model_dir = out_dir / "models" / test_q
+        model_dir.mkdir(parents=True, exist_ok=True)
+        for method, model in fold_models.items():
+            model.save(model_dir / _MODEL_FILES.get(method, f"{method}.json"))
     runs_dir = out_dir / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     for method in config.methods:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, exact_log, lm_similarities, lm_top_ranks, memoized, sdm_components,
+    LmParams, PositionalIndex, exact_log, float_sum, lm_similarities, lm_top_ranks, memoized,
+    sdm_components,
 )
 from .passage import Passage, neighbors
 
@@ -194,7 +195,7 @@ def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
 
 def normalize_by_sum(values: Mapping[str, float]) -> dict[str, float]:
     """Each value over the sum of all; all 0 when that sum is not positive."""
-    total = sum(values.values())
+    total = float_sum(values.values())
     return {k: v / total if total > 0 else 0.0 for k, v in values.items()}
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +31,13 @@ SDM_WINDOW = 8
 
 class IndexError_(ValueError):
     """A store that cannot be indexed."""
+
+
+def float_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, each sum rounded once: the
+    builtin ``sum`` of floats on Python 3.10 and 3.11 bit for bit, which from
+    3.12 compensates its rounding errors instead."""
+    return reduce(add, values, 0.0)
 
 
 def memoized(memo: dict, key: tuple, compute: Callable[[], object]):
@@ -488,7 +497,7 @@ def sdm_components(
         return max(math.log(theta), LOG_FLOOR)
 
     positions = {t: index.positions(t, doc.doc_id) for t in terms}
-    f_t = sum(
+    f_t = float_sum(
         smoothed_log(len(positions[t]), index.collection_term_counts.get(t, 0)) for t in terms
     )
 

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -117,10 +117,13 @@ class TrainingSet:
     Queries are kept in query-id order, and queries without rows are
     dropped; ``len()`` is the number of rows (training examples). A
     ``FeatureMatrix`` lists each item id once, so rows in item-id order
-    are well defined.
+    are well defined. ``pairs(matrix, grades)`` is a query's
+    :func:`grade_pairs`; a caller may pass one that keeps them.
     """
 
-    def __init__(self, queries: Iterable[tuple[FeatureMatrix, Sequence[int]]]):
+    def __init__(
+        self, queries: Iterable[tuple[FeatureMatrix, Sequence[int]]], pairs: Callable | None = None
+    ):
         kept = []
         for matrix, grades in queries:
             grades = np.asarray(grades, dtype=np.int64).reshape(-1)
@@ -134,6 +137,7 @@ class TrainingSet:
         if any(m.schema != kept[0][0].schema for m, _ in kept):
             raise SchemaError("training examples mix feature schemas")
         self.queries: tuple[tuple[FeatureMatrix, np.ndarray], ...] = tuple(kept)
+        self.pairs = pairs or (lambda matrix, grades: grade_pairs(matrix.item_ids, grades))
 
     def __len__(self) -> int:
         return sum(len(m) for m, _ in self.queries)
@@ -154,24 +158,35 @@ class TrainingSet:
             )
 
 
-def _difference_matrix(data: TrainingSet, max_pairs: int, seed: int) -> np.ndarray:
-    """Within-query difference rows x_i - x_j for grade_i > grade_j.
+def grade_pairs(item_ids: Sequence[str], grades) -> tuple[np.ndarray, np.ndarray]:
+    """The row positions (hi, lo) of every pair of one query's rows with
+    grade_hi > grade_lo: rows taken in item-id order, hi outer, lo inner."""
+    order = np.array(sorted(range(len(item_ids)), key=item_ids.__getitem__), dtype=np.intp)
+    g = np.asarray(grades)[order]
+    hi, lo = np.nonzero(g[:, None] > g[None, :])
+    return order[hi], order[lo]
 
-    Per query, in item-id order, the rows are the (hi, lo) pairs in
-    row-major order: hi outer, lo inner.
+
+def _difference_matrix(data: TrainingSet, max_pairs: int, seed: int) -> np.ndarray:
+    """Within-query difference rows x_hi - x_lo over every query's
+    :func:`grade_pairs`, queries in order; a seeded subsample of
+    ``max_pairs`` of them, kept in order, when there are more.
     """
-    diffs = []
-    for x, _, g in data.by_item():
-        hi, lo = np.nonzero(g[:, None] > g[None, :])
-        diffs.append(x[hi] - x[lo])
-    mat = np.concatenate(diffs) if diffs else np.zeros((0, 0))
-    if not len(mat):
+    pairs = [data.pairs(matrix, grades) for matrix, grades in data.queries]
+    if not any(len(hi) for hi, _ in pairs):
         raise TrainingError("no training signal: every within-query pair has equal grades")
-    if len(mat) > max_pairs:
+    # Row positions in the queries' matrices stacked in order.
+    offsets = np.cumsum([0] + [len(m) for m, _ in data.queries]).tolist()
+    hi = np.concatenate([h + o for (h, _), o in zip(pairs, offsets)])
+    lo = np.concatenate([l + o for (_, l), o in zip(pairs, offsets)])
+    if len(hi) > max_pairs:
         rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(mat), size=max_pairs, replace=False))
-        mat = mat[keep]
-    return mat
+        keep = np.sort(rng.choice(len(hi), size=max_pairs, replace=False))
+        hi, lo = hi[keep], lo[keep]
+    x = np.concatenate([m.values for m, _ in data.queries])
+    diffs = x[hi]
+    diffs -= x[lo]
+    return diffs
 
 
 def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:

@@ -134,6 +134,8 @@ class FusionParams:
     def __post_init__(self):
         if not 0 <= self.nu < math.inf:  # NaN too
             raise ValueError(f"nu must be >= 0 and finite, got {self.nu}")
+        if self.nu >= 2.0**53:  # where nu + rank stops being exact
+            raise ValueError(f"nu must be below 2**53 (9.007e15), got {self.nu}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
 

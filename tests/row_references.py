@@ -39,7 +39,11 @@ model scores one row at a time here; the package scores a matrix with one
 ``np.vecdot``.
 
 The hinge trainer's epochs gather the violating pairs by a boolean mask
-here (:func:`pairwise_hinge`); the package gathers them by index.
+here (:func:`pairwise_hinge`); the package gathers them by index. The
+difference matrix is one block per query here (:func:`difference_blocks`),
+from that query's rows in item-id order and its n x n grade mask; the
+package gathers every query's (hi, lo) pairs, kept per query, from the
+stacked matrices at once.
 
 NDCG is a scalar loop here: ``dcg_at_k`` adds one rank at a time, and the
 coordinate-ascent objective sorts each query's (id, score) pairs with
@@ -116,6 +120,27 @@ def difference_rows(rows, max_pairs: int, seed: int) -> np.ndarray:
                 if hi_grade > lo_grade:
                     diffs.append(np.subtract(hi_values, lo_values))
     mat = np.array(diffs, dtype=float)
+    if len(mat) > max_pairs:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(len(mat), size=max_pairs, replace=False))
+        mat = mat[keep]
+    return mat
+
+
+def difference_blocks(data, max_pairs: int, seed: int) -> np.ndarray:
+    """The difference rows of a TrainingSet one query block at a time: rows
+    in item-id order, x[hi] - x[lo] over the pairs of an n x n grade mask,
+    hi outer and lo inner; then a seeded subsample of max_pairs rows kept
+    in order. Raises TrainingError when no pair has distinct grades."""
+    from psgrank.ltr import TrainingError
+
+    diffs = []
+    for x, _, g in data.by_item():
+        hi, lo = np.nonzero(g[:, None] > g[None, :])
+        diffs.append(x[hi] - x[lo])
+    mat = np.concatenate(diffs) if diffs else np.zeros((0, 0))
+    if not len(mat):
+        raise TrainingError("no training signal: every within-query pair has equal grades")
     if len(mat) > max_pairs:
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(mat), size=max_pairs, replace=False))

@@ -691,6 +691,10 @@ class TestRunCommand:
                 ["init_mu: mu must be >= 0 and finite, got inf",
                  "grid 'nu' point inf: nu must be >= 0 and finite, got inf"],
             ),
+            (
+                {"grids": {"nu": [60.0, 1e17]}},
+                ["grid 'nu' point 1e+17: nu must be below 2**53 (9.007e15), got 1e+17"],
+            ),
         ],
     )
     def test_bad_field_values_exit_one_before_any_work(

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -454,15 +455,20 @@ class TestCrossFoldMemo:
         assert [m for m, r in _METHODS.items() if r.fold_free] == [
             "LM", "SDM", "DocPsg", "QSF", "PLM"
         ]
-        # Every learned method that reads no trained passage ranking.
+        # Every learned method that reads no trained passage ranking, or reads
+        # it through its passage picks alone, which then key its matrices.
         expected = {"init-LTR": (), "PsgLTR": ("QSF",)}
         expected.update(dict.fromkeys(("JPDm-avg", "JPDm-max", "JPDm-min"), ("init-LTR",)))
+        picks = {
+            "JPDs": ("best",), "JPDs-second": ("second",), "JPDs-third": ("third",),
+            "JPDs-lowest": ("lowest",), "JPD-2": ("best", "second"), "FPD": ("best",),
+        }
+        assert {m: r.picks for m, r in _METHODS.items() if r.picks} == picks
+        expected.update(dict.fromkeys(picks, ("init-LTR", "passages")))
         for psg_ranker in ("ltr", "qsf"):
             if psg_ranker == "qsf":
-                expected.update(dict.fromkeys(
-                    ("SMPD", "JPDs", "JPDs-second", "JPDs-third", "JPDs-lowest", "JPD-2", "FPD"),
-                    ("init-LTR", "passages"),
-                ))
+                # SMPD reads the whole passage-rank table.
+                expected["SMPD"] = ("init-LTR", "passages")
             config = ExperimentConfig()
             config.psg_ranker = psg_ranker
             runner = _FoldRunner(SimpleNamespace(config=config), ("q1", [], []))
@@ -530,7 +536,8 @@ class TestCrossFoldMemo:
 
     def test_memo_holds_only_fold_free_work(self, tmp_path, monkeypatch):
         # A model-reading method's runs differ between folds, so none of its
-        # metrics or matrices may be kept for the whole run.
+        # metrics may be kept for the whole run, and its matrices only keyed
+        # by the passages they pick (FPD's best passages).
         from psgrank import experiment
 
         pipes = []
@@ -550,6 +557,8 @@ class TestCrossFoldMemo:
         assert kinds["matrix"] == {
             experiment._METHODS[m].vectors for m in ("init-LTR", "PsgLTR")
         }
+        assert kinds["picks"] == {experiment._METHODS["FPD"].vectors}
+        assert kinds["pairs"] == {"doc", "psg"}
 
     def test_shared_matrix_keyed_by_tuned_qsf(self, tmp_path):
         import numpy as np
@@ -632,6 +641,14 @@ class TestMemoOff:
         "matrix-qsf-noisy": (
             "matrix", ["SMPD", "FPD", "JPD-2"], {"psg_ranker": "qsf", "exclusions": ["psg.ESA"]},
         ),
+        # Under PsgLTR, the JPDs variants', JPD-2's and FPD's matrices are
+        # kept by the passages they pick, which differ between folds
+        # (TestPicksSlot).
+        "picks": ("picks", ["JPDs-lowest", "JPD-2", "FPD"], {"exclusions": ["psg.ESA"]}),
+        # Training pairs by (kind, query, item ids): PsgLTR's rows are the
+        # tuned QSF's top passages, which differ between folds, and with an
+        # 8-passage cutoff so do 4 queries' pairs.
+        "pairs": ("pairs", ["PsgLTR"], {"exclusions": ["psg.ESA"], "psg_cutoff": 8}),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -642,8 +659,8 @@ class TestMemoOff:
         noisy = case.endswith("-noisy")
         paths = noisy_corpus(tmp_path / "data", n_queries=5) if noisy else _tiny_corpus(tmp_path)
         config = _tiny_config(
-            paths, methods, grids=self.GRIDS, psg_cutoff=5, trainer_params={"epochs": 5},
-            **overrides,
+            paths, methods,
+            **{"grids": self.GRIDS, "psg_cutoff": 5, "trainer_params": {"epochs": 5}, **overrides},
         )
         report = run_experiment(config, tmp_path / "cached")
         if noisy:
@@ -663,6 +680,139 @@ class TestMemoOff:
         assert cached.keys() == bypassed.keys()
         for name in cached:
             assert cached[name] == bypassed[name], name
+
+
+class TestPicksSlot:
+    """Under PsgLTR, a method that reads the passage ranking only through its
+    picks keeps one matrix per (query, tuned stages), rebuilt when the picks
+    change: fewer builds than one per fold and query, and the same bytes as
+    a run with every cache bypassed."""
+
+    METHODS = ["JPDs", "JPDs-lowest", "JPD-2", "FPD"]
+
+    @staticmethod
+    def _counted(monkeypatch, builds):
+        from psgrank import experiment
+
+        def counting(name):
+            build = getattr(experiment, name)
+
+            def wrapper(doc_vectors, psg_vectors, psg_ranks, *args, **kwargs):
+                picks = tuple(
+                    psg_ranks.picks(doc_vectors.item_ids, w).tobytes()
+                    for w in ("best", "second", "lowest")
+                )
+                builds.append((name, kwargs, doc_vectors.query_id, picks))
+                return build(doc_vectors, psg_vectors, psg_ranks, *args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, wrapper)
+
+        counting("build_jpds_vectors")
+        counting("build_fpd_vectors")
+
+    def test_fewer_builds_same_bytes(self, tmp_path, monkeypatch):
+        from psgrank import experiment, features, index
+
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, self.METHODS, exclusions=["psg.ESA"])
+        n_queries = len(experiment._Pipeline.load(config).queries)
+        builds = []
+        self._counted(monkeypatch, builds)
+        run_experiment(config, tmp_path / "cached")
+        by_method = {}
+        for name, kwargs, qid, picks in builds:
+            by_method.setdefault((name, tuple(sorted(kwargs.items()))), []).append((qid, picks))
+        assert len(by_method) == len(self.METHODS)
+        # A fold builds each query's matrix at least once without the slot.
+        assert all(len(b) < n_queries * n_queries for b in by_method.values()), by_method
+        # The picks of some query change between folds, and each change is
+        # a rebuild.
+        assert any(len(b) > len({q for q, _ in b}) for b in by_method.values())
+        for b in by_method.values():
+            for qid in {q for q, _ in b}:
+                seq = [picks for q, picks in b if q == qid]
+                assert all(a != c for a, c in zip(seq, seq[1:])), qid
+
+        def compute_always(memo, key, compute):
+            return compute()
+
+        for module in (index, features, experiment):
+            monkeypatch.setattr(module, "memoized", compute_always)
+        builds.clear()
+        run_experiment(config, tmp_path / "bypassed")
+        assert len(builds) == n_queries * n_queries * len(self.METHODS)
+        assert _tree_bytes(tmp_path / "cached") == _tree_bytes(tmp_path / "bypassed")
+
+
+class TestFailedRunWritesNothing:
+    def test_exception_in_a_late_fold_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        from psgrank import experiment
+
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(paths, ["LM", "JPDs"], exclusions=["psg.ESA"])
+        prepare, folds = experiment._FoldRunner.prepare, []
+
+        def failing(runner, methods):
+            folds.append(runner.test_query)
+            if len(folds) == 4:
+                raise RuntimeError("fold failed")
+            prepare(runner, methods)
+
+        monkeypatch.setattr(experiment._FoldRunner, "prepare", failing)
+        with pytest.raises(RuntimeError, match="fold failed"):
+            run_experiment(config, tmp_path / "out")
+        assert len(folds) == 4
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(experiment._FoldRunner, "prepare", prepare)
+        run_experiment(config, tmp_path / "out")
+        models = sorted(p.relative_to(tmp_path / "out") for p in (tmp_path / "out").rglob("*.json"))
+        assert len([m for m in models if m.parts[0] == "models"]) == 6 * 3
+
+
+class TestCompensatedSum:
+    """Every float sum of a run adds left to right from 0.0 (index.float_sum),
+    so a Python whose builtin ``sum`` compensates its rounding, as 3.12's
+    does, writes the same bytes. Here that ``sum`` is patched into every
+    psgrank module's globals."""
+
+    @staticmethod
+    def compensated_sum(iterable, start=0):
+        """Python 3.12's float sum: Neumaier's compensation, added once at
+        the end; any other operands as the builtin adds them."""
+        items = list(iterable)
+        if not any(isinstance(v, float) for v in items):
+            return sum(items, start)
+        total, c = float(start), 0.0
+        for v in items:
+            t = total + v
+            c += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+            total = t
+        return total + c if c and math.isfinite(c) else total
+
+    def test_compensated_sum_changes_sums(self):
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        assert self.compensated_sum(values) != sum(values)
+        assert self.compensated_sum(values) == math.fsum(values)
+        assert self.compensated_sum([1, 2, 3]) == 6 and isinstance(self.compensated_sum([1]), int)
+
+    def test_learned_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        import importlib
+        import pkgutil
+
+        import psgrank
+
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(
+            paths, ["LM", "QSF", "SDM", "JPDs"], grids={**_TINY_GRIDS, "qsf_lambda": [0.3, 0.6]},
+        )
+        run_experiment(config, tmp_path / "builtin")
+        names = [m.name for m in pkgutil.iter_modules(psgrank.__path__)]
+        assert {"features", "index", "evaluation", "cli"} <= set(names)
+        for name in names:
+            module = importlib.import_module(f"psgrank.{name}")
+            monkeypatch.setattr(module, "sum", self.compensated_sum, raising=False)
+        run_experiment(config, tmp_path / "compensated")
+        assert _tree_bytes(tmp_path / "builtin") == _tree_bytes(tmp_path / "compensated")
 
 
 class TestStaging:

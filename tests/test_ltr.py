@@ -772,6 +772,87 @@ class TestEpochCases:
                 self._both(rows, settings)
 
 
+class TestDifferenceGather:
+    """The difference matrix, one gather over every query's (hi, lo) pairs
+    from the stacked matrices, equals the per-query blocks of
+    row_references.difference_blocks bit for bit."""
+
+    SCHEMA = FeatureSchema("t", ("f0", "f1", "f2"))
+
+    def _queries(self, rng, grades_of):
+        """5 queries of 0 to 14 rows listed out of item-id order, each
+        graded by ``grades_of(query, n)``; values on scales 1e-3 to 1e3."""
+        queries = []
+        for q, n in enumerate((9, 0, 14, 1, 6)):
+            values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 3))
+            ids = [f"d{i:02d}" for i in rng.permutation(n)]
+            matrix = FeatureMatrix(self.SCHEMA, f"q{4 - q}", ids, values.reshape(n, 3))
+            queries.append((matrix, grades_of(q, n)))
+        return queries
+
+    CASES = {
+        "graded": lambda rng: lambda q, n: rng.integers(0, 4, size=n).tolist(),
+        "tied": lambda rng: lambda q, n: rng.integers(0, 2, size=n).tolist(),
+        # Query 0 has every row at grade 2, so it adds no pair.
+        "one-query-all-equal": lambda rng: lambda q, n: (
+            [2] * n if q == 0 else rng.integers(0, 3, size=n).tolist()
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("max_pairs", [10**6, 40, 1])
+    def test_gather_equals_per_query_blocks(self, case, max_pairs):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, 47])
+            data = TrainingSet(self._queries(rng, self.CASES[case](rng)))
+            assert [len(m) for m, _ in data.queries] == [6, 1, 14, 9]  # the empty query dropped
+            want = row_references.difference_blocks(data, max_pairs, seed)
+            got = ltr._difference_matrix(data, max_pairs, seed)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+            if max_pairs == 40:
+                assert len(row_references.difference_blocks(data, 10**6, seed)) > 40
+
+    def test_no_pair_raises_as_before(self):
+        rng = np.random.default_rng(48)
+        data = TrainingSet(self._queries(rng, lambda q, n: [1] * n))
+        for build in (row_references.difference_blocks, ltr._difference_matrix):
+            with pytest.raises(TrainingError, match="no training signal"):
+                build(data, 10**6, 0)
+        for build in (row_references.difference_blocks, ltr._difference_matrix):
+            with pytest.raises(TrainingError, match="no training signal"):
+                build(TrainingSet([]), 10**6, 0)
+
+    def test_grade_pairs_order(self):
+        # Item-id order, hi outer, lo inner, as nested loops list them.
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            n = int(rng.integers(0, 12))
+            ids = [f"i{int(i):02d}" for i in rng.permutation(n)]
+            grades = rng.integers(0, 3, size=n).tolist()
+            by_id = sorted(range(n), key=ids.__getitem__)
+            want = [(a, b) for a in by_id for b in by_id if grades[a] > grades[b]]
+            hi, lo = ltr.grade_pairs(ids, grades)
+            assert list(zip(hi.tolist(), lo.tolist())) == want
+
+    def test_given_pairs_are_the_ones_gathered(self):
+        # A caller's pairs callable is asked once per query and replaces the
+        # computed pairs; the hinge trainer's weights keep their bits.
+        rng = np.random.default_rng(50)
+        queries = self._queries(rng, self.CASES["graded"](rng))
+        asked = []
+
+        def pairs(matrix, grades):
+            asked.append(matrix.query_id)
+            return ltr.grade_pairs(matrix.item_ids, grades)
+
+        kept = TrainingSet(queries, pairs)
+        want = train_pairwise(TrainingSet(queries), c=0.1, epochs=30, seed=3, max_pairs=25)
+        got = train_pairwise(kept, c=0.1, epochs=30, seed=3, max_pairs=25)
+        assert np.array(got.weights).tobytes() == np.array(want.weights).tobytes()
+        assert asked == ["q0", "q1", "q2", "q4"]
+
+
 class TestRowOrder:
     """Permuting a query's rows, each keeping its item id and grade, changes
     no bit of the min-max, of either trainer's weights or of a scored run:

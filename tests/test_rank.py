@@ -124,6 +124,19 @@ class TestRrScore:
             rr_score("zz", rl, 60.0)
 
 
+class TestNuBound:
+    def test_nu_below_two_to_the_53(self):
+        # Past 2**53, ranks round together in nu + rank, and nu is rejected.
+        assert FusionParams(nu=2.0**53 - 1).nu == 2.0**53 - 1
+        assert 2.0**52 + 1 != 2.0**52 + 2 and 1e17 + 1 == 1e17 + 2
+        for bad in (2.0**53, 1e17, 1.7e308):
+            with pytest.raises(ValueError, match=r"nu must be below 2\*\*53"):
+                FusionParams(nu=bad)
+        for bad in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="nu must be >= 0 and finite"):
+                FusionParams(nu=bad)
+
+
 class TestRerankRrf:
     def _lists(self):
         doc_list = RankedList.from_scores("q", {"d1": 4.0, "d2": 3.0, "d3": 2.0, "d4": 1.0})
