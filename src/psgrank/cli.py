@@ -81,14 +81,13 @@ def _check_flags(checks: Mapping[str, Callable[[], object]], problems=()) -> Non
 def _cmd_index(args) -> int:
     store = ingest_corpus(args.corpus, args.format)
     out = Path(args.out)
-    manifest_path = store.save(out)
+    manifest = store.save(out)
     index = build_index(store)
     index.save(out / "index.json")
-    manifest = store.manifest()
     print(f"documents: {manifest['doc_count']}")
     print(f"tokens: {manifest['token_count']}")
     print(f"terms: {len(index.collection_term_counts)}")
-    print(f"manifest: {manifest_path}")
+    print(f"manifest: {out / 'manifest.json'}")
     return 0
 
 

@@ -5,7 +5,9 @@ over the tokenizer's interned stem vocabulary, character offsets into the
 raw text, and stopword ids. Queries have stopwords removed at load time.
 The store records the identities of the tokenizer, stemmer and stopword
 list in its manifest so downstream indexes and models are never mixed
-across incompatible text analysis chains.
+across incompatible text analysis chains. It also keeps the analysis
+itself (term ids, stopword ids and the vocabulary), so a load does not
+tokenize again.
 """
 
 from __future__ import annotations
@@ -21,9 +23,19 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 TOKENIZER_ID = "alnum-v1"
-STORE_VERSION = 1
+# Version 2 keeps each document's term ids and stopword ids and the stem
+# vocabulary beside the texts.
+STORE_VERSION = 2
+# CorpusStore.manifest, which run reports record, keeps the fields of the
+# version-1 store manifest, so a report does not change with the store format.
+_CORPUS_MANIFEST_VERSION = 1
 # The manifest fields CorpusStore.load reads.
-_MANIFEST_FIELDS = ("version", "stopwords", "stemmer", "format", "checksum")
+_MANIFEST_FIELDS = ("version", "tokenizer", "stopwords", "stemmer", "format", "checksum", "files")
+# The store's analysis files: every document's term ids and stopword ids,
+# concatenated in store order (little-endian), and the stems by term id,
+# one per line.
+_TERM_IDS, _STOPWORD_IDS, _VOCABULARY = "term_ids.i32", "stopword_ids.i16", "vocabulary.txt"
+_ANALYSIS_FILES = (_TERM_IDS, _STOPWORD_IDS, _VOCABULARY)
 
 # Tokens are maximal runs of [0-9A-Za-z]; this maps every other byte to a space.
 _SEPARATORS = bytes(b if chr(b).isascii() and chr(b).isalnum() else 32 for b in range(256))
@@ -39,6 +51,18 @@ _MAX_STOPWORDS = int(np.iinfo(np.int16).max)
 
 class CorpusError(ValueError):
     """Malformed corpus input or store/manifest inconsistency."""
+
+
+def _token_edges(text: str) -> tuple[bytes, np.ndarray]:
+    """The text's bytes with every separator a space, and the char offsets
+    of its tokens: starts and ends alternating."""
+    # Every non-ASCII code point is a separator, and "replace" writes one
+    # byte for each, so byte offsets are character offsets.
+    separated = text.encode("ascii", "replace").translate(_SEPARATORS)
+    # Token starts and ends alternate where the padded mask changes.
+    is_alnum = np.zeros(len(separated) + 2, bool)
+    np.not_equal(np.frombuffer(separated, np.uint8), 32, out=is_alnum[1:-1])
+    return separated, np.flatnonzero(is_alnum[1:] != is_alnum[:-1])
 
 
 def read_json_file(path: Path, error: type[ValueError]):
@@ -239,16 +263,18 @@ class Tokenizer:
             self._vocabulary.append(stem)
         return term_id << _CODE_SHIFT | (self._stopwords.position(lower) + 1)
 
+    def _restore(self, vocabulary: list[str]) -> None:
+        """Take a stored vocabulary, whose stems are numbered by position,
+        before this tokenizer analyses any text."""
+        self._vocabulary[:] = vocabulary
+        self._term_ids.update((stem, i) for i, stem in enumerate(vocabulary))
+        if len(self._term_ids) != len(vocabulary):
+            raise CorpusError("the stored vocabulary lists a stem twice")
+
     def _columns(self, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Term ids, char starts, char ends and stopword ids of the text's tokens."""
-        # Every non-ASCII code point is a separator, and "replace" writes one
-        # byte for each, so byte offsets are character offsets.
-        separated = text.encode("ascii", "replace").translate(_SEPARATORS)
+        separated, edges = _token_edges(text)
         surfaces = separated.decode("ascii").split()
-        # Token starts and ends alternate where the padded mask changes.
-        is_alnum = np.zeros(len(separated) + 2, bool)
-        np.not_equal(np.frombuffer(separated, np.uint8), 32, out=is_alnum[1:-1])
-        edges = np.flatnonzero(is_alnum[1:] != is_alnum[:-1])
         codes = np.fromiter(map(self._codes.__getitem__, surfaces), np.int64, len(surfaces))
         return (
             (codes >> _CODE_SHIFT).astype(np.int32),
@@ -280,8 +306,8 @@ class Document:
     ``raw_text[char_starts[i]:char_ends[i]]`` (int64 offsets) and has
     stopword id ``stopword_ids[i]`` (int16): -1 for a non-stopword, else the
     position of its lowercased form among the stopword list's sorted terms.
-    The columns are read-only. Term ids are internal to the process: no
-    artifact or ordering reads them.
+    The columns are read-only. Term ids mean something only with their
+    vocabulary, which a saved store keeps beside them; no ordering reads them.
     """
 
     __slots__ = (
@@ -362,8 +388,9 @@ class CorpusStore:
         return _records_checksum((d.doc_id, d.raw_text) for d in self.documents)
 
     def manifest(self) -> dict:
+        """The corpus and the identities of its analysis chain."""
         return {
-            "version": STORE_VERSION,
+            "version": _CORPUS_MANIFEST_VERSION,
             "format": self.source_format,
             "doc_count": len(self.documents),
             "token_count": sum(d.length for d in self.documents),
@@ -373,8 +400,28 @@ class CorpusStore:
             "checksum": self.checksum(),
         }
 
-    def save(self, directory: str | Path) -> Path:
-        """Persist docs + manifest; byte-identical for identical inputs."""
+    def _write_analysis(self, directory: Path) -> dict[str, str]:
+        """Write the analysis files, a document at a time; their sha256
+        digests by file name."""
+        digests = {}
+        for name, column, dtype in (
+            (_TERM_IDS, "term_ids", "<i4"), (_STOPWORD_IDS, "stopword_ids", "<i2")
+        ):
+            h = hashlib.sha256()
+            with (directory / name).open("wb") as f:
+                for d in self.documents:
+                    ids = getattr(d, column).astype(dtype, copy=False)
+                    f.write(ids)
+                    h.update(ids)
+            digests[name] = h.hexdigest()
+        stems = "".join(s + "\n" for s in self.tokenizer._vocabulary).encode("ascii")
+        (directory / _VOCABULARY).write_bytes(stems)
+        digests[_VOCABULARY] = hashlib.sha256(stems).hexdigest()
+        return digests
+
+    def save(self, directory: str | Path) -> dict:
+        """Persist the texts, their analysis and the manifest; byte-identical
+        for identical inputs. Returns the manifest written."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         docs_path = directory / "docs.jsonl"
@@ -382,23 +429,19 @@ class CorpusStore:
             for d in self.documents:
                 f.write(json.dumps({"id": d.doc_id, "text": d.raw_text}, sort_keys=True))
                 f.write("\n")
-        manifest_path = directory / "manifest.json"
-        manifest_path.write_text(
-            json.dumps(self.manifest(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        files = self._write_analysis(directory)
+        manifest = {**self.manifest(), "version": STORE_VERSION, "files": files}
+        (directory / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-        return manifest_path
+        return manifest
 
     @classmethod
     def load(cls, directory: str | Path, stopwords: StopwordList | None = None) -> "CorpusStore":
+        """The saved store. Its documents are built from the stored analysis,
+        with char offsets from the texts' bytes: nothing is tokenized again."""
         directory = Path(directory)
-        manifest_path = directory / "manifest.json"
-        manifest = read_json_file(manifest_path, CorpusError)
-        if not (isinstance(manifest, dict) and all(k in manifest for k in _MANIFEST_FIELDS)):
-            raise CorpusError(
-                f"{manifest_path}: expected a JSON object with {', '.join(_MANIFEST_FIELDS)}"
-            )
-        if manifest["version"] != STORE_VERSION:
-            raise CorpusError(f"unsupported store version: {manifest['version']}")
+        manifest = _read_manifest(directory / "manifest.json")
         stopwords = stopwords or default_stopwords()
         if stopwords.name != manifest["stopwords"]:
             raise CorpusError(
@@ -409,8 +452,80 @@ class CorpusStore:
         records = list(_iter_jsonl_records(directory / "docs.jsonl"))
         if _records_checksum(records) != manifest["checksum"]:
             raise CorpusError("store checksum mismatch: docs.jsonl was modified")
-        docs = [tokenizer.document(doc_id, text) for doc_id, text in records]
+        data = {
+            name: _verified_file(directory / name, manifest["files"][name])
+            for name in _ANALYSIS_FILES
+        }
+        term_ids = np.frombuffer(data[_TERM_IDS], "<i4")
+        stopword_ids = np.frombuffer(data[_STOPWORD_IDS], "<i2")
+        try:
+            stems = data[_VOCABULARY].decode("ascii").split("\n")[:-1]
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{directory / _VOCABULARY}: not ASCII at byte {exc.start}") from None
+        tokenizer._restore(stems)
+        vocabulary = tokenizer._vocabulary
+        _check_ids(directory / _TERM_IDS, term_ids, 0, len(vocabulary))
+        _check_ids(directory / _STOPWORD_IDS, stopword_ids, -1, len(stopwords))
+        docs, start = [], 0
+        for doc_id, text in records:
+            edges = _token_edges(text)[1]
+            end = start + len(edges) // 2
+            columns = (term_ids[start:end], edges[0::2], edges[1::2], stopword_ids[start:end])
+            docs.append(Document(doc_id, text, columns, vocabulary))
+            start = end
+        for name, ids in ((_TERM_IDS, term_ids), (_STOPWORD_IDS, stopword_ids)):
+            if len(ids) != start:
+                raise CorpusError(
+                    f"{directory / name}: holds {len(ids)} ids, but the texts of docs.jsonl "
+                    f"hold {start} tokens"
+                )
         return cls(docs, tokenizer, manifest["format"])
+
+
+def _read_manifest(path: Path) -> dict:
+    """A store manifest this version reads: every field present, of this
+    store version and tokenizer."""
+    manifest = read_json_file(path, CorpusError)
+    if isinstance(manifest, dict) and manifest.get("version", STORE_VERSION) != STORE_VERSION:
+        raise CorpusError(
+            f"{path}: unsupported store version {manifest['version']!r}; this psgrank reads "
+            f"version {STORE_VERSION}, so run psgrank index again"
+        )
+    missing = [k for k in _MANIFEST_FIELDS if not isinstance(manifest, dict) or k not in manifest]
+    if missing:
+        raise CorpusError(
+            f"{path}: expected a JSON object with {', '.join(_MANIFEST_FIELDS)} "
+            f"(missing: {', '.join(missing)})"
+        )
+    if manifest["tokenizer"] != TOKENIZER_ID:
+        raise CorpusError(
+            f"{path}: tokenizer mismatch: store has {manifest['tokenizer']!r}, "
+            f"this psgrank has {TOKENIZER_ID!r}"
+        )
+    files, names = manifest["files"], _ANALYSIS_FILES
+    if not (isinstance(files, dict) and all(isinstance(files.get(n), str) for n in names)):
+        raise CorpusError(
+            f"{path}: 'files' must map {', '.join(names)} to sha256 digests"
+        )
+    return manifest
+
+
+def _verified_file(path: Path, sha256: str) -> bytes:
+    """The file's bytes, checked against the digest its manifest records."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise CorpusError(f"{path}: missing from the store") from None
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise CorpusError(f"{path}: sha256 mismatch: the file was modified")
+    return data
+
+
+def _check_ids(path: Path, ids: np.ndarray, low: int, stop: int) -> None:
+    if len(ids) and not (low <= ids.min() and ids.max() < stop):
+        raise CorpusError(
+            f"{path}: ids span {ids.min()} to {ids.max()}, outside {low} to {stop - 1}"
+        )
 
 
 def _records_checksum(records: Iterable[tuple[str, str]]) -> str:

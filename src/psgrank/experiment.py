@@ -900,12 +900,16 @@ class _FoldRunner:
         for vpoint in _grid_points(cfg, rec.vector_grid):
             if rec.vectors:
                 training = self._training_set(rec, vpoint)
+                # The queries' matrices at this point, for every trainer point.
+                matrices = {}
             for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
                 if rec.vectors:
                     model = _train(cfg, training, hyper)
                     # The vectors depend on the vector-grid point only, so the
                     # model ranks each query once for the whole grid.
-                    rankings = {q: self._model_ranking(rec, q, vpoint, model) for q in queries}
+                    rankings = {
+                        q: self._model_ranking(rec, q, vpoint, model, matrices) for q in queries
+                    }
                 points = [
                     {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
                     for rpoint in rpoints
@@ -978,12 +982,18 @@ class _FoldRunner:
         return memoized(self._memo, ("run", method, query_id), compute)
 
     def _model_ranking(
-        self, rec: _Method, query_id: str, params: dict, model: LinearModel
+        self, rec: _Method, query_id: str, params: dict, model: LinearModel,
+        matrices: dict | None = None,
     ) -> RankedList:
-        """A learned method's model ranking; empty when the query has no candidates."""
+        """A learned method's model ranking; empty when the query has no
+        candidates. ``matrices`` keeps the query's matrix at ``params``."""
         if self._no_candidates(query_id):
             return RankedList(query_id, ())
-        return score(model, self._normalized(rec, query_id, params))
+        matrix = memoized(
+            {} if matrices is None else matrices, query_id,
+            lambda: self._normalized(rec, query_id, params),
+        )
+        return score(model, matrix)
 
     def _reads_trained_passages(self, rec: _Method) -> bool:
         return "PsgLTR" in map(self.stage, rec.reads)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -39,6 +40,74 @@ def store_factory(tokenizer):
 
 def make_query(query_id: str, text: str, tokenizer: Tokenizer) -> Query:
     return Query(query_id, text, tokenizer)
+
+
+def _edit_manifest(store, edit) -> None:
+    path = store / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+def _replace_file(store, name: str, data: bytes) -> None:
+    """Replace a store file and record its digest, so that only its content is wrong."""
+    (store / name).write_bytes(data)
+    _edit_manifest(store, lambda m: m["files"].update({name: hashlib.sha256(data).hexdigest()}))
+
+
+def _ids_dropping_the_last(store) -> None:
+    for name, size in (("term_ids.i32", 4), ("stopword_ids.i16", 2)):
+        _replace_file(store, name, (store / name).read_bytes()[:-size])
+
+
+def _out_of_range(name: str, dtype, value: int):
+    def damage(store):
+        ids = np.frombuffer((store / name).read_bytes(), dtype).copy()
+        ids[-1] = value
+        _replace_file(store, name, ids.tobytes())
+
+    return damage
+
+
+# Damage done to a saved store, and what the error CorpusStore.load raises
+# for it must say.
+STORE_DAMAGES = {
+    **{
+        f"{name} modified": (
+            lambda store, name=name: (store / name).write_bytes(
+                (store / name).read_bytes() + b"\n"
+            ),
+            f"{name}: sha256 mismatch",
+        )
+        for name in ("term_ids.i32", "stopword_ids.i16", "vocabulary.txt")
+    },
+    **{
+        f"{name} missing": (
+            lambda store, name=name: (store / name).unlink(),
+            f"{name}: missing from the store",
+        )
+        for name in ("term_ids.i32", "stopword_ids.i16", "vocabulary.txt")
+    },
+    "term id out of range": (_out_of_range("term_ids.i32", "<i4", 10**6), "ids span"),
+    "stopword id out of range": (_out_of_range("stopword_ids.i16", "<i2", 30000), "ids span"),
+    "token count": (_ids_dropping_the_last, "but the texts of docs.jsonl hold"),
+    "version 1": (
+        lambda store: _edit_manifest(store, lambda m: m.update(version=1)),
+        "unsupported store version 1",
+    ),
+    "other tokenizer": (
+        lambda store: _edit_manifest(store, lambda m: m.update(tokenizer="regex-v0")),
+        "tokenizer mismatch: store has 'regex-v0'",
+    ),
+    "no tokenizer": (
+        lambda store: _edit_manifest(store, lambda m: m.pop("tokenizer")),
+        "(missing: tokenizer)",
+    ),
+    "files not a mapping": (
+        lambda store: _edit_manifest(store, lambda m: m.update(files=["term_ids.i32"])),
+        "'files' must map term_ids.i32, stopword_ids.i16, vocabulary.txt to sha256 digests",
+    ),
+}
 
 
 

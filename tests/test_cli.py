@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import write_jsonl
+from conftest import STORE_DAMAGES, write_jsonl
 from psgrank.cli import main
 from psgrank.experiment import ExperimentConfig, _Pipeline
 from psgrank.features import DOC_SCHEMA, PSG_SCHEMA, minmax_normalize, read_svmlight
@@ -249,6 +249,14 @@ class TestDamagedInputs:
         (store / "manifest.json").write_text(json.dumps(manifest))
         argv = ["--workdir", str(corpus_dir), "segment", "--store", "store", "--out", "p.tsv"]
         self._fails(capsys, argv, "manifest.json: expected a JSON object")
+
+    @pytest.mark.parametrize("damage", list(STORE_DAMAGES))
+    def test_damaged_store_analysis(self, corpus_dir, capsys, damage):
+        edit, problem = STORE_DAMAGES[damage]
+        edit(_index(corpus_dir))
+        argv = ["--workdir", str(corpus_dir), "segment", "--store", "store", "--out", "p.tsv"]
+        self._fails(capsys, argv, problem)
+        assert not (corpus_dir / "p.tsv").exists()
 
     def test_docs_record_without_id(self, corpus_dir, capsys):
         store = _index(corpus_dir)

@@ -1,7 +1,9 @@
 import gc
 import json
 import random
+import re
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from psgrank.features import (
 )
 from psgrank.index import LmParams, build_index
 from psgrank.passage import _SENTENCE_BREAK_RE, SegmentationParams, segment
-from conftest import build_store, make_query, write_jsonl
+from psgrank.synthetic import SyntheticSpec, generate
+from conftest import STORE_DAMAGES, build_store, make_query, write_jsonl
 
 
 class TestTokenize:
@@ -274,13 +277,19 @@ class TestStorePersistence:
         assert loaded.get("d1").tokens == store.get("d1").tokens
         assert loaded.manifest() == store.manifest()
 
-    def test_byte_identical_stores(self, tmp_path, tokenizer):
+    def test_byte_identical_stores(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [{"id": "d1", "text": "alpha beta"}])
-        ingest_corpus(path, tokenizer=tokenizer).save(tmp_path / "s1")
-        ingest_corpus(path, tokenizer=tokenizer).save(tmp_path / "s2")
-        for name in ("docs.jsonl", "manifest.json"):
+        write_jsonl(path, [{"id": "d1", "text": "The cats ran"}, {"id": "d2", "text": "a cat"}])
+        for out in ("s1", "s2"):
+            ingest_corpus(path, tokenizer=Tokenizer()).save(tmp_path / out)
+        names = {p.name for p in (tmp_path / "s1").iterdir()}
+        assert names == {
+            "docs.jsonl", "manifest.json", "term_ids.i32", "stopword_ids.i16", "vocabulary.txt"
+        }
+        assert {p.name for p in (tmp_path / "s2").iterdir()} == names
+        for name in names:
             assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+        assert (tmp_path / "s1" / "vocabulary.txt").read_text() == "the\ncat\nran\na\n"
 
     def test_manifest_records_identities(self, tmp_path, tokenizer):
         path = tmp_path / "c.jsonl"
@@ -334,6 +343,13 @@ class TestStorePersistence:
         with pytest.raises(CorpusError, match=f"docs.jsonl:2: {problem}"):
             CorpusStore.load(saved, stopwords=tokenizer.stopwords)
 
+
+    @pytest.mark.parametrize("damage", list(STORE_DAMAGES))
+    def test_damaged_store_rejected(self, saved, tokenizer, damage):
+        edit, problem = STORE_DAMAGES[damage]
+        edit(saved)
+        with pytest.raises(CorpusError, match=re.escape(problem)):
+            CorpusStore.load(saved, stopwords=tokenizer.stopwords)
 
     def test_docs_not_utf8_names_path_and_line(self, saved, tokenizer):
         docs = saved / "docs.jsonl"
@@ -494,6 +510,62 @@ class TestColumnarStore:
             assert a.tokens == b.tokens
             assert a.stems() == b.stems()
             assert a.stopword_ids.tolist() == b.stopword_ids.tolist()
+
+    @pytest.mark.parametrize("corpus", ["tiny", "unicode"])
+    def test_loaded_columns_equal_the_tokenizers(self, tmp_path, corpus):
+        """Loading reads the stored analysis: the columns and vocabulary a
+        tokenizer makes from the texts in store order."""
+        if corpus == "tiny":
+            spec = SyntheticSpec(
+                n_docs=48, n_queries=6, doc_tokens=90, window_len=30,
+                relevant_per_query=4, distractors_per_query=4, vocab_size=300, seed=5,
+            )
+            path = generate(spec, tmp_path / "data")["corpus"]
+        else:
+            # Non-ASCII and astral code points, and empty texts; the store's
+            # UTF-8 cannot hold a lone surrogate.
+            texts = [*_corpus_texts().values(), "a\U0001f600b \U0001f600", ""]
+            texts += [t for t in _fuzz_texts(n=300) if "\ud800" not in t]
+            path = tmp_path / "c.jsonl"
+            write_jsonl(path, [{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # documents with no tokens
+            ingest_corpus(path).save(tmp_path / "store")
+        loaded = CorpusStore.load(tmp_path / "store")
+        reference = Tokenizer()
+        for doc in loaded.documents:
+            want = reference.document(doc.doc_id, doc.raw_text)
+            for name in ("term_ids", "char_starts", "char_ends", "stopword_ids"):
+                got, expected = getattr(doc, name), getattr(want, name)
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+                assert not got.flags.writeable
+        assert loaded.documents[0].vocabulary == want.vocabulary
+        # A query analysed after the load numbers its new stems after the stored ones.
+        words = loaded.documents[-1].raw_text.split()[:8]
+        text = " ".join(["zzzunseen", *words, "zzzother"])
+        stored = len(want.vocabulary)
+        loaded_ids, reference_ids = (
+            [t.term_id(s) for s in make_query("q", text, t).stems()]
+            for t in (loaded.tokenizer, reference)
+        )
+        assert loaded_ids == reference_ids and max(loaded_ids) == stored + 1
+
+    def test_load_runs_no_per_token_analysis(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": d, "text": t} for d, t in _corpus_texts().items()])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            store = ingest_corpus(path)
+        store.save(tmp_path / "store")
+
+        def per_token(*args):
+            raise AssertionError("load analysed a token")
+
+        for cls, name in ((Tokenizer, "_columns"), (Tokenizer, "_analyse"),
+                          (LightStemmer, "stem")):
+            monkeypatch.setattr(cls, name, per_token)
+        loaded = CorpusStore.load(tmp_path / "store")
+        assert [d.stems() for d in loaded.documents] == [d.stems() for d in store.documents]
 
     def test_index_equals_reference_build(self, tokenizer):
         texts = _corpus_texts()

@@ -744,6 +744,42 @@ class TestPicksSlot:
         assert _tree_bytes(tmp_path / "cached") == _tree_bytes(tmp_path / "bypassed")
 
 
+class TestValidationMatricesPerVectorPoint:
+    """Under PsgLTR, SMPD's matrices are built per fold; a walk builds each
+    query's matrix once per vector-grid point, whatever the number of
+    `svm_c` values, and writes the bytes of a run with every cache bypassed."""
+
+    def test_builds_do_not_grow_with_the_trainer_grid(self, tmp_path, monkeypatch):
+        from psgrank import experiment, features, index
+
+        paths = _tiny_corpus(tmp_path)
+        build, builds = experiment.build_smpd_vectors, []
+
+        def counting(*args, **kwargs):
+            builds.append(args[0].query_id)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "build_smpd_vectors", counting)
+        counts = {}
+        for svm_c in ([0.01], [0.01, 0.1, 1.0]):
+            grids = {**_TINY_GRIDS, "nu": [30.0, 60.0], "svm_c": svm_c}
+            config = _tiny_config(paths, ["SMPD"], exclusions=["psg.ESA"], grids=grids)
+            builds.clear()
+            run_experiment(config, tmp_path / f"cached-{len(svm_c)}")
+            counts[len(svm_c)] = len(builds)
+        # Per fold: 4 train and 1 validation query at each of 2 nu, then the
+        # test query.
+        assert counts == {1: 66, 3: 66}
+
+        def compute_always(memo, key, compute):
+            return compute()
+
+        for module in (index, features, experiment):
+            monkeypatch.setattr(module, "memoized", compute_always)
+        run_experiment(config, tmp_path / "bypassed")
+        assert _tree_bytes(tmp_path / "cached-3") == _tree_bytes(tmp_path / "bypassed")
+
+
 class TestFailedRunWritesNothing:
     def test_exception_in_a_late_fold_leaves_no_out_dir(self, tmp_path, monkeypatch):
         from psgrank import experiment
