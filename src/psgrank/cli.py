@@ -80,13 +80,13 @@ def _check_flags(checks: Mapping[str, Callable[[], object]], problems=()) -> Non
 
 def _cmd_index(args) -> int:
     store = ingest_corpus(args.corpus, args.format)
+    if not len(store):
+        raise CorpusError(f"{args.corpus}: holds no documents")
     out = Path(args.out)
     manifest = store.save(out)
-    index = build_index(store)
-    index.save(out / "index.json")
     print(f"documents: {manifest['doc_count']}")
     print(f"tokens: {manifest['token_count']}")
-    print(f"terms: {len(index.collection_term_counts)}")
+    print(f"terms: {len(store.analysis[1])}")
     print(f"manifest: {out / 'manifest.json'}")
     return 0
 
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workdir", default=".", help="base directory for relative paths")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("index", help="ingest a corpus and build the positional index")
+    p = sub.add_parser("index", help="ingest a corpus into a document store")
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", default="jsonl", choices=CORPUS_FORMATS)
     p.add_argument("--out", required=True, help="store directory to create")

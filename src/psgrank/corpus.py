@@ -6,7 +6,7 @@ raw text, and stopword ids. Queries have stopwords removed at load time.
 The store records the identities of the tokenizer, stemmer and stopword
 list in its manifest so downstream indexes and models are never mixed
 across incompatible text analysis chains. It also keeps the analysis
-itself (term ids, stopword ids and the vocabulary), so a load does not
+itself (term ids, stopword ids and the texts' stems), so a load does not
 tokenize again.
 """
 
@@ -16,6 +16,7 @@ import hashlib
 import json
 import re
 import warnings
+from functools import cached_property
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -400,28 +401,48 @@ class CorpusStore:
             "checksum": self.checksum(),
         }
 
+    @cached_property
+    def analysis(self) -> tuple[np.ndarray, list[str]]:
+        """Every document's term ids, concatenated in store order, and the
+        distinct stems of the texts in order of first occurrence, with the
+        ids numbering them. A tokenizer that analysed only these texts, in
+        this order, numbered its stems so; one that analysed other text
+        first did not, and its ids are renumbered here."""
+        ids = np.concatenate([d.term_ids for d in self.documents] or [np.zeros(0, np.int32)])
+        if not len(ids):
+            return ids, []
+        vocabulary = self.tokenizer._vocabulary
+        # The ids number stems by first occurrence iff the first id is 0 and
+        # each later one is at most one above the largest before it.
+        peak = np.maximum.accumulate(ids)
+        if ids[0] == 0 and not np.any(ids[1:] > peak[:-1] + 1):
+            return ids, vocabulary[: int(peak[-1]) + 1]
+        distinct, first = np.unique(ids, return_index=True)
+        order = distinct[np.argsort(first)]
+        renumbered = np.empty(len(vocabulary), np.int32)
+        renumbered[order] = np.arange(len(order), dtype=np.int32)
+        return renumbered[ids], [vocabulary[t] for t in order.tolist()]
+
     def _write_analysis(self, directory: Path) -> dict[str, str]:
-        """Write the analysis files, a document at a time; their sha256
-        digests by file name."""
+        """Write the analysis files; their sha256 digests by file name."""
+        term_ids, stems = self.analysis
+        stopword_ids = np.concatenate(
+            [d.stopword_ids for d in self.documents] or [np.zeros(0, np.int16)]
+        )
         digests = {}
-        for name, column, dtype in (
-            (_TERM_IDS, "term_ids", "<i4"), (_STOPWORD_IDS, "stopword_ids", "<i2")
+        for name, data in (
+            (_TERM_IDS, term_ids.astype("<i4", copy=False)),
+            (_STOPWORD_IDS, stopword_ids.astype("<i2", copy=False)),
+            (_VOCABULARY, "".join(s + "\n" for s in stems).encode("ascii")),
         ):
-            h = hashlib.sha256()
-            with (directory / name).open("wb") as f:
-                for d in self.documents:
-                    ids = getattr(d, column).astype(dtype, copy=False)
-                    f.write(ids)
-                    h.update(ids)
-            digests[name] = h.hexdigest()
-        stems = "".join(s + "\n" for s in self.tokenizer._vocabulary).encode("ascii")
-        (directory / _VOCABULARY).write_bytes(stems)
-        digests[_VOCABULARY] = hashlib.sha256(stems).hexdigest()
+            (directory / name).write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
         return digests
 
     def save(self, directory: str | Path) -> dict:
-        """Persist the texts, their analysis and the manifest; byte-identical
-        for identical inputs. Returns the manifest written."""
+        """Persist the texts, their analysis and the manifest. The bytes
+        depend on the texts alone, not on what the tokenizer analysed before
+        them. Returns the manifest written."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         docs_path = directory / "docs.jsonl"

@@ -220,7 +220,9 @@ class PositionalIndex:
 
     def save(self, path: str | Path) -> None:
         """Write the bytes of ``json.dumps(payload, sort_keys=True)``, postings
-        as stem -> [[doc_id, positions], ...]."""
+        as stem -> [[doc_id, positions], ...]. No command calls it: every
+        reader rebuilds the index from the store. It stays only because the
+        traced benchmark (benchmarks/spans.py) wraps this name."""
         payload = {
             "version": INDEX_VERSION,
             "corpus_checksum": self.corpus_checksum,
@@ -271,9 +273,9 @@ class PositionalIndex:
 
     @classmethod
     def load(cls, store_dir: str | Path) -> "PositionalIndex":
-        """The index of a saved store, rebuilt from its documents. The store's
-        index.json is an export and is never read; the traced benchmark
-        (benchmarks/spans.py) still wraps this name."""
+        """The index of a saved store, rebuilt from its documents. No command
+        calls it, and no index file is read; it stays only because the
+        traced benchmark (benchmarks/spans.py) wraps this name."""
         return build_index(CorpusStore.load(store_dir))
 
 

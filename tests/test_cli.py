@@ -1,14 +1,18 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from conftest import STORE_DAMAGES, write_jsonl
+from psgrank import cli, index
 from psgrank.cli import main
+from psgrank.corpus import CorpusStore
 from psgrank.experiment import ExperimentConfig, _Pipeline
 from psgrank.features import DOC_SCHEMA, PSG_SCHEMA, minmax_normalize, read_svmlight
 from psgrank.synthetic import SyntheticSpec, generate
@@ -36,18 +40,37 @@ def _index(tmp_path, corpus="corpus.jsonl"):
     return tmp_path / "store"
 
 
+# sha256 of each store file `psgrank index` writes for the CI tiny corpus.
+TINY_STORE_DIGESTS = {
+    "docs.jsonl": "a3081e6b5167e538b7cc0d711736d58753b2d0f0371caa22d3ff14544fb7342c",
+    "manifest.json": "f270cdd5c8a29989f66bc2158f12714bc13361953b37babe4ed2881a1d9a2fce",
+    "stopword_ids.i16": "3c484687a7861eab4860efebae6f1cbcb4b29ef585df0e72b4dc92e787d990a6",
+    "term_ids.i32": "604ca76b741b912d57f7d399532149960d2b166e11e4793bc45bcc6208935798",
+    "vocabulary.txt": "fc82a787b5c1f0e5a68c6d562e302ce6e94cbddfccd957fe7b6566e2ea827b93",
+}
+
+
 class TestIndexCommand:
     def test_prints_counts_and_writes_manifest(self, corpus_dir, capsys):
         store = _index(corpus_dir)
-        out = capsys.readouterr().out
-        assert "documents: 3" in out
-        assert (store / "manifest.json").exists()
-        assert (store / "index.json").exists()
+        assert capsys.readouterr().out.splitlines() == [
+            "documents: 3", "tokens: 15", "terms: 11", f"manifest: {store / 'manifest.json'}"
+        ]
+        assert {p.name for p in store.iterdir()} == {
+            "manifest.json", "docs.jsonl", "term_ids.i32", "stopword_ids.i16", "vocabulary.txt"
+        }
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         rc = main(["--workdir", str(tmp_path), "index", "--corpus", "nope.jsonl", "--out", "s"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_empty_corpus_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "empty.jsonl").write_text("")
+        rc = main(["--workdir", str(tmp_path), "index", "--corpus", "empty.jsonl", "--out", "s"])
+        assert rc == 1
+        assert "empty.jsonl: holds no documents" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_rerun_identical_manifest(self, corpus_dir):
         _index(corpus_dir)
@@ -55,16 +78,58 @@ class TestIndexCommand:
         _index(corpus_dir)
         assert (corpus_dir / "store" / "manifest.json").read_bytes() == first
 
+    def test_tiny_store_bytes(self, tiny):
+        root, _ = tiny
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (root / "store").iterdir()
+        }
+        assert digests == TINY_STORE_DIGESTS
+
+    @pytest.mark.parametrize("corpus", ["tiny", "unicode"])
+    def test_terms_are_the_indexed_stems_without_an_index(
+        self, request, tmp_path, monkeypatch, capsys, corpus
+    ):
+        """`terms:` counts the distinct stems of the store's texts, as many as
+        the index built from the store holds, and no index is built."""
+        if corpus == "tiny":
+            path = request.getfixturevalue("tiny")[1]["corpus"]
+        else:
+            texts = [
+                "Caf\u00e9 na\u00efve r\u00e9sum\u00e9s \u65e5\u672c 42", "The of and AN the",
+                "", "a\U0001f600b \u00a0 cats\u3000Cat", "\u2014!?", "dogs DOG dogged 42",
+            ]
+            path = tmp_path / "c.jsonl"
+            write_jsonl(path, [{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+
+        def no_index(store):
+            raise AssertionError("psgrank index built an index")
+
+        with monkeypatch.context() as patched:
+            for module in (cli, index):
+                patched.setattr(module, "build_index", no_index)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # documents with no tokens
+                assert main(["index", "--corpus", str(path), "--out", str(tmp_path / "s")]) == 0
+        terms = capsys.readouterr().out.splitlines()[2]
+        expected = len(index.build_index(CorpusStore.load(tmp_path / "s")).collection_term_counts)
+        assert terms == f"terms: {expected}"
+
 
 class TestFeaturesRebuildTheIndex:
-    """The index comes from the store; index.json is never read."""
+    """The index comes from the store: `psgrank index` writes no index.json,
+    and one planted in the store is never read."""
 
     @pytest.mark.parametrize("kind", ["doc", "psg"])
     def test_same_dump_whatever_index_json_holds(self, corpus_dir, kind):
         store = _index(corpus_dir)
         (corpus_dir / "topics.tsv").write_text("q1\tzebra crane\nq2\tstork heron\n")
         index_json, dumps = store / "index.json", []
-        for edit in (lambda: None, index_json.unlink, lambda: index_json.write_text("[]")):
+        assert not index_json.exists()
+        for edit in (
+            lambda: None,
+            lambda: index_json.write_bytes(b"\xff junk {"),
+            lambda: index_json.write_text("[]"),
+        ):
             edit()
             rc = main(
                 [

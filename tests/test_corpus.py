@@ -291,6 +291,28 @@ class TestStorePersistence:
             assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
         assert (tmp_path / "s1" / "vocabulary.txt").read_text() == "the\ncat\nran\na\n"
 
+    @pytest.mark.parametrize(
+        "before,after",
+        [("gamma beta", ""), ("zeta beta alpha", "omega"), ("", "omega gamma"), ("", "")],
+    )
+    def test_bytes_depend_on_the_texts_alone(self, tmp_path, before, after):
+        """A tokenizer that analysed other text before or after the corpus
+        saves the bytes of a fresh one: the stems of the texts, numbered by
+        first occurrence."""
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d1", "text": "alpha beta"}, {"id": "d2", "text": "beta delta"}])
+        ingest_corpus(path, tokenizer=Tokenizer()).save(tmp_path / "fresh")
+        used = Tokenizer()
+        used.tokenize(before)
+        store = ingest_corpus(path, tokenizer=used)
+        used.tokenize(after)
+        store.save(tmp_path / "used")
+        for name in ("docs.jsonl", "manifest.json", "term_ids.i32", "stopword_ids.i16"):
+            assert (tmp_path / "used" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert (tmp_path / "used" / "vocabulary.txt").read_text() == "alpha\nbeta\ndelta\n"
+        loaded = CorpusStore.load(tmp_path / "used")
+        assert [d.stems() for d in loaded.documents] == [d.stems() for d in store.documents]
+
     def test_manifest_records_identities(self, tmp_path, tokenizer):
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": "d1", "text": "alpha"}])
@@ -549,6 +571,32 @@ class TestColumnarStore:
             for t in (loaded.tokenizer, reference)
         )
         assert loaded_ids == reference_ids and max(loaded_ids) == stored + 1
+
+    def test_renumbered_store_equals_a_fresh_tokenizers(self, tmp_path):
+        """A tokenizer that first analysed the texts in reverse order numbers
+        every stem differently; its store still has a fresh tokenizer's bytes,
+        and loads to the same stems."""
+        texts = [*_corpus_texts().values(), "a\U0001f600b \U0001f600", ""]
+        texts += [t for t in _fuzz_texts(n=300) if "\ud800" not in t]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": f"d{i}", "text": t} for i, t in enumerate(texts)])
+        used = Tokenizer()
+        for text in reversed(texts):
+            used.tokenize(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # documents with no tokens
+            fresh = ingest_corpus(path)
+            store = ingest_corpus(path, tokenizer=used)
+        assert [d.term_ids.tolist() for d in store.documents] != [
+            d.term_ids.tolist() for d in fresh.documents
+        ]
+        fresh.save(tmp_path / "fresh")
+        store.save(tmp_path / "used")
+        for name in ("docs.jsonl", "manifest.json", "term_ids.i32", "stopword_ids.i16",
+                     "vocabulary.txt"):
+            assert (tmp_path / "used" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        loaded = CorpusStore.load(tmp_path / "used")
+        assert [d.stems() for d in loaded.documents] == [d.stems() for d in store.documents]
 
     def test_load_runs_no_per_token_analysis(self, tmp_path, monkeypatch):
         path = tmp_path / "c.jsonl"
