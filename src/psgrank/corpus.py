@@ -417,7 +417,9 @@ class CorpusStore:
         peak = np.maximum.accumulate(ids)
         if ids[0] == 0 and not np.any(ids[1:] > peak[:-1] + 1):
             return ids, vocabulary[: int(peak[-1]) + 1]
-        distinct, first = np.unique(ids, return_index=True)
+        from .index import first_occurrences  # index imports corpus
+
+        distinct, first, _ = first_occurrences(ids)
         order = distinct[np.argsort(first)]
         renumbered = np.empty(len(vocabulary), np.int32)
         renumbered[order] = np.arange(len(order), dtype=np.int32)

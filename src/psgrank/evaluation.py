@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .index import float_sum
+from .index import first_occurrences, float_sum
 from .passage import merge_intervals
 from .rank import RankedList
 
@@ -206,7 +206,8 @@ def interpolated_precision(
     retrieved characters are deduplicated per document. One array pass per
     query: each document's run spans and merged relevant spans are cut at
     all their endpoints, each elementary segment takes its first covering
-    rank, and the retrieved and relevant characters down the run are
+    rank (grouped by :func:`first_occurrences`, one in-place sort of int64
+    keys), and the retrieved and relevant characters down the run are
     integer prefix sums. iP[x] is the maximum precision at any rank whose
     recall reaches x (0 if unreachable), and MAiP averages iP over the
     101-point recall grid. Returns None for a query with no relevant
@@ -244,7 +245,7 @@ def interpolated_precision(
     # a segment's first pair holds its first covering rank.
     counts = run_bounds[:, 1] - run_bounds[:, 0]
     offsets = np.repeat(run_bounds[:, 0] - (np.cumsum(counts) - counts), counts)
-    segments, first = np.unique(offsets + np.arange(counts.sum()), return_index=True)
+    segments, first, _ = first_occurrences(offsets + np.arange(counts.sum()))
     rank_of = np.repeat(ranks, counts)[first]
     length = cuts[segments + 1] - cuts[segments]
     covered = np.cumsum(

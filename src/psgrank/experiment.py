@@ -18,6 +18,7 @@ import copy
 import hashlib
 import itertools
 import json
+import shutil
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -1172,16 +1173,24 @@ def _assemble_report(config, pipe, runs, fold_summaries) -> ExperimentReport:
 
 
 def _write_outputs(config, out_dir: Path, runs, models, report: ExperimentReport) -> None:
+    """Write the artifacts into ``out_dir``. ``models/`` and ``runs/`` are
+    staged beside the old ones under a dotted name and replace them whole,
+    so a rerun keeps no stale model or run; other files are left as they are."""
+    staged = {name: out_dir / f".{name}.partial" for name in ("models", "runs")}
+    for path in staged.values():
+        shutil.rmtree(path, ignore_errors=True)
+        path.mkdir(parents=True)
     for test_q, fold_models in models.items():
-        model_dir = out_dir / "models" / test_q
-        model_dir.mkdir(parents=True, exist_ok=True)
+        (staged["models"] / test_q).mkdir()
         for method, model in fold_models.items():
-            model.save(model_dir / _MODEL_FILES.get(method, f"{method}.json"))
-    runs_dir = out_dir / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
+            model.save(staged["models"] / test_q / _MODEL_FILES.get(method, f"{method}.json"))
     for method in config.methods:
         ordered = [runs[method][qid] for qid in sorted(runs[method])]
-        write_trec_run(runs_dir / f"{method}.trec", ordered, tag=method)
+        write_trec_run(staged["runs"] / f"{method}.trec", ordered, tag=method)
+    for name, path in staged.items():
+        if (out_dir / name).is_dir():
+            shutil.rmtree(out_dir / name)
+        path.rename(out_dir / name)
     (out_dir / "config.resolved.json").write_text(
         json.dumps(config.resolved(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

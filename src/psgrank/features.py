@@ -24,8 +24,8 @@ import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, exact_log, float_sum, lm_similarities, lm_top_ranks, memoized,
-    sdm_components,
+    LmParams, PositionalIndex, exact_log, first_occurrences, float_sum, lm_similarities,
+    lm_top_ranks, memoized, sdm_components,
 )
 from .passage import Passage, neighbors
 
@@ -219,11 +219,10 @@ class _TokenColumns:
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Unit, term id and count of each distinct (unit, term) pair, unit
         by unit, within one in order of first occurrence (a Counter's
-        order); and each unit's bounds among them."""
+        order); and each unit's bounds among them. The pairs are grouped by
+        :func:`first_occurrences`, one in-place sort of int64 keys."""
         width = int(self.term_ids.max(initial=0)) + 1
-        keys, first, tf = np.unique(
-            self.owner * width + self.term_ids, return_index=True, return_counts=True
-        )
+        keys, first, tf = first_occurrences(self.owner * width + self.term_ids)
         order = np.argsort(first)
         unit, term = np.divmod(keys[order], width)
         return unit, term, tf[order], np.searchsorted(unit, np.arange(len(self.lengths) + 1))
@@ -251,21 +250,26 @@ def term_entropies(tf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     Unit u's term counts are ``tf[bounds[u]:bounds[u + 1]]``, in order of
     first occurrence. Bit for bit as ``-sum(c/n * math.log(c/n))`` over a
     Counter's counts: the logs come from :func:`exact_log`, one per
-    distinct c/n, and each unit's summands are added left to right, the
-    j-th summands of all units one step, so no unit is padded.
+    distinct c/n, and each unit's summands are added left to right. Units
+    whose sizes share a power-of-two ceiling 2^k are rows of width 2^k,
+    zero-padded, summed by one ``np.cumsum(axis=1)``, so no unit is padded
+    to more than twice its size.
     """
     sizes = np.diff(bounds)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     ratio = tf / np.diff(np.concatenate(([0], np.cumsum(tf)))[bounds])[owner]
     distinct, inverse = np.unique(ratio, return_inverse=True)
     summands = ratio * exact_log(distinct)[inverse]
-    # Units by size, largest first: those with a j-th summand are a prefix.
-    by_size = np.argsort(-sizes, kind="stable")
-    starts = bounds[by_size]
     totals = np.zeros(len(sizes))
-    for j, held in enumerate(np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))):
-        totals[:held] += summands[starts[:held] + j]
-    return np.where(sizes > 0, -totals[np.argsort(by_size)], 0.0)
+    # k with 2^(k-1) < size <= 2^k; -1 for an empty unit.
+    unit_class = np.where(sizes > 0, np.frexp(np.maximum(sizes - 1, 0))[1], -1)
+    summand_class = unit_class[owner]
+    for k in np.unique(summand_class).tolist():
+        units = np.flatnonzero(unit_class == k)
+        rows = np.zeros((len(units), 1 << k))
+        rows[np.arange(1 << k) < sizes[units, None]] = summands[summand_class == k]
+        totals[units] = np.cumsum(rows, axis=1, out=rows)[np.arange(len(units)), sizes[units] - 1]
+    return np.where(sizes > 0, -totals, 0.0)
 
 
 def query_similarities(

@@ -279,6 +279,38 @@ class PositionalIndex:
         return build_index(CorpusStore.load(store_dir))
 
 
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for non-negative integers.
+
+    Each value is shifted above the bits of its position, with the position
+    in the low bits, and the int64 keys are sorted in place. Distinct keys
+    have one order whatever the algorithm, so numpy's default sort (SIMD
+    where the CPU has it) serves and needs no merge buffer. Raises
+    ValueError for a negative value or for keys past 63 bits (for term ids,
+    more than 2^32 tokens).
+    """
+    shift = max(len(values) - 1, 0).bit_length()
+    if len(values) and int(values.min()) < 0:
+        raise ValueError("stable_order needs non-negative values")
+    top = int(values.max(initial=0))
+    if top.bit_length() + shift > 63:
+        raise ValueError(f"{len(values)} values up to {top} overflow 63-bit keys")
+    keys = values.astype(np.int64) << shift
+    keys |= np.arange(len(values), dtype=np.int64)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys
+
+
+def first_occurrences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_counts=True)`` for
+    non-negative integers, grouped by :func:`stable_order`."""
+    order = stable_order(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    return ordered[starts], order[starts], np.diff(starts, append=len(values))
+
+
 def _bounds(sizes: np.ndarray) -> np.ndarray:
     """Bounds [0, s0, s0 + s1, ...] of consecutive groups of these sizes."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
@@ -296,8 +328,8 @@ def _regroup(bounds: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.nda
 def build_index(store: CorpusStore) -> PositionalIndex:
     """Index every document's stem positions; validates store non-empty.
 
-    One stable argsort of the store's concatenated term-id columns groups
-    tokens by term, then by document and position; stems are then
+    One :func:`stable_order` of the store's concatenated term-id columns
+    groups tokens by term, then by document and position; stems are then
     regrouped in order of first occurrence in the corpus.
     """
     if len(store) == 0:
@@ -307,7 +339,7 @@ def build_index(store: CorpusStore) -> PositionalIndex:
     if any(doc.vocabulary is not vocabulary for doc in documents):
         raise IndexError_("cannot index documents over different vocabularies")
     lengths = np.fromiter((doc.length for doc in documents), np.int64, len(documents))
-    order = np.argsort(column := np.concatenate([d.term_ids for d in documents]), kind="stable")
+    order = stable_order(column := np.concatenate([d.term_ids for d in documents]))
     term = column[order]
     slot = np.repeat(np.arange(len(documents), dtype=np.int32), lengths)[order]
     starts = np.flatnonzero((np.diff(term, prepend=-1) != 0) | (np.diff(slot, prepend=-1) != 0))

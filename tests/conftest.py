@@ -1,6 +1,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,28 @@ def tokenizer():
 def build_store(texts: dict[str, str], tokenizer: Tokenizer) -> CorpusStore:
     docs = [tokenizer.document(doc_id, text) for doc_id, text in texts.items()]
     return CorpusStore(docs, tokenizer, "jsonl")
+
+
+def json_without_cpu_features(targets, module: str, function: str):
+    """The JSON that ``module.function()`` returns in a child process whose
+    numpy dispatches none of ``targets``. Only targets this numpy dispatches
+    and this CPU has are named (numpy refuses to import when told to disable
+    a baseline feature, and warns about names it does not dispatch); on a
+    CPU without them the child disables nothing."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = [t for t in targets if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir), env.get("PYTHONPATH", "")]
+    )
+    code = f"import json, {module}; print(json.dumps({module}.{function}()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], cwd=tests_dir, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout)
 
 
 def write_jsonl(path, records):

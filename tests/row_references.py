@@ -61,6 +61,13 @@ scores through ``lm_similarities``. Both take logs and exps from ``math``.
 The concept profile and DocPsg's length weights each min-maxed their values
 inline once, as :func:`esa_minmax` and :func:`docpsg_minmax` here; the
 package runs both, and ``minmax_normalize``, through one ``minmax``.
+
+Integer groupings (a unit's (unit, term) count table, iP's first covering
+ranks, the store's renumbering) are ``np.unique(..., return_index=True)``
+here, a stable sort; the package sorts int64 keys that hold each value's
+position in place (``index.stable_order``). Entropy adds the j-th summands
+of all units in one step here, one step per summand position; the package
+adds each power-of-two size class with one ``np.cumsum``.
 """
 
 import json
@@ -77,7 +84,7 @@ from psgrank.features import (
 )
 from psgrank.features import profile_cosine as concept_cosine
 from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
-from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW
+from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, exact_log
 from psgrank.passage import merge_intervals, neighbors
 from psgrank.rank import (
     JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, pstdev,
@@ -781,6 +788,41 @@ def term_entropy(counts) -> float:
     if total == 0:
         return 0.0
     return -sum((c / total) * math.log(c / total) for c in counts.values() if c)
+
+
+def first_occurrences(values):
+    """Sorted distinct values, each one's first index and its count."""
+    return np.unique(values, return_index=True, return_counts=True)
+
+
+def token_counts(cols):
+    """``_TokenColumns.counts`` through ``np.unique``: unit, term id and
+    count of each (unit, term) pair in order of first occurrence, and each
+    unit's bounds among them."""
+    width = int(cols.term_ids.max(initial=0)) + 1
+    keys, first, tf = np.unique(
+        cols.owner * width + cols.term_ids, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    unit, term = np.divmod(keys[order], width)
+    return unit, term, tf[order], np.searchsorted(unit, np.arange(len(cols.lengths) + 1))
+
+
+def term_entropies(tf, bounds):
+    """``features.term_entropies`` one summand position at a time: the j-th
+    summands of all units that have one are added in one step."""
+    sizes = np.diff(bounds)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    ratio = tf / np.diff(np.concatenate(([0], np.cumsum(tf)))[bounds])[owner]
+    distinct, inverse = np.unique(ratio, return_inverse=True)
+    summands = ratio * exact_log(distinct)[inverse]
+    # Units by size, largest first: those with a j-th summand are a prefix.
+    by_size = np.argsort(-sizes, kind="stable")
+    starts = bounds[by_size]
+    totals = np.zeros(len(sizes))
+    for j, held in enumerate(np.searchsorted(-sizes[by_size], -np.arange(sizes.max(initial=0)))):
+        totals[:held] += summands[starts[:held] + j]
+    return np.where(sizes > 0, -totals[np.argsort(by_size)], 0.0)
 
 
 def sentence_bounds(doc, break_re) -> list[tuple[int, int]]:

@@ -296,6 +296,47 @@ class TestInterpolatedPrecision:
             seen["full recall"] += got[0][1.0] > 0.0
         assert all(seen.values()), seen
 
+    def test_first_covers_equal_unique_form(self, monkeypatch):
+        """First covering ranks grouped by an in-place key sort give what
+        np.unique's stable sort gave, on nested, overlapping and empty spans."""
+        from psgrank import evaluation
+
+        passage_spans = {
+            "d1#0": ("d1", 0, 50),
+            "d1#1": ("d1", 10, 20),  # nested in d1#0
+            "d1#2": ("d1", 40, 90),  # overlaps d1#0
+            "d1#3": ("d1", 60, 60),  # empty
+            "d1#4": ("d1", 70, 65),  # end before start
+            "d2#0": ("d2", 5, 30),
+            "d2#1": ("d2", 5, 30),  # equal to d2#0
+            "d2#2": ("d2", 0, 100),  # holds d2#0
+        }
+        rel = {"d1": [(15, 45), (80, 95)], "d2": [(0, 8), (25, 60)], "d3": [(0, 4)]}
+        rng = np.random.default_rng(44)
+        cases = [
+            (list(passage_spans), passage_spans, rel),
+            (list(reversed(passage_spans)), passage_spans, rel),
+            (["d1#3", "d1#4"], passage_spans, rel),
+            ([], passage_spans, rel),
+            *(self._random_case(rng) for _ in range(300)),
+        ]
+        points = (0.0, 0.01, 0.1, 0.5, 1.0)
+
+        def results():
+            return [
+                repr(interpolated_precision(_run(p), _char_judgments(r), s, points))
+                for p, s, r in cases
+            ]
+
+        got = results()
+        monkeypatch.setattr(evaluation, "first_occurrences", row_references.first_occurrences)
+        assert got == results()
+        walk = [
+            repr(row_references.interpolated_precision(_run(p), _char_judgments(r), s, points))
+            for p, s, r in cases
+        ]
+        assert got == walk
+
     def test_rank_at_the_recall_tolerance_counts(self):
         # Rank 1 reaches recall 0.5 at precision 1; rank 2 recall 1 at 0.2.
         # iP[x] takes ranks with recall >= x - 1e-12, so rank 1 counts at

@@ -805,6 +805,37 @@ class TestFailedRunWritesNothing:
         assert len([m for m in models if m.parts[0] == "models"]) == 6 * 3
 
 
+class TestReusedOutDir:
+    def test_rerun_leaves_exactly_a_fresh_run_tree(self, tmp_path):
+        """A rerun into a used out_dir with fewer methods, then with fewer
+        queries, leaves no stale run or model: the tree is a fresh run's,
+        beside a file of the user's that stays, and nothing is written
+        outside out_dir."""
+        paths = _tiny_corpus(tmp_path)
+        topics = paths["topics"].read_text(encoding="utf-8").splitlines(keepends=True)
+        fewer_topics = tmp_path / "data" / "four_topics.tsv"
+        fewer_topics.write_text("".join(topics[:4]), encoding="utf-8")
+        first = _tiny_config(paths, ["LM", "RRF", "JPDs"], exclusions=["psg.ESA"])
+        reruns = [
+            _tiny_config(paths, ["LM", "JPDs"], exclusions=["psg.ESA"]),
+            _tiny_config(
+                dict(paths, topics=fewer_topics), ["LM", "RRF", "JPDs"], exclusions=["psg.ESA"]
+            ),
+        ]
+        out = tmp_path / "runs" / "out"
+        run_experiment(first, out)
+        (out / "notes.txt").write_bytes(b"kept\n")
+        assert {"runs/RRF.trec", "models/q05/JPDs.json"} <= _tree_bytes(out).keys()
+        for n, config in enumerate(reruns):
+            fresh = tmp_path / f"fresh{n}"
+            run_experiment(config, fresh)
+            run_experiment(config, out)
+            assert sorted(p.name for p in out.parent.iterdir()) == ["out"]
+            assert _tree_bytes(out) == {**_tree_bytes(fresh), "notes.txt": b"kept\n"}
+            assert sorted(p.name for p in out.iterdir() if p.is_dir()) == ["models", "runs"]
+        assert sorted(p.name for p in (out / "models").iterdir()) == ["q00", "q01", "q02", "q03"]
+
+
 class TestCompensatedSum:
     """Every float sum of a run adds left to right from 0.0 (index.float_sum),
     so a Python whose builtin ``sum`` compensates its rounding, as 3.12's

@@ -24,6 +24,7 @@ from psgrank.features import (
     _exact_matches,
     _TokenColumns,
     concat_schemas,
+    term_entropies,
     doc_priors,
     doc_features,
     esa_retrieval_profile,
@@ -305,6 +306,54 @@ class TestDocEntropyFromTermIds:
         documents = store_factory(texts).documents
         for doc in documents:
             self._check(doc, documents)
+
+
+class TestCountTablesAndEntropies:
+    """Count tables and entropies equal the np.unique and per-position forms
+    bytewise, over units of every size class, one-token and empty units."""
+
+    @staticmethod
+    def _units(rng):
+        units = [[], [3]]
+        for distinct in (1, 2, 3, 4, 5, 8, 9, 16, 17, 100, 1000, 1025):
+            terms = rng.permutation(5000)[:distinct]
+            repeats = rng.choice(terms, size=int(rng.integers(0, 2 * distinct)))
+            units.append(rng.permutation(np.concatenate([terms, repeats])).tolist())
+            units.append([int(terms[0])] * int(rng.integers(1, 4)))
+            units.append([])
+        order = rng.permutation(len(units))
+        return [[], *(units[i] for i in order), [7], []]
+
+    def _check(self, cols):
+        got, want = cols.counts, row_references.token_counts(cols)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        entropies = term_entropies(*got[2:])
+        assert entropies.tobytes() == row_references.term_entropies(*want[2:]).tobytes()
+        return entropies
+
+    def test_units_across_size_classes(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            self._check(_units(self._units(rng)))
+
+    def test_one_token_and_empty_units(self):
+        for units in ([], [[]], [[], []], [[4]], [[4], [], [4], [9]], [[2, 2, 2], [], [0]]):
+            entropies = self._check(_units(units))
+            assert entropies.tolist() == [0.0] * len(units)
+
+    def test_documents_and_passages(self, store_factory):
+        texts = {
+            "long": " ".join(f"x{i} x{i % 7}" for i in range(3000)),
+            "empty": "",
+            "one": "cat",
+            "mixed": "the cat and the dog of an owl cat dog",
+        }
+        docs = store_factory(texts).documents
+        self._check(_TokenColumns(docs, [(0, d.length) for d in docs]))
+        ranges = [(s, min(s + 30, d.length)) for d in docs for s in range(0, d.length + 1, 13)]
+        owners = [d for d in docs for _ in range(0, d.length + 1, 13)]
+        self._check(_TokenColumns(owners, ranges))
 
 
 def _psg_fixture(store_factory, tokenizer):

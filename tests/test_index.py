@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,13 @@ import pytest
 
 import oracles
 import row_references
-from conftest import make_query, noisy_corpus
-from psgrank.corpus import CorpusStore, Query
+import test_evaluation
+from conftest import (
+    TINY_STOPWORDS, build_store, json_without_cpu_features, make_query, noisy_corpus,
+)
+from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer
+from psgrank.evaluation import interpolated_precision
+from psgrank.features import _TokenColumns, term_entropies
 from psgrank.index import (
     IndexError_,
     LmParams,
@@ -14,10 +20,12 @@ from psgrank.index import (
     build_index,
     count_ordered_pairs,
     count_window_pairs,
+    first_occurrences,
     lm_similarities,
     rank_documents_lm,
     retrieve_lm,
     sdm_components,
+    stable_order,
 )
 from psgrank.synthetic import SyntheticSpec, generate
 
@@ -43,6 +51,130 @@ def _random_texts(rng, n_docs, vocab, min_len=5, max_len=40):
         n = int(rng.integers(min_len, max_len))
         texts[f"d{i:03d}"] = " ".join(rng.choice(vocab, size=n))
     return texts
+
+
+def _orderings(dtype):
+    """Inputs named by shape: empty, one element, all equal, sorted,
+    reversed, and random ones with many and with few ties."""
+    rng = np.random.default_rng(29)
+    return {
+        "empty": np.zeros(0, dtype),
+        "one": np.array([7], dtype),
+        "all equal": np.full(300, 5, dtype),
+        "sorted": np.arange(300, dtype=dtype),
+        "reversed": np.arange(300, dtype=dtype)[::-1],
+        "many ties": rng.integers(0, 4, 5000).astype(dtype),
+        "few ties": rng.integers(0, 2**31 - 1, 5000).astype(dtype),
+        "int32 max": np.array([2**31 - 1, 0, 2**31 - 1, 1], dtype),
+    }
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_equals_stable_argsort(self, dtype):
+        for name, values in _orderings(dtype).items():
+            want = np.argsort(values, kind="stable")
+            got = stable_order(values)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_first_occurrences_equal_unique(self, dtype):
+        for name, values in _orderings(dtype).items():
+            got, want = first_occurrences(values), row_references.first_occurrences(values)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_keys_at_the_63_bit_bound(self):
+        # Value bits plus position bits (n - 1).bit_length() make exactly 63.
+        for values in (
+            [2**63 - 1],
+            [2**62 - 1, 0],
+            [2**61 - 1, 3, 2**61 - 1, 0],
+            [2**60 - 1, 2**60 - 1, 1, 2**60 - 2, 0, 2**60 - 1, 7, 2],
+        ):
+            values = np.array(values, np.int64)
+            assert stable_order(values).tobytes() == np.argsort(values, kind="stable").tobytes()
+
+    def test_past_the_bound_and_negative_rejected(self):
+        for values in ([2**62, 0], [2**61, 0, 0], [2**63 - 1, 0]):
+            with pytest.raises(ValueError, match="63-bit"):
+                stable_order(np.array(values, np.int64))
+        for values in ([3, -1, 2], [-(2**31)]):
+            for dtype in (np.int32, np.int64):
+                with pytest.raises(ValueError, match="non-negative"):
+                    stable_order(np.array(values, dtype))
+
+    def test_more_than_2_to_32_term_ids_rejected(self):
+        class TermIds:  # never materialised: the bound is checked first
+            def __init__(self, n):
+                self.n = n
+
+            def __len__(self):
+                return self.n
+
+            def min(self):
+                return 0
+
+            def max(self, initial):
+                return 2**31 - 1
+
+        with pytest.raises(ValueError, match="63-bit"):
+            stable_order(TermIds(2**32 + 1))
+        with pytest.raises(AttributeError):  # 2^32 fit: the keys are built
+            stable_order(TermIds(2**32))
+
+
+_SORT_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def grouping_bytes() -> dict[str, str]:
+    """sha256 of every output grouped through stable_order: orders of
+    random ids, an index, count tables and entropies of documents and of
+    passages, and iP of runs over nested, overlapping and empty spans."""
+    rng = np.random.default_rng(31)
+
+    def digest(*arrays) -> str:
+        return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+    out = {}
+    for n, hi in ((17, 3), (1000, 50), (200_000, 2110), (200_000, 2**31 - 1)):
+        out[f"order {n} {hi}"] = digest(stable_order(rng.integers(0, hi, n).astype(np.int32)))
+    tokenizer = Tokenizer(stopwords=StopwordList("tiny", TINY_STOPWORDS))
+    vocab = [f"w{i}" for i in range(600)] + list(TINY_STOPWORDS)
+    texts = _random_texts(rng, 150, vocab, 0, 400)
+    store = build_store(texts, tokenizer)
+    index = build_index(store)
+    out["index"] = digest(
+        np.array(index.stems), index.stem_bounds, index.posting_docs,
+        index.posting_bounds, index.posting_positions,
+    )
+    docs = store.documents
+    for name, ranges in (
+        ("docs", [[(0, d.length)] for d in docs]),
+        ("passages", [[(s, min(s + 30, d.length)) for s in range(0, d.length, 17)] for d in docs]),
+    ):
+        units = [(d, r) for d, rs in zip(docs, ranges) for r in rs]
+        counts = _TokenColumns([d for d, _ in units], [r for _, r in units]).counts
+        out[f"{name} counts"] = digest(*counts)
+        out[f"{name} entropies"] = digest(term_entropies(*counts[2:]))
+    cases = [test_evaluation.TestInterpolatedPrecision._random_case(rng) for _ in range(200)]
+    out["ip"] = repr([
+        interpolated_precision(
+            test_evaluation._run(pids), test_evaluation._char_judgments(rel), spans, (0.01, 0.1)
+        )
+        for pids, spans, rel in cases
+    ])
+    return out
+
+
+class TestGroupingBytesAcrossCpuFeatures:
+    def test_bytes_equal_with_simd_sorts_disabled(self):
+        """numpy sorts int64 keys with AVX2 or AVX-512 code where the CPU has
+        it. A child that disables those paths writes the default bytes."""
+        got = json_without_cpu_features(_SORT_TARGETS, "test_index", "grouping_bytes")
+        want = grouping_bytes()
+        assert got.keys() == want.keys()
+        assert {k for k in want if got[k] != want[k]} == set()
 
 
 class TestBuildIndex:

@@ -1,11 +1,7 @@
-import json
 import math
-import os
 import re
-import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +9,7 @@ import pytest
 
 import oracles
 import row_references
-from conftest import TINY_STOPWORDS, build_store, make_query
+from conftest import TINY_STOPWORDS, build_store, json_without_cpu_features, make_query
 from psgrank.evaluation import average_precisions
 from psgrank.features import (
     DOC_SCHEMA,
@@ -911,24 +907,9 @@ def plm_bytes() -> dict[str, str]:
 class TestPlmBytesAcrossCpuFeatures:
     def test_bytes_equal_with_avx512_disabled(self):
         """A child process with numpy's AVX-512 paths disabled writes the
-        default process's bytes. Only targets this numpy dispatches and this
-        CPU has are named (numpy refuses to import when told to disable a
-        baseline feature, and warns about names it does not dispatch); on a
-        CPU without them the child disables nothing and must still agree."""
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-        targets = [t for t in _AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
-        tests_dir = Path(__file__).resolve().parent
-        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(tests_dir.parent / "src"), str(tests_dir), env.get("PYTHONPATH", "")]
-        )
-        code = "import json, test_rank; print(json.dumps(test_rank.plm_bytes()))"
-        child = subprocess.run(
-            [sys.executable, "-c", code], cwd=tests_dir, env=env,
-            capture_output=True, text=True, check=True,
-        )
-        got, want = json.loads(child.stdout), plm_bytes()
+        default process's bytes; on a CPU without them it must still agree."""
+        got = json_without_cpu_features(_AVX512_TARGETS, "test_rank", "plm_bytes")
+        want = plm_bytes()
         assert got.keys() == want.keys()
         differ = [case for case in want if got[case] != want[case]]
         assert not differ, f"{len(differ)} of {len(want)} cases differ, first {differ[0]!r}"
