@@ -33,8 +33,8 @@ from .evaluation import (
     query_metrics,
 )
 from .experiment import (
-    CONFIG_FIELDS, FEATURE_FREE_METHODS, TRAINERS, ConfigError, ExperimentConfig, _Pipeline,
-    _default_trainer_params, run_experiment,
+    CONFIG_FIELDS, FEATURE_FREE_METHODS, ConfigError, ExperimentConfig, _Pipeline, _train,
+    run_experiment,
 )
 from .features import (
     DOC_SCHEMA,
@@ -48,14 +48,9 @@ from .features import (
 )
 from .index import IndexError_, LmParams, build_index, float_sum
 from .index import retrieve_lm  # noqa: F401  (benchmarks/spans.py wraps it here)
-from .ltr import (
-    PARAM_CHECKS,
-    TrainingError,
-    TrainingSet,
-    ndcg_at_k,
-    train_coordinate_ascent,
-    train_pairwise,
-)
+from .ltr import TRAINERS, TrainingError, TrainingSet, ndcg_at_k
+# benchmarks/spans.py wraps these here too; `psgrank train` calls them through _train.
+from .ltr import train_coordinate_ascent, train_pairwise  # noqa: F401
 from .passage import SEGMENTATION_MODES, SegmentationParams, passage_spans, segment
 from .rank import read_trec_run
 
@@ -162,9 +157,8 @@ def _cmd_features(args) -> int:
 
 def _cmd_train(args) -> int:
     _check_flags({
-        "--" + name.replace("_", "-"): partial(check, **{name: getattr(args, name)})
-        for name, check in PARAM_CHECKS.items()
-        if hasattr(args, name)  # every setting but max_pairs is a flag
+        "--" + s.name.replace("_", "-"): partial(s.check, getattr(args, s.name))
+        for _, table in TRAINERS.values() for s in table if s.flag
     })
     schema_path = Path(args.features).with_suffix(Path(args.features).suffix + ".schema.json")
     if not schema_path.exists():
@@ -182,15 +176,7 @@ def _cmd_train(args) -> int:
         )
     schema = FeatureSchema(meta["name"], tuple(meta["features"]))
     data = TrainingSet(read_svmlight(args.features, schema))
-    if args.trainer == "pairwise_hinge":
-        model = train_pairwise(
-            data, c=args.c, epochs=args.epochs, seed=args.seed,
-            learning_rate=args.learning_rate,
-        )
-    else:
-        model = train_coordinate_ascent(
-            data, restarts=args.restarts, seed=args.seed, max_passes=args.max_passes
-        )
+    model = _train(args.trainer, data, args.seed, vars(args))
     model.save(args.out)
     from .ltr import score as ltr_score
 
@@ -398,10 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--trainer", default="pairwise_hinge", choices=TRAINERS)
     p.add_argument("--out", required=True)
-    p.add_argument("--c", type=float, default=0.01)
-    for name, default in _default_trainer_params().items():
-        if name != "max_pairs":  # not a flag of `train`
-            p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    for s in (s for _, table in TRAINERS.values() for s in table if s.flag):
+        p.add_argument("--" + s.name.replace("_", "-"), type=type(s.default), default=s.default)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train)
 

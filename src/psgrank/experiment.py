@@ -54,8 +54,8 @@ from .features import (
 )
 from .index import LmParams, PositionalIndex, SdmWeights, build_index, memoized, retrieve_lm
 from .ltr import (
-    PARAM_CHECKS, LinearModel, TrainingSet, check_pairwise_params, grade_pairs, passage_grades,
-    score, train_coordinate_ascent, train_pairwise,
+    PARAM_CHECKS, TRAINERS, LinearModel, TrainingSet, grade_pairs, passage_grades, score,
+    train_coordinate_ascent, train_pairwise,  # noqa: F401  (_train finds them in globals())
 )
 from .passage import (
     SEGMENTATION_MODES, Passage, SegmentationParams, parse_passage_id, passage_spans, segment,
@@ -80,9 +80,6 @@ from .rank import (
     rerank_rrf,
     write_trec_run,
 )
-
-TRAINERS = ("pairwise_hinge", "coordinate_ascent")
-
 
 @dataclass(frozen=True)
 class _Method:
@@ -307,13 +304,8 @@ def _default_grids() -> dict:
 
 
 def _default_trainer_params() -> dict:
-    return {
-        "epochs": 200,
-        "learning_rate": 0.5,
-        "max_pairs": 1_000_000,
-        "restarts": 2,
-        "max_passes": 25,
-    }
+    """Every trainer's settings that no grid tunes, at their defaults."""
+    return {s.name: s.default for _, table in TRAINERS.values() for s in table if not s.grid}
 
 
 def _is_int(value) -> bool:
@@ -408,7 +400,7 @@ def _trainer_param_problems(trainer_params: dict) -> list[str]:
         problems.append(f"unknown trainer_params {name!r}; known: {', '.join(known_params)}")
     for name, default in known_params.items():
         # Counts must be integers and rates numbers, like their defaults, and
-        # each must pass the check of the trainer it belongs to.
+        # each must pass its check, whichever trainer is configured.
         value = trainer_params.get(name, default)
         if _is_int(default) and not _is_int(value):
             problems.append(f"trainer_params {name!r} must be an integer, got {value!r}")
@@ -416,7 +408,7 @@ def _trainer_param_problems(trainer_params: dict) -> list[str]:
             problems.append(f"trainer_params {name!r} must be a number, got {value!r}")
         else:
             try:
-                PARAM_CHECKS[name](**{name: value})
+                PARAM_CHECKS[name](value)
             except ValueError as exc:
                 problems.append(f"trainer_params {name!r}: {exc}")
     return problems
@@ -451,7 +443,7 @@ def _grid_problems(grids: dict) -> list[str]:
 # The check each grid's consumer runs on one point; it raises ValueError.
 _GRID_CHECKS = {
     "mu": LmParams,
-    "svm_c": lambda v: check_pairwise_params(c=v),
+    "svm_c": PARAM_CHECKS["c"],
     "alpha": lambda v: FusionParams(alpha=v),
     "nu": lambda v: FusionParams(nu=v),
     "qsf_lambda": lambda v: check_weight("lambda", v),
@@ -501,7 +493,7 @@ CONFIG_FIELDS = (
     ),
     ConfigField("window_len", "int", 300, 1, override=True),
     ConfigField("segmentation_mode", "choice", "fixed", SEGMENTATION_MODES),
-    ConfigField("trainer", "choice", "pairwise_hinge", TRAINERS, override=True),
+    ConfigField("trainer", "choice", "pairwise_hinge", tuple(TRAINERS), override=True),
     ConfigField("psg_ranker", "choice", "ltr", ("ltr", "qsf"), override=True),
     ConfigField("seed", "int", 0, 0, override=True),
     ConfigField("init_mu", "number", 1000.0, LmParams),
@@ -793,29 +785,21 @@ class _Pipeline:
 _MODEL_FILES = {"init-LTR": "init-ltr.json", "PsgLTR": "psg-ranker.json"}
 
 
-def _trainer_grid(config: ExperimentConfig) -> list[dict]:
-    if config.trainer == "pairwise_hinge":
-        return [{"c": c} for c in config.grids["svm_c"]]
-    return [{}]
+def _trainer_grid(config: ExperimentConfig) -> Iterator[dict]:
+    """The configured trainer's grid-tuned settings at each point of their grids."""
+    table = TRAINERS[config.trainer][1]
+    return _grid_points(config, tuple((s.name, s.grid) for s in table if s.grid))
 
 
-def _train(config: ExperimentConfig, data: TrainingSet, hyper: dict) -> LinearModel:
-    tp = config.trainer_params
-    if config.trainer == "pairwise_hinge":
-        return train_pairwise(
-            data,
-            c=hyper.get("c", 0.01),
-            epochs=int(tp["epochs"]),
-            seed=config.seed,
-            learning_rate=float(tp["learning_rate"]),
-            max_pairs=int(tp["max_pairs"]),
-        )
-    return train_coordinate_ascent(
-        data,
-        restarts=int(tp["restarts"]),
-        seed=config.seed,
-        max_passes=int(tp["max_passes"]),
-    )
+def _train(trainer: str, data: TrainingSet, seed: int, settings: Mapping) -> LinearModel:
+    """Train with ``trainer``'s function, looked up in this module's globals
+    when called, on each of its settings in ``settings`` (its default when
+    absent). A grid-tuned setting is passed as given; the others take their
+    default's type, so an integer ``learning_rate`` trains as a float."""
+    function, table = TRAINERS[trainer]
+    kwargs = {s.name: settings.get(s.name, s.default) for s in table}
+    kwargs.update({s.name: type(s.default)(kwargs[s.name]) for s in table if not s.grid})
+    return globals()[function](data, seed=seed, **kwargs)
 
 
 class _FoldRunner:
@@ -905,7 +889,7 @@ class _FoldRunner:
                 matrices = {}
             for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
                 if rec.vectors:
-                    model = _train(cfg, training, hyper)
+                    model = _train(cfg.trainer, training, cfg.seed, {**cfg.trainer_params, **hyper})
                     # The vectors depend on the vector-grid point only, so the
                     # model ranks each query once for the whole grid.
                     rankings = {

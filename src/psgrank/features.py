@@ -364,7 +364,10 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
         if not line.strip():
             continue
         parts = line.split()
-        vec = np.array([float(x) for x in parts[1:]], dtype=float)
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -393,11 +396,14 @@ def load_entities(path: str | Path, min_confidence: float = 0.1) -> dict[str, fr
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected item_id<TAB>entity_id<TAB>confidence")
-        item_id, entity_id, conf = parts
-        if float(conf) >= min_confidence:
+        try:
+            item_id, entity_id, conf = line.rstrip("\n").split("\t")
+            keep = float(conf) >= min_confidence
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected item_id<TAB>entity_id<TAB>confidence (a number)"
+            ) from None
+        if keep:
             table.setdefault(item_id, set()).add(entity_id)
     return {k: frozenset(v) for k, v in table.items()}
 
@@ -725,6 +731,8 @@ def read_svmlight(
                 if not 1 <= i <= len(schema):
                     raise ValueError(f"feature index {i} outside 1..{len(schema)}")
                 values[i - 1] = float(val)
+                if not math.isfinite(values[i - 1]):
+                    raise ValueError(f"feature {i} value {val!r} is not finite")
             key = (parts[1][4:], comment.strip())
             if key in seen:
                 raise ValueError(f"item {key[1]!r} repeated in query {key[0]!r}")

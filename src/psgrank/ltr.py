@@ -199,19 +199,52 @@ def _misordered(margins: np.ndarray) -> int:
     return len(margins) - np.count_nonzero(margins > 0.0)
 
 
-def check_pairwise_params(
-    c: float = 0.01, epochs: int = 200, learning_rate: float = 0.5, max_pairs: int = 10**6
-) -> None:
-    """The hinge trainer's settings: ``c`` finite and >= 0, ``learning_rate``
-    finite and > 0, ``epochs`` and ``max_pairs`` >= 1. Raises ValueError."""
-    if not 0.0 <= c < math.inf:  # NaN too
-        raise ValueError(f"c must be finite and >= 0, got {c}")
-    if not 0.0 < learning_rate < math.inf:
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-    if not epochs >= 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if not max_pairs >= 1:
-        raise ValueError(f"max_pairs must be >= 1, got {max_pairs}")
+@dataclass(frozen=True)
+class Setting:
+    """A trainer setting: its default and the bound ``op bound`` a value must meet
+    (a float must be finite too; NaN meets none). A run tunes it over config grid
+    ``grid`` if named, else reads ``trainer_params``; ``flag``: `train` has a flag."""
+
+    name: str
+    default: int | float
+    op: str  # ">=" or ">"
+    bound: int
+    grid: str | None = None
+    flag: bool = True
+
+    def check(self, value) -> None:
+        """Raise ValueError unless ``value`` meets the bound."""
+        finite = isinstance(self.default, float)
+        met = value > self.bound if self.op == ">" else value >= self.bound
+        if not met or finite and not value < math.inf:
+            raise ValueError(
+                f"{self.name} must be {'finite and ' * finite}{self.op} {self.bound}, got {value}"
+            )
+
+
+# Each trainer by name: its function's name, and its settings in `psgrank train`'s
+# flag order. Outside the trainers' signatures, only this states their defaults.
+TRAINERS = {
+    "pairwise_hinge": ("train_pairwise", (
+        Setting("c", 0.01, ">=", 0, grid="svm_c"),
+        Setting("epochs", 200, ">=", 1),
+        Setting("learning_rate", 0.5, ">", 0),
+        Setting("max_pairs", 10**6, ">=", 1, flag=False),
+    )),
+    "coordinate_ascent": ("train_coordinate_ascent", (
+        Setting("restarts", 2, ">=", 0),
+        Setting("max_passes", 25, ">=", 0),
+    )),
+}
+
+# The check of each setting, by setting name.
+PARAM_CHECKS = {s.name: s.check for _, settings in TRAINERS.values() for s in settings}
+
+
+def _check_settings(**settings) -> None:
+    """Raise ValueError for the first of ``settings`` its check rejects."""
+    for name, value in settings.items():
+        PARAM_CHECKS[name](value)
 
 
 def train_pairwise(
@@ -227,8 +260,8 @@ def train_pairwise(
     Full-batch subgradient descent with a 1/(1+t) decaying step; the model
     returned is the epoch with the fewest misordered training pairs (ties
     favor the earlier epoch), among those whose weights did not overflow; a
-    NaN margin counts as misordered. Raises ValueError for settings that
-    :func:`check_pairwise_params` rejects, and TrainingError when no
+    NaN margin counts as misordered. Raises ValueError for a setting that
+    its :data:`TRAINERS` entry rejects, and TrainingError when no
     within-query pair of distinct grades exists, or when the weights
     overflow before any epoch improves on the zero start. One product
     ``diffs @ w`` per epoch serves both the error count of the new
@@ -239,7 +272,7 @@ def train_pairwise(
     and no count is below 0, so every later epoch would leave it the best:
     the weights equal those of running all ``epochs``, bit for bit.
     """
-    check_pairwise_params(c, epochs, learning_rate, max_pairs)
+    _check_settings(c=c, learning_rate=learning_rate, epochs=epochs, max_pairs=max_pairs)
     schema = data.schema()
     diffs = _difference_matrix(data, max_pairs, seed)
     w = np.zeros(len(schema))
@@ -270,13 +303,9 @@ def train_pairwise(
         schema=schema,
         weights=tuple(float(x) for x in best_w),
         trainer="pairwise_hinge",
-        hyperparams={
-            "c": c,
-            "epochs": epochs,
-            "learning_rate": learning_rate,
-            "max_pairs": max_pairs,
-            "seed": seed,
-        },
+        hyperparams=dict(
+            c=c, epochs=epochs, learning_rate=learning_rate, max_pairs=max_pairs, seed=seed
+        ),
     )
 
 
@@ -366,22 +395,6 @@ def _ndcg_objective(data: TrainingSet, k: int):
     return mean_ndcg
 
 
-def check_coordinate_ascent_params(restarts: int = 2, max_passes: int = 25) -> None:
-    """The coordinate-ascent trainer's settings: ``restarts`` and
-    ``max_passes`` >= 0. Raises ValueError."""
-    if not restarts >= 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    if not max_passes >= 0:
-        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
-
-
-# The check of the trainer each setting belongs to, by setting name.
-PARAM_CHECKS = {
-    **dict.fromkeys(("c", "epochs", "learning_rate", "max_pairs"), check_pairwise_params),
-    **dict.fromkeys(("restarts", "max_passes"), check_coordinate_ascent_params),
-}
-
-
 def train_coordinate_ascent(
     data: TrainingSet,
     restarts: int = 2,
@@ -402,10 +415,9 @@ def train_coordinate_ascent(
     step. Every objective evaluation is one array pass over all training
     queries (see :func:`_ndcg_objective`), equal to :func:`ndcg_at_k` per
     query, ranked by score with ties by ascending id, and averaged. Raises
-    ValueError for settings that :func:`check_coordinate_ascent_params`
-    rejects.
+    ValueError for a setting that its :data:`TRAINERS` entry rejects.
     """
-    check_coordinate_ascent_params(restarts, max_passes)
+    _check_settings(restarts=restarts, max_passes=max_passes)
     schema = data.schema()
     if all(len(set(g.tolist())) < 2 for _, g in data.queries):
         raise TrainingError("no training signal: every within-query pair has equal grades")
@@ -415,7 +427,8 @@ def train_coordinate_ascent(
     rng = np.random.default_rng(seed)
     best_w = None
     best_obj = -1.0
-    for restart in range(max(restarts, 1)):
+    # Without passes, restart 0's uniform start is the model.
+    for restart in range(max(restarts, 1) if max_passes else 1):
         if restart == 0:
             w = np.full(n, 1.0 / n)
         else:
@@ -425,13 +438,6 @@ def train_coordinate_ascent(
         obj = objective(w)
         if trace is not None:
             trace.append((restart, obj))
-        if max_passes == 0 and restart == 0:
-            return LinearModel(
-                schema=schema,
-                weights=tuple(float(x) for x in w),
-                trainer="coordinate_ascent",
-                hyperparams={"restarts": restarts, "max_passes": 0, "k": k, "seed": seed},
-            )
         for _ in range(max_passes):
             improved = False
             for coord in range(n):

@@ -460,6 +460,16 @@ class TestTrainInputValidation:
                 GOOD_ROWS + "2 qid:q1 1:0.1 # a\n", SIDECAR, 2,
                 "feats.txt:3: malformed SVMlight row: item 'a' repeated in query 'q1'",
             ),
+            # A non-finite value was once left to the feature matrix, whose
+            # error named neither the file nor the line.
+            (
+                GOOD_ROWS + "0 qid:q1 1:nan # c\n", SIDECAR, 2,
+                "feats.txt:3: malformed SVMlight row: feature 1 value 'nan' is not finite",
+            ),
+            (
+                GOOD_ROWS + "0 qid:q1 2:-inf # c\n", SIDECAR, 2,
+                "feats.txt:3: malformed SVMlight row: feature 2 value '-inf' is not finite",
+            ),
             (GOOD_ROWS, {"features": ["f0", "f1"]}, 1, '"name" string'),
             (GOOD_ROWS, {"name": "s"}, 1, '"features" list'),
             (
@@ -468,7 +478,7 @@ class TestTrainInputValidation:
             ),
         ],
         ids=[
-            "index-0", "index-past-schema", "repeated-item", "sidecar-without-name",
+            "index-0", "index-past-schema", "repeated-item", "nan", "inf", "sidecar-without-name",
             "sidecar-without-features", "sidecar-not-json",
         ],
     )
@@ -514,6 +524,19 @@ class TestTrainInputValidation:
         for message in messages:
             assert message in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_hinge_model_records_the_default_max_pairs(self, tmp_path):
+        # max_pairs is no flag of `train`; the trainer's default applies.
+        (tmp_path / "feats.txt").write_text(self.GOOD_ROWS)
+        (tmp_path / "feats.txt.schema.json").write_text(json.dumps(self.SIDECAR))
+        rc = main(
+            ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json"]
+        )
+        assert rc == 0
+        hyperparams = json.loads((tmp_path / "m.json").read_text())["hyperparams"]
+        assert hyperparams == {
+            "c": 0.01, "epochs": 200, "learning_rate": 0.5, "max_pairs": 1000000, "seed": 0,
+        }
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_learning_rate_exits_one(self, tmp_path, capsys):
@@ -958,6 +981,14 @@ class TestHelp:
         out = capsys.readouterr().out
         for cmd in ("index", "segment", "features", "train", "run", "eval", "ablate", "ttest"):
             assert cmd in out
+
+    def test_train_lists_the_trainer_flags_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        out = capsys.readouterr().out
+        flags = ["--c", "--epochs", "--learning-rate", "--restarts", "--max-passes"]
+        assert [word for word in out.split() if word in flags] == flags
+        assert "--max-pairs" not in out
 
 
 class TestBenchmarkHooks:

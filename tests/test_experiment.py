@@ -501,7 +501,7 @@ class TestCrossFoldMemo:
 
         monkeypatch.setattr(runner, "_grid_metrics", metrics, raising=False)
         monkeypatch.setattr(runner, "_training_set", lambda rec, vpoint: None, raising=False)
-        monkeypatch.setattr(experiment, "_train", lambda config, data, hyper: None)
+        monkeypatch.setattr(experiment, "_train", lambda trainer, data, seed, settings: None)
         monkeypatch.setattr(runner, "_model_ranking", lambda *args: None, raising=False)
         for method, split in self.SPLITS.items():
             seen.clear()
@@ -993,7 +993,9 @@ def _rescoring_walk(runner, method):
             )
         for hyper in experiment._trainer_grid(cfg) if rec.vectors else [{}]:
             if rec.vectors:
-                model = experiment._train(cfg, training, hyper)
+                model = experiment._train(
+                    cfg.trainer, training, cfg.seed, {**cfg.trainer_params, **hyper}
+                )
             for rpoint in experiment._grid_points(cfg, rec.grid):
                 if rec.feasible and not rec.feasible(rpoint):
                     continue
@@ -1455,3 +1457,18 @@ class TestReportShape:
             (tmp_path / "out" / "models" / "q00" / "init-ltr.json").read_text()
         )
         assert model["trainer"] == "coordinate_ascent"
+
+    def test_model_files_keep_the_setting_types(self, tmp_path):
+        # A trainer_params value takes its default's type, so an integer
+        # learning_rate is written 1.0; an svm_c point is passed on as given.
+        paths = _tiny_corpus(tmp_path)
+        config = _tiny_config(
+            paths, ["init-LTR"], grids={**_TINY_GRIDS, "svm_c": [1]},
+            trainer_params={"epochs": 20, "learning_rate": 1},
+        )
+        run_experiment(config, tmp_path / "out")
+        models = sorted((tmp_path / "out" / "models").rglob("*.json"))
+        assert models
+        for path in models:
+            text = path.read_text()
+            assert '"c": 1,\n' in text and '"learning_rate": 1.0,\n' in text, path

@@ -918,6 +918,12 @@ class TestResourceLoaders:
         with pytest.raises(ValueError, match="dimension"):
             load_embeddings(p)
 
+    def test_embeddings_entry_not_a_number_names_the_line(self, tmp_path):
+        p = tmp_path / "emb.txt"
+        p.write_text("cat 1.0 0.0\ndog 0.0 abc\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: could not convert string")):
+            load_embeddings(p)
+
     def test_synonyms(self, tmp_path):
         p = tmp_path / "syn.txt"
         p.write_text("cat: feline, kitty\ndog: canine\n")
@@ -930,6 +936,14 @@ class TestResourceLoaders:
         table = load_entities(p)
         assert table["q1"] == frozenset({"E1"})
         assert table["d1#0"] == frozenset({"E3"})
+
+    @pytest.mark.parametrize("row", ["d1\tE2\tabc", "d1\tE2", "d1\tE2\t0.5\tx"])
+    def test_entities_bad_row_names_the_line(self, tmp_path, row):
+        p = tmp_path / "ent.tsv"
+        p.write_text(f"q1\tE1\t0.5\n{row}\n")
+        message = f"{p}:2: expected item_id<TAB>entity_id<TAB>confidence (a number)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_entities(p)
 
 
 class TestSvmlight:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -262,6 +263,14 @@ class TestTrainerSettings:
         model = train_coordinate_ascent(data, restarts=0, max_passes=0)
         assert model.weights == (1.0,)
 
+    def test_table_defaults_equal_the_signatures(self):
+        # TRAINERS restates each trainer's keyword defaults; the two must agree.
+        for function, settings in ltr.TRAINERS.values():
+            parameters = inspect.signature(getattr(ltr, function)).parameters
+            for s in settings:
+                default = parameters[s.name].default
+                assert (default, type(default)) == (s.default, type(s.default)), s.name
+
 
 class TestCoordinateAscent:
     def test_perfect_feature_reaches_one(self):
@@ -296,8 +305,15 @@ class TestCoordinateAscent:
 
     def test_zero_budget_returns_initial_weights(self):
         rows = [("q1", "a", [1.0, 2.0], 1), ("q1", "b", [0.0, 1.0], 0)]
-        model = train_coordinate_ascent(_training(rows), restarts=3, seed=0, max_passes=0)
+        trace = []
+        model = train_coordinate_ascent(
+            _training(rows), restarts=3, seed=0, max_passes=0, trace=trace
+        )
         assert model.weights == (0.5, 0.5)
+        assert model.hyperparams == {"restarts": 3, "max_passes": 0, "k": 10, "seed": 0}
+        # Only restart 0's uniform start is evaluated, where a (1.5) ranks
+        # above b (0.5); no later restart runs.
+        assert trace == [(0, 1.0)]
 
     def test_beats_every_single_feature_ranker(self):
         rng = np.random.default_rng(6)
