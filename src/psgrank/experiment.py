@@ -734,11 +734,11 @@ class _Pipeline:
         """The query's document features at ``mu``, in document id order."""
         def compute():
             data = self.query_data(query_id)
-            params, doc_ids = LmParams(mu), sorted(data.passages_by_doc)
-            rows = [
-                doc_features(data.query, self.store.get(d), self.index, params, priors)
-                for d, priors in zip(doc_ids, self._priors(doc_ids))
-            ]
+            doc_ids = sorted(data.passages_by_doc)
+            rows = doc_features(
+                data.query, [self.store.get(d) for d in doc_ids], self.index, LmParams(mu),
+                self._priors(doc_ids),
+            )
             return FeatureMatrix(DOC_SCHEMA, query_id, doc_ids, rows).columns(self.doc_schema)
 
         return self.memo(("doc_vectors", query_id, mu), compute)
@@ -875,30 +875,38 @@ class _FoldRunner:
                 self.models[m] = model
 
     def _walk(self, method: str) -> tuple[dict, LinearModel | None]:
-        """The first grid point (and model) with the strictly best mean metric."""
+        """The first grid point (and model) with the strictly best mean metric.
+        A walk over one point has no choice to make: it trains that point's
+        model and ranks and scores no query."""
         rec = _METHODS[method]
         cfg = self.config
         queries = self.train_queries if rec.fold_free else self.val_queries
         rpoints = [p for p in _grid_points(cfg, rec.grid) if not rec.feasible or rec.feasible(p)]
+        vpoints = list(_grid_points(cfg, rec.vector_grid))
+        hypers = list(_trainer_grid(cfg)) if rec.vectors else [{}]
+        one_point = len(vpoints) * len(hypers) * len(rpoints) == 1
         best = model = None
         rankings = {}
-        for vpoint in _grid_points(cfg, rec.vector_grid):
+        for vpoint in vpoints:
             if rec.vectors:
                 training = self._training_set(rec, vpoint)
                 # The queries' matrices at this point, for every trainer point.
                 matrices = {}
-            for hyper in _trainer_grid(cfg) if rec.vectors else [{}]:
+            for hyper in hypers:
+                points = [
+                    {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
+                    for rpoint in rpoints
+                ]
                 if rec.vectors:
                     model = _train(cfg.trainer, training, cfg.seed, {**cfg.trainer_params, **hyper})
+                if one_point:
+                    return points[0], model
+                if rec.vectors:
                     # The vectors depend on the vector-grid point only, so the
                     # model ranks each query once for the whole grid.
                     rankings = {
                         q: self._model_ranking(rec, q, vpoint, model, matrices) for q in queries
                     }
-                points = [
-                    {**vpoint, **rpoint, **(hyper if rec.hyper_in_params else {})}
-                    for rpoint in rpoints
-                ]
                 values = [self._grid_metrics(method, q, points, rankings.get(q)) for q in queries]
                 for i, params in enumerate(points):
                     m = mean_metric([v[i] for v in values])

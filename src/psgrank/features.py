@@ -25,7 +25,7 @@ import numpy as np
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
     LmParams, PositionalIndex, exact_log, first_occurrences, float_sum, lm_similarities,
-    lm_top_ranks, memoized, sdm_components,
+    lm_top_ranks, memoized, sdm_matrix,
 )
 from .passage import Passage, neighbors
 
@@ -283,15 +283,12 @@ def query_similarities(
     passages, keyed by id in ``doc_ids`` order: one
     :func:`lm_similarities` pass each, counts read from postings."""
     passages = [p for d in doc_ids for p in passages_by_doc[d]]
-    # Positions and passage bounds as keys document * stride + token.
-    stride = max((index.doc_lengths[d] for d in doc_ids), default=0) + 1
-    slot = {d: np.int64(i * stride) for i, d in enumerate(doc_ids)}
-    bounds = np.array([slot[p.doc_id] + i for p in passages for i in p.token_range], np.int64)
+    # Passage bounds as keys of PositionalIndex.stem_keys: row * stride + token.
+    row = {d: np.int64(i * index.stride) for i, d in enumerate(doc_ids)}
+    bounds = np.array([row[p.doc_id] + i for p in passages for i in p.token_range], np.int64)
     doc_tf, psg_tf = {}, {}
     for t in set(terms):
-        positions = [index.positions(t, d) for d in doc_ids]
-        doc_tf[t] = [len(at) for at in positions]
-        keys = np.concatenate([slot[d] + at for d, at in zip(doc_ids, positions)] or [bounds[:0]])
+        keys, doc_tf[t] = index.stem_keys(t, doc_ids)
         at = np.searchsorted(keys, bounds)
         psg_tf[t] = at[1::2] - at[::2]
     lengths = np.array([index.doc_lengths[d] for d in doc_ids], dtype=np.int64)
@@ -315,14 +312,15 @@ def doc_priors(
 
 def doc_features(
     query: Query,
-    doc: Document,
+    docs: Sequence[Document],
     index: PositionalIndex,
     params: LmParams,
-    priors: tuple[float, float, float],
-) -> tuple[float, ...]:
-    """The 6 document features, in :data:`DOC_SCHEMA` order: SDM components
-    + the document's :func:`doc_priors`, which the caller keeps per document."""
-    return (*sdm_components(query, doc, index, params), *priors)
+    priors: Sequence[tuple[float, float, float]],
+) -> np.ndarray:
+    """The documents' rows of the 6 document features, in :data:`DOC_SCHEMA`
+    order: :func:`sdm_matrix` + each document's :func:`doc_priors`, which
+    the caller keeps per document."""
+    return np.hstack((sdm_matrix(query, docs, index, params), np.reshape(priors, (len(docs), 3))))
 
 
 # -- semantic resources --
@@ -368,6 +366,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             vec = np.array([float(x) for x in parts[1:]], dtype=float)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}:{lineno}: embedding entries must be finite")
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -398,12 +398,15 @@ def load_entities(path: str | Path, min_confidence: float = 0.1) -> dict[str, fr
             continue
         try:
             item_id, entity_id, conf = line.rstrip("\n").split("\t")
-            keep = float(conf) >= min_confidence
+            confidence = float(conf)
         except ValueError:
+            confidence = math.nan
+        # A NaN confidence would compare false and drop the row silently.
+        if math.isnan(confidence):
             raise ValueError(
                 f"{path}:{lineno}: expected item_id<TAB>entity_id<TAB>confidence (a number)"
-            ) from None
-        if keep:
+            )
+        if confidence >= min_confidence:
             table.setdefault(item_id, set()).add(entity_id)
     return {k: frozenset(v) for k, v in table.items()}
 

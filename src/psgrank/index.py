@@ -96,6 +96,8 @@ class PositionalIndex:
     doc_order: list[str]
     corpus_checksum: str
     collection_term_counts: dict[str, int] = field(init=False)
+    # Key stride of :meth:`stem_keys`: past the longest document by SDM_WINDOW.
+    stride: int = field(init=False)
     _row: dict = field(init=False, repr=False)
     _slot_of: dict = field(init=False, repr=False)
     _slot_rank: np.ndarray = field(init=False, repr=False)  # doc rank of each slot
@@ -107,6 +109,7 @@ class PositionalIndex:
             a.flags.writeable = False
         counts = np.diff(self.posting_bounds[self.stem_bounds]).tolist()
         self.collection_term_counts = dict(zip(self.stems, counts))
+        self.stride = max(self.doc_lengths.values(), default=0) + SDM_WINDOW
         self._row = {s: r for r, s in enumerate(self.stems)}
         self._slot_of = {d: s for s, d in enumerate(self.doc_order)}
         rank_of = {d: r for r, d in enumerate(sorted(self.doc_lengths))}  # as doc_table
@@ -148,6 +151,26 @@ class PositionalIndex:
         if p < hi and self.posting_docs[p] == slot:
             return self.posting_positions[self.posting_bounds[p] : self.posting_bounds[p + 1]]
         return self.posting_positions[:0]
+
+    def stem_keys(self, stem: str, doc_ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The stem's positions in the listed documents as ascending int64 keys
+        row * :attr:`stride` + position (row r is ``doc_ids[r]``), and its
+        term frequency in each row. Keys in different rows lie more than
+        SDM_WINDOW apart, so a window search never crosses rows."""
+        slots = np.fromiter((self._slot_of.get(d, -1) for d in doc_ids), np.int64, len(doc_ids))
+        return self._slot_keys(stem, slots)
+
+    def _slot_keys(self, stem: str, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`stem_keys` of the documents at ``slots``."""
+        lo, hi = self._span(stem)
+        at = lo + np.searchsorted(self.posting_docs[lo:hi], slots)
+        held = np.flatnonzero(at < hi)
+        held = held[self.posting_docs[at[held]] == slots[held]]
+        tokens, bounds = _regroup(self.posting_bounds, at[held])
+        tf = np.zeros(len(slots), dtype=np.int64)
+        tf[held] = np.diff(bounds)
+        keys = np.repeat(held * self.stride, tf[held]) + self.posting_positions[tokens]
+        return keys, tf
 
     def doc_table(self) -> tuple[list[str], dict[str, int], np.ndarray, np.ndarray]:
         """Doc ids in string order, each id's rank in it, the distinct document
@@ -198,20 +221,12 @@ class PositionalIndex:
         return memoized(self._memo, key, lambda: self._scan_pairs(a, b, ordered))
 
     def _scan_pairs(self, a: str, b: str, ordered: bool) -> int:
-        """Counts over each stem's positions in the documents holding both,
-        keyed slot * stride + position: the keys ascend, and keys in different
-        documents lie more than SDM_WINDOW apart, so the counts add up per
-        document."""
-        stride = max(self.doc_lengths.values(), default=0) + SDM_WINDOW
-
-        def keys(stem: str, other: str) -> np.ndarray:
-            (lo, hi), (other_lo, other_hi) = self._span(stem), self._span(other)
-            docs, tf = self.posting_docs[lo:hi], np.diff(self.posting_bounds[lo : hi + 1])
-            keep = np.repeat(np.isin(docs, self.posting_docs[other_lo:other_hi]), tf)
-            at = self.posting_positions[self.posting_bounds[lo] : self.posting_bounds[hi]]
-            return (np.repeat(docs.astype(np.int64) * stride, tf) + at)[keep]
-
-        keys_a, keys_b = keys(a, b), keys(b, a)
+        """Counts over both stems' :meth:`stem_keys` in the documents holding
+        both: keys in different documents lie more than SDM_WINDOW apart, so
+        the counts add up per document."""
+        (lo, hi), (b_lo, b_hi) = self._span(a), self._span(b)
+        both = np.intersect1d(self.posting_docs[lo:hi], self.posting_docs[b_lo:b_hi], True)
+        (keys_a, _), (keys_b, _) = self._slot_keys(a, both), self._slot_keys(b, both)
         if ordered:
             return count_ordered_pairs(keys_a, keys_b)
         return count_window_pairs(keys_a, keys_b, a == b)
@@ -319,7 +334,7 @@ def _bounds(sizes: np.ndarray) -> np.ndarray:
 def _regroup(bounds: np.ndarray, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The element numbers of ``groups`` (groups over ``bounds``), group after
     group in that order, and the bounds of those groups in the result."""
-    sizes = np.diff(bounds)[groups]
+    sizes = bounds[groups + 1] - bounds[groups]
     new_bounds = _bounds(sizes)
     elements = np.arange(new_bounds[-1]) + np.repeat(bounds[groups] - new_bounds[:-1], sizes)
     return elements, new_bounds
@@ -478,11 +493,29 @@ def retrieve_lm(query: Query, index: PositionalIndex, params: LmParams, k: int):
     return RankedList.from_scores(query.query_id, entries)
 
 
+def ordered_hits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """At each occurrence of a, 1 when b immediately follows it, else 0.
+    ``a`` and ``b`` are ascending int64 positions, or the keys of
+    :meth:`PositionalIndex.stem_keys`."""
+    after = a + 1
+    return np.searchsorted(b, after, "right") - np.searchsorted(b, after)
+
+
+def window_hits(a: np.ndarray, b: np.ndarray, same_term: bool) -> np.ndarray:
+    """At each occurrence of a, the occurrences of b that fit with it inside a
+    span of SDM_WINDOW consecutive positions (|i - j| <= SDM_WINDOW - 1). For
+    a == b, those after it, so that each unordered pair counts once, and
+    ``b`` is not read. Inputs as :func:`ordered_hits`."""
+    span = SDM_WINDOW - 1
+    if same_term:
+        return np.searchsorted(a, a + span, "right") - np.arange(1, len(a) + 1)
+    return np.searchsorted(b, a + span, "right") - np.searchsorted(b, a - span)
+
+
 def count_ordered_pairs(positions_a: Sequence[int], positions_b: Sequence[int]) -> int:
     """Exact adjacencies: occurrences of a immediately followed by b (positions ascend)."""
-    after = np.asarray(positions_a, dtype=np.int64) + 1
-    b = np.asarray(positions_b, dtype=np.int64)
-    return int(np.count_nonzero(np.searchsorted(b, after, "right") - np.searchsorted(b, after)))
+    a, b = (np.asarray(p, dtype=np.int64) for p in (positions_a, positions_b))
+    return int(ordered_hits(a, b).sum())
 
 
 def count_window_pairs(
@@ -490,56 +523,55 @@ def count_window_pairs(
     positions_b: Sequence[int],
     same_term: bool,
 ) -> int:
-    """Unordered co-occurrences of a and b within a window of SDM_WINDOW tokens.
+    """Unordered co-occurrences of a and b within a window of SDM_WINDOW
+    tokens (:func:`window_hits`). Positions ascend."""
+    a, b = (np.asarray(p, dtype=np.int64) for p in (positions_a, positions_b))
+    return int(window_hits(a, b, same_term).sum())
 
-    A pair of occurrences counts when both fit inside a span of SDM_WINDOW
-    consecutive positions (|i - j| <= SDM_WINDOW - 1). For a == b, each
-    unordered occurrence pair counts once, and ``positions_b`` is not read.
-    Positions ascend.
+
+def sdm_matrix(
+    query: Query, docs: Sequence[Document], index: PositionalIndex, params: LmParams
+) -> np.ndarray:
+    """Log-domain unigram, ordered-bigram and unordered-window features of
+    each document, one row each.
+
+    Each summand is ln of the Dirichlet-smoothed probability of the term
+    (or adjacent query-term pair) in the document, smoothed against the
+    matching collection statistic; ln(0) is floored at LOG_FLOOR. A
+    single-term query has zero ordered/unordered components. Counts come
+    from one :meth:`PositionalIndex.stem_keys` pass per distinct query term
+    over the index, which must hold the documents; logs come from
+    :func:`exact_log`, and the summands are added in query order from 0.0.
     """
-    span = SDM_WINDOW - 1
-    a = np.asarray(positions_a, dtype=np.int64)
-    if same_term:
-        # Occurrences after each one, up to span positions on.
-        return int((np.searchsorted(a, a + span, "right") - np.arange(1, len(a) + 1)).sum())
-    b = np.asarray(positions_b, dtype=np.int64)
-    return int((np.searchsorted(b, a + span, "right") - np.searchsorted(b, a - span)).sum())
+    terms = query.stems()
+    doc_ids = [doc.doc_id for doc in docs]
+    denom = np.array([doc.length for doc in docs], dtype=np.int64) + params.mu
+    keys, tf = {}, {}
+    for t in dict.fromkeys(terms):
+        keys[t], tf[t] = index.stem_keys(t, doc_ids)
+
+    def smoothed_logs(counts: np.ndarray, collection_count: int) -> np.ndarray:
+        p_c = collection_count / index.collection_length if index.collection_length else 0.0
+        theta = np.divide(
+            counts + params.mu * p_c, denom, out=np.zeros(len(docs)), where=denom > 0
+        )
+        return np.maximum(exact_log(theta), LOG_FLOOR)
+
+    rows = np.zeros((3, len(docs)))
+    f_t, f_o, f_u = rows
+    for t in terms:
+        f_t += smoothed_logs(tf[t], index.collection_term_counts.get(t, 0))
+    for a, b in zip(terms, terms[1:]):
+        row = keys[a] // index.stride
+        ordered = np.bincount(row, ordered_hits(keys[a], keys[b]), len(docs))
+        window = np.bincount(row, window_hits(keys[a], keys[b], a == b), len(docs))
+        f_o += smoothed_logs(ordered, index.pair_count(a, b, ordered=True))
+        f_u += smoothed_logs(window, index.pair_count(a, b, ordered=False))
+    return rows.T
 
 
 def sdm_components(
     query: Query, doc: Document, index: PositionalIndex, params: LmParams
 ) -> tuple[float, float, float]:
-    """Log-domain unigram, ordered-bigram and unordered-window features.
-
-    Each summand is ln of the Dirichlet-smoothed probability of the term
-    (or adjacent query-term pair) in the document, smoothed against the
-    matching collection statistic; ln(0) is floored at LOG_FLOOR. A
-    single-term query has zero ordered/unordered components. Positions
-    and term frequencies come from the index, which must hold ``doc``.
-    """
-    terms = query.stems()
-    doc_len = doc.length
-    denom = doc_len + params.mu
-
-    def smoothed_log(count: float, collection_count: int) -> float:
-        p_c = collection_count / index.collection_length if index.collection_length else 0.0
-        if denom <= 0:
-            return LOG_FLOOR
-        theta = (count + params.mu * p_c) / denom
-        if theta <= 0.0:
-            return LOG_FLOOR
-        return max(math.log(theta), LOG_FLOOR)
-
-    positions = {t: index.positions(t, doc.doc_id) for t in terms}
-    f_t = float_sum(
-        smoothed_log(len(positions[t]), index.collection_term_counts.get(t, 0)) for t in terms
-    )
-
-    f_o = 0.0
-    f_u = 0.0
-    for a, b in zip(terms, terms[1:]):
-        ord_count = count_ordered_pairs(positions[a], positions[b])
-        win_count = count_window_pairs(positions[a], positions[b], a == b)
-        f_o += smoothed_log(ord_count, index.pair_count(a, b, ordered=True))
-        f_u += smoothed_log(win_count, index.pair_count(a, b, ordered=False))
-    return f_t, f_o, f_u
+    """The document's row of :func:`sdm_matrix`."""
+    return tuple(sdm_matrix(query, [doc], index, params)[0].tolist())

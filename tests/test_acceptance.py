@@ -118,9 +118,10 @@ def test_criterion_1_formula_oracles():
         exp = oracles.sdm_components(query.stems(), stems[doc_id], stems, mu)
         ok &= _approx_rel(got, exp)
     # 6 document features.
-    for doc_id in list(texts)[:12]:
-        doc = store.get(doc_id)
-        vec = doc_features(query, doc, index, params, doc_priors([doc], tokenizer.stopwords)[0])
+    docs = [store.get(doc_id) for doc_id in list(texts)[:12]]
+    rows = doc_features(query, docs, index, params, doc_priors(docs, tokenizer.stopwords))
+    for doc, vec in zip(docs, rows.tolist()):
+        doc_id = doc.doc_id
         f = oracles.sdm_components(query.stems(), stems[doc_id], stems, mu)
         lower = [t.surface.lower() for t in doc.tokens]
         exp = f + (

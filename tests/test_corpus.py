@@ -641,9 +641,9 @@ class TestColumnarStore:
         sw1, sw2, nonstop = (PSG_SCHEMA.index_of(f) for f in ("SW1", "SW2", "PsgLength"))
         for doc in store.documents:
             tokens = doc.tokens
-            priors = doc_priors([doc], stopwords)[0]
-            doc_values = doc_features(query, doc, index, LmParams(50.0), priors)
-            vec = dict(zip(DOC_SCHEMA.features, doc_values))
+            priors = doc_priors([doc], stopwords)
+            doc_values = doc_features(query, [doc], index, LmParams(50.0), priors)[0]
+            vec = dict(zip(DOC_SCHEMA.features, doc_values.tolist()))
             assert vec["SW1"] == row_references.stopword_fraction(tokens)
             assert vec["SW2"] == row_references.stopword_coverage(tokens, stopwords)
             for p in passages_by_doc[doc.doc_id]:

@@ -507,7 +507,8 @@ class TestCrossFoldMemo:
             seen.clear()
             runner._walk(method)
             expected = runner.train_queries if split == "train" else runner.val_queries
-            assert set(seen) == set(expected), method
+            # LM has no grid: its walk has one point to pick, so it reads no query.
+            assert set(seen) == (set() if method == "LM" else set(expected)), method
 
     @pytest.mark.parametrize("psg_ranker", ["ltr", "qsf"])
     def test_stages_tuned_before_their_readers(self, monkeypatch, psg_ranker):
@@ -549,7 +550,11 @@ class TestCrossFoldMemo:
 
         monkeypatch.setattr(experiment, "_Pipeline", Recorded)
         paths = _tiny_corpus(tmp_path)
-        run_experiment(_tiny_config(paths, ["SDM", "QSF", "RRF", "FPD"]), tmp_path / "out")
+        # Two mu values, so that every walk has a choice and scores its points.
+        config = _tiny_config(
+            paths, ["SDM", "QSF", "RRF", "FPD"], grids={**_TINY_GRIDS, "mu": [1500.0, 2500.0]}
+        )
+        run_experiment(config, tmp_path / "out")
         kinds = {}
         for key in pipes[0]._memo:
             kinds.setdefault(key[0], set()).add(key[1])
@@ -645,6 +650,9 @@ class TestMemoOff:
         # kept by the passages they pick, which differ between folds
         # (TestPicksSlot).
         "picks": ("picks", ["JPDs-lowest", "JPD-2", "FPD"], {"exclusions": ["psg.ESA"]}),
+        # Collection pair counts by (ordered, a, b), which each query's SDM
+        # rows read in one batch per mu, for SDM and the document ranker.
+        "pair": ("pair", ["SDM", "JPDs"], {"exclusions": ["psg.ESA"]}),
         # Training pairs by (kind, query, item ids): PsgLTR's rows are the
         # tuned QSF's top passages, which differ between folds, and with an
         # 8-passage cutoff so do 4 queries' pairs.
@@ -714,7 +722,10 @@ class TestPicksSlot:
         from psgrank import experiment, features, index
 
         paths = _tiny_corpus(tmp_path)
-        config = _tiny_config(paths, self.METHODS, exclusions=["psg.ESA"])
+        # Two svm_c values, so that every walk has a choice and ranks its
+        # validation query.
+        grids = {**_TINY_GRIDS, "svm_c": [0.01, 0.1]}
+        config = _tiny_config(paths, self.METHODS, exclusions=["psg.ESA"], grids=grids)
         n_queries = len(experiment._Pipeline.load(config).queries)
         builds = []
         self._counted(monkeypatch, builds)
@@ -740,7 +751,9 @@ class TestPicksSlot:
             monkeypatch.setattr(module, "memoized", compute_always)
         builds.clear()
         run_experiment(config, tmp_path / "bypassed")
-        assert len(builds) == n_queries * n_queries * len(self.METHODS)
+        # Each fold builds each train query's matrix once, the validation
+        # query's once per trained model (2) and the test query's once.
+        assert len(builds) == n_queries * (n_queries + 1) * len(self.METHODS)
         assert _tree_bytes(tmp_path / "cached") == _tree_bytes(tmp_path / "bypassed")
 
 
@@ -1034,12 +1047,98 @@ class TestWalkScoresEachModelOnce:
         ):
             monkeypatch.setattr(experiment._FoldRunner, "_walk", walker)
             calls.clear()
-            run_experiment(_tiny_config(paths, methods), tmp_path / name)
+            # Two svm_c values, so that every walk has a choice and scores
+            # its validation query with each of its 2 models.
+            grids = {**_TINY_GRIDS, "svm_c": [0.01, 0.1]}
+            run_experiment(_tiny_config(paths, methods, grids=grids), tmp_path / name)
             counts[name] = len(calls)
-        # 3 x 2 (alpha, nu) points cost FPD 5 extra scorings per fold before.
-        assert counts == {"fpd": 72, "fpd-rescoring": 102, "jpds": 60, "jpds-rescoring": 60}
+        # 3 x 2 (alpha, nu) points cost FPD 5 extra scorings per model and
+        # fold before.
+        assert counts == {"fpd": 90, "fpd-rescoring": 150, "jpds": 78, "jpds-rescoring": 78}
         for name in ("fpd", "jpds"):
             assert _tree_bytes(tmp_path / name) == _tree_bytes(tmp_path / f"{name}-rescoring")
+
+
+class TestOnePointWalk:
+    """A walk whose grids hold one point, after ``feasible``, has no choice to
+    make: it trains that point's model and ranks and scores no validation
+    query. Its params and model bytes equal those of the walk that evaluates
+    every point (the rescoring walk above), and so do the run trees."""
+
+    ONE_POINT = {
+        **_TINY_GRIDS, "alpha": [0.5], "nu": [60.0], "qsf_lambda": [0.3],
+        "docpsg_lambda": [0.3], "plm_lambda": [0.4],
+    }
+    CASES = {
+        "one-point": (["SDM", "QSF", "PLM", "DocPsg", "RRF", "SMPD", "JPDs", "FPD"], ONE_POINT),
+        # lambda 0.8 with beta 0.4 is infeasible, which leaves PLM one point.
+        "plm-feasible": (["PLM"], {**ONE_POINT, "plm_lambda": [0.4, 0.8]}),
+    }
+
+    @staticmethod
+    def _run(config, out, monkeypatch, walker) -> tuple[list, dict]:
+        """Each walk's picks, with its model's weight bytes, and the
+        validation score, iP and AP calls of the run."""
+        import numpy as np
+
+        from psgrank import experiment
+
+        picks, calls, validation = [], dict.fromkeys(("score", "ip", "ap"), 0), set()
+        prepare, score = experiment._FoldRunner.prepare, experiment.score
+
+        def preparing(runner, methods):
+            validation.clear()
+            validation.update(runner.val_queries)
+            return prepare(runner, methods)
+
+        def walking(runner, method):
+            params, model = walker(runner, method)
+            weights = None if model is None else np.array(model.weights).tobytes()
+            picks.append((runner.test_query, method, params, weights))
+            return params, model
+
+        def scoring(model, matrix):
+            calls["score"] += matrix.query_id in validation
+            return score(model, matrix)
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment._FoldRunner, "prepare", preparing)
+            patch.setattr(experiment._FoldRunner, "_walk", walking)
+            patch.setattr(experiment, "score", scoring)
+            for name, key in (
+                ("interpolated_precision", "ip"), ("average_precision", "ap"),
+                ("average_precisions", "ap"),
+            ):
+                patch.setattr(experiment, name, counted(key, getattr(experiment, name)))
+            run_experiment(config, out)
+        return picks, calls
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_skips_validation_and_picks_as_the_evaluating_walk(self, tmp_path, monkeypatch, case):
+        from psgrank import experiment
+
+        methods, grids = self.CASES[case]
+        config = _tiny_config(_tiny_corpus(tmp_path), methods, grids=grids)
+        skipping, skipped = self._run(
+            config, tmp_path / "skipping", monkeypatch, experiment._FoldRunner._walk
+        )
+        evaluating, evaluated = self._run(
+            config, tmp_path / "evaluating", monkeypatch, _rescoring_walk
+        )
+        assert skipped == {"score": 0, "ip": 0, "ap": 0}
+        assert evaluated["ip"] > 0
+        if case == "one-point":
+            assert evaluated["score"] > 0 and evaluated["ap"] > 0
+            assert any(weights for *_, weights in skipping)
+        assert skipping == evaluating
+        assert _tree_bytes(tmp_path / "skipping") == _tree_bytes(tmp_path / "evaluating")
 
 
 class TestGridScorersEqualPerPointWalk:

@@ -40,7 +40,9 @@ from psgrank.features import (
     top_tfidf_stems,
     write_svmlight,
 )
-from psgrank.index import LmParams, build_index, memoized, rank_documents_lm, retrieve_lm
+from psgrank.index import (
+    LmParams, PositionalIndex, build_index, memoized, rank_documents_lm, retrieve_lm,
+)
 from psgrank.passage import Passage, SegmentationParams, segment
 
 
@@ -217,7 +219,8 @@ class TestFeatureMatrix:
 
 
 def _doc_features(q, doc, index, mu, tokenizer):
-    return doc_features(q, doc, index, LmParams(mu), doc_priors([doc], tokenizer.stopwords)[0])
+    rows = doc_features(q, [doc], index, LmParams(mu), doc_priors([doc], tokenizer.stopwords))
+    return rows[0].tolist()
 
 
 class TestDocFeatures:
@@ -749,27 +752,25 @@ class TestColumnFamilies:
                     assert extractor.psg_sims[p.passage_id].hex() == expected.hex()
 
     def test_passage_counts_past_int32_keys(self):
-        # 1,000 documents of 3M tokens: the keys document * stride + token
-        # pass 2^31, far above the int32 positions the index stores.
-        class Index:
-            doc_lengths = {f"d{i:04d}": 3_000_000 for i in range(1000)}
-            collection_term_counts = {"a": 2000}
-
-            def positions(self, stem, doc_id):
-                return np.array([5, 2_999_999], np.int32)
-
-            def collection_prob(self, stem):
-                return 2000 / 3e9
-
+        # 1,000 documents of 3M tokens, each holding "a" at 5 and 2,999,999:
+        # the keys row * stride + token pass 2^31, far above the int32
+        # positions the index stores.
+        doc_ids = [f"d{i:04d}" for i in range(1000)]
+        index = PositionalIndex(
+            stems=["a"], stem_bounds=np.array([0, 1000]),
+            posting_docs=np.arange(1000, dtype=np.int32),
+            posting_bounds=np.arange(0, 2001, 2),
+            posting_positions=np.tile(np.array([5, 2_999_999], np.int32), 1000),
+            doc_lengths=dict.fromkeys(doc_ids, 3_000_000), collection_length=3_000_000_000,
+            doc_order=doc_ids, corpus_checksum="",
+        )
         last = Passage("d0999#0", "d0999", 0, (0, 6), (0, 0))
         tail = Passage("d0999#1", "d0999", 1, (6, 3_000_000), (0, 0))
-        passages_by_doc = {d: [] for d in Index.doc_lengths} | {"d0999": [last, tail]}
-        _, psg_sims = query_similarities(
-            ["a"], Index(), list(Index.doc_lengths), passages_by_doc, LmParams(10.0)
-        )
+        passages_by_doc = {d: [] for d in doc_ids} | {"d0999": [last, tail]}
+        _, psg_sims = query_similarities(["a"], index, doc_ids, passages_by_doc, LmParams(10.0))
         for p in (last, tail):
             expected = row_references.lm_similarity(
-                ["a"], {"a": 1}, p.length, Index(), LmParams(10.0)
+                ["a"], {"a": 1}, p.length, index, LmParams(10.0)
             )
             assert psg_sims[p.passage_id].hex() == expected.hex()
 
@@ -924,6 +925,13 @@ class TestResourceLoaders:
         with pytest.raises(ValueError, match=re.escape(f"{p}:2: could not convert string")):
             load_embeddings(p)
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "NaN"])
+    def test_embeddings_non_finite_entry_names_the_line(self, tmp_path, entry):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"cat 1.0 0.0\ndog 0.0 {entry}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: embedding entries must be finite")):
+            load_embeddings(p)
+
     def test_synonyms(self, tmp_path):
         p = tmp_path / "syn.txt"
         p.write_text("cat: feline, kitty\ndog: canine\n")
@@ -937,7 +945,9 @@ class TestResourceLoaders:
         assert table["q1"] == frozenset({"E1"})
         assert table["d1#0"] == frozenset({"E3"})
 
-    @pytest.mark.parametrize("row", ["d1\tE2\tabc", "d1\tE2", "d1\tE2\t0.5\tx"])
+    @pytest.mark.parametrize(
+        "row", ["d1\tE2\tabc", "d1\tE2", "d1\tE2\t0.5\tx", "d1\tE2\tnan", "d1\tE2\t-NaN"]
+    )
     def test_entities_bad_row_names_the_line(self, tmp_path, row):
         p = tmp_path / "ent.tsv"
         p.write_text(f"q1\tE1\t0.5\n{row}\n")

@@ -10,7 +10,7 @@ import test_evaluation
 from conftest import (
     TINY_STOPWORDS, build_store, json_without_cpu_features, make_query, noisy_corpus,
 )
-from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer
+from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer, ingest_corpus, load_topics
 from psgrank.evaluation import interpolated_precision
 from psgrank.features import _TokenColumns, term_entropies
 from psgrank.index import (
@@ -25,6 +25,7 @@ from psgrank.index import (
     rank_documents_lm,
     retrieve_lm,
     sdm_components,
+    sdm_matrix,
     stable_order,
 )
 from psgrank.synthetic import SyntheticSpec, generate
@@ -573,6 +574,41 @@ class TestSdm:
                 for mu in (0.0, 1500.0):
                     got = sdm_components(query, doc, index, LmParams(mu))
                     assert got == row_references.sdm_components(query, doc, index, mu)
+
+    @staticmethod
+    def _assert_rows_equal_reference(query, docs, index, mu):
+        got = sdm_matrix(query, docs, index, LmParams(mu))
+        expected = [row_references.sdm_components(query, doc, index, mu) for doc in docs]
+        assert got.shape == (len(docs), 3)
+        assert got.tobytes() == np.array(expected, dtype=float).tobytes(), (query.text, mu)
+
+    def test_matrix_equals_per_document_reference(self, store_factory, tokenizer):
+        # A zero-length document, documents out of slot order, and windows
+        # that would cross from one row into the next without the stride.
+        store = store_factory({
+            "d1": "a b a c a", "d2": "", "d3": "b a b b", "d4": "c c c a b a b", "d5": "y",
+        })
+        index = build_index(store)
+        docs = [store.get(d) for d in ("d4", "d2", "d1", "d5", "d3")]
+        # One term; repeats, so that a == b pairs occur; a term no document
+        # holds; terms some candidates lack.
+        for text in ("a", "a b", "a a b", "b a a a", "a zebra b", "c y", "zebra"):
+            query = make_query("q", text, tokenizer)
+            for mu in (0.0, 7.0, 1500.0):
+                self._assert_rows_equal_reference(query, docs, index, mu)
+                self._assert_rows_equal_reference(query, docs[::-1], index, mu)
+                self._assert_rows_equal_reference(query, docs[1:2], index, mu)
+                self._assert_rows_equal_reference(query, [], index, mu)
+
+    def test_matrix_equals_reference_on_each_candidate_list(self, tmp_path, tokenizer):
+        paths = noisy_corpus(tmp_path / "data")
+        store = ingest_corpus(paths["corpus"], "jsonl", tokenizer=tokenizer)
+        index = build_index(store)
+        for query in load_topics(paths["topics"], tokenizer):
+            docs = [store.get(d) for d in retrieve_lm(query, index, LmParams(1000.0), 50).ids()]
+            assert docs
+            for mu in (0.0, 1500.0):
+                self._assert_rows_equal_reference(query, docs, index, mu)
 
     def test_single_term_query_zero_pairs(self, store_factory, tokenizer):
         store = store_factory({"d1": "a b c"})
