@@ -52,7 +52,9 @@ from .features import (
     load_synonyms,
     minmax_normalize,
 )
-from .index import LmParams, PositionalIndex, SdmWeights, build_index, memoized, retrieve_lm
+from .index import (
+    LmParams, PositionalIndex, SdmWeights, build_index, memoized, memoized_all, retrieve_lm,
+)
 from .ltr import (
     PARAM_CHECKS, TRAINERS, LinearModel, TrainingSet, grade_pairs, passage_grades, score,
     train_coordinate_ascent, train_pairwise,  # noqa: F401  (_train finds them in globals())
@@ -701,7 +703,7 @@ class _Pipeline:
             data = self.query_data(query_id)
             return PassageFeatureExtractor(
                 data.query, self.store, self.index, sorted(data.passages_by_doc),
-                data.passages_by_doc, self.resources, LmParams(mu), memo=self.memo,
+                data.passages_by_doc, self.resources, LmParams(mu), memo=self._memo,
             )
 
         return self.memo(("extractor", query_id, mu), compute)
@@ -725,10 +727,11 @@ class _Pipeline:
 
     def _priors(self, doc_ids: Sequence[str]) -> list[tuple[float, float, float]]:
         """Each document's SW1/SW2/Ent priors, kept per document; the missing in one pass."""
-        missing = [d for d in doc_ids if ("priors", d) not in self._memo]
-        docs = [self.store.get(d) for d in missing]
-        fresh = dict(zip(missing, doc_priors(docs, self.store.tokenizer.stopwords)))
-        return [self.memo(("priors", d), lambda d=d: fresh[d]) for d in doc_ids]
+        def compute(missing: list) -> list:
+            docs = [self.store.get(d) for _, d in missing]
+            return doc_priors(docs, self.store.tokenizer.stopwords)
+
+        return memoized_all(self._memo, [("priors", d) for d in doc_ids], compute)
 
     def doc_vectors(self, query_id: str, mu: float) -> FeatureMatrix:
         """The query's document features at ``mu``, in document id order."""

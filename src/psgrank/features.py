@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CorpusStore, Document, Query, StopwordList
 from .index import (
-    LmParams, PositionalIndex, exact_log, first_occurrences, float_sum, lm_similarities,
-    lm_top_ranks, memoized, sdm_matrix,
+    LmParams, PositionalIndex, best_first_order, exact_log, first_occurrences, float_sum,
+    lm_similarities, lm_top_ranks, memoized, memoized_all, sdm_matrix,
 )
 from .passage import Passage, neighbors
 
@@ -238,7 +238,7 @@ def stopword_priors(
     owner = np.repeat(np.arange(len(lengths)), lengths)
     is_stop = stopword_ids >= 0
     stops = np.bincount(owner[is_stop], minlength=len(lengths))
-    held = np.unique(owner[is_stop] * n_stopwords + stopword_ids[is_stop])
+    held, _, _ = first_occurrences(owner[is_stop] * n_stopwords + stopword_ids[is_stop])
     coverage = np.bincount(held // n_stopwords, minlength=len(lengths)) / n_stopwords
     fraction = np.divide(stops, lengths, out=np.zeros(len(lengths)), where=lengths > 0)
     return fraction, coverage, (lengths - stops).astype(float)
@@ -264,7 +264,7 @@ def term_entropies(tf: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     # k with 2^(k-1) < size <= 2^k; -1 for an empty unit.
     unit_class = np.where(sizes > 0, np.frexp(np.maximum(sizes - 1, 0))[1], -1)
     summand_class = unit_class[owner]
-    for k in np.unique(summand_class).tolist():
+    for k in first_occurrences(summand_class)[0].tolist():
         units = np.flatnonzero(unit_class == k)
         rows = np.zeros((len(units), 1 << k))
         rows[np.arange(1 << k) < sizes[units, None]] = summands[summand_class == k]
@@ -436,14 +436,25 @@ class ConceptProfile:
         return len(self.ranks)
 
 
+def concept_profiles(
+    term_lists: Sequence[Sequence[str]], esa_index: PositionalIndex, params: LmParams,
+    k: int = 100,
+) -> list[ConceptProfile]:
+    """Each term list's min-max normalized top-k retrieval score list over the
+    concept space, from one :func:`lm_top_ranks` call; all values are 0 when
+    a list's top-k scores are equal."""
+    profiles = []
+    for ranks, scores in lm_top_ranks(term_lists, esa_index, params, k):
+        order = np.argsort(ranks)
+        profiles.append(ConceptProfile(ranks[order], minmax(scores)[order]))
+    return profiles
+
+
 def esa_retrieval_profile(
     terms: Sequence[str], esa_index: PositionalIndex, params: LmParams, k: int = 100
 ) -> ConceptProfile:
-    """Min-max normalized top-k retrieval score list over the concept space;
-    all values are 0 when the top-k scores are equal."""
-    ranks, scores = lm_top_ranks(terms, esa_index, params, k)
-    order = np.argsort(ranks)
-    return ConceptProfile(ranks[order], minmax(scores)[order])
+    """The one-list :func:`concept_profiles`: a query's profile."""
+    return concept_profiles([terms], esa_index, params, k)[0]
 
 
 def profile_cosine(a: ConceptProfile, b: ConceptProfile) -> float:
@@ -462,20 +473,30 @@ def profile_cosine(a: ConceptProfile, b: ConceptProfile) -> float:
     return _cosine(va, vb)
 
 
+def keyword_tables(
+    stems: Sequence[str], esa_index: PositionalIndex
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of the distinct ``stems``' ln(N/df) over the concept space (NaN
+    where no concept document holds it) and its rank in string order."""
+    n_docs = esa_index.doc_count()
+    df = map(esa_index.document_frequency, stems)
+    idf = np.fromiter((math.log(n_docs / d) if d else math.nan for d in df), float, len(stems))
+    rank = np.empty(len(stems), np.int64)
+    rank[sorted(range(len(stems)), key=stems.__getitem__)] = np.arange(len(stems))
+    return idf, rank
+
+
 def _top_tfidf_rows(
-    group: np.ndarray, tf: np.ndarray, term: np.ndarray, stems: Sequence[str],
-    esa_index: PositionalIndex, k: int,
+    group: np.ndarray, tf: np.ndarray, term: np.ndarray, idf: np.ndarray, rank: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    """The rows of each group's k terms with the highest tf * ln(N/df) over
-    the concept space, group by group, best first, ties by stem; row r is
-    term ``stems[term[r]]`` (stems distinct). Terms no concept document
-    holds are skipped; idf is looked up once per stem."""
-    idf = np.array([math.nan if v is None else v for v in esa_index.idfs(stems)])
-    stem_rank = np.empty(len(stems), np.int64)
-    stem_rank[sorted(range(len(stems)), key=stems.__getitem__)] = np.arange(len(stems))
+    """The rows of each group's k terms with the highest tf * idf, group by
+    group, best first, ties by stem; row r is term ``term[r]`` of the
+    :func:`keyword_tables` ``idf`` and ``rank``. Terms no concept document
+    holds are skipped."""
     score = tf * idf[term]
     rows = np.flatnonzero(~np.isnan(score))
-    rows = rows[np.lexsort((stem_rank[term[rows]], -score[rows], group[rows]))]
+    rows = rows[best_first_order(group[rows], score[rows], rank[term[rows]], len(rank))]
     # Sorted by group: a row's place in its group is its distance to the first.
     place = np.arange(len(rows)) - np.searchsorted(group[rows], group[rows])
     return rows[place < k]
@@ -488,8 +509,20 @@ def top_tfidf_stems(
     space; ties break lexicographically, unseen stems are skipped. The
     one-unit case of the passage keyword pick."""
     stems, tf = list(counts), np.fromiter(counts.values(), np.int64, len(counts))
-    one = np.zeros(len(stems), np.int64)
-    return [stems[r] for r in _top_tfidf_rows(one, tf, np.arange(len(stems)), stems, esa_index, k)]
+    one, term = np.zeros(len(stems), np.int64), np.arange(len(stems))
+    top = _top_tfidf_rows(one, tf, term, *keyword_tables(stems, esa_index), k)
+    return [stems[r] for r in top.tolist()]
+
+
+def unit_keywords(
+    cols: _TokenColumns, idf: np.ndarray, rank: np.ndarray, k: int = 20
+) -> list[np.ndarray]:
+    """The term ids of each unit's :func:`top_tfidf_stems`, best first, from
+    one pick over its count table; ``idf`` and ``rank`` are the
+    :func:`keyword_tables` of the units' vocabulary."""
+    unit, term, tf, _ = cols.counts
+    top = _top_tfidf_rows(unit, tf, term, idf, rank, k)
+    return np.split(term[top], np.searchsorted(unit[top], np.arange(1, len(cols.lengths))))
 
 
 def _exact_matches(cols: _TokenColumns, needle: Sequence[int]) -> np.ndarray:
@@ -512,9 +545,11 @@ class PassageFeatureExtractor:
     universe is all passages of those documents. Similarities are computed
     at construction; per-document statistics and the query-side concept
     profile on first use, so a caller reading only ``doc_sims`` and
-    ``psg_sims`` pays for nothing else. Concept profiles are kept by
-    ``memo(("esa", passage_id, mu), compute)``, a :func:`memoized` over a dict
-    that callers may share across queries (the default is the extractor's own).
+    ``psg_sims`` pays for nothing else. Concept profiles are kept in ``memo``
+    under ``("esa", passage_id, mu)``, and the keyword tables of the store's
+    vocabulary under ``("esa_terms", len(vocabulary))``, through
+    :func:`memoized`: a dict that callers may share across queries over one
+    store and concept index (the default is the extractor's own).
 
     :meth:`matrix` builds the features a column family at a time, each
     family one pass over the concatenated token columns of the passages
@@ -532,7 +567,7 @@ class PassageFeatureExtractor:
         passages_by_doc: Mapping[str, Sequence[Passage]],
         resources: SemanticResources,
         params: LmParams,
-        memo: Callable | None = None,
+        memo: dict | None = None,
     ):
         self.query = query
         self.store = store
@@ -541,7 +576,7 @@ class PassageFeatureExtractor:
         self.passages_by_doc = passages_by_doc
         self.resources = resources
         self.params = params
-        self.memo = memo or partial(memoized, {})
+        self.memo = {} if memo is None else memo
 
         terms = query.stems()
         self.query_terms = terms
@@ -618,21 +653,26 @@ class PassageFeatureExtractor:
         return [hits / max(len(stems), 1), syn_hits / max(len(stems), 1)]
 
     def _esa_columns(self, passages: Sequence[Passage], cols: _TokenColumns) -> list:
-        """Keywords for every passage from one pick over the count table;
-        profiles for the passages the memo lacks."""
+        """Keywords for every passage from one pick over the count table and
+        the vocabulary's keyword tables; the profiles the memo lacks from one
+        :func:`concept_profiles` call."""
         esa = np.zeros(len(passages))
         if not (self.query_profile and len(esa)):
             return [esa]
-        esa_index, mu = self.resources.esa_index, self.params.mu
-        psg, term, tf, _ = cols.counts
-        distinct, inverse = np.unique(term, return_inverse=True)
-        stems = [cols.docs[0].vocabulary[t] for t in distinct.tolist()]
-        top = _top_tfidf_rows(psg, tf, inverse, stems, esa_index, k=20)
-        keywords = np.split(inverse[top], np.searchsorted(psg[top], np.arange(1, len(esa))))
-        for i, p in enumerate(passages):
-            profile = self.memo(("esa", p.passage_id, mu), lambda i=i: esa_retrieval_profile(
-                [stems[t] for t in keywords[i].tolist()], esa_index, self.params
-            ))
+        esa_index, vocabulary = self.resources.esa_index, cols.docs[0].vocabulary
+        tables = memoized(
+            self.memo, ("esa_terms", len(vocabulary)),
+            lambda: keyword_tables(vocabulary, esa_index),
+        )
+        keywords = unit_keywords(cols, *tables)
+        keys = [("esa", p.passage_id, self.params.mu) for p in passages]
+        at = {key: i for i, key in enumerate(keys)}
+
+        def compute(missing: list) -> list[ConceptProfile]:
+            lists = [[vocabulary[t] for t in keywords[at[key]].tolist()] for key in missing]
+            return concept_profiles(lists, esa_index, self.params)
+
+        for i, profile in enumerate(memoized_all(self.memo, keys, compute)):
             esa[i] = profile_cosine(self.query_profile, profile)
         return [esa]
 

@@ -48,6 +48,22 @@ def memoized(memo: dict, key: tuple, compute: Callable[[], object]):
     return memo[key]
 
 
+_ABSENT = object()  # a key memoized_all's memo lacks
+
+
+def memoized_all(memo: dict, keys: Sequence[tuple], compute: Callable[[list], Sequence]) -> list:
+    """The values kept in ``memo`` under ``keys``; those it lacks come from one
+    ``compute(missing keys)`` call, which returns their values in that order,
+    and each is kept through :func:`memoized`, so the bypass covers them."""
+    values = [memo.get(key, _ABSENT) for key in keys]
+    missing = list(dict.fromkeys(key for key, value in zip(keys, values) if value is _ABSENT))
+    if missing:
+        computed = zip(missing, compute(missing))
+        fresh = {key: memoized(memo, key, lambda value=value: value) for key, value in computed}
+        values = [fresh[key] if value is _ABSENT else value for key, value in zip(keys, values)]
+    return values
+
+
 @dataclass
 class LmParams:
     """Dirichlet smoothing pseudo-count."""
@@ -101,7 +117,7 @@ class PositionalIndex:
     _row: dict = field(init=False, repr=False)
     _slot_of: dict = field(init=False, repr=False)
     _slot_rank: np.ndarray = field(init=False, repr=False)  # doc rank of each slot
-    # ("idf", stem), ("lm_logs", stem, mu), ("pair", ordered, a, b), ("doc_table",)
+    # ("lm_logs", stem, mu), ("pair", ordered, a, b), ("doc_table",)
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -134,14 +150,6 @@ class PositionalIndex:
     def document_frequency(self, stem: str) -> int:
         lo, hi = self._span(stem)
         return hi - lo
-
-    def idfs(self, stems: Iterable[str]) -> list[float | None]:
-        """ln(N / df) of each stem, cached per stem; None for a stem no document holds."""
-        def idf(stem: str) -> float | None:
-            df = self.document_frequency(stem)
-            return math.log(self.doc_count() / df) if df else None
-
-        return [memoized(self._memo, ("idf", s), lambda s=s: idf(s)) for s in stems]
 
     def positions(self, stem: str, doc_id: str) -> np.ndarray:
         """The stem's ascending positions in the document, as a read-only view."""
@@ -183,36 +191,45 @@ class PositionalIndex:
 
         return memoized(self._memo, ("doc_table",), compute)
 
-    def stem_arrays(self, stem: str) -> tuple[np.ndarray, np.ndarray]:
-        """Doc ranks (see :meth:`doc_table`) and term frequencies of a stem's postings."""
-        lo, hi = self._span(stem)
-        return self._slot_rank[self.posting_docs[lo:hi]], np.diff(self.posting_bounds[lo : hi + 1])
+    def lm_logs(
+        self, stems: Sequence[str], mu: float
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """ln theta of each stem under Dirichlet smoothing with ``mu``, cached per (stem, mu).
 
-    def lm_logs(self, stem: str, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """ln theta of a stem under Dirichlet smoothing with ``mu``, cached per (stem, mu).
-
-        Returns the doc ranks of the stem's postings (as :meth:`stem_arrays`),
-        ln((tf + mu p_c) / (len + mu)) at each of them, and ln(mu p_c /
-        (len + mu)), for a document lacking the stem, at each distinct
-        length of :meth:`doc_table` (-inf where theta is 0). The logs come
-        from :mod:`math`, so sums of them match :func:`lm_similarities` bit
-        for bit. The table costs df + (distinct lengths) floats.
+        A stem's entry holds the doc ranks (see :meth:`doc_table`) of its
+        postings, ln((tf + mu p_c) / (len + mu)) at each of them, and
+        ln(mu p_c / (len + mu)), for a document lacking the stem, at each
+        distinct length of :meth:`doc_table` (-inf where theta is 0). The
+        entries missing from the cache are filled together, their logs in
+        one :mod:`math` pass, so sums of them match :func:`lm_similarities`
+        bit for bit. An entry costs df + (distinct lengths) floats.
         """
-        def compute():
+        def compute(keys: list) -> list:
             _, _, distinct, slot = self.doc_table()
-            ranks, tf = self.stem_arrays(stem)
-            smooth = mu * self.collection_prob(stem)
+            missing = [stem for _, stem, _ in keys]
+            lo, hi = np.array([self._span(stem) for stem in missing], np.int64).reshape(-1, 2).T
+            bounds = _bounds(sizes := hi - lo)
+            postings = np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], sizes)
+            ranks = self._slot_rank[self.posting_docs[postings]]
+            tf = self.posting_bounds[postings + 1] - self.posting_bounds[postings]
+            smooth = np.array([mu * self.collection_prob(stem) for stem in missing])
             denom = distinct + mu
             # theta > 0 at a posting (tf >= 1). A zero-length document holds
             # no stem, and at mu = 0 its denominator is 0: theta is 0 there.
-            posting = (tf + smooth) / denom[slot[ranks]]
-            posting = np.fromiter(map(math.log, posting.tolist()), float, len(ranks))
-            background = np.divide(smooth, denom, out=np.zeros(len(denom)), where=denom > 0)
-            background = exact_log(background)
-            posting.flags.writeable = background.flags.writeable = False
-            return ranks, posting, background
+            posting = (tf + np.repeat(smooth, sizes)) / denom[slot[ranks]]
+            background = np.divide(
+                smooth[:, None], denom, out=np.zeros((len(missing), len(denom))), where=denom > 0
+            )
+            logs = exact_log(np.concatenate((posting, background.ravel())))
+            ranks.flags.writeable = logs.flags.writeable = False
+            posting, background = np.split(logs, [len(posting)])
+            background = background.reshape(len(missing), -1)
+            return [
+                (ranks[a:b], posting[a:b], background[i])
+                for i, (a, b) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+            ]
 
-        return memoized(self._memo, ("lm_logs", stem, mu), compute)
+        return memoized_all(self._memo, [("lm_logs", stem, mu) for stem in stems], compute)
 
     def pair_count(self, a: str, b: str, ordered: bool) -> int:
         """Collection count of a immediately followed by b (``ordered``), or of
@@ -326,6 +343,21 @@ def first_occurrences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return ordered[starts], order[starts], np.diff(starts, append=len(values))
 
 
+def best_first_order(
+    group: np.ndarray, values: np.ndarray, ids: np.ndarray, n_ids: int
+) -> np.ndarray:
+    """``np.lexsort((ids, -values, group))`` for non-negative integer groups
+    and ids below ``n_ids`` that are distinct within a group: rows by group,
+    then by descending value, then by id. One argsort of int64 keys (the
+    group, then the value's place among the distinct values, then the id);
+    they are distinct, so any sort algorithm gives this order. Raises
+    ValueError for keys past 63 bits."""
+    distinct, place = np.unique(-values, return_inverse=True)
+    if (int(group.max(initial=0)) + 1) * len(distinct) * n_ids > 1 << 63:
+        raise ValueError("best_first_order keys overflow 63 bits")
+    return np.argsort((group * len(distinct) + place) * n_ids + ids)
+
+
 def _bounds(sizes: np.ndarray) -> np.ndarray:
     """Bounds [0, s0, s0 + s1, ...] of consecutive groups of these sizes."""
     return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
@@ -411,67 +443,121 @@ def lm_similarities(
 
 def exact_log(x: np.ndarray) -> np.ndarray:
     """math.log of each entry (-inf where <= 0); numpy's SIMD log can differ in the last bit."""
-    logs = [math.log(v) if v > 0.0 else -math.inf for v in x.ravel().tolist()]
-    return np.array(logs, dtype=float).reshape(x.shape)
+    logs = np.full(x.shape, -math.inf)
+    held = x > 0.0
+    logs[held] = np.fromiter(map(math.log, x[held].tolist()), float, np.count_nonzero(held))
+    return logs
 
 
 # How far below the k-th largest log sum lm_top_ranks still takes exp: far
 # wider than exp's rounding, so no candidate below it scores with the top k.
 _TOP_MARGIN = 1e-6
 
+# Term lists per lm_top_ranks table: each block's table has a row per
+# distinct kept stem of at most this many lists.
+TOP_RANKS_BLOCK = 16
+
 
 def lm_top_ranks(
-    terms: Sequence[str], index: PositionalIndex, params: LmParams, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Doc ranks (see :meth:`PositionalIndex.doc_table`) and scores of the
-    top k documents holding a kept term, best first.
+    term_lists: Sequence[Sequence[str]], index: PositionalIndex, params: LmParams, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each term list, the doc ranks (see :meth:`PositionalIndex.doc_table`)
+    and scores of the top k documents holding one of its kept terms, best first.
 
     Scores are bit-identical to :func:`lm_similarities` (run files record
     them with repr): the logs come from :meth:`PositionalIndex.lm_logs`,
-    the ``inv_n * log(theta)`` summands are added in query order, repeats
-    included, and exp comes from :mod:`math`. A zero theta (mu = 0) scores
-    0. Zero scores are excluded and ties break by ascending doc id. The top
-    k is picked on the log sums (``np.partition``): exp is taken only of
-    those within a margin of the k-th largest, unless exp maps the k-th
-    largest and the margin below it to one value (subnormal and zero
-    scores), when all are kept, so ties after exp keep their id order.
+    each list's ``inv_n * log(theta)`` summands are added in its order,
+    repeats included, and exp comes from :mod:`math`. A zero theta (mu = 0)
+    scores 0. Zero scores are excluded and ties break by ascending doc id.
+    Each list's top k is picked on its log sums (``np.partition``): exp is
+    taken only of those within a margin of the k-th largest, unless exp maps
+    the k-th largest and the margin below it to one value (subnormal and
+    zero scores), when all are kept, so ties after exp keep their id order.
+
+    Lists are scored :data:`TOP_RANKS_BLOCK` at a time, over the union of
+    their candidate documents.
     """
-    kept = [t for t in terms if index.collection_term_counts.get(t)]
-    if not kept:
-        return np.empty(0, dtype=np.intp), np.empty(0)
+    return [
+        top
+        for start in range(0, len(term_lists), TOP_RANKS_BLOCK)
+        for top in _top_ranks_block(term_lists[start : start + TOP_RANKS_BLOCK], index, params, k)
+    ]
+
+
+def _top_ranks_block(
+    term_lists: Sequence[Sequence[str]], index: PositionalIndex, params: LmParams, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`lm_top_ranks` of one block of lists."""
+    counts = index.collection_term_counts
+    kept = [[t for t in terms if counts.get(t)] for terms in term_lists]
+    scored = [i for i, terms in enumerate(kept) if terms]
+    tops = [(np.empty(0, dtype=np.intp), np.empty(0))] * len(kept)
+    if not scored:
+        return tops
     slot = index.doc_table()[3]
-    row_of = {t: row for row, t in enumerate(dict.fromkeys(kept))}
-    tables = [index.lm_logs(t, params.mu) for t in row_of]
-    posting_ranks = np.concatenate([ranks for ranks, _, _ in tables])
+    row_of = {t: row for row, t in enumerate(dict.fromkeys(t for i in scored for t in kept[i]))}
+    ranks, postings, backgrounds = zip(*index.lm_logs(list(row_of), params.mu))
+    sizes = np.fromiter(map(len, ranks), np.int64, len(ranks))
+    posting_ranks = np.concatenate(ranks)
     is_cand = np.zeros(len(slot), dtype=bool)
     is_cand[posting_ranks] = True
     cand = np.flatnonzero(is_cand)
+    # Each posting's cell in a row-major (stem, candidate) table.
+    cell = np.repeat(np.arange(0, len(ranks) * len(cand), len(cand)), sizes)
+    cell += (np.cumsum(is_cand) - 1)[posting_ranks]
     # Row per distinct stem, column per candidate: the log of a document
-    # lacking the stem, then the logs at its postings written over it.
-    backgrounds = np.concatenate([background for _, _, background in tables])
-    logs = backgrounds.reshape(len(tables), -1)[:, slot[cand]]
-    rows = np.repeat(np.arange(len(tables)), [len(ranks) for ranks, _, _ in tables])
-    column = np.cumsum(is_cand) - 1
-    logs[rows, column[posting_ranks]] = np.concatenate([posting for _, posting, _ in tables])
-    logs *= 1.0 / len(kept)
-    if len(row_of) < len(kept):
-        logs = logs[[row_of[t] for t in kept]]
-    log_sum = np.zeros(len(cand))
-    for summand in logs:
+    # lacking the stem, then the logs at its postings written over it. The
+    # last row is 0.0, which pads the shorter lists: adding it changes no sum.
+    logs = np.zeros((len(ranks) + 1, len(cand)))
+    background = np.concatenate(backgrounds).reshape(len(ranks), -1)
+    logs[:-1] = background[:, slot[cand]]
+    logs.reshape(-1)[cell] = np.concatenate(postings)
+    width = max(len(kept[i]) for i in scored)
+    term_rows = np.full((len(scored), width), len(ranks))
+    for line, i in enumerate(scored):
+        term_rows[line, : len(kept[i])] = [row_of[t] for t in kept[i]]
+    inv_n = np.array([[1.0 / len(kept[i])] for i in scored])
+    log_sum = np.zeros((len(scored), len(cand)))
+    for column in term_rows.T:
+        summand = logs[column]
+        summand *= inv_n
         log_sum += summand
-    if k < len(cand):
-        kth = float(np.partition(log_sum, len(cand) - k)[len(cand) - k])
-        # exp is monotone: a log sum more than the margin below the k-th
-        # largest scores below k candidates, once exp tells the two apart.
-        if math.exp(kth - _TOP_MARGIN) != math.exp(kth):
-            near = log_sum >= kth - _TOP_MARGIN
-            cand, log_sum = cand[near], log_sum[near]
-    scores = np.fromiter(map(math.exp, log_sum.tolist()), float, len(cand))
+    if len(scored) > 1:
+        # A list's candidates are the columns of its own stems' postings;
+        # the others read -inf, which no pick keeps and exp maps to 0.
+        holds = np.zeros(logs.shape, dtype=bool)
+        holds.reshape(-1)[cell] = True
+        member = holds[term_rows.T].any(axis=0)
+        log_sum[~member] = -math.inf
+        n_cand = member.sum(axis=1)
+    else:
+        n_cand = np.array([len(cand)])
+    floor = np.full(len(scored), -math.inf)
+    partitioned = n_cand > k
+    if partitioned.any():
+        # Past a list's candidates its row holds -inf: its k-th largest is
+        # that of its candidates.
+        at = len(cand) - k
+        kth = np.partition(log_sum[partitioned], at, axis=1)[:, at].tolist()
+        for line, value in zip(np.flatnonzero(partitioned).tolist(), kth):
+            # exp is monotone: a log sum more than the margin below the k-th
+            # largest scores below k candidates, once exp tells the two apart.
+            if math.exp(value - _TOP_MARGIN) != math.exp(value):
+                floor[line] = value - _TOP_MARGIN
+    lines, columns = np.nonzero(log_sum >= floor[:, None])
+    values = log_sum[lines, columns]
+    scores = np.fromiter(map(math.exp, values.tolist()), float, len(values))
     positive = scores > 0.0
-    cand, scores = cand[positive], scores[positive]
-    # Stable: tied scores keep ascending ranks, which is doc id order.
-    order = np.argsort(-scores, kind="stable")[:k]
-    return cand[order], scores[order]
+    lines, columns, scores = lines[positive], columns[positive], scores[positive]
+    # Within a list, tied scores keep ascending ranks, which is doc id order.
+    order = best_first_order(lines, scores, columns, len(cand))
+    lines, columns, scores = lines[order], columns[order], scores[order]
+    first = np.searchsorted(lines, np.arange(len(scored) + 1))
+    for line, i in enumerate(scored):
+        lo = int(first[line])
+        hi = min(int(first[line + 1]), lo + k)
+        tops[i] = cand[columns[lo:hi]], scores[lo:hi]
+    return tops
 
 
 def rank_documents_lm(
@@ -479,7 +565,7 @@ def rank_documents_lm(
 ) -> list[tuple[str, float]]:
     """Top-k ``(doc_id, score)`` of :func:`lm_top_ranks`."""
     ids = index.doc_table()[0]
-    ranks, scores = lm_top_ranks(terms, index, params, k)
+    ranks, scores = lm_top_ranks([terms], index, params, k)[0]
     return [(ids[r], s) for r, s in zip(ranks.tolist(), scores.tolist())]
 
 

@@ -11,7 +11,10 @@ Query likelihood is a scalar loop here (:func:`lm_similarity`), one unit
 and one term at a time; the package scores many units in one array pass.
 Concept profiles are id -> value dicts here, scored one document at a time
 by that loop; the package keeps them as rank arrays scored from cached log
-tables.
+tables. Those tables are filled one stem at a time here (:func:`lm_logs`),
+and a top k is scored one term list at a time over its own candidates
+(:func:`lm_top_ranks`); the package fills a block's missing stems with one
+log pass and scores up to 16 lists over the union of their candidates.
 
 The document store is one Token per match here, and the index, sentence
 breaks and stopword priors read those tokens; the package keeps token
@@ -80,7 +83,7 @@ import numpy as np
 
 from psgrank.corpus import Token
 from psgrank.features import (
-    DOC_SCHEMA, FeatureMatrix, FeatureSchema, _cosine, concat_schemas, esa_retrieval_profile,
+    DOC_SCHEMA, ConceptProfile, FeatureMatrix, FeatureSchema, _cosine, concat_schemas,
 )
 from psgrank.features import profile_cosine as concept_cosine
 from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
@@ -628,6 +631,62 @@ def lm_top_k(terms, index, params, k):
     return list(RankedList.from_scores("ref", scores, k=k).entries)
 
 
+def lm_logs(index, stem, mu):
+    """One stem's entry of ``PositionalIndex.lm_logs``, computed alone."""
+    _, _, distinct, slot = index.doc_table()
+    lo, hi = index._span(stem)
+    ranks = index._slot_rank[index.posting_docs[lo:hi]]
+    tf = np.diff(index.posting_bounds[lo : hi + 1])
+    smooth = mu * index.collection_prob(stem)
+    denom = distinct + mu
+    posting = (tf + smooth) / denom[slot[ranks]]
+    posting = np.fromiter(map(math.log, posting.tolist()), float, len(ranks))
+    background = np.divide(smooth, denom, out=np.zeros(len(denom)), where=denom > 0)
+    return ranks, posting, exact_log(background)
+
+
+def lm_top_ranks(terms, index, params, k):
+    """One term list's entry of ``index.lm_top_ranks``: a table of its own
+    distinct stems by its own candidates, its summands added in list order."""
+    kept = [t for t in terms if index.collection_term_counts.get(t)]
+    if not kept:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    slot = index.doc_table()[3]
+    row_of = {t: row for row, t in enumerate(dict.fromkeys(kept))}
+    tables = [lm_logs(index, t, params.mu) for t in row_of]
+    posting_ranks = np.concatenate([ranks for ranks, _, _ in tables])
+    is_cand = np.zeros(len(slot), dtype=bool)
+    is_cand[posting_ranks] = True
+    cand = np.flatnonzero(is_cand)
+    backgrounds = np.concatenate([background for _, _, background in tables])
+    logs = backgrounds.reshape(len(tables), -1)[:, slot[cand]]
+    rows = np.repeat(np.arange(len(tables)), [len(ranks) for ranks, _, _ in tables])
+    column = np.cumsum(is_cand) - 1
+    logs[rows, column[posting_ranks]] = np.concatenate([posting for _, posting, _ in tables])
+    logs *= 1.0 / len(kept)
+    logs = logs[[row_of[t] for t in kept]]
+    log_sum = np.zeros(len(cand))
+    for summand in logs:
+        log_sum += summand
+    if k < len(cand):
+        kth = float(np.partition(log_sum, len(cand) - k)[len(cand) - k])
+        if math.exp(kth - 1e-6) != math.exp(kth):
+            near = log_sum >= kth - 1e-6
+            cand, log_sum = cand[near], log_sum[near]
+    scores = np.fromiter(map(math.exp, log_sum.tolist()), float, len(cand))
+    positive = scores > 0.0
+    cand, scores = cand[positive], scores[positive]
+    order = np.argsort(-scores, kind="stable")[:k]
+    return cand[order], scores[order]
+
+
+def concept_profile(terms, esa_index, params, k=100) -> ConceptProfile:
+    """One term list's profile from :func:`lm_top_ranks`, in rank order."""
+    ranks, scores = lm_top_ranks(terms, esa_index, params, k)
+    order = np.argsort(ranks)
+    return ConceptProfile(ranks[order], esa_minmax(scores)[order])
+
+
 def esa_profile(terms, esa_index, params, k=100) -> dict[str, float]:
     """Min-max normalized top-k scores keyed by doc id, in rank order."""
     entries = lm_top_k(terms, esa_index, params, k)
@@ -917,7 +976,7 @@ def passage_vector(extractor, passage) -> tuple[float, ...]:
     esa = 0.0
     if ex.query_profile:
         keywords = top_tfidf_stems(counts, ex.resources.esa_index)
-        profile = esa_retrieval_profile(keywords, ex.resources.esa_index, ex.params)
+        profile = concept_profile(keywords, ex.resources.esa_index, ex.params)
         esa = concept_cosine(ex.query_profile, profile)
 
     w2v = 0.0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import STORE_DAMAGES, write_jsonl
+from conftest import STORE_DAMAGES, noisy_corpus, write_jsonl
 from psgrank import cli, index
 from psgrank.cli import main
 from psgrank.corpus import CorpusStore
@@ -972,6 +972,67 @@ class TestAblateCommand:
         data = json.loads((tmp_path / "abl" / "ablation.json").read_text())
         entry = data["methods"]["init-LTR"]
         assert entry["ablated"] < entry["baseline"]
+
+
+def masked_arrays_after_chain(root: str) -> tuple[list[int], bool]:
+    """Each exit code of a run with every passage feature (ESA included)
+    and of the store chain over a noisy corpus in ``root``, and whether
+    ``numpy.ma`` was imported by then."""
+    root = Path(root)
+    paths = {name: str(path) for name, path in noisy_corpus(root / "data", n_queries=4).items()}
+    config = dict(
+        paths, methods=["LM", "QSF", "JPDs"], window_len=30, seed=11,
+        grids={"mu": [1500.0], "svm_c": [0.01]},
+    )
+    (root / "run.json").write_text(json.dumps(config))
+    steps = [
+        ["run", "--config", "run.json", "--out", "out"],
+        ["index", "--corpus", paths["corpus"], "--out", "store"],
+        ["segment", "--store", "store", "--length", "30", "--out", "store/passages.tsv"],
+        [
+            "features", "--store", "store", "--topics", paths["topics"], "--kind", "psg",
+            "--length", "30", "--normalize", "--qrels", paths["psg_qrels"], "--out", "psg.txt",
+        ],
+        [
+            "features", "--store", "store", "--topics", paths["topics"], "--kind", "doc",
+            "--normalize", "--qrels", paths["doc_qrels"], "--out", "doc.txt",
+        ],
+        ["train", "--features", "psg.txt", "--trainer", "pairwise_hinge", "--out", "h.json"],
+        ["train", "--features", "doc.txt", "--trainer", "coordinate_ascent", "--out", "c.json"],
+        [
+            "eval", "--run", "out/runs/QSF.trec", "--qrels", paths["psg_qrels"],
+            "--mode", "char_focused", "--store", "store", "--length", "30",
+        ],
+        [
+            "ttest", "--run-a", "out/runs/LM.trec", "--run-b", "out/runs/JPDs.trec",
+            "--qrels", paths["doc_qrels"],
+        ],
+    ]
+    codes = [main(["--workdir", str(root), *step]) for step in steps]
+    return codes, "numpy.ma" in sys.modules
+
+
+class TestNoMaskedArrays:
+    """numpy.ma costs several milliseconds to import, and a plain np.unique
+    imports it; no run or CLI command needs it."""
+
+    def test_run_and_store_chain_leave_numpy_ma_unloaded(self, tmp_path):
+        tests_dir = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests_dir.parent / "src"), str(tests_dir), env.get("PYTHONPATH", "")]
+        )
+        code = (
+            "import json, sys, test_cli; "
+            "print(json.dumps(test_cli.masked_arrays_after_chain(sys.argv[1])))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], cwd=tests_dir, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        codes, loaded = json.loads(child.stdout.splitlines()[-1])
+        assert codes == [0] * 9
+        assert loaded is False
 
 
 class TestHelp:

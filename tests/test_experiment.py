@@ -635,6 +635,9 @@ class TestMemoOff:
         # Concept profiles by (passage, mu): FPD reads the passage features
         # at each fold's QSF mu.
         "esa": ("esa", ["FPD"], {"psg_ranker": "qsf"}),
+        # The keyword tables of the run's vocabulary by its length: each
+        # query's extractor reads them at both mu.
+        "esa_terms": ("esa_terms", ["JPDs"], {}),
         # The PsgLTR passage ranking that RRF fuses is trained per fold, so
         # the fold keeps it.
         "passages": ("passages", ["RRF"], {"exclusions": ["psg.ESA"]}),
@@ -915,10 +918,15 @@ class TestStaging:
         monkeypatch.setattr(
             experiment, "doc_features", counting("doc_features", experiment.doc_features)
         )
-        monkeypatch.setattr(
-            features, "esa_retrieval_profile",
-            counting("esa_profiles", features.esa_retrieval_profile),
-        )
+        # Every profile, the query's and the passages' blocks, comes from
+        # concept_profiles: count its term lists.
+        concept_profiles = features.concept_profiles
+
+        def counting_lists(term_lists, *args, **kwargs):
+            counts["esa_profiles"] += len(term_lists)
+            return concept_profiles(term_lists, *args, **kwargs)
+
+        monkeypatch.setattr(features, "concept_profiles", counting_lists)
         return counts
 
     def test_lm_only_run_extracts_no_features(self, tmp_path, monkeypatch):
@@ -941,6 +949,8 @@ class TestStaging:
         counts = self._counted(monkeypatch)
         run_experiment(_tiny_config(paths, ["JPDs"]), tmp_path / "full")
         assert counts["matrices"] > 0 and counts["esa_profiles"] > 0
+        # Passage profiles are counted, not only each extractor's query profile.
+        assert counts["esa_profiles"] > counts["extractors"]
         counts.update(dict.fromkeys(counts, 0))
         config = _tiny_config(paths, ["JPDs"], exclusions=["psg.ESA"])
         run_experiment(config, tmp_path / "ablated")

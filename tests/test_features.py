@@ -1,7 +1,6 @@
 import math
 import re
 from collections import Counter
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +27,7 @@ from psgrank.features import (
     doc_priors,
     doc_features,
     esa_retrieval_profile,
+    keyword_tables,
     load_embeddings,
     load_entities,
     load_synonyms,
@@ -38,11 +38,10 @@ from psgrank.features import (
     query_similarities,
     read_svmlight,
     top_tfidf_stems,
+    unit_keywords,
     write_svmlight,
 )
-from psgrank.index import (
-    LmParams, PositionalIndex, build_index, memoized, rank_documents_lm, retrieve_lm,
-)
+from psgrank.index import LmParams, PositionalIndex, build_index, rank_documents_lm, retrieve_lm
 from psgrank.passage import Passage, SegmentationParams, segment
 
 
@@ -517,7 +516,7 @@ class TestPassageFeatures:
         def esa_values(mu, memo):
             extractor = PassageFeatureExtractor(
                 query, store, index, sorted(passages_by_doc), passages_by_doc,
-                resources, LmParams(mu), memo=partial(memoized, memo),
+                resources, LmParams(mu), memo=memo,
             )
             return _column(extractor.matrix(), "ESA")
 
@@ -525,7 +524,36 @@ class TestPassageFeatures:
         warm_500 = esa_values(500.0, shared)
         assert esa_values(2500.0, shared) == esa_values(2500.0, {})
         assert esa_values(500.0, shared) == warm_500 == esa_values(500.0, {})
-        assert {key[2] for key in shared} == {500.0, 2500.0}
+        profiles = [key for key in shared if key[0] == "esa"]
+        assert {key[2] for key in profiles} == {500.0, 2500.0}
+        # The keyword tables read no mu: one entry serves both.
+        assert [key for key in shared if key not in profiles] == [
+            ("esa_terms", len(store.documents[0].vocabulary))
+        ]
+
+    def test_longer_vocabulary_rebuilds_keyword_tables(self, store_factory, tokenizer):
+        store, _, passages_by_doc, resources, query = _psg_fixture(
+            store_factory, tokenizer
+        )
+
+        def esa_values(store, passages_by_doc, memo):
+            extractor = PassageFeatureExtractor(
+                query, store, build_index(store), sorted(passages_by_doc), passages_by_doc,
+                resources, LmParams(500.0), memo=memo,
+            )
+            return _column(extractor.matrix(), "ESA")
+
+        shared = {}
+        esa_values(store, passages_by_doc, shared)
+        # A second store over the same tokenizer grows its vocabulary; its
+        # new stems' ids lie past the first tables. The concept index stays.
+        grown = store_factory({"g1": "heron cat stork dog crane", "g2": "dog ibis cat"})
+        grown_passages = {
+            d: segment(grown.get(d), SegmentationParams(window_len=3)) for d in ("g1", "g2")
+        }
+        warm = esa_values(grown, grown_passages, shared)
+        assert warm == esa_values(grown, grown_passages, {})
+        assert len({key for key in shared if key[0] == "esa_terms"}) == 2
 
     def test_corpus_order_invariance(self, tokenizer, store_factory):
         texts = {
@@ -903,6 +931,76 @@ class TestConceptSpaceTables:
         counts = Counter({"b": 1, "zebra": 3, "a": 1, "d": 1})
         assert top_tfidf_stems(counts, tied, 2) == ["d", "a"]
         assert top_tfidf_stems(counts, tied, 2) == row_references.top_tfidf_stems(counts, tied, 2)
+
+
+class TestKeywordsFromRunTables:
+    """Keywords picked through the vocabulary's idf and string-rank tables,
+    and profiles scored a block at a time, over a concept corpus that is
+    not the run's (its own tokenizer, so its own vocabulary)."""
+
+    RUN = {
+        "d1": "ant bee cow elk fox gnu hen ibis jay kite",  # ten ties, tf 1
+        "d2": "yak yak ant bee owl owl owl emu cat dog cat",
+        "d3": "zebu zebu zebu lynx mole newt ant cow",  # stems the concept corpus lacks
+        "d4": "",
+        "d5": "cat dog bird cat dog fish cat emu owl yak bee",
+    }
+    CONCEPTS = {
+        "c1": "ant bee cow elk fox gnu hen ibis jay kite",
+        "c2": "ant bee cow elk fox gnu hen ibis jay kite",
+        "c3": "yak owl emu cat dog bird fish",
+        "c4": "cat cat dog owl yak",
+        "c5": "bird fish ant",
+        "c6": "newt",
+    }
+
+    @pytest.fixture
+    def corpora(self, tokenizer):
+        store = build_store(self.RUN, tokenizer)
+        other = Tokenizer(stopwords=StopwordList("tiny", TINY_STOPWORDS))
+        concepts = build_index(build_store(self.CONCEPTS, other))
+        assert concepts.document_frequency("zebu") == 0 < concepts.document_frequency("newt")
+        return store, concepts
+
+    def test_keywords_equal_reference(self, corpora):
+        store, concepts = corpora
+        vocabulary = store.documents[0].vocabulary
+        tables = keyword_tables(vocabulary, concepts)
+        for window in (3, 6, 30):
+            passages = [
+                p for d in self.RUN for p in segment(store.get(d), SegmentationParams(window))
+            ]
+            docs = [store.get(p.doc_id) for p in passages]
+            cols = _TokenColumns(docs, [p.token_range for p in passages])
+            for k in (1, 3, 20):
+                picked = unit_keywords(cols, *tables, k)
+                assert len(picked) == len(passages)
+                for p, doc, ids in zip(passages, docs, picked):
+                    counts = row_references.passage_term_counts(doc, p)
+                    expected = row_references.top_tfidf_stems(counts, concepts, k)
+                    assert [vocabulary[t] for t in ids.tolist()] == expected, (p.passage_id, k)
+        # Nine of the ten stems of d1 tie (df 2; "ant" has df 3): string order.
+        d1 = segment(store.get("d1"), SegmentationParams(30))
+        cols = _TokenColumns([store.get("d1")], [d1[0].token_range])
+        ids = unit_keywords(cols, *tables, 4)[0].tolist()
+        assert [vocabulary[t] for t in ids] == ["bee", "cow", "elk", "fox"]
+
+    def test_esa_column_over_another_corpus_equals_reference(self, corpora, tokenizer):
+        store, concepts = corpora
+        resources = SemanticResources(esa_index=concepts)
+        index = build_index(store)
+        passages_by_doc = {d: segment(store.get(d), SegmentationParams(4)) for d in self.RUN}
+        schema = FeatureSchema("esa", ("ESA",))
+        nonzero = 0
+        for text in ("cat dog", "ant zebu owl", "newt"):
+            query = make_query("q", text, tokenizer)
+            for mu in (0.0, 7.0, 1500.0):
+                case = _Case(query, store, index, passages_by_doc, resources, mu)
+                got = case.extractor().matrix(schema)
+                expected = [case.reference[i][PSG_SCHEMA.index_of("ESA")] for i in got.item_ids]
+                assert got.values[:, 0].tobytes() == np.array(expected).tobytes(), (text, mu)
+                nonzero += int(np.count_nonzero(got.values))
+        assert nonzero > 0
 
 
 class TestResourceLoaders:

@@ -17,11 +17,13 @@ from psgrank.index import (
     IndexError_,
     LmParams,
     SdmWeights,
+    best_first_order,
     build_index,
     count_ordered_pairs,
     count_window_pairs,
     first_occurrences,
     lm_similarities,
+    lm_top_ranks,
     rank_documents_lm,
     retrieve_lm,
     sdm_components,
@@ -68,6 +70,38 @@ def _orderings(dtype):
         "few ties": rng.integers(0, 2**31 - 1, 5000).astype(dtype),
         "int32 max": np.array([2**31 - 1, 0, 2**31 - 1, 1], dtype),
     }
+
+
+class TestBestFirstOrder:
+    """One argsort of distinct int64 keys gives ``np.lexsort((ids, -values,
+    group))``, whatever the sort algorithm."""
+
+    def test_equals_lexsort(self):
+        rng = np.random.default_rng(47)
+        cases = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), 1)]
+        # Few distinct values: many ties, and 0.0 beside -0.0.
+        pool = np.array([0.0, -0.0, 0.25, 1.0, 1e-300, 5e-324, 3.5, 0.1 + 0.2, 0.3])
+        for _ in range(300):
+            n = int(rng.integers(1, 200))
+            group = rng.integers(0, int(rng.integers(1, 20)), n)
+            n_ids = n + int(rng.integers(0, 40))
+            # Ids distinct within a group, in any order.
+            ids = np.empty(n, np.int64)
+            for g in np.unique(group).tolist():
+                at = np.flatnonzero(group == g)
+                ids[at] = rng.permutation(n_ids)[: len(at)]
+            values = pool[rng.integers(0, len(pool), n)]
+            cases.append((group, values, ids, n_ids))
+        for group, values, ids, n_ids in cases:
+            got = best_first_order(group, values, ids, n_ids)
+            want = np.lexsort((ids, -values, group))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_keys_past_63_bits_rejected(self):
+        group, values, ids = np.array([0, 1]), np.array([1.0, 2.0]), np.array([0, 0])
+        assert best_first_order(group, values, ids, 2**61).tolist() == [0, 1]
+        with pytest.raises(ValueError, match="63 bits"):
+            best_first_order(group, values, ids, 2**61 + 1)
 
 
 class TestStableOrder:
@@ -492,6 +526,110 @@ class TestRankDocumentsLm:
                 for k in range(1, len(full) + 1):
                     assert rank_documents_lm(terms, index, LmParams(mu), k) == full[:k]
         assert subnormal > 0
+
+
+class TestTopRanksBlocks:
+    """``lm_top_ranks`` scores up to 16 lists over the union of their
+    candidates; each list's ranks and scores equal the per-list reference
+    byte for byte."""
+
+    # Two vocabularies no document mixes, so lists over one and over the
+    # other have disjoint candidates.
+    LEFT, RIGHT = [f"a{i}" for i in range(10)], [f"b{i}" for i in range(10)]
+
+    @pytest.fixture
+    def index(self, store_factory):
+        rng = np.random.default_rng(41)
+        texts = _random_texts(rng, 50, self.LEFT, min_len=3, max_len=60)
+        right = _random_texts(rng, 40, self.RIGHT, min_len=3, max_len=60)
+        texts.update({f"r{d}": text for d, text in right.items()})
+        texts["t1"] = texts["t2"] = "a1 a2 a3 a1"  # identical documents tie
+        texts["e"] = ""  # length 0: at mu = 0 its smoothing denominator is 0
+        index = build_index(store_factory(texts))
+        assert 0 in index.doc_table()[2] and len(index.doc_table()[2]) > 20
+        return index
+
+    def _lists(self, rng, n):
+        """Random lists: empty, one term, repeated terms, absent terms, and
+        lists over either vocabulary or both."""
+        pools = [self.LEFT, self.RIGHT, self.LEFT + self.RIGHT + ["zebra"]]
+        lists = [[], ["a4"], ["b2", "b2", "b2"], ["zebra"], ["a1", "zebra", "a1", "a7"]]
+        while len(lists) < n:
+            pool = pools[int(rng.integers(0, 3))]
+            lists.append([str(t) for t in rng.choice(pool, size=int(rng.integers(1, 25)))])
+        return [lists[i] for i in rng.permutation(len(lists))[:n]]
+
+    @staticmethod
+    def _check(lists, index, mu, k):
+        params = LmParams(mu)
+        got = lm_top_ranks(lists, index, params, k)
+        assert len(got) == len(lists)
+        for terms, (ranks, scores) in zip(lists, got):
+            want_ranks, want_scores = row_references.lm_top_ranks(terms, index, params, k)
+            assert ranks.dtype == want_ranks.dtype and scores.dtype == want_scores.dtype
+            assert ranks.tobytes() == want_ranks.tobytes(), (terms, mu, k)
+            assert scores.tobytes() == want_scores.tobytes(), (terms, mu, k)
+        return got
+
+    @pytest.mark.parametrize("n_lists", [1, 16, 17, 33])
+    def test_blocks_equal_per_list_reference(self, index, n_lists):
+        rng = np.random.default_rng(42 + n_lists)
+        for mu in (0.0, 7.0, 1500.0):
+            for k in (1, 5, 100, 1000):
+                self._check(self._lists(rng, n_lists), index, mu, k)
+
+    def test_k_at_and_past_the_candidate_count(self, index):
+        for terms in (["a1", "a2"], ["b3"], ["a5", "b5", "a5"]):
+            (ranks, _), = self._check([terms], index, 1500.0, 1000)
+            for k in (len(ranks) - 1, len(ranks), len(ranks) + 1):
+                self._check([terms, ["a1"], ["b9", "b1"]], index, 1500.0, k)
+
+    def test_disjoint_candidates_in_one_block(self, index):
+        lists = [["a1", "a3"], ["b1", "b3"], ["a2"], ["b4", "b4"]]
+        tops = self._check(lists, index, 7.0, 100)
+        left = set(tops[0][0].tolist()) | set(tops[2][0].tolist())
+        right = set(tops[1][0].tolist()) | set(tops[3][0].tolist())
+        assert left and right and not left & right
+
+    def test_tie_cut_at_kth_place(self, index):
+        terms = ["a1", "a2", "a3"]
+        full = row_references.lm_top_k(terms, index, LmParams(1500.0), 1000)
+        k = [d for d, _ in full].index("t1") + 1
+        assert full[k] == ("t2", full[k - 1][1])
+        tops = self._check([["b1"], terms, ["a2", "b2"]], index, 1500.0, k)
+        ids = [index.doc_table()[0][r] for r in tops[1][0].tolist()]
+        assert len(ids) == k and "t1" in ids and "t2" not in ids
+
+    def test_empty_and_absent_lists(self, index):
+        for lists in ([], [[]], [["zebra"], [], ["yak", "zebra"]]):
+            tops = self._check(lists, index, 1500.0, 10)
+            assert all(len(ranks) == len(scores) == 0 for ranks, scores in tops)
+
+
+class TestLmLogsBulk:
+    """A call fills every missing (stem, mu) entry in one pass; each entry
+    equals the stem's entry computed alone, on a cold index, byte for byte."""
+
+    VOCAB = [f"w{i}" for i in range(15)]
+
+    def test_bulk_entries_equal_cold_per_stem(self, store_factory):
+        texts = _random_texts(np.random.default_rng(43), 60, self.VOCAB, min_len=3, max_len=50)
+        texts["e"] = ""
+        store = store_factory(texts)
+        warm = build_index(store)
+        stems = ["w3", "zebra", "w1", "w3", "w14", "w0"]
+        for mu in (0.0, 7.0, 1500.0):
+            warm.lm_logs(["w1", "w9"], mu)  # a call that finds some entries kept
+            entries = warm.lm_logs(stems, mu)
+            for stem, entry in zip(stems, entries):
+                cold = build_index(store).lm_logs([stem], mu)[0]
+                reference = row_references.lm_logs(warm, stem, mu)
+                for got, want, alone in zip(entry, cold, reference):
+                    assert got.dtype == want.dtype == alone.dtype
+                    assert got.tobytes() == want.tobytes() == alone.tobytes(), (stem, mu)
+            assert entries[0] is entries[3]
+        kept = [key for key in warm._memo if key[0] == "lm_logs"]
+        assert len(kept) == 3 * len({*stems, "w9"})
 
 
 class TestPairCountersEqualLoops:
