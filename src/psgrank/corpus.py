@@ -16,7 +16,7 @@ import hashlib
 import json
 import re
 import warnings
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources as importlib_resources
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -66,12 +66,52 @@ def _token_edges(text: str) -> tuple[bytes, np.ndarray]:
     return separated, np.flatnonzero(is_alnum[1:] != is_alnum[:-1])
 
 
+def _check_utf8(path: Path, error: type[ValueError]) -> None:
+    """Raise ``error`` naming path:line and the column of the file's first
+    byte that is not UTF-8, if it has one (lines end as in :func:`text_lines`)."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        column = exc.start - max(head.rfind(b"\n"), head.rfind(b"\r"))
+        raise error(
+            f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x} at column {column}"
+        ) from None
+
+
 def read_json_file(path: Path, error: type[ValueError]):
-    """The JSON value a file holds; ``error`` naming path:line:column if it is not JSON."""
+    """The JSON value a file holds; ``error`` naming path:line and column if
+    it is not UTF-8 or not JSON."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        _check_utf8(path, error)
+        raise
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}") from None
+
+
+def text_lines(
+    path: str | Path, error: type[ValueError], comment: str | None = "#"
+) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file that holds
+    more than whitespace and does not start with ``comment`` (None: no line
+    is a comment). Lines end at \\n, \\r\\n or \\r and nowhere else; a line
+    is yielded with its end read as \\n (the last may have none). The file
+    is decoded a block at a time as it is read, so a byte that is not UTF-8
+    raises ``error``, naming path:line and its column, before the lines of
+    its block are yielded."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not (line.isspace() or (comment and line.startswith(comment))):
+                    yield lineno, line
+    except UnicodeDecodeError:
+        _check_utf8(path, error)
+        raise
 
 
 class Token(NamedTuple):
@@ -190,12 +230,8 @@ class StopwordList:
     def from_file(cls, path: str | Path, name: str | None = None) -> "StopwordList":
         """Load a one-term-per-line file; '#' starts a comment line."""
         path = Path(path)
-        terms = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if line and not line.startswith("#"):
-                terms.append(line)
-        return cls(name or path.stem, terms)
+        terms = [line.strip() for _, line in text_lines(path, CorpusError, comment=None)]
+        return cls(name or path.stem, [t for t in terms if not t.startswith("#")])
 
 
 def default_stopwords() -> StopwordList:
@@ -561,38 +597,37 @@ def _records_checksum(records: Iterable[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
-def _iter_jsonl_records(path: Path) -> Iterator[tuple[str, str]]:
-    with path.open("rb") as f:
-        for lineno, raw in enumerate(f, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorpusError(
-                    f"{path}:{lineno}: not UTF-8: byte 0x{raw[exc.start]:02x} "
-                    f"at column {exc.start + 1}"
-                ) from None
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed JSON record: {exc}") from None
-            if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-                raise CorpusError(f"{path}:{lineno}: record must carry 'id' and 'text' fields")
-            text, title = rec["text"], rec.get("title")
-            if not isinstance(text, str) or not isinstance(title, (str, type(None))):
-                raise CorpusError(f"{path}:{lineno}: 'text' and 'title' must be strings")
-            if title:
-                text = title + "\n" + text
-            doc_id = str(rec["id"])
-            try:  # JSON can escape a lone surrogate; the store's UTF-8 cannot hold one.
-                doc_id.encode("utf-8"), text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise CorpusError(
-                    f"{path}:{lineno}: 'id', 'text' and 'title' must not hold an unpaired "
-                    f"surrogate, found {exc.object[exc.start]!r}"
-                ) from None
-            yield doc_id, text
+def _is_line_id(item_id: str) -> bool:
+    """Whether the id is one whitespace-free field, as line formats carry it."""
+    return item_id.split() == [item_id]
+
+
+def _iter_jsonl_records(path: Path, check_ids: bool = False) -> Iterator[tuple[str, str]]:
+    """The file's (id, text) records; with ``check_ids``, an id that is empty
+    or holds whitespace is an error."""
+    for lineno, line in text_lines(path, CorpusError, comment=None):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed JSON record: {exc}") from None
+        if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
+            raise CorpusError(f"{path}:{lineno}: record must carry 'id' and 'text' fields")
+        text, title = rec["text"], rec.get("title")
+        if not isinstance(text, str) or not isinstance(title, (str, type(None))):
+            raise CorpusError(f"{path}:{lineno}: 'text' and 'title' must be strings")
+        if title:
+            text = title + "\n" + text
+        doc_id = str(rec["id"])
+        try:  # JSON can escape a lone surrogate; the store's UTF-8 cannot hold one.
+            doc_id.encode("utf-8"), text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise CorpusError(
+                f"{path}:{lineno}: 'id', 'text' and 'title' must not hold an unpaired "
+                f"surrogate, found {exc.object[exc.start]!r}"
+            ) from None
+        if check_ids and not _is_line_id(doc_id):
+            raise CorpusError(f"{path}:{lineno}: doc id {doc_id!r} is empty or holds whitespace")
+        yield doc_id, text
 
 
 _DOC_RE = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)
@@ -622,6 +657,12 @@ def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
         if docno is None:
             offset = _block_byte_offset(path, n)
             raise CorpusError(f"{path}: <DOC> block at byte {offset} has no <DOCNO>")
+        if not _is_line_id(docno.group(1)):
+            offset = _block_byte_offset(path, n)
+            raise CorpusError(
+                f"{path}: <DOC> block at byte {offset}: doc id {docno.group(1)!r} is empty "
+                f"or holds whitespace"
+            )
         texts = _TEXT_RE.findall(block)
         if texts:
             body = "\n".join(t.strip() for t in texts)
@@ -630,7 +671,11 @@ def _iter_trecweb_records(path: Path) -> Iterator[tuple[str, str]]:
         yield docno.group(1), body
 
 
-_RECORD_READERS = {"jsonl": _iter_jsonl_records, "trecweb": _iter_trecweb_records}
+# Ingest takes only ids that the line formats (runs, qrels, dumps) carry back.
+_RECORD_READERS = {
+    "jsonl": partial(_iter_jsonl_records, check_ids=True),
+    "trecweb": _iter_trecweb_records,
+}
 CORPUS_FORMATS = tuple(_RECORD_READERS)
 
 
@@ -643,8 +688,9 @@ def ingest_corpus(
 
     Supported formats: ``jsonl`` (objects with id/text and optional title)
     and ``trecweb`` (``<DOC>`` blocks with ``<DOCNO>`` and body text).
-    Duplicate ids and malformed records raise :class:`CorpusError`; empty
-    texts are kept (with a warning) so qrels referencing them resolve.
+    Duplicate ids, ids that are empty or hold whitespace and malformed
+    records raise :class:`CorpusError`; empty texts are kept (with a
+    warning) so qrels referencing them resolve.
     """
     path = Path(source)
     if not path.exists():
@@ -668,18 +714,22 @@ def ingest_corpus(
 
 
 def load_topics(path: str | Path, tokenizer: Tokenizer | None = None) -> list[Query]:
-    """Load a tab-separated topics file: ``query_id<TAB>title text``."""
+    """Load a tab-separated topics file: ``query_id<TAB>title text``. A query
+    id that is empty or holds whitespace or '#' is an error: the runs and
+    SVMlight dumps that carry it would not read it back."""
     path = Path(path)
     tokenizer = tokenizer or Tokenizer()
     queries = []
     seen = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, CorpusError):
         parts = line.split("\t", 1)
         if len(parts) != 2:
             raise CorpusError(f"{path}:{lineno}: expected query_id<TAB>text")
         query_id, text = parts[0].strip(), parts[1].strip()
+        if not _is_line_id(query_id) or "#" in query_id:
+            raise CorpusError(
+                f"{path}:{lineno}: query id {query_id!r} is empty or holds whitespace or '#'"
+            )
         if query_id in seen:
             raise CorpusError(f"{path}:{lineno}: duplicate query_id {query_id!r}")
         seen.add(query_id)

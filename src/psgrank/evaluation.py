@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .corpus import text_lines
 from .index import first_occurrences, float_sum
 from .passage import merge_intervals
 from .rank import RankedList
@@ -70,9 +71,7 @@ def _qrels_int(path: str | Path, lineno: int, field: str) -> int:
 def load_doc_qrels(path: str | Path) -> JudgmentSet:
     """TREC format: 'query_id 0 doc_id grade'."""
     grades: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, JudgmentError):
         parts = line.split()
         if len(parts) != 4:
             raise JudgmentError(f"{path}:{lineno}: expected 'query_id 0 doc_id grade'")
@@ -87,9 +86,7 @@ def load_doc_qrels(path: str | Path) -> JudgmentSet:
 def load_char_qrels(path: str | Path) -> JudgmentSet:
     """TSV format: query_id<TAB>doc_id<TAB>char_start<TAB>char_end."""
     spans: dict[str, dict[str, list[tuple[int, int]]]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, JudgmentError):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 4:
             raise JudgmentError(
@@ -106,9 +103,7 @@ def load_char_qrels(path: str | Path) -> JudgmentSet:
 def load_sentence_qrels(path: str | Path) -> JudgmentSet:
     """TSV format: query_id<TAB>sentence_passage_id<TAB>grade (binary)."""
     grades: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, JudgmentError):
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 3:
             raise JudgmentError(f"{path}:{lineno}: expected query_id<TAB>passage_id<TAB>grade")

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, Document, Query, StopwordList
+from .corpus import CorpusStore, Document, Query, StopwordList, text_lines
 from .index import (
     LmParams, PositionalIndex, best_first_order, exact_log, first_occurrences, float_sum,
     lm_similarities, lm_top_ranks, memoized, memoized_all, sdm_matrix,
@@ -358,9 +358,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Text format: one line per term, 'term v1 v2 ... vd'."""
     table = {}
     dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(path, ValueError, comment=None):
         parts = line.split()
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=float)
@@ -379,9 +377,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
 def load_synonyms(path: str | Path) -> dict[str, frozenset[str]]:
     """Text format: 'term: syn1, syn2, ...'."""
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, ValueError):
         if ":" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'term: syn1, syn2'")
         term, _, rest = line.partition(":")
@@ -393,9 +389,7 @@ def load_synonyms(path: str | Path) -> dict[str, frozenset[str]]:
 def load_entities(path: str | Path, min_confidence: float = 0.1) -> dict[str, frozenset[str]]:
     """TSV: item_id<TAB>entity_id<TAB>confidence; low-confidence rows dropped."""
     table: dict[str, set[str]] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path, ValueError):
         try:
             item_id, entity_id, conf = line.rstrip("\n").split("\t")
             confidence = float(conf)
@@ -758,9 +752,7 @@ def read_svmlight(
     query: a repeat would carry a second, possibly contradictory grade."""
     queries: dict[str, tuple[list[str], list[list[float]], list[int]]] = {}
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in text_lines(path, ValueError, comment=None):
         body, _, comment = line.partition("#")
         parts = body.split()
         try:

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusStore, Query
+from .corpus import CorpusStore, Query, text_lines
 from .features import (
     DOC_SCHEMA,
     PSG_SCHEMA,
@@ -708,20 +708,17 @@ def read_trec_run(path: str | Path) -> list[RankedList]:
     """Read a TREC run file, preserving file order within each query."""
     per_query: dict[str, list[tuple[str, float]]] = {}
     order: list[str] = []
-    with Path(path).open(encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
-            qid, _, item_id, _, score, _ = parts
-            try:
-                entry = (item_id, float(score))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {score!r} is not a number") from None
-            if qid not in per_query:
-                per_query[qid] = []
-                order.append(qid)
-            per_query[qid].append(entry)
+    for lineno, line in text_lines(path, ValueError, comment=None):
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 whitespace-separated fields")
+        qid, _, item_id, _, score, _ = parts
+        try:
+            entry = (item_id, float(score))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score {score!r} is not a number") from None
+        if qid not in per_query:
+            per_query[qid] = []
+            order.append(qid)
+        per_query[qid].append(entry)
     return [RankedList(qid, tuple(per_query[qid])) for qid in order]

@@ -476,19 +476,26 @@ class TestTrainInputValidation:
                 GOOD_ROWS, '{"name": "s",\n "features": [}\n', 1,
                 "feats.txt.schema.json:2:15: not valid JSON",
             ),
+            # A byte that is not UTF-8 once ended in 'runtime error' and exit 2.
+            (
+                GOOD_ROWS, b'{"name": "s",\n "features": ["f\xff"]}\n', 1,
+                "feats.txt.schema.json:2: not UTF-8: byte 0xff at column 17",
+            ),
         ],
         ids=[
             "index-0", "index-past-schema", "repeated-item", "nan", "inf", "sidecar-without-name",
-            "sidecar-without-features", "sidecar-not-json",
+            "sidecar-without-features", "sidecar-not-json", "sidecar-not-utf8",
         ],
     )
     def test_bad_dump_or_sidecar_exits_without_traceback(
         self, tmp_path, capsys, rows, sidecar, code, message
     ):
         (tmp_path / "feats.txt").write_text(rows)
-        if not isinstance(sidecar, str):
-            sidecar = json.dumps(sidecar)
-        (tmp_path / "feats.txt.schema.json").write_text(sidecar)
+        if isinstance(sidecar, str):
+            sidecar = sidecar.encode("utf-8")
+        elif not isinstance(sidecar, bytes):
+            sidecar = json.dumps(sidecar).encode("utf-8")
+        (tmp_path / "feats.txt.schema.json").write_bytes(sidecar)
         rc = main(
             ["--workdir", str(tmp_path), "train", "--features", "feats.txt", "--out", "m.json"]
         )
@@ -720,6 +727,17 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "runtime error" not in err
         assert f"{tmp_path / 'config.json'}:2:1: not valid JSON: Expecting value" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_utf8_exit_one_naming_line_and_column(self, tmp_path, capsys):
+        # Once 'runtime error: 'utf-8' codec can't decode ...' and exit 2.
+        (tmp_path / "config.json").write_bytes(b'{"methods":\r\n ["LM\xff"]}\n')
+        rc = main(["--workdir", str(tmp_path), "run", "--config", "config.json",
+                   "--out", "out"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "runtime error" not in err
+        assert f"{tmp_path / 'config.json'}:2: not UTF-8: byte 0xff at column 6" in err
         assert not (tmp_path / "out").exists()
 
     def test_methods_string_exit_one(self, tmp_path, capsys):

@@ -264,6 +264,28 @@ class TestIngest:
         with pytest.raises(CorpusError, match=where):
             ingest_corpus(path, "trecweb", tokenizer=tokenizer)
 
+    # Runs, qrels and SVMlight dumps split on whitespace, so an id holding
+    # any (str.split's, U+0085 and U+2028 included) would not read back.
+    BAD_IDS = ["", "d 1", "d\t1", "d\x0b1", "d\x851", "d\u20281", " d1"]
+
+    @pytest.mark.parametrize("doc_id", BAD_IDS)
+    def test_jsonl_id_not_one_field_rejected(self, tmp_path, tokenizer, doc_id):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": "d0", "text": "ok"}, {"id": doc_id, "text": "x"}])
+        problem = f"c.jsonl:2: doc id {doc_id!r} is empty or holds whitespace"
+        with pytest.raises(CorpusError, match=re.escape(problem) + "$"):
+            ingest_corpus(path, tokenizer=tokenizer)
+
+    @pytest.mark.parametrize("docno", ["", "d 1", "d\u30001"])
+    def test_trecweb_id_not_one_field_names_byte_offset(self, tmp_path, tokenizer, docno):
+        head = "<DOC><DOCNO>d0</DOCNO><TEXT>café</TEXT></DOC>\n"
+        path = tmp_path / "c.trecweb"
+        path.write_bytes((head + f"<DOC><DOCNO>{docno}</DOCNO>x</DOC>\n").encode("utf-8"))
+        offset = len(head.encode("utf-8"))
+        problem = f"<DOC> block at byte {offset}: doc id {docno!r} is empty or holds whitespace"
+        with pytest.raises(CorpusError, match=re.escape(problem) + "$"):
+            ingest_corpus(path, "trecweb", tokenizer=tokenizer)
+
 class TestStorePersistence:
     def test_save_load_round_trip(self, tmp_path, tokenizer):
         path = tmp_path / "c.jsonl"
@@ -348,10 +370,16 @@ class TestStorePersistence:
 
     @pytest.mark.parametrize(
         "text,problem",
-        [("[]", ": expected a JSON object"), ('{"version": 1', ":1:14: not valid JSON")],
+        [
+            ("[]", ": expected a JSON object"),
+            ('{"version": 1', ":1:14: not valid JSON"),
+            (b'{\n  "version": \xff2}', ":2: not UTF-8: byte 0xff at column 14"),
+        ],
     )
     def test_manifest_not_a_json_object_rejected(self, saved, tokenizer, text, problem):
-        (saved / "manifest.json").write_text(text)
+        if isinstance(text, str):
+            text = text.encode("utf-8")
+        (saved / "manifest.json").write_bytes(text)
         with pytest.raises(CorpusError, match=f"manifest.json{problem}"):
             CorpusStore.load(saved, stopwords=tokenizer.stopwords)
 
@@ -399,6 +427,16 @@ class TestTopics:
         path = tmp_path / "topics.tsv"
         path.write_text("q1 no tab here\n")
         with pytest.raises(CorpusError, match=":1"):
+            load_topics(path, tokenizer)
+
+    # A query id is a field of runs and SVMlight dumps, where '#' starts a
+    # dump row's item id: q#1 would read back as query q.
+    @pytest.mark.parametrize("query_id", ["", "q 1", "q\x0b1", "q\x851", "q\u20281", "q#1"])
+    def test_query_id_not_one_field_rejected(self, tmp_path, tokenizer, query_id):
+        path = tmp_path / "topics.tsv"
+        path.write_text(f"q0\tcats\n{query_id}\tdogs\n", encoding="utf-8")
+        problem = f"topics.tsv:2: query id {query_id!r} is empty or holds whitespace or '#'"
+        with pytest.raises(CorpusError, match=re.escape(problem) + "$"):
             load_topics(path, tokenizer)
 
 

@@ -605,6 +605,30 @@ class TestTopRanksBlocks:
             tops = self._check(lists, index, 1500.0, 10)
             assert all(len(ranks) == len(scores) == 0 for ranks, scores in tops)
 
+    def test_log_sums_that_exp_maps_to_the_kth_score(self, store_factory):
+        # Documents of one a:b ratio at a tiny mu: their log sums near -0.65
+        # differ in the last bits, and exp gives d1 and d2 one score. d1's sum
+        # is below d2's, the k-th largest at k = 1, yet d1 wins the tie by
+        # doc id, so exp must be taken of sums just below the k-th.
+        texts = {f"d{m}": " ".join(["a"] * 9 * m + ["b"] * m) for m in (1, 2, 3)}
+        texts["z"] = "b c c"
+        index = build_index(store_factory(texts))
+        terms, mu = ["a", "a", "a", "b"], 2e-13
+        logs = {
+            stem: dict(zip(ranks.tolist(), posting.tolist()))
+            for stem, (ranks, posting, _) in zip("ab", index.lm_logs(["a", "b"], mu))
+        }
+        sums = []
+        for rank in (0, 1, 2):
+            total = 0.0
+            for t in terms:
+                total += logs[t][rank] * (1.0 / len(terms))
+            sums.append(total)
+        assert sums[0] < sums[1] and math.exp(sums[0]) == math.exp(sums[1])
+        assert sums[1] == max(sums)
+        (ranks, _), = self._check([terms], index, mu, 1)
+        assert index.doc_table()[0][ranks[0]] == "d1"
+
 
 class TestLmLogsBulk:
     """A call fills every missing (stem, mu) entry in one pass; each entry
