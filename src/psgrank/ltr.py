@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .corpus import read_json_file
 from .evaluation import JudgmentSet
 from .features import FeatureMatrix, FeatureSchema, SchemaError
 from .passage import Passage, char_overlap
@@ -99,16 +100,14 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version: {payload.get('version')}")
-        schema = FeatureSchema(payload["schema"]["name"], tuple(payload["schema"]["features"]))
-        return cls(
-            schema=schema,
-            weights=tuple(payload["weights"]),
-            trainer=payload["trainer"],
-            hyperparams=payload["hyperparams"],
-        )
+        data = read_json_file(Path(path), ValueError)
+        if data.get("version") != MODEL_VERSION:
+            raise ValueError(f"unsupported model version: {data.get('version')}")
+        try:
+            schema = FeatureSchema(data["schema"]["name"], tuple(data["schema"]["features"]))
+            return cls(schema, tuple(data["weights"]), data["trainer"], data["hyperparams"])
+        except KeyError as exc:
+            raise ValueError(f"{path}: model file has no field {exc.args[0]!r}") from None
 
 
 class TrainingSet:

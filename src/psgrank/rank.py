@@ -243,19 +243,6 @@ class PassageRanks:
         return out
 
 
-def pstdev(values: Sequence[float]) -> float:
-    """Population standard deviation of floats, correctly rounded.
-
-    The variance is exact: every float is an integer over a power of two,
-    so over their common denominator 2**k it is num / den with integers
-    num = n * sum(x**2) - sum(x)**2 and den = n**2 * 4**k, whose root
-    :func:`_sqrt_ratio` rounds once.
-    """
-    nums, k = _common_scale(values)
-    n, total = len(nums), sum(nums)
-    return _sqrt_ratio(n * sum(x * x for x in nums) - total * total, n * n << (2 * k))
-
-
 def _common_scale(values: Sequence[float]) -> tuple[list[int], int]:
     """Each float as an integer over their common denominator 2**k, and k."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -278,6 +265,68 @@ def _sqrt_ratio(num: int, den: int) -> float:
     root = math.isqrt(num // den)
     root |= root * root * den != num
     return float(root << q) if q >= 0 else root / (1 << -q)
+
+
+def _two_sum(a, b):
+    """a + b as the rounded sum and its exact error (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """a * b as the rounded product and its exact error (Dekker, Veltkamp's split)."""
+    ca, cb = 134217729.0 * a, 134217729.0 * b
+    a1, b1 = ca - (ca - a), cb - (cb - b)
+    a2, b2 = a - a1, b - b1
+    p = a * b
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _pstdevs(scores: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Each row's population deviation over its ``inside`` scores (a prefix,
+    0 past it), correctly rounded; rows of equal scores give 0.0.
+
+    One double-double pass: x - c (c the float mean) as exact pairs, their
+    squares as pairs, summed by Sum2 and renormalized into hi + lo = m * V.
+    y = sqrt(hi / m), and f = (V - y**2 - ulp**2/4) / (y * ulp) puts the
+    midpoints y -+ ulp/2 at f = -+1, so rint(f / 2) steps y to the rounded
+    root. To first order in u = 2**-53, with X = sum(x**2) and m > 1, the
+    error of m * (V - y**2) is <= m**2 u**2 X from c (off by <= u*sum|x|),
+    7 u**2 X from the squares, (m + 1)(m + 3) u**2 X from Sum2's low part
+    and 28 u**2 X from the residual (hi - q exact): < 4(m + 2)**2 u**2 X in
+    all; f's last three roundings add < 2**-49 for |f| < 3. A row is decided
+    when f is farther than four times both from a midpoint (for y = 2**e,
+    whose lower neighbour is ulp/2 away, f >= -1/4; no step down onto 2**e)
+    and x2 >= 2**-900 keeps underflow's losses far below u**2 X. Exact ties,
+    spreads tiny next to the mean and values not finite take the exact step."""
+    n = inside.sum(axis=1)
+    flat = (np.where(inside, scores, scores[:, :1]) == scores[:, :1]).all(axis=1)
+    with np.errstate(all="ignore"):
+        c = (scores.sum(axis=1) / n)[:, None]
+        dev, dev_err = _two_sum(np.where(inside, scores, c), -c)
+        sq, sq_err = _two_prod(dev, dev)
+        sq_err += 2 * dev * dev_err
+        hi, lo = np.zeros(len(n)), np.zeros(len(n))
+        for column, column_err in zip(sq.T, sq_err.T):
+            hi, err = _two_sum(hi, column)
+            lo += err + column_err
+        hi, lo = _two_sum(hi, lo)
+        y = np.sqrt(hi / n)
+        p, p_err = _two_prod(y, y)
+        q, q_err = _two_prod(p, n)
+        ulp = np.spacing(y)
+        f = (((hi - q) - q_err - n * p_err + lo) / n - ulp * ulp / 4) / (y * ulp)
+        x2 = (scores * scores).sum(axis=1) / n
+        margin = (n + 2.0) ** 2 * 2.0**-102 * x2 / (y * ulp) + 2.0**-46
+        step = np.rint(f / 2)
+        std = np.where(flat, 0.0, np.nextafter(y, y * (1 + step)))
+    ok = (np.abs(f - 2 * step) < 1 - margin) & (np.abs(step) <= 1) & (x2 >= 2.0**-900)
+    ok &= ((np.frexp(y)[0] != 0.5) | (f >= -0.25)) & ((np.frexp(std)[0] != 0.5) | (step >= 0))
+    for i in np.flatnonzero(~ok & ~flat).tolist():
+        a, k = _common_scale(scores[i, : n[i]].tolist())
+        std[i] = _sqrt_ratio(len(a) * sum(x * x for x in a) - sum(a) ** 2, len(a) ** 2 << 2 * k)
+    return std
 
 
 @lru_cache(maxsize=64)
@@ -304,10 +353,8 @@ def build_smpd_vectors(
     The statistics are taken over a (document, passage position) table, one
     position at a time, so each mean adds a document's scores left to right
     from 0, as ``sum`` adds a list of floats on Python 3.10 and 3.11. The
-    deviation is :func:`pstdev`'s at one scale for the call: each passage's
-    score becomes an integer a once, over the power of two 2**k that the
-    largest denominator needs, and each document's n * sum(a**2) - sum(a)**2
-    over n**2 * 4**k goes through pstdev's rounding step.
+    deviation is :func:`_pstdevs`'s: a verified float pass over the table,
+    and the exact integer step for the documents it cannot decide.
     """
     rows = psg_ranks.rows(doc_vectors.item_ids)
     starts = psg_ranks.bounds[rows]
@@ -324,18 +371,12 @@ def build_smpd_vectors(
     total = np.zeros(len(rows))
     for column in scores.T:
         total += column
-    a, k = _common_scale(rr.tolist())
-    std = np.zeros(len(rows))
-    multi = np.flatnonzero(n > 1)
-    for i, lo, m in zip(multi.tolist(), starts[multi].tolist(), n[multi].tolist()):
-        sa = sum(a[lo : lo + m])
-        std[i] = _sqrt_ratio(m * sum(x * x for x in a[lo : lo + m]) - sa * sa, m * m << (2 * k))
     ranked = in_table > 0
     stats = np.column_stack([
         scores.max(axis=1, initial=0.0),
         np.where(inside, scores, np.inf).min(axis=1, initial=np.inf),
         total / n,
-        std,
+        _pstdevs(scores, inside),
         (ranked & (in_table <= 50)).sum(axis=1) / n,
         (ranked & (in_table <= 100)).sum(axis=1) / n,
         n.astype(float),

@@ -90,7 +90,8 @@ from psgrank.evaluation import MAIP_RECALL_POINTS, JudgmentError
 from psgrank.index import INDEX_VERSION, LOG_FLOOR, SDM_WINDOW, exact_log
 from psgrank.passage import merge_intervals, neighbors
 from psgrank.rank import (
-    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, pstdev,
+    JPD2_SECOND_EXCLUSIONS, SMPD_FEATURES, SMPD_SCHEMA, FusionParams, RankedList, _common_scale,
+    _sqrt_ratio,
 )
 
 
@@ -245,6 +246,20 @@ def _fallback(doc_passages, psgs):
 def _joined(left, schema, right, exclusions) -> tuple:
     """``left`` followed by the values of ``right`` whose feature is kept."""
     return tuple(left) + tuple(v for f, v in zip(schema.features, right) if f not in exclusions)
+
+
+def pstdev(values) -> float:
+    """Population standard deviation of floats, correctly rounded.
+
+    The variance is exact: every float is an integer over a power of two,
+    so over their common denominator 2**k it is num / den with integers
+    num = n * sum(x**2) - sum(x)**2 and den = n**2 * 4**k, whose root
+    ``_sqrt_ratio`` rounds once. SMPD's builder takes this step for the
+    documents its float pass cannot decide.
+    """
+    nums, k = _common_scale(values)
+    n, total = len(nums), sum(nums)
+    return _sqrt_ratio(n * sum(x * x for x in nums) - total * total, n * n << (2 * k))
 
 
 def smpd_features(doc_passage_ids, psg_list, nu: float) -> tuple:

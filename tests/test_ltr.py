@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import re
 import warnings
@@ -501,6 +502,25 @@ class TestModelIO:
         loaded = LinearModel.load(tmp_path / "jpds.json")
         assert loaded == model
         assert score(loaded, matrix) == score(model, matrix)
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b'{"version": 1, "trainer": "\xff"}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1:")) as info:
+            LinearModel.load(path)
+        assert not isinstance(info.value, UnicodeDecodeError)
+
+    def test_missing_field_names_the_path_and_field(self, tmp_path):
+        model = LinearModel(FeatureSchema("s", ("f0",)), (1.0,), "pairwise_hinge", {})
+        model.save(tmp_path / "m.json")
+        path = tmp_path / "bad.json"
+        for field_name in ("features", "weights"):
+            payload = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+            del (payload["schema"] if field_name == "features" else payload)[field_name]
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            expected = f"{path}: model file has no field {field_name!r}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                LinearModel.load(path)
 
 
 def _random_rows(rng, n_queries=4, n_items=12, n_features=5, grades=4):

@@ -10,6 +10,7 @@ import pytest
 import oracles
 import row_references
 from conftest import TINY_STOPWORDS, build_store, json_without_cpu_features, make_query
+from row_references import pstdev
 from psgrank.evaluation import average_precisions
 from psgrank.features import (
     DOC_SCHEMA,
@@ -24,6 +25,7 @@ from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.index import LmParams, build_index
 from psgrank.ltr import LinearModel, score
 from psgrank.passage import Passage, SegmentationParams, segment
+from psgrank import rank as rank_module
 from psgrank.rank import (
     FusionParams,
     PassageRanks,
@@ -38,7 +40,6 @@ from psgrank.rank import (
     fusion_rows,
     jpds_schema,
     positional_similarities,
-    pstdev,
     rank_docpsg,
     rank_plm,
     rank_qsf,
@@ -646,6 +647,116 @@ class TestSmpdEqualsRowReference:
             build_smpd_vectors(_matrix(docs), PassageRanks(by_doc, psg_list), 30.0)
         with pytest.raises(ValueError, match="document has no passages"):
             row_references.smpd_rows(list(docs[1]), docs, by_doc, psg_list, 30.0)
+
+
+def _padded(lists):
+    """Float lists as a zero-padded table and the mask of its entries."""
+    width = max(len(v) for v in lists)
+    table, inside = np.zeros((len(lists), width)), np.zeros((len(lists), width), dtype=bool)
+    for i, values in enumerate(lists):
+        table[i, : len(values)], inside[i, : len(values)] = values, True
+    return table, inside
+
+
+class TestSmpdDeviation:
+    """SMPD's std column comes from one double-double pass per call, and the
+    exact integer step (``_sqrt_ratio``) runs only for the documents that
+    pass cannot decide. Either way each value is the correctly rounded root
+    of the exact variance: pstdev's, and statistics.pstdev's on 3.11+."""
+
+    @staticmethod
+    def _exact_steps(monkeypatch) -> list:
+        calls = []
+        exact = rank_module._sqrt_ratio
+
+        def counting(num, den):
+            calls.append((num, den))
+            return exact(num, den)
+
+        monkeypatch.setattr(rank_module, "_sqrt_ratio", counting)
+        return calls
+
+    @staticmethod
+    def _expected(lists) -> np.ndarray:
+        want = np.array([pstdev(v) for v in lists])
+        if sys.version_info >= (3, 11):
+            import statistics
+
+            assert want.tobytes() == np.array([statistics.pstdev(v) for v in lists]).tobytes()
+        return want
+
+    @pytest.mark.parametrize("nu", [0.0, 30.0, 1e6, 2.0**52])
+    def test_random_tables(self, nu, monkeypatch):
+        # 40 documents each of 1, 2, 3, 8 and 40 passages; a quarter of the
+        # passages and every passage of ten documents unranked; 3,000 passages
+        # of other documents fill the ranks between them.
+        rng = np.random.default_rng([46, int(nu) % 1000])
+        sizes = [1, 2, 3, 8, 40] * 40
+        doc_ids = [f"d{i:03d}" for i in rng.permutation(len(sizes))]
+        by_doc = {d: _passages_for(d, m) for d, m in zip(doc_ids, sizes)}
+        pids = [p.passage_id for d in doc_ids for p in by_doc[d]]
+        dropped = {p for p in pids if rng.random() < 0.25}
+        dropped |= {p.passage_id for d in doc_ids[:10] for p in by_doc[d]}
+        ranked = [p for p in pids if p not in dropped] + [f"x#{i}" for i in range(3000)]
+        psg_list = RankedList.from_scores(
+            "q", dict(zip(ranked, rng.permutation(len(ranked)).astype(float).tolist()))
+        )
+        docs = (DOC_SCHEMA, {d: tuple(rng.uniform(size=6).tolist()) for d in doc_ids})
+        calls = self._exact_steps(monkeypatch)
+        got = build_smpd_vectors(_matrix(docs), PassageRanks(by_doc, psg_list), nu)
+        _, rows = row_references.smpd_rows(list(docs[1]), docs, by_doc, psg_list, nu)
+        assert got.values.tobytes() == np.array([v for _, v in rows]).tobytes()
+
+        ranks = psg_list.ranks()
+        lists = [
+            [1.0 / (nu + ranks[p.passage_id]) if p.passage_id in ranks else 0.0 for p in by_doc[d]]
+            for d in got.item_ids
+        ]
+        std = got.values[:, SMPD_SCHEMA.features.index("p.std")]
+        assert std.tobytes() == self._expected(lists).tobytes()
+        spread = [v for v in lists if max(v) > min(v)]
+        ranked_in_full = [v for v in spread if min(v) > 0]
+        assert sum(max(v) == min(v) == 0 for v in lists) >= 10
+        assert sum(max(v) == min(v) > 0 for v in lists) >= 20
+        if nu < 2**52:
+            assert len(calls) <= len(spread) // 20, (len(calls), len(spread))
+        else:
+            # A spread tiny next to the mean leaves the float pass no bits.
+            assert len(calls) >= len(ranked_in_full) > 0
+
+    def test_undecidable_rows_take_the_exact_step(self, monkeypatch):
+        rows = [
+            # (1 - 2**-54)/2 lies halfway between 0.5 - 2**-54 and 0.5.
+            [1.0, 2.0**-54],
+            # 2**-103 from that midpoint (2**-50 ulp), below it and above it.
+            [1.0, 2.0**-54 + 2.0**-102],
+            [1.0, 2.0**-54 - 2.0**-102],
+        ]
+        # (a - 2**-53)/2 is a midpoint for a in (1, 2); b moves it by 2**-102,
+        # and a power-of-two scale moves the pair with it.
+        for j, scale in ((1, 1.0), (3, 2.0**-10), (2**51 + 5, 2.0**-700), (12345, 2.0**30)):
+            a = 1.0 + j * 2.0**-52
+            for b in (2.0**-53 + 2.0**-101, 2.0**-53 - 2.0**-101):
+                rows.append([a * scale, b * scale])
+        # Spreads of a few ulp on means of 1, 0.1 and 2**-52.
+        rows += [[1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51], [0.1, math.nextafter(0.1, 1.0)]]
+        rows.append([1.0 / (2.0**52 + r) for r in (1, 2, 3, 40)])
+        calls = self._exact_steps(monkeypatch)
+        got = rank_module._pstdevs(*_padded(rows))
+        assert len(calls) == len(rows)
+        assert got.tobytes() == self._expected(rows).tobytes()
+        assert got[:3].tolist() == [0.5, 0.5 - 2.0**-54, 0.5]
+
+    def test_lists_the_float_pass_decides(self, monkeypatch):
+        # pstdev's lists (negative values, magnitudes 1e-5 to 1e3, repeats)
+        # and rows whose scores are all equal, which give 0.0 directly.
+        lists = TestPstdev._lists(20_000, 47)
+        lists += [[0.1] * 3, [0.25], [0.0, 0.0], [1.0 / 3] * 40]
+        calls = self._exact_steps(monkeypatch)
+        got = rank_module._pstdevs(*_padded(lists))
+        assert got.tobytes() == self._expected(lists).tobytes()
+        assert got[-4:].tolist() == [0.0] * 4
+        assert 0 < len(calls) <= len(lists) // 20
 
 
 class TestFpd:
@@ -1309,8 +1420,8 @@ class TestPstdev:
             assert (below**2 if got > 0 else 0) <= var <= above**2, values
 
     def test_rounding_step_ignores_a_common_scale(self):
-        # SMPD passes its documents' num and den at one scale for the whole
-        # table, 4**s times each document's own.
+        # The rounding step gives one root for num and den at any common
+        # scale 4**s, as its docstring says.
         from psgrank.rank import _sqrt_ratio
 
         for values in self._lists(2_000, 39) + [[0.0, 0.0], [0.5, 0.5, 0.0]]:
