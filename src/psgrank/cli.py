@@ -164,17 +164,7 @@ def _cmd_train(args) -> int:
     if not schema_path.exists():
         raise UsageError(f"schema sidecar not found: {schema_path}")
     meta = read_json_file(schema_path, UsageError)
-    if not (
-        isinstance(meta, dict)
-        and isinstance(meta.get("name"), str)
-        and isinstance(meta.get("features"), list)
-        and all(isinstance(f, str) for f in meta["features"])
-    ):
-        raise UsageError(
-            f"{schema_path}: expected a JSON object with a \"name\" string "
-            f"and a \"features\" list of names"
-        )
-    schema = FeatureSchema(meta["name"], tuple(meta["features"]))
+    schema = FeatureSchema.from_json(meta, schema_path, UsageError)
     data = TrainingSet(read_svmlight(args.features, schema))
     model = _train(args.trainer, data, args.seed, vars(args))
     model.save(args.out)

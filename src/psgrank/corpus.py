@@ -124,16 +124,7 @@ class Token(NamedTuple):
     is_stopword: bool
 
 
-class Stemmer:
-    """Base interface; subclasses must be deterministic and idempotent."""
-
-    identity = "identity"
-
-    def stem(self, word: str) -> str:
-        return word
-
-
-class LightStemmer(Stemmer):
+class LightStemmer:
     """Light English suffix stripper (plural / -ing / -ed removal).
 
     Rules, applied repeatedly until a fixpoint is reached:
@@ -188,13 +179,12 @@ class LightStemmer(Stemmer):
         return w
 
 
-STEMMERS: dict[str, type[Stemmer]] = {
-    Stemmer.identity: Stemmer,
+STEMMERS: dict[str, type[LightStemmer]] = {
     LightStemmer.identity: LightStemmer,
 }
 
 
-def stemmer_by_identity(identity: str) -> Stemmer:
+def stemmer_by_identity(identity: str) -> LightStemmer:
     try:
         return STEMMERS[identity]()
     except KeyError:
@@ -215,9 +205,6 @@ class StopwordList:
                 f"are int16, so a list holds at most {_MAX_STOPWORDS}"
             )
         self._positions = {t: i for i, t in enumerate(sorted(self.terms))}
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -263,7 +250,7 @@ class Tokenizer:
     document this tokenizer analyses.
     """
 
-    def __init__(self, stemmer: Stemmer | None = None, stopwords: StopwordList | None = None):
+    def __init__(self, stemmer: LightStemmer | None = None, stopwords: StopwordList | None = None):
         self._stemmer = stemmer or LightStemmer()
         self._stopwords = stopwords or default_stopwords()
         # Stems by term id, and the id of each stem. Append-only, so the ids
@@ -280,7 +267,7 @@ class Tokenizer:
         return TOKENIZER_ID
 
     @property
-    def stemmer(self) -> Stemmer:
+    def stemmer(self) -> LightStemmer:
         return self._stemmer
 
     @property
@@ -378,9 +365,6 @@ class Document:
             self._stems = list(map(self.vocabulary.__getitem__, self.term_ids.tolist()))
         return self._stems
 
-    def __repr__(self) -> str:
-        return f"Document({self.doc_id!r}, {self.length} tokens)"
-
 
 class Query:
     """A tokenized query; stopwords are removed."""
@@ -398,9 +382,6 @@ class Query:
     @property
     def unique_term_count(self) -> int:
         return len(set(t.stem for t in self.tokens))
-
-    def __repr__(self) -> str:
-        return f"Query({self.query_id!r}, {self.text!r})"
 
 
 class CorpusStore:

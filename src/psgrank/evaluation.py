@@ -241,7 +241,7 @@ def interpolated_precision(
     counts = run_bounds[:, 1] - run_bounds[:, 0]
     offsets = np.repeat(run_bounds[:, 0] - (np.cumsum(counts) - counts), counts)
     segments, first, _ = first_occurrences(offsets + np.arange(counts.sum()))
-    rank_of = np.repeat(ranks, counts)[first]
+    segment_rank = np.repeat(ranks, counts)[first]
     length = cuts[segments + 1] - cuts[segments]
     covered = np.cumsum(
         np.bincount(rel_bounds[:, 0], minlength=len(cuts))
@@ -249,8 +249,8 @@ def interpolated_precision(
     )
     retrieved = np.zeros(len(docs), dtype=np.int64)
     hits = np.zeros(len(docs), dtype=np.int64)
-    np.add.at(retrieved, rank_of, length)
-    np.add.at(hits, rank_of, np.where(covered[segments] > 0, length, 0))
+    np.add.at(retrieved, segment_rank, length)
+    np.add.at(hits, segment_rank, np.where(covered[segments] > 0, length, 0))
     retrieved, hits = np.cumsum(retrieved), np.cumsum(hits)
 
     recalls = hits / total_relevant  # never decreases down the run

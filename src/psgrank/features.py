@@ -46,6 +46,22 @@ class FeatureSchema:
         if len(set(self.features)) != len(self.features):
             raise SchemaError(f"schema {self.name!r} has duplicate feature names")
 
+    @classmethod
+    def from_json(cls, value, where: str | Path, error: type[ValueError]) -> "FeatureSchema":
+        """The schema of a JSON object with a "name" string and a "features"
+        list of names; ``error`` naming ``where`` for any other value."""
+        if not (
+            isinstance(value, dict)
+            and isinstance(value.get("name"), str)
+            and isinstance(value.get("features"), list)
+            and all(isinstance(f, str) for f in value["features"])
+        ):
+            raise error(
+                f"{where}: expected a JSON object with a \"name\" string "
+                f"and a \"features\" list of names"
+            )
+        return cls(value["name"], tuple(value["features"]))
+
     def __len__(self) -> int:
         return len(self.features)
 

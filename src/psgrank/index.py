@@ -1,4 +1,4 @@
-"""Positional inverted index, Dirichlet-smoothed LM scoring, and SDM components.
+"""Positional inverted index, Dirichlet-smoothed LM scoring, and SDM feature rows.
 
 The similarity between texts x and y is exp(-CE(mle(x) || dirichlet(y))),
 the exponentiated negative cross entropy between x's unsmoothed unigram
@@ -128,8 +128,8 @@ class PositionalIndex:
         self.stride = max(self.doc_lengths.values(), default=0) + SDM_WINDOW
         self._row = {s: r for r, s in enumerate(self.stems)}
         self._slot_of = {d: s for s, d in enumerate(self.doc_order)}
-        rank_of = {d: r for r, d in enumerate(sorted(self.doc_lengths))}  # as doc_table
-        self._slot_rank = np.fromiter(map(rank_of.__getitem__, self.doc_order), np.int64)
+        rank_by_doc = {d: r for r, d in enumerate(sorted(self.doc_lengths))}  # as doc_table
+        self._slot_rank = np.fromiter(map(rank_by_doc.__getitem__, self.doc_order), np.int64)
 
     def collection_prob(self, stem: str) -> float:
         count = self.collection_term_counts.get(stem, 0)
@@ -245,8 +245,8 @@ class PositionalIndex:
         both = np.intersect1d(self.posting_docs[lo:hi], self.posting_docs[b_lo:b_hi], True)
         (keys_a, _), (keys_b, _) = self._slot_keys(a, both), self._slot_keys(b, both)
         if ordered:
-            return count_ordered_pairs(keys_a, keys_b)
-        return count_window_pairs(keys_a, keys_b, a == b)
+            return int(ordered_hits(keys_a, keys_b).sum())
+        return int(window_hits(keys_a, keys_b, a == b).sum())
 
     # -- persistence --
 
@@ -598,23 +598,6 @@ def window_hits(a: np.ndarray, b: np.ndarray, same_term: bool) -> np.ndarray:
     return np.searchsorted(b, a + span, "right") - np.searchsorted(b, a - span)
 
 
-def count_ordered_pairs(positions_a: Sequence[int], positions_b: Sequence[int]) -> int:
-    """Exact adjacencies: occurrences of a immediately followed by b (positions ascend)."""
-    a, b = (np.asarray(p, dtype=np.int64) for p in (positions_a, positions_b))
-    return int(ordered_hits(a, b).sum())
-
-
-def count_window_pairs(
-    positions_a: Sequence[int],
-    positions_b: Sequence[int],
-    same_term: bool,
-) -> int:
-    """Unordered co-occurrences of a and b within a window of SDM_WINDOW
-    tokens (:func:`window_hits`). Positions ascend."""
-    a, b = (np.asarray(p, dtype=np.int64) for p in (positions_a, positions_b))
-    return int(window_hits(a, b, same_term).sum())
-
-
 def sdm_matrix(
     query: Query, docs: Sequence[Document], index: PositionalIndex, params: LmParams
 ) -> np.ndarray:
@@ -654,10 +637,3 @@ def sdm_matrix(
         f_o += smoothed_logs(ordered, index.pair_count(a, b, ordered=True))
         f_u += smoothed_logs(window, index.pair_count(a, b, ordered=False))
     return rows.T
-
-
-def sdm_components(
-    query: Query, doc: Document, index: PositionalIndex, params: LmParams
-) -> tuple[float, float, float]:
-    """The document's row of :func:`sdm_matrix`."""
-    return tuple(sdm_matrix(query, [doc], index, params)[0].tolist())

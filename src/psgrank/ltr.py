@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -101,13 +102,25 @@ class LinearModel:
     @classmethod
     def load(cls, path: str | Path) -> "LinearModel":
         data = read_json_file(Path(path), ValueError)
-        if data.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version: {data.get('version')}")
+        if not isinstance(data, dict) or data.get("version") != MODEL_VERSION:
+            raise ValueError(f'{path}: expected a JSON object with "version": {MODEL_VERSION}')
         try:
-            schema = FeatureSchema(data["schema"]["name"], tuple(data["schema"]["features"]))
-            return cls(schema, tuple(data["weights"]), data["trainer"], data["hyperparams"])
+            meta, weights = data["schema"], data["weights"]
+            if isinstance(meta, dict):  # a field it lacks is named as the model's own are
+                meta = {"name": meta["name"], "features": meta["features"]}
+            schema = FeatureSchema.from_json(meta, f'{path}: "schema"', ValueError)
+            # Within float range; a bool is not a weight, nor NaN or an infinity.
+            if not isinstance(weights, list) or not all(
+                type(w) in (int, float) and abs(w) <= sys.float_info.max for w in weights
+            ):
+                raise ValueError(f'{path}: "weights": expected a list of finite numbers')
+            if not (isinstance(data["trainer"], str) and isinstance(data["hyperparams"], dict)):
+                raise ValueError(f'{path}: expected a "trainer" string and a "hyperparams" object')
+            return cls(schema, tuple(weights), data["trainer"], data["hyperparams"])
         except KeyError as exc:
             raise ValueError(f"{path}: model file has no field {exc.args[0]!r}") from None
+        except SchemaError as exc:  # duplicate feature names, or a weight count off
+            raise ValueError(f"{path}: {exc}") from None
 
 
 class TrainingSet:
@@ -186,11 +199,6 @@ def _difference_matrix(data: TrainingSet, max_pairs: int, seed: int) -> np.ndarr
     diffs = x[hi]
     diffs -= x[lo]
     return diffs
-
-
-def pairwise_error_count(weights: np.ndarray, diffs: np.ndarray) -> int:
-    """Pairs not strictly ordered correctly by the weight vector."""
-    return _misordered(diffs @ weights)
 
 
 def _misordered(margins: np.ndarray) -> int:

@@ -28,10 +28,6 @@ class SegmentationParams:
         if self.mode not in SEGMENTATION_MODES:
             raise ValueError(f"unknown segmentation mode: {self.mode!r}")
 
-    @property
-    def identity(self) -> str:
-        return f"{self.mode}-{self.window_len}" if self.mode == "fixed" else "sentence"
-
 
 @dataclass(frozen=True)
 class Passage:

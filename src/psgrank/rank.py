@@ -34,7 +34,6 @@ from .features import (
     concat_schemas,
     minmax,
     normalize_by_sum,
-    query_similarities,
 )
 from .index import LmParams, PositionalIndex, lm_similarities
 from .passage import Passage, parse_passage_id
@@ -44,6 +43,14 @@ SMPD_FEATURES = ("max", "min", "avg", "std", "top50", "top100", "numPsg")
 JPD2_SECOND_EXCLUSIONS = frozenset(
     {"DocQuerySim", "MaxPDSim", "AvgPDSim", "StdPDSim", "QueryLength"}
 )
+
+
+class RankedListError(ValueError):
+    """A broken rule of :class:`RankedList`, at entry ``position`` (from 0)."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
 
 
 @dataclass(frozen=True)
@@ -62,15 +69,15 @@ class RankedList:
         prev_score = None
         prev_id = None
         seen = set()
-        for item_id, score in self.entries:
+        for i, (item_id, score) in enumerate(self.entries):
             if item_id in seen:
-                raise ValueError(f"duplicate item id in ranked list: {item_id!r}")
+                raise RankedListError(f"duplicate item id in ranked list: {item_id!r}", i)
             seen.add(item_id)
             if prev_score is not None:
                 if score > prev_score:
-                    raise ValueError("ranked list scores must be non-increasing")
+                    raise RankedListError("ranked list scores must be non-increasing", i)
                 if score == prev_score and item_id < prev_id:
-                    raise ValueError("ties must be ordered by ascending item id")
+                    raise RankedListError("ties must be ordered by ascending item id", i)
             prev_score, prev_id = score, item_id
 
     @classmethod
@@ -117,12 +124,6 @@ class RankedList:
             best.setdefault(parse_passage_id(pid)[0], r)
         return MappingProxyType(best)
 
-    def rank_of(self, item_id: str) -> int:
-        try:
-            return self._ranks[item_id]
-        except KeyError:
-            raise ValueError(f"item {item_id!r} not in ranked list") from None
-
 
 @dataclass(frozen=True)
 class FusionParams:
@@ -138,11 +139,6 @@ class FusionParams:
             raise ValueError(f"nu must be below 2**53 (9.007e15), got {self.nu}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0,1], got {self.alpha}")
-
-
-def rr_score(item_id: str, ranked: RankedList, nu: float) -> float:
-    """1 / (nu + rank), with the top item at rank 1."""
-    return 1.0 / (nu + ranked.rank_of(item_id))
 
 
 def fusion_rows(
@@ -209,12 +205,12 @@ class PassageRanks:
     """
 
     def __init__(self, passages_by_doc: Mapping[str, Sequence[Passage]], psg_list: RankedList):
-        rank_of = psg_list.ranks()
+        psg_ranks = psg_list.ranks()
         self.doc_row = {d: i for i, d in enumerate(passages_by_doc)}
         self.passage_ids = [p.passage_id for plist in passages_by_doc.values() for p in plist]
         counts = np.array([len(plist) for plist in passages_by_doc.values()], dtype=np.int64)
         self.bounds = np.concatenate(([0], np.cumsum(counts)))
-        self.ranks = np.array([rank_of.get(p, 0) for p in self.passage_ids], dtype=np.int64)
+        self.ranks = np.array([psg_ranks.get(p, 0) for p in self.passage_ids], dtype=np.int64)
         ranked = self.ranks > 0
         owner = np.repeat(np.arange(len(counts)), counts)
         # Each document's passages, its ranked ones first and in rank order.
@@ -567,23 +563,6 @@ def qsf_from_sims(
     return RankedList.from_scores(query_id, scores, k=k)
 
 
-def rank_qsf(
-    query: Query,
-    store: CorpusStore,
-    index: PositionalIndex,
-    doc_ids: Sequence[str],
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    params: LmParams,
-    lam: float,
-    k: int | None = None,
-) -> RankedList:
-    """QSF over the passages of ``doc_ids``; see :func:`qsf_from_sims`."""
-    doc_sims, psg_sims = query_similarities(
-        query.stems(), index, doc_ids, passages_by_doc, params
-    )
-    return qsf_from_sims(query.query_id, doc_sims, psg_sims, passages_by_doc, lam, k)
-
-
 def positional_similarities(
     query: Query,
     store: CorpusStore,
@@ -664,36 +643,6 @@ def plm_from_sims(
     return RankedList.from_scores(query_id, scores, k=k)
 
 
-def rank_plm(
-    query: Query,
-    store: CorpusStore,
-    index: PositionalIndex,
-    doc_ids: Sequence[str],
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    params: LmParams,
-    sigma: float,
-    lam: float,
-    beta: float,
-    k: int | None = None,
-) -> RankedList:
-    """Positional LM scoring with a Gaussian kernel.
-
-    Each passage contributes its best per-position similarity (the position
-    whose kernel-weighted pseudo-document scores highest), interpolated
-    with the whole-passage and ambient-document similarities; see
-    :func:`plm_from_sims`.
-    """
-    doc_sims, psg_sims = query_similarities(
-        query.stems(), index, doc_ids, passages_by_doc, params
-    )
-    pos_sims = best_positional_similarities(
-        query, store, index, doc_ids, passages_by_doc, params, sigma
-    )
-    return plm_from_sims(
-        query.query_id, doc_sims, psg_sims, pos_sims, passages_by_doc, lam, beta, k
-    )
-
-
 def docpsg_from_sims(
     query_id: str,
     doc_sims: Mapping[str, float],
@@ -718,24 +667,6 @@ def docpsg_from_sims(
     return RankedList.from_scores(query_id, scores)
 
 
-def rank_docpsg(
-    query: Query,
-    store: CorpusStore,
-    index: PositionalIndex,
-    doc_ids: Sequence[str],
-    passages_by_doc: Mapping[str, Sequence[Passage]],
-    params: LmParams,
-    lambda_max: float,
-) -> RankedList:
-    """DocPsg over ``doc_ids``; see :func:`docpsg_from_sims`."""
-    doc_sims, psg_sims = query_similarities(
-        query.stems(), index, doc_ids, passages_by_doc, params
-    )
-    return docpsg_from_sims(
-        query.query_id, doc_sims, psg_sims, passages_by_doc, index.doc_lengths, lambda_max
-    )
-
-
 def write_trec_run(path: str | Path, runs: Sequence[RankedList], tag: str) -> None:
     """TREC run format: query_id Q0 item_id rank score tag (full-precision
     scores so a reread reproduces the exact ordering)."""
@@ -746,9 +677,10 @@ def write_trec_run(path: str | Path, runs: Sequence[RankedList], tag: str) -> No
 
 
 def read_trec_run(path: str | Path) -> list[RankedList]:
-    """Read a TREC run file, preserving file order within each query."""
+    """Read a TREC run file, preserving file order within each query; an
+    entry that breaks a :class:`RankedList` rule is named by its line."""
     per_query: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
+    lines: dict[str, list[int]] = {}
     for lineno, line in text_lines(path, ValueError, comment=None):
         parts = line.split()
         if len(parts) != 6:
@@ -758,8 +690,12 @@ def read_trec_run(path: str | Path) -> list[RankedList]:
             entry = (item_id, float(score))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: score {score!r} is not a number") from None
-        if qid not in per_query:
-            per_query[qid] = []
-            order.append(qid)
-        per_query[qid].append(entry)
-    return [RankedList(qid, tuple(per_query[qid])) for qid in order]
+        per_query.setdefault(qid, []).append(entry)
+        lines.setdefault(qid, []).append(lineno)
+    runs = []
+    for qid, entries in per_query.items():
+        try:
+            runs.append(RankedList(qid, tuple(entries)))
+        except RankedListError as exc:
+            raise ValueError(f"{path}:{lines[qid][exc.position]}: query {qid}: {exc}") from None
+    return runs

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from psgrank.corpus import CorpusStore, Query, StopwordList, Tokenizer
+from psgrank.features import query_similarities
+from psgrank.rank import (
+    best_positional_similarities, docpsg_from_sims, plm_from_sims, qsf_from_sims,
+)
 from psgrank.synthetic import SyntheticSpec, generate
 
 
@@ -66,6 +70,30 @@ def store_factory(tokenizer):
 
 def make_query(query_id: str, text: str, tokenizer: Tokenizer) -> Query:
     return Query(query_id, text, tokenizer)
+
+
+# QSF, PLM and DocPsg as a run's pipeline composes them: the query's
+# similarities from query_similarities, then the ranker's *_from_sims.
+
+
+def qsf_ranking(query, index, doc_ids, passages_by_doc, params, lam, k=None):
+    sims = query_similarities(query.stems(), index, doc_ids, passages_by_doc, params)
+    return qsf_from_sims(query.query_id, *sims, passages_by_doc, lam, k)
+
+
+def plm_ranking(query, store, index, doc_ids, passages_by_doc, params, sigma, lam, beta, k=None):
+    sims = query_similarities(query.stems(), index, doc_ids, passages_by_doc, params)
+    pos_sims = best_positional_similarities(
+        query, store, index, doc_ids, passages_by_doc, params, sigma
+    )
+    return plm_from_sims(query.query_id, *sims, pos_sims, passages_by_doc, lam, beta, k)
+
+
+def docpsg_ranking(query, index, doc_ids, passages_by_doc, params, lambda_max):
+    sims = query_similarities(query.stems(), index, doc_ids, passages_by_doc, params)
+    return docpsg_from_sims(
+        query.query_id, *sims, passages_by_doc, index.doc_lengths, lambda_max
+    )
 
 
 def _edit_manifest(store, edit) -> None:

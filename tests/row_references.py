@@ -745,7 +745,7 @@ def tokenize(text, stemmer, stopwords) -> list[Token]:
         hit = analysis.get(surface)
         if hit is None:
             lower = surface.lower()
-            hit = analysis[surface] = (stemmer.stem(lower), lower in stopwords)
+            hit = analysis[surface] = (stemmer.stem(lower), stopwords.position(lower) >= 0)
         start, end = m.span()
         tokens.append(Token(surface, hit[0], start, end, hit[1]))
     return tokens

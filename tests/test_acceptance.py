@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import TINY_STOPWORDS, build_store, make_query, noisy_corpus
+from conftest import (
+    TINY_STOPWORDS, build_store, make_query, noisy_corpus, plm_ranking, qsf_ranking,
+)
 from psgrank.corpus import StopwordList, Tokenizer
 from psgrank.experiment import ExperimentConfig, run_experiment
 from psgrank.features import (
@@ -29,12 +31,12 @@ from psgrank.features import (
     doc_priors,
     query_similarities,
 )
-from psgrank.index import LmParams, build_index, sdm_components
+from psgrank.index import LmParams, build_index, sdm_matrix
 from psgrank.ltr import (
     TrainingSet,
+    _misordered,
     bucket_grade,
     ndcg_at_k,
-    pairwise_error_count,
     score,
     train_coordinate_ascent,
     train_pairwise,
@@ -45,13 +47,11 @@ from psgrank.rank import (
     PassageRanks,
     RankedList,
     build_smpd_vectors,
+    fusion_rows,
     jpds_schema,
     positional_similarities,
-    rank_plm,
-    rank_qsf,
     rerank_fpd,
     rerank_rrf,
-    rr_score,
 )
 from psgrank.evaluation import (
     JudgmentSet,
@@ -114,7 +114,7 @@ def test_criterion_1_formula_oracles():
             ok &= _approx_rel(psg_sims[p.passage_id], exp)
     # sdm components.
     for doc_id in list(texts)[:12]:
-        got = sdm_components(query, store.get(doc_id), index, params)
+        got = tuple(sdm_matrix(query, [store.get(doc_id)], index, params)[0].tolist())
         exp = oracles.sdm_components(query.stems(), stems[doc_id], stems, mu)
         ok &= _approx_rel(got, exp)
     # 6 document features.
@@ -157,7 +157,8 @@ def test_criterion_1_formula_oracles():
                 query, store, passages_by_doc, resources, mu, p, set(TINY_STOPWORDS)
             )
             ok &= _approx_rel(got, exp)
-    # rr_score and the interpolated fusion scores.
+    # The reciprocal rank (the fusion row at alpha=1) and the interpolated
+    # fusion scores.
     doc_list = RankedList.from_scores(
         "q1", {d: float(rng.uniform(0, 1)) for d in doc_ids}
     )
@@ -170,8 +171,9 @@ def test_criterion_1_formula_oracles():
     doc_ranks = doc_list.ranks()
     psg_ranks = psg_list.ranks()
     nu, alpha = 60.0, 0.3
-    for d in doc_ids:
-        ok &= _approx_rel(rr_score(d, doc_list, nu), 1.0 / (nu + doc_ranks[d]))
+    rr, _ = fusion_rows(doc_list, [0] * len(doc_list), [1.0], [nu])
+    for d, got in zip(doc_list.ids(), rr[0].tolist()):
+        ok &= _approx_rel(got, 1.0 / (nu + doc_ranks[d]))
     fused = rerank_rrf(doc_list, psg_list, FusionParams(nu=nu, alpha=alpha))
     fused_scores = dict(fused.entries)
     for d in doc_ids:
@@ -200,7 +202,7 @@ def test_criterion_1_formula_oracles():
         ok &= _approx_rel(got, exp)
     # QSF scores.
     lam = 0.35
-    qsf = rank_qsf(query, store, index, doc_ids, passages_by_doc, params, lam)
+    qsf = qsf_ranking(query, index, doc_ids, passages_by_doc, params, lam)
     psg_sims, doc_sims = {}, {}
     for d in doc_ids:
         doc_sims[d] = oracles.doc_lm_similarity(query.stems(), d, stems, mu)
@@ -238,7 +240,7 @@ def test_criterion_1_formula_oracles():
             got = positional_similarities(query, store, index, p, params, sigma)
             got_best = float(got.max()) if got.size else 0.0
             ok &= _approx_rel(got_best, pos_oracle[p.passage_id])
-    plm = rank_plm(
+    plm = plm_ranking(
         query, store, index, doc_ids, passages_by_doc, params, sigma, plam, pbeta
     )
     spos = sum(pos_oracle.values())
@@ -344,7 +346,7 @@ def test_criterion_5_trainer_properties(tmp_path):
             for lo, lo_grade in zip(matrix.values, grades):
                 if hi_grade > lo_grade:
                     diffs.append(np.subtract(hi, lo))
-    errors = pairwise_error_count(np.array(model.weights), np.array(diffs))
+    errors = _misordered(np.array(diffs) @ np.array(model.weights))
     ok = errors == 0
 
     # Coordinate ascent: monotone accepted objective, reaches 1.0 when one

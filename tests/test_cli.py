@@ -473,6 +473,11 @@ class TestTrainInputValidation:
             (GOOD_ROWS, {"features": ["f0", "f1"]}, 1, '"name" string'),
             (GOOD_ROWS, {"name": "s"}, 1, '"features" list'),
             (
+                GOOD_ROWS, ["f0", "f1"], 1,
+                '/feats.txt.schema.json: expected a JSON object with a "name" string '
+                'and a "features" list of names\n',
+            ),
+            (
                 GOOD_ROWS, '{"name": "s",\n "features": [}\n', 1,
                 "feats.txt.schema.json:2:15: not valid JSON",
             ),
@@ -484,7 +489,7 @@ class TestTrainInputValidation:
         ],
         ids=[
             "index-0", "index-past-schema", "repeated-item", "nan", "inf", "sidecar-without-name",
-            "sidecar-without-features", "sidecar-not-json", "sidecar-not-utf8",
+            "sidecar-without-features", "sidecar-a-list", "sidecar-not-json", "sidecar-not-utf8",
         ],
     )
     def test_bad_dump_or_sidecar_exits_without_traceback(

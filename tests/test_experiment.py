@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import row_references
-from conftest import noisy_corpus
+from conftest import docpsg_ranking, noisy_corpus, plm_ranking, qsf_ranking
 from psgrank.experiment import ConfigError, ExperimentConfig, run_experiment
 from psgrank.rank import rerank_rrf
 from psgrank.synthetic import SyntheticSpec, generate
@@ -1302,7 +1302,7 @@ class TestPipelineIsOracleCode:
         from psgrank.corpus import ingest_corpus, load_topics
         from psgrank.index import LmParams, build_index, retrieve_lm
         from psgrank.passage import SegmentationParams, segment
-        from psgrank.rank import rank_docpsg, rank_plm, rank_qsf, read_trec_run
+        from psgrank.rank import read_trec_run
 
         paths = _tiny_corpus(tmp_path)
         store = ingest_corpus(paths["corpus"])
@@ -1335,13 +1335,14 @@ class TestPipelineIsOracleCode:
                     d: segment(store.get(d), SegmentationParams(config.window_len))
                     for d in doc_ids
                 }
-                args = (query, store, index, doc_ids, passages, params)
+                args = (query, index, doc_ids, passages, params)
                 k = config.psg_cutoff
-                assert got.entries == rank_qsf(*args, pt["qsf"], k=k).entries
-                assert runs["PLM"][qid].entries == rank_plm(
-                    *args, pt["sigma"], pt["lam"], pt["beta"], k=k
+                assert got.entries == qsf_ranking(*args, pt["qsf"], k=k).entries
+                assert runs["PLM"][qid].entries == plm_ranking(
+                    query, store, index, doc_ids, passages, params,
+                    pt["sigma"], pt["lam"], pt["beta"], k=k,
                 ).entries
-                assert runs["DocPsg"][qid].entries == rank_docpsg(*args, pt["docpsg"]).entries
+                assert runs["DocPsg"][qid].entries == docpsg_ranking(*args, pt["docpsg"]).entries
 
 
 class TestAllMethods:

@@ -19,16 +19,15 @@ from psgrank.index import (
     SdmWeights,
     best_first_order,
     build_index,
-    count_ordered_pairs,
-    count_window_pairs,
     first_occurrences,
     lm_similarities,
     lm_top_ranks,
+    ordered_hits,
     rank_documents_lm,
     retrieve_lm,
-    sdm_components,
     sdm_matrix,
     stable_order,
+    window_hits,
 )
 from psgrank.synthetic import SyntheticSpec, generate
 
@@ -656,6 +655,12 @@ class TestLmLogsBulk:
         assert len(kept) == 3 * len({*stems, "w9"})
 
 
+def _hit_sum(hits, a, b, *same_term) -> int:
+    """``ordered_hits`` or ``window_hits`` summed, as ``PositionalIndex._scan_pairs`` counts."""
+    a, b = (np.asarray(p, dtype=np.int64) for p in (a, b))
+    return int(hits(a, b, *same_term).sum())
+
+
 class TestPairCountersEqualLoops:
     CASES = [
         ([], [], False),
@@ -676,14 +681,14 @@ class TestPairCountersEqualLoops:
 
     @pytest.mark.parametrize("a,b,same", CASES)
     def test_cases(self, a, b, same):
-        assert count_window_pairs(a, b, same) == row_references.count_window_pairs(a, b, same)
-        assert count_ordered_pairs(a, b) == row_references.count_ordered_pairs(a, b)
+        assert _hit_sum(window_hits, a, b, same) == row_references.count_window_pairs(a, b, same)
+        assert _hit_sum(ordered_hits, a, b) == row_references.count_ordered_pairs(a, b)
 
     def test_window_edges(self):
-        assert count_window_pairs([0], [7], same_term=False) == 1
-        assert count_window_pairs([0], [8], same_term=False) == 0
-        assert count_window_pairs([0, 7], [], same_term=True) == 1
-        assert count_window_pairs([0, 8], [], same_term=True) == 0
+        assert _hit_sum(window_hits, [0], [7], False) == 1
+        assert _hit_sum(window_hits, [0], [8], False) == 0
+        assert _hit_sum(window_hits, [0, 7], [], True) == 1
+        assert _hit_sum(window_hits, [0, 8], [], True) == 0
 
     def test_random(self):
         rng = np.random.default_rng(3)
@@ -692,9 +697,10 @@ class TestPairCountersEqualLoops:
             b = np.sort(rng.choice(60, size=int(rng.integers(0, 12)), replace=False))
             a, b = a.astype(np.int32), b.astype(np.int32)
             ref_a, ref_b = a.tolist(), b.tolist()
-            assert count_ordered_pairs(a, b) == row_references.count_ordered_pairs(ref_a, ref_b)
+            got = _hit_sum(ordered_hits, a, b)
+            assert got == row_references.count_ordered_pairs(ref_a, ref_b)
             for same in (False, True):
-                got = count_window_pairs(a, b, same)
+                got = _hit_sum(window_hits, a, b, same)
                 assert got == row_references.count_window_pairs(ref_a, ref_b, same)
 
     @pytest.mark.parametrize("corpus_fn", [_tiny, _noisy])
@@ -717,14 +723,14 @@ class TestSdm:
         stems = _stems(store)
         assert oracles.ordered_count(stems["d1"], "a", "b") == 1
         pos_a = [0]
-        assert count_ordered_pairs(pos_a, [1]) == 1
-        assert count_ordered_pairs([0], [2]) == 0
+        assert _hit_sum(ordered_hits, pos_a, [1]) == 1
+        assert _hit_sum(ordered_hits, [0], [2]) == 0
 
     def test_unordered_window(self):
         # doc "a c b": a at 0, b at 2 fit in a window of 8.
-        assert count_window_pairs([0], [2], same_term=False) == 1
-        assert count_window_pairs([0], [9], same_term=False) == 0
-        assert count_window_pairs([0, 3, 5], [0, 3, 5], same_term=True) == 3
+        assert _hit_sum(window_hits, [0], [2], False) == 1
+        assert _hit_sum(window_hits, [0], [9], False) == 0
+        assert _hit_sum(window_hits, [0, 3, 5], [0, 3, 5], True) == 3
 
     def test_equals_per_document_scan(self, tmp_path, tokenizer):
         index = build_index(store := _synthetic_store(tmp_path, _noisy, tokenizer))
@@ -734,8 +740,8 @@ class TestSdm:
             query = make_query(f"q{n}", text + (" " + text.split()[0]) * (n % 2), tokenizer)
             for doc in store.documents[::7]:
                 for mu in (0.0, 1500.0):
-                    got = sdm_components(query, doc, index, LmParams(mu))
-                    assert got == row_references.sdm_components(query, doc, index, mu)
+                    got = sdm_matrix(query, [doc], index, LmParams(mu))[0].tolist()
+                    assert got == list(row_references.sdm_components(query, doc, index, mu))
 
     @staticmethod
     def _assert_rows_equal_reference(query, docs, index, mu):
@@ -776,7 +782,7 @@ class TestSdm:
         store = store_factory({"d1": "a b c"})
         index = build_index(store)
         q = make_query("q", "a", tokenizer)
-        f_t, f_o, f_u = sdm_components(q, store.get("d1"), index, LmParams(10.0))
+        f_t, f_o, f_u = sdm_matrix(q, [store.get("d1")], index, LmParams(10.0))[0]
         assert f_o == 0.0 and f_u == 0.0
 
     def test_against_window_scanner_oracle(self, store_factory, tokenizer):
@@ -787,7 +793,7 @@ class TestSdm:
         stems = _stems(store)
         query = make_query("q", "w0 w3 w3 w7", tokenizer)
         for doc in store.documents:
-            got = sdm_components(query, doc, index, LmParams(50.0))
+            got = sdm_matrix(query, [doc], index, LmParams(50.0))[0]
             expected = oracles.sdm_components(query.stems(), stems[doc.doc_id], stems, 50.0)
             assert got == pytest.approx(expected, rel=1e-12)
 
@@ -801,7 +807,7 @@ class TestSdm:
         weights = SdmWeights(1.0, 0.0, 0.0)
         scored = []
         for doc_id in run.ids():
-            f_t, _, _ = sdm_components(query, store.get(doc_id), index, LmParams(800.0))
+            f_t, _, _ = sdm_matrix(query, [store.get(doc_id)], index, LmParams(800.0))[0]
             scored.append((doc_id, math.exp(f_t)))
         reranked = sorted(scored, key=lambda kv: (-kv[1], kv[0]))
         assert [d for d, _ in reranked] == run.ids()
@@ -818,7 +824,7 @@ class TestSdm:
         store = store_factory({"d1": "a b c", "d2": "z z"})
         index = build_index(store)
         q = make_query("q", "z b", tokenizer)
-        f_t, f_o, f_u = sdm_components(q, store.get("d1"), index, LmParams(0.0))
+        f_t, f_o, f_u = sdm_matrix(q, [store.get("d1")], index, LmParams(0.0))[0]
         assert f_t == pytest.approx(-50.0 + math.log(1 / 3))
         assert f_o == -50.0 and f_u == -50.0
 

@@ -16,9 +16,9 @@ from psgrank.ltr import (
     LinearModel,
     TrainingError,
     TrainingSet,
+    _misordered,
     bucket_grade,
     ndcg_at_k,
-    pairwise_error_count,
     passage_grades,
     score,
     train_coordinate_ascent,
@@ -109,7 +109,7 @@ class TestTrainPairwise:
         model = train_pairwise(_training(rows), c=1.0, epochs=200, seed=0)
         assert model.weights[0] > 0
         diffs = np.array([[1.0]] * 9)
-        assert pairwise_error_count(np.array(model.weights), diffs) == 0
+        assert _misordered(diffs @ np.array(model.weights)) == 0
 
     def test_no_signal_raises(self):
         data = _training([("q1", "a", [1.0], 1), ("q1", "b", [2.0], 1)])
@@ -138,12 +138,10 @@ class TestTrainPairwise:
                         diffs.append(np.subtract(hi[2], lo[2]))
         diffs = np.array(diffs)
         best_err = min(
-            pairwise_error_count(
-                np.array([math.cos(a), math.sin(a)]), diffs
-            )
+            _misordered(diffs @ np.array([math.cos(a), math.sin(a)]))
             for a in np.linspace(0, 2 * math.pi, 721)
         )
-        assert pairwise_error_count(np.array(model.weights), diffs) == best_err
+        assert _misordered(diffs @ np.array(model.weights)) == best_err
 
     def test_error_non_increasing_in_epoch_budget(self):
         rng = np.random.default_rng(3)
@@ -164,9 +162,7 @@ class TestTrainPairwise:
                         diffs.append(np.subtract(hi[2], lo[2]))
         diffs = np.array(diffs)
         errors = [
-            pairwise_error_count(
-                np.array(train_pairwise(data, c=0.5, epochs=e, seed=5).weights), diffs
-            )
+            _misordered(diffs @ np.array(train_pairwise(data, c=0.5, epochs=e, seed=5).weights))
             for e in (1, 10, 50, 200)
         ]
         assert errors == sorted(errors, reverse=True)
@@ -225,7 +221,7 @@ class TestOverflow:
         # Margins 1, NaN (inf - inf), -1 and 0.
         diffs = np.array([[1.0, 0.0], [np.inf, -np.inf], [-1.0, 0.0], [0.0, 0.0]])
         with np.errstate(invalid="ignore"):
-            assert pairwise_error_count(np.array([1.0, 1.0]), diffs) == 3
+            assert _misordered(diffs @ np.array([1.0, 1.0])) == 3
 
 
 class TestTrainerSettings:
@@ -522,6 +518,45 @@ class TestModelIO:
             with pytest.raises(ValueError, match=re.escape(expected)):
                 LinearModel.load(path)
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: [1, 2], 'expected a JSON object with "version": 1'),
+            (lambda m: {**m, "version": 2}, 'expected a JSON object with "version": 1'),
+            (
+                lambda m: {**m, "schema": ["f0", "f1"]},
+                '"schema": expected a JSON object with a "name" string '
+                'and a "features" list of names',
+            ),
+            (
+                lambda m: {**m, "schema": {"name": "s", "features": ["f0", "f0"]}},
+                "schema 's' has duplicate feature names",
+            ),
+            (lambda m: {**m, "weights": [1.0, "x"]}, '"weights": expected a list'),
+            (lambda m: {**m, "weights": [True, 1.0]}, '"weights": expected a list'),
+            (lambda m: {**m, "weights": [math.nan, 1.0]}, '"weights": expected a list'),
+            (lambda m: {**m, "weights": [10**400, 1.0]}, '"weights": expected a list'),
+            (lambda m: {**m, "weights": 1.0}, '"weights": expected a list of finite numbers'),
+            (lambda m: {**m, "weights": [1.0]}, "1 weights for schema 's' of length 2"),
+            (lambda m: {**m, "trainer": 5}, 'expected a "trainer" string and a "hyperparams" object'),
+            (lambda m: {**m, "hyperparams": [1]}, 'expected a "trainer" string'),
+        ],
+        ids=[
+            "not-an-object", "version-2", "schema-a-list", "schema-repeats-a-feature",
+            "weight-a-string", "weight-a-bool", "weight-nan", "weight-past-float-range",
+            "weights-a-number", "weights-short", "trainer-a-number", "hyperparams-a-list",
+        ],
+    )
+    def test_malformed_model_file_names_the_path(self, tmp_path, edit, message):
+        LinearModel(FeatureSchema("s", ("f0", "f1")), (0.5, -1.0), "pairwise_hinge", {}).save(
+            tmp_path / "m.json"
+        )
+        payload = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(edit(payload)), encoding="utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            LinearModel.load(path)
+
 
 def _random_rows(rng, n_queries=4, n_items=12, n_features=5, grades=4):
     """(query_id, item_id, values, grade) rows with queries interleaved, items
@@ -612,7 +647,7 @@ class TestBitExactContracts:
             assert epoch == best_epoch
         else:
             assert 0 < epoch < 79  # epochs after the best one must leave it unchanged
-        assert (pairwise_error_count(np.array(expected), diffs) == 0) == separable
+        assert (_misordered(diffs @ np.array(expected)) == 0) == separable
 
     @pytest.mark.parametrize("case", ["best-epoch-0", "separable-at-epoch-18", "random"])
     def test_no_epoch_runs_after_the_first_with_no_misordered_pair(self, monkeypatch, case):
@@ -633,7 +668,7 @@ class TestBitExactContracts:
         assert len(counts) == (best_epoch + 2 if separable else 81)
         assert (counts[-1] == 0) == separable and 0 not in counts[:-1]
         diffs = ltr._difference_matrix(data, max_pairs, seed=7)
-        assert pairwise_error_count(np.array(model.weights), diffs) == min(counts)
+        assert _misordered(diffs @ np.array(model.weights)) == min(counts)
 
     @staticmethod
     def _ndcg_rows(rng):

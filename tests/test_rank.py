@@ -9,7 +9,15 @@ import pytest
 
 import oracles
 import row_references
-from conftest import TINY_STOPWORDS, build_store, json_without_cpu_features, make_query
+from conftest import (
+    TINY_STOPWORDS,
+    build_store,
+    docpsg_ranking,
+    json_without_cpu_features,
+    make_query,
+    plm_ranking,
+    qsf_ranking,
+)
 from row_references import pstdev
 from psgrank.evaluation import average_precisions
 from psgrank.features import (
@@ -40,13 +48,9 @@ from psgrank.rank import (
     fusion_rows,
     jpds_schema,
     positional_similarities,
-    rank_docpsg,
-    rank_plm,
-    rank_qsf,
     read_trec_run,
     rerank_fpd,
     rerank_rrf,
-    rr_score,
     write_trec_run,
 )
 
@@ -102,23 +106,26 @@ class TestRankedList:
 
 
 class TestRrScore:
+    """The reciprocal rank 1/(nu + r): the one fusion row at alpha=1."""
+
+    @staticmethod
+    def _rr(rl, nu):
+        scores, _ = fusion_rows(rl, [0] * len(rl), [1.0], [nu])
+        return dict(zip(rl.ids(), scores[0].tolist()))
+
     def test_direct_substitution(self):
         rl = RankedList.from_scores("q", {"a": 2.0, "b": 1.0})
-        assert rr_score("a", rl, 60.0) == pytest.approx(1 / 61)
+        assert self._rr(rl, 60.0)["a"] == pytest.approx(1 / 61)
 
     def test_nu_zero_top_is_one(self):
         rl = RankedList.from_scores("q", {"a": 2.0})
-        assert rr_score("a", rl, 0.0) == 1.0
+        assert self._rr(rl, 0.0)["a"] == 1.0
 
     def test_strictly_decreasing_in_rank(self):
         rl = RankedList.from_scores("q", {f"i{i}": float(-i) for i in range(10)})
-        scores = [rr_score(f"i{i}", rl, 30.0) for i in range(10)]
+        rr = self._rr(rl, 30.0)
+        scores = [rr[f"i{i}"] for i in range(10)]
         assert all(a > b for a, b in zip(scores, scores[1:]))
-
-    def test_absent_item(self):
-        rl = RankedList.from_scores("q", {"a": 1.0})
-        with pytest.raises(ValueError):
-            rr_score("zz", rl, 60.0)
 
 
 class TestNuBound:
@@ -834,8 +841,8 @@ def _scored_corpus(store_factory, tokenizer):
 class TestQsf:
     def test_lambda_zero_pure_passage_order(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
-        out = rank_qsf(
-            query, store, index, sorted(passages_by_doc), passages_by_doc,
+        out = qsf_ranking(
+            query, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), lam=0.0,
         )
         stems = {d.doc_id: d.stems() for d in store.documents}
@@ -851,8 +858,8 @@ class TestQsf:
 
     def test_lambda_one_orders_by_ambient_document(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
-        out = rank_qsf(
-            query, store, index, sorted(passages_by_doc), passages_by_doc,
+        out = qsf_ranking(
+            query, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), lam=1.0,
         )
         stems = {d.doc_id: d.stems() for d in store.documents}
@@ -866,8 +873,8 @@ class TestQsf:
     def test_direct_formula_oracle(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
         lam = 0.4
-        out = rank_qsf(
-            query, store, index, sorted(passages_by_doc), passages_by_doc,
+        out = qsf_ranking(
+            query, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), lam=lam,
         )
         stems = {d.doc_id: d.stems() for d in store.documents}
@@ -960,7 +967,7 @@ class TestPlm:
     def test_lambda_beta_bound(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
         with pytest.raises(ValueError):
-            rank_plm(
+            plm_ranking(
                 query, store, index, sorted(passages_by_doc), passages_by_doc,
                 LmParams(20.0), sigma=50.0, lam=0.7, beta=0.7,
             )
@@ -968,12 +975,12 @@ class TestPlm:
     def test_reduces_to_qsf_when_positional_term_dropped(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
         beta = 0.6
-        plm = rank_plm(
+        plm = plm_ranking(
             query, store, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), sigma=100.0, lam=0.0, beta=beta,
         )
-        qsf = rank_qsf(
-            query, store, index, sorted(passages_by_doc), passages_by_doc,
+        qsf = qsf_ranking(
+            query, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), lam=1.0 - beta,
         )
         assert plm.ids() == qsf.ids()
@@ -1030,8 +1037,8 @@ class TestDocPsg:
     def test_equal_lengths_degenerate_to_lambda_max(self, store_factory, tokenizer):
         store, index, passages_by_doc, query = _scored_corpus(store_factory, tokenizer)
         lam_max = 0.7
-        out = rank_docpsg(
-            query, store, index, sorted(passages_by_doc), passages_by_doc,
+        out = docpsg_ranking(
+            query, index, sorted(passages_by_doc), passages_by_doc,
             LmParams(20.0), lambda_max=lam_max,
         )
         stems = {d.doc_id: d.stems() for d in store.documents}
@@ -1066,9 +1073,7 @@ class TestDocPsg:
         # implied lambda from the output scores.
         import math as _math
 
-        out = rank_docpsg(
-            query, store, index, sorted(texts), passages_by_doc, LmParams(0.0), 0.9
-        )
+        out = docpsg_ranking(query, index, sorted(texts), passages_by_doc, LmParams(0.0), 0.9)
         log_lens = {d: _math.log1p(index.doc_lengths[d]) for d in texts}
         lo, hi = min(log_lens.values()), max(log_lens.values())
         lams = {d: 0.9 * (1 - (log_lens[d] - lo) / (hi - lo)) for d in texts}
@@ -1101,6 +1106,31 @@ class TestTrecIO:
         path = tmp_path / "run.trec"
         path.write_text("q1 Q0 doc1 1 0.5 t\nq1 Q0 doc2 2 high t\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: score 'high' is not a number"):
+            read_trec_run(path)
+
+    @pytest.mark.parametrize(
+        "rows,where,rule",
+        [
+            # Line 4 rises too; the first entry that breaks the rule is named.
+            (
+                ["q1 Q0 a 1 1.0 t", "q2 Q0 c 1 1.0 t", "q1 Q0 b 2 2.0 t", "q1 Q0 d 3 3.0 t"],
+                "3: query q1", "ranked list scores must be non-increasing",
+            ),
+            (
+                ["q1 Q0 a 1 2.0 t", "q2 Q0 c 1 2.0 t", "q1 Q0 b 2 1.0 t", "q2 Q0 c 2 1.0 t"],
+                "4: query q2", "duplicate item id in ranked list: 'c'",
+            ),
+            (
+                ["q1 Q0 b 1 1.0 t", "q1 Q0 a 2 1.0 t", "q2 Q0 c 1 1.0 t"],
+                "2: query q1", "ties must be ordered by ascending item id",
+            ),
+        ],
+        ids=["rising-score", "repeated-item", "tie-out-of-order"],
+    )
+    def test_broken_list_rule_names_path_line_and_query(self, tmp_path, rows, where, rule):
+        path = tmp_path / "run.trec"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{where}: {rule}')}$"):
             read_trec_run(path)
 
 
